@@ -3,10 +3,15 @@
 Every bound has the shape ``h(gamma) - penalties + credits`` where the
 penalties are limiting conditional entropies of auxiliary sequences and the
 credit reflects residual ambiguity in insertion positions given both channel
-input and output.  All infinite sums are evaluated by direct truncated
-summation of the underlying joint laws; the truncation points are chosen from
-``SeriesConfig.tail_epsilon`` and every term carries a conservative
-closed-form bound on the discarded mass's entropy contribution.
+input and output.  The deleted-run sums are evaluated by direct truncated
+summation of their joint laws.  The run-length entropy H(L_X | L_out) sums its
+joint law over input run lengths up to r_max: the row entropies
+H(L_out | L_X = r) do not depend on gamma, so they are built once per per-bit
+step law, by repeated convolution, and reused by every gamma of a search; the
+output-length marginal is exact, taken from its generating function.  The
+truncation points are chosen from ``SeriesConfig.tail_epsilon`` and every
+term carries a conservative closed-form bound on the discarded mass's entropy
+contribution.
 
 Terms that also admit a printed closed form (the deleted-run-count entropy,
 the deletion run-length entropy, the combined-channel deleted-run term) are
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelParams, EntropyTerm, binary_entropy
+from .core import ChannelParams, EntropyTerm, MarkovSourceParams, binary_entropy
 
 __all__ = [
     "SeriesConfig",
@@ -329,33 +334,97 @@ def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
     return max(8, min(cfg.r_max_cap, r))
 
 
-def _run_law_entropy(gamma: float, step: np.ndarray, cfg: SeriesConfig, name: str) -> EntropyTerm:
-    """H(L_X | L_out) where L_out is the sum over the run's bits of i.i.d.
-    per-bit length contributions in {0, 1, 2} distributed as ``step``.
+# Row entropies H(row_r), r = 1..size, of the most recent step law: (kernel,
+# last row, entropies).  The rows do not depend on gamma, so one gamma search
+# builds them once.  The tuple is replaced whole, never mutated, so a reader
+# never sees a kernel paired with another kernel's rows.
+_ROW_ENTROPIES: tuple[tuple[float, ...], np.ndarray, np.ndarray] = ((), np.ones(1), np.zeros(0))
 
-    The conditional row for run length r is the r-fold convolution of
-    ``step``, which equals the printed binomial/multinomial row laws; rows
-    are streamed so memory stays O(r_max).
+
+def _row_entropies(kernel: tuple[float, ...], r_max: int) -> np.ndarray:
+    """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
+    convolution of ``kernel``; the table is kept for one kernel and grown
+    on demand."""
+    global _ROW_ENTROPIES
+    key, row, h = _ROW_ENTROPIES
+    if key != kernel:
+        row, h = np.ones(1), np.zeros(0)
+    if h.size < r_max:
+        step = np.array(kernel)
+        grown = np.empty(r_max - h.size)
+        for k in range(grown.size):
+            row = np.convolve(row, step)
+            grown[k] = _entropy_bits(row)
+        h = np.concatenate([h, grown])
+        _ROW_ENTROPIES = (kernel, row, h)
+    return h[:r_max]
+
+
+def _output_length_law(gamma: float, step: tuple[float, float, float], s_max: int) -> np.ndarray:
+    """Exact P(L_out = s), s = 0..s_max, for a geometric input run whose bits
+    each contribute 0, 1 or 2 output bits with probabilities
+    ``step`` = (d, 1-d-i, i).
+
+    The generating function is (1-gamma) phi(z) / (1 - gamma phi(z)) with
+    phi(z) = d + (1-d-i) z + i z**2.  Writing 1 - gamma phi(z) as
+    c0 (1 - a z)(1 - b z) with a >= -b >= 0 gives P(0) = (1-gamma) d / c0 and
+    P(s) = (1-gamma) (a**(s+1) - b**(s+1)) / (gamma c0 (a - b)) for s >= 1:
+    a zero-modified geometric law when i = 0 (then b = 0), otherwise the sum
+    of two geometric sequences.  The difference is taken as
+    a**n (1 - (b/a)**n) with log|b/a| = log1p(-2 (a + b) / (a - b)), which
+    stays accurate when |b| is close to a and makes odd lengths exactly
+    zero-mass when d + i = 1 (a + b = 0).
+    """
+    d, keep, i = step
+    gb = 1.0 - gamma
+    c0 = 1.0 - gamma * d
+    a_plus_b = gamma * keep / c0
+    a_minus_b = math.sqrt(a_plus_b * a_plus_b + 4.0 * gamma * i / c0)
+    n = np.arange(1.0, s_max + 2.0)  # s + 1
+    law = np.power((a_plus_b + a_minus_b) / 2.0, n)
+    law *= gb / (gamma * c0 * a_minus_b)
+    if i > 0.0:
+        n *= math.log1p(-2.0 * a_plus_b / (a_plus_b + a_minus_b))  # now n log|b/a|
+        law[0::2] *= 1.0 + np.exp(n[0::2])  # (b/a)**n = -|b/a|**n for odd n
+        law[1::2] *= -np.expm1(n[1::2])
+    law[0] = gb * d / c0
+    return law
+
+
+def _entropy_bits(law: np.ndarray) -> float:
+    """Entropy in bits of the positive entries of ``law``."""
+    pos = law[law > 0.0]
+    h = np.log2(pos)
+    h *= pos
+    return -float(h.sum())
+
+
+def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: str) -> EntropyTerm:
+    """H(L_X | L_out) where L_out is the sum over the run's bits of i.i.d.
+    per-bit length contributions in {0, 1, 2} with probabilities
+    (d, 1 - d - i, i).
+
+    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and
+    H(L_X, L_out) = sum_r p_r (-log2 p_r + H(row_r)) over r = 1..r_max, where
+    row_r, the law of L_out given L_X = r, is the r-fold convolution of the
+    step law.  The rows do not depend on gamma, so their entropies come from
+    a table built once per step law (:func:`_row_entropies`) and each call
+    does O(r_max) work.  The L_out marginal is exact
+    (:func:`_output_length_law`) on 0..2 r_max.
     """
     r_max = _r_truncation(gamma, cfg)
-    gb = 1.0 - gamma
-    marginal = np.zeros(2 * r_max + 1)
-    joint_pieces = []
-    row = np.array([1.0])
-    for r in range(1, r_max + 1):
-        row = np.convolve(row, step)
-        p_r = gamma ** (r - 1) * gb
-        marginal[: row.size] += p_r * row
-        pos = row[row > 0.0]
-        row_entropy = -float(np.dot(pos, np.log2(pos)))
-        joint_pieces.append(p_r * (math.log2(1.0 / p_r) + row_entropy))
-    h_joint = math.fsum(joint_pieces)
-    pos = marginal[marginal > 0.0]
-    h_marg = -math.fsum((p * math.log2(p) for p in pos))
-    value = h_joint - h_marg
-
     trunc = _run_tail_bound(gamma, r_max)
-    return EntropyTerm(name, max(value, 0.0), trunc)
+    if d == 0.0 and i == 0.0:  # L_out = L_X
+        return EntropyTerm(name, 0.0, trunc)
+    step = (d, max(1.0 - d - i, 0.0), i)  # d + i may exceed 1 by rounding
+    h_marg = _entropy_bits(_output_length_law(gamma, step, 2 * r_max))
+    gb = 1.0 - gamma
+    k = np.arange(r_max)
+    kernel = np.trim_zeros(step)  # a tuple; leading/trailing zero steps only shift rows
+    joint = _row_entropies(kernel, r_max) - (math.log2(gb) + k * math.log2(gamma))  # H(row_r) - log2 p_r
+    joint *= gb * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
+    h_joint = float(joint.sum())
+    return EntropyTerm(name, max(h_joint - h_marg, 0.0), trunc)
 
 
 def _run_tail_bound(gamma: float, r_max: int) -> float:
@@ -374,24 +443,18 @@ def _run_tail_bound(gamma: float, r_max: int) -> float:
 
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for pure deletion: each bit survives with prob 1 - d."""
-    cfg = cfg or SeriesConfig()
-    step = np.array([d, 1.0 - d, 0.0])
-    return _run_law_entropy(gamma, step, cfg, "run_length_entropy_deletion")
+    return _run_law_entropy(gamma, d, 0.0, cfg or SeriesConfig(), "run_length_entropy_deletion")
 
 
 def run_law_duplication_H(gamma: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Ytilde) for insertions only: each bit contributes 1 or 2."""
-    cfg = cfg or SeriesConfig()
-    step = np.array([0.0, 1.0 - i, i])
-    return _run_law_entropy(gamma, step, cfg, "run_length_entropy_insertion")
+    return _run_law_entropy(gamma, 0.0, i, cfg or SeriesConfig(), "run_length_entropy_insertion")
 
 
 def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for the combined channel: contributions {0, 1, 2} with
     probabilities (d, 1 - d - i, i)."""
-    cfg = cfg or SeriesConfig()
-    step = np.array([d, 1.0 - d - i, i])
-    return _run_law_entropy(gamma, step, cfg, "run_length_entropy_delins")
+    return _run_law_entropy(gamma, d, i, cfg or SeriesConfig(), "run_length_entropy_delins")
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -635,6 +698,7 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     printed closed form, for side-by-side study of the suspected erratum.
     """
     ChannelParams(d=d)
+    MarkovSourceParams(gamma)
     cfg = cfg or SeriesConfig()
     hs2 = cond_entropy_S_given_YY(gamma, d, cfg)
     run = run_law_deletion_H(gamma, d, cfg)
@@ -656,6 +720,7 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
 def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     """Insertion bound decoding all insertion positions (LB 1)."""
     ChannelParams(i=i, alpha=alpha)
+    MarkovSourceParams(gamma)
     terms = [
         EntropyTerm("source_entropy", binary_entropy(gamma)),
         EntropyTerm("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma)),
@@ -667,6 +732,7 @@ def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
 def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None = None) -> BoundResult:
     """Insertion bound decoding only complementary insertions (LB 2)."""
     ChannelParams(i=i, alpha=alpha)
+    MarkovSourceParams(gamma)
     cfg = cfg or SeriesConfig()
     run = run_law_duplication_H(gamma, i, cfg)
     terms = [
@@ -690,6 +756,7 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     d = 0.
     """
     ChannelParams(d=d, i=i, alpha=alpha)
+    MarkovSourceParams(gamma)
     cfg = cfg or SeriesConfig()
     q = markov_q(gamma, d)
     ip = i / (1.0 - d)

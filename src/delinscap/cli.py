@@ -92,6 +92,8 @@ def _parse_grid(spec: str) -> list[float]:
                 break
             vals.append(v)
             k += 1
+        if not vals:
+            raise ValueError(f"grid spec {spec!r} expands to no values (start > stop)")
         return vals
     if "," in spec:
         return [float(p) for p in spec.split(",")]
@@ -146,6 +148,8 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
     alpha = args.alpha if args.alpha is not None else 1.0
     try:
         ChannelParams(d=d, i=i, alpha=alpha)
+        if args.gamma is not None:
+            MarkovSourceParams(args.gamma)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -270,6 +270,117 @@ class TestRunLawEntropies:
             assert abs(a.value - b.value) <= a.truncation_error
 
 
+def _convolution_oracle(gamma, step, r_max):
+    """H(L_X | L_out) rebuilt from scratch for one gamma: the r-fold
+    convolution rows, the truncated output-length marginal sum_r p_r row_r
+    and the joint entropy, all summed directly."""
+    gb = 1.0 - gamma
+    marginal = np.zeros(2 * r_max + 1)
+    joint_pieces = []
+    row = np.array([1.0])
+    for r in range(1, r_max + 1):
+        row = np.convolve(row, step)
+        p_r = gamma ** (r - 1) * gb
+        marginal[: row.size] += p_r * row
+        pos = row[row > 0.0]
+        row_entropy = -float(np.dot(pos, np.log2(pos)))
+        joint_pieces.append(p_r * (math.log2(1.0 / p_r) + row_entropy))
+    pos = marginal[marginal > 0.0]
+    return math.fsum(joint_pieces) + math.fsum(p * math.log2(p) for p in pos)
+
+
+def _truncated_marginal(gamma, d, i, r_max):
+    step = np.array([d, 1.0 - d - i, i])
+    out = np.zeros(2 * r_max + 1)
+    row = np.array([1.0])
+    for r in range(1, r_max + 1):
+        row = np.convolve(row, step)
+        out[: row.size] += gamma ** (r - 1) * (1.0 - gamma) * row
+    return out
+
+
+def _exact_marginal(gamma, d, i, s_max):
+    return ab._output_length_law(gamma, (d, max(1.0 - d - i, 0.0), i), s_max)
+
+
+def _clear_row_table(monkeypatch):
+    monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), np.ones(1), np.zeros(0)))
+
+
+# each public run-length kernel at one channel, with that channel's (d, i)
+_KERNELS = {
+    "deletion": (lambda g: ab.run_law_deletion_H(g, 0.3), 0.3, 0.0),
+    "duplication": (lambda g: ab.run_law_duplication_H(g, 0.2), 0.0, 0.2),
+    "delins": (lambda g: ab.run_law_delins_H(g, 0.2, 0.1), 0.2, 0.1),
+}
+
+
+class TestRunLengthKernel:
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.995, 0.999])
+    @pytest.mark.parametrize("kind", sorted(_KERNELS))
+    def test_matches_convolution_oracle(self, kind, gamma):
+        kernel, d, i = _KERNELS[kind]
+        term = kernel(gamma)
+        r_max = ab._r_truncation(gamma, ab.SeriesConfig())
+        oracle = _convolution_oracle(gamma, np.array([d, 1.0 - d - i, i]), r_max)
+        assert abs(term.value - oracle) <= term.truncation_error
+
+    @pytest.mark.parametrize("d,i", [(0.4, 0.6), (0.5, 0.5), (0.9, 0.1)])
+    def test_d_plus_i_one_matches_oracle(self, d, i):
+        # every bit is deleted or doubled, so odd output lengths carry no mass
+        gamma = 0.9
+        term = ab.run_law_delins_H(gamma, d, i)
+        r_max = ab._r_truncation(gamma, ab.SeriesConfig())
+        oracle = _convolution_oracle(gamma, np.array([d, 0.0, i]), r_max)
+        assert abs(term.value - oracle) <= term.truncation_error
+        law = _exact_marginal(gamma, d, i, 2 * r_max)
+        assert np.all(law[1::2] == 0.0)
+
+    def test_identity_step_is_zero(self):
+        for gamma in (0.3, 0.9, 0.995):
+            assert ab.run_law_delins_H(gamma, 0.0, 0.0).value == 0.0
+
+    def test_cache_is_bit_identical_to_a_cleared_cache(self, monkeypatch):
+        calls = [
+            ("deletion", 0.5), ("duplication", 0.5), ("deletion", 0.5),
+            ("delins", 0.9), ("deletion", 0.5), ("deletion", 0.995), ("deletion", 0.5),
+            ("duplication", 0.995), ("delins", 0.5), ("duplication", 0.5),
+        ]
+        _clear_row_table(monkeypatch)
+        warm = [_KERNELS[kind][0](g) for kind, g in calls]
+        for (kind, g), got in zip(calls, warm):
+            _clear_row_table(monkeypatch)
+            cold = _KERNELS[kind][0](g)
+            assert (got.value, got.truncation_error) == (cold.value, cold.truncation_error)
+
+    @pytest.mark.parametrize("gamma,d,i", [
+        (0.3, 0.3, 0.0), (0.9, 0.0, 0.2), (0.995, 0.2, 0.1), (0.999, 0.5, 0.5),
+        (0.6, 0.05, 0.9), (0.8, 0.0, 0.0),
+    ])
+    def test_output_length_law_sums_to_one(self, gamma, d, i):
+        s_max = 2 * math.ceil(math.log(1e-16) / math.log(gamma))
+        law = _exact_marginal(gamma, d, i, s_max)
+        assert np.all(law >= 0.0)
+        assert abs(law.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("gamma,d,i", [
+        (0.05, 0.3, 0.0), (0.05, 0.0, 0.2), (0.05, 0.2, 0.1), (0.05, 0.4, 0.6),
+        (1e-6, 0.0, 0.2), (1e-6, 0.2, 0.1), (1e-6, 0.1, 1e-9),
+    ])
+    def test_output_length_law_equals_mixture_of_rows(self, gamma, d, i):
+        # the dropped rows r > 12 carry mass gamma**12 <= 2.5e-16
+        r_max = 12
+        law = _exact_marginal(gamma, d, i, 2 * r_max)
+        assert np.abs(law - _truncated_marginal(gamma, d, i, r_max)).max() <= 1e-15
+
+    def test_output_length_law_dominates_truncated_mixture(self):
+        gamma, r_max = 0.7, 12
+        for d, i in [(0.3, 0.0), (0.0, 0.2), (0.2, 0.1)]:
+            gap = _exact_marginal(gamma, d, i, 2 * r_max) - _truncated_marginal(gamma, d, i, r_max)
+            assert gap.min() >= -1e-15
+            assert gap.sum() <= gamma ** r_max + 1e-15
+
+
 class TestDelinsSTerm:
     def test_zero_at_d0(self):
         assert ab.delins_S_term(0.5, 0.0, 0.2, 0.5).value == 0.0
@@ -325,6 +436,13 @@ class TestBounds:
 
     def test_delins_identity_channel(self):
         assert ab.lb_delins(0.0, 0.0, 0.5, 0.5).bound_bits == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.1])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        for bound in (lambda: ab.lb_deletion(0.2, gamma), lambda: ab.lb1_insertion(0.2, 0.5, gamma),
+                      lambda: ab.lb2_insertion(0.2, 0.5, gamma), lambda: ab.lb_delins(0.2, 0.1, 0.5, gamma)):
+            with pytest.raises(ValueError, match="gamma"):
+                bound()
 
     def test_delins_rejects_incoherent_params(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,13 @@ class TestBoundCommand:
             main(["bound", "--channel", "insertion", "--i", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("gamma", ["0", "1", "1.5", "-0.1"])
+    def test_gamma_outside_unit_interval_usage_error(self, gamma, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--channel", "deletion", "--d", "0.2", "--gamma", gamma])
+        assert exc.value.code == 2
+        assert "gamma" in capsys.readouterr().err
+
     def test_paper_closed_forms_flag(self, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -105,6 +112,12 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_empty_grid_rejected_without_writing(self, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert main(["sweep", "--channel", "deletion", "--d", "0.1:0.05:0.01", "--out", str(out)]) != 0
+        assert "no values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rfc4180_line_endings(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -207,3 +220,5 @@ def test_grid_spec_parsing():
         _parse_grid("0:1:0:9")
     with pytest.raises(ValueError):
         _parse_grid("0:1:-0.1")
+    with pytest.raises(ValueError):
+        _parse_grid("0.1:0.05:0.01")
