@@ -28,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import ChannelParams, RunSequence, as_bits, to_runs
+from .core import ChannelParams, RunSequence, as_bits
 
 __all__ = [
     "Action",
@@ -254,36 +254,39 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
         k = int(s[0])
         return RunSequence(first_bit=0, lengths=(0,) * k)
 
-    for g in range(1, m):
+    inner = s[1:m]  # deleted runs in the gap before output bit g, g = 1..m-1
+    boundary = y[1:] != y[:-1]
+    gaps = np.flatnonzero(inner)
+    # an odd count belongs between equal neighbours, an even one between unequal
+    bad = (inner[gaps] & 1).astype(bool) == boundary[gaps]
+    if bad.any():
+        g = int(gaps[bad.argmax()]) + 1
         k = int(s[g])
-        if k == 0:
-            continue
-        if y[g] == y[g - 1] and k % 2 == 0:
+        if y[g] == y[g - 1]:
             raise ValueError(f"gap {g}: equal neighbours need an odd deleted-run count, got {k}")
-        if y[g] != y[g - 1] and k % 2 == 1:
-            raise ValueError(f"gap {g}: unequal neighbours need an even deleted-run count, got {k}")
+        raise ValueError(f"gap {g}: unequal neighbours need an even deleted-run count, got {k}")
 
-    lengths: list[int] = [0] * int(s[0])
-    cur = 1
-    for g in range(1, m):
-        k = int(s[g])
-        if k == 0:
-            if y[g] == y[g - 1]:
-                cur += 1
-            else:
-                lengths.append(cur)
-                cur = 1
-        else:
-            lengths.append(cur)
-            lengths.extend([0] * k)
-            cur = 1
-    lengths.append(cur)
-    lengths.extend([0] * int(s[m]))
+    # a surviving run ends before every symbol change and every gap with deleted runs
+    boundary[gaps] = True
+    cuts = np.flatnonzero(boundary)  # g - 1 for every such gap g
+    del boundary, gaps, bad
+    # run lengths are the differences of the run ends [cuts, m - 1], taken in place
+    runs = np.empty(cuts.size + 1, dtype=np.int64)
+    runs[:-1] = cuts
+    runs[-1] = m - 1
+    runs[1:] -= cuts
+    runs[0] += 1
+    # surviving run j goes after the s[0] leading markers, the j runs before
+    # it and the markers of the first j cuts
+    pos = np.empty(runs.size, dtype=np.int64)
+    pos[0] = s[0]
+    np.take(inner, cuts, out=pos[1:])
+    del cuts
+    pos[1:] += 1
+    np.cumsum(pos, out=pos)
+    lengths = np.zeros(int(pos[-1]) + 1 + int(s[m]), dtype=np.int32)
+    lengths[pos] = runs
+    del runs, pos
 
     first_bit = int(y[0]) ^ (int(s[0]) & 1)
-    return RunSequence(first_bit=first_bit, lengths=tuple(lengths))
-
-
-def run_count(bits: np.ndarray) -> int:
-    """Number of runs in a bit sequence (0 for the empty sequence)."""
-    return to_runs(bits).num_runs
+    return RunSequence(first_bit=first_bit, lengths=tuple(lengths.tolist()))

@@ -102,7 +102,7 @@ class RunSequence:
     def __post_init__(self) -> None:
         if self.first_bit not in (0, 1):
             raise ValueError(f"first_bit must be 0 or 1, got {self.first_bit}")
-        if any(l < 0 for l in self.lengths):
+        if min(self.lengths, default=0) < 0:
             raise ValueError("run lengths must be non-negative")
 
     @property
@@ -172,7 +172,7 @@ def to_runs(bits: np.ndarray) -> RunSequence:
         return RunSequence(first_bit=0, lengths=())
     change = np.flatnonzero(bits[1:] != bits[:-1])
     bounds = np.concatenate(([0], change + 1, [bits.size]))
-    lengths = tuple(int(l) for l in np.diff(bounds))
+    lengths = tuple(np.diff(bounds).tolist())
     return RunSequence(first_bit=int(bits[0]), lengths=lengths)
 
 

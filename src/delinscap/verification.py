@@ -1,13 +1,14 @@
 """Verification suites: exact-oracle, Monte Carlo, reduction and truncation checks.
 
 Each suite returns a machine-readable report: a list of named checks with the
-measured figure, its tolerance, and a pass flag.  The acceptance test module
-runs these same suites, so the tolerances below are the single source of
-truth for what this package promises numerically.
+measured figure, its tolerance, a pass flag, and the seconds spent on it.
+The acceptance test module runs these same suites, so the tolerances below
+are the single source of truth for what this package promises numerically.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 import numpy as np
@@ -54,72 +55,84 @@ RUN_LAW_DELINS_POINTS = [(0.1, 0.1), (0.2, 0.15), (0.3, 0.3)]
 MC_SEED = 20240501
 
 
-def _check(name: str, measured: float, tol: float, detail: str = "") -> dict:
-    return {
-        "name": name,
-        "measured": measured,
-        "tolerance": tol,
-        "passed": bool(measured <= tol),
-        "detail": detail,
-    }
+class _Checks(list):
+    """The checks of one suite.  Each records the seconds since the previous
+    one was added (or since the suite began), which is the time spent
+    computing it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._since = time.perf_counter()
+
+    def add(self, name: str, measured: float, tol: float, detail: str = "") -> None:
+        now = time.perf_counter()
+        self.append({
+            "name": name,
+            "measured": measured,
+            "tolerance": tol,
+            "passed": bool(measured <= tol),
+            "detail": detail,
+            "seconds": now - self._since,
+        })
+        self._since = now
 
 
 def verify_oracle(n_max: int = 8, decomp_n: int = 6, seed: int = 0) -> dict:
     """Cascade equivalence, run-law agreement, and decomposition identities."""
-    checks = []
+    checks = _Checks()
     for d, i, a in CASCADE_PARAMS:
         worst = oracle.cascade_equivalence_check(n_max, ChannelParams(d=d, i=i, alpha=a), seed=seed)
-        checks.append(_check(f"cascade_equivalence_d{d}_i{i}_a{a}", worst, TOL_CASCADE,
-                             f"max pointwise law gap over all {n_max}-bit inputs"))
+        checks.add(f"cascade_equivalence_d{d}_i{i}_a{a}", worst, TOL_CASCADE,
+                   f"max pointwise law gap over all {n_max}-bit inputs")
 
     for d in RUN_LAW_DELETION_POINTS:
         table = oracle.exact_run_law(8, ChannelParams(d=d), "deletion")
         worst = max(float(np.abs(table[r] - ab.deletion_run_law_row(r, d)).max()) for r in table)
-        checks.append(_check(f"run_law_deletion_d{d}", worst, TOL_RUN_LAW))
+        checks.add(f"run_law_deletion_d{d}", worst, TOL_RUN_LAW)
     for i, a in RUN_LAW_INSERTION_POINTS:
         table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a), "insertion")
         worst = max(float(np.abs(table[r] - ab.duplication_run_law_row(r, i)).max()) for r in table)
-        checks.append(_check(f"run_law_insertion_i{i}_a{a}", worst, TOL_RUN_LAW))
+        checks.add(f"run_law_insertion_i{i}_a{a}", worst, TOL_RUN_LAW)
     for d, i in RUN_LAW_DELINS_POINTS:
         table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=0.5), "delins")
         worst = max(float(np.abs(table[r] - ab.delins_run_law_row(r, d, i)).max()) for r in table)
-        checks.append(_check(f"run_law_delins_d{d}_i{i}", worst, TOL_RUN_LAW))
+        checks.add(f"run_law_delins_d{d}_i{i}", worst, TOL_RUN_LAW)
 
     chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.3), "deletion")
-    checks.append(_check("decomposition_deletion", chk.residual, TOL_DECOMP,
-                         f"mass error {chk.mass_error:.2e}"))
+    checks.add("decomposition_deletion", chk.residual, TOL_DECOMP,
+               f"mass error {chk.mass_error:.2e}")
     chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8), "delins")
-    checks.append(_check("decomposition_delins", chk.residual, TOL_DECOMP,
-                         f"mass error {chk.mass_error:.2e}"))
+    checks.add("decomposition_delins", chk.residual, TOL_DECOMP,
+               f"mass error {chk.mass_error:.2e}")
     return _report("oracle", checks)
 
 
 def verify_mc(steps: int = 10 ** 6, seed: int = MC_SEED) -> dict:
     """Analytic-vs-Monte-Carlo cross-checks for the limiting entropies."""
-    checks = []
+    checks = _Checks()
     est = mc.estimate_hI(0.2, 0.5, 0.5, steps=steps, seed=seed)
     ref = ab.h_I_limit(0.2, 0.5, 0.5)
-    checks.append(_check("hI_vs_limit", abs(est.value - ref), TOL_MC,
-                         f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}"))
+    checks.add("hI_vs_limit", abs(est.value - ref), TOL_MC,
+               f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}")
 
     est = mc.estimate_hT(0.2, 0.5, 0.5, steps=steps, seed=seed + 1)
     ref = ab.h_T_limit(0.2, 0.5, 0.5)
-    checks.append(_check("hT_vs_limit", abs(est.value - ref), TOL_MC,
-                         f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}"))
+    checks.add("hT_vs_limit", abs(est.value - ref), TOL_MC,
+               f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}")
 
     est = mc.estimate_HS2(0.5, 0.3, steps=steps, seed=seed + 2)
     ref = ab.cond_entropy_S_given_YY(0.5, 0.3).value
-    checks.append(_check("HS2_vs_series", abs(est.value - ref), TOL_MC,
-                         f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}"))
+    checks.add("HS2_vs_series", abs(est.value - ref), TOL_MC,
+               f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}")
 
     emp = mc.estimate_stationary_iy(0.2, 0.5, 0.6, steps=steps, seed=seed + 3)
     tv = mc.tv_distance(emp.freqs, ab.stationary_iy(0.2, 0.5, 0.6))
-    checks.append(_check("stationary_iy_tv", tv, TOL_MC, f"{emp.n_obs} observations"))
+    checks.add("stationary_iy_tv", tv, TOL_MC, f"{emp.n_obs} observations")
 
     est = mc.estimate_delins_S_term(0.5, 0.1, 0.1, 0.8, steps=steps, seed=seed + 4)
     ref = ab.delins_S_term(0.5, 0.1, 0.1, 0.8).value
-    checks.append(_check("delins_S_vs_series", abs(est.value - ref), TOL_MC_DELINS,
-                         f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}"))
+    checks.add("delins_S_vs_series", abs(est.value - ref), TOL_MC_DELINS,
+               f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}")
     return _report("mc", checks)
 
 
@@ -127,7 +140,7 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
     """Combined-channel reductions to the pure-channel bounds, plus trivial anchors."""
     cfg = cfg or ab.SeriesConfig()
     gammas = [0.2, 0.35, 0.5, 0.65, 0.8]
-    checks = []
+    checks = _Checks()
 
     worst = 0.0
     for d in [0.1, 0.2, 0.3, 0.4, 0.5]:
@@ -135,7 +148,7 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
             delta = abs(ab.lb_delins(d, 0.0, 0.8, g, cfg, diagnostics=False).bound_bits
                         - ab.lb_deletion(d, g, cfg, diagnostics=False).bound_bits)
             worst = max(worst, delta)
-    checks.append(_check("delins_reduces_to_deletion", worst, TOL_REDUCTION, "5x5 grid in (d, gamma)"))
+    checks.add("delins_reduces_to_deletion", worst, TOL_REDUCTION, "5x5 grid in (d, gamma)")
 
     worst = 0.0
     for i in [0.05, 0.1, 0.2, 0.3, 0.4]:
@@ -144,15 +157,15 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
                 delta = abs(ab.lb_delins(0.0, i, a, g, cfg, diagnostics=False).bound_bits
                             - ab.lb2_insertion(i, a, g, cfg).bound_bits)
                 worst = max(worst, delta)
-    checks.append(_check("delins_reduces_to_insertion_lb2", worst, TOL_REDUCTION,
-                         "5x5 grid in (i, gamma) at alpha in {0.3, 0.8}"))
+    checks.add("delins_reduces_to_insertion_lb2", worst, TOL_REDUCTION,
+               "5x5 grid in (i, gamma) at alpha in {0.3, 0.8}")
 
     res = optimize_bound("deletion", d=0.0, cfg=cfg)
-    checks.append(_check("anchor_deletion_d0_bound", abs(res.bound_bits - 1.0), TOL_ANCHOR))
-    checks.append(_check("anchor_deletion_d0_gamma", abs(res.gamma_star - 0.5), 1e-3))
-    checks.append(_check("anchor_lb1_i0", abs(ab.lb1_insertion(0.0, 0.5, 0.5).bound_bits - 1.0), TOL_ANCHOR))
-    checks.append(_check("anchor_lb2_i0", abs(ab.lb2_insertion(0.0, 0.5, 0.5, cfg).bound_bits - 1.0), TOL_ANCHOR))
-    checks.append(_check("anchor_delins_00", abs(ab.lb_delins(0.0, 0.0, 0.7, 0.5, cfg).bound_bits - 1.0), TOL_ANCHOR))
+    checks.add("anchor_deletion_d0_bound", abs(res.bound_bits - 1.0), TOL_ANCHOR)
+    checks.add("anchor_deletion_d0_gamma", abs(res.gamma_star - 0.5), 1e-3)
+    checks.add("anchor_lb1_i0", abs(ab.lb1_insertion(0.0, 0.5, 0.5).bound_bits - 1.0), TOL_ANCHOR)
+    checks.add("anchor_lb2_i0", abs(ab.lb2_insertion(0.0, 0.5, 0.5, cfg).bound_bits - 1.0), TOL_ANCHOR)
+    checks.add("anchor_delins_00", abs(ab.lb_delins(0.0, 0.0, 0.7, 0.5, cfg).bound_bits - 1.0), TOL_ANCHOR)
     return _report("reductions", checks)
 
 
@@ -168,16 +181,16 @@ def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
         ("delins_d0.1_i0.1", lambda c: ab.lb_delins(0.1, 0.1, 0.8, 0.655, c, diagnostics=False)),
         ("delins_d0.2_i0.2", lambda c: ab.lb_delins(0.2, 0.2, 0.5, 0.7, c, diagnostics=False)),
     ]
-    checks = []
+    checks = _Checks()
     for name, fn in cases:
         a = fn(base)
         b = fn(tight)
         delta = abs(a.bound_bits - b.bound_bits)
-        checks.append(_check(f"truncation_{name}", delta, TOL_TRUNCATION,
-                             f"budget {a.error_budget:.2e}"))
+        checks.add(f"truncation_{name}", delta, TOL_TRUNCATION,
+                   f"budget {a.error_budget:.2e}")
         if delta > a.error_budget + 1e-15:
-            checks.append(_check(f"truncation_{name}_within_budget", delta, a.error_budget,
-                                 "shift exceeded the reported truncation budget"))
+            checks.add(f"truncation_{name}_within_budget", delta, a.error_budget,
+                       "shift exceeded the reported truncation budget")
     return _report("truncation", checks)
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from delinscap.core import ChannelParams, MarkovSourceParams, bits_from_str, bits_to_str, generate_markov_sequence, to_runs
+from delinscap.core import (ChannelParams, MarkovSourceParams, RunSequence, as_bits, bits_from_str, bits_to_str,
+                            generate_markov_sequence, to_runs)
 from delinscap.channel_sim import (
     Action,
     apply_cascade,
@@ -116,6 +118,87 @@ class TestAugment:
     def test_empty_output(self):
         runs = augment_with_deleted_runs(np.zeros(0, np.uint8), [3])
         assert runs.lengths == (0, 0, 0)
+
+
+def reference_augment(y, s_counts) -> RunSequence:
+    """The per-gap loop that ``augment_with_deleted_runs`` replaced, kept as its reference."""
+    y = as_bits(y)
+    s = np.asarray(s_counts, dtype=np.int64).ravel()
+    if s.size != y.size + 1:
+        raise ValueError("S must have exactly len(y) + 1 entries")
+    if s.size and s.min() < 0:
+        raise ValueError("deleted-run counts must be non-negative")
+
+    m = y.size
+    if m == 0:
+        return RunSequence(first_bit=0, lengths=(0,) * int(s[0]))
+
+    for g in range(1, m):
+        k = int(s[g])
+        if k == 0:
+            continue
+        if y[g] == y[g - 1] and k % 2 == 0:
+            raise ValueError(f"gap {g}: equal neighbours need an odd deleted-run count, got {k}")
+        if y[g] != y[g - 1] and k % 2 == 1:
+            raise ValueError(f"gap {g}: unequal neighbours need an even deleted-run count, got {k}")
+
+    lengths: list[int] = [0] * int(s[0])
+    cur = 1
+    for g in range(1, m):
+        k = int(s[g])
+        if k == 0:
+            if y[g] == y[g - 1]:
+                cur += 1
+            else:
+                lengths.append(cur)
+                cur = 1
+        else:
+            lengths.append(cur)
+            lengths.extend([0] * k)
+            cur = 1
+    lengths.append(cur)
+    lengths.extend([0] * int(s[m]))
+    return RunSequence(first_bit=int(y[0]) ^ (int(s[0]) & 1), lengths=tuple(lengths))
+
+
+def _outcome(fn, y, s):
+    try:
+        return fn(y, s)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _augment_inputs(draw):
+    """(y, S) pairs; about half get every inner count's parity repaired, so
+    valid and invalid pairs are both common."""
+    m = draw(st.integers(0, 24))
+    y = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    s = draw(st.lists(st.integers(0, 5), min_size=m + 1, max_size=m + 1))
+    if draw(st.booleans()):
+        for g in range(1, m):
+            if s[g] and (s[g] % 2 == 1) != (y[g] == y[g - 1]):
+                s[g] += 1
+    return np.array(y, dtype=np.uint8), s
+
+
+class TestAugmentMatchesReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_augment_inputs())
+    @example((np.array([0, 1, 1, 0], np.uint8), [0, 1, 2, 0, 0]))  # two bad gaps: the first is reported
+    @example((np.array([1], np.uint8), [2, 3]))
+    @example((np.zeros(0, np.uint8), [0]))
+    def test_random_pairs(self, pair):
+        y, s = pair
+        assert _outcome(augment_with_deleted_runs, y, s) == _outcome(reference_augment, y, s)
+
+    def test_realizations(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x = generate_markov_sequence(MarkovSourceParams(0.6), 5000, seed=int(rng.integers(2 ** 32)))
+            out = apply_delins(x, ChannelParams(d=0.3, i=0.1, alpha=0.5), seed=int(rng.integers(2 ** 32)))
+            flipped = flip_complementary(out.y, out.aux.t_flags)
+            assert augment_with_deleted_runs(flipped, out.aux.s_counts) == reference_augment(flipped, out.aux.s_counts)
 
 
 class TestRealizationInvariants:

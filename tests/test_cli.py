@@ -181,6 +181,12 @@ class TestVerifyCommand:
         assert {c["name"] for c in payload["checks"]} >= {"hI_vs_limit", "hT_vs_limit",
                                                           "HS2_vs_series", "stationary_iy_tv"}
 
+    def test_oracle_suite_times_each_check(self, capsys):
+        assert main(["verify", "oracle"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        _validate(payload, "verification.schema.json")
+        assert all(c["seconds"] >= 0.0 for c in payload["checks"])
+
 
 class TestSeriesConfigEnv:
     def test_round_trip(self, tmp_path, monkeypatch):

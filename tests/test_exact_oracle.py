@@ -1,11 +1,99 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from delinscap.core import ChannelParams
+from delinscap.core import ChannelParams, as_bits
+from delinscap.channel_sim import action_probabilities
 from delinscap import analytic_bounds as ab
 from delinscap import exact_oracle as oracle
+
+
+# The per-input dict accumulation that the batched oracle replaced, kept as
+# its reference: outputs keyed by length * 2**24 + value, one pattern table
+# built per input.
+_REF_FRAG_LEN = np.array([0, 1, 2, 2], dtype=np.int64)
+_REF_FRAG_VAL = np.array([[0, 0], [0, 1], [0, 3], [1, 2]], dtype=np.int64)
+_REF_LEN_SHIFT = 1 << 24
+
+
+def _reference_law(x: np.ndarray, probs4: np.ndarray) -> dict[int, float]:
+    n = x.size
+    if n == 0:
+        return {0: 1.0}
+    codes = np.flatnonzero(probs4 > 0.0)
+    probs = probs4[codes]
+    law: dict[int, float] = defaultdict(float)
+    xr = x.astype(np.int64)[None, :]
+    total_patterns = codes.size ** n
+    pows = codes.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total_patterns, 1 << 15):
+        idx = np.arange(start, min(start + (1 << 15), total_patterns), dtype=np.int64)
+        digits = (idx[:, None] // pows) % codes.size
+        acts = codes[digits]
+        p = probs[digits].prod(axis=1)
+        cum = np.cumsum(_REF_FRAG_LEN[acts], axis=1)
+        total = cum[:, -1]
+        vals = _REF_FRAG_VAL[acts, np.broadcast_to(xr, acts.shape)]
+        keys = total * _REF_LEN_SHIFT + (vals << (total[:, None] - cum)).sum(axis=1)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        for k, v in zip(uniq.tolist(), np.bincount(inv, weights=p).tolist()):
+            law[k] += v
+    return dict(law)
+
+
+def _reference_str(key: int) -> str:
+    length = key >> 24
+    return format(key & (_REF_LEN_SHIFT - 1), f"0{length}b") if length else ""
+
+
+def reference_channel_law(x, params: ChannelParams) -> dict[str, float]:
+    law = _reference_law(as_bits(x), action_probabilities(params))
+    return {_reference_str(k): v for k, v in sorted(law.items())}
+
+
+def reference_cascade_law(x, params: ChannelParams) -> dict[str, float]:
+    stage1 = _reference_law(as_bits(x), np.array([params.d, 1.0 - params.d, 0.0, 0.0]))
+    ip, a = params.i_prime, params.alpha
+    ins_probs = np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
+    law: dict[int, float] = defaultdict(float)
+    for zkey, pz in stage1.items():
+        for ykey, py in _reference_law(as_bits(_reference_str(zkey)), ins_probs).items():
+            law[ykey] += pz * py
+    return {_reference_str(k): v for k, v in sorted(law.items())}
+
+
+def per_input_gap(n: int, params: ChannelParams) -> float:
+    """The per-input comparison through the public law functions, the
+    reference for the batched ``cascade_equivalence_check``."""
+    worst = 0.0
+    for xv in range(2 ** n):
+        x = np.array([(xv >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
+        direct = oracle.enumerate_channel_law(x, params)
+        casc = oracle.cascade_law(x, params)
+        for y in direct.keys() | casc.keys():
+            worst = max(worst, abs(direct.get(y, 0.0) - casc.get(y, 0.0)))
+    return worst
+
+
+@st.composite
+def channel_params(draw) -> ChannelParams:
+    """(d, i, alpha) over the whole domain, with d = 0, i = 0, alpha in
+    {0, 1} and d + i = 1 (i' = 1) drawn often."""
+    d = draw(st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.01, 0.7))
+    i_choices = st.sampled_from([0.0, 0.1]) | st.floats(0.01, 0.29)
+    if d > 0.0:
+        i_choices = i_choices | st.just(1.0 - d)
+    i = draw(i_choices)
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return ChannelParams(d=d, i=i, alpha=alpha)
+
+
+_EDGE_PARAMS = [ChannelParams(d=0.0, i=0.2, alpha=0.5), ChannelParams(d=0.3, i=0.0),
+                ChannelParams(d=0.2, i=0.1, alpha=0.0), ChannelParams(d=0.2, i=0.1, alpha=1.0),
+                ChannelParams(d=0.4, i=0.6, alpha=0.3), ChannelParams()]
 
 
 class TestChannelLaw:
@@ -58,6 +146,37 @@ class TestCascadeEquivalence:
     def test_n_limit(self):
         with pytest.raises(ValueError):
             oracle.cascade_equivalence_check(11, ChannelParams(d=0.1, i=0.1, alpha=0.5))
+
+
+class TestBatchedOracleMatchesReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 1), max_size=8), channel_params())
+    def test_public_laws(self, bits, params):
+        x = np.array(bits, dtype=np.uint8)
+        # same keys in the same order, and the same sums in the same order
+        assert list(oracle.enumerate_channel_law(x, params).items()) == \
+            list(reference_channel_law(x, params).items())
+        assert list(oracle.cascade_law(x, params).items()) == list(reference_cascade_law(x, params).items())
+
+    @pytest.mark.parametrize("params", _EDGE_PARAMS)
+    def test_public_laws_at_edges(self, params):
+        for x in ("", "0", "0110", "10010110"):
+            assert oracle.enumerate_channel_law(x, params) == reference_channel_law(x, params)
+            assert oracle.cascade_law(x, params) == reference_cascade_law(x, params)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 6), channel_params())
+    def test_batched_gap(self, n, params):
+        # below 4**8 patterns both sides add the same terms in the same order
+        assert oracle.cascade_equivalence_check(n, params) == per_input_gap(n, params)
+
+    @pytest.mark.parametrize("params", _EDGE_PARAMS)
+    def test_batched_gap_at_edges(self, params):
+        for n in (0, 1, 6):
+            assert oracle.cascade_equivalence_check(n, params) == per_input_gap(n, params)
+
+    def test_key_order(self):
+        assert [oracle._key_to_str(k) for k in range(7)] == ["", "0", "1", "00", "01", "10", "11"]
 
 
 class TestExactRunLaw:
