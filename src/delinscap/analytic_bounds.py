@@ -6,17 +6,21 @@ credit reflects residual ambiguity in insertion positions given both channel
 input and output.  The deleted-run sums are evaluated by direct truncated
 summation of their joint laws.  The run-length entropy H(L_X | L_out) sums its
 joint law over input run lengths up to r_max: the row entropies
-H(L_out | L_X = r) do not depend on gamma, so they are built once per per-bit
-step law, by repeated convolution, and reused by every gamma of a search; the
-output-length marginal is exact, taken from its generating function.  The
-truncation points are chosen from ``SeriesConfig.tail_epsilon`` and every
-term carries a conservative closed-form bound on the discarded mass's entropy
-contribution.
+H(L_out | L_X = r) do not depend on gamma, so they are tabulated once per
+per-bit step law, a block of rows per matrix product from a trimmed base row,
+and reused by every gamma of a search; the output-length marginal is exact,
+taken from its generating function.  The truncation points are chosen from
+``SeriesConfig.tail_epsilon`` and every term carries a conservative
+closed-form bound on the discarded mass's entropy contribution, the mass
+trimmed from the row table included.
 
 Terms that also admit a printed closed form (the deleted-run-count entropy,
 the deletion run-length entropy, the combined-channel deleted-run term) are
 additionally evaluated in that literal form and the series-minus-closed-form
-residual is reported as a diagnostic.  The literal deleted-run-count formula
+residual is reported as a diagnostic.  The binomial double series of the
+printed deletion run-length form is summed as sum_m gamma**m (m h(d) -
+H(Binomial(m, 1-d))), with the binomial entropies read from the same row
+table.  The literal deleted-run-count formula
 disagrees with the direct law at d = 0 (it evaluates to ``gamma*log2(gamma)``
 where the law gives 0), so the series path is authoritative throughout and
 the literal form is exposed only for side-by-side study.
@@ -24,6 +28,7 @@ the literal form is exposed only for side-by-side study.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,7 +68,7 @@ __all__ = [
     "lb_delins",
 ]
 
-_LOG2 = math.log(2.0)
+_LOG2E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -334,30 +339,80 @@ def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
     return max(8, min(cfg.r_max_cap, r))
 
 
-# Row entropies H(row_r), r = 1..size, of the most recent step law: (kernel,
-# last row, entropies).  The rows do not depend on gamma, so one gamma search
-# builds them once.  The tuple is replaced whole, never mutated, so a reader
-# never sees a kernel paired with another kernel's rows.
-_ROW_ENTROPIES: tuple[tuple[float, ...], np.ndarray, np.ndarray] = ((), np.ones(1), np.zeros(0))
+# Rows advanced by one block product, and the entry below which the tails of
+# a row are dropped before it seeds the next block.
+_ROW_BLOCK = 16
+_ROW_TRIM = 1e-30
+# Smallest normal double: zero entries are clipped to it before the log, so
+# they contribute exactly 0 to an entropy.
+_TINY = np.finfo(float).tiny
+
+# Row-entropy table of the most recent step law: (kernel, last row,
+# H(row_r), mass missing from row_r), r = 1..size, size a multiple of
+# _ROW_BLOCK.  The rows do not depend on gamma, so one gamma search builds
+# them once.  The tuple is replaced whole, never mutated, so a reader never
+# sees a kernel paired with another kernel's rows.
+_ROW_ENTROPIES: tuple[tuple[float, ...], np.ndarray, np.ndarray, np.ndarray] = (
+    (), np.ones(1), np.zeros(0), np.zeros(0))
 
 
-def _row_entropies(kernel: tuple[float, ...], r_max: int) -> np.ndarray:
+def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, float]:
     """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
-    convolution of ``kernel``; the table is kept for one kernel and grown
-    on demand."""
+    convolution of ``kernel``, and the mass missing from row_r_max.
+
+    The table is kept for one kernel and grown on demand, _ROW_BLOCK = B rows
+    per step.  From the base row row_r0, r0 a multiple of B,
+    row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B, the
+    B x (M + 1) matrix whose rows are kernel^{*1..B} times the (M + 1) x n
+    window matrix, whose row t is the base row shifted by t, gives the next
+    B rows in one product, and one log2 over the product gives their B
+    entropies.  Every term is non-negative, so rounding stays relative.
+    Blocks start at fixed r, so a grown table is bit-identical to one built
+    cold.
+
+    A row is trimmed at both ends to its entries >= _ROW_TRIM before it seeds
+    the next block.  The kernel powers sum to one, so every row of that block
+    misses exactly the mass D dropped so far; with row_r on at most
+    2 r_max + 1 cells, H(row_r) then moves by at most
+    D (log2((2 r_max + 1) / D) + log2 e).
+    """
     global _ROW_ENTROPIES
-    key, row, h = _ROW_ENTROPIES
+    key, row, h, lost = _ROW_ENTROPIES
     if key != kernel:
-        row, h = np.ones(1), np.zeros(0)
+        row, h, lost = np.ones(1), np.zeros(0), np.zeros(0)
     if h.size < r_max:
-        step = np.array(kernel)
-        grown = np.empty(r_max - h.size)
-        for k in range(grown.size):
-            row = np.convolve(row, step)
-            grown[k] = _entropy_bits(row)
-        h = np.concatenate([h, grown])
-        _ROW_ENTROPIES = (kernel, row, h)
-    return h[:r_max]
+        pad = (len(kernel) - 1) * _ROW_BLOCK
+        powers = np.zeros((_ROW_BLOCK, pad + 1))
+        power = np.ones(1)
+        for j in range(_ROW_BLOCK):
+            power = np.convolve(power, kernel)
+            powers[j, :power.size] = power
+        start = h.size
+        dropped = float(lost[-1]) if start else 0.0
+        grown = -(-(r_max - start) // _ROW_BLOCK) * _ROW_BLOCK
+        h, lost = np.concatenate([h, np.empty(grown)]), np.concatenate([lost, np.empty(grown)])
+        cap = 0
+        for r0 in range(start, start + grown, _ROW_BLOCK):
+            keep = np.flatnonzero(row >= _ROW_TRIM)
+            lo, hi = keep[0], keep[-1] + 1
+            dropped += float(row[:lo].sum() + row[hi:].sum())
+            n = hi - lo + pad
+            if n > cap:  # reused, and grown by a quarter at a time, to keep the heap flat
+                cap = n + n // 4
+                window_buf, rows_buf = np.empty((pad + 1) * cap), np.empty(_ROW_BLOCK * cap)
+            window = window_buf[:(pad + 1) * n].reshape(pad + 1, n)
+            window.fill(0.0)
+            for t in range(pad + 1):  # row t of the window is the base row shifted by t
+                window[t, t:t + hi - lo] = row[lo:hi]
+            rows = np.matmul(powers, window, out=rows_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
+            logs = np.maximum(rows, _TINY, out=window_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
+            np.log2(logs, out=logs)
+            logs *= rows
+            h[r0:r0 + _ROW_BLOCK] = -logs.sum(axis=1)
+            lost[r0:r0 + _ROW_BLOCK] = dropped
+            row = rows[-1]
+        _ROW_ENTROPIES = (kernel, row.copy(), h, lost)
+    return h[:r_max], float(lost[r_max - 1])
 
 
 def _output_length_law(gamma: float, step: tuple[float, float, float], s_max: int) -> np.ndarray:
@@ -408,9 +463,12 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     H(L_X, L_out) = sum_r p_r (-log2 p_r + H(row_r)) over r = 1..r_max, where
     row_r, the law of L_out given L_X = r, is the r-fold convolution of the
     step law.  The rows do not depend on gamma, so their entropies come from
-    a table built once per step law (:func:`_row_entropies`) and each call
-    does O(r_max) work.  The L_out marginal is exact
-    (:func:`_output_length_law`) on 0..2 r_max.
+    a table built once per step law, a block of rows per matrix product
+    (:func:`_row_entropies`), and each call does O(r_max) work.  The L_out
+    marginal is exact (:func:`_output_length_law`) on 0..2 r_max.  The
+    truncation error adds to the dropped tail the certified bound on the
+    table's trimmed mass D: the p_r-weighted entropies move by at most
+    D (log2((2 r_max + 1) / D) + log2 e).
     """
     r_max = _r_truncation(gamma, cfg)
     trunc = _run_tail_bound(gamma, r_max)
@@ -420,8 +478,11 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     h_marg = _entropy_bits(_output_length_law(gamma, step, 2 * r_max))
     gb = 1.0 - gamma
     k = np.arange(r_max)
-    kernel = np.trim_zeros(step)  # a tuple; leading/trailing zero steps only shift rows
-    joint = _row_entropies(kernel, r_max) - (math.log2(gb) + k * math.log2(gamma))  # H(row_r) - log2 p_r
+    # a zero end step only shifts the rows; an interior zero (d + i = 1) stays
+    h_rows, lost = _row_entropies(step[int(d == 0.0):3 - int(i == 0.0)], r_max)
+    if lost > 0.0:
+        trunc += lost * (math.log2((2 * r_max + 1) / lost) + _LOG2E)
+    joint = h_rows - (math.log2(gb) + k * math.log2(gamma))  # H(row_r) - log2 p_r
     joint *= gb * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
     h_joint = float(joint.sum())
     return EntropyTerm(name, max(h_joint - h_marg, 0.0), trunc)
@@ -465,11 +526,7 @@ def deletion_run_law_row(r: int, d: float) -> np.ndarray:
     """P(output run length s | input run length r), s = 0..2r, deletions only."""
     out = np.zeros(2 * r + 1)
     for s in range(r + 1):
-        if r <= 60:
-            coef = float(math.comb(r, s))
-        else:
-            coef = math.exp(_log_comb(r, s))
-        out[s] = coef * d ** (r - s) * (1.0 - d) ** s
+        out[s] = math.exp(_log_comb(r, s)) * d ** (r - s) * (1.0 - d) ** s
     return out
 
 
@@ -477,11 +534,7 @@ def duplication_run_law_row(r: int, i: float) -> np.ndarray:
     """P(s | r) for duplications only; support r <= s <= 2r."""
     out = np.zeros(2 * r + 1)
     for s in range(r, 2 * r + 1):
-        if r <= 60:
-            coef = float(math.comb(r, s - r))
-        else:
-            coef = math.exp(_log_comb(r, s - r))
-        out[s] = coef * i ** (s - r) * (1.0 - i) ** (2 * r - s)
+        out[s] = math.exp(_log_comb(r, s - r)) * i ** (s - r) * (1.0 - i) ** (2 * r - s)
     return out
 
 
@@ -501,37 +554,28 @@ def delins_run_law_row(r: int, d: float, i: float) -> np.ndarray:
         for n_ins in range(lo, hi + 1):
             n_del = r + n_ins - s
             n_keep = s - 2 * n_ins
-            if r <= 60:
-                coef = float(math.comb(r, n_ins) * math.comb(r - n_ins, n_del))
-            else:
-                coef = math.exp(
-                    math.lgamma(r + 1) - math.lgamma(n_ins + 1)
-                    - math.lgamma(n_del + 1) - math.lgamma(n_keep + 1)
-                )
+            coef = math.exp(
+                math.lgamma(r + 1) - math.lgamma(n_ins + 1)
+                - math.lgamma(n_del + 1) - math.lgamma(n_keep + 1)
+            )
             total += coef * i ** n_ins * d ** n_del * keep ** n_keep
         out[s] = total
     return out
 
 
-_LOG_FACTORIALS = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """Cached table of ln(k!) for k = 0..n (grown on demand)."""
-    global _LOG_FACTORIALS
-    if _LOG_FACTORIALS.size <= n:
-        start = _LOG_FACTORIALS.size
-        ext = np.log(np.arange(start, n + 1, dtype=float))
-        _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, _LOG_FACTORIALS[-1] + np.cumsum(ext)])
-    return _LOG_FACTORIALS
-
-
 def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap: int = 20_000) -> float:
     """Literal printed closed form for the deletion H(L_X | L_Y') (diagnostic).
 
-    The residual double series over binomial coefficients converges since its
-    terms are dominated by gamma**m; it is truncated once the remaining mass
-    bound drops below ``tail_epsilon``.
+    Its residual double series
+    sum_{m>=2} gamma**m sum_k C(m,k) (1-d)**k d**(m-k) log2 C(m,k) equals
+    sum_{m>=2} gamma**m (m h(d) - H(Binomial(m, 1-d))), since
+    log2 C(m,k) = log2 P(k) - k log2(1-d) - (m-k) log2(d) under the binomial
+    law P.  H(Binomial(m, 1-d)) is the entropy of row m of the deletion
+    run-length table (kernel (d, 1-d), the one :func:`run_law_deletion_H`
+    uses), so the diagnostic at a search's gamma* reuses that search's table.
+    The series converges since its terms are dominated by m gamma**m; it is
+    cut at the first m >= 2 where the remaining mass bound drops below
+    ``tail_epsilon``, and at ``m_cap``.
     """
     if d == 0.0:
         return 0.0
@@ -541,21 +585,18 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
 
-    lnx, lny = math.log(db * gamma), math.log(d * gamma)  # exp sums to gamma**m
-    double = []
-    m = 2
-    while m <= m_cap:
-        lf = _log_factorials(m)
-        ks = np.arange(1, m)
-        lc = lf[m] - lf[ks] - lf[m - ks]
-        double.append(float(np.dot(np.exp(ks * lnx + (m - ks) * lny + lc), lc / _LOG2)))
-        # remaining mass is at most sum_{m' > m} m' * gamma**m'
-        rem = gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb
-        if rem < tail_epsilon:
-            break
-        m += 1
-    out -= (gb / gamma) * math.fsum(double)
-    return out
+    def tail_below(m: int) -> bool:  # the mass after term m is at most sum_{m' > m} m' gamma**m'
+        return gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb < tail_epsilon
+
+    # that bound falls as m grows, so the first m where it drops below
+    # tail_epsilon is found by bisection
+    ms = range(2, m_cap + 1)
+    end = bisect.bisect_left(ms, True, key=tail_below)
+    m = np.arange(2.0, (ms[end] if end < len(ms) else m_cap) + 1.0)
+    series = m * binary_entropy(d)
+    series -= _row_entropies((d, db), m.size + 1)[0][1:]
+    series *= np.power(gamma, m, out=m)
+    return out - (gb / gamma) * float(series.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -304,7 +305,7 @@ def _exact_marginal(gamma, d, i, s_max):
 
 
 def _clear_row_table(monkeypatch):
-    monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), np.ones(1), np.zeros(0)))
+    monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), np.ones(1), np.zeros(0), np.zeros(0)))
 
 
 # each public run-length kernel at one channel, with that channel's (d, i)
@@ -379,6 +380,126 @@ class TestRunLengthKernel:
             gap = _exact_marginal(gamma, d, i, 2 * r_max) - _truncated_marginal(gamma, d, i, r_max)
             assert gap.min() >= -1e-15
             assert gap.sum() <= gamma ** r_max + 1e-15
+
+
+def _convolution_row_entropies(kernel, r_max):
+    """H(row_r), r = 1..r_max, one np.convolve and one masked entropy per row."""
+    step = np.array(kernel)
+    row = np.array([1.0])
+    out = np.empty(r_max)
+    for k in range(r_max):
+        row = np.convolve(row, step)
+        pos = row[row > 0.0]
+        out[k] = -float((np.log2(pos) * pos).sum())
+    return out
+
+
+def _log_factorial_HLXLY(gamma, d, tail_epsilon=1e-14, m_cap=20_000):
+    """closed_form_HLXLY with its double series summed term by term: a
+    cumulative ln(k!) table, then per m the binomial weights times
+    log2 C(m, k).  Each m sums k over |k - m (1 - d)| <= 6 sqrt(m): by
+    Hoeffding the omitted binomial mass is below 2 exp(-72) = 1.1e-31."""
+    gb, db = 1.0 - gamma, 1.0 - d
+    gd = gamma * d
+    out = (d / gb - d * gb / (1.0 - gd) ** 2) * math.log2(1.0 / gd)
+    out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
+    out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, m_cap + 1.0)))])
+    lnx, lny = math.log(db * gamma), math.log(d * gamma)
+    double = []
+    m = 2
+    while m <= m_cap:
+        half = 6.0 * math.sqrt(m)
+        ks = np.arange(max(1, math.floor(m * db - half)), min(m - 1, math.ceil(m * db + half)) + 1)
+        lc = log_fact[m] - log_fact[ks] - log_fact[m - ks]
+        double.append(float(np.dot(np.exp(ks * lnx + (m - ks) * lny + lc), lc)) / math.log(2.0))
+        rem = gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb
+        if rem < tail_epsilon:
+            break
+        m += 1
+    return out - (gb / gamma) * math.fsum(double)
+
+
+def _mp_binomial_entropy(m, p):
+    """H(Binomial(m, p)) in bits at 30 significant digits."""
+    with mpmath.workdps(30):
+        q, ratio = 1 - mpmath.mpf(p), mpmath.mpf(p) / (1 - mpmath.mpf(p))
+        prob, total = q ** m, mpmath.mpf(0)
+        for k in range(m + 1):
+            total -= prob * mpmath.log(prob, 2)
+            prob *= ratio * (m - k) / (k + 1)
+        return float(total)
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("kernel", [(0.9, 0.1), (0.2, 0.7, 0.1), (0.45, 0.0, 0.55)])
+    def test_matches_convolution_rows(self, kernel, monkeypatch):
+        # the two builds round differently and drift apart by O(r) ulp
+        # (1e-12 seen at r = 10 000); each row may differ by 1e-15 per step
+        r_max = ab.SeriesConfig().r_max_cap
+        _clear_row_table(monkeypatch)
+        table, lost = ab._row_entropies(kernel, r_max)
+        gap = np.abs(table - _convolution_row_entropies(kernel, r_max))
+        assert np.all(gap <= 1e-14 + 1e-15 * np.arange(1, r_max + 1))
+        assert 0.0 < lost < 1e-24
+
+    @pytest.mark.parametrize("kernel", [(0.3, 0.7), (0.2, 0.7, 0.1), (0.4, 0.0, 0.6)])
+    def test_growth_across_blocks_is_bit_identical_to_cold_builds(self, kernel, monkeypatch):
+        _clear_row_table(monkeypatch)
+        grown = [ab._row_entropies(kernel, r) for r in (7, 16, 17, 1000, 5513)]
+        for (table, lost), r in zip(grown, (7, 16, 17, 1000, 5513)):
+            _clear_row_table(monkeypatch)
+            cold, cold_lost = ab._row_entropies(kernel, r)
+            assert table.size == r
+            assert np.array_equal(table, cold) and lost == cold_lost
+
+    @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
+    def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch):
+        gamma = 0.99
+        r_max = ab._r_truncation(gamma, ab.SeriesConfig())
+        _clear_row_table(monkeypatch)
+        trimmed = ab.run_law_delins_H(gamma, d, i)
+        kernel = tuple(x for x in (d, 1.0 - d - i, i) if x > 0.0)
+        lost = ab._row_entropies(kernel, r_max)[1]
+        assert lost > 0.0
+        assert trimmed.truncation_error == (
+            ab._run_tail_bound(gamma, r_max) + lost * (math.log2((2 * r_max + 1) / lost) + math.log2(math.e)))
+        monkeypatch.setattr(ab, "_ROW_TRIM", 0.0)
+        _clear_row_table(monkeypatch)
+        full = ab.run_law_delins_H(gamma, d, i)
+        assert ab._row_entropies(kernel, r_max)[1] == 0.0
+        assert full.truncation_error == ab._run_tail_bound(gamma, r_max)
+        assert abs(trimmed.value - full.value) <= trimmed.truncation_error
+
+    @pytest.mark.parametrize("d", [0.5, 0.8])
+    def test_binomial_rows_match_mpmath(self, d, monkeypatch):
+        # the rows of the deletion kernel are the binomial laws behind
+        # closed_form_HLXLY, which reads them up to m_cap = 20 000
+        _clear_row_table(monkeypatch)
+        table = ab._row_entropies((d, 1.0 - d), 20_000)[0]
+        for m in (10, 1000, 20_000):
+            assert abs(table[m - 1] - _mp_binomial_entropy(m, 1.0 - d)) <= 1e-12
+
+
+class TestClosedFormHLXLY:
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99, 0.9953, 0.999])
+    def test_matches_log_factorial_series(self, gamma):
+        # The reference's binomial log-sum is near m h(d) and cancels down to
+        # H(Binomial(m, 1 - d)) ~ log2(m), on top of the rounding its ln(k!)
+        # table accumulates: against mpmath its term m is off by 3e-6 at
+        # m = 10 000 (the rows the new form reads agree to 1e-12, see
+        # TestRowTable).  Weighted by gamma**m, that error grows like
+        # 1 / (1 - gamma)**2: 5.4e-9 at gamma = 0.999, 1.3e-10 at 0.9953.
+        tol = 1e-10 + 1e-14 / (1.0 - gamma) ** 2
+        for d in (0.1, 0.5, 0.8, 0.95):
+            assert abs(ab.closed_form_HLXLY(gamma, d) - _log_factorial_HLXLY(gamma, d)) <= tol
+
+    def test_reuses_the_deletion_table(self, monkeypatch):
+        _clear_row_table(monkeypatch)
+        ab.run_law_deletion_H(0.99, 0.8)
+        kernel = ab._ROW_ENTROPIES[0]
+        ab.closed_form_HLXLY(0.99, 0.8)
+        assert ab._ROW_ENTROPIES[0] == kernel == (0.8, 1.0 - 0.8)
 
 
 class TestDelinsSTerm:
