@@ -12,6 +12,7 @@ from .core import (
     ChannelParams,
     MarkovSourceParams,
     RunSequence,
+    Role,
     EntropyTerm,
     binary_entropy,
     generate_markov_sequence,
@@ -33,10 +34,8 @@ from .channel_sim import (
 )
 from .analytic_bounds import (
     SeriesConfig,
-    AnalyticIntermediates,
     BoundResult,
     markov_q,
-    intermediates,
     stationary_iy,
     h_I_limit,
     h_T_limit,
@@ -59,14 +58,13 @@ from .gamma_optimizer import maximize_over_gamma, optimize_bound, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams", "MarkovSourceParams", "RunSequence", "EntropyTerm",
+    "ChannelParams", "MarkovSourceParams", "RunSequence", "Role", "EntropyTerm",
     "binary_entropy", "generate_markov_sequence", "to_runs", "from_runs",
     "geometric_run_pmf",
     "Action", "AuxSequences", "ChannelOutput", "apply_pattern", "apply_delins",
     "apply_deletion", "apply_insertion", "apply_cascade", "flip_complementary",
     "augment_with_deleted_runs",
-    "SeriesConfig", "AnalyticIntermediates", "BoundResult", "markov_q",
-    "intermediates", "stationary_iy", "h_I_limit", "h_T_limit",
+    "SeriesConfig", "BoundResult", "markov_q", "stationary_iy", "h_I_limit", "h_T_limit",
     "insertion_penalty_credit", "cond_entropy_S_given_YY", "closed_form_HS2",
     "run_law_deletion_H", "run_law_duplication_H", "run_law_delins_H",
     "closed_form_HLXLY", "delins_S_term", "closed_form_delins_S",

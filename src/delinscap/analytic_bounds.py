@@ -3,7 +3,9 @@
 Every bound has the shape ``h(gamma) - penalties + credits`` where the
 penalties are limiting conditional entropies of auxiliary sequences and the
 credit reflects residual ambiguity in insertion positions given both channel
-input and output.  The deleted-run sums are evaluated by direct truncated
+input and output.  Each ``lb_*`` declares the :class:`~.core.Role` of every
+term it builds, and one function turns the roles into the bound and its
+error budget.  The deleted-run sums are evaluated by direct truncated
 summation of their joint laws.  The run-length entropy H(L_X | L_out) sums its
 joint law over input run lengths up to r_max: the row entropies
 H(L_out | L_X = r) do not depend on gamma, so they are tabulated once per
@@ -23,25 +25,26 @@ H(Binomial(m, 1-d))), with the binomial entropies read from the same row
 table.  The literal deleted-run-count formula
 disagrees with the direct law at d = 0 (it evaluates to ``gamma*log2(gamma)``
 where the law gives 0), so the series path is authoritative throughout and
-the literal form is exposed only for side-by-side study.
+the literal form is exposed only for side-by-side study: with
+``use_printed_hs2`` it replaces the deleted-run penalty and is subtracted
+like it, although it may be negative.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelParams, EntropyTerm, MarkovSourceParams, binary_entropy
+from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, binary_entropy
 
 __all__ = [
     "SeriesConfig",
-    "AnalyticIntermediates",
     "BoundResult",
     "markov_q",
-    "intermediates",
     "stationary_iy",
     "iy_transition_matrix",
     "h_I_limit",
@@ -92,24 +95,13 @@ class SeriesConfig:
 
 
 @dataclass(frozen=True)
-class AnalyticIntermediates:
-    """Derived channel quantities: output Markov parameter q, deleted-run
-    geometric ratio theta, survival coefficient beta, cascade rate i'."""
-
-    q: float
-    theta: float
-    beta: float
-    i_prime: float
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """A capacity lower bound with its per-term breakdown.
 
-    ``bound_bits`` always equals ``source_entropy`` minus the ``*_penalty``
-    terms plus the ``*_credit`` terms; ``*_residual`` terms are diagnostics
-    excluded from the reconstruction.  ``error_budget`` sums the truncation
-    errors of the contributing terms.
+    ``bound_bits`` is the sum of the terms' values, each signed by its role:
+    the source entropy and credits add, penalties (printed ones included)
+    subtract, and diagnostics are left out.  ``error_budget`` sums the
+    truncation errors of the terms that enter the bound.
     """
 
     bound_bits: float
@@ -118,15 +110,7 @@ class BoundResult:
     error_budget: float
 
     def reconstruct(self) -> float:
-        total = 0.0
-        for t in self.terms:
-            if "residual" in t.name:
-                continue
-            if t.name.endswith("_penalty"):
-                total -= t.value
-            else:  # source entropy and credits add
-                total += t.value
-        return total
+        return _assemble(self.gamma_star, self.terms).bound_bits
 
 
 def markov_q(gamma: float, d: float) -> float:
@@ -145,15 +129,6 @@ def _beta(gamma: float, d: float) -> float:
 def _g0(gamma: float, d: float) -> float:
     """P(next output bit repeats, no run deleted in between) given the law."""
     return gamma * (1.0 - d) / (1.0 - gamma * d)
-
-
-def intermediates(gamma: float, d: float, i: float = 0.0) -> AnalyticIntermediates:
-    return AnalyticIntermediates(
-        q=markov_q(gamma, d),
-        theta=_theta(gamma, d),
-        beta=_beta(gamma, d),
-        i_prime=i / (1.0 - d),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +695,14 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
 # bound assembly
 # ---------------------------------------------------------------------------
 
-def _assemble(gamma_star: float, terms: list[EntropyTerm]) -> BoundResult:
-    bound = 0.0
-    budget = 0.0
+def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
+    """The bound of ``terms``: each value times its role's sign, summed in
+    order, with the truncation errors of the terms that enter it."""
+    bound = budget = 0.0
     for t in terms:
-        if "residual" in t.name:
-            continue
-        bound += -t.value if t.name.endswith("_penalty") else t.value
-        budget += t.truncation_error
+        if t.role.sign:
+            bound += t.role.sign * t.value
+            budget += t.truncation_error
     return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=tuple(terms), error_budget=budget)
 
 
@@ -735,26 +710,32 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
                 diagnostics: bool = True, use_printed_hs2: bool = False) -> BoundResult:
     """Deletion-channel bound h(gamma) - (1-d) H(S2|Y1Y2) - (1-gamma) H(L_X|L_Y').
 
-    ``use_printed_hs2`` swaps the deleted-run-count term for its literal
-    printed closed form, for side-by-side study of the suspected erratum.
+    ``use_printed_hs2`` swaps the deleted-run-count penalty for its literal
+    printed closed form, which is subtracted in its place (a printed penalty,
+    which may be negative), for side-by-side study of the suspected erratum.
     """
     ChannelParams(d=d)
     MarkovSourceParams(gamma)
     cfg = cfg or SeriesConfig()
     hs2 = cond_entropy_S_given_YY(gamma, d, cfg)
     run = run_law_deletion_H(gamma, d, cfg)
-    hs2_value = closed_form_HS2(gamma, d) if use_printed_hs2 else hs2.value
-    hs2_name = "deleted_runs_penalty_printed_form" if use_printed_hs2 else "deleted_runs_penalty"
+    if use_printed_hs2:
+        hs2_term = EntropyTerm("deleted_runs_penalty_printed_form", (1.0 - d) * closed_form_HS2(gamma, d),
+                               role=Role.PRINTED_PENALTY)
+    else:
+        hs2_term = EntropyTerm("deleted_runs_penalty", (1.0 - d) * hs2.value, (1.0 - d) * hs2.truncation_error,
+                               role=Role.PENALTY)
     terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma)),
-        EntropyTerm(hs2_name, (1.0 - d) * hs2_value,
-                    0.0 if use_printed_hs2 else (1.0 - d) * hs2.truncation_error),
-        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error),
+        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        hs2_term,
+        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
+                    role=Role.PENALTY),
     ]
     if diagnostics:
-        terms.append(EntropyTerm("hs2_series_minus_closed_residual", hs2.value - closed_form_HS2(gamma, d)))
+        terms.append(EntropyTerm("hs2_series_minus_closed_residual", hs2.value - closed_form_HS2(gamma, d),
+                                 role=Role.DIAGNOSTIC))
         terms.append(EntropyTerm("run_law_series_minus_closed_residual",
-                                 run.value - closed_form_HLXLY(gamma, d)))
+                                 run.value - closed_form_HLXLY(gamma, d), role=Role.DIAGNOSTIC))
     return _assemble(gamma, terms)
 
 
@@ -763,9 +744,9 @@ def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     ChannelParams(i=i, alpha=alpha)
     MarkovSourceParams(gamma)
     terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma)),
-        EntropyTerm("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma)),
-        EntropyTerm("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma)),
+        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        EntropyTerm("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma), role=Role.PENALTY),
+        EntropyTerm("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
     ]
     return _assemble(gamma, terms)
 
@@ -777,10 +758,11 @@ def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None
     cfg = cfg or SeriesConfig()
     run = run_law_duplication_H(gamma, i, cfg)
     terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma)),
-        EntropyTerm("comp_insertion_penalty", (1.0 + i) * h_T_limit(i, alpha, gamma)),
-        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error),
-        EntropyTerm("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma)),
+        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        EntropyTerm("comp_insertion_penalty", (1.0 + i) * h_T_limit(i, alpha, gamma), role=Role.PENALTY),
+        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
+                    role=Role.PENALTY),
+        EntropyTerm("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
     ]
     return _assemble(gamma, terms)
 
@@ -805,13 +787,16 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     s_term = delins_S_term(gamma, d, i, alpha, cfg)
     run = run_law_delins_H(gamma, d, i, cfg)
     terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma)),
-        EntropyTerm("comp_insertion_penalty", scale * h_T_limit(ip, alpha, q)),
-        EntropyTerm("deleted_runs_penalty", scale * s_term.value, scale * s_term.truncation_error),
-        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error),
-        EntropyTerm("insertion_ambiguity_credit", (1.0 - d) * insertion_penalty_credit(ip, alpha, q)),
+        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        EntropyTerm("comp_insertion_penalty", scale * h_T_limit(ip, alpha, q), role=Role.PENALTY),
+        EntropyTerm("deleted_runs_penalty", scale * s_term.value, scale * s_term.truncation_error,
+                    role=Role.PENALTY),
+        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
+                    role=Role.PENALTY),
+        EntropyTerm("insertion_ambiguity_credit", (1.0 - d) * insertion_penalty_credit(ip, alpha, q),
+                    role=Role.CREDIT),
     ]
     if diagnostics:
         terms.append(EntropyTerm("delins_s_series_minus_closed_residual",
-                                 s_term.value - closed_form_delins_S(gamma, d, i, alpha)))
+                                 s_term.value - closed_form_delins_S(gamma, d, i, alpha), role=Role.DIAGNOSTIC))
     return _assemble(gamma, terms)

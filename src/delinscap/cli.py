@@ -27,27 +27,10 @@ import numpy as np
 from .core import ChannelParams, MarkovSourceParams, bits_to_str, generate_markov_sequence
 from .channel_sim import Action, apply_delins, augment_with_deleted_runs, flip_complementary
 from . import analytic_bounds as ab
-from .gamma_optimizer import optimize_bound, sweep
+from .gamma_optimizer import CHANNELS, best_key, channel_bounds, sweep
 from .verification import run_suite
 
 ENV_CONFIG = "DELINSCAP_SERIES_CONFIG"
-
-_TERM_COLUMNS = {
-    "deletion": [
-        "source_entropy", "deleted_runs_penalty", "run_length_penalty",
-        "hs2_series_minus_closed_residual", "run_law_series_minus_closed_residual",
-    ],
-    "insertion": [
-        "source_entropy", "insertion_positions_penalty", "comp_insertion_penalty",
-        "run_length_penalty", "insertion_ambiguity_credit",
-    ],
-    "delins": [
-        "source_entropy", "comp_insertion_penalty", "deleted_runs_penalty",
-        "run_length_penalty", "insertion_ambiguity_credit",
-        "delins_s_series_minus_closed_residual",
-    ],
-}
-
 
 def load_series_config() -> ab.SeriesConfig:
     """Series configuration from the environment-pointed file, else defaults."""
@@ -100,21 +83,14 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(spec)]
 
 
-def _require(parser: argparse.ArgumentParser, args, channel_needs: dict[str, tuple[str, ...]]) -> None:
-    needed = channel_needs[args.channel]
+def _require(parser: argparse.ArgumentParser, args) -> None:
+    needed = CHANNELS[args.channel].flags
     for flag in ("d", "i", "alpha"):
         val = getattr(args, flag)
         if flag in needed and val is None:
             parser.error(f"--{flag} is required for channel {args.channel!r}")
         if flag not in needed and val is not None:
             parser.error(f"--{flag} does not apply to channel {args.channel!r}")
-
-
-_CHANNEL_FLAGS = {
-    "deletion": ("d",),
-    "insertion": ("i", "alpha"),
-    "delins": ("d", "i", "alpha"),
-}
 
 
 def _result_dict(res: ab.BoundResult) -> dict:
@@ -139,7 +115,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args, _CHANNEL_FLAGS)
+    _require(parser, args)
     if args.paper_closed_forms and args.channel != "deletion":
         parser.error("--paper-closed-forms applies only to the deletion channel")
     cfg = load_series_config()
@@ -153,28 +129,10 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    bounds: dict[str, ab.BoundResult] = {}
-    if args.channel == "deletion":
-        if args.gamma is not None:
-            bounds["lb"] = ab.lb_deletion(d, args.gamma, cfg, use_printed_hs2=args.paper_closed_forms)
-        else:
-            bounds["lb"] = optimize_bound("deletion", d=d, cfg=cfg, tol=args.tol,
-                                          use_printed_hs2=args.paper_closed_forms)
-    elif args.channel == "insertion":
-        if args.gamma is not None:
-            bounds["lb1"] = ab.lb1_insertion(i, alpha, args.gamma)
-            bounds["lb2"] = ab.lb2_insertion(i, alpha, args.gamma, cfg)
-        else:
-            bounds["lb1"] = optimize_bound("insertion_lb1", i=i, alpha=alpha, cfg=cfg, tol=args.tol)
-            bounds["lb2"] = optimize_bound("insertion_lb2", i=i, alpha=alpha, cfg=cfg, tol=args.tol)
-    else:
-        if args.gamma is not None:
-            bounds["lb"] = ab.lb_delins(d, i, alpha, args.gamma, cfg)
-        else:
-            bounds["lb"] = optimize_bound("delins", d=d, i=i, alpha=alpha, cfg=cfg, tol=args.tol)
-
-    best_key = max(bounds, key=lambda k: bounds[k].bound_bits)
-    best = bounds[best_key]
+    bounds = channel_bounds(args.channel, d=d, i=i, alpha=alpha, gamma=args.gamma, cfg=cfg, tol=args.tol,
+                            use_printed_hs2=args.paper_closed_forms)
+    winner = best_key(bounds)
+    best = bounds[winner]
     payload = {
         "channel": args.channel,
         "params": {"d": d, "i": i, "alpha": alpha},
@@ -199,12 +157,12 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
             for t in res.terms:
                 print(f"      {t.name:42s} {t.value: .9f}  (trunc {t.truncation_error:.2e})")
         if len(bounds) > 1:
-            print(f"  max: {best.bound_bits:.9f} bits/use ({best_key})")
+            print(f"  max: {best.bound_bits:.9f} bits/use ({winner})")
     return 0
 
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args, _CHANNEL_FLAGS)
+    _require(parser, args)
     cfg = load_series_config()
     d_grid = _parse_grid(args.d) if args.d is not None else [0.0]
     i_grid = _parse_grid(args.i) if args.i is not None else [0.0]
@@ -215,11 +173,10 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
     ]
     rows = sweep(args.channel, points, cfg=cfg, tol=args.tol)
 
-    term_names = _TERM_COLUMNS[args.channel]
-    header = ["channel", "d", "i", "alpha", "gamma_star", "bound"]
-    if args.channel == "insertion":
-        header += ["lb1", "lb2", "lb_max"]
-    header += [f"term:{n}" for n in term_names]
+    spec = CHANNELS[args.channel]
+    totals = [*spec.bounds, "lb_max"] if len(spec.bounds) > 1 else []
+    header = ["channel", "d", "i", "alpha", "gamma_star", "bound", *totals]
+    header += [f"term:{n}" for n in spec.term_columns]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -229,16 +186,15 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
             terms = {t.name: t.value for t in res.terms}
             record = [row["channel"], repr(row["d"]), repr(row["i"]), repr(row["alpha"]),
                       repr(row["gamma_star"]), repr(row["bound"])]
-            if args.channel == "insertion":
-                record += [repr(row["lb1"]), repr(row["lb2"]), repr(row["lb_max"])]
-            record += [repr(terms[n]) if n in terms else "" for n in term_names]
+            record += [repr(row[k]) for k in totals]
+            record += [repr(terms[n]) if n in terms else "" for n in spec.term_columns]
             writer.writerow(record)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args, _CHANNEL_FLAGS)
+    _require(parser, args)
     if args.n < 1:
         parser.error("--n must be at least 1")
     d = args.d or 0.0
@@ -289,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_channel_flags(p: argparse.ArgumentParser, grids: bool = False) -> None:
         kind = str if grids else float
-        p.add_argument("--channel", required=True, choices=("deletion", "insertion", "delins"))
+        p.add_argument("--channel", required=True, choices=tuple(CHANNELS))
         p.add_argument("--d", type=kind, default=None, help="deletion probability" + (" or grid" if grids else ""))
         p.add_argument("--i", type=kind, default=None, help="insertion probability" + (" or grid" if grids else ""))
         p.add_argument("--alpha", type=kind, default=None,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "ChannelParams",
     "MarkovSourceParams",
     "RunSequence",
+    "Role",
     "EntropyTerm",
     "binary_entropy",
     "generate_markov_sequence",
@@ -114,25 +116,41 @@ class RunSequence:
         return int(sum(self.lengths))
 
 
+class Role(Enum):
+    """How a term enters its bound: its sign there (0 for a diagnostic, which
+    is left out) and whether its value may be negative.  A printed penalty is
+    the as-published closed form standing in for a penalty, for study."""
+
+    SOURCE = ("source", 1, False)
+    PENALTY = ("penalty", -1, False)
+    CREDIT = ("credit", 1, False)
+    DIAGNOSTIC = ("diagnostic", 0, True)
+    PRINTED_PENALTY = ("printed_penalty", -1, True)
+
+    def __init__(self, label: str, sign: int, signed: bool) -> None:
+        self.label, self.sign, self.signed = label, sign, signed
+
+
 @dataclass(frozen=True)
 class EntropyTerm:
-    """A named scalar contribution to a bound, in bits.
+    """A named scalar contribution to a bound, in bits, with its ``role``.
 
     ``truncation_error`` is a conservative upper bound on the absolute error
-    left by series truncation.  ``value`` is non-negative for authoritative
-    terms; terms whose name marks them as cross-check residuals may be signed.
+    left by series truncation.  ``value`` must be non-negative unless the
+    role is a signed one.  The role defaults to penalty, which is also what
+    the stand-alone conditional entropies of ``analytic_bounds`` are.
     """
 
     name: str
     value: float
     truncation_error: float = 0.0
+    role: Role = Role.PENALTY
 
     def __post_init__(self) -> None:
         if self.truncation_error < 0.0:
             raise ValueError("truncation_error must be non-negative")
-        signed_ok = "residual" in self.name or "printed" in self.name
-        if self.value < 0.0 and not signed_ok:
-            raise ValueError(f"authoritative term {self.name!r} has negative value {self.value}")
+        if self.value < 0.0 and not self.role.signed:
+            raise ValueError(f"{self.role.label} term {self.name!r} has negative value {self.value}")
 
 
 def binary_entropy(p: float) -> float:

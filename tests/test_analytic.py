@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from delinscap.core import EntropyTerm, binary_entropy
+from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
 from delinscap import analytic_bounds as ab
 
 
@@ -28,11 +28,10 @@ class TestIntermediates:
     def test_ranges(self):
         for g in np.linspace(0.05, 0.95, 10):
             for d in np.linspace(0.0, 0.9, 10):
-                mid = ab.intermediates(g, d, i=0.05)
-                assert 0.0 < mid.q < 1.0
-                assert 0.0 <= mid.theta < 1.0
-                assert 0.0 < mid.beta < 1.0
-                assert 0.0 <= mid.i_prime <= 1.0
+                assert 0.0 < ab.markov_q(g, d) < 1.0
+                assert 0.0 <= ab._theta(g, d) < 1.0
+                assert 0.0 < ab._beta(g, d) < 1.0
+                assert 0.0 <= ChannelParams(d, 0.05).i_prime <= 1.0
 
 
 class TestStationaryIY:
@@ -595,14 +594,26 @@ class TestBounds:
             ab.lb1_insertion(0.2, 0.5, 0.5),
             ab.lb2_insertion(0.2, 0.5, 0.5),
             ab.lb_delins(0.15, 0.1, 0.8, 0.55),
+            ab.lb_deletion(0.2, 0.6, use_printed_hs2=True),
         ]
         for res in results:
             assert res.reconstruct() == pytest.approx(res.bound_bits, abs=1e-12)
             assert res.error_budget >= 0.0
             for t in res.terms:
                 assert t.truncation_error >= 0.0
-                if "residual" not in t.name:
+                assert (t.role is Role.DIAGNOSTIC) == ("residual" in t.name)
+                if not t.role.signed:
                     assert t.value >= 0.0
+
+    def test_printed_hs2_penalty_is_subtracted(self):
+        # the printed form replaces the deleted-run penalty and is subtracted
+        # like it, although it is negative here
+        d, g = 0.2, 0.6
+        res = ab.lb_deletion(d, g, use_printed_hs2=True)
+        expected = h(g) - (1.0 - d) * ab.closed_form_HS2(g, d) - (1.0 - g) * ab.run_law_deletion_H(g, d).value
+        assert res.bound_bits == pytest.approx(expected, abs=1e-12)
+        assert res.bound_bits == pytest.approx(0.642910, abs=1e-6)
+        assert res.reconstruct() == res.bound_bits
 
     def test_printed_hs2_variant_labels_term(self):
         res = ab.lb_deletion(0.2, 0.6, use_printed_hs2=True)

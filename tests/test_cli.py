@@ -77,6 +77,11 @@ class TestBoundCommand:
         names = {t["name"] for t in b["bounds"]["lb"]["terms"]}
         assert "deleted_runs_penalty_printed_form" in names
 
+    @pytest.mark.parametrize("tol", ["nan", "1e-12"])
+    def test_bad_tol_is_an_error(self, tol, capsys):
+        assert main(["bound", "--channel", "deletion", "--d", "0.2", "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_flag_rejected_off_deletion(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--channel", "delins", "--d", "0.1", "--i", "0.1",

@@ -8,6 +8,7 @@ from delinscap.core import (
     MarkovSourceParams,
     RunSequence,
     EntropyTerm,
+    Role,
     binary_entropy,
     bits_from_str,
     bits_to_str,
@@ -156,8 +157,8 @@ class TestParams:
         with pytest.raises(ValueError):
             EntropyTerm("x", 1.0, truncation_error=-1e-3)
         with pytest.raises(ValueError):
-            EntropyTerm("penalty", -0.5)
-        EntropyTerm("some_residual", -0.5)  # signed residuals allowed
+            EntropyTerm("penalty", -0.5, role=Role.PENALTY)
+        EntropyTerm("some_residual", -0.5, role=Role.DIAGNOSTIC)  # signed diagnostics allowed
 
 
 def test_bits_str_round_trip():

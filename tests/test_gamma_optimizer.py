@@ -1,10 +1,16 @@
+import argparse
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import delinscap
+from delinscap.cli import build_parser
 from delinscap.core import binary_entropy
 from delinscap import analytic_bounds as ab
-from delinscap.gamma_optimizer import GAMMA_MAX, GAMMA_MIN, maximize_over_gamma, optimize_bound, sweep
+from delinscap.gamma_optimizer import (CHANNELS, GAMMA_MAX, GAMMA_MIN, channel_bounds, maximize_over_gamma,
+                                       optimize_bound, sweep)
 
 
 class TestMaximize:
@@ -31,6 +37,11 @@ class TestMaximize:
         fn = lambda g: math.exp(-((g - 0.2) / 0.02) ** 2) + 1.5 * math.exp(-((g - 0.8) / 0.02) ** 2)
         g, _ = maximize_over_gamma(fn)
         assert abs(g - 0.8) <= 1e-4
+
+    @pytest.mark.parametrize("tol", [float("nan"), 1e-10, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError):
+            maximize_over_gamma(binary_entropy, tol=tol)
 
     def test_non_finite_propagates(self):
         with pytest.raises(ValueError):
@@ -101,3 +112,24 @@ class TestSweep:
         b = sweep("deletion", pts, tol=1e-4)
         assert [(r["d"], r["gamma_star"], r["bound"]) for r in a] == \
                [(r["d"], r["gamma_star"], r["bound"]) for r in b]
+
+
+class TestRegistry:
+    def test_channel_sets_agree(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("bound", "sweep", "simulate"):
+            flag = next(a for a in sub.choices[command]._actions if a.dest == "channel")
+            assert set(flag.choices) == set(CHANNELS)
+        schema = json.loads((Path(delinscap.__file__).parent / "schemas" / "bound_report.schema.json").read_text())
+        assert set(schema["properties"]["channel"]["enum"]) == set(CHANNELS)
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_every_term_has_a_csv_column(self, channel):
+        bounds = channel_bounds(channel, d=0.2, i=0.1, alpha=0.8, gamma=0.6)
+        assert set(bounds) == set(CHANNELS[channel].bounds)
+        for res in bounds.values():
+            assert {t.name for t in res.terms} <= set(CHANNELS[channel].term_columns)
+
+    def test_sweep_rejects_unknown_channel(self):
+        with pytest.raises(ValueError):
+            sweep("bogus", [{"d": 0.1}])
