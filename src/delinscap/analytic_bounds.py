@@ -50,6 +50,7 @@ __all__ = [
     "h_I_limit",
     "h_T_limit",
     "insertion_penalty_credit",
+    "delins_ambiguity_credit",
     "cond_entropy_S_given_YY",
     "closed_form_HS2",
     "run_law_deletion_H",
@@ -211,6 +212,12 @@ def insertion_penalty_credit(i: float, alpha: float, gamma: float) -> float:
     return (1.0 - gamma) ** 2 * i * _weighted_h(w, ab)
 
 
+def delins_ambiguity_credit(d: float, i: float, alpha: float, gamma: float) -> float:
+    """The combined channel's insertion-ambiguity credit: the insertion one at
+    the first-stage output statistics (gamma -> q, i -> i/(1-d)), per input bit."""
+    return (1.0 - d) * insertion_penalty_credit(i / (1.0 - d), alpha, markov_q(gamma, d))
+
+
 # ---------------------------------------------------------------------------
 # geometric-series plumbing
 # ---------------------------------------------------------------------------
@@ -276,6 +283,8 @@ def cond_entropy_S_given_YY(gamma: float, d: float, cfg: SeriesConfig | None = N
     q = markov_q(gamma, d)
     qb = 1.0 - q
     k_max = _k_truncation(th, cfg)
+    while be * th ** k_max == 0.0:  # th**k underflows when d is tiny
+        k_max -= 1
 
     pieces = [g0 * math.log2(q / g0)]
     for k in range(1, k_max + 1, 2):
@@ -413,8 +422,9 @@ def _output_length_law(gamma: float, step: tuple[float, float, float], s_max: in
     n = np.arange(1.0, s_max + 2.0)  # s + 1
     law = np.power((a_plus_b + a_minus_b) / 2.0, n)
     law *= gb / (gamma * c0 * a_minus_b)
-    if i > 0.0:
-        n *= math.log1p(-2.0 * a_plus_b / (a_plus_b + a_minus_b))  # now n log|b/a|
+    x = -2.0 * a_plus_b / (a_plus_b + a_minus_b)  # log|b/a| = log1p(x)
+    if i > 0.0 and x > -1.0:  # at x = -1, b is too small against a to show
+        n *= math.log1p(x)  # now n log|b/a|
         law[0::2] *= 1.0 + np.exp(n[0::2])  # (b/a)**n = -|b/a|**n for odd n
         law[1::2] *= -np.expm1(n[1::2])
     law[0] = gb * d / c0
@@ -703,6 +713,8 @@ def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
         if t.role.sign:
             bound += t.role.sign * t.value
             budget += t.truncation_error
+    if not math.isfinite(bound):
+        raise ValueError(f"bound is {bound} at gamma={gamma_star}: a term is not finite")
     return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=tuple(terms), error_budget=budget)
 
 
@@ -793,8 +805,7 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
                     role=Role.PENALTY),
         EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
                     role=Role.PENALTY),
-        EntropyTerm("insertion_ambiguity_credit", (1.0 - d) * insertion_penalty_credit(ip, alpha, q),
-                    role=Role.CREDIT),
+        EntropyTerm("insertion_ambiguity_credit", delins_ambiguity_credit(d, i, alpha, gamma), role=Role.CREDIT),
     ]
     if diagnostics:
         terms.append(EntropyTerm("delins_s_series_minus_closed_residual",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -31,6 +32,7 @@ from .gamma_optimizer import CHANNELS, best_key, channel_bounds, sweep
 from .verification import run_suite
 
 ENV_CONFIG = "DELINSCAP_SERIES_CONFIG"
+_GRID_MAX = 10_000  # most values one grid spec may expand to
 
 def load_series_config() -> ab.SeriesConfig:
     """Series configuration from the environment-pointed file, else defaults."""
@@ -59,28 +61,39 @@ def load_series_config() -> ab.SeriesConfig:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Grid spec: a single value, a comma list, or start:stop:step (inclusive)."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid spec {spec!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        vals = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-12:
-                break
-            vals.append(v)
-            k += 1
-        if not vals:
-            raise ValueError(f"grid spec {spec!r} expands to no values (start > stop)")
+    """Grid spec: a single value, a comma list, or start:stop:step (inclusive).
+    Every number must be finite, and a range may hold at most _GRID_MAX values."""
+    vals = [float(p) for p in spec.split(":" if ":" in spec else ",")]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"grid spec {spec!r} holds a non-finite number")
+    if ":" not in spec:
         return vals
-    if "," in spec:
-        return [float(p) for p in spec.split(",")]
-    return [float(spec)]
+    if len(vals) != 3:
+        raise ValueError(f"grid spec {spec!r} must be start:stop:step")
+    start, stop, step = vals
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    if (stop + 1e-12 - start) / step >= _GRID_MAX:  # checked before the grid is built
+        raise ValueError(f"grid spec {spec!r} expands to more than {_GRID_MAX} values")
+    vals = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-12:
+            break
+        vals.append(v)
+        k += 1
+    if not vals:
+        raise ValueError(f"grid spec {spec!r} expands to no values (start > stop)")
+    return vals
+
+
+def positive_int(text: str) -> int:
+    """A whole number of at least 1, also written like 1e6."""
+    val = float(text)
+    if not (math.isfinite(val) and val >= 1 and val == int(val)):
+        raise ValueError(text)
+    return int(val)
 
 
 def _require(parser: argparse.ArgumentParser, args) -> None:
@@ -233,7 +246,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
-    report = run_suite(args.suite, steps=int(float(args.steps)), seed=args.seed, n_max=args.n_max)
+    report = run_suite(args.suite, steps=args.steps, seed=args.seed, n_max=args.n_max)
     _emit(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -277,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("oracle", "mc", "reductions", "truncation"))
-    p.add_argument("--steps", default="1e6", help="Monte Carlo chain length (mc suite)")
+    p.add_argument("--steps", type=positive_int, default="1e6", help="Monte Carlo chain length (mc suite)")
     p.add_argument("--seed", type=int, default=20240501)
     p.add_argument("--n-max", type=int, default=8, help="input length for the cascade check (oracle suite)")
     p.add_argument("--out", default=None)

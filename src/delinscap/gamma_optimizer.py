@@ -7,25 +7,38 @@ because the bound functions ride on truncated series whose numerical
 derivatives are noisy at the 1e-9 level.  The returned value is always one
 the objective actually produced at the returned point, never an interpolant.
 
+The coarse grid is pruned by branch and bound.  Every penalty is a
+conditional entropy, so a bound's source-plus-credit sum is an exact ceiling
+on it, a few scalar operations against a full ``lb_*`` evaluation.  Grid
+points whose ceiling cannot beat the best value below them are skipped: the
+top of the grid when gamma* is low, and with it the long run-length row
+table those points need.  Results stay bit-identical (see
+:func:`maximize_over_gamma`).
+
 ``CHANNELS`` is the one registry of channels (CLI parameters, bounds, CSV
-term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``;
-everything that dispatches on a channel or a bound reads these two.
+term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``
+and its ceiling; everything that dispatches on a channel or a bound reads
+these two.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .analytic_bounds import (
     BoundResult,
     SeriesConfig,
+    delins_ambiguity_credit,
+    insertion_penalty_credit,
     lb_deletion,
     lb1_insertion,
     lb2_insertion,
     lb_delins,
 )
+from .core import binary_entropy
 
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
            "channel_bounds", "best_key", "sweep"]
@@ -57,15 +70,24 @@ CHANNELS = {
         "insertion_ambiguity_credit", "delins_s_series_minus_closed_residual")),
 }
 
-# bound name -> its lb_* at (d, i, alpha, gamma, cfg, diagnostics, use_printed_hs2).
-# The lambdas look lb_* up by module-level name at call time, so a rebinding
-# of those names (as a tracer does) is seen.
-_BOUNDS: dict[str, Callable[..., BoundResult]] = {
-    "deletion": lambda d, i, alpha, g, cfg, diag, printed:
-        lb_deletion(d, g, cfg, diagnostics=diag, use_printed_hs2=printed),
-    "insertion_lb1": lambda d, i, alpha, g, cfg, diag, printed: lb1_insertion(i, alpha, g),
-    "insertion_lb2": lambda d, i, alpha, g, cfg, diag, printed: lb2_insertion(i, alpha, g, cfg),
-    "delins": lambda d, i, alpha, g, cfg, diag, printed: lb_delins(d, i, alpha, g, cfg, diagnostics=diag),
+class _Bound(NamedTuple):
+    evaluate: Callable[..., BoundResult]  # at (d, i, alpha, gamma, cfg, diagnostics, use_printed_hs2)
+    ceiling: Callable[..., float]  # at (d, i, alpha, gamma): the lb_*'s source and credit terms, summed
+
+
+# bound name -> its lb_* and ceiling, the latter made of the helper calls the
+# lb_* makes.  The lambdas look lb_* up by module-level name at call time, so
+# a rebinding of those names (as a tracer does) is seen.
+_BOUNDS: dict[str, _Bound] = {
+    "deletion": _Bound(lambda d, i, alpha, g, cfg, diag, printed:
+                       lb_deletion(d, g, cfg, diagnostics=diag, use_printed_hs2=printed),
+                       lambda d, i, alpha, g: binary_entropy(g)),
+    "insertion_lb1": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb1_insertion(i, alpha, g),
+                            lambda d, i, alpha, g: binary_entropy(g) + insertion_penalty_credit(i, alpha, g)),
+    "insertion_lb2": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb2_insertion(i, alpha, g, cfg),
+                            lambda d, i, alpha, g: binary_entropy(g) + insertion_penalty_credit(i, alpha, g)),
+    "delins": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb_delins(d, i, alpha, g, cfg, diagnostics=diag),
+                     lambda d, i, alpha, g: binary_entropy(g) + delins_ambiguity_credit(d, i, alpha, g)),
 }
 
 
@@ -75,13 +97,24 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
-def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5) -> tuple[float, float]:
+def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
+                        ceiling: Callable[[float], float] | None = None) -> tuple[float, float]:
     """Maximize ``bound_fn`` over gamma in [GAMMA_MIN, GAMMA_MAX].
 
     Evaluates a coarse grid of 199 equispaced points, then golden-section
     refines inside the bracket around the best grid point until the interval
     is below ``tol``.  Returns the best point actually evaluated, so the
     result is reproducible by a single call to ``bound_fn``.
+
+    ``ceiling``, if given, must satisfy ``bound_fn(g) <= ceiling(g)``.  The
+    grid is walked upwards, its first point always evaluated, and a point
+    whose ceiling is at most the best value so far is skipped: at best it
+    ties, and a tie never displaces the earlier first argmax, so the bracket,
+    every golden-section step and the result are those of the full grid.  A
+    bound's source-plus-credit sum meets the condition exactly in floating
+    point: every penalty is >= 0 (``EntropyTerm`` enforces it), the bound
+    adds its terms in order, and round-to-nearest is monotone, so each
+    partial sum with the penalties is at most the same sum without them.
     """
     if not tol >= 1e-9:  # NaN included
         raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
@@ -93,12 +126,24 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5) -
         return v
 
     gammas = [min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)]
-    values = [safe_eval(g) for g in gammas]
-    b = max(range(len(gammas)), key=values.__getitem__)
-    best_g, best_v = gammas[b], values[b]
+    b, best_v, skipped = 0, safe_eval(gammas[0]), 0
+    for k in range(1, len(gammas)):
+        if ceiling is not None and ceiling(gammas[k]) <= best_v:
+            skipped += 1
+        else:
+            v = safe_eval(gammas[k])
+            if v > best_v:
+                b, best_v = k, v
+    best_g = gammas[b]
 
     a = gammas[b - 1] if b > 0 else GAMMA_MIN
     c = gammas[b + 1] if b < len(gammas) - 1 else GAMMA_MAX
+    # Until something imports logging, no handler exists for a record to reach;
+    # importing it here would add ~0.5 MiB and a few ms to every start-up.
+    if (logging := sys.modules.get("logging")) is not None:
+        logging.getLogger("delinscap").debug(
+            "gamma grid: %d points evaluated, %d skipped by the ceiling, argmax %r; bracket [%r, %r]",
+            len(gammas) - skipped, skipped, gammas[b], a, c)
     x1 = c - _INVPHI * (c - a)
     x2 = a + _INVPHI * (c - a)
     f1, f2 = safe_eval(x1), safe_eval(x2)
@@ -126,10 +171,13 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     ``channel`` is one of ``deletion``, ``insertion_lb1``, ``insertion_lb2``
     or ``delins``.
     """
-    lb = _lookup(_BOUNDS, channel)
+    bound = _lookup(_BOUNDS, channel)
     cfg = cfg or SeriesConfig()
-    gamma_star, _ = maximize_over_gamma(lambda g: lb(d, i, alpha, g, cfg, False, use_printed_hs2).bound_bits, tol)
-    return lb(d, i, alpha, gamma_star, cfg, True, use_printed_hs2)
+    # a printed penalty may be negative, so the printed form has no ceiling
+    ceiling = None if use_printed_hs2 else lambda g: bound.ceiling(d, i, alpha, g)
+    gamma_star, _ = maximize_over_gamma(
+        lambda g: bound.evaluate(d, i, alpha, g, cfg, False, use_printed_hs2).bound_bits, tol, ceiling)
+    return bound.evaluate(d, i, alpha, gamma_star, cfg, True, use_printed_hs2)
 
 
 def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float = 1.0,
@@ -142,7 +190,8 @@ def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     if gamma is None:
         return {key: optimize_bound(name, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol, use_printed_hs2=use_printed_hs2)
                 for key, name in bounds.items()}
-    return {key: _BOUNDS[name](d, i, alpha, gamma, cfg, True, use_printed_hs2) for key, name in bounds.items()}
+    return {key: _BOUNDS[name].evaluate(d, i, alpha, gamma, cfg, True, use_printed_hs2)
+            for key, name in bounds.items()}
 
 
 def best_key(bounds: dict[str, BoundResult]) -> str:

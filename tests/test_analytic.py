@@ -633,3 +633,20 @@ def test_entropy_term_is_frozen_record():
     t = EntropyTerm("x", 0.5, 1e-12)
     with pytest.raises(Exception):
         t.value = 0.6
+
+
+class TestTinyParameters:
+    @pytest.mark.parametrize("i", [1e-40, 1e-200])
+    def test_tiny_insertion_rate_reduces_to_deletion(self, i):
+        # |b/a| underflows against 1 in the output-length law (a math domain error once)
+        assert ab.lb_delins(0.5, i, 0.0, 0.5).bound_bits == pytest.approx(ab.lb_deletion(0.5, 0.5).bound_bits,
+                                                                         abs=1e-12)
+
+    def test_tiny_deletion_rate_reduces_to_identity(self):
+        # theta**k underflows in the deleted-run-count law (a ZeroDivisionError once)
+        assert ab.lb_deletion(4e-271, 0.5).bound_bits == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_term_is_an_error(self):
+        # the deleted-run term overflows to inf once i / (1 - d) is near the subnormal range
+        with pytest.raises(ValueError, match="not finite"):
+            ab.lb_delins(0.5, 1e-300, 0.0, 0.5)

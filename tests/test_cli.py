@@ -6,7 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from delinscap.cli import main, load_series_config, _parse_grid
+from delinscap.cli import build_parser, main, load_series_config, _parse_grid
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas"
 
@@ -233,3 +233,41 @@ def test_grid_spec_parsing():
         _parse_grid("0:1:-0.1")
     with pytest.raises(ValueError):
         _parse_grid("0.1:0.05:0.01")
+
+
+@pytest.mark.parametrize("spec", ["0:0.9:nan", "nan:0.9:0.1", "0:inf:0.1", "-inf:0.9:0.1", "0.1,nan", "inf"])
+def test_parse_grid_rejects_non_finite(spec):
+    with pytest.raises(ValueError, match="non-finite"):
+        _parse_grid(spec)
+
+
+@pytest.mark.parametrize("spec", ["0:0.9:1e-300", "0:10000:1", "-1e308:1e308:1"])
+def test_parse_grid_rejects_oversized(spec):
+    with pytest.raises(ValueError, match="more than"):
+        _parse_grid(spec)
+
+
+def test_parse_grid_largest_range():
+    vals = _parse_grid("0:9999:1")
+    assert len(vals) == 10_000 and vals[-1] == 9999.0
+
+
+def test_sweep_non_finite_grid_rejected_without_writing(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    assert main(["sweep", "--channel", "deletion", "--d", "0:0.9:nan", "--out", str(out)]) != 0
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["inf", "nan", "0", "-3", "1.5", "abc"])
+def test_verify_steps_usage_error(steps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "mc", "--steps", steps])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+def test_verify_steps_accepts_float_notation():
+    parser = build_parser()
+    assert parser.parse_args(["verify", "mc", "--steps", "5e4"]).steps == 50_000
+    assert parser.parse_args(["verify", "mc"]).steps == 1_000_000

@@ -1,14 +1,20 @@
 import argparse
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import delinscap
 from delinscap.cli import build_parser
 from delinscap.core import binary_entropy
 from delinscap import analytic_bounds as ab
+from delinscap import gamma_optimizer as go
 from delinscap.gamma_optimizer import (CHANNELS, GAMMA_MAX, GAMMA_MIN, channel_bounds, maximize_over_gamma,
                                        optimize_bound, sweep)
 
@@ -133,3 +139,99 @@ class TestRegistry:
     def test_sweep_rejects_unknown_channel(self):
         with pytest.raises(ValueError):
             sweep("bogus", [{"d": 0.1}])
+
+
+def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5):
+    """optimize_bound's search with no ceiling: every grid point evaluated."""
+    cfg = ab.SeriesConfig()
+    bound = go._BOUNDS[name]
+    gamma_star, _ = maximize_over_gamma(lambda g: bound.evaluate(d, i, alpha, g, cfg, False, printed).bound_bits, tol)
+    return bound.evaluate(d, i, alpha, gamma_star, cfg, True, printed)
+
+
+class TestCeiling:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(0.0, 1.0),
+           st.floats(1e-6, 0.99))
+    @example("delins", 0.0, 0.0, 1.0, 0.5)
+    @example("deletion", 0.0, 0.0, 1.0, 0.99)
+    @example("insertion_lb2", 0.0, 0.9, 1.0, 1e-6)
+    def test_ceiling_is_the_positive_terms_and_bounds_the_bound(self, name, d, i, alpha, gamma):
+        assume(d + i <= 1.0)
+        bound = go._BOUNDS[name]
+        res = bound.evaluate(d, i, alpha, gamma, ab.SeriesConfig(), True, False)
+        ceiling = bound.ceiling(d, i, alpha, gamma)
+        positive = 0.0
+        for t in res.terms:  # in order, as the bound is assembled
+            if t.role.sign > 0:
+                positive += t.value
+        assert repr(ceiling) == repr(positive)
+        assert res.bound_bits <= ceiling
+
+    @pytest.mark.parametrize("name, params", [
+        ("deletion", {"d": 0.0}), ("deletion", {"d": 0.1}), ("deletion", {"d": 0.9}),
+        ("insertion_lb1", {"i": 0.0}), ("insertion_lb1", {"i": 0.2, "alpha": 0.8}),
+        ("insertion_lb2", {"i": 0.0}), ("insertion_lb2", {"i": 0.2, "alpha": 0.8}),
+        ("delins", {"d": 0.0, "i": 0.0}), ("delins", {"d": 0.0, "i": 0.1, "alpha": 0.8}),
+        ("delins", {"d": 0.1, "i": 0.0}), ("delins", {"d": 0.1, "i": 0.1, "alpha": 0.8}),
+        ("delins", {"d": 0.8, "i": 0.05, "alpha": 0.9}),
+    ])
+    def test_pruned_search_is_bit_identical(self, name, params):
+        pruned = optimize_bound(name, **params)
+        assert repr(pruned) == repr(_unpruned(name, **params))
+
+    def test_gamma_star_on_both_sides_of_0_9(self):
+        assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
+        assert optimize_bound("delins", d=0.1, i=0.1, alpha=0.8).gamma_star < 0.9 < \
+            optimize_bound("delins", d=0.8, i=0.05, alpha=0.9).gamma_star
+
+    def test_non_finite_objective_raises_with_a_ceiling(self):
+        with pytest.raises(ValueError):
+            maximize_over_gamma(lambda g: float("nan"), ceiling=lambda g: 1.0)
+        with pytest.raises(ValueError):
+            maximize_over_gamma(lambda g: float("inf") if g > 0.5 else 0.0, ceiling=lambda g: float("inf"))
+
+    def test_low_gamma_solve_keeps_the_row_table_short(self, monkeypatch):
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        optimize_bound("deletion", d=0.1)
+        rows = ab._ROW_ENTROPIES[2].size
+        assert 0 < rows <= ab._r_truncation(0.995, ab.SeriesConfig()) // 10
+
+    def test_printed_form_is_not_pruned(self, monkeypatch):
+        calls = []
+        original = go.lb_deletion
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(go, "lb_deletion", counted)
+        res = optimize_bound("deletion", d=0.2, use_printed_hs2=True)
+        assert len(set(calls)) > 199  # every grid point, then golden section
+        assert repr(res) == repr(_unpruned("deletion", d=0.2, printed=True))
+        assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
+
+    def test_one_debug_record_per_search(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            optimize_bound("deletion", d=0.1)
+        records = [r for r in caplog.records if r.name == "delinscap"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        evaluated, skipped = (int(message.split(" points evaluated")[0].split()[-1]),
+                              int(message.split(" skipped")[0].split()[-1]))
+        assert evaluated + skipped == 199 and skipped > 0
+        assert "argmax 0.58" in message and "bracket [0.575" in message
+
+    def test_search_leaves_logging_unimported(self):
+        code = ("import sys; from delinscap.gamma_optimizer import optimize_bound; "
+                "optimize_bound('deletion', d=0.1); print('logging' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(delinscap.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_nothing_logged_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="delinscap"):
+            optimize_bound("delins", d=0.1, i=0.1, alpha=0.8)
+        assert not [r for r in caplog.records if r.name == "delinscap"]
