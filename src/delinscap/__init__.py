@@ -3,9 +3,12 @@
 The package computes analytic lower bounds on the capacity of the deletion
 channel, the insertion channel (two bounds), and the combined channel, each
 of the form ``h(gamma)`` minus computable limiting conditional-entropy
-penalties, maximized over the Markov source parameter gamma.  Everything is
-validated three ways: truncated series against literal closed forms, exact
-small-instance enumeration, and seeded Monte Carlo simulation.
+penalties, maximized over the Markov source parameter gamma.  Each penalty
+has one kernel: an exact closed form (the deleted-run and insertion terms)
+or a sum with a certified truncation error (the run-length terms).  Every
+kernel is validated against an independent computation (direct sums of
+the joint laws, exact small-instance enumeration, or seeded Monte Carlo
+simulation), and the printed closed forms are reported beside them.
 """
 
 from .core import (

@@ -5,26 +5,28 @@ penalties are limiting conditional entropies of auxiliary sequences and the
 credit reflects residual ambiguity in insertion positions given both channel
 input and output.  Each ``lb_*`` declares the :class:`~.core.Role` of every
 term it builds, and one function turns the roles into the bound and its
-error budget.  The deleted-run sums are evaluated by direct truncated
-summation of their joint laws.  The run-length entropy H(L_X | L_out) sums its
-joint law over input run lengths up to r_max: the row entropies
-H(L_out | L_X = r) do not depend on gamma, so they are tabulated once per
-per-bit step law, a block of rows per matrix product from a trimmed base row,
-and reused by every gamma of a search; the output-length marginal is exact,
-taken from its generating function.  The truncation points are chosen from
-``SeriesConfig.tail_epsilon`` and every term carries a conservative
-closed-form bound on the discarded mass's entropy contribution, the mass
-trimmed from the row table included.
+error budget.  The deleted-run term H(S | Y_prev, Y, T) has one kernel,
+:func:`closed_form_delins_S`: its joint law is a handful of geometric
+classes, summed exactly, so it carries no truncation error; the deletion
+channel's H(S2 | Y1 Y2) is the same kernel at i = 0.  (The truncated direct
+sums it replaced are kept in the tests as oracles.)  The run-length entropy
+H(L_X | L_out) sums its joint law over input run lengths up to r_max: the
+row entropies H(L_out | L_X = r) do not depend on gamma, so they are
+tabulated once per per-bit step law, a block of rows per matrix product from
+a trimmed base row, and reused by every gamma of a search; the output-length
+marginal is exact, taken from its generating function.  The truncation point
+is chosen from ``SeriesConfig.tail_epsilon``, and the term carries a
+conservative closed-form bound on the discarded mass's entropy contribution,
+the mass trimmed from the row table included.
 
-Terms that also admit a printed closed form (the deleted-run-count entropy,
-the deletion run-length entropy, the combined-channel deleted-run term) are
-additionally evaluated in that literal form and the series-minus-closed-form
-residual is reported as a diagnostic.  The binomial double series of the
-printed deletion run-length form is summed as sum_m gamma**m (m h(d) -
-H(Binomial(m, 1-d))), with the binomial entropies read from the same row
-table.  The literal deleted-run-count formula
-disagrees with the direct law at d = 0 (it evaluates to ``gamma*log2(gamma)``
-where the law gives 0), so the series path is authoritative throughout and
+The deletion bound also evaluates the two printed closed forms of its
+penalties, the deleted-run-count entropy and the run-length entropy, and
+reports each computed-minus-printed residual as a diagnostic.  The binomial
+double series of the printed deletion run-length form is summed as
+sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))), with the binomial entropies
+read from the same row table.  The literal deleted-run-count formula
+disagrees with the law at d = 0 (it evaluates to ``gamma*log2(gamma)``
+where the law gives 0), so the kernel above is authoritative throughout and
 the literal form is exposed only for side-by-side study: with
 ``use_printed_hs2`` it replaces the deleted-run penalty and is subtracted
 like it, although it may be negative.
@@ -46,7 +48,6 @@ __all__ = [
     "BoundResult",
     "markov_q",
     "stationary_iy",
-    "iy_transition_matrix",
     "h_I_limit",
     "h_T_limit",
     "insertion_penalty_credit",
@@ -62,10 +63,6 @@ __all__ = [
     "deletion_run_law_row",
     "duplication_run_law_row",
     "delins_run_law_row",
-    "sy_joint_same",
-    "sy_joint_diff",
-    "delins_s_joint_same",
-    "delins_s_joint_diff",
     "lb_deletion",
     "lb1_insertion",
     "lb2_insertion",
@@ -80,18 +77,16 @@ class SeriesConfig:
     """Truncation policy for the infinite sums.
 
     ``tail_epsilon`` is the geometric-ratio threshold at which a series is
-    cut; ``r_max_cap`` and ``k_max_cap`` are hard caps on the run-length and
-    deleted-run-count truncation indices.  Doubling ``r_max_cap`` and halving
-    ``tail_epsilon`` must not move any reported value by more than its
-    ``truncation_error`` (tested).
+    cut; ``r_max_cap`` is a hard cap on the run-length truncation index.
+    Doubling ``r_max_cap`` and halving ``tail_epsilon`` must not move any
+    reported value by more than its ``truncation_error`` (tested).
     """
 
     tail_epsilon: float = 1e-12
     r_max_cap: int = 10_000
-    k_max_cap: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.tail_epsilon <= 0 or self.r_max_cap <= 0 or self.k_max_cap <= 0:
+        if self.tail_epsilon <= 0 or self.r_max_cap <= 0:
             raise ValueError("series configuration entries must be positive")
 
 
@@ -154,33 +149,6 @@ def stationary_iy(i: float, alpha: float, gamma: float) -> np.ndarray:
     return pi
 
 
-def iy_transition_matrix(i: float, alpha: float, gamma: float) -> np.ndarray:
-    """8x8 one-step kernel on states (i_flag, y_now, y_prev), row-stochastic.
-
-    State index is ``i_flag * 4 + y_now * 2 + y_prev``.  An inserted bit is
-    never followed by another insertion, and after an insertion the next
-    output bit continues the Markov chain from the last non-inserted bit.
-    """
-    ib, ab, gb = 1.0 - i, 1.0 - alpha, 1.0 - gamma
-    kernel = np.zeros((8, 8))
-    for flag in (0, 1):
-        for y1 in (0, 1):
-            for y0 in (0, 1):
-                src = flag * 4 + y1 * 2 + y0
-                if flag == 0:
-                    moves = {
-                        (1, y1): i * alpha,
-                        (1, 1 - y1): i * ab,
-                        (0, y1): ib * gamma,
-                        (0, 1 - y1): ib * gb,
-                    }
-                else:
-                    moves = {(0, y0): gamma, (0, 1 - y0): gb}
-                for (f2, y2), p in moves.items():
-                    kernel[src, f2 * 4 + y2 * 2 + y1] += p
-    return kernel
-
-
 def _weighted_h(weight: float, numerator: float) -> float:
     """weight * h(numerator / weight) with the degenerate cases sent to 0."""
     if weight <= 0.0:
@@ -241,64 +209,76 @@ def _geom_tail_abs(coef: float, theta: float, k0: int, step: int, num: float) ->
     return coef * (s0 * abs(math.log2(num / coef)) + s1 * abs(math.log2(theta)))
 
 
-def _k_truncation(theta: float, cfg: SeriesConfig) -> int:
-    if theta <= 0.0:
-        return 1
-    k = int(math.ceil(math.log(cfg.tail_epsilon) / math.log(theta)))
-    return max(4, min(cfg.k_max_cap, k))
-
-
 # ---------------------------------------------------------------------------
-# deletion channel: deleted-run-count entropy H(S2 | Y1 Y2)
+# deleted-run term H(S_j | Y_{j-1} Y_j T_j), and H(S2 | Y1 Y2) at i = 0
 # ---------------------------------------------------------------------------
 
-def sy_joint_same(gamma: float, d: float, k: int) -> float:
-    """P(Y2 = Y1, S2 = k | Y1): gamma-run survival for k = 0, geometric for odd k."""
-    if k == 0:
-        return _g0(gamma, d)
-    if k % 2 == 1:
-        return _beta(gamma, d) * _theta(gamma, d) ** k
-    return 0.0
+def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> float:
+    """Limit of H(S_j | Y_{j-1}, Y_j, T_j) for the combined channel, summed in
+    closed form from the stationary joint law of the cascade's second stage.
 
-
-def sy_joint_diff(gamma: float, d: float, k: int) -> float:
-    """P(Y2 != Y1, S2 = k | Y1): geometric over even k (including 0)."""
-    if k % 2 == 0:
-        return _beta(gamma, d) * _theta(gamma, d) ** k
-    return 0.0
-
-
-def cond_entropy_S_given_YY(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
-    """H(S2 | Y1 Y2) by direct summation of the stationary joint law.
-
-    Authoritative value for the deletion bound; the printed closed form is
-    available separately as :func:`closed_form_HS2` (known to disagree at
-    d = 0, where the direct law correctly gives zero).
+    With i' = i/(1-d), c1 = 1 - i'(1-alpha) and everything over 1 + i', the
+    law of (S = k, T = 0) is, next to a repeated output bit,
+    i' alpha + c1 g0 + i'(1-alpha) beta at k = 0, c1 beta theta**k at odd k
+    and i'(1-alpha) beta theta**k at even k >= 2; next to a changed bit it is
+    c1 beta + i'(1-alpha) g0 at k = 0, then i'(1-alpha) beta theta**k at odd
+    and c1 beta theta**k at even k.  T = 1 fixes S = 0 and adds nothing.
+    Each geometric class c theta**k, k = k0, k0 + 2, ..., contributes its mass
+    times log2(w / c), w the context's weight; the k log2(1/theta) parts of
+    all four classes add up to beta theta / (1 - theta)**2 log2(1/theta),
+    because c1 + i'(1-alpha) = 1.  The logs of numerator and denominator are
+    taken apart, so a subnormal i' cannot overflow their ratio.
     """
-    cfg = cfg or SeriesConfig()
-    name = "deleted_run_count_entropy"
     if d == 0.0:
-        return EntropyTerm(name, 0.0, 0.0)
+        return 0.0
+    ip = i / (1.0 - d)
+    ab = 1.0 - alpha
+    c1 = 1.0 - ip * ab
     th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
     q = markov_q(gamma, d)
     qb = 1.0 - q
-    k_max = _k_truncation(th, cfg)
-    while be * th ** k_max == 0.0:  # th**k underflows when d is tiny
-        k_max -= 1
+    omt2 = 1.0 - th ** 2
 
-    pieces = [g0 * math.log2(q / g0)]
-    for k in range(1, k_max + 1, 2):
-        p = be * th ** k
-        pieces.append(p * math.log2(q / p))
-    for k in range(0, k_max + 1, 2):
-        p = be * th ** k
-        pieces.append(p * math.log2(qb / p))
-    value = math.fsum(pieces)
+    n1 = ip * alpha + c1 * q + ip * ab * qb
+    n2 = c1 * qb + ip * ab * q
 
-    odd0 = k_max + 1 if (k_max + 1) % 2 == 1 else k_max + 2
-    even0 = k_max + 1 if (k_max + 1) % 2 == 0 else k_max + 2
-    trunc = _geom_tail_abs(be, th, odd0, 2, q) + _geom_tail_abs(be, th, even0, 2, qb)
-    return EntropyTerm(name, max(value, 0.0), trunc)
+    def _piece(coef: float, num: float, den: float) -> float:
+        if coef <= 0.0 or den <= 0.0:
+            return 0.0
+        return coef * (math.log2(num) - math.log2(den))
+
+    a1 = _piece(th * be * c1 / omt2, n1, be * c1)
+    a1 += _piece(th ** 2 * be * ip * ab / omt2, n1, be * ip * ab)
+    k0 = c1 * g0 + ip * ab * be + ip * alpha
+    a1 += _piece(k0, n1, k0)
+
+    a2 = _piece(th ** 2 * be * c1 / omt2, n2, be * c1)
+    a2 += _piece(th * be * ip * ab / omt2, n2, be * ip * ab)
+    k0 = ip * ab * g0 + c1 * be
+    a2 += _piece(k0, n2, k0)
+
+    third = -th * be / (1.0 - th) ** 2 * math.log2(th) if th > 0.0 else 0.0
+    return (a1 + a2 + third) / (1.0 + ip)
+
+
+def delins_S_term(gamma: float, d: float, i: float, alpha: float) -> EntropyTerm:
+    """The deleted-run term of both the combined and the deletion bound:
+    :func:`closed_form_delins_S`, which is exact, so no truncation error.
+
+    Vanishes at d = 0; at i = 0 alpha drops out and it is
+    :func:`cond_entropy_S_given_YY`.
+    """
+    return EntropyTerm("deleted_run_count_entropy", max(closed_form_delins_S(gamma, d, i, alpha), 0.0), 0.0)
+
+
+def cond_entropy_S_given_YY(gamma: float, d: float) -> EntropyTerm:
+    """H(S2 | Y1 Y2) of the deletion channel: :func:`delins_S_term` at i = 0.
+
+    The printed closed form is available separately as
+    :func:`closed_form_HS2` (known to disagree at d = 0, where the law gives
+    zero).
+    """
+    return delins_S_term(gamma, d, 0.0, 1.0)
 
 
 def closed_form_HS2(gamma: float, d: float) -> float:
@@ -358,7 +338,7 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
     the next block.  The kernel powers sum to one, so every row of that block
     misses exactly the mass D dropped so far; with row_r on at most
     2 r_max + 1 cells, H(row_r) then moves by at most
-    D (log2((2 r_max + 1) / D) + log2 e).
+    D (log2(2 r_max + 1) - log2 D + log2 e).
     """
     global _ROW_ENTROPIES
     key, row, h, lost = _ROW_ENTROPIES
@@ -453,7 +433,8 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     marginal is exact (:func:`_output_length_law`) on 0..2 r_max.  The
     truncation error adds to the dropped tail the certified bound on the
     table's trimmed mass D: the p_r-weighted entropies move by at most
-    D (log2((2 r_max + 1) / D) + log2 e).
+    D (log2(2 r_max + 1) - log2 D + log2 e), the logs taken apart so that a
+    subnormal D cannot overflow their ratio.
     """
     r_max = _r_truncation(gamma, cfg)
     trunc = _run_tail_bound(gamma, r_max)
@@ -466,7 +447,7 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     # a zero end step only shifts the rows; an interior zero (d + i = 1) stays
     h_rows, lost = _row_entropies(step[int(d == 0.0):3 - int(i == 0.0)], r_max)
     if lost > 0.0:
-        trunc += lost * (math.log2((2 * r_max + 1) / lost) + _LOG2E)
+        trunc += lost * (math.log2(2 * r_max + 1) - math.log2(lost) + _LOG2E)
     joint = h_rows - (math.log2(gb) + k * math.log2(gamma))  # H(row_r) - log2 p_r
     joint *= gb * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
     h_joint = float(joint.sum())
@@ -585,123 +566,6 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
 
 
 # ---------------------------------------------------------------------------
-# combined channel: deleted-run term H(S_j | Y_{j-1} Y_j T_j)
-# ---------------------------------------------------------------------------
-
-def delins_s_joint_same(gamma: float, d: float, i: float, alpha: float, k: int) -> float:
-    """Stationary P(S = k, Y_prev = Y_now = y, T = 0) summed over both y."""
-    ip = i / (1.0 - d)
-    ab = 1.0 - alpha
-    c1 = 1.0 - ip * ab
-    pref = 1.0 / (1.0 + ip)
-    th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
-    if k == 0:
-        return pref * (ip * alpha + c1 * g0 + ip * ab * be)
-    coef = c1 if k % 2 == 1 else ip * ab
-    return pref * coef * be * th ** k
-
-
-def delins_s_joint_diff(gamma: float, d: float, i: float, alpha: float, k: int) -> float:
-    """Stationary P(S = k, Y_prev != Y_now, T = 0) summed over both y."""
-    ip = i / (1.0 - d)
-    ab = 1.0 - alpha
-    c1 = 1.0 - ip * ab
-    pref = 1.0 / (1.0 + ip)
-    th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
-    if k == 0:
-        return pref * (c1 * be + ip * ab * g0)
-    coef = ip * ab if k % 2 == 1 else c1
-    return pref * coef * be * th ** k
-
-
-def delins_S_term(gamma: float, d: float, i: float, alpha: float,
-                  cfg: SeriesConfig | None = None) -> EntropyTerm:
-    """Limit of H(S_j | Y_{j-1}, Y_j, T_j) by direct summation of the
-    stationary joint law of the cascade's second-stage chain.
-
-    Reduces to :func:`cond_entropy_S_given_YY` at i = 0 and vanishes at
-    d = 0.  The compact closed form is :func:`closed_form_delins_S`.
-    """
-    cfg = cfg or SeriesConfig()
-    name = "deleted_run_count_entropy"
-    if d == 0.0:
-        return EntropyTerm(name, 0.0, 0.0)
-    ip = i / (1.0 - d)
-    ab = 1.0 - alpha
-    c1 = 1.0 - ip * ab
-    pref = 1.0 / (1.0 + ip)
-    th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
-    q = markov_q(gamma, d)
-    qb = 1.0 - q
-
-    w_same = pref * (ip * alpha + c1 * q + ip * ab * qb)
-    w_diff = pref * (c1 * qb + ip * ab * q)
-    k_max = _k_truncation(th, cfg)
-
-    pieces = []
-    j0 = pref * (ip * alpha + c1 * g0 + ip * ab * be)
-    if j0 > 0.0:
-        pieces.append(j0 * math.log2(w_same / j0))
-    j0 = pref * (c1 * be + ip * ab * g0)
-    if j0 > 0.0:
-        pieces.append(j0 * math.log2(w_diff / j0))
-    for k in range(1, k_max + 1):
-        same_coef = c1 if k % 2 == 1 else ip * ab
-        diff_coef = ip * ab if k % 2 == 1 else c1
-        p = pref * same_coef * be * th ** k
-        if p > 0.0:
-            pieces.append(p * math.log2(w_same / p))
-        p = pref * diff_coef * be * th ** k
-        if p > 0.0:
-            pieces.append(p * math.log2(w_diff / p))
-    value = math.fsum(pieces)
-
-    odd0 = k_max + 1 if (k_max + 1) % 2 == 1 else k_max + 2
-    even0 = k_max + 1 if (k_max + 1) % 2 == 0 else k_max + 2
-    trunc = (
-        _geom_tail_abs(pref * c1 * be, th, odd0, 2, w_same)
-        + _geom_tail_abs(pref * ip * ab * be, th, even0, 2, w_same)
-        + _geom_tail_abs(pref * ip * ab * be, th, odd0, 2, w_diff)
-        + _geom_tail_abs(pref * c1 * be, th, even0, 2, w_diff)
-    )
-    return EntropyTerm(name, max(value, 0.0), trunc)
-
-
-def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> float:
-    """Compact closed form of the combined-channel deleted-run term (diagnostic)."""
-    if d == 0.0:
-        return 0.0
-    ip = i / (1.0 - d)
-    ab = 1.0 - alpha
-    c1 = 1.0 - ip * ab
-    th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
-    q = markov_q(gamma, d)
-    qb = 1.0 - q
-    omt2 = 1.0 - th ** 2
-
-    n1 = ip * alpha + c1 * q + ip * ab * qb
-    n2 = c1 * qb + ip * ab * q
-
-    def _piece(coef: float, num: float, den: float) -> float:
-        if coef <= 0.0 or den <= 0.0:
-            return 0.0
-        return coef * math.log2(num / den)
-
-    a1 = _piece(th * be * c1 / omt2, n1, be * c1)
-    a1 += _piece(th ** 2 * be * ip * ab / omt2, n1, be * ip * ab)
-    k0 = c1 * g0 + ip * ab * be + ip * alpha
-    a1 += _piece(k0, n1, k0)
-
-    a2 = _piece(th ** 2 * be * c1 / omt2, n2, be * c1)
-    a2 += _piece(th * be * ip * ab / omt2, n2, be * ip * ab)
-    k0 = ip * ab * g0 + c1 * be
-    a2 += _piece(k0, n2, k0)
-
-    third = -th * be / (1.0 - th) ** 2 * math.log2(th) if th > 0.0 else 0.0
-    return (a1 + a2 + third) / (1.0 + ip)
-
-
-# ---------------------------------------------------------------------------
 # bound assembly
 # ---------------------------------------------------------------------------
 
@@ -728,8 +592,7 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     """
     ChannelParams(d=d)
     MarkovSourceParams(gamma)
-    cfg = cfg or SeriesConfig()
-    hs2 = cond_entropy_S_given_YY(gamma, d, cfg)
+    hs2 = delins_S_term(gamma, d, 0.0, 1.0)  # = cond_entropy_S_given_YY(gamma, d)
     run = run_law_deletion_H(gamma, d, cfg)
     if use_printed_hs2:
         hs2_term = EntropyTerm("deleted_runs_penalty_printed_form", (1.0 - d) * closed_form_HS2(gamma, d),
@@ -767,7 +630,6 @@ def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None
     """Insertion bound decoding only complementary insertions (LB 2)."""
     ChannelParams(i=i, alpha=alpha)
     MarkovSourceParams(gamma)
-    cfg = cfg or SeriesConfig()
     run = run_law_duplication_H(gamma, i, cfg)
     terms = [
         EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
@@ -788,15 +650,17 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     i -> i' = i/(1-d)); the deleted-run term comes from the stationary
     second-stage law and the run-length term from the combined per-bit law.
     Reduces exactly to the deletion bound at i = 0 and to insertion LB 2 at
-    d = 0.
+    d = 0.  ``diagnostics`` is kept so that callers can pass it as they do
+    to :func:`lb_deletion`, but it no longer adds a term: the deleted-run
+    term is its closed form, so a series-minus-closed-form residual would be
+    0 by construction.
     """
     ChannelParams(d=d, i=i, alpha=alpha)
     MarkovSourceParams(gamma)
-    cfg = cfg or SeriesConfig()
     q = markov_q(gamma, d)
     ip = i / (1.0 - d)
     scale = 1.0 - d + i  # output symbols per input bit
-    s_term = delins_S_term(gamma, d, i, alpha, cfg)
+    s_term = delins_S_term(gamma, d, i, alpha)
     run = run_law_delins_H(gamma, d, i, cfg)
     terms = [
         EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
@@ -807,7 +671,4 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
                     role=Role.PENALTY),
         EntropyTerm("insertion_ambiguity_credit", delins_ambiguity_credit(d, i, alpha, gamma), role=Role.CREDIT),
     ]
-    if diagnostics:
-        terms.append(EntropyTerm("delins_s_series_minus_closed_residual",
-                                 s_term.value - closed_form_delins_S(gamma, d, i, alpha), role=Role.DIAGNOSTIC))
     return _assemble(gamma, terms)

@@ -11,7 +11,7 @@ Every command is deterministic given its flags (seeds included).  CSV output
 uses RFC 4180 quoting with CRLF line endings; JSON is UTF-8 with sorted keys.
 The environment variable ``DELINSCAP_SERIES_CONFIG`` may point to a
 ``key=value`` text file overriding the series defaults (``tail_epsilon``,
-``r_max_cap``, ``k_max_cap``).
+``r_max_cap``).
 """
 
 from __future__ import annotations
@@ -49,14 +49,13 @@ def load_series_config() -> ab.SeriesConfig:
                 raise ValueError(f"bad line in {path!r}: {line!r} (expected key=value)")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
-    known = {"tail_epsilon", "r_max_cap", "k_max_cap"}
+    known = {"tail_epsilon", "r_max_cap"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown series-config keys in {path!r}: {sorted(unknown)}")
     return ab.SeriesConfig(
         tail_epsilon=float(values.get("tail_epsilon", 1e-12)),
         r_max_cap=int(float(values.get("r_max_cap", 10_000))),
-        k_max_cap=int(float(values.get("k_max_cap", 10_000))),
     )
 
 
@@ -144,6 +143,9 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
 
     bounds = channel_bounds(args.channel, d=d, i=i, alpha=alpha, gamma=args.gamma, cfg=cfg, tol=args.tol,
                             use_printed_hs2=args.paper_closed_forms)
+    if args.paper_closed_forms:
+        print("note: --paper-closed-forms subtracts the printed deleted-run term, which can be "
+              "negative; the figure is not a certified lower bound", file=sys.stderr)
     winner = best_key(bounds)
     best = bounds[winner]
     payload = {
@@ -153,7 +155,6 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
         "series_config": {
             "tail_epsilon": cfg.tail_epsilon,
             "r_max_cap": cfg.r_max_cap,
-            "k_max_cap": cfg.k_max_cap,
         },
         "bounds": {k: _result_dict(v) for k, v in bounds.items()},
         "bound_bits": best.bound_bits,
@@ -177,9 +178,12 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
 def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
     _require(parser, args)
     cfg = load_series_config()
-    d_grid = _parse_grid(args.d) if args.d is not None else [0.0]
-    i_grid = _parse_grid(args.i) if args.i is not None else [0.0]
-    a_grid = _parse_grid(args.alpha) if args.alpha is not None else [1.0]
+    try:
+        d_grid = _parse_grid(args.d) if args.d is not None else [0.0]
+        i_grid = _parse_grid(args.i) if args.i is not None else [0.0]
+        a_grid = _parse_grid(args.alpha) if args.alpha is not None else [1.0]
+    except ValueError as exc:
+        parser.error(str(exc))
     points = [
         {"d": d, "i": i, "alpha": a}
         for d in d_grid for i in i_grid for a in a_grid

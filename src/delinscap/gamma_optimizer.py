@@ -67,7 +67,7 @@ CHANNELS = {
         "run_length_penalty", "insertion_ambiguity_credit")),
     "delins": Channel(("d", "i", "alpha"), {"lb": "delins"}, (
         "source_entropy", "comp_insertion_penalty", "deleted_runs_penalty", "run_length_penalty",
-        "insertion_ambiguity_credit", "delins_s_series_minus_closed_residual")),
+        "insertion_ambiguity_credit")),
 }
 
 class _Bound(NamedTuple):

@@ -170,10 +170,9 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
 
 
 def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
-    """Doubling the truncation caps and halving the tail budget must not move bounds."""
+    """Doubling the run-length cap and halving the tail budget must not move bounds."""
     base = cfg or ab.SeriesConfig()
-    tight = ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0,
-                            r_max_cap=base.r_max_cap * 2, k_max_cap=base.k_max_cap * 2)
+    tight = ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0, r_max_cap=base.r_max_cap * 2)
     cases: list[tuple[str, Callable[[ab.SeriesConfig], ab.BoundResult]]] = [
         ("deletion_d0.1", lambda c: ab.lb_deletion(0.1, 0.5777, c, diagnostics=False)),
         ("deletion_d0.5", lambda c: ab.lb_deletion(0.5, 0.85, c, diagnostics=False)),

@@ -1,0 +1,191 @@
+"""Reference computations that only the tests use.
+
+The deleted-run term H(S | Y_prev, Y, T) is computed by the package in
+closed form (``analytic_bounds.closed_form_delins_S``).  The functions here
+compute it the long way, by summing the stationary joint law of
+(S, Y_prev, Y, T) term by term up to a truncation index, with a
+conservative bound on the dropped tail.  They were the package's kernels
+before the closed form replaced them, and are kept as independent oracles.
+``iy_transition_matrix`` is the one-step kernel of the insertion chain whose
+stationary law ``analytic_bounds.stationary_iy`` gives in closed form.
+"""
+
+import math
+
+import numpy as np
+
+from delinscap import analytic_bounds as ab
+
+TAIL_EPSILON = 1e-12
+K_MAX_CAP = 10_000
+
+
+def iy_transition_matrix(i, alpha, gamma):
+    """8x8 one-step kernel on states (i_flag, y_now, y_prev), row-stochastic.
+
+    State index is ``i_flag * 4 + y_now * 2 + y_prev``.  An inserted bit is
+    never followed by another insertion, and after an insertion the next
+    output bit continues the Markov chain from the last non-inserted bit.
+    """
+    ib, ab_, gb = 1.0 - i, 1.0 - alpha, 1.0 - gamma
+    kernel = np.zeros((8, 8))
+    for flag in (0, 1):
+        for y1 in (0, 1):
+            for y0 in (0, 1):
+                src = flag * 4 + y1 * 2 + y0
+                if flag == 0:
+                    moves = {(1, y1): i * alpha, (1, 1 - y1): i * ab_, (0, y1): ib * gamma, (0, 1 - y1): ib * gb}
+                else:
+                    moves = {(0, y0): gamma, (0, 1 - y0): gb}
+                for (f2, y2), p in moves.items():
+                    kernel[src, f2 * 4 + y2 * 2 + y1] += p
+    return kernel
+
+
+def sy_joint_same(gamma, d, k):
+    """P(Y2 = Y1, S2 = k | Y1) of the deletion channel: run survival at k = 0, geometric over odd k."""
+    if k == 0:
+        return ab._g0(gamma, d)
+    if k % 2 == 1:
+        return ab._beta(gamma, d) * ab._theta(gamma, d) ** k
+    return 0.0
+
+
+def sy_joint_diff(gamma, d, k):
+    """P(Y2 != Y1, S2 = k | Y1) of the deletion channel: geometric over even k (0 included)."""
+    if k % 2 == 0:
+        return ab._beta(gamma, d) * ab._theta(gamma, d) ** k
+    return 0.0
+
+
+def delins_s_joint_same(gamma, d, i, alpha, k):
+    """Stationary P(S = k, Y_prev = Y_now = y, T = 0) of the combined channel, summed over both y."""
+    ip = i / (1.0 - d)
+    ab_ = 1.0 - alpha
+    c1 = 1.0 - ip * ab_
+    th, be = ab._theta(gamma, d), ab._beta(gamma, d)
+    if k == 0:
+        return (ip * alpha + c1 * ab._g0(gamma, d) + ip * ab_ * be) / (1.0 + ip)
+    return (c1 if k % 2 == 1 else ip * ab_) * be * th ** k / (1.0 + ip)
+
+
+def delins_s_joint_diff(gamma, d, i, alpha, k):
+    """Stationary P(S = k, Y_prev != Y_now, T = 0) of the combined channel, summed over both y."""
+    ip = i / (1.0 - d)
+    ab_ = 1.0 - alpha
+    c1 = 1.0 - ip * ab_
+    th, be = ab._theta(gamma, d), ab._beta(gamma, d)
+    if k == 0:
+        return (c1 * be + ip * ab_ * ab._g0(gamma, d)) / (1.0 + ip)
+    return (ip * ab_ if k % 2 == 1 else c1) * be * th ** k / (1.0 + ip)
+
+
+def _k_truncation(theta):
+    """Last k summed: where theta**k drops below TAIL_EPSILON, at least 4, at most K_MAX_CAP."""
+    if theta <= 0.0:
+        return 1
+    k = int(math.ceil(math.log(TAIL_EPSILON) / math.log(theta)))
+    return max(4, min(K_MAX_CAP, k))
+
+
+def _tail_abs(coef, theta, k0, num):
+    """Bound on |sum coef theta**k log2(num / (coef theta**k))| over k = k0, k0 + 2, ...,
+    each log factor taken in absolute value."""
+    if coef <= 0.0 or theta <= 0.0:
+        return 0.0
+    t2 = theta * theta
+    s0 = theta ** k0 / (1.0 - t2)  # sum theta**k
+    s1 = s0 * (k0 + 2.0 * t2 / (1.0 - t2))  # sum k theta**k
+    return coef * (s0 * abs(math.log2(num) - math.log2(coef)) + s1 * abs(math.log2(theta)))
+
+
+def _sum_law(k_max, theta, classes):
+    """Sum p log2(w / p) over every class of the law and bound the dropped tail.
+
+    Each class is (w, p0, c_odd, c_even): its context weight w, its mass at
+    k = 0 and its coefficients c theta**k at odd and even k >= 1.  The logs
+    of w and p are taken apart, so a subnormal p cannot overflow w / p.
+    """
+    pieces = []
+    for w, p0, c_odd, c_even in classes:
+        if p0 > 0.0:
+            pieces.append(p0 * (math.log2(w) - math.log2(p0)))
+        for k in range(1, k_max + 1):
+            p = (c_odd if k % 2 == 1 else c_even) * theta ** k
+            if p > 0.0:
+                pieces.append(p * (math.log2(w) - math.log2(p)))
+    odd0 = k_max + 1 if k_max % 2 == 0 else k_max + 2
+    even0 = k_max + 1 if k_max % 2 == 1 else k_max + 2
+    trunc = sum(_tail_abs(c_odd, theta, odd0, w) + _tail_abs(c_even, theta, even0, w)
+                for w, p0, c_odd, c_even in classes)
+    return math.fsum(pieces), trunc
+
+
+def hs2_series(gamma, d):
+    """(H(S2 | Y1 Y2), truncation error) of the deletion channel, from the law
+    that ``sy_joint_*`` tabulate, summed over k = 0..k_max."""
+    if d == 0.0:
+        return 0.0, 0.0
+    th, be, q = ab._theta(gamma, d), ab._beta(gamma, d), ab.markov_q(gamma, d)
+    return _sum_law(_k_truncation(th), th, [(q, ab._g0(gamma, d), be, 0.0), (1.0 - q, be, 0.0, be)])
+
+
+def delins_s_series(gamma, d, i, alpha):
+    """(H(S | Y_prev, Y, T), truncation error) of the combined channel, from the
+    ``delins_s_joint_*`` law summed over k = 0..k_max."""
+    if d == 0.0:
+        return 0.0, 0.0
+    ip = i / (1.0 - d)
+    ab_ = 1.0 - alpha
+    c1 = 1.0 - ip * ab_
+    th, be = ab._theta(gamma, d), ab._beta(gamma, d)
+    q = ab.markov_q(gamma, d)
+    qb = 1.0 - q
+    w_same = (ip * alpha + c1 * q + ip * ab_ * qb) / (1.0 + ip)
+    w_diff = (c1 * qb + ip * ab_ * q) / (1.0 + ip)
+    c1be, insbe = c1 * be / (1.0 + ip), ip * ab_ * be / (1.0 + ip)
+    return _sum_law(_k_truncation(th), th,
+                    [(w_same, delins_s_joint_same(gamma, d, i, alpha, 0), c1be, insbe),
+                     (w_diff, delins_s_joint_diff(gamma, d, i, alpha, 0), insbe, c1be)])
+
+
+def delins_s_mpmath(gamma, d, i, alpha, dps=50):
+    """H(S | Y_prev, Y, T) of the combined channel, its joint law rebuilt from
+    the channel parameters and summed term by term at ``dps`` digits, until
+    the next term's bound theta**k (k + 1) (1 + k log2(1 / theta)) falls
+    below 10**-(dps - 10).  A term p log2(w / p) with p = c theta**k is
+    evaluated as p (log2 w - log2 c - k log2 theta)."""
+    import mpmath
+
+    if d == 0.0:
+        return 0.0
+    with mpmath.workdps(dps):
+        g, d, i, a = (mpmath.mpf(x) for x in (gamma, d, i, alpha))
+        ip = i / (1 - d)
+        ins = ip * (1 - a)  # complementary insertions
+        c1 = 1 - ins
+        th = (1 - g) * d / (1 - g * d)
+        be = (1 - g) * (1 - d) / (1 - g * d) ** 2
+        g0 = g * (1 - d) / (1 - g * d)
+        q = (g + d - 2 * g * d) / (1 + d - 2 * g * d)
+        w_same = ip * a + c1 * q + ins * (1 - q)
+        w_diff = c1 * (1 - q) + ins * q
+
+        def term(w, p):
+            return p * mpmath.log(w / p, 2) if p > 0 else 0
+
+        total = term(w_same, ip * a + c1 * g0 + ins * be) + term(w_diff, c1 * be + ins * g0)
+        lth = mpmath.log(th, 2)
+        # (context weight, log2 weight, coefficient at odd k, at even k)
+        classes = [(mpmath.log(w_same, 2), c1 * be, ins * be), (mpmath.log(w_diff, 2), ins * be, c1 * be)]
+        logs = [(lw, c_odd, c_even, mpmath.log(c_odd, 2) if c_odd > 0 else 0, mpmath.log(c_even, 2) if c_even > 0 else 0)
+                for lw, c_odd, c_even in classes]
+        cut = mpmath.mpf(10) ** (10 - dps)
+        k, thk = 1, th
+        while thk > 0 and thk * (k + 1) * (1 - k * lth) > cut:
+            for lw, c_odd, c_even, lc_odd, lc_even in logs:
+                c, lc = (c_odd, lc_odd) if k % 2 == 1 else (c_even, lc_even)
+                if c > 0:
+                    total += c * thk * (lw - lc - k * lth)
+            k, thk = k + 1, thk * th
+        return float(total / (1 + ip))

@@ -4,9 +4,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
 from delinscap import analytic_bounds as ab
+
+import oracles
 
 
 def h(p):
@@ -54,7 +57,7 @@ class TestStationaryIY:
         for _ in range(20):
             i, a, g = rng.uniform(0.05, 0.9), rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.9)
             pi = ab.stationary_iy(i, a, g).reshape(-1)
-            kernel = ab.iy_transition_matrix(i, a, g)
+            kernel = oracles.iy_transition_matrix(i, a, g)
             assert np.abs(kernel.sum(axis=1) - 1.0).max() < 1e-14
             stepped = pi @ kernel
             assert np.abs(stepped - pi).sum() <= 1e-14
@@ -93,7 +96,7 @@ class TestInsertionLimits:
         for _ in range(15):
             i, a, g = rng.uniform(0.05, 0.9), rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.9)
             pi = ab.stationary_iy(i, a, g).reshape(-1)
-            kernel = ab.iy_transition_matrix(i, a, g)
+            kernel = oracles.iy_transition_matrix(i, a, g)
             total = 0.0
             for s1 in range(8):
                 if pi[s1] == 0.0:
@@ -112,7 +115,7 @@ class TestInsertionLimits:
         for _ in range(15):
             i, a, g = rng.uniform(0.05, 0.9), rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.9)
             pi = ab.stationary_iy(i, a, g).reshape(-1)
-            kernel = ab.iy_transition_matrix(i, a, g)
+            kernel = oracles.iy_transition_matrix(i, a, g)
             joint = {}
             for s1 in range(8):
                 f1, y1, y0 = (s1 >> 2) & 1, (s1 >> 1) & 1, s1 & 1
@@ -195,8 +198,8 @@ class TestDeletedRunCountEntropy:
     def test_sy_law_rows_sum(self):
         for g, d in [(0.5, 0.3), (0.2, 0.6), (0.8, 0.1)]:
             q = ab.markov_q(g, d)
-            same = math.fsum(ab.sy_joint_same(g, d, k) for k in range(0, 400))
-            diff = math.fsum(ab.sy_joint_diff(g, d, k) for k in range(0, 400))
+            same = math.fsum(oracles.sy_joint_same(g, d, k) for k in range(0, 400))
+            diff = math.fsum(oracles.sy_joint_diff(g, d, k) for k in range(0, 400))
             assert same == pytest.approx(q, abs=1e-12)
             assert diff == pytest.approx(1.0 - q, abs=1e-12)
 
@@ -263,7 +266,7 @@ class TestRunLawEntropies:
 
     def test_truncation_error_is_honest(self):
         base = ab.SeriesConfig()
-        tight = ab.SeriesConfig(tail_epsilon=1e-15, r_max_cap=40_000, k_max_cap=40_000)
+        tight = ab.SeriesConfig(tail_epsilon=1e-15, r_max_cap=40_000)
         for g, d, i in [(0.5, 0.2, 0.1), (0.8, 0.1, 0.05), (0.3, 0.4, 0.2)]:
             a = ab.run_law_delins_H(g, d, i, base)
             b = ab.run_law_delins_H(g, d, i, tight)
@@ -462,7 +465,7 @@ class TestRowTable:
         lost = ab._row_entropies(kernel, r_max)[1]
         assert lost > 0.0
         assert trimmed.truncation_error == (
-            ab._run_tail_bound(gamma, r_max) + lost * (math.log2((2 * r_max + 1) / lost) + math.log2(math.e)))
+            ab._run_tail_bound(gamma, r_max) + lost * (math.log2(2 * r_max + 1) - math.log2(lost) + math.log2(math.e)))
         monkeypatch.setattr(ab, "_ROW_TRIM", 0.0)
         _clear_row_table(monkeypatch)
         full = ab.run_law_delins_H(gamma, d, i)
@@ -506,23 +509,47 @@ class TestDelinsSTerm:
         assert ab.delins_S_term(0.5, 0.0, 0.2, 0.5).value == 0.0
 
     def test_reduces_to_deletion_term(self):
+        # the kernel at i = 0 against the deletion channel's own law, summed
         for g, d in [(0.5, 0.3), (0.7, 0.1), (0.3, 0.5)]:
             a = ab.delins_S_term(g, d, 0.0, 0.8).value
-            b = ab.cond_entropy_S_given_YY(g, d).value
+            b = oracles.hs2_series(g, d)[0]
             assert abs(a - b) <= 1e-10
+            assert ab.cond_entropy_S_given_YY(g, d).value == a
 
     def test_closed_form_residual_small(self):
         for g, d, i, a in [(0.5, 0.1, 0.1, 0.8), (0.6, 0.3, 0.2, 0.5), (0.4, 0.2, 0.05, 0.0)]:
             term = ab.delins_S_term(g, d, i, a)
-            resid = term.value - ab.closed_form_delins_S(g, d, i, a)
+            assert term.value == ab.closed_form_delins_S(g, d, i, a) and term.truncation_error == 0.0
+            resid = oracles.delins_s_series(g, d, i, a)[0] - term.value
             assert abs(resid) <= 1e-6
+
+    @pytest.mark.parametrize("gamma", [1e-6, 0.3, 0.9, 0.999, 0.99999])
+    def test_matches_mpmath_sum_of_the_law(self, gamma):
+        for d in (0.01, 0.3, 0.7, 0.99):
+            for i, a in [(0.0, 0.8), (0.005, 0.0), (0.005, 1.0), (0.05, 0.5)]:
+                if d + i >= 1.0:
+                    continue
+                ref = oracles.delins_s_mpmath(gamma, d, i, a)
+                assert abs(ab.delins_S_term(gamma, d, i, a).value - ref) <= 1e-13, (d, i, a)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.0, 0.99), st.floats(0.0, 0.99), st.floats(0.0, 1.0))
+    @example(0.3, 0.99, 0.0, 1.0)
+    @example(1e-6, 0.99, 0.5, 0.0)
+    @example(0.5, 1.1125369292536007e-308, 0.0, 0.0)  # subnormal probabilities in the law
+    @example(0.5, 0.5, 2e-320, 0.0)
+    def test_within_series_truncation_error(self, gamma, d, share, alpha):
+        # share is i as a fraction of 1 - d, so that d + i < 1
+        i = share * (1.0 - d)
+        value, trunc = oracles.delins_s_series(gamma, d, i, alpha)
+        assert abs(ab.delins_S_term(gamma, d, i, alpha).value - value) <= trunc + 1e-13
 
     def test_stationary_law_total_mass(self):
         for g, d, i, a in [(0.5, 0.2, 0.1, 0.8), (0.7, 0.4, 0.15, 0.3)]:
             ip = i / (1.0 - d)
             t_one_mass = ip * (1.0 - a) / (1.0 + ip)
             total = t_one_mass + math.fsum(
-                ab.delins_s_joint_same(g, d, i, a, k) + ab.delins_s_joint_diff(g, d, i, a, k)
+                oracles.delins_s_joint_same(g, d, i, a, k) + oracles.delins_s_joint_diff(g, d, i, a, k)
                 for k in range(0, 500)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -636,17 +663,21 @@ def test_entropy_term_is_frozen_record():
 
 
 class TestTinyParameters:
-    @pytest.mark.parametrize("i", [1e-40, 1e-200])
+    @pytest.mark.parametrize("i", [1e-40, 1e-200, 1e-300, 1e-307, 1e-320, 5e-324])
     def test_tiny_insertion_rate_reduces_to_deletion(self, i):
-        # |b/a| underflows against 1 in the output-length law (a math domain error once)
-        assert ab.lb_delins(0.5, i, 0.0, 0.5).bound_bits == pytest.approx(ab.lb_deletion(0.5, 0.5).bound_bits,
-                                                                         abs=1e-12)
+        # |b/a| underflows against 1 in the output-length law (a math domain error once); from
+        # 1e-300 down, a ratio over a subnormal number overflowed in the deleted-run term and
+        # in the row table's trimmed-mass bound (an infinite bound and budget once)
+        res = ab.lb_delins(0.5, i, 0.0, 0.5)
+        assert res.bound_bits == pytest.approx(ab.lb_deletion(0.5, 0.5).bound_bits, abs=1e-12)
+        assert math.isfinite(res.error_budget)
 
     def test_tiny_deletion_rate_reduces_to_identity(self):
         # theta**k underflows in the deleted-run-count law (a ZeroDivisionError once)
         assert ab.lb_deletion(4e-271, 0.5).bound_bits == pytest.approx(1.0, abs=1e-12)
 
-    def test_overflowing_term_is_an_error(self):
-        # the deleted-run term overflows to inf once i / (1 - d) is near the subnormal range
+    def test_overflowing_term_is_an_error(self, monkeypatch):
+        # a kernel that overflows makes the bound non-finite, which is an error, not a result
+        monkeypatch.setattr(ab, "closed_form_delins_S", lambda *args: math.inf)
         with pytest.raises(ValueError, match="not finite"):
-            ab.lb_delins(0.5, 1e-300, 0.0, 0.5)
+            ab.lb_delins(0.5, 0.1, 0.0, 0.5)

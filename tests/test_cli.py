@@ -77,6 +77,18 @@ class TestBoundCommand:
         names = {t["name"] for t in b["bounds"]["lb"]["terms"]}
         assert "deleted_runs_penalty_printed_form" in names
 
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "0.6"]])
+    def test_paper_closed_forms_note_on_stderr(self, gamma, capsys):
+        common = ["bound", "--channel", "deletion", "--d", "0.2", "--json", *gamma]
+        assert main(common) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(common + ["--paper-closed-forms"]) == 0
+        printed = capsys.readouterr()
+        assert printed.err.count("\n") == 1 and "not a certified lower bound" in printed.err
+        names = {t["name"] for t in json.loads(printed.out)["bounds"]["lb"]["terms"]}
+        assert "deleted_runs_penalty_printed_form" in names
+
     @pytest.mark.parametrize("tol", ["nan", "1e-12"])
     def test_bad_tol_is_an_error(self, tol, capsys):
         assert main(["bound", "--channel", "deletion", "--d", "0.2", "--tol", tol]) == 1
@@ -120,8 +132,21 @@ class TestSweepCommand:
 
     def test_empty_grid_rejected_without_writing(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
-        assert main(["sweep", "--channel", "deletion", "--d", "0.1:0.05:0.01", "--out", str(out)]) != 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--channel", "deletion", "--d", "0.1:0.05:0.01", "--out", str(out)])
+        assert exc.value.code == 2
         assert "no values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,spec", [("--i", "0:0.9:1e-300"), ("--alpha", "")])
+    def test_grid_spec_errors_are_usage_errors(self, flag, spec, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        args = {"--d": "0.1", "--i": "0.1", "--alpha": "0.8", flag: spec}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--channel", "delins", *[x for kv in args.items() for x in kv], "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "error: " in err
         assert not out.exists()
 
     def test_rfc4180_line_endings(self, tmp_path):
@@ -196,12 +221,19 @@ class TestVerifyCommand:
 class TestSeriesConfigEnv:
     def test_round_trip(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "series.cfg"
-        cfg_file.write_text("tail_epsilon = 1e-10\nr_max_cap=2000\n# comment\nk_max_cap=3000\n")
+        cfg_file.write_text("tail_epsilon = 1e-10\nr_max_cap=2000\n# comment\n")
         monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
         cfg = load_series_config()
         assert cfg.tail_epsilon == 1e-10
         assert cfg.r_max_cap == 2000
-        assert cfg.k_max_cap == 3000
+
+    def test_retired_k_max_cap_key_rejected(self, tmp_path, monkeypatch):
+        # the deleted-run term is a closed form, so it has no truncation index to cap
+        cfg_file = tmp_path / "series.cfg"
+        cfg_file.write_text("k_max_cap=3000\n")
+        monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
+        with pytest.raises(ValueError, match="k_max_cap"):
+            load_series_config()
 
     def test_unknown_key_rejected(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "series.cfg"
@@ -254,7 +286,9 @@ def test_parse_grid_largest_range():
 
 def test_sweep_non_finite_grid_rejected_without_writing(tmp_path, capsys):
     out = tmp_path / "nan.csv"
-    assert main(["sweep", "--channel", "deletion", "--d", "0:0.9:nan", "--out", str(out)]) != 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--channel", "deletion", "--d", "0:0.9:nan", "--out", str(out)])
+    assert exc.value.code == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
