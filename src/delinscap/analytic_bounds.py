@@ -19,6 +19,14 @@ is chosen from ``SeriesConfig.tail_epsilon``, and the term carries a
 conservative closed-form bound on the discarded mass's entropy contribution,
 the mass trimmed from the row table included.
 
+Every closed-form kernel the bounds use takes gamma as a float or as an
+array: a float goes through ``math``, so a scalar bound keeps its bits, an
+array through numpy, elementwise.  Each bound's terms are listed once, in
+the order they are added (``_deletion_terms`` and its siblings); its
+``lb_*`` turns them into :class:`~.core.EntropyTerm` records, and its array
+form, :class:`BoundGrid`, evaluates them over a whole array of gammas, the
+run-length term chunk by chunk.
+
 The deletion bound also evaluates the two printed closed forms of its
 penalties, the deleted-run-count entropy and the run-length entropy, and
 reports each computed-minus-printed residual as a diagnostic.  The binomial
@@ -38,10 +46,11 @@ import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, binary_entropy
+from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, binary_entropy, xlog2
 
 __all__ = [
     "SeriesConfig",
@@ -67,6 +76,11 @@ __all__ = [
     "lb1_insertion",
     "lb2_insertion",
     "lb_delins",
+    "BoundGrid",
+    "lb_deletion_grid",
+    "lb1_insertion_grid",
+    "lb2_insertion_grid",
+    "lb_delins_grid",
 ]
 
 _LOG2E = math.log2(math.e)
@@ -107,6 +121,24 @@ class BoundResult:
 
     def reconstruct(self) -> float:
         return _assemble(self.gamma_star, self.terms).bound_bits
+
+
+def _nonneg(x):
+    """max(x, 0) of a float, or elementwise of an array."""
+    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+
+
+def _sqrt(x):
+    """sqrt of a float, or elementwise of an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _log1p(x):
+    """log1p of a float (``math``) or elementwise of an array (numpy), -inf at -1."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log1p(x)
+    return math.log1p(x) if x > -1.0 else -math.inf
 
 
 def markov_q(gamma: float, d: float) -> float:
@@ -150,10 +182,12 @@ def stationary_iy(i: float, alpha: float, gamma: float) -> np.ndarray:
 
 
 def _weighted_h(weight: float, numerator: float) -> float:
-    """weight * h(numerator / weight) with the degenerate cases sent to 0."""
-    if weight <= 0.0:
-        return 0.0
-    return weight * binary_entropy(numerator / weight)
+    """weight * h(numerator / weight) with the degenerate cases (weight <= 0,
+    where the numerator, a part of the weight, is 0 too) sent to 0."""
+    if not isinstance(weight, np.ndarray):
+        return weight * binary_entropy(numerator / weight) if weight > 0.0 else 0.0
+    ok = weight > 0.0
+    return np.where(ok, weight * binary_entropy(numerator / np.where(ok, weight, 1.0)), 0.0)
 
 
 def h_I_limit(i: float, alpha: float, gamma: float) -> float:
@@ -230,7 +264,7 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
     taken apart, so a subnormal i' cannot overflow their ratio.
     """
     if d == 0.0:
-        return 0.0
+        return 0.0 * gamma
     ip = i / (1.0 - d)
     ab = 1.0 - alpha
     c1 = 1.0 - ip * ab
@@ -242,22 +276,17 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
     n1 = ip * alpha + c1 * q + ip * ab * qb
     n2 = c1 * qb + ip * ab * q
 
-    def _piece(coef: float, num: float, den: float) -> float:
-        if coef <= 0.0 or den <= 0.0:
-            return 0.0
-        return coef * (math.log2(num) - math.log2(den))
-
-    a1 = _piece(th * be * c1 / omt2, n1, be * c1)
-    a1 += _piece(th ** 2 * be * ip * ab / omt2, n1, be * ip * ab)
+    a1 = xlog2(th * be * c1 / omt2, n1, be * c1)
+    a1 += xlog2(th ** 2 * be * ip * ab / omt2, n1, be * ip * ab)
     k0 = c1 * g0 + ip * ab * be + ip * alpha
-    a1 += _piece(k0, n1, k0)
+    a1 += xlog2(k0, n1, k0)
 
-    a2 = _piece(th ** 2 * be * c1 / omt2, n2, be * c1)
-    a2 += _piece(th * be * ip * ab / omt2, n2, be * ip * ab)
+    a2 = xlog2(th ** 2 * be * c1 / omt2, n2, be * c1)
+    a2 += xlog2(th * be * ip * ab / omt2, n2, be * ip * ab)
     k0 = ip * ab * g0 + c1 * be
-    a2 += _piece(k0, n2, k0)
+    a2 += xlog2(k0, n2, k0)
 
-    third = -th * be / (1.0 - th) ** 2 * math.log2(th) if th > 0.0 else 0.0
+    third = xlog2(th * be / (1.0 - th) ** 2, 1.0, th)  # -th beta / (1-theta)**2 log2(theta)
     return (a1 + a2 + third) / (1.0 + ip)
 
 
@@ -268,7 +297,7 @@ def delins_S_term(gamma: float, d: float, i: float, alpha: float) -> EntropyTerm
     Vanishes at d = 0; at i = 0 alpha drops out and it is
     :func:`cond_entropy_S_given_YY`.
     """
-    return EntropyTerm("deleted_run_count_entropy", max(closed_form_delins_S(gamma, d, i, alpha), 0.0), 0.0)
+    return EntropyTerm("deleted_run_count_entropy", _nonneg(closed_form_delins_S(gamma, d, i, alpha)), 0.0)
 
 
 def cond_entropy_S_given_YY(gamma: float, d: float) -> EntropyTerm:
@@ -379,10 +408,11 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
     return h[:r_max], float(lost[r_max - 1])
 
 
-def _output_length_law(gamma: float, step: tuple[float, float, float], s_max: int) -> np.ndarray:
+def _output_length_law(gamma, step: tuple[float, float, float], s_max: int) -> np.ndarray:
     """Exact P(L_out = s), s = 0..s_max, for a geometric input run whose bits
     each contribute 0, 1 or 2 output bits with probabilities
-    ``step`` = (d, 1-d-i, i).
+    ``step`` = (d, 1-d-i, i); ``gamma`` is a float, or a (G, 1) column of
+    them for one law per row.
 
     The generating function is (1-gamma) phi(z) / (1 - gamma phi(z)) with
     phi(z) = d + (1-d-i) z + i z**2.  Writing 1 - gamma phi(z) as
@@ -392,31 +422,37 @@ def _output_length_law(gamma: float, step: tuple[float, float, float], s_max: in
     of two geometric sequences.  The difference is taken as
     a**n (1 - (b/a)**n) with log|b/a| = log1p(-2 (a + b) / (a - b)), which
     stays accurate when |b| is close to a and makes odd lengths exactly
-    zero-mass when d + i = 1 (a + b = 0).
+    zero-mass when d + i = 1 (a + b = 0).  Where x = -1, b is too small
+    against a to show: log1p(x) is then -inf and both correction factors are
+    exactly 1.
     """
     d, keep, i = step
     gb = 1.0 - gamma
     c0 = 1.0 - gamma * d
     a_plus_b = gamma * keep / c0
-    a_minus_b = math.sqrt(a_plus_b * a_plus_b + 4.0 * gamma * i / c0)
+    a_minus_b = _sqrt(a_plus_b * a_plus_b + 4.0 * gamma * i / c0)
     n = np.arange(1.0, s_max + 2.0)  # s + 1
     law = np.power((a_plus_b + a_minus_b) / 2.0, n)
     law *= gb / (gamma * c0 * a_minus_b)
-    x = -2.0 * a_plus_b / (a_plus_b + a_minus_b)  # log|b/a| = log1p(x)
-    if i > 0.0 and x > -1.0:  # at x = -1, b is too small against a to show
-        n *= math.log1p(x)  # now n log|b/a|
-        law[0::2] *= 1.0 + np.exp(n[0::2])  # (b/a)**n = -|b/a|**n for odd n
-        law[1::2] *= -np.expm1(n[1::2])
-    law[0] = gb * d / c0
+    if i > 0.0:
+        n = n * _log1p(-2.0 * a_plus_b / (a_plus_b + a_minus_b))  # n log|b/a|
+        law[..., 0::2] *= 1.0 + np.exp(n[..., 0::2])  # (b/a)**n = -|b/a|**n for odd n
+        law[..., 1::2] *= -np.expm1(n[..., 1::2])
+    law[..., :1] = gb * d / c0
     return law
 
 
-def _entropy_bits(law: np.ndarray) -> float:
-    """Entropy in bits of the positive entries of ``law``."""
-    pos = law[law > 0.0]
-    h = np.log2(pos)
-    h *= pos
-    return -float(h.sum())
+def _entropy_bits(law: np.ndarray):
+    """Entropy in bits of the positive entries of ``law``, along its last axis.
+    A single law is summed over its positive entries alone, which sets the
+    rounding of the sum; the rows of a matrix keep their zeros."""
+    if law.ndim == 1:
+        law = law[law > 0.0]
+        h = np.log2(law)
+    else:  # zeros add 0 x log2(tiny) = 0
+        h = np.log2(np.maximum(law, _TINY))
+    h *= law
+    return -h.sum(axis=-1)
 
 
 def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: str) -> EntropyTerm:
@@ -440,18 +476,57 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     trunc = _run_tail_bound(gamma, r_max)
     if d == 0.0 and i == 0.0:  # L_out = L_X
         return EntropyTerm(name, 0.0, trunc)
-    step = (d, max(1.0 - d - i, 0.0), i)  # d + i may exceed 1 by rounding
-    h_marg = _entropy_bits(_output_length_law(gamma, step, 2 * r_max))
+    step = _step_law(d, i)
+    h_marg = float(_entropy_bits(_output_length_law(gamma, step, 2 * r_max)))
     gb = 1.0 - gamma
     k = np.arange(r_max)
-    # a zero end step only shifts the rows; an interior zero (d + i = 1) stays
-    h_rows, lost = _row_entropies(step[int(d == 0.0):3 - int(i == 0.0)], r_max)
+    h_rows, lost = _row_entropies(_row_kernel(step), r_max)
     if lost > 0.0:
         trunc += lost * (math.log2(2 * r_max + 1) - math.log2(lost) + _LOG2E)
     joint = h_rows - (math.log2(gb) + k * math.log2(gamma))  # H(row_r) - log2 p_r
     joint *= gb * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
     h_joint = float(joint.sum())
     return EntropyTerm(name, max(h_joint - h_marg, 0.0), trunc)
+
+
+def _step_law(d: float, i: float) -> tuple[float, float, float]:
+    """Per-bit output-length law (d, 1 - d - i, i); d + i may exceed 1 by rounding."""
+    return d, max(1.0 - d - i, 0.0), i
+
+
+def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
+    """The step law as a row-table kernel: a zero end step only shifts the
+    rows, so it is dropped; an interior zero (d + i = 1) stays."""
+    d, _, i = step
+    return step[int(d == 0.0):3 - int(i == 0.0)]
+
+
+def _run_law_values(gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> np.ndarray:
+    """The value of :func:`_run_law_entropy` at each gamma of a 1-D array.
+
+    Every gamma keeps its own r_max and the sums of its scalar evaluation;
+    only their rounding differs (within 1e-13, tested).  With R the largest
+    r_max, the joint part is the (G x R) matrix of p_r, zero past each row's
+    r_max, times the row entropies, the -log2 p_r part taken through the
+    same matrix as -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; the
+    L_out marginal is exact on each row's own 0..2 r_max.  The
+    temporaries hold G (2R + 1) cells.
+    """
+    if d == 0.0 and i == 0.0:  # L_out = L_X
+        return np.zeros(gammas.shape)
+    r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
+    size = int(r_max.max())
+    step = _step_law(d, i)
+    column = gammas[:, None]
+    law = _output_length_law(column, step, 2 * size)
+    law = np.where(np.arange(2 * size + 1) > 2 * r_max[:, None], 0.0, law)
+    h_marg = _entropy_bits(law)
+    h_rows, _ = _row_entropies(_row_kernel(step), size)
+    k = np.arange(size)
+    p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
+    p = np.where(k >= r_max[:, None], 0.0, p)
+    h_joint = p @ h_rows - (np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k))
+    return np.maximum(h_joint - h_marg, 0.0)
 
 
 def _run_tail_bound(gamma: float, r_max: int) -> float:
@@ -569,17 +644,92 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
 # bound assembly
 # ---------------------------------------------------------------------------
 
-def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
-    """The bound of ``terms``: each value times its role's sign, summed in
-    order, with the truncation errors of the terms that enter it."""
-    bound = budget = 0.0
+class _Term(NamedTuple):
+    """An :class:`EntropyTerm`'s fields, its value a float or an array."""
+
+    name: str
+    value: object
+    truncation_error: object = 0.0
+    role: Role = Role.PENALTY
+
+
+def _signed_sum(terms) -> float:
+    """Each term's value times its role's sign, summed in order: the bound."""
+    bound = 0.0
     for t in terms:
         if t.role.sign:
-            bound += t.role.sign * t.value
+            bound = bound + t.role.sign * t.value
+    return bound
+
+
+def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
+    """The bound of ``terms``, with the truncation errors of the terms that
+    enter it."""
+    bound = _signed_sum(terms)
+    budget = 0.0
+    for t in terms:
+        if t.role.sign:
             budget += t.truncation_error
     if not math.isfinite(bound):
         raise ValueError(f"bound is {bound} at gamma={gamma_star}: a term is not finite")
     return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=tuple(terms), error_budget=budget)
+
+
+def _ceiling(terms):
+    """The source and credit terms summed in order: at least the bound of
+    ``terms``, bit for bit, since every penalty is >= 0 and round-to-nearest
+    is monotone."""
+    return _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
+
+
+def _run_length_term(gamma, run, run_error) -> _Term:
+    """(1 - gamma) H(L_X | L_out), the run-length penalty per input bit."""
+    return _Term("run_length_penalty", (1.0 - gamma) * run, (1.0 - gamma) * run_error)
+
+
+# The terms of each bound, in the order they are added, at gamma a float or
+# an array.  ``run`` is the run-length penalty (:func:`_run_length_term`):
+# the one term whose scalar form, with its truncation error, and array form
+# are computed apart.  A grid passes None for it and fills it in chunk by
+# chunk (:class:`BoundGrid`).
+
+def _deletion_terms(d, gamma, run: _Term | None, printed: bool = False) -> list:
+    if printed:
+        hs2 = _Term("deleted_runs_penalty_printed_form", (1.0 - d) * closed_form_HS2(gamma, d),
+                    role=Role.PRINTED_PENALTY)
+    else:
+        hs2 = _Term("deleted_runs_penalty", (1.0 - d) * _nonneg(closed_form_delins_S(gamma, d, 0.0, 1.0)))
+    return [_Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE), hs2, run]
+
+
+def _lb1_terms(i, alpha, gamma) -> list:
+    return [
+        _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        _Term("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma)),
+        _Term("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
+    ]
+
+
+def _lb2_terms(i, alpha, gamma, run: _Term | None) -> list:
+    return [
+        _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        _Term("comp_insertion_penalty", (1.0 + i) * h_T_limit(i, alpha, gamma)),
+        run,
+        _Term("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
+    ]
+
+
+def _delins_terms(d, i, alpha, gamma, run: _Term | None) -> list:
+    q = markov_q(gamma, d)
+    ip = i / (1.0 - d)
+    scale = 1.0 - d + i  # output symbols per input bit
+    return [
+        _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        _Term("comp_insertion_penalty", scale * h_T_limit(ip, alpha, q)),
+        _Term("deleted_runs_penalty", scale * _nonneg(closed_form_delins_S(gamma, d, i, alpha))),
+        run,
+        _Term("insertion_ambiguity_credit", delins_ambiguity_credit(d, i, alpha, gamma), role=Role.CREDIT),
+    ]
 
 
 def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
@@ -592,22 +742,12 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     """
     ChannelParams(d=d)
     MarkovSourceParams(gamma)
-    hs2 = delins_S_term(gamma, d, 0.0, 1.0)  # = cond_entropy_S_given_YY(gamma, d)
     run = run_law_deletion_H(gamma, d, cfg)
-    if use_printed_hs2:
-        hs2_term = EntropyTerm("deleted_runs_penalty_printed_form", (1.0 - d) * closed_form_HS2(gamma, d),
-                               role=Role.PRINTED_PENALTY)
-    else:
-        hs2_term = EntropyTerm("deleted_runs_penalty", (1.0 - d) * hs2.value, (1.0 - d) * hs2.truncation_error,
-                               role=Role.PENALTY)
-    terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
-        hs2_term,
-        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
-                    role=Role.PENALTY),
-    ]
+    terms = _deletion_terms(d, gamma, _run_length_term(gamma, run.value, run.truncation_error), use_printed_hs2)
+    terms = [EntropyTerm(*t) for t in terms]
     if diagnostics:
-        terms.append(EntropyTerm("hs2_series_minus_closed_residual", hs2.value - closed_form_HS2(gamma, d),
+        hs2 = cond_entropy_S_given_YY(gamma, d).value
+        terms.append(EntropyTerm("hs2_series_minus_closed_residual", hs2 - closed_form_HS2(gamma, d),
                                  role=Role.DIAGNOSTIC))
         terms.append(EntropyTerm("run_law_series_minus_closed_residual",
                                  run.value - closed_form_HLXLY(gamma, d), role=Role.DIAGNOSTIC))
@@ -618,12 +758,7 @@ def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     """Insertion bound decoding all insertion positions (LB 1)."""
     ChannelParams(i=i, alpha=alpha)
     MarkovSourceParams(gamma)
-    terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
-        EntropyTerm("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma), role=Role.PENALTY),
-        EntropyTerm("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
-    ]
-    return _assemble(gamma, terms)
+    return _assemble(gamma, [EntropyTerm(*t) for t in _lb1_terms(i, alpha, gamma)])
 
 
 def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None = None) -> BoundResult:
@@ -631,14 +766,8 @@ def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None
     ChannelParams(i=i, alpha=alpha)
     MarkovSourceParams(gamma)
     run = run_law_duplication_H(gamma, i, cfg)
-    terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
-        EntropyTerm("comp_insertion_penalty", (1.0 + i) * h_T_limit(i, alpha, gamma), role=Role.PENALTY),
-        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
-                    role=Role.PENALTY),
-        EntropyTerm("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
-    ]
-    return _assemble(gamma, terms)
+    terms = _lb2_terms(i, alpha, gamma, _run_length_term(gamma, run.value, run.truncation_error))
+    return _assemble(gamma, [EntropyTerm(*t) for t in terms])
 
 
 def lb_delins(d: float, i: float, alpha: float, gamma: float,
@@ -657,18 +786,62 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     """
     ChannelParams(d=d, i=i, alpha=alpha)
     MarkovSourceParams(gamma)
-    q = markov_q(gamma, d)
-    ip = i / (1.0 - d)
-    scale = 1.0 - d + i  # output symbols per input bit
-    s_term = delins_S_term(gamma, d, i, alpha)
     run = run_law_delins_H(gamma, d, i, cfg)
-    terms = [
-        EntropyTerm("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
-        EntropyTerm("comp_insertion_penalty", scale * h_T_limit(ip, alpha, q), role=Role.PENALTY),
-        EntropyTerm("deleted_runs_penalty", scale * s_term.value, scale * s_term.truncation_error,
-                    role=Role.PENALTY),
-        EntropyTerm("run_length_penalty", (1.0 - gamma) * run.value, (1.0 - gamma) * run.truncation_error,
-                    role=Role.PENALTY),
-        EntropyTerm("insertion_ambiguity_credit", delins_ambiguity_credit(d, i, alpha, gamma), role=Role.CREDIT),
-    ]
-    return _assemble(gamma, terms)
+    terms = _delins_terms(d, i, alpha, gamma, _run_length_term(gamma, run.value, run.truncation_error))
+    return _assemble(gamma, [EntropyTerm(*t) for t in terms])
+
+
+class BoundGrid:
+    """A bound at every gamma of a fixed 1-D array: the array form of its
+    ``lb_*``, made of the same terms added in the same order (no validation,
+    no diagnostics, no truncation errors).
+
+    The closed-form terms are taken once over the whole array, where a numpy
+    call costs about the same for 1 gamma as for 199; the run-length term,
+    whose row table and temporaries grow with the largest r_max, is taken
+    chunk by chunk (:meth:`values`).  The values agree with the ``lb_*``
+    within 1e-13 (tested).  ``ceilings``, the source and credit terms summed
+    from the same arrays, is at least every value, bit for bit; at a float
+    gamma it is the float ceiling of the ``lb_*``, its own terms summed.
+    """
+
+    def __init__(self, gammas, terms: list, run_law=None) -> None:
+        k = terms.index(None) if None in terms else len(terms)
+        self.gammas = gammas
+        self.ceilings = _ceiling(terms)
+        self._head, self._tail, self._run_law = _signed_sum(terms[:k]), terms[k + 1:], run_law
+
+    def values(self, chunk: slice = slice(None)) -> np.ndarray:
+        """The bound at ``gammas[chunk]``."""
+        v = self._head[chunk]
+        if self._run_law is not None:
+            g = self.gammas[chunk]
+            run = _run_length_term(g, self._run_law(g), 0.0)
+            v = v + run.role.sign * run.value
+        for t in self._tail:
+            v = v + t.role.sign * t.value[chunk]
+        return v
+
+
+def lb_deletion_grid(d: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
+    """:func:`lb_deletion` over ``gammas``."""
+    cfg = cfg or SeriesConfig()
+    return BoundGrid(gammas, _deletion_terms(d, gammas, None), lambda g: _run_law_values(g, d, 0.0, cfg))
+
+
+def lb1_insertion_grid(i: float, alpha: float, gammas: np.ndarray) -> BoundGrid:
+    """:func:`lb1_insertion` over ``gammas``."""
+    return BoundGrid(gammas, _lb1_terms(i, alpha, gammas))
+
+
+def lb2_insertion_grid(i: float, alpha: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
+    """:func:`lb2_insertion` over ``gammas``."""
+    cfg = cfg or SeriesConfig()
+    return BoundGrid(gammas, _lb2_terms(i, alpha, gammas, None), lambda g: _run_law_values(g, 0.0, i, cfg))
+
+
+def lb_delins_grid(d: float, i: float, alpha: float, gammas: np.ndarray,
+                   cfg: SeriesConfig | None = None) -> BoundGrid:
+    """:func:`lb_delins` over ``gammas``."""
+    cfg = cfg or SeriesConfig()
+    return BoundGrid(gammas, _delins_terms(d, i, alpha, gammas, None), lambda g: _run_law_values(g, d, i, cfg))

@@ -31,6 +31,7 @@ __all__ = [
     "RunSequence",
     "Role",
     "EntropyTerm",
+    "xlog2",
     "binary_entropy",
     "generate_markov_sequence",
     "to_runs",
@@ -153,13 +154,32 @@ class EntropyTerm:
             raise ValueError(f"{self.role.label} term {self.name!r} has negative value {self.value}")
 
 
-def binary_entropy(p: float) -> float:
-    """Binary entropy in bits, with the 0*log(0) = 0 convention."""
-    if not 0.0 <= p <= 1.0:
+def xlog2(c, num, den=1.0):
+    """c * log2(num / den), taken as c * (log2(num) - log2(den)) so that a
+    ratio of tiny numbers cannot overflow, and 0 wherever c <= 0 or den <= 0.
+
+    Of floats it is computed with ``math.log2``, so scalar code keeps its
+    bits; of arrays elementwise with numpy's log2, which may differ from
+    ``math.log2`` in the last bit.
+    """
+    if not (isinstance(c, np.ndarray) or isinstance(num, np.ndarray) or isinstance(den, np.ndarray)):
+        if c <= 0.0 or den <= 0.0:
+            return 0.0
+        return c * (math.log2(num) - math.log2(den))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = c * (np.log2(num) - np.log2(den))
+    return np.where(c > 0.0, np.where(den > 0.0, v, 0.0), 0.0)
+
+
+def binary_entropy(p):
+    """Binary entropy in bits, with the 0*log(0) = 0 convention, of a
+    probability or elementwise of an array of them (see :func:`xlog2`)."""
+    if isinstance(p, np.ndarray):
+        if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+            raise ValueError(f"probabilities outside [0, 1] in {p}")
+    elif not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return xlog2(p, 1.0, p) + xlog2(1.0 - p, 1.0, 1.0 - p)
 
 
 def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.ndarray:

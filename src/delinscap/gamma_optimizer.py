@@ -7,38 +7,52 @@ because the bound functions ride on truncated series whose numerical
 derivatives are noisy at the 1e-9 level.  The returned value is always one
 the objective actually produced at the returned point, never an interpolant.
 
-The coarse grid is pruned by branch and bound.  Every penalty is a
-conditional entropy, so a bound's source-plus-credit sum is an exact ceiling
-on it, a few scalar operations against a full ``lb_*`` evaluation.  Grid
-points whose ceiling cannot beat the best value below them are skipped: the
-top of the grid when gamma* is low, and with it the long run-length row
-table those points need.  Results stay bit-identical (see
-:func:`maximize_over_gamma`).
+The coarse grid is evaluated as arrays, not point by point: a numpy call
+costs about as much for one gamma as for a hundred, so a scalar ``lb_*``
+call is nearly all per-call overhead.  A bound's array form
+(:class:`~.analytic_bounds.BoundGrid`) takes its closed-form terms over all
+199 points at once and its run-length term in fixed ascending chunks of the
+grid (:func:`_grid_chunks`), each small enough that the row table and the
+temporaries grow only as far as the chunks evaluated need.  Golden section
+then refines with scalar ``lb_*`` calls.
+
+The chunks are pruned by branch and bound.  Every penalty is a conditional
+entropy, so a bound's source-plus-credit sum is an exact ceiling on it.  A
+chunk whose every ceiling cannot beat the best value below it is skipped:
+the top of the grid when gamma* is low, and with it the long run-length row
+table those points need.  Results stay bit-identical to the unpruned grid
+(see :func:`maximize_over_gamma`).
 
 ``CHANNELS`` is the one registry of channels (CLI parameters, bounds, CSV
-term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``
-and its ceiling; everything that dispatches on a channel or a bound reads
-these two.
+term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``,
+its ceiling and its array form; everything that dispatches on a channel or a
+bound reads these two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
+import numpy as np
+
 from .analytic_bounds import (
+    BoundGrid,
     BoundResult,
     SeriesConfig,
-    delins_ambiguity_credit,
-    insertion_penalty_credit,
+    _r_truncation,
     lb_deletion,
+    lb_deletion_grid,
     lb1_insertion,
+    lb1_insertion_grid,
     lb2_insertion,
+    lb2_insertion_grid,
     lb_delins,
+    lb_delins_grid,
 )
-from .core import binary_entropy
 
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
            "channel_bounds", "best_key", "sweep"]
@@ -47,6 +61,11 @@ GAMMA_MIN = 1e-6
 GAMMA_MAX = 1.0 - 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 199
+_GRID = np.array([min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)])
+_GRID.flags.writeable = False
+# Cap on the padded cells of a chunk's largest temporary, its G x (2 r_max + 1)
+# output-length laws: 32 KiB.
+_CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,22 +91,27 @@ CHANNELS = {
 
 class _Bound(NamedTuple):
     evaluate: Callable[..., BoundResult]  # at (d, i, alpha, gamma, cfg, diagnostics, use_printed_hs2)
-    ceiling: Callable[..., float]  # at (d, i, alpha, gamma): the lb_*'s source and credit terms, summed
+    grid: Callable[..., BoundGrid]  # at (d, i, alpha, gammas, cfg): the lb_*'s array form and array ceiling
+
+    def ceiling(self, d: float, i: float, alpha: float, gamma: float) -> float:
+        """The source and credit terms of ``evaluate`` at ``gamma``, summed:
+        a ceiling on the bound."""
+        return self.grid(d, i, alpha, gamma, None).ceilings
 
 
-# bound name -> its lb_* and ceiling, the latter made of the helper calls the
-# lb_* makes.  The lambdas look lb_* up by module-level name at call time, so
-# a rebinding of those names (as a tracer does) is seen.
+# bound name -> its lb_* and its array form.  The lambdas look lb_* up by
+# module-level name at call time, so a rebinding of those names (as a tracer
+# does) is seen.
 _BOUNDS: dict[str, _Bound] = {
     "deletion": _Bound(lambda d, i, alpha, g, cfg, diag, printed:
                        lb_deletion(d, g, cfg, diagnostics=diag, use_printed_hs2=printed),
-                       lambda d, i, alpha, g: binary_entropy(g)),
+                       lambda d, i, alpha, g, cfg: lb_deletion_grid(d, g, cfg)),
     "insertion_lb1": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb1_insertion(i, alpha, g),
-                            lambda d, i, alpha, g: binary_entropy(g) + insertion_penalty_credit(i, alpha, g)),
+                            lambda d, i, alpha, g, cfg: lb1_insertion_grid(i, alpha, g)),
     "insertion_lb2": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb2_insertion(i, alpha, g, cfg),
-                            lambda d, i, alpha, g: binary_entropy(g) + insertion_penalty_credit(i, alpha, g)),
+                            lambda d, i, alpha, g, cfg: lb2_insertion_grid(i, alpha, g, cfg)),
     "delins": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb_delins(d, i, alpha, g, cfg, diagnostics=diag),
-                     lambda d, i, alpha, g: binary_entropy(g) + delins_ambiguity_credit(d, i, alpha, g)),
+                     lambda d, i, alpha, g, cfg: lb_delins_grid(d, i, alpha, g, cfg)),
 }
 
 
@@ -97,24 +121,60 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_chunks(cfg: SeriesConfig) -> tuple[slice, ...]:
+    """The grid cut into ascending chunks of at most _CHUNK_CELLS padded
+    cells, G x (2 r_max + 1) with r_max that of the chunk's top point; a
+    point over the cap alone is a chunk of its own.  They depend on the grid
+    and ``cfg`` only."""
+    chunks, start = [], 0
+    for k, g in enumerate(_GRID.tolist()):
+        if k > start and (k + 1 - start) * (2 * _r_truncation(g, cfg) + 1) > _CHUNK_CELLS:
+            chunks.append(slice(start, k))
+            start = k
+    chunks.append(slice(start, _GRID.size))
+    return tuple(chunks)
+
+
+class _PointByPoint:
+    """The grid form of a scalar objective: ``bound_fn`` and ``ceiling``
+    (if any) called at each grid point."""
+
+    def __init__(self, bound_fn: Callable[[float], float], ceiling: Callable[[float], float] | None) -> None:
+        self._fn = bound_fn
+        self.ceilings = None if ceiling is None else np.array([ceiling(g) for g in _GRID.tolist()])
+
+    def values(self, chunk: slice) -> np.ndarray:
+        return np.array([self._fn(g) for g in _GRID[chunk].tolist()])
+
+
 def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
-                        ceiling: Callable[[float], float] | None = None) -> tuple[float, float]:
+                        ceiling: Callable[[float], float] | None = None, grid: BoundGrid | None = None,
+                        cfg: SeriesConfig | None = None) -> tuple[float, float]:
     """Maximize ``bound_fn`` over gamma in [GAMMA_MIN, GAMMA_MAX].
 
     Evaluates a coarse grid of 199 equispaced points, then golden-section
-    refines inside the bracket around the best grid point until the interval
-    is below ``tol``.  Returns the best point actually evaluated, so the
-    result is reproducible by a single call to ``bound_fn``.
+    refines ``bound_fn`` inside the bracket around the best grid point until
+    the interval is below ``tol``.  Returns the best point evaluated and its
+    value.
 
-    ``ceiling``, if given, must satisfy ``bound_fn(g) <= ceiling(g)``.  The
-    grid is walked upwards, its first point always evaluated, and a point
-    whose ceiling is at most the best value so far is skipped: at best it
-    ties, and a tie never displaces the earlier first argmax, so the bracket,
-    every golden-section step and the result are those of the full grid.  A
-    bound's source-plus-credit sum meets the condition exactly in floating
-    point: every penalty is >= 0 (``EntropyTerm`` enforces it), the bound
-    adds its terms in order, and round-to-nearest is monotone, so each
-    partial sum with the penalties is at most the same sum without them.
+    The grid is taken in fixed ascending chunks (:func:`_grid_chunks` of
+    ``cfg``), through ``grid``, the array form of ``bound_fn`` on the grid
+    (a :class:`~.analytic_bounds.BoundGrid` or anything with its
+    ``values(chunk)`` and ``ceilings``), if given, else through ``bound_fn``
+    and ``ceiling`` point by point.  ``ceiling``, if given, must satisfy
+    ``bound_fn(g) <= ceiling(g)``, and the grid's ceilings (None for none)
+    must bound its values element by element.
+
+    A chunk whose every ceiling is at most the best value so far is
+    skipped: at best it ties, and a tie never displaces the earlier first
+    argmax.  The chunks do not depend on the pruning, so the bracket, every
+    golden-section step and the result are those of the unpruned grid, bit
+    for bit.  A bound's source-plus-credit sum meets the condition exactly in
+    floating point, taken from the same term arrays as the bound: every
+    penalty is >= 0, the bound adds its terms in order, and round-to-nearest
+    is monotone, so each partial sum with the penalties is at most the same
+    sum without them.
     """
     if not tol >= 1e-9:  # NaN included
         raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
@@ -125,25 +185,30 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
             raise ValueError(f"bound function returned non-finite value {v} at gamma={g}")
         return v
 
-    gammas = [min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)]
-    b, best_v, skipped = 0, safe_eval(gammas[0]), 0
-    for k in range(1, len(gammas)):
-        if ceiling is not None and ceiling(gammas[k]) <= best_v:
-            skipped += 1
-        else:
-            v = safe_eval(gammas[k])
+    if grid is None:
+        grid = _PointByPoint(safe_eval, ceiling)
+    chunks = _grid_chunks(cfg or SeriesConfig())
+    b, best_v, skipped = -1, -math.inf, []
+    for chunk in chunks:
+        if b >= 0 and grid.ceilings is not None and np.max(grid.ceilings[chunk]) <= best_v:
+            skipped.append(chunk.stop - chunk.start)
+            continue
+        for j, (g, v) in enumerate(zip(_GRID[chunk].tolist(), grid.values(chunk).tolist()), chunk.start):
+            if not math.isfinite(v):
+                raise ValueError(f"bound function returned non-finite value {v} at gamma={g}")
             if v > best_v:
-                b, best_v = k, v
-    best_g = gammas[b]
+                b, best_v = j, v
+    best_g = float(_GRID[b])
 
-    a = gammas[b - 1] if b > 0 else GAMMA_MIN
-    c = gammas[b + 1] if b < len(gammas) - 1 else GAMMA_MAX
+    a = float(_GRID[b - 1]) if b > 0 else GAMMA_MIN
+    c = float(_GRID[b + 1]) if b < _GRID.size - 1 else GAMMA_MAX
     # Until something imports logging, no handler exists for a record to reach;
     # importing it here would add ~0.5 MiB and a few ms to every start-up.
     if (logging := sys.modules.get("logging")) is not None:
         logging.getLogger("delinscap").debug(
-            "gamma grid: %d points evaluated, %d skipped by the ceiling, argmax %r; bracket [%r, %r]",
-            len(gammas) - skipped, skipped, gammas[b], a, c)
+            "gamma grid: %d points evaluated, %d skipped by the ceiling; %d chunks evaluated, %d skipped; "
+            "argmax %r; bracket [%r, %r]", _GRID.size - sum(skipped), sum(skipped), len(chunks) - len(skipped),
+            len(skipped), best_g, a, c)
     x1 = c - _INVPHI * (c - a)
     x2 = a + _INVPHI * (c - a)
     f1, f2 = safe_eval(x1), safe_eval(x2)
@@ -173,10 +238,10 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     """
     bound = _lookup(_BOUNDS, channel)
     cfg = cfg or SeriesConfig()
-    # a printed penalty may be negative, so the printed form has no ceiling
-    ceiling = None if use_printed_hs2 else lambda g: bound.ceiling(d, i, alpha, g)
+    # the printed form goes point by point, with no ceiling: a printed penalty may be negative
+    grid = None if use_printed_hs2 else bound.grid(d, i, alpha, _GRID, cfg)
     gamma_star, _ = maximize_over_gamma(
-        lambda g: bound.evaluate(d, i, alpha, g, cfg, False, use_printed_hs2).bound_bits, tol, ceiling)
+        lambda g: bound.evaluate(d, i, alpha, g, cfg, False, use_printed_hs2).bound_bits, tol, grid=grid, cfg=cfg)
     return bound.evaluate(d, i, alpha, gamma_star, cfg, True, use_printed_hs2)
 
 

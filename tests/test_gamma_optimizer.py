@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -235,3 +236,102 @@ class TestCeiling:
         with caplog.at_level(logging.INFO, logger="delinscap"):
             optimize_bound("delins", d=0.1, i=0.1, alpha=0.8)
         assert not [r for r in caplog.records if r.name == "delinscap"]
+
+
+_PRUNED_CASES = [
+    ("deletion", {"d": 0.0}), ("deletion", {"d": 0.1}), ("deletion", {"d": 0.9}),
+    ("insertion_lb1", {"i": 0.0}), ("insertion_lb1", {"i": 0.2, "alpha": 0.8}),
+    ("insertion_lb2", {"i": 0.0}), ("insertion_lb2", {"i": 0.2, "alpha": 0.8}),
+    ("delins", {"d": 0.0, "i": 0.0}), ("delins", {"d": 0.0, "i": 0.1, "alpha": 0.8}),
+    ("delins", {"d": 0.1, "i": 0.0}), ("delins", {"d": 0.1, "i": 0.1, "alpha": 0.8}),
+    ("delins", {"d": 0.8, "i": 0.05, "alpha": 0.9}),
+]
+
+
+def _grid_argmax(caplog, search) -> str:
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="delinscap"):
+        search()
+    (record,) = [r for r in caplog.records if r.name == "delinscap"]
+    return record.getMessage().split("argmax ")[1].split(";")[0]
+
+
+class TestArrayForm:
+    """Each bound's array form (``_BOUNDS[name].grid``) against its lb_*."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.95), st.floats(0.0, 0.95), st.floats(0.0, 1.0),
+           st.lists(st.floats(GAMMA_MIN, GAMMA_MAX), min_size=1, max_size=4))
+    @example("deletion", 0.0, 0.0, 1.0, [0.5])
+    @example("insertion_lb1", 0.0, 0.0, 0.3, [0.5])
+    @example("insertion_lb2", 0.0, 0.0, 1.0, [0.5])
+    @example("insertion_lb2", 0.0, 1e-300, 0.8, [0.3])
+    @example("delins", 0.0, 0.0, 1.0, [0.5])
+    @example("delins", 0.0, 0.4, 0.7, [0.5])
+    @example("delins", 0.4, 0.0, 0.7, [0.5])
+    @example("delins", 0.3, 0.7, 0.5, [0.5])
+    @example("delins", 0.3, 0.7, 1.0, [0.5])
+    @example("delins", 0.2, 1e-300, 0.8, [0.3])
+    def test_array_form_matches_scalar_form(self, name, d, i, alpha, drawn):
+        assume(d + i <= 1.0)
+        gammas = np.array(sorted({GAMMA_MIN, 0.995, GAMMA_MAX, *drawn}))
+        cfg = ab.SeriesConfig()
+        bound = go._BOUNDS[name]
+        grid = bound.grid(d, i, alpha, gammas, cfg)
+        values = grid.values()
+        scalar = [bound.evaluate(d, i, alpha, g, cfg, False, False) for g in gammas.tolist()]
+        for v, res in zip(values.tolist(), scalar):
+            assert abs(v - res.bound_bits) <= 1e-13
+            assert type(res.bound_bits) is float and all(type(t.value) is float for t in res.terms)
+        assert np.all(grid.ceilings >= values)
+        assert type(bound.ceiling(d, i, alpha, float(gammas[0]))) is float
+
+    @pytest.mark.parametrize("name, params", _PRUNED_CASES)
+    def test_array_search_finds_the_scalar_grid_argmax(self, name, params, caplog):
+        assert _grid_argmax(caplog, lambda: optimize_bound(name, **params)) == \
+            _grid_argmax(caplog, lambda: _unpruned(name, **params))
+
+    def test_custom_series_config_takes_the_array_path(self, monkeypatch):
+        from delinscap import verification
+        seen = []
+        original = ab._run_law_values
+
+        def spy(gammas, d, i, cfg):
+            seen.append(cfg)
+            return original(gammas, d, i, cfg)
+
+        monkeypatch.setattr(ab, "_run_law_values", spy)
+        tight = ab.SeriesConfig(tail_epsilon=5e-13, r_max_cap=20_000)
+        for name, params in [("deletion", {"d": 0.1}), ("insertion_lb2", {"i": 0.2, "alpha": 0.8}),
+                             ("delins", {"d": 0.2, "i": 0.2, "alpha": 0.5})]:
+            base = optimize_bound(name, **params)
+            seen.clear()
+            res = optimize_bound(name, cfg=tight, **params)
+            assert seen and all(cfg is tight for cfg in seen)
+            assert abs(res.bound_bits - base.bound_bits) <= verification.TOL_TRUNCATION
+        assert verification.verify_truncation(tight)["passed"]
+
+    @pytest.mark.parametrize("name, params", [
+        ("deletion", {"d": 0.2}), ("deletion", {"d": 0.95}), ("insertion_lb2", {"i": 0.1, "alpha": 0.8}),
+        ("delins", {"d": 0.5, "i": 0.1, "alpha": 0.8}),
+    ])
+    def test_cold_solve_allocates_little(self, name, params, monkeypatch):
+        import tracemalloc
+        optimize_bound("deletion", d=0.5)  # first-use allocations of numpy and the package
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), np.ones(1), np.zeros(0), np.zeros(0)))
+        tracemalloc.start()
+        try:
+            optimize_bound(name, **params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 ** 20
+
+    def test_debug_record_counts_chunks(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            optimize_bound("deletion", d=0.1)
+        (record,) = [r for r in caplog.records if r.name == "delinscap"]
+        message = record.getMessage()
+        evaluated = int(message.split(" chunks evaluated")[0].split()[-1])
+        skipped = int(message.split(" skipped; argmax")[0].split()[-1])
+        assert evaluated + skipped == len(go._grid_chunks(ab.SeriesConfig())) and evaluated > 0 and skipped > 0
