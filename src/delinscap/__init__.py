@@ -9,9 +9,19 @@ or a sum with a certified truncation error (the run-length terms).  Every
 kernel is validated against an independent computation (direct sums of
 the joint laws, exact small-instance enumeration, or seeded Monte Carlo
 simulation), and the printed closed forms are reported beside them.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable is
+already set: its matrix products are small, and each OpenBLAS worker thread
+costs start-up time in every command.  It takes effect when numpy has not
+been imported yet, as in ``python -m delinscap``.
 """
 
-from .core import (
+import os
+
+# before anything below imports numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .core import (  # noqa: E402
     ChannelParams,
     MarkovSourceParams,
     RunSequence,
@@ -23,7 +33,7 @@ from .core import (
     from_runs,
     geometric_run_pmf,
 )
-from .channel_sim import (
+from .channel_sim import (  # noqa: E402
     Action,
     AuxSequences,
     ChannelOutput,
@@ -35,7 +45,7 @@ from .channel_sim import (
     flip_complementary,
     augment_with_deleted_runs,
 )
-from .analytic_bounds import (
+from .analytic_bounds import (  # noqa: E402
     SeriesConfig,
     BoundResult,
     markov_q,
@@ -56,7 +66,7 @@ from .analytic_bounds import (
     lb2_insertion,
     lb_delins,
 )
-from .gamma_optimizer import maximize_over_gamma, optimize_bound, sweep
+from .gamma_optimizer import maximize_over_gamma, optimize_bound, sweep  # noqa: E402
 
 __version__ = "0.1.0"
 

@@ -19,6 +19,13 @@ inserted bit directly follows its surviving host, gaps that end at an
 inserted bit always carry a zero count.  ``S`` and ``T`` are not unique given
 only the input/output pair; what is exposed here is always the realised
 pattern's version, never an inference.
+
+``apply_pattern`` touches each input bit once through a slot table: the
+input bit and its action index a pair of output slots, each packing
+``y | I << 1 | T << 2``, and an emit table keeps the slots the action
+writes.  ``S`` comes from run indices: the runs strictly between two
+consecutive survivors hold no survivor, so they are exactly the fully
+deleted runs of that gap.
 """
 
 from __future__ import annotations
@@ -54,8 +61,17 @@ class Action(IntEnum):
     COMPLEMENT = 3
 
 
-# output bits contributed by each action, indexed by action code
-_FRAGMENT_LEN = np.array([0, 1, 2, 2], dtype=np.int64)
+# Output slots of one input bit, indexed by ``action << 1 | x``; each slot
+# packs y | I << 1 | T << 2.  KEEP writes x, DUPLICATE x then an inserted x,
+# COMPLEMENT x then an inserted, complementary 1 - x.
+_SLOTS = np.array([
+    [0, 0], [0, 0],    # DELETE
+    [0, 0], [1, 0],    # KEEP
+    [0, 2], [1, 3],    # DUPLICATE
+    [0, 7], [1, 6],    # COMPLEMENT
+], dtype=np.uint8)
+# which of the two slots each action writes, indexed by action code
+_EMITS = np.array([[0, 0], [1, 0], [1, 1], [1, 1]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -96,9 +112,16 @@ def sample_actions(n: int, params: ChannelParams, rng: np.random.Generator) -> n
 
 
 def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw per bit from ``probs``: the number of cumulative edges <= u.
+
+    Equal, bit for bit, to ``np.searchsorted(edges, u, side="right")``.
+    """
     edges = np.cumsum(probs[:-1])
     u = rng.random(n)
-    return np.searchsorted(edges, u, side="right").astype(np.int8)
+    codes = np.zeros(n, dtype=np.int8)
+    for edge in edges:
+        codes += u >= edge
+    return codes
 
 
 def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
@@ -107,6 +130,18 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     This is the single source of truth for how a pattern maps to
     ``(y, I, T, S)``; both the random channel wrappers and the exhaustive
     enumeration oracle go through it.
+
+    Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
+    (``y | I << 1 | T << 2``) from ``_SLOTS`` and ``_EMITS[action]`` keeps the
+    ones the action writes, so the kept slots in input order are the output.
+
+    ``S`` is read off the input's run indices.  Two consecutive survivors
+    have no survivor between them, so every run strictly between their runs
+    was deleted in full, and no other run of that gap was: the gap holds
+    ``max(run_b - run_a - 1, 0)`` deleted runs.  The count sits at the later
+    survivor's output position (the outputs with ``I = 0`` are the
+    survivors); the runs before the first survivor and after the last go to
+    ``S[0]`` and ``S[m]``.
     """
     x = as_bits(x)
     actions = np.asarray(actions, dtype=np.int8)
@@ -124,60 +159,38 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
             pattern=actions,
         )
 
-    frag_len = _FRAGMENT_LEN[actions]
-    ends = np.cumsum(frag_len)
-    starts = ends - frag_len
-    m = int(ends[-1])
+    code = actions.view(np.uint8) << 1
+    code |= x
+    slots = np.compress(_EMITS.take(actions, axis=0).ravel(), _SLOTS.take(code, axis=0).ravel())
+    del code
+    y = slots & 1
+    i_flags = slots >> 1
+    i_flags &= 1
+    t_flags = slots >> 2
+    del slots
+    m = y.size
 
-    surviving = actions != Action.DELETE
-    inserting = frag_len == 2
-
-    y = np.zeros(m, dtype=np.uint8)
-    y[starts[surviving]] = x[surviving]
-    ins_pos = starts[inserting] + 1
-    ins_host = x[inserting]
-    ins_comp = (actions[inserting] == Action.COMPLEMENT).astype(np.uint8)
-    y[ins_pos] = ins_host ^ ins_comp
-
-    i_flags = np.zeros(m, dtype=np.uint8)
-    i_flags[ins_pos] = 1
-    t_flags = np.zeros(m, dtype=np.uint8)
-    t_flags[ins_pos[ins_comp.astype(bool)]] = 1
-
-    s_counts = _deleted_run_counts(x, surviving, starts, m)
+    run = np.empty(n, dtype=np.int32)
+    run[0] = 0
+    np.cumsum(x[1:] != x[:-1], dtype=np.int32, out=run[1:])
+    num_runs = int(run[-1]) + 1
+    surv_runs = np.compress(actions != Action.DELETE, run)
+    del run
+    s_counts = np.zeros(m + 1, dtype=np.int64)
+    if m == 0:
+        s_counts[0] = num_runs
+    else:
+        gaps = np.diff(surv_runs)
+        gaps -= 1
+        np.maximum(gaps, 0, out=gaps)
+        s_counts[np.flatnonzero(i_flags == 0)[1:]] = gaps
+        s_counts[0] = surv_runs[0]
+        s_counts[m] = num_runs - 1 - int(surv_runs[-1])
     return ChannelOutput(
         y=y,
         aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
         pattern=actions,
     )
-
-
-def _deleted_run_counts(x: np.ndarray, surviving: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray:
-    """Count fully deleted input runs per output gap (length m + 1)."""
-    run_id = np.zeros(x.size, dtype=np.int64)
-    if x.size > 1:
-        run_id[1:] = np.cumsum(x[1:] != x[:-1])
-    num_runs = int(run_id[-1]) + 1
-
-    survivors_per_run = np.bincount(run_id[surviving], minlength=num_runs)
-    fully_deleted = survivors_per_run == 0
-    total_deleted = int(fully_deleted.sum())
-
-    if m == 0:
-        return np.array([total_deleted], dtype=np.int64)
-
-    s = np.zeros(m + 1, dtype=np.int64)
-    surv_runs = run_id[surviving]
-    # inclusive prefix count of fully deleted run ids
-    csum = np.cumsum(fully_deleted)
-    # runs strictly between consecutive surviving bits; the boundary runs both
-    # contain survivors, so the prefix difference counts exactly the interior
-    gap_counts = csum[surv_runs[1:]] - csum[surv_runs[:-1]]
-    surv_starts = starts[surviving]
-    s[surv_starts[1:]] = gap_counts
-    s[0] = csum[surv_runs[0]]  # runs before the first survivor
-    s[m] = total_deleted - csum[surv_runs[-1]]
-    return s
 
 
 def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutput:

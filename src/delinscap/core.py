@@ -193,13 +193,11 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
     rng = np.random.default_rng(seed)
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    first = rng.integers(0, 2, dtype=np.uint8)
-    flips = (rng.random(n - 1) >= src.gamma).astype(np.uint8)
     bits = np.empty(n, dtype=np.uint8)
-    bits[0] = first
-    if n > 1:
-        # cumulative count of flips realises the chain in one vectorised pass
-        bits[1:] = (first + np.cumsum(flips)) & 1
+    bits[0] = rng.integers(0, 2, dtype=np.uint8)
+    np.greater_equal(rng.random(n - 1), src.gamma, out=bits[1:].view(bool))
+    # each bit is the first bit xor the flips so far: one running xor
+    np.bitwise_xor.accumulate(bits, out=bits)
     return bits
 
 

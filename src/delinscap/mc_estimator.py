@@ -10,6 +10,11 @@ Contexts observed fewer than :data:`MIN_CONTEXT_OBS` times are pooled; their
 probability mass times the log alphabet size is reported as ``bias_budget``
 instead of being guessed.  Standard errors come from a block bootstrap
 (:data:`BOOTSTRAP_BLOCKS` contiguous blocks, resampled with replacement).
+Each block is counted once; a replicate's table is the sum of the block
+tables it picks, so all :data:`BOOTSTRAP_REPS` replicates are one product of
+a (replicates x blocks) pick-count matrix with the (blocks x cells) block
+tables, and one entropy routine evaluates the whole stack.  Contexts are
+small bit codes built straight from the uint8 output and flag sequences.
 
 Seeds: every public estimator takes one master seed; per-stream seeds are
 derived with ``numpy.random.SeedSequence(master).spawn``, so concurrent
@@ -77,55 +82,81 @@ def _simulate(kind_params: ChannelParams, gamma: float, steps: int, seed: int) -
     return x, out
 
 
-def _entropy_of_table(table: np.ndarray, min_obs: int) -> tuple[float, float, int, int]:
-    """Plug-in conditional entropy of a (contexts, values) count table.
+def _bit_code(burn_in: int, *bits: np.ndarray) -> np.ndarray:
+    """Pack equal-length uint8 bit sequences, most significant first, into one
+    uint8 code per position, dropping the first ``burn_in`` positions."""
+    code = bits[0][burn_in:].copy()
+    for b in bits[1:]:
+        code <<= 1
+        code |= b[burn_in:]
+    return code
 
-    Returns (entropy, pooled mass * log2(alphabet), kept observations,
-    pooled context count); contexts below ``min_obs`` are pooled out.
+
+def _entropies(tables: np.ndarray, min_obs: int) -> np.ndarray:
+    """Plug-in conditional entropy of each (contexts, values) count table in a stack.
+
+    Contexts seen fewer than ``min_obs`` times contribute nothing, though
+    their observations still count in the normalisation; an empty table
+    has entropy 0.  Each context's sum is one dot product and the contexts
+    are added in order, so a table's entropy does not depend on the stack
+    it is evaluated in.
     """
-    totals = table.sum(axis=1)
-    n_total = int(totals.sum())
-    if n_total == 0:
-        return 0.0, 0.0, 0, 0
-    keep = totals >= min_obs
-    pooled = int((~keep & (totals > 0)).sum())
-    value = 0.0
-    for row, tot in zip(table[keep], totals[keep]):
-        pos = row[row > 0]
-        value += float(np.dot(pos, np.log2(tot / pos))) / n_total
-    pooled_mass = float(totals[~keep].sum()) / n_total
-    n_values = max(2, int((table.sum(axis=0) > 0).sum()))
-    return value, pooled_mass * np.log2(n_values), n_total, pooled
+    totals = tables.sum(axis=-1, keepdims=True)
+    ratio = np.divide(totals, tables, out=np.ones_like(tables), where=tables > 0)
+    per_context = (tables[..., None, :] @ np.log2(ratio)[..., None])[..., 0, 0]
+    per_context[totals[..., 0] < min_obs] = 0.0
+    n_total = totals.sum(axis=-2)
+    np.divide(per_context, n_total, out=per_context, where=n_total > 0)
+    return np.add.accumulate(per_context, axis=-1)[..., -1]
 
 
 def _plug_in(ctx: np.ndarray, val: np.ndarray, n_ctx: int, seed: int) -> McEstimate:
-    """Plug-in conditional entropy H(val | ctx) with block-bootstrap errors."""
+    """Plug-in conditional entropy H(val | ctx) with block-bootstrap errors.
+
+    Observation k belongs to block k * BOOTSTRAP_BLOCKS // n.  Row 0 of the
+    weight matrix picks every block once (the full table); row b > 0 counts
+    how often replicate b picked each block.  The weights and block counts
+    are integers far below 2**53, so the float product is exact.
+    """
     n = ctx.size
     n_val = int(val.max()) + 1 if n else 1
     cells = n_ctx * n_val
-    table = np.bincount(ctx * n_val + val, minlength=cells).reshape(n_ctx, n_val)
-    value, bias, n_used, pooled = _entropy_of_table(table, MIN_CONTEXT_OBS)
+    code = np.multiply(ctx, n_val, dtype=np.intp)
+    code += val
+    bounds = -(-np.arange(BOOTSTRAP_BLOCKS + 1) * n // BOOTSTRAP_BLOCKS)
+    block_tables = np.empty((BOOTSTRAP_BLOCKS, cells))
+    for b in range(BOOTSTRAP_BLOCKS):
+        block_tables[b] = np.bincount(code[bounds[b]:bounds[b + 1]], minlength=cells)
+    del code
 
-    block = np.minimum(np.arange(n) * BOOTSTRAP_BLOCKS // max(n, 1), BOOTSTRAP_BLOCKS - 1)
-    block_tables = np.bincount(
-        block * cells + ctx * n_val + val, minlength=BOOTSTRAP_BLOCKS * cells
-    ).reshape(BOOTSTRAP_BLOCKS, n_ctx, n_val)
     rng = np.random.default_rng(seed)
-    reps = np.empty(BOOTSTRAP_REPS)
-    for b in range(BOOTSTRAP_REPS):
-        pick = rng.integers(0, BOOTSTRAP_BLOCKS, size=BOOTSTRAP_BLOCKS)
-        reps[b] = _entropy_of_table(block_tables[pick].sum(axis=0), MIN_CONTEXT_OBS)[0]
-    return McEstimate(value=value, std_error=float(reps.std(ddof=1)),
-                      bias_budget=bias, n_obs=n_used, pooled_contexts=pooled)
+    picks = rng.integers(0, BOOTSTRAP_BLOCKS, size=(BOOTSTRAP_REPS, BOOTSTRAP_BLOCKS))
+    picks += BOOTSTRAP_BLOCKS * np.arange(1, BOOTSTRAP_REPS + 1)[:, None]
+    weights = np.bincount(picks.ravel(), minlength=(BOOTSTRAP_REPS + 1) * BOOTSTRAP_BLOCKS)
+    weights = weights.reshape(BOOTSTRAP_REPS + 1, BOOTSTRAP_BLOCKS).astype(float)
+    weights[0] = 1.0
+    tables = (weights @ block_tables).reshape(BOOTSTRAP_REPS + 1, n_ctx, n_val)
+    values = _entropies(tables, MIN_CONTEXT_OBS)
+
+    table = tables[0]
+    totals = table.sum(axis=1)
+    n_total = int(totals.sum())
+    keep = totals >= MIN_CONTEXT_OBS
+    pooled = int((~keep & (totals > 0)).sum())
+    bias = 0.0
+    if n_total:
+        n_values = max(2, int((table.sum(axis=0) > 0).sum()))
+        bias = float(totals[~keep].sum()) / n_total * np.log2(n_values)
+    return McEstimate(value=float(values[0]), std_error=float(values[1:].std(ddof=1)),
+                      bias_budget=bias, n_obs=n_total, pooled_contexts=pooled)
 
 
 def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
                            burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> EmpiricalStationary:
     """Empirical stationary law of (I_j, Y_j, Y_{j-1}) on one insertion-channel chain."""
     _, out = _simulate(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
-    y = out.y.astype(np.int64)
-    i_fl = out.aux.i_flags.astype(np.int64)
-    codes = (i_fl[1:] * 4 + y[1:] * 2 + y[:-1])[burn_in:]
+    y, i_fl = out.y, out.aux.i_flags
+    codes = _bit_code(burn_in, i_fl[1:], y[1:], y[:-1])
     counts = np.bincount(codes, minlength=8).astype(float)
     n = counts.sum()
     freqs = counts / n
@@ -137,9 +168,8 @@ def estimate_hI(i: float, alpha: float, gamma: float, steps: int, seed: int = 0,
                 burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(I_j | I_{j-1}, Y_j, Y_{j-1}, Y_{j-2})."""
     _, out = _simulate(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
-    y = out.y.astype(np.int64)
-    i_fl = out.aux.i_flags.astype(np.int64)
-    ctx = (i_fl[1:-1] * 8 + y[2:] * 4 + y[1:-1] * 2 + y[:-2])[burn_in:]
+    y, i_fl = out.y, out.aux.i_flags
+    ctx = _bit_code(burn_in, i_fl[1:-1], y[2:], y[1:-1], y[:-2])
     val = i_fl[2:][burn_in:]
     return _plug_in(ctx, val, 16, seed + 1)
 
@@ -148,9 +178,8 @@ def estimate_hT(i: float, alpha: float, gamma: float, steps: int, seed: int = 0,
                 burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(T_j | T_{j-1}, Y_j, Y_{j-1})."""
     _, out = _simulate(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
-    y = out.y.astype(np.int64)
-    t_fl = out.aux.t_flags.astype(np.int64)
-    ctx = (t_fl[:-1] * 4 + y[1:] * 2 + y[:-1])[burn_in:]
+    y, t_fl = out.y, out.aux.t_flags
+    ctx = _bit_code(burn_in, t_fl[:-1], y[1:], y[:-1])
     val = t_fl[1:][burn_in:]
     return _plug_in(ctx, val, 8, seed + 1)
 
@@ -159,10 +188,9 @@ def estimate_HS2(gamma: float, d: float, steps: int, seed: int = 0,
                  burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of H(S_2 | Y_1 Y_2) from a deletion-channel chain."""
     _, out = _simulate(ChannelParams(d=d), gamma, steps, seed)
-    y = out.y.astype(np.int64)
-    s = out.aux.s_counts
+    y, s = out.y, out.aux.s_counts
     # gap g sits between output bits g-1 and g
-    ctx = (y[:-1] * 2 + y[1:])[burn_in:]
+    ctx = _bit_code(burn_in, y[:-1], y[1:])
     val = s[1:-1][burn_in:]
     return _plug_in(ctx, val, 4, seed + 1)
 
@@ -171,10 +199,8 @@ def estimate_delins_S_term(gamma: float, d: float, i: float, alpha: float, steps
                            seed: int = 0, burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(S_j | Y_{j-1}, Y_j, T_j) on the combined channel."""
     _, out = _simulate(ChannelParams(d=d, i=i, alpha=alpha), gamma, steps, seed)
-    y = out.y.astype(np.int64)
-    t_fl = out.aux.t_flags.astype(np.int64)
-    s = out.aux.s_counts
-    ctx = (t_fl[1:] * 4 + y[:-1] * 2 + y[1:])[burn_in:]
+    y, t_fl, s = out.y, out.aux.t_flags, out.aux.s_counts
+    ctx = _bit_code(burn_in, t_fl[1:], y[:-1], y[1:])
     val = s[1:-1][burn_in:]
     return _plug_in(ctx, val, 8, seed + 1)
 

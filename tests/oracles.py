@@ -8,6 +8,12 @@ conservative bound on the dropped tail.  They were the package's kernels
 before the closed form replaced them, and are kept as independent oracles.
 ``iy_transition_matrix`` is the one-step kernel of the insertion chain whose
 stationary law ``analytic_bounds.stationary_iy`` gives in closed form.
+
+The validation layer's earlier array forms are kept here too, as references
+for its table-driven replacements: ``reference_apply_pattern`` (per-run
+survivor counts for ``S``), ``reference_sample_from_probs``
+(``searchsorted``), ``reference_markov_sequence`` (a running sum of flips)
+and ``reference_plug_in`` (one bootstrap replicate at a time).
 """
 
 import math
@@ -15,6 +21,9 @@ import math
 import numpy as np
 
 from delinscap import analytic_bounds as ab
+from delinscap.channel_sim import Action, AuxSequences, ChannelOutput
+from delinscap.core import as_bits
+from delinscap.mc_estimator import BOOTSTRAP_BLOCKS, BOOTSTRAP_REPS, MIN_CONTEXT_OBS, McEstimate
 
 TAIL_EPSILON = 1e-12
 K_MAX_CAP = 10_000
@@ -189,3 +198,153 @@ def delins_s_mpmath(gamma, d, i, alpha, dps=50):
                     total += c * thk * (lw - lc - k * lth)
             k, thk = k + 1, thk * th
         return float(total / (1 + ip))
+
+
+# ---------------------------------------------------------------------------
+# validation layer: simulator and plug-in estimator, earlier array forms
+# ---------------------------------------------------------------------------
+
+# output bits contributed by each action, indexed by action code
+_FRAGMENT_LEN = np.array([0, 1, 2, 2], dtype=np.int64)
+
+
+def reference_sample_from_probs(n, probs, rng):
+    """One action per bit: the ``searchsorted`` position of a uniform among the
+    cumulative edges."""
+    edges = np.cumsum(probs[:-1])
+    u = rng.random(n)
+    return np.searchsorted(edges, u, side="right").astype(np.int8)
+
+
+def reference_markov_sequence(gamma, n, seed):
+    """The symmetric Markov source, each bit the first bit plus a running sum
+    of flips, mod 2."""
+    rng = np.random.default_rng(seed)
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8)
+    first = rng.integers(0, 2, dtype=np.uint8)
+    flips = (rng.random(n - 1) >= gamma).astype(np.uint8)
+    bits = np.empty(n, dtype=np.uint8)
+    bits[0] = first
+    if n > 1:
+        bits[1:] = (first + np.cumsum(flips)) & 1
+    return bits
+
+
+def reference_apply_pattern(x, actions):
+    """Apply a per-bit action pattern through fragment lengths and their
+    cumulative output offsets; ``S`` from per-run survivor counts."""
+    x = as_bits(x)
+    actions = np.asarray(actions, dtype=np.int8)
+    if actions.size != x.size:
+        raise ValueError("pattern length must equal input length")
+    n = x.size
+    if n == 0:
+        return ChannelOutput(
+            y=np.zeros(0, dtype=np.uint8),
+            aux=AuxSequences(
+                i_flags=np.zeros(0, dtype=np.uint8),
+                t_flags=np.zeros(0, dtype=np.uint8),
+                s_counts=np.zeros(1, dtype=np.int64),
+            ),
+            pattern=actions,
+        )
+
+    frag_len = _FRAGMENT_LEN[actions]
+    ends = np.cumsum(frag_len)
+    starts = ends - frag_len
+    m = int(ends[-1])
+
+    surviving = actions != Action.DELETE
+    inserting = frag_len == 2
+
+    y = np.zeros(m, dtype=np.uint8)
+    y[starts[surviving]] = x[surviving]
+    ins_pos = starts[inserting] + 1
+    ins_host = x[inserting]
+    ins_comp = (actions[inserting] == Action.COMPLEMENT).astype(np.uint8)
+    y[ins_pos] = ins_host ^ ins_comp
+
+    i_flags = np.zeros(m, dtype=np.uint8)
+    i_flags[ins_pos] = 1
+    t_flags = np.zeros(m, dtype=np.uint8)
+    t_flags[ins_pos[ins_comp.astype(bool)]] = 1
+
+    s_counts = _deleted_run_counts(x, surviving, starts, m)
+    return ChannelOutput(
+        y=y,
+        aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
+        pattern=actions,
+    )
+
+
+def _deleted_run_counts(x, surviving, starts, m):
+    """Count fully deleted input runs per output gap (length m + 1)."""
+    run_id = np.zeros(x.size, dtype=np.int64)
+    if x.size > 1:
+        run_id[1:] = np.cumsum(x[1:] != x[:-1])
+    num_runs = int(run_id[-1]) + 1
+
+    survivors_per_run = np.bincount(run_id[surviving], minlength=num_runs)
+    fully_deleted = survivors_per_run == 0
+    total_deleted = int(fully_deleted.sum())
+
+    if m == 0:
+        return np.array([total_deleted], dtype=np.int64)
+
+    s = np.zeros(m + 1, dtype=np.int64)
+    surv_runs = run_id[surviving]
+    # inclusive prefix count of fully deleted run ids
+    csum = np.cumsum(fully_deleted)
+    # runs strictly between consecutive surviving bits; the boundary runs both
+    # contain survivors, so the prefix difference counts exactly the interior
+    gap_counts = csum[surv_runs[1:]] - csum[surv_runs[:-1]]
+    surv_starts = starts[surviving]
+    s[surv_starts[1:]] = gap_counts
+    s[0] = csum[surv_runs[0]]  # runs before the first survivor
+    s[m] = total_deleted - csum[surv_runs[-1]]
+    return s
+
+
+def _entropy_of_table(table, min_obs):
+    """Plug-in conditional entropy of one (contexts, values) count table, row by row.
+
+    Returns (entropy, pooled mass * log2(alphabet), kept observations,
+    pooled context count); contexts below ``min_obs`` are pooled out.
+    """
+    totals = table.sum(axis=1)
+    n_total = int(totals.sum())
+    if n_total == 0:
+        return 0.0, 0.0, 0, 0
+    keep = totals >= min_obs
+    pooled = int((~keep & (totals > 0)).sum())
+    value = 0.0
+    for row, tot in zip(table[keep], totals[keep]):
+        pos = row[row > 0]
+        value += float(np.dot(pos, np.log2(tot / pos))) / n_total
+    pooled_mass = float(totals[~keep].sum()) / n_total
+    n_values = max(2, int((table.sum(axis=0) > 0).sum()))
+    return value, pooled_mass * np.log2(n_values), n_total, pooled
+
+
+def reference_plug_in(ctx, val, n_ctx, seed):
+    """Plug-in H(val | ctx) with block-bootstrap errors, one replicate table at a time."""
+    ctx = np.asarray(ctx, dtype=np.int64)
+    val = np.asarray(val, dtype=np.int64)
+    n = ctx.size
+    n_val = int(val.max()) + 1 if n else 1
+    cells = n_ctx * n_val
+    table = np.bincount(ctx * n_val + val, minlength=cells).reshape(n_ctx, n_val)
+    value, bias, n_used, pooled = _entropy_of_table(table, MIN_CONTEXT_OBS)
+
+    block = np.minimum(np.arange(n) * BOOTSTRAP_BLOCKS // max(n, 1), BOOTSTRAP_BLOCKS - 1)
+    block_tables = np.bincount(
+        block * cells + ctx * n_val + val, minlength=BOOTSTRAP_BLOCKS * cells
+    ).reshape(BOOTSTRAP_BLOCKS, n_ctx, n_val)
+    rng = np.random.default_rng(seed)
+    reps = np.empty(BOOTSTRAP_REPS)
+    for b in range(BOOTSTRAP_REPS):
+        pick = rng.integers(0, BOOTSTRAP_BLOCKS, size=BOOTSTRAP_BLOCKS)
+        reps[b] = _entropy_of_table(block_tables[pick].sum(axis=0), MIN_CONTEXT_OBS)[0]
+    return McEstimate(value=value, std_error=float(reps.std(ddof=1)),
+                      bias_budget=bias, n_obs=n_used, pooled_contexts=pooled)

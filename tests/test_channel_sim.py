@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from delinscap.core import (ChannelParams, MarkovSourceParams, RunSequence, as_bits, bits_from_str, bits_to_str,
                             generate_markov_sequence, to_runs)
 from delinscap.channel_sim import (
     Action,
+    _sample_from_probs,
     apply_cascade,
     apply_deletion,
     apply_delins,
@@ -333,3 +336,87 @@ class TestCascade:
             ref = reference_apply(x.tolist(), out.pattern.tolist())
             assert out.y.tolist() == ref[0]
             assert out.aux.s_counts.tolist() == ref[3]
+
+
+@st.composite
+def _action_laws(draw):
+    """(DELETE, KEEP, DUPLICATE, COMPLEMENT) probabilities, with d = 0, i = 0,
+    alpha in {0, 1}, d + i = 1, all-delete and all-insert all common."""
+    d = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    i = draw(st.one_of(st.just(0.0), st.just(1.0 - d), st.floats(0.0, 1.0 - d)))
+    alpha = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return np.array([d, 1.0 - d - i, i * alpha, i * (1.0 - alpha)])
+
+
+def _assert_same_output(out, ref):
+    for got, want in ((out.y, ref.y), (out.aux.i_flags, ref.aux.i_flags), (out.aux.t_flags, ref.aux.t_flags),
+                      (out.aux.s_counts, ref.aux.s_counts), (out.pattern, ref.pattern)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestSimulatorMatchesArrayReference:
+    """The slot-table simulator against the fragment-offset form it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 1), max_size=64), _action_laws(), st.integers(0, 2 ** 32 - 1))
+    @example([0, 1] * 32, np.array([1.0, 0.0, 0.0, 0.0]), 1)  # all deleted
+    @example([1, 1, 0] * 21, np.array([0.0, 0.0, 0.5, 0.5]), 2)  # every bit inserts
+    @example([], np.array([0.25, 0.25, 0.25, 0.25]), 3)
+    def test_random_patterns(self, x, probs, seed):
+        x = np.array(x, dtype=np.uint8)
+        actions = _sample_from_probs(x.size, probs, np.random.default_rng(seed))
+        ref_actions = oracles.reference_sample_from_probs(x.size, probs, np.random.default_rng(seed))
+        assert actions.dtype == ref_actions.dtype
+        assert np.array_equal(actions, ref_actions)
+        _assert_same_output(apply_pattern(x, actions), oracles.reference_apply_pattern(x, actions))
+        for bad in (actions[:-1], np.append(actions, np.int8(Action.KEEP))):
+            if bad.size != x.size:
+                got = _outcome(apply_pattern, x, bad)
+                assert got == _outcome(oracles.reference_apply_pattern, x, bad)
+                assert got.startswith("ValueError")
+
+    @pytest.mark.parametrize("params", [ChannelParams(d=0.25, i=0.2, alpha=0.5), ChannelParams(d=0.0, i=0.9, alpha=1.0),
+                                        ChannelParams(d=0.6, i=0.4, alpha=0.0), ChannelParams(d=0.9)])
+    def test_cascade_stage_two_law(self, params):
+        # the cascade's second-stage law has a zero deletion edge and may put
+        # all its mass on insertions (d + i = 1)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            x = rng.integers(0, 2, size=n).astype(np.uint8)
+            seed = int(rng.integers(2 ** 32))
+            draws = np.random.default_rng(seed)
+            deleted = draws.random(n) < params.d
+            ip, a = params.i_prime, params.alpha
+            stage2 = np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
+            actions = np.full(n, Action.DELETE, dtype=np.int8)
+            actions[~deleted] = oracles.reference_sample_from_probs(int((~deleted).sum()), stage2, draws)
+            _assert_same_output(apply_cascade(x, params, seed), oracles.reference_apply_pattern(x, actions))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10 ** 4])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.97])
+    def test_markov_source_matches_running_sum(self, n, gamma):
+        for seed in (0, 1, 2 ** 40 + 3):
+            got = generate_markov_sequence(MarkovSourceParams(gamma), n, seed)
+            want = oracles.reference_markov_sequence(gamma, n, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_realization_at_full_length(self):
+        x = generate_markov_sequence(MarkovSourceParams(0.7), 10 ** 5, seed=61)
+        out = apply_delins(x, ChannelParams(d=0.3, i=0.2, alpha=0.6), seed=62)
+        _assert_same_output(out, oracles.reference_apply_pattern(x, out.pattern))
+
+
+def test_apply_delins_memory_peak():
+    # every 10^6-bit array is touched in uint8/int32 form; the int64 fragment
+    # offsets and run ids of the array reference peak near 73 MiB here
+    x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=71)
+    tracemalloc.start()
+    try:
+        apply_delins(x, ChannelParams(d=0.15, i=0.15, alpha=0.6), seed=72)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20

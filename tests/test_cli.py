@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import delinscap
 from delinscap.cli import build_parser, main, load_series_config, _parse_grid
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas"
@@ -305,3 +308,24 @@ def test_verify_steps_accepts_float_notation():
     parser = build_parser()
     assert parser.parse_args(["verify", "mc", "--steps", "5e4"]).steps == 50_000
     assert parser.parse_args(["verify", "mc"]).steps == 1_000_000
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
+class TestOpenBlasThreads:
+    """Importing the package pins OpenBLAS to one thread unless told otherwise."""
+
+    CODE = ("import os, delinscap; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')))")
+
+    def _env_and_threads(self, **extra):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(extra, PYTHONPATH=str(Path(delinscap.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", self.CODE], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        return out.stdout.split()
+
+    def test_unset_variable_pins_one_thread(self):
+        assert self._env_and_threads() == ["1", "1"]
+
+    def test_explicit_value_left_alone(self):
+        assert self._env_and_threads(OPENBLAS_NUM_THREADS="2")[0] == "2"

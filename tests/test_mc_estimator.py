@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from delinscap.core import ChannelParams, MarkovSourceParams, generate_markov_sequence
 from delinscap.channel_sim import apply_delins
 from delinscap import analytic_bounds as ab
@@ -109,3 +112,58 @@ class TestSupportConstraints:
         var_l = (1 - p.d - p.i) + 4 * p.i - expect ** 2
         sigma = math.sqrt(var_l / n / 100)
         assert abs(float(np.mean(ratios)) - expect) <= 3 * sigma
+
+
+def _observations(n_ctx, n_val, n, seed, concentration, val_dtype):
+    """n (context, value) pairs; a small Dirichlet concentration leaves some
+    contexts below MIN_CONTEXT_OBS, so they are pooled."""
+    rng = np.random.default_rng(seed)
+    ctx = rng.choice(n_ctx, size=n, p=rng.dirichlet(np.full(n_ctx, concentration))).astype(np.uint8)
+    val = rng.integers(0, n_val, size=n).astype(val_dtype)
+    return ctx, val
+
+
+def _assert_matches_reference(ctx, val, n_ctx, seed):
+    got = mc._plug_in(ctx, val, n_ctx, seed)
+    want = oracles.reference_plug_in(ctx, val, n_ctx, seed)
+    assert (got.n_obs, got.pooled_contexts, got.bias_budget) == (want.n_obs, want.pooled_contexts, want.bias_budget)
+    assert abs(got.value - want.value) <= 1e-15
+    assert abs(got.std_error - want.std_error) <= 1e-12 * want.std_error
+    return got
+
+
+class TestBootstrapMatchesReplicateLoop:
+    """The pick-count matrix product against one replicate table at a time."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([4, 8, 16]), st.integers(1, 6), st.integers(0, 6000), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.2, 1.0, 5.0]), st.sampled_from([np.uint8, np.int64]))
+    @example(16, 6, 49, 1, 1.0, np.uint8)  # fewer observations than blocks
+    @example(4, 1, 3000, 2, 1.0, np.int64)  # one value: every entropy is 0
+    def test_random_tables(self, n_ctx, n_val, n, seed, concentration, val_dtype):
+        ctx, val = _observations(n_ctx, n_val, n, seed, concentration, val_dtype)
+        _assert_matches_reference(ctx, val, n_ctx, seed + 1)
+
+    @pytest.mark.parametrize("n_ctx", [4, 8, 16])
+    def test_pooled_contexts(self, n_ctx):
+        ctx, val = _observations(n_ctx, 6, 5000, 90 + n_ctx, 1.0, np.int64)
+        # the last context keeps a dozen observations, below MIN_CONTEXT_OBS
+        ctx[ctx == n_ctx - 1] = 0
+        ctx[::400] = n_ctx - 1
+        assert _assert_matches_reference(ctx, val, n_ctx, 7).pooled_contexts > 0
+
+    def test_empty(self):
+        est = _assert_matches_reference(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 8, 3)
+        assert (est.value, est.std_error, est.n_obs) == (0.0, 0.0, 0)
+
+
+def test_delins_S_term_memory_peak():
+    # contexts are uint8 codes and each bootstrap block is counted on its own;
+    # int64 copies of y, T and the contexts peaked near 74 MiB here
+    tracemalloc.start()
+    try:
+        mc.estimate_delins_S_term(0.5, 0.15, 0.15, 0.6, steps=10 ** 6, seed=81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
