@@ -17,7 +17,10 @@ a trimmed base row, and reused by every gamma of a search; the output-length
 marginal is exact, taken from its generating function.  The truncation point
 is chosen from ``SeriesConfig.tail_epsilon``, and the term carries a
 conservative closed-form bound on the discarded mass's entropy contribution,
-the mass trimmed from the row table included.
+the mass trimmed from the row table included.  The row entropies never
+decrease in r, so the rows already built also bound the term from below at
+any r_max: the gamma search uses that to skip points before the table grows
+(:class:`BoundGrid`).
 
 Every closed-form kernel the bounds use takes gamma as a float or as an
 array: a float goes through ``math``, so a scalar bound keeps its bits, an
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, binary_entropy, xlog2
 
@@ -349,6 +353,11 @@ _ROW_ENTROPIES: tuple[tuple[float, ...], np.ndarray, np.ndarray, np.ndarray] = (
     (), np.ones(1), np.zeros(0), np.zeros(0))
 
 
+def _row_table_size() -> int:
+    """Rows the row-entropy table holds now, for the most recent step law."""
+    return _ROW_ENTROPIES[2].size
+
+
 def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, float]:
     """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
     convolution of ``kernel``, and the mass missing from row_r_max.
@@ -393,10 +402,15 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
             if n > cap:  # reused, and grown by a quarter at a time, to keep the heap flat
                 cap = n + n // 4
                 window_buf, rows_buf = np.empty((pad + 1) * cap), np.empty(_ROW_BLOCK * cap)
+                padded_buf = np.empty(cap + pad)
+            # row t of the window is the base row shifted by t: the length-n
+            # view of the zero-padded base row that starts pad - t cells in
+            padded = padded_buf[:n + pad]
+            padded[:pad] = 0.0
+            padded[pad:n] = row[lo:hi]
+            padded[n:] = 0.0
             window = window_buf[:(pad + 1) * n].reshape(pad + 1, n)
-            window.fill(0.0)
-            for t in range(pad + 1):  # row t of the window is the base row shifted by t
-                window[t, t:t + hi - lo] = row[lo:hi]
+            np.copyto(window, sliding_window_view(padded, n)[::-1])
             rows = np.matmul(powers, window, out=rows_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
             logs = np.maximum(rows, _TINY, out=window_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
             np.log2(logs, out=logs)
@@ -501,8 +515,11 @@ def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
     return step[int(d == 0.0):3 - int(i == 0.0)]
 
 
-def _run_law_values(gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> np.ndarray:
-    """The value of :func:`_run_law_entropy` at each gamma of a 1-D array.
+def _run_law_values(gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> _RunLawChunk:
+    """The value of :func:`_run_law_entropy` at each gamma of a 1-D array,
+    everything but the row entropies computed: :meth:`_RunLawChunk.values`
+    gives the values, :meth:`_RunLawChunk.floor` a lower bound on them from
+    the rows the table already holds.
 
     Every gamma keeps its own r_max and the sums of its scalar evaluation;
     only their rounding differs (within 1e-13, tested).  With R the largest
@@ -512,21 +529,80 @@ def _run_law_values(gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -
     L_out marginal is exact on each row's own 0..2 r_max.  The
     temporaries hold G (2R + 1) cells.
     """
-    if d == 0.0 and i == 0.0:  # L_out = L_X
-        return np.zeros(gammas.shape)
-    r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
-    size = int(r_max.max())
-    step = _step_law(d, i)
-    column = gammas[:, None]
-    law = _output_length_law(column, step, 2 * size)
-    law = np.where(np.arange(2 * size + 1) > 2 * r_max[:, None], 0.0, law)
-    h_marg = _entropy_bits(law)
-    h_rows, _ = _row_entropies(_row_kernel(step), size)
-    k = np.arange(size)
-    p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
-    p = np.where(k >= r_max[:, None], 0.0, p)
-    h_joint = p @ h_rows - (np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k))
-    return np.maximum(h_joint - h_marg, 0.0)
+    return _RunLawChunk(gammas, d, i, cfg)
+
+
+class _RunLawChunk:
+    """H(L_X | L_out) over a 1-D array of gammas (:func:`_run_law_values`)."""
+
+    def __init__(self, gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> None:
+        self.kernel, self.size = (), 0
+        if d == 0.0 and i == 0.0:  # L_out = L_X
+            self._zero = np.zeros(gammas.shape)
+            return
+        r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
+        size = int(r_max.max())
+        step = _step_law(d, i)
+        column = gammas[:, None]
+        law = _output_length_law(column, step, 2 * size)
+        law = np.where(np.arange(2 * size + 1) > 2 * r_max[:, None], 0.0, law)
+        self._h_marg = _entropy_bits(law)
+        k = np.arange(size)
+        p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
+        self._p = np.where(k >= r_max[:, None], 0.0, p)
+        self._log_p = np.log2(1.0 - gammas) * self._p.sum(axis=1) + np.log2(gammas) * (self._p @ k)
+        self.kernel, self.size = _row_kernel(step), size
+
+    def values(self) -> np.ndarray:
+        """The values, the row table grown to the chunk's largest r_max."""
+        if not self.size:
+            return self._zero
+        return self._from_joint(self._p @ _row_entropies(self.kernel, self.size)[0])
+
+    def floor(self) -> np.ndarray | None:
+        """A lower bound on :meth:`values`, element by element, from the R
+        rows the table holds now; None when R = 0 or R covers the chunk.
+
+        The entropy of a sum of independent steps never decreases as steps
+        are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
+        ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
+        sum_r p_r H_r.  The margin M that is then subtracted from that sum
+        covers two kinds of error, with n the chunk's largest r_max,
+        c = (len(kernel) - 1) n + 1 the most cells of a row and u = 2**-53:
+
+        - trimming: a stored row moves by at most
+          delta = D (log2(2 n + 1) - log2 D + log2 e) (:func:`_row_entropies`),
+          D the trimmed mass, at most ceil(n / _ROW_BLOCK) blocks times c
+          cells times _ROW_TRIM, so a stored H_r >= the stored H_R - 2 delta;
+        - rounding: each of the two p @ H products, this one and the one of
+          :meth:`values`, errs by at most gamma_n sum_r p_r |H_r|
+          <= 1.01 n u log2(c), since sum_r p_r <= 1 + 4u and no row has more
+          than c cells.
+
+        M = 3 (n u log2(c) + delta) exceeds the sum of both, so the product
+        here minus M is at most the product :meth:`values` computes.  The
+        rest of the term, and of the bound, is the same floating-point
+        operations on the same arrays, each monotone in that product, so a
+        bound built on the floor is at least the one built on the values,
+        bit for bit.  The table's own rounding, O(r) ulp, stays far below
+        its increments; both that and the bound on D are tested.
+        """
+        key, _, h, _ = _ROW_ENTROPIES
+        held = h.size if key == self.kernel else 0
+        if not 0 < held < self.size:
+            return None
+        n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
+        lost = -(-n // _ROW_BLOCK) * cells * _ROW_TRIM
+        delta = lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
+        margin = 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta)
+        rows = np.empty(n)
+        rows[:held] = h
+        rows[held:] = h[-1]
+        return self._from_joint(self._p @ rows - margin)
+
+    def _from_joint(self, joint: np.ndarray) -> np.ndarray:
+        """The values from sum_r p_r H_r."""
+        return np.maximum(joint - self._log_p - self._h_marg, 0.0)
 
 
 def _run_tail_bound(gamma: float, r_max: int) -> float:
@@ -611,12 +687,22 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
     sum_{m>=2} gamma**m sum_k C(m,k) (1-d)**k d**(m-k) log2 C(m,k) equals
     sum_{m>=2} gamma**m (m h(d) - H(Binomial(m, 1-d))), since
     log2 C(m,k) = log2 P(k) - k log2(1-d) - (m-k) log2(d) under the binomial
-    law P.  H(Binomial(m, 1-d)) is the entropy of row m of the deletion
+    law P.  H(Binomial(m, 1-d)) is the entropy H_m of row m of the deletion
     run-length table (kernel (d, 1-d), the one :func:`run_law_deletion_H`
     uses), so the diagnostic at a search's gamma* reuses that search's table.
     The series converges since its terms are dominated by m gamma**m; it is
-    cut at the first m >= 2 where the remaining mass bound drops below
-    ``tail_epsilon``, and at ``m_cap``.
+    cut at M, the first m >= 2 where the remaining mass bound drops below
+    ``tail_epsilon``, or at ``m_cap``.
+
+    The table is read only up to R = min(M, r), r = ceil(log(1e-12) /
+    log(gamma)), the r_max of the default :class:`SeriesConfig` before its
+    cap, so the diagnostic needs no rows the bound at gamma did not.  Rows
+    R < m <= M take H_R in place of H_m, a lower bound since the entropy of
+    a sum of independent steps never decreases as steps are added
+    (M. Madiman, "On the entropy of sums", ITW 2008), and are summed in
+    closed form: h(d) sum m gamma**m - H_R sum gamma**m.  That moves the
+    series by at most sum_{m > R} gamma**m (H_m - H_R), with
+    gamma**R <= 1e-12.
     """
     if d == 0.0:
         return 0.0
@@ -633,11 +719,18 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
     # tail_epsilon is found by bisection
     ms = range(2, m_cap + 1)
     end = bisect.bisect_left(ms, True, key=tail_below)
-    m = np.arange(2.0, (ms[end] if end < len(ms) else m_cap) + 1.0)
+    m_end = ms[end] if end < len(ms) else m_cap
+    rows = min(m_end, math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)))
+    h_rows = _row_entropies((d, db), rows)[0]
+    m = np.arange(2.0, rows + 1.0)
     series = m * binary_entropy(d)
-    series -= _row_entropies((d, db), m.size + 1)[0][1:]
+    series -= h_rows[1:]
     series *= np.power(gamma, m, out=m)
-    return out - (gb / gamma) * float(series.sum())
+    total = float(series.sum())
+    if rows < m_end:  # m = rows + 1 .. m_end, as the difference of two infinite tails
+        (s0, s1), (t0, t1) = _geom_sums(gamma, rows + 1, 1), _geom_sums(gamma, m_end + 1, 1)
+        total += binary_entropy(d) * (s1 - t1) - float(h_rows[-1]) * (s0 - t0)
+    return out - (gb / gamma) * total
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +896,18 @@ class BoundGrid:
     within 1e-13 (tested).  ``ceilings``, the source and credit terms summed
     from the same arrays, is at least every value, bit for bit; at a float
     gamma it is the float ceiling of the ``lb_*``, its own terms summed.
+
+    :meth:`values` given a value to ``beat`` first tries a second ceiling,
+    the row-bounded one, when the chunk needs rows the table lacks.  The
+    row entropies H_r never decrease in r (H(X + Y) >= H(X) for independent
+    X and Y; M. Madiman, "On the entropy of sums", ITW 2008), so the R rows
+    held, with H_R for every row past them, lower the run-length penalty.
+    The p_r-weighted row sum is then lowered by M = 3 (n u log2(cells) +
+    delta), n the chunk's largest r_max, u = 2**-53, cells the most cells
+    of a row and delta the table's trimming bound: that covers the rounding
+    of this product and of the full one and the trimming of both rows
+    (:meth:`_RunLawChunk.floor`), so the bound on the result is at least
+    every value of the chunk, bit for bit.
     """
 
     def __init__(self, gammas, terms: list, run_law=None) -> None:
@@ -811,13 +916,25 @@ class BoundGrid:
         self.ceilings = _ceiling(terms)
         self._head, self._tail, self._run_law = _signed_sum(terms[:k]), terms[k + 1:], run_law
 
-    def values(self, chunk: slice = slice(None)) -> np.ndarray:
-        """The bound at ``gammas[chunk]``."""
+    def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
+        """The bound at ``gammas[chunk]``, or None when its row-bounded
+        ceiling shows that no value there exceeds ``beat``; the table grows
+        only in the first case, and both take the chunk's one marginal and
+        p_r matrix."""
+        if self._run_law is None:
+            return self._assemble(chunk, None)
+        run = self._run_law(self.gammas[chunk])
+        if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
+            return None
+        return self._assemble(chunk, run.values())
+
+    def _assemble(self, chunk: slice, run) -> np.ndarray:
+        """The terms at ``gammas[chunk]`` added in order, with ``run`` as
+        H(L_X | L_out) if the bound has a run-length term."""
         v = self._head[chunk]
-        if self._run_law is not None:
-            g = self.gammas[chunk]
-            run = _run_length_term(g, self._run_law(g), 0.0)
-            v = v + run.role.sign * run.value
+        if run is not None:
+            term = _run_length_term(self.gammas[chunk], run, 0.0)
+            v = v + term.role.sign * term.value
         for t in self._tail:
             v = v + t.role.sign * t.value[chunk]
         return v

@@ -159,10 +159,15 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
             pattern=actions,
         )
 
-    code = actions.view(np.uint8) << 1
+    codes = actions.view(np.uint8)
+    try:  # the bounds check of the lookup is the range check: -1 is 255 here
+        emits = _EMITS.take(codes, axis=0)
+    except IndexError:
+        raise ValueError(f"action codes must be 0-3, got {int(actions[codes > Action.COMPLEMENT][0])}") from None
+    code = codes << 1
     code |= x
-    slots = np.compress(_EMITS.take(actions, axis=0).ravel(), _SLOTS.take(code, axis=0).ravel())
-    del code
+    slots = np.compress(emits.ravel(), _SLOTS.take(code, axis=0).ravel())
+    del code, emits
     y = slots & 1
     i_flags = slots >> 1
     i_flags &= 1

@@ -16,12 +16,19 @@ grid (:func:`_grid_chunks`), each small enough that the row table and the
 temporaries grow only as far as the chunks evaluated need.  Golden section
 then refines with scalar ``lb_*`` calls.
 
-The chunks are pruned by branch and bound.  Every penalty is a conditional
-entropy, so a bound's source-plus-credit sum is an exact ceiling on it.  A
-chunk whose every ceiling cannot beat the best value below it is skipped:
-the top of the grid when gamma* is low, and with it the long run-length row
-table those points need.  Results stay bit-identical to the unpruned grid
-(see :func:`maximize_over_gamma`).
+The chunks are pruned by branch and bound, with two ceilings.  Every
+penalty is a conditional entropy, so a bound's source-plus-credit sum is an
+exact ceiling on it.  A chunk whose every ceiling cannot beat the best value
+below it is skipped: the top of the grid when gamma* is low, and with it the
+long run-length row table those points need.  A chunk that passes but needs
+more run-length rows than the table holds meets the row-bounded ceiling: its
+bound with every missing row entropy H_r replaced by the last one held, H_R,
+less a stated rounding margin.  The entropy of a sum of independent steps
+never decreases as steps are added (M. Madiman, "On the entropy of sums",
+ITW 2008), so that is a ceiling too, and a chunk it rules out is skipped
+before the table grows: a search builds the rows gamma* and its bracket
+need, not the 5,520 of the grid point 0.995.  Results stay bit-identical to
+the unpruned grid (see :func:`maximize_over_gamma`).
 
 ``CHANNELS`` is the one registry of channels (CLI parameters, bounds, CSV
 term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``,
@@ -44,6 +51,7 @@ from .analytic_bounds import (
     BoundResult,
     SeriesConfig,
     _r_truncation,
+    _row_table_size,
     lb_deletion,
     lb_deletion_grid,
     lb1_insertion,
@@ -144,7 +152,7 @@ class _PointByPoint:
         self._fn = bound_fn
         self.ceilings = None if ceiling is None else np.array([ceiling(g) for g in _GRID.tolist()])
 
-    def values(self, chunk: slice) -> np.ndarray:
+    def values(self, chunk: slice, beat: float = -math.inf) -> np.ndarray:
         return np.array([self._fn(g) for g in _GRID[chunk].tolist()])
 
 
@@ -161,10 +169,12 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     The grid is taken in fixed ascending chunks (:func:`_grid_chunks` of
     ``cfg``), through ``grid``, the array form of ``bound_fn`` on the grid
     (a :class:`~.analytic_bounds.BoundGrid` or anything with its
-    ``values(chunk)`` and ``ceilings``), if given, else through ``bound_fn``
-    and ``ceiling`` point by point.  ``ceiling``, if given, must satisfy
-    ``bound_fn(g) <= ceiling(g)``, and the grid's ceilings (None for none)
-    must bound its values element by element.
+    ``values(chunk, beat)`` and ``ceilings``), if given, else through
+    ``bound_fn`` and ``ceiling`` point by point.  ``ceiling``, if given, must
+    satisfy ``bound_fn(g) <= ceiling(g)``, and the grid's ceilings (None for
+    none) must bound its values element by element.  ``values(chunk, beat)``
+    may return None instead of the values only if none of them exceeds
+    ``beat``.
 
     A chunk whose every ceiling is at most the best value so far is
     skipped: at best it ties, and a tie never displaces the earlier first
@@ -175,6 +185,22 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     penalty is >= 0, the bound adds its terms in order, and round-to-nearest
     is monotone, so each partial sum with the penalties is at most the same
     sum without them.
+
+    A chunk that passes is handed the best value so far as ``beat``.  A
+    :class:`~.analytic_bounds.BoundGrid` whose row table is too short for
+    the chunk then tries its row-bounded ceiling: the rows past the R held
+    take H_R, at most each of them since entropy never decreases as
+    independent steps are added, and the p_r-weighted row sum is lowered by
+    M = 3 (n u log2(cells) + delta), which covers the rounding of both
+    products and the table's trimming
+    (:meth:`~.analytic_bounds._RunLawChunk.floor`).  The rest of the bound
+    is monotone in that sum, so this too is a ceiling bit for bit, and a
+    chunk it rules out is skipped with its rows never built.
+
+    With the ``delinscap`` logger at DEBUG, the search logs one record at its
+    end: grid points and chunks evaluated and skipped (by either ceiling),
+    the grid argmax and the golden-section bracket, then the chunks the
+    row-bounded ceiling skipped and the rows the row table holds.
     """
     if not tol >= 1e-9:  # NaN included
         raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
@@ -188,27 +214,26 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     if grid is None:
         grid = _PointByPoint(safe_eval, ceiling)
     chunks = _grid_chunks(cfg or SeriesConfig())
-    b, best_v, skipped = -1, -math.inf, []
+    b, best_v, skipped, row_skips = -1, -math.inf, [], 0
     for chunk in chunks:
         if b >= 0 and grid.ceilings is not None and np.max(grid.ceilings[chunk]) <= best_v:
             skipped.append(chunk.stop - chunk.start)
             continue
-        for j, (g, v) in enumerate(zip(_GRID[chunk].tolist(), grid.values(chunk).tolist()), chunk.start):
+        values = grid.values(chunk, best_v)
+        if values is None:  # skipped by the row-bounded ceiling
+            skipped.append(chunk.stop - chunk.start)
+            row_skips += 1
+            continue
+        for j, (g, v) in enumerate(zip(_GRID[chunk].tolist(), values.tolist()), chunk.start):
             if not math.isfinite(v):
                 raise ValueError(f"bound function returned non-finite value {v} at gamma={g}")
             if v > best_v:
                 b, best_v = j, v
-    best_g = float(_GRID[b])
+    grid_g = best_g = float(_GRID[b])
 
     a = float(_GRID[b - 1]) if b > 0 else GAMMA_MIN
     c = float(_GRID[b + 1]) if b < _GRID.size - 1 else GAMMA_MAX
-    # Until something imports logging, no handler exists for a record to reach;
-    # importing it here would add ~0.5 MiB and a few ms to every start-up.
-    if (logging := sys.modules.get("logging")) is not None:
-        logging.getLogger("delinscap").debug(
-            "gamma grid: %d points evaluated, %d skipped by the ceiling; %d chunks evaluated, %d skipped; "
-            "argmax %r; bracket [%r, %r]", _GRID.size - sum(skipped), sum(skipped), len(chunks) - len(skipped),
-            len(skipped), best_g, a, c)
+    bracket = a, c
     x1 = c - _INVPHI * (c - a)
     x2 = a + _INVPHI * (c - a)
     f1, f2 = safe_eval(x1), safe_eval(x2)
@@ -225,6 +250,14 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
             f2 = safe_eval(x2)
             if f2 > best_v:
                 best_g, best_v = x2, f2
+    # Until something imports logging, no handler exists for a record to reach;
+    # importing it here would add ~0.5 MiB and a few ms to every start-up.
+    if (logging := sys.modules.get("logging")) is not None:
+        logging.getLogger("delinscap").debug(
+            "gamma grid: %d points evaluated, %d skipped by the ceilings; %d chunks evaluated, %d skipped; "
+            "argmax %r; bracket [%r, %r]; the row-bounded ceiling skipped %d chunks; row table %d rows",
+            _GRID.size - sum(skipped), sum(skipped), len(chunks) - len(skipped), len(skipped), grid_g, *bracket,
+            row_skips, _row_table_size())
     return best_g, best_v
 
 

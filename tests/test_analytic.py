@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
 from delinscap import analytic_bounds as ab
@@ -483,6 +483,69 @@ class TestRowTable:
             assert abs(table[m - 1] - _mp_binomial_entropy(m, 1.0 - d)) <= 1e-12
 
 
+def _empty_row_table():
+    return ((), np.ones(1), np.zeros(0), np.zeros(0))
+
+
+class TestRowBoundedCeiling:
+    """The two facts behind the row-bounded ceiling of the gamma search."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.45, 0.55)  # interior zero: every bit deleted or doubled
+    @example(0.3, 0.7)
+    @example(0.99, 0.0)
+    @example(0.0, 0.3)
+    @example(1e-300, 0.0)  # the trimming drops a whole entry at the first block
+    def test_row_table_is_nondecreasing(self, d, i):
+        # H(X + Y) >= H(X): exact rows never lose entropy as steps are added;
+        # the stored ones may only lose what the trimming can move them
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        kernel = ab._row_kernel(ab._step_law(d, i))
+        assume(len(kernel) > 1)  # the identity step (d = i = 0) has no table: L_out = L_X
+        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
+        try:
+            table, lost = ab._row_entropies(kernel, 10_000)
+        finally:
+            ab._ROW_ENTROPIES = saved
+        bound = -(-10_000 // ab._ROW_BLOCK) * ((len(kernel) - 1) * 10_000 + 1) * ab._ROW_TRIM
+        assert lost <= bound
+        delta = lost * (math.log2(20_001) - math.log2(lost) + math.log2(math.e)) if lost > 0.0 else 0.0
+        assert np.all(np.diff(table) >= -2.0 * delta)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["deletion", "insertion_lb2", "delins"]), st.floats(0.0, 0.95), st.floats(0.0, 0.95),
+           st.floats(0.0, 1.0), st.integers(0, 15), st.floats(0.0, 1.0))
+    @example("delins", 0.45, 0.55, 0.5, 15, 0.5)
+    @example("deletion", 0.85, 0.0, 1.0, 15, 1.0)
+    @example("deletion", 0.3, 0.0, 1.0, 0, 0.0)
+    @example("insertion_lb2", 0.0, 0.4, 0.6, 12, 0.3)
+    def test_row_bounded_ceiling_bounds_the_values(self, name, d, i, alpha, c, share):
+        from delinscap import gamma_optimizer as go
+
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        cfg = ab.SeriesConfig()
+        chunk = go._grid_chunks(cfg)[c]
+        grid = go._BOUNDS[name].grid(d, i, alpha, go._GRID, cfg)
+        run = grid._run_law(go._GRID[chunk])
+        blocks = (run.size - 1) // ab._ROW_BLOCK  # R = 16, 32, .., 16 blocks rows are all short of run.size
+        assume(blocks >= 1)
+        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
+        try:
+            ab._row_entropies(run.kernel, ab._ROW_BLOCK * (1 + int(share * (blocks - 1))))
+            floor = run.floor()
+            ceiling = grid._assemble(chunk, floor)
+            values = run.values()
+            full = grid.values(chunk)
+        finally:
+            ab._ROW_ENTROPIES = saved
+        assert np.all(floor <= values)
+        assert np.array_equal(grid._assemble(chunk, values), full)
+        assert np.all(ceiling >= full)
+
+
 class TestClosedFormHLXLY:
     @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99, 0.9953, 0.999])
     def test_matches_log_factorial_series(self, gamma):
@@ -495,6 +558,12 @@ class TestClosedFormHLXLY:
         tol = 1e-10 + 1e-14 / (1.0 - gamma) ** 2
         for d in (0.1, 0.5, 0.8, 0.95):
             assert abs(ab.closed_form_HLXLY(gamma, d) - _log_factorial_HLXLY(gamma, d)) <= tol
+
+    def test_reads_no_rows_past_the_bound(self, monkeypatch):
+        # r_max of the bound at gamma = 0.99 is 2 750 rows, 2 752 in blocks
+        _clear_row_table(monkeypatch)
+        ab.closed_form_HLXLY(0.99, 0.8)
+        assert ab._row_table_size() <= 2_752
 
     def test_reuses_the_deletion_table(self, monkeypatch):
         _clear_row_table(monkeypatch)

@@ -72,6 +72,13 @@ class TestWorkedExamples:
         with pytest.raises(ValueError):
             apply_deletion(bits_from_str("010"), 1.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [4, -1, 127, -128, -4])
+    def test_bad_action_code_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            apply_pattern(bits_from_str("011"), [K, bad, K])
+        with pytest.raises(ValueError):
+            apply_pattern(np.zeros(1000, dtype=np.uint8), np.append(np.ones(999, dtype=np.int8), np.int8(bad)))
+
 
 class TestFlip:
     def test_all_zero_t(self):

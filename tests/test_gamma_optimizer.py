@@ -181,6 +181,30 @@ class TestCeiling:
         pruned = optimize_bound(name, **params)
         assert repr(pruned) == repr(_unpruned(name, **params))
 
+    @pytest.mark.parametrize("name, params", [
+        ("deletion", {"d": 0.85}), ("deletion", {"d": 0.93}), ("deletion", {"d": 0.95}),
+        ("delins", {"d": 0.5, "i": 0.1, "alpha": 0.8}), ("delins", {"d": 0.7, "i": 0.05, "alpha": 0.8}),
+    ])
+    def test_high_gamma_search_is_bit_identical(self, name, params, monkeypatch):
+        # gamma* 0.95-0.995: from a cold table, the row-bounded ceiling prunes the top of the grid
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        pruned = optimize_bound(name, **params)
+        assert repr(pruned) == repr(_unpruned(name, **params))
+
+    @pytest.mark.parametrize("name, params, rows", [
+        ("deletion", {"d": 0.85}, 2_752), ("delins", {"d": 0.5, "i": 0.1, "alpha": 0.8}, 1_000),
+    ])
+    def test_cold_high_gamma_solve_builds_only_the_rows_it_needs(self, name, params, rows, monkeypatch, caplog):
+        # every grid point up to 0.995 would take 5 520 rows
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            optimize_bound(name, **params)
+        assert ab._row_table_size() <= rows
+        (record,) = [r for r in caplog.records if r.name == "delinscap"]
+        message = record.getMessage()
+        assert int(message.split("row-bounded ceiling skipped ")[1].split()[0]) > 0
+        assert message.endswith(f"; row table {ab._row_table_size()} rows")
+
     def test_gamma_star_on_both_sides_of_0_9(self):
         assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
         assert optimize_bound("delins", d=0.1, i=0.1, alpha=0.8).gamma_star < 0.9 < \
