@@ -46,13 +46,14 @@ like it, although it may be negative.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, binary_entropy, xlog2
 
@@ -358,6 +359,19 @@ def _row_table_size() -> int:
     return _ROW_ENTROPIES[2].size
 
 
+@functools.lru_cache(maxsize=4)
+def _kernel_powers(kernel: tuple[float, ...]) -> np.ndarray:
+    """The _ROW_BLOCK x ((len(kernel) - 1) _ROW_BLOCK + 1) matrix whose row j
+    is kernel^{*(j+1)}, zero-padded; read-only, kept per kernel."""
+    powers = np.zeros((_ROW_BLOCK, (len(kernel) - 1) * _ROW_BLOCK + 1))
+    power = np.ones(1)
+    for j in range(_ROW_BLOCK):
+        power = np.convolve(power, kernel)
+        powers[j, :power.size] = power
+    powers.flags.writeable = False
+    return powers
+
+
 def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, float]:
     """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
     convolution of ``kernel``, and the mass missing from row_r_max.
@@ -365,12 +379,17 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
     The table is kept for one kernel and grown on demand, _ROW_BLOCK = B rows
     per step.  From the base row row_r0, r0 a multiple of B,
     row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B, the
-    B x (M + 1) matrix whose rows are kernel^{*1..B} times the (M + 1) x n
-    window matrix, whose row t is the base row shifted by t, gives the next
-    B rows in one product, and one log2 over the product gives their B
-    entropies.  Every term is non-negative, so rounding stays relative.
-    Blocks start at fixed r, so a grown table is bit-identical to one built
-    cold.
+    B x (M + 1) matrix whose rows are kernel^{*1..B} (:func:`_kernel_powers`)
+    times the (M + 1) x n window matrix, whose row t is the base row shifted
+    by t, gives the next B rows in one product, and one log2 over the
+    product gives their B entropies.  Every term is non-negative, so
+    rounding stays relative.  Blocks start at fixed r, so a grown table is
+    bit-identical to one built cold.
+
+    Per block the loop does little besides the product and the logs: the
+    window is copied from one strided view (strides -1 and +1 cells) into
+    the zero-padded base row, made when the buffers grow, and the trim ends
+    are two argmax calls.
 
     A row is trimmed at both ends to its entries >= _ROW_TRIM before it seeds
     the next block.  The kernel powers sum to one, so every row of that block
@@ -383,34 +402,32 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
     if key != kernel:
         row, h, lost = np.ones(1), np.zeros(0), np.zeros(0)
     if h.size < r_max:
-        pad = (len(kernel) - 1) * _ROW_BLOCK
-        powers = np.zeros((_ROW_BLOCK, pad + 1))
-        power = np.ones(1)
-        for j in range(_ROW_BLOCK):
-            power = np.convolve(power, kernel)
-            powers[j, :power.size] = power
+        powers = _kernel_powers(kernel)
+        pad = powers.shape[1] - 1
         start = h.size
         dropped = float(lost[-1]) if start else 0.0
         grown = -(-(r_max - start) // _ROW_BLOCK) * _ROW_BLOCK
         h, lost = np.concatenate([h, np.empty(grown)]), np.concatenate([lost, np.empty(grown)])
         cap = 0
         for r0 in range(start, start + grown, _ROW_BLOCK):
-            keep = np.flatnonzero(row >= _ROW_TRIM)
-            lo, hi = keep[0], keep[-1] + 1
+            keep = row >= _ROW_TRIM
+            lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
             dropped += float(row[:lo].sum() + row[hi:].sum())
-            n = hi - lo + pad
+            m = hi - lo
+            n = m + pad
             if n > cap:  # reused, and grown by a quarter at a time, to keep the heap flat
                 cap = n + n // 4
-                window_buf, rows_buf = np.empty((pad + 1) * cap), np.empty(_ROW_BLOCK * cap)
-                padded_buf = np.empty(cap + pad)
-            # row t of the window is the base row shifted by t: the length-n
-            # view of the zero-padded base row that starts pad - t cells in
-            padded = padded_buf[:n + pad]
-            padded[:pad] = 0.0
-            padded[pad:n] = row[lo:hi]
-            padded[n:] = 0.0
+                # the window, then the B rows of logs
+                window_buf = np.empty(max(pad + 1, _ROW_BLOCK) * cap)
+                rows_buf = np.empty(_ROW_BLOCK * cap)
+                padded = np.zeros(cap + pad)  # its first pad cells stay zero
+                # row t of ``shifted`` starts pad - t cells into ``padded``:
+                # the base row shifted by t
+                shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
+            padded[pad:pad + m] = row[lo:hi]
+            padded[pad + m:pad + n] = 0.0
             window = window_buf[:(pad + 1) * n].reshape(pad + 1, n)
-            np.copyto(window, sliding_window_view(padded, n)[::-1])
+            np.copyto(window, shifted[:, :n])
             rows = np.matmul(powers, window, out=rows_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
             logs = np.maximum(rows, _TINY, out=window_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
             np.log2(logs, out=logs)
@@ -479,10 +496,11 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     row_r, the law of L_out given L_X = r, is the r-fold convolution of the
     step law.  The rows do not depend on gamma, so their entropies come from
     a table built once per step law, a block of rows per matrix product
-    (:func:`_row_entropies`), and each call does O(r_max) work.  The L_out
-    marginal is exact (:func:`_output_length_law`) on 0..2 r_max.  The
-    truncation error adds to the dropped tail the certified bound on the
-    table's trimmed mass D: the p_r-weighted entropies move by at most
+    (:func:`_row_entropies`), and each call does O(r_max) work
+    (:class:`_RunLawChunk` at a float gamma).  The L_out marginal is exact
+    (:func:`_output_length_law`) on 0..2 r_max.  The truncation error adds
+    to the dropped tail the certified bound on the table's trimmed mass D:
+    the p_r-weighted entropies move by at most
     D (log2(2 r_max + 1) - log2 D + log2 e), the logs taken apart so that a
     subnormal D cannot overflow their ratio.
     """
@@ -490,17 +508,11 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     trunc = _run_tail_bound(gamma, r_max)
     if d == 0.0 and i == 0.0:  # L_out = L_X
         return EntropyTerm(name, 0.0, trunc)
-    step = _step_law(d, i)
-    h_marg = float(_entropy_bits(_output_length_law(gamma, step, 2 * r_max)))
-    gb = 1.0 - gamma
-    k = np.arange(r_max)
-    h_rows, lost = _row_entropies(_row_kernel(step), r_max)
+    run = _RunLawChunk(gamma, d, i, cfg)
+    h_rows, lost = _row_entropies(run.kernel, r_max)
     if lost > 0.0:
         trunc += lost * (math.log2(2 * r_max + 1) - math.log2(lost) + _LOG2E)
-    joint = h_rows - (math.log2(gb) + k * math.log2(gamma))  # H(row_r) - log2 p_r
-    joint *= gb * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
-    h_joint = float(joint.sum())
-    return EntropyTerm(name, max(h_joint - h_marg, 0.0), trunc)
+    return EntropyTerm(name, run._from_rows(h_rows), trunc)
 
 
 def _step_law(d: float, i: float) -> tuple[float, float, float]:
@@ -515,77 +527,122 @@ def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
     return step[int(d == 0.0):3 - int(i == 0.0)]
 
 
-def _run_law_values(gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> _RunLawChunk:
-    """The value of :func:`_run_law_entropy` at each gamma of a 1-D array,
-    everything but the row entropies computed: :meth:`_RunLawChunk.values`
-    gives the values, :meth:`_RunLawChunk.floor` a lower bound on them from
-    the rows the table already holds.
+def _run_law_values(gammas, d: float, i: float, cfg: SeriesConfig) -> _RunLawChunk:
+    """The value of :func:`_run_law_entropy` at a float gamma, or at each
+    gamma of a 1-D array, everything but the row entropies computed:
+    :meth:`_RunLawChunk.values` gives the values, :meth:`_RunLawChunk.floor`
+    a lower bound on them from the rows the table already holds.
 
-    Every gamma keeps its own r_max and the sums of its scalar evaluation;
-    only their rounding differs (within 1e-13, tested).  With R the largest
-    r_max, the joint part is the (G x R) matrix of p_r, zero past each row's
-    r_max, times the row entropies, the -log2 p_r part taken through the
-    same matrix as -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; the
-    L_out marginal is exact on each row's own 0..2 r_max.  The
-    temporaries hold G (2R + 1) cells.
+    At a float gamma the sums are those of :func:`_run_law_entropy`, bit for
+    bit.  Over an array every gamma keeps its own r_max and the sums of its
+    scalar evaluation; only their rounding differs (within 1e-13, tested).
+    With R the largest r_max, the joint part is the (G x R) matrix of p_r,
+    zero past each row's r_max, times the row entropies, the -log2 p_r part
+    taken through the same matrix as
+    -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; the L_out marginal is
+    exact on each row's own 0..2 r_max.  The temporaries hold G (2R + 1)
+    cells.  The parts that depend on the gammas and ``cfg`` alone are
+    :func:`_chunk_weights`.
     """
     return _RunLawChunk(gammas, d, i, cfg)
 
 
+class _ChunkWeights(NamedTuple):
+    """The parts of H(L_X | L_out) over a 1-D array of gammas that depend on
+    the gammas and the :class:`SeriesConfig` alone, not on the channel."""
+
+    size: int  # the largest r_max
+    beyond: np.ndarray  # (G, 2 size + 1): output lengths past each row's 2 r_max
+    p: np.ndarray  # (G, size): p_r = gamma**(r-1) (1 - gamma), zero past each row's r_max
+    log_p: np.ndarray  # (G,): sum_r p_r log2 p_r
+
+
+def _chunk_weights(gammas: np.ndarray, cfg: SeriesConfig) -> _ChunkWeights:
+    """The :class:`_ChunkWeights` of ``gammas``.
+
+    A read-only array is taken as a chunk of a fixed grid, as the gamma
+    search's grid is: its weights are computed once per (``cfg``, gammas)
+    and kept, read-only, since every search over the grid takes the same
+    chunks.  Any other array has them computed afresh, by the same code.
+    """
+    if not gammas.flags.writeable:
+        return _fixed_chunk_weights(cfg, tuple(gammas.tolist()))
+    r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
+    size = int(r_max.max())
+    column = gammas[:, None]
+    beyond = np.arange(2 * size + 1) > 2 * r_max[:, None]
+    k = np.arange(size)
+    p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
+    p = np.where(k >= r_max[:, None], 0.0, p)
+    log_p = np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k)
+    return _ChunkWeights(size, beyond, p, log_p)
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_chunk_weights(cfg: SeriesConfig, gammas: tuple[float, ...]) -> _ChunkWeights:
+    weights = _chunk_weights(np.array(gammas), cfg)
+    for array in weights[1:]:
+        array.flags.writeable = False
+    return weights
+
+
 class _RunLawChunk:
-    """H(L_X | L_out) over a 1-D array of gammas (:func:`_run_law_values`)."""
+    """H(L_X | L_out) at a float gamma or over a 1-D array of gammas
+    (:func:`_run_law_values`)."""
 
-    def __init__(self, gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> None:
+    def __init__(self, gammas, d: float, i: float, cfg: SeriesConfig) -> None:
         self.kernel, self.size = (), 0
+        self._gammas, self._array = gammas, isinstance(gammas, np.ndarray)
         if d == 0.0 and i == 0.0:  # L_out = L_X
-            self._zero = np.zeros(gammas.shape)
+            self._zero = np.zeros(gammas.shape) if self._array else 0.0
             return
-        r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
-        size = int(r_max.max())
-        step = _step_law(d, i)
-        column = gammas[:, None]
-        law = _output_length_law(column, step, 2 * size)
-        law = np.where(np.arange(2 * size + 1) > 2 * r_max[:, None], 0.0, law)
-        self._h_marg = _entropy_bits(law)
-        k = np.arange(size)
-        p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
-        self._p = np.where(k >= r_max[:, None], 0.0, p)
-        self._log_p = np.log2(1.0 - gammas) * self._p.sum(axis=1) + np.log2(gammas) * (self._p @ k)
-        self.kernel, self.size = _row_kernel(step), size
+        self._step = _step_law(d, i)
+        if self._array:
+            self.size, beyond, self._p, self._log_p = _chunk_weights(gammas, cfg)
+            law = _output_length_law(gammas[:, None], self._step, 2 * self.size)
+            self._h_marg = _entropy_bits(np.where(beyond, 0.0, law))
+        else:  # the sums are taken by _from_rows, which a scalar chunk calls once
+            self.size = _r_truncation(gammas, cfg)
+        self.kernel = _row_kernel(self._step)
 
-    def values(self) -> np.ndarray:
+    def values(self):
         """The values, the row table grown to the chunk's largest r_max."""
         if not self.size:
             return self._zero
-        return self._from_joint(self._p @ _row_entropies(self.kernel, self.size)[0])
+        return self._from_rows(_row_entropies(self.kernel, self.size)[0])
 
-    def floor(self) -> np.ndarray | None:
+    def floor(self):
         """A lower bound on :meth:`values`, element by element, from the R
         rows the table holds now; None when R = 0 or R covers the chunk.
 
         The entropy of a sum of independent steps never decreases as steps
         are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
         ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
-        sum_r p_r H_r.  The margin M that is then subtracted from that sum
-        covers two kinds of error, with n the chunk's largest r_max,
-        c = (len(kernel) - 1) n + 1 the most cells of a row and u = 2**-53:
+        sum_r p_r H_r.  The margin M subtracted covers two kinds of error,
+        with n the chunk's largest r_max, c = (len(kernel) - 1) n + 1 the
+        most cells of a row and u = 2**-53:
 
         - trimming: a stored row moves by at most
           delta = D (log2(2 n + 1) - log2 D + log2 e) (:func:`_row_entropies`),
           D the trimmed mass, at most ceil(n / _ROW_BLOCK) blocks times c
           cells times _ROW_TRIM, so a stored H_r >= the stored H_R - 2 delta;
-        - rounding: each of the two p @ H products, this one and the one of
-          :meth:`values`, errs by at most gamma_n sum_r p_r |H_r|
-          <= 1.01 n u log2(c), since sum_r p_r <= 1 + 4u and no row has more
-          than c cells.
+        - rounding: each of the two p @ H products of an array chunk, this
+          one and the one of :meth:`values`, errs by at most
+          gamma_n sum_r p_r |H_r| <= 1.01 n u log2(c), since
+          sum_r p_r <= 1 + 4u and no row has more than c cells.
 
-        M = 3 (n u log2(c) + delta) exceeds the sum of both, so the product
-        here minus M is at most the product :meth:`values` computes.  The
-        rest of the term, and of the bound, is the same floating-point
-        operations on the same arrays, each monotone in that product, so a
-        bound built on the floor is at least the one built on the values,
-        bit for bit.  The table's own rounding, O(r) ulp, stays far below
-        its increments; both that and the bound on D are tested.
+        M = 3 (n u log2(c) + delta) exceeds the sum of both.  An array chunk
+        subtracts it from the product, which is then at most the product
+        :meth:`values` computes.  A float gamma's sum is taken term by term,
+        in the same order for any rows, and every step is monotone in the
+        rows; so it subtracts M from each row past R instead, each then at
+        most its stored entropy, and the sum is at most the one of
+        :meth:`values` with no rounding argument at all.  The rest of the
+        term, and of the bound, is the same floating-point operations on the
+        same arrays, each monotone in that sum, so a bound built on the floor
+        is at least the one built on the values, bit for bit.  The table's
+        own rounding, O(r) ulp, stays far below its increments; both that
+        and the bound on D are tested.
         """
         key, _, h, _ = _ROW_ENTROPIES
         held = h.size if key == self.kernel else 0
@@ -597,11 +654,24 @@ class _RunLawChunk:
         margin = 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta)
         rows = np.empty(n)
         rows[:held] = h
+        if not self._array:
+            rows[held:] = h[-1] - margin
+            return self._from_rows(rows)
         rows[held:] = h[-1]
         return self._from_joint(self._p @ rows - margin)
 
+    def _from_rows(self, rows: np.ndarray):
+        """The values from the row entropies H_r, r = 1..size."""
+        if self._array:
+            return self._from_joint(self._p @ rows)
+        gamma, k = self._gammas, np.arange(self.size)
+        h_marg = float(_entropy_bits(_output_length_law(gamma, self._step, 2 * self.size)))
+        joint = rows - (math.log2(1.0 - gamma) + k * math.log2(gamma))  # H(row_r) - log2 p_r
+        joint *= (1.0 - gamma) * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
+        return max(float(joint.sum()) - h_marg, 0.0)
+
     def _from_joint(self, joint: np.ndarray) -> np.ndarray:
-        """The values from sum_r p_r H_r."""
+        """An array chunk's values from sum_r p_r H_r."""
         return np.maximum(joint - self._log_p - self._h_marg, 0.0)
 
 
@@ -887,7 +957,9 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
 class BoundGrid:
     """A bound at every gamma of a fixed 1-D array: the array form of its
     ``lb_*``, made of the same terms added in the same order (no validation,
-    no diagnostics, no truncation errors).
+    no diagnostics, no truncation errors).  ``terms_at`` lists the terms at
+    a float gamma or an array, with None for the run-length term, and
+    ``run_law`` gives that term's :class:`_RunLawChunk` at either.
 
     The closed-form terms are taken once over the whole array, where a numpy
     call costs about the same for 1 gamma as for 199; the run-length term,
@@ -895,7 +967,9 @@ class BoundGrid:
     chunk by chunk (:meth:`values`).  The values agree with the ``lb_*``
     within 1e-13 (tested).  ``ceilings``, the source and credit terms summed
     from the same arrays, is at least every value, bit for bit; at a float
-    gamma it is the float ceiling of the ``lb_*``, its own terms summed.
+    gamma it is the float ceiling of the ``lb_*``, its own terms summed.  A
+    read-only array is a fixed grid, whose chunks' gamma-only weights are
+    kept (:func:`_chunk_weights`).
 
     :meth:`values` given a value to ``beat`` first tries a second ceiling,
     the row-bounded one, when the chunk needs rows the table lacks.  The
@@ -907,14 +981,17 @@ class BoundGrid:
     of a row and delta the table's trimming bound: that covers the rounding
     of this product and of the full one and the trimming of both rows
     (:meth:`_RunLawChunk.floor`), so the bound on the result is at least
-    every value of the chunk, bit for bit.
+    every value of the chunk, bit for bit.  :meth:`rules_out` runs the same
+    test at one float gamma against the ``lb_*`` itself.
     """
 
-    def __init__(self, gammas, terms: list, run_law=None) -> None:
+    def __init__(self, gammas, terms_at, run_law=None) -> None:
+        terms = terms_at(gammas)
         k = terms.index(None) if None in terms else len(terms)
         self.gammas = gammas
         self.ceilings = _ceiling(terms)
         self._head, self._tail, self._run_law = _signed_sum(terms[:k]), terms[k + 1:], run_law
+        self._terms_at = terms_at
 
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when its row-bounded
@@ -927,6 +1004,22 @@ class BoundGrid:
         if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
             return None
         return self._assemble(chunk, run.values())
+
+    def rules_out(self, gamma: float, beat: float) -> bool:
+        """Whether the row-bounded ceiling shows that the ``lb_*`` at the
+        float ``gamma`` is at most ``beat``; False when the table holds every
+        row ``gamma`` needs, and the table does not grow.
+
+        The terms are the ``lb_*``'s own at ``gamma``, summed by the same
+        :func:`_signed_sum`, with the run-length term built on the float
+        floor of :meth:`_RunLawChunk.floor`, which is at most the ``lb_*``'s
+        run-length entropy bit for bit; the sum is monotone in it, so it is
+        a ceiling on the ``lb_*`` bit for bit."""
+        if self._run_law is None or (floor := self._run_law(gamma).floor()) is None:
+            return False
+        terms = self._terms_at(gamma)
+        terms[terms.index(None)] = _run_length_term(gamma, floor, 0.0)
+        return _signed_sum(terms) <= beat
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:
         """The terms at ``gammas[chunk]`` added in order, with ``run`` as
@@ -943,22 +1036,23 @@ class BoundGrid:
 def lb_deletion_grid(d: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb_deletion` over ``gammas``."""
     cfg = cfg or SeriesConfig()
-    return BoundGrid(gammas, _deletion_terms(d, gammas, None), lambda g: _run_law_values(g, d, 0.0, cfg))
+    return BoundGrid(gammas, lambda g: _deletion_terms(d, g, None), lambda g: _run_law_values(g, d, 0.0, cfg))
 
 
 def lb1_insertion_grid(i: float, alpha: float, gammas: np.ndarray) -> BoundGrid:
     """:func:`lb1_insertion` over ``gammas``."""
-    return BoundGrid(gammas, _lb1_terms(i, alpha, gammas))
+    return BoundGrid(gammas, lambda g: _lb1_terms(i, alpha, g))
 
 
 def lb2_insertion_grid(i: float, alpha: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb2_insertion` over ``gammas``."""
     cfg = cfg or SeriesConfig()
-    return BoundGrid(gammas, _lb2_terms(i, alpha, gammas, None), lambda g: _run_law_values(g, 0.0, i, cfg))
+    return BoundGrid(gammas, lambda g: _lb2_terms(i, alpha, g, None), lambda g: _run_law_values(g, 0.0, i, cfg))
 
 
 def lb_delins_grid(d: float, i: float, alpha: float, gammas: np.ndarray,
                    cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb_delins` over ``gammas``."""
     cfg = cfg or SeriesConfig()
-    return BoundGrid(gammas, _delins_terms(d, i, alpha, gammas, None), lambda g: _run_law_values(g, d, i, cfg))
+    return BoundGrid(gammas, lambda g: _delins_terms(d, i, alpha, g, None),
+                     lambda g: _run_law_values(g, d, i, cfg))

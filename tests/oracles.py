@@ -8,6 +8,9 @@ conservative bound on the dropped tail.  They were the package's kernels
 before the closed form replaced them, and are kept as independent oracles.
 ``iy_transition_matrix`` is the one-step kernel of the insertion chain whose
 stationary law ``analytic_bounds.stationary_iy`` gives in closed form.
+``reference_row_entropies`` is the run-length row table's earlier block loop,
+which the lean loop of ``analytic_bounds._row_entropies`` must match bit for
+bit.
 
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
@@ -19,6 +22,7 @@ and ``reference_plug_in`` (one bootstrap replicate at a time).
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap import analytic_bounds as ab
 from delinscap.channel_sim import Action, AuxSequences, ChannelOutput
@@ -198,6 +202,44 @@ def delins_s_mpmath(gamma, d, i, alpha, dps=50):
                     total += c * thk * (lw - lc - k * lth)
             k, thk = k + 1, thk * th
         return float(total / (1 + ip))
+
+
+# ---------------------------------------------------------------------------
+# run-length row table, earlier block loop
+# ---------------------------------------------------------------------------
+
+def reference_row_entropies(kernel, r_max):
+    """(H(row_r) for r = 1..r_max, mass missing from row_r_max), built cold
+    with the block loop that ``analytic_bounds._row_entropies`` replaced:
+    kernel powers from 16 convolutions, ``flatnonzero`` trim ends and a
+    ``sliding_window_view`` window, the same matrix product and logs."""
+    block = ab._ROW_BLOCK
+    pad = (len(kernel) - 1) * block
+    powers = np.zeros((block, pad + 1))
+    power = np.ones(1)
+    for j in range(block):
+        power = np.convolve(power, kernel)
+        powers[j, :power.size] = power
+    row, dropped = np.ones(1), 0.0
+    grown = -(-r_max // block) * block
+    h, lost = np.empty(grown), np.empty(grown)
+    for r0 in range(0, grown, block):
+        keep = np.flatnonzero(row >= ab._ROW_TRIM)
+        lo, hi = keep[0], keep[-1] + 1
+        dropped += float(row[:lo].sum() + row[hi:].sum())
+        n = hi - lo + pad
+        padded = np.zeros(n + pad)
+        padded[pad:n] = row[lo:hi]
+        window = np.empty((pad + 1, n))
+        np.copyto(window, sliding_window_view(padded, n)[::-1])
+        rows = np.matmul(powers, window)
+        logs = np.maximum(rows, ab._TINY)
+        np.log2(logs, out=logs)
+        logs *= rows
+        h[r0:r0 + block] = -logs.sum(axis=1)
+        lost[r0:r0 + block] = dropped
+        row = rows[-1]
+    return h[:r_max], float(lost[r_max - 1])
 
 
 # ---------------------------------------------------------------------------

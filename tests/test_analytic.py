@@ -455,6 +455,34 @@ class TestRowTable:
             assert table.size == r
             assert np.array_equal(table, cold) and lost == cold_lost
 
+    @pytest.mark.parametrize("kernel", [
+        (0.05, 0.95), (0.5, 0.5), (0.95, 0.05),  # deletion at d = 0.05, 0.5, 0.95
+        (0.7, 0.3),  # duplication at i = 0.3
+        (0.2, 0.7, 0.1),
+        (0.5, 0.0, 0.5),  # interior zero: every bit deleted or doubled
+    ])
+    def test_matches_the_earlier_block_loop_bit_for_bit(self, kernel, monkeypatch):
+        reference, reference_lost = oracles.reference_row_entropies(kernel, 10_000)
+        _clear_row_table(monkeypatch)
+        table, lost = ab._row_entropies(kernel, 10_000)
+        assert np.array_equal(table, reference) and lost == reference_lost
+        _clear_row_table(monkeypatch)
+        for r in (5, 16, 17, 333, 1_000, 4_321, 9_999, 10_000):  # grown in uneven steps
+            table, lost = ab._row_entropies(kernel, r)
+            assert np.array_equal(table, reference[:r])
+            assert lost == oracles.reference_row_entropies(kernel, r)[1]
+
+    @pytest.mark.parametrize("r_max", [16, 17])
+    def test_point_mass_kernel_has_zero_entropy(self, r_max, monkeypatch):
+        # one entry: no padding, so the B rows of logs need their own room
+        _clear_row_table(monkeypatch)
+        table, lost = ab._row_entropies((1.0,), r_max)
+        assert table.size == r_max and np.all(table == 0.0) and lost == 0.0
+        _clear_row_table(monkeypatch)
+        ab._row_entropies((1.0,), 3)
+        grown, grown_lost = ab._row_entropies((1.0,), r_max)
+        assert np.array_equal(grown, table) and grown_lost == 0.0
+
     @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
     def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch):
         gamma = 0.99

@@ -205,6 +205,74 @@ class TestCeiling:
         assert int(message.split("row-bounded ceiling skipped ")[1].split()[0]) > 0
         assert message.endswith(f"; row table {ab._row_table_size()} rows")
 
+    @pytest.mark.parametrize("name, params", [
+        ("deletion", {"d": 0.8}), ("deletion", {"d": 0.9}), ("deletion", {"d": 0.947}), ("deletion", {"d": 0.96}),
+        ("deletion", {"d": 0.97}), ("delins", {"d": 0.8, "i": 0.05, "alpha": 0.9}),
+    ])
+    def test_cold_search_with_upper_probes_ruled_out_is_bit_identical(self, name, params, monkeypatch):
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        pruned = optimize_bound(name, **params)
+        assert repr(pruned) == repr(_unpruned(name, **params))
+
+    @pytest.mark.parametrize("d, rows", [(0.9, 3_120), (0.93, 5_520), (0.95, 7_232)])
+    def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, monkeypatch):
+        # with every upper probe evaluated: 3 744, 7 232 and 10 000 rows
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        optimize_bound("deletion", d=d)
+        assert ab._row_table_size() <= rows
+
+    def test_debug_record_counts_ruled_out_probes(self, monkeypatch, caplog):
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            optimize_bound("deletion", d=0.95)
+        (record,) = [r for r in caplog.records if r.name == "delinscap"]
+        message = record.getMessage()
+        assert int(message.split(" probes; row table")[0].split()[-1]) >= 1
+        assert message.endswith(f"; row table {ab._row_table_size()} rows")
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.sampled_from(["deletion", "insertion_lb2", "delins"]), st.floats(0.0, 0.95), st.floats(0.0, 0.95),
+           st.floats(0.0, 1.0), st.floats(0.9, 0.9999), st.floats(0.0, 1.0))
+    @example("deletion", 0.95, 0.0, 1.0, 0.9953, 1.0)
+    @example("delins", 0.45, 0.55, 0.5, 0.99, 0.5)  # interior zero: every bit deleted or doubled
+    @example("insertion_lb2", 0.0, 0.4, 0.6, 0.9999, 0.0)
+    def test_probe_is_ruled_out_only_if_the_bound_cannot_beat(self, name, d, i, alpha, gamma, share):
+        # the probe ceiling is at least the lb_* itself, bit for bit: a beat
+        # one ulp below the bound is never ruled out
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        cfg = ab.SeriesConfig()
+        bound = go._BOUNDS[name]
+        grid = bound.grid(d, i, alpha, go._GRID, cfg)
+        kernel = grid._run_law(gamma).kernel
+        blocks = (ab._r_truncation(gamma, cfg) - 1) // ab._ROW_BLOCK
+        assume(kernel and blocks >= 1)
+        held = ab._ROW_BLOCK * (1 + int(share * (blocks - 1)))  # short of r_max
+        empty = ((), np.ones(1), np.zeros(0), np.zeros(0))
+        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, empty
+        try:
+            value = bound.evaluate(d, i, alpha, gamma, cfg, False, False).bound_bits
+            ab._ROW_ENTROPIES = empty
+            ab._row_entropies(kernel, held)
+            assert not grid.rules_out(gamma, math.nextafter(value, -math.inf))
+            assert grid.rules_out(gamma, math.inf)
+            assert ab._row_table_size() == held
+        finally:
+            ab._ROW_ENTROPIES = saved
+
+    def test_grid_chunk_weights_are_kept_read_only(self):
+        cfg = ab.SeriesConfig(tail_epsilon=2e-12)  # weights no other test fills
+        first = optimize_bound("deletion", d=0.9, cfg=cfg)
+        info = ab._fixed_chunk_weights.cache_info()
+        warm = optimize_bound("deletion", d=0.9, cfg=cfg)
+        assert ab._fixed_chunk_weights.cache_info().misses == info.misses
+        assert repr(warm) == repr(first)
+        weights = ab._chunk_weights(go._GRID[go._grid_chunks(cfg)[-1]], cfg)
+        assert not any(array.flags.writeable for array in weights[1:])
+        ab._fixed_chunk_weights.cache_clear()
+        assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
+        assert ab._chunk_weights(np.array([0.5, 0.9]), cfg).p.flags.writeable  # any other array: no memo
+
     def test_gamma_star_on_both_sides_of_0_9(self):
         assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
         assert optimize_bound("delins", d=0.1, i=0.1, alpha=0.8).gamma_star < 0.9 < \
