@@ -13,9 +13,9 @@ sums it replaced are kept in the tests as oracles.)  The run-length entropy
 H(L_X | L_out) sums its joint law over input run lengths up to r_max: the
 row entropies H(L_out | L_X = r) do not depend on gamma, so they are
 tabulated once per per-bit step law, a block of rows per matrix product from
-a trimmed base row, and reused by every gamma of a search; the output-length
-marginal is exact, taken from its generating function.  The truncation point
-is chosen from ``SeriesConfig.tail_epsilon``, and the term carries a
+a trimmed base row, and reused by every gamma of a search; H(L_out) is a
+closed form of the law's generating function.  The truncation point is
+chosen from ``SeriesConfig.tail_epsilon``, and the term carries a
 conservative closed-form bound on the discarded mass's entropy contribution,
 the mass trimmed from the row table included.  The row entropies never
 decrease in r, so the rows already built also bound the term from below at
@@ -133,19 +133,6 @@ def _nonneg(x):
     return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
 
 
-def _sqrt(x):
-    """sqrt of a float, or elementwise of an array."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _log1p(x):
-    """log1p of a float (``math``) or elementwise of an array (numpy), -inf at -1."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.log1p(x)
-    return math.log1p(x) if x > -1.0 else -math.inf
-
-
 def markov_q(gamma: float, d: float) -> float:
     """Same-symbol transition probability of the deletion-channel output."""
     return (gamma + d - 2.0 * gamma * d) / (1.0 + d - 2.0 * gamma * d)
@@ -221,8 +208,8 @@ def insertion_penalty_credit(i: float, alpha: float, gamma: float) -> float:
 
 def delins_ambiguity_credit(d: float, i: float, alpha: float, gamma: float) -> float:
     """The combined channel's insertion-ambiguity credit: the insertion one at
-    the first-stage output statistics (gamma -> q, i -> i/(1-d)), per input bit."""
-    return (1.0 - d) * insertion_penalty_credit(i / (1.0 - d), alpha, markov_q(gamma, d))
+    the first-stage output statistics (gamma -> q, i -> i' = i/(1-d)), per input bit."""
+    return (1.0 - d) * insertion_penalty_credit(ChannelParams(d=d, i=i).i_prime, alpha, markov_q(gamma, d))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +257,7 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
     """
     if d == 0.0:
         return 0.0 * gamma
-    ip = i / (1.0 - d)
+    ip = ChannelParams(d=d, i=i).i_prime
     ab = 1.0 - alpha
     c1 = 1.0 - ip * ab
     th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
@@ -439,51 +426,67 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
     return h[:r_max], float(lost[r_max - 1])
 
 
-def _output_length_law(gamma, step: tuple[float, float, float], s_max: int) -> np.ndarray:
-    """Exact P(L_out = s), s = 0..s_max, for a geometric input run whose bits
-    each contribute 0, 1 or 2 output bits with probabilities
-    ``step`` = (d, 1-d-i, i); ``gamma`` is a float, or a (G, 1) column of
-    them for one law per row.
+def _output_length_entropy(gamma, step: tuple[float, float, float], s_max):
+    """Entropy in bits of P(L_out = s), s = 0..s_max, of a geometric run
+    whose bits add 0, 1 or 2 output bits with probabilities ``step`` =
+    (d, 1-d-i, i); gamma and ``s_max`` are scalars or 1-D arrays.
 
-    The generating function is (1-gamma) phi(z) / (1 - gamma phi(z)) with
-    phi(z) = d + (1-d-i) z + i z**2.  Writing 1 - gamma phi(z) as
-    c0 (1 - a z)(1 - b z) with a >= -b >= 0 gives P(0) = (1-gamma) d / c0 and
-    P(s) = (1-gamma) (a**(s+1) - b**(s+1)) / (gamma c0 (a - b)) for s >= 1:
-    a zero-modified geometric law when i = 0 (then b = 0), otherwise the sum
-    of two geometric sequences.  The difference is taken as
-    a**n (1 - (b/a)**n) with log|b/a| = log1p(-2 (a + b) / (a - b)), which
-    stays accurate when |b| is close to a and makes odd lengths exactly
-    zero-mass when d + i = 1 (a + b = 0).  Where x = -1, b is too small
-    against a to show: log1p(x) is then -inf and both correction factors are
-    exactly 1.
+    With 1 - gamma phi(z) = c0 (1 - a z)(1 - b z), phi(z) = d + (1-d-i) z +
+    i z**2, c0 = 1 - gamma d, a > 0 >= b, P(0) = (1-gamma) d / c0 and
+    P(s) = K (a**m - b**m), m = s + 1, K = (1-gamma) / (gamma c0 (a - b)).
+    So H = -P(0) log2 P(0) - log2 K M0 - log2 a M1 - C: M0, M1 (mass and
+    first moment in m of s = 1..s_max) are the whole law's less geometric
+    tails from m = s_max + 2; C = sum K a**m (1 - t**m) log2(1 - t**m),
+    t = b / a, is 0 at i = 0, else summed until the bound 2 K |b|**m /
+    (1 - |b|) on the rest is below 1e-18, at most to s_max + 1.  1 - a =
+    (1-gamma) / (c0 (1 - b)), b = -(gamma i / c0) / a and log a =
+    -log1p((1 - a) / a) keep their relative precision; 1 - t**m =
+    -expm1(m log|t|) at even m is exactly 0 at d + i = 1 (t = -1); 0 log 0
+    is 0.  The tails would cancel at small s_max, which s_max >= 16 avoids.
     """
     d, keep, i = step
-    gb = 1.0 - gamma
-    c0 = 1.0 - gamma * d
-    a_plus_b = gamma * keep / c0
-    a_minus_b = _sqrt(a_plus_b * a_plus_b + 4.0 * gamma * i / c0)
-    n = np.arange(1.0, s_max + 2.0)  # s + 1
-    law = np.power((a_plus_b + a_minus_b) / 2.0, n)
-    law *= gb / (gamma * c0 * a_minus_b)
-    if i > 0.0:
-        n = n * _log1p(-2.0 * a_plus_b / (a_plus_b + a_minus_b))  # n log|b/a|
-        law[..., 0::2] *= 1.0 + np.exp(n[..., 0::2])  # (b/a)**n = -|b/a|**n for odd n
-        law[..., 1::2] *= -np.expm1(n[..., 1::2])
-    law[..., :1] = gb * d / c0
-    return law
-
-
-def _entropy_bits(law: np.ndarray):
-    """Entropy in bits of the positive entries of ``law``, along its last axis.
-    A single law is summed over its positive entries alone, which sets the
-    rounding of the sum; the rows of a matrix keep their zeros."""
-    if law.ndim == 1:
-        law = law[law > 0.0]
-        h = np.log2(law)
-    else:  # zeros add 0 x log2(tiny) = 0
-        h = np.log2(np.maximum(law, _TINY))
-    h *= law
-    return -h.sum(axis=-1)
+    array = isinstance(gamma, np.ndarray)
+    xp = np if array else math
+    gb, c0 = 1.0 - gamma, 1.0 - gamma * d
+    q, g_c, mass = gamma / c0, gb / c0, (1.0 - d) / c0  # mass = P(L_out >= 1)
+    a_plus_b = keep * q
+    a_minus_b = xp.sqrt(a_plus_b * a_plus_b + 4.0 * i * q) if i > 0.0 else a_plus_b
+    a = (a_plus_b + a_minus_b) * 0.5 if i > 0.0 else a_plus_b
+    b = -i * q / a if i > 0.0 else 0.0
+    u = g_c / (1.0 - b)  # 1 - a
+    log_a = -xp.log1p(u / a)  # log a, from 1 / a = 1 + u / a
+    k = g_c / (gamma * a_minus_b)
+    n = s_max + 2  # the first m past the sum
+    tail0 = xp.exp(n * log_a) / u  # sum a**m over m >= n
+    tail1 = tail0 * (n + a / u)  # sum m a**m
+    b_tail0 = b ** n / (1.0 - b) if i > 0.0 else 0.0
+    tail0, tail1 = tail0 - b_tail0, tail1 - b_tail0 * (n + b / (1.0 - b))
+    h = (k * tail0 - mass) * xp.log2(k) + (k * tail1 - mass - (1.0 - d + i) / gb) * (_LOG2E * log_a)
+    h = h - g_c * d * (xp.log2(g_c) + math.log2(d)) if d > 0.0 else h  # P(0) log2 P(0), 0 if it underflows
+    if i == 0.0:
+        return h
+    if array:
+        with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms
+            last = np.minimum(np.ceil(np.log(1e-18 * (1.0 + b) / (2.0 * k)) / np.log(-b)) - 1.0, s_max + 1)
+            log_t, log_a = np.log1p(-a_plus_b / a)[:, None], log_a[:, None]
+        top = int(last.max())
+    else:  # b = 0 where i underflows against a: no terms; with terms, |t| is well above 0
+        top = min(math.ceil(math.log(1e-18 * (1.0 + b) / (2.0 * k)) / math.log(-b or _TINY)) - 1, s_max + 1)
+        log_t = math.log1p(-a_plus_b / a) if top >= 2 else 0.0
+    if not array and top <= 40:  # a short series costs less as a loop than as numpy calls
+        for m in range(2, top + 1):
+            w = 1.0 + math.exp(m * log_t) if m % 2 else -math.expm1(m * log_t)
+            h -= k * math.exp(m * log_a) * w * math.log2(w) if w > 0.0 else 0.0
+        return h
+    m = np.arange(2.0, top + 1.0)
+    e = log_t * m  # m log|t|
+    w = np.exp(e)  # 1 - t**m, t**m = (-1)**m |t|**m
+    w[..., 0::2] = -np.expm1(e[..., 0::2])
+    w[..., 1::2] += 1.0
+    terms = np.exp(log_a * m) * w * np.log2(np.maximum(w, _TINY))
+    if array:
+        terms[m > last[:, None]] = 0.0
+    return h - k * (terms.sum(axis=1) if array else float(terms.sum()))
 
 
 def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: str) -> EntropyTerm:
@@ -497,8 +500,8 @@ def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: 
     step law.  The rows do not depend on gamma, so their entropies come from
     a table built once per step law, a block of rows per matrix product
     (:func:`_row_entropies`), and each call does O(r_max) work
-    (:class:`_RunLawChunk` at a float gamma).  The L_out marginal is exact
-    (:func:`_output_length_law`) on 0..2 r_max.  The truncation error adds
+    (:class:`_RunLawChunk` at a float gamma); H(L_out), on 0..2 r_max, is a
+    closed form (:func:`_output_length_entropy`).  The truncation error adds
     to the dropped tail the certified bound on the table's trimmed mass D:
     the p_r-weighted entropies move by at most
     D (log2(2 r_max + 1) - log2 D + log2 e), the logs taken apart so that a
@@ -537,12 +540,11 @@ def _run_law_values(gammas, d: float, i: float, cfg: SeriesConfig) -> _RunLawChu
     bit.  Over an array every gamma keeps its own r_max and the sums of its
     scalar evaluation; only their rounding differs (within 1e-13, tested).
     With R the largest r_max, the joint part is the (G x R) matrix of p_r,
-    zero past each row's r_max, times the row entropies, the -log2 p_r part
-    taken through the same matrix as
-    -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; the L_out marginal is
-    exact on each row's own 0..2 r_max.  The temporaries hold G (2R + 1)
-    cells.  The parts that depend on the gammas and ``cfg`` alone are
-    :func:`_chunk_weights`.
+    zero past each row's r_max and the largest temporary, times the row
+    entropies, the -log2 p_r part taken through the same matrix as
+    -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; H(L_out) is
+    :func:`_output_length_entropy` on each row's own 0..2 r_max.  The parts
+    that depend on the gammas and ``cfg`` alone are :func:`_chunk_weights`.
     """
     return _RunLawChunk(gammas, d, i, cfg)
 
@@ -552,7 +554,7 @@ class _ChunkWeights(NamedTuple):
     the gammas and the :class:`SeriesConfig` alone, not on the channel."""
 
     size: int  # the largest r_max
-    beyond: np.ndarray  # (G, 2 size + 1): output lengths past each row's 2 r_max
+    r_max: np.ndarray  # (G,): each gamma's r_max
     p: np.ndarray  # (G, size): p_r = gamma**(r-1) (1 - gamma), zero past each row's r_max
     log_p: np.ndarray  # (G,): sum_r p_r log2 p_r
 
@@ -570,12 +572,11 @@ def _chunk_weights(gammas: np.ndarray, cfg: SeriesConfig) -> _ChunkWeights:
     r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
     size = int(r_max.max())
     column = gammas[:, None]
-    beyond = np.arange(2 * size + 1) > 2 * r_max[:, None]
     k = np.arange(size)
     p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
     p = np.where(k >= r_max[:, None], 0.0, p)
     log_p = np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k)
-    return _ChunkWeights(size, beyond, p, log_p)
+    return _ChunkWeights(size, r_max, p, log_p)
 
 
 @functools.lru_cache(maxsize=64)
@@ -598,9 +599,8 @@ class _RunLawChunk:
             return
         self._step = _step_law(d, i)
         if self._array:
-            self.size, beyond, self._p, self._log_p = _chunk_weights(gammas, cfg)
-            law = _output_length_law(gammas[:, None], self._step, 2 * self.size)
-            self._h_marg = _entropy_bits(np.where(beyond, 0.0, law))
+            self.size, r_max, self._p, self._log_p = _chunk_weights(gammas, cfg)
+            self._h_marg = _output_length_entropy(gammas, self._step, 2 * r_max)
         else:  # the sums are taken by _from_rows, which a scalar chunk calls once
             self.size = _r_truncation(gammas, cfg)
         self.kernel = _row_kernel(self._step)
@@ -665,10 +665,9 @@ class _RunLawChunk:
         if self._array:
             return self._from_joint(self._p @ rows)
         gamma, k = self._gammas, np.arange(self.size)
-        h_marg = float(_entropy_bits(_output_length_law(gamma, self._step, 2 * self.size)))
         joint = rows - (math.log2(1.0 - gamma) + k * math.log2(gamma))  # H(row_r) - log2 p_r
         joint *= (1.0 - gamma) * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
-        return max(float(joint.sum()) - h_marg, 0.0)
+        return max(float(joint.sum()) - _output_length_entropy(gamma, self._step, 2 * self.size), 0.0)
 
     def _from_joint(self, joint: np.ndarray) -> np.ndarray:
         """An array chunk's values from sum_r p_r H_r."""
@@ -884,7 +883,7 @@ def _lb2_terms(i, alpha, gamma, run: _Term | None) -> list:
 
 def _delins_terms(d, i, alpha, gamma, run: _Term | None) -> list:
     q = markov_q(gamma, d)
-    ip = i / (1.0 - d)
+    ip = ChannelParams(d=d, i=i).i_prime
     scale = 1.0 - d + i  # output symbols per input bit
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
@@ -996,7 +995,7 @@ class BoundGrid:
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when its row-bounded
         ceiling shows that no value there exceeds ``beat``; the table grows
-        only in the first case, and both take the chunk's one marginal and
+        only in the first case, and both take the chunk's one H(L_out) and
         p_r matrix."""
         if self._run_law is None:
             return self._assemble(chunk, None)

@@ -69,8 +69,8 @@ class ChannelParams:
 
     @property
     def i_prime(self) -> float:
-        """Insertion rate of the equivalent cascade second stage, i / (1 - d)."""
-        return self.i / (1.0 - self.d)
+        """Cascade second-stage insertion rate i / (1 - d), at most 1 (d + i = 1 may round above)."""
+        return min(self.i / (1.0 - self.d), 1.0)
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 199
 _GRID = np.array([min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)])
 _GRID.flags.writeable = False
-# Cap on the padded cells of a chunk's largest temporary, its G x (2 r_max + 1)
-# output-length laws: 32 KiB.
+# Cap on a chunk's G x (2 r_max + 1), r_max its top point's: twice its p_r matrix.
 _CHUNK_CELLS = 4096
 
 

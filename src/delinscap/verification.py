@@ -179,6 +179,8 @@ def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
         ("insertion_lb2_i0.2", lambda c: ab.lb2_insertion(0.2, 0.8, 0.55, c)),
         ("delins_d0.1_i0.1", lambda c: ab.lb_delins(0.1, 0.1, 0.8, 0.655, c, diagnostics=False)),
         ("delins_d0.2_i0.2", lambda c: ab.lb_delins(0.2, 0.2, 0.5, 0.7, c, diagnostics=False)),
+        ("deletion_d0.9_g0.99", lambda c: ab.lb_deletion(0.9, 0.99, c, diagnostics=False)),
+        ("delins_d0.7_i0.05_g0.98", lambda c: ab.lb_delins(0.7, 0.05, 0.8, 0.98, c, diagnostics=False)),
     ]
     checks = _Checks()
     for name, fn in cases:

@@ -10,7 +10,10 @@ before the closed form replaced them, and are kept as independent oracles.
 stationary law ``analytic_bounds.stationary_iy`` gives in closed form.
 ``reference_row_entropies`` is the run-length row table's earlier block loop,
 which the lean loop of ``analytic_bounds._row_entropies`` must match bit for
-bit.
+bit.  ``output_length_law`` and ``entropy_bits`` build the output-length law
+of a geometric run cell by cell and sum its entropy, which the closed form
+``analytic_bounds._output_length_entropy`` replaced;
+``output_length_entropy_mpmath`` sums that entropy at 50 digits.
 
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
@@ -240,6 +243,79 @@ def reference_row_entropies(kernel, r_max):
         lost[r0:r0 + block] = dropped
         row = rows[-1]
     return h[:r_max], float(lost[r_max - 1])
+
+
+# ---------------------------------------------------------------------------
+# output-length law of a geometric run, cell by cell
+# ---------------------------------------------------------------------------
+
+def output_length_law(gamma, step, s_max):
+    """Exact P(L_out = s), s = 0..s_max, for a geometric input run whose bits
+    each contribute 0, 1 or 2 output bits with probabilities
+    ``step`` = (d, 1-d-i, i); ``gamma`` is a float, or a (G, 1) column of
+    them for one law per row.  The run-length term took its H(L_out) from
+    this law until the closed form ``analytic_bounds._output_length_entropy``
+    replaced it.
+
+    The generating function is (1-gamma) phi(z) / (1 - gamma phi(z)) with
+    phi(z) = d + (1-d-i) z + i z**2.  Writing 1 - gamma phi(z) as
+    c0 (1 - a z)(1 - b z) with a >= -b >= 0 gives P(0) = (1-gamma) d / c0 and
+    P(s) = (1-gamma) (a**(s+1) - b**(s+1)) / (gamma c0 (a - b)) for s >= 1.
+    The difference is taken as a**n (1 - (b/a)**n) with
+    log|b/a| = log1p(-2 (a + b) / (a - b)), which stays accurate when |b| is
+    close to a and makes odd lengths exactly zero-mass when d + i = 1
+    (a + b = 0).  Where x = -1, b is too small against a to show: log1p(x)
+    is then -inf and both correction factors are exactly 1.
+    """
+    d, keep, i = step
+    gb = 1.0 - gamma
+    c0 = 1.0 - gamma * d
+    a_plus_b = gamma * keep / c0
+    a_minus_b = np.sqrt(a_plus_b * a_plus_b + 4.0 * gamma * i / c0)
+    n = np.arange(1.0, s_max + 2.0)  # s + 1
+    law = np.power((a_plus_b + a_minus_b) / 2.0, n)
+    law *= gb / (gamma * c0 * a_minus_b)
+    if i > 0.0:
+        with np.errstate(divide="ignore"):
+            n = n * np.log1p(-2.0 * a_plus_b / (a_plus_b + a_minus_b))  # n log|b/a|
+        law[..., 0::2] *= 1.0 + np.exp(n[..., 0::2])  # (b/a)**n = -|b/a|**n for odd n
+        law[..., 1::2] *= -np.expm1(n[..., 1::2])
+    law[..., :1] = gb * d / c0
+    return law
+
+
+def entropy_bits(law):
+    """Entropy in bits of the positive entries of ``law``, along its last axis.
+    A single law is summed over its positive entries alone; the rows of a
+    matrix keep their zeros."""
+    if law.ndim == 1:
+        law = law[law > 0.0]
+        h = np.log2(law)
+    else:  # zeros add 0 x log2(tiny) = 0
+        h = np.log2(np.maximum(law, ab._TINY))
+    h *= law
+    return -h.sum(axis=-1)
+
+
+def output_length_entropy_mpmath(gamma, d, i, s_max, dps=50):
+    """Entropy in bits of P(L_out = s), s = 0..s_max, at ``dps`` digits.
+
+    The law is rebuilt from the channel parameters, with 1 - d - i taken
+    exactly, by the recurrence of its generating function
+    F = (1-gamma) phi + gamma phi F, phi(z) = d + (1-d-i) z + i z**2:
+    (1 - gamma d) P(s) = (1-gamma) phi_s + gamma ((1-d-i) P(s-1) + i P(s-2))."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g, d, i = (mpmath.mpf(x) for x in (gamma, d, i))
+        phi = (d, 1 - d - i, i)
+        c0 = 1 - g * d
+        law, prev, prev2 = [], mpmath.mpf(0), mpmath.mpf(0)
+        for s in range(s_max + 1):
+            p = (g * (phi[1] * prev + i * prev2) + ((1 - g) * phi[s] if s < 3 else 0)) / c0
+            law.append(p)
+            prev, prev2 = p, prev
+        return float(-mpmath.fsum(p * mpmath.ln(p) for p in law if p > 0) / mpmath.ln(2))
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def _truncated_marginal(gamma, d, i, r_max):
 
 
 def _exact_marginal(gamma, d, i, s_max):
-    return ab._output_length_law(gamma, (d, max(1.0 - d - i, 0.0), i), s_max)
+    return oracles.output_length_law(gamma, (d, max(1.0 - d - i, 0.0), i), s_max)
 
 
 def _clear_row_table(monkeypatch):
@@ -382,6 +382,75 @@ class TestRunLengthKernel:
             gap = _exact_marginal(gamma, d, i, 2 * r_max) - _truncated_marginal(gamma, d, i, r_max)
             assert gap.min() >= -1e-15
             assert gap.sum() <= gamma ** r_max + 1e-15
+
+
+# (d, i) of each law the closed-form H(L_out) is checked at: d + i = 1 has
+# t = -1 and zero-mass odd lengths; a subnormal d makes P(0) round to 0 at
+# gamma >= 1/2, a subnormal i makes b underflow against a
+_OUTPUT_LAWS = {
+    "deletion": (0.3, 0.0),
+    "duplication": (0.0, 0.4),
+    "delins": (0.2, 0.1),
+    "d_plus_i_one": (0.25, 0.75),
+    "subnormal_d": (5e-324, 0.2),
+    "subnormal_i": (0.3, 5e-324),
+}
+
+
+class TestOutputLengthEntropy:
+    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("law", sorted(_OUTPUT_LAWS))
+    def test_matches_mpmath_truncated_entropy(self, law, gamma):
+        # the truncated H(L_out) of the run-length term, s = 0..2 r_max, with
+        # r_max capped at 10 000 rows from gamma = 0.9972 up
+        d, i = _OUTPUT_LAWS[law]
+        s_max = 2 * ab._r_truncation(gamma, ab.SeriesConfig())
+        ref = oracles.output_length_entropy_mpmath(gamma, d, i, s_max)
+        step = ab._step_law(d, i)
+        scalar = ab._output_length_entropy(gamma, step, s_max)
+        array = ab._output_length_entropy(np.array([0.3, gamma]), step, np.array([16, s_max]))
+        assert type(scalar) is float
+        assert abs(scalar - ref) <= 1e-14 * max(1.0, ref)
+        assert abs(array[1] - ref) <= 1e-14 * max(1.0, ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(1e-6, 0.995), st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+    @example(0.995, 0.45, 0.55)  # t = -1 up to rounding
+    @example(0.995, 0.0, 0.999)  # |b| near 1: the correction series runs to s_max + 1
+    @example(1e-6, 0.2, 0.1)
+    @example(0.5, 5e-324, 0.0)
+    def test_matches_the_direct_sum(self, gamma, d, i):
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        assume(d + i > 0.0)
+        s_max = 2 * ab._r_truncation(gamma, ab.SeriesConfig())
+        step = ab._step_law(d, i)
+        direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, s_max)))
+        got = ab._output_length_entropy(gamma, step, s_max)
+        assert abs(got - direct) <= 1e-12 * max(1.0, direct)
+        rows = ab._output_length_entropy(np.array([gamma, gamma]), step, np.array([s_max, s_max + 7]))
+        assert abs(rows[0] - direct) <= 1e-12 * max(1.0, direct)
+
+    @pytest.mark.parametrize("d,i", [(0.95, 0.0), (0.7, 0.05)])
+    def test_cold_top_grid_chunk_builds_no_law(self, d, i):
+        # with the row table empty, a chunk takes its kept weights and its
+        # closed-form H(L_out): no (G, 2 R + 1) output-length law
+        import tracemalloc
+        from delinscap import gamma_optimizer as go
+
+        cfg = ab.SeriesConfig()
+        gammas = go._GRID[go._grid_chunks(cfg)[-1]]
+        ab._run_law_values(gammas, d, i, cfg)  # fills the grid chunk's weights
+        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
+        tracemalloc.start()
+        try:
+            run = ab._run_law_values(gammas, d, i, cfg)
+            assert run.floor() is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ab._ROW_ENTROPIES = saved
+        assert peak < gammas.size * (2 * run.size + 1) * 8
 
 
 def _convolution_row_entropies(kernel, r_max):
@@ -691,6 +760,16 @@ class TestBounds:
     def test_delins_rejects_incoherent_params(self):
         with pytest.raises(ValueError):
             ab.lb_delins(0.6, 0.5, 0.5, 0.5)
+
+    def test_delins_at_d_plus_i_one(self):
+        # i' = 0.2 / (1 - 0.8) rounds above 1; each analytic site takes it capped
+        from delinscap.gamma_optimizer import optimize_bound
+
+        for g in (0.3, 0.9, 0.999):
+            assert math.isfinite(ab.delins_ambiguity_credit(0.8, 0.2, 0.5, g))
+            assert math.isfinite(ab.closed_form_delins_S(g, 0.8, 0.2, 0.5))
+            assert math.isfinite(ab.lb_delins(0.8, 0.2, 0.5, g).bound_bits)
+        assert math.isfinite(optimize_bound("delins", d=0.8, i=0.2, alpha=0.5).bound_bits)
 
     def test_reduction_to_deletion(self):
         for d in (0.1, 0.3, 0.5):

@@ -133,6 +133,13 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_delins_grid_reaching_d_plus_i_one(self, tmp_path):
+        # i / (1 - d) = 0.2 / (1 - 0.8) rounds to 1.0000000000000002 unless capped at 1
+        out = tmp_path / "edge.csv"
+        assert main(["sweep", "--channel", "delins", "--d", "0.7,0.8", "--i", "0.2", "--alpha", "0.5",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 2
+
     def test_empty_grid_rejected_without_writing(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         with pytest.raises(SystemExit) as exc:

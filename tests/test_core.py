@@ -152,6 +152,7 @@ class TestParams:
     def test_i_prime(self):
         assert ChannelParams(d=0.2, i=0.1).i_prime == pytest.approx(0.125, abs=1e-15)
         assert ChannelParams(d=0.0, i=0.3).i_prime == 0.3
+        assert 0.2 / (1.0 - 0.8) > 1.0 and ChannelParams(d=0.8, i=0.2).i_prime == 1.0
 
     def test_entropy_term_validation(self):
         with pytest.raises(ValueError):
