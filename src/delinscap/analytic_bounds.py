@@ -28,7 +28,7 @@ array through numpy, elementwise.  Each bound's terms are listed once, in
 the order they are added (``_deletion_terms`` and its siblings); its
 ``lb_*`` turns them into :class:`~.core.EntropyTerm` records, and its array
 form, :class:`BoundGrid`, evaluates them over a whole array of gammas, the
-run-length term chunk by chunk.
+run-length term's row sums chunk by chunk, or sums them at one float gamma.
 
 The deletion bound also evaluates the two printed closed forms of its
 penalties, the deleted-run-count entropy and the run-length entropy, and
@@ -328,6 +328,8 @@ def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
 # a row are dropped before it seeds the next block.
 _ROW_BLOCK = 16
 _ROW_TRIM = 1e-30
+# Cap on a grid chunk's G x (2 r_max + 1) (twice its p_r matrix), and on a block of the H(L_out) series.
+_CHUNK_CELLS = 4096
 # Smallest normal double: zero entries are clipped to it before the log, so
 # they contribute exactly 0 to an entropy.
 _TINY = np.finfo(float).tiny
@@ -465,28 +467,39 @@ def _output_length_entropy(gamma, step: tuple[float, float, float], s_max):
     h = h - g_c * d * (xp.log2(g_c) + math.log2(d)) if d > 0.0 else h  # P(0) log2 P(0), 0 if it underflows
     if i == 0.0:
         return h
-    if array:
-        with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms
-            last = np.minimum(np.ceil(np.log(1e-18 * (1.0 + b) / (2.0 * k)) / np.log(-b)) - 1.0, s_max + 1)
-            log_t, log_a = np.log1p(-a_plus_b / a)[:, None], log_a[:, None]
-        top = int(last.max())
-    else:  # b = 0 where i underflows against a: no terms; with terms, |t| is well above 0
+    if not array:  # b = 0 where i underflows against a: no terms; with terms, |t| is well above 0
         top = min(math.ceil(math.log(1e-18 * (1.0 + b) / (2.0 * k)) / math.log(-b or _TINY)) - 1, s_max + 1)
         log_t = math.log1p(-a_plus_b / a) if top >= 2 else 0.0
-    if not array and top <= 40:  # a short series costs less as a loop than as numpy calls
-        for m in range(2, top + 1):
+        if top > 40:
+            return h - k * float(_series_terms(log_t, log_a, np.arange(2.0, top + 1.0)).sum())
+        for m in range(2, top + 1):  # a short series costs less as a loop than as numpy calls
             w = 1.0 + math.exp(m * log_t) if m % 2 else -math.expm1(m * log_t)
             h -= k * math.exp(m * log_a) * w * math.log2(w) if w > 0.0 else 0.0
         return h
-    m = np.arange(2.0, top + 1.0)
+    with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms
+        last = np.minimum(np.ceil(np.log(1e-18 * (1.0 + b) / (2.0 * k)) / np.log(-b)) - 1.0, s_max + 1)
+        log_t = np.log1p(-a_plus_b / a)
+    # Fixed column blocks, 16 wide then doubling up to _CHUNK_CELLS, each over
+    # the rows it reaches in groups of at most _CHUNK_CELLS cells: the
+    # temporaries stay small, and each gamma's bits do not depend on the others.
+    series, m0, width, top = np.zeros(gamma.shape), 2, 16, last.max()
+    while m0 <= top:
+        m, rows, n = np.arange(m0, m0 + width, dtype=float), np.flatnonzero(last >= m0), _CHUNK_CELLS // width
+        for sel in (rows[r:r + n] for r in range(0, rows.size, n)):
+            terms = _series_terms(log_t[sel, None], log_a[sel, None], m)
+            terms[m > last[sel, None]] = 0.0
+            series[sel] += terms.sum(axis=1)
+        m0, width = m0 + width, min(2 * width, _CHUNK_CELLS)
+    return h - k * series
+
+
+def _series_terms(log_t, log_a, m: np.ndarray) -> np.ndarray:
+    """a**m (1 - t**m) log2(1 - t**m) at each m, an even m first; log_t = log|t|."""
     e = log_t * m  # m log|t|
     w = np.exp(e)  # 1 - t**m, t**m = (-1)**m |t|**m
     w[..., 0::2] = -np.expm1(e[..., 0::2])
     w[..., 1::2] += 1.0
-    terms = np.exp(log_a * m) * w * np.log2(np.maximum(w, _TINY))
-    if array:
-        terms[m > last[:, None]] = 0.0
-    return h - k * (terms.sum(axis=1) if array else float(terms.sum()))
+    return np.exp(log_a * m) * w * np.log2(np.maximum(w, _TINY))
 
 
 def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: str) -> EntropyTerm:
@@ -532,9 +545,10 @@ def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
 
 def _run_law_values(gammas, d: float, i: float, cfg: SeriesConfig) -> _RunLawChunk:
     """The value of :func:`_run_law_entropy` at a float gamma, or at each
-    gamma of a 1-D array, everything but the row entropies computed:
-    :meth:`_RunLawChunk.values` gives the values, :meth:`_RunLawChunk.floor`
-    a lower bound on them from the rows the table already holds.
+    gamma of a 1-D array, everything but the row entropies and an array's
+    H(L_out) computed: :meth:`_RunLawChunk.values` gives the values,
+    :meth:`_RunLawChunk.floor` a lower bound on them from the rows the table
+    already holds.
 
     At a float gamma the sums are those of :func:`_run_law_entropy`, bit for
     bit.  Over an array every gamma keeps its own r_max and the sums of its
@@ -542,9 +556,10 @@ def _run_law_values(gammas, d: float, i: float, cfg: SeriesConfig) -> _RunLawChu
     With R the largest r_max, the joint part is the (G x R) matrix of p_r,
     zero past each row's r_max and the largest temporary, times the row
     entropies, the -log2 p_r part taken through the same matrix as
-    -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; H(L_out) is
-    :func:`_output_length_entropy` on each row's own 0..2 r_max.  The parts
-    that depend on the gammas and ``cfg`` alone are :func:`_chunk_weights`.
+    -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; H(L_out), on each
+    row's own 0..2 r_max, is passed to ``values`` and ``floor`` by a caller
+    that has it (:class:`BoundGrid`), else computed there.  The parts that
+    depend on the gammas and ``cfg`` alone are :func:`_chunk_weights`.
     """
     return _RunLawChunk(gammas, d, i, cfg)
 
@@ -587,6 +602,14 @@ def _fixed_chunk_weights(cfg: SeriesConfig, gammas: tuple[float, ...]) -> _Chunk
     return weights
 
 
+@functools.lru_cache(maxsize=4)
+def _r_maxes(cfg: SeriesConfig, gammas: tuple[float, ...]) -> np.ndarray:
+    """Each gamma's r_max, kept, read-only, per (``cfg``, gammas)."""
+    r_max = np.array([_r_truncation(g, cfg) for g in gammas])
+    r_max.flags.writeable = False
+    return r_max
+
+
 class _RunLawChunk:
     """H(L_X | L_out) at a float gamma or over a 1-D array of gammas
     (:func:`_run_law_values`)."""
@@ -599,19 +622,18 @@ class _RunLawChunk:
             return
         self._step = _step_law(d, i)
         if self._array:
-            self.size, r_max, self._p, self._log_p = _chunk_weights(gammas, cfg)
-            self._h_marg = _output_length_entropy(gammas, self._step, 2 * r_max)
+            self.size, self._r_max, self._p, self._log_p = _chunk_weights(gammas, cfg)
         else:  # the sums are taken by _from_rows, which a scalar chunk calls once
             self.size = _r_truncation(gammas, cfg)
         self.kernel = _row_kernel(self._step)
 
-    def values(self):
-        """The values, the row table grown to the chunk's largest r_max."""
+    def values(self, h_out=None):
+        """The values, the table grown to the largest r_max; ``h_out``: an array's H(L_out), if known."""
         if not self.size:
             return self._zero
-        return self._from_rows(_row_entropies(self.kernel, self.size)[0])
+        return self._from_rows(_row_entropies(self.kernel, self.size)[0], h_out)
 
-    def floor(self):
+    def floor(self, h_out=None):
         """A lower bound on :meth:`values`, element by element, from the R
         rows the table holds now; None when R = 0 or R covers the chunk.
 
@@ -658,20 +680,22 @@ class _RunLawChunk:
             rows[held:] = h[-1] - margin
             return self._from_rows(rows)
         rows[held:] = h[-1]
-        return self._from_joint(self._p @ rows - margin)
+        return self._from_joint(self._p @ rows - margin, h_out)
 
-    def _from_rows(self, rows: np.ndarray):
+    def _from_rows(self, rows: np.ndarray, h_out=None):
         """The values from the row entropies H_r, r = 1..size."""
         if self._array:
-            return self._from_joint(self._p @ rows)
+            return self._from_joint(self._p @ rows, h_out)
         gamma, k = self._gammas, np.arange(self.size)
         joint = rows - (math.log2(1.0 - gamma) + k * math.log2(gamma))  # H(row_r) - log2 p_r
         joint *= (1.0 - gamma) * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
         return max(float(joint.sum()) - _output_length_entropy(gamma, self._step, 2 * self.size), 0.0)
 
-    def _from_joint(self, joint: np.ndarray) -> np.ndarray:
+    def _from_joint(self, joint: np.ndarray, h_out) -> np.ndarray:
         """An array chunk's values from sum_r p_r H_r."""
-        return np.maximum(joint - self._log_p - self._h_marg, 0.0)
+        if h_out is None:
+            h_out = _output_length_entropy(self._gammas, self._step, 2 * self._r_max)
+        return np.maximum(joint - self._log_p - h_out, 0.0)
 
 
 def _run_tail_bound(gamma: float, r_max: int) -> float:
@@ -957,68 +981,72 @@ class BoundGrid:
     """A bound at every gamma of a fixed 1-D array: the array form of its
     ``lb_*``, made of the same terms added in the same order (no validation,
     no diagnostics, no truncation errors).  ``terms_at`` lists the terms at
-    a float gamma or an array, with None for the run-length term, and
-    ``run_law`` gives that term's :class:`_RunLawChunk` at either.
+    a float gamma or an array, with None for the run-length term, whose
+    (d, i, cfg) is ``run``; ``_run_law`` gives its :class:`_RunLawChunk`.
 
-    The closed-form terms are taken once over the whole array, where a numpy
-    call costs about the same for 1 gamma as for 199; the run-length term,
-    whose row table and temporaries grow with the largest r_max, is taken
-    chunk by chunk (:meth:`values`).  The values agree with the ``lb_*``
-    within 1e-13 (tested).  ``ceilings``, the source and credit terms summed
-    from the same arrays, is at least every value, bit for bit; at a float
-    gamma it is the float ceiling of the ``lb_*``, its own terms summed.  A
-    read-only array is a fixed grid, whose chunks' gamma-only weights are
-    kept (:func:`_chunk_weights`).
+    The closed-form terms, the run-length term's H(L_out) among them, are
+    taken once over the whole array, where a numpy call costs about the same
+    for 1 gamma as for 199; the rest of the run-length term, whose row table
+    and p_r matrix grow with the largest r_max, chunk by chunk
+    (:meth:`values`).  The values agree with the ``lb_*`` within 1e-13
+    (tested), and :meth:`at` is its bound at a float gamma, bit for bit.
+    ``ceilings``, the source and credit terms summed from the same arrays,
+    is at least every value, bit for bit; at a float gamma it is the float
+    ceiling of the ``lb_*``, its own terms summed.  A read-only array is a
+    fixed grid, whose chunks' gamma-only weights are kept
+    (:func:`_chunk_weights`).
 
     :meth:`values` given a value to ``beat`` first tries a second ceiling,
-    the row-bounded one, when the chunk needs rows the table lacks.  The
-    row entropies H_r never decrease in r (H(X + Y) >= H(X) for independent
-    X and Y; M. Madiman, "On the entropy of sums", ITW 2008), so the R rows
-    held, with H_R for every row past them, lower the run-length penalty.
-    The p_r-weighted row sum is then lowered by M = 3 (n u log2(cells) +
-    delta), n the chunk's largest r_max, u = 2**-53, cells the most cells
-    of a row and delta the table's trimming bound: that covers the rounding
-    of this product and of the full one and the trimming of both rows
-    (:meth:`_RunLawChunk.floor`), so the bound on the result is at least
-    every value of the chunk, bit for bit.  :meth:`rules_out` runs the same
-    test at one float gamma against the ``lb_*`` itself.
+    the row-bounded one, when the chunk needs rows the table lacks: the
+    bound with the run-length entropy's floor from the rows held
+    (:meth:`_RunLawChunk.floor`), which is at least every value of the
+    chunk, bit for bit.  :meth:`rules_out` runs the same test at one float
+    gamma against :meth:`at`.
     """
 
-    def __init__(self, gammas, terms_at, run_law=None) -> None:
+    def __init__(self, gammas, terms_at, run: tuple[float, float, SeriesConfig] | None = None) -> None:
         terms = terms_at(gammas)
         k = terms.index(None) if None in terms else len(terms)
         self.gammas = gammas
         self.ceilings = _ceiling(terms)
-        self._head, self._tail, self._run_law = _signed_sum(terms[:k]), terms[k + 1:], run_law
-        self._terms_at = terms_at
+        self._head, self._tail, self._terms_at = _signed_sum(terms[:k]), terms[k + 1:], terms_at
+        self._run_law = self._h_out = None
+        if run is not None:
+            d, i, cfg = run
+            self._run_law = lambda g: _run_law_values(g, d, i, cfg)
+            if isinstance(gammas, np.ndarray):  # H(L_out) on each gamma's own 0..2 r_max
+                self._h_out = _output_length_entropy(gammas, _step_law(d, i), 2 * _r_maxes(cfg, tuple(gammas.tolist())))
 
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when its row-bounded
         ceiling shows that no value there exceeds ``beat``; the table grows
-        only in the first case, and both take the chunk's one H(L_out) and
-        p_r matrix."""
+        only in the first case, and both take the chunk's one p_r matrix."""
         if self._run_law is None:
             return self._assemble(chunk, None)
-        run = self._run_law(self.gammas[chunk])
-        if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
+        run, h_out = self._run_law(self.gammas[chunk]), self._h_out[chunk]
+        if (floor := run.floor(h_out)) is not None and np.max(self._assemble(chunk, floor)) <= beat:
             return None
-        return self._assemble(chunk, run.values())
+        return self._assemble(chunk, run.values(h_out))
+
+    def at(self, gamma: float, run: float | None = None) -> float:
+        """The bound at the float ``gamma``: the ``lb_*``'s own terms summed
+        by the same :func:`_signed_sum`, so its ``bound_bits`` bit for bit;
+        with ``run``, if given, as H(L_X | L_out) in place of the value."""
+        terms = self._terms_at(gamma)
+        if self._run_law is not None:
+            run = self._run_law(gamma).values() if run is None else run
+            terms[terms.index(None)] = _run_length_term(gamma, run, 0.0)
+        return _signed_sum(terms)
 
     def rules_out(self, gamma: float, beat: float) -> bool:
-        """Whether the row-bounded ceiling shows that the ``lb_*`` at the
-        float ``gamma`` is at most ``beat``; False when the table holds every
-        row ``gamma`` needs, and the table does not grow.
-
-        The terms are the ``lb_*``'s own at ``gamma``, summed by the same
-        :func:`_signed_sum`, with the run-length term built on the float
-        floor of :meth:`_RunLawChunk.floor`, which is at most the ``lb_*``'s
-        run-length entropy bit for bit; the sum is monotone in it, so it is
-        a ceiling on the ``lb_*`` bit for bit."""
+        """Whether the row-bounded ceiling shows that the bound at the float
+        ``gamma`` is at most ``beat``: :meth:`at` on the float floor of
+        :meth:`_RunLawChunk.floor`, at most the ``lb_*``'s run-length entropy
+        bit for bit, is monotone in it.  False, and the table does not grow,
+        when the table holds every row ``gamma`` needs."""
         if self._run_law is None or (floor := self._run_law(gamma).floor()) is None:
             return False
-        terms = self._terms_at(gamma)
-        terms[terms.index(None)] = _run_length_term(gamma, floor, 0.0)
-        return _signed_sum(terms) <= beat
+        return self.at(gamma, floor) <= beat
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:
         """The terms at ``gammas[chunk]`` added in order, with ``run`` as
@@ -1034,8 +1062,7 @@ class BoundGrid:
 
 def lb_deletion_grid(d: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb_deletion` over ``gammas``."""
-    cfg = cfg or SeriesConfig()
-    return BoundGrid(gammas, lambda g: _deletion_terms(d, g, None), lambda g: _run_law_values(g, d, 0.0, cfg))
+    return BoundGrid(gammas, lambda g: _deletion_terms(d, g, None), (d, 0.0, cfg or SeriesConfig()))
 
 
 def lb1_insertion_grid(i: float, alpha: float, gammas: np.ndarray) -> BoundGrid:
@@ -1045,13 +1072,10 @@ def lb1_insertion_grid(i: float, alpha: float, gammas: np.ndarray) -> BoundGrid:
 
 def lb2_insertion_grid(i: float, alpha: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb2_insertion` over ``gammas``."""
-    cfg = cfg or SeriesConfig()
-    return BoundGrid(gammas, lambda g: _lb2_terms(i, alpha, g, None), lambda g: _run_law_values(g, 0.0, i, cfg))
+    return BoundGrid(gammas, lambda g: _lb2_terms(i, alpha, g, None), (0.0, i, cfg or SeriesConfig()))
 
 
 def lb_delins_grid(d: float, i: float, alpha: float, gammas: np.ndarray,
                    cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb_delins` over ``gammas``."""
-    cfg = cfg or SeriesConfig()
-    return BoundGrid(gammas, lambda g: _delins_terms(d, i, alpha, g, None),
-                     lambda g: _run_law_values(g, d, i, cfg))
+    return BoundGrid(gammas, lambda g: _delins_terms(d, i, alpha, g, None), (d, i, cfg or SeriesConfig()))

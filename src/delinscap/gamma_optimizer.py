@@ -10,11 +10,14 @@ the objective actually produced at the returned point, never an interpolant.
 The coarse grid is evaluated as arrays, not point by point: a numpy call
 costs about as much for one gamma as for a hundred, so a scalar ``lb_*``
 call is nearly all per-call overhead.  A bound's array form
-(:class:`~.analytic_bounds.BoundGrid`) takes its closed-form terms over all
-199 points at once and its run-length term in fixed ascending chunks of the
-grid (:func:`_grid_chunks`), each small enough that the row table and the
-temporaries grow only as far as the chunks evaluated need.  Golden section
-then refines with scalar ``lb_*`` calls.
+(:class:`~.analytic_bounds.BoundGrid`) takes its closed-form terms, H(L_out)
+included, over all 199 points at once and the rest of its run-length term
+in fixed ascending chunks of the grid (:func:`_grid_chunks`), each small
+enough that the row table and the temporaries grow only as far as the
+chunks evaluated need.  Golden section then refines through its float
+form (:meth:`~.analytic_bounds.BoundGrid.at`), the ``lb_*``'s bound bit for
+bit without the checks, records and error bounds the search would discard:
+the ``lb_*`` runs once per solve, at gamma*, for the report.
 
 The chunks are pruned by branch and bound, with two ceilings.  Every
 penalty is a conditional entropy, so a bound's source-plus-credit sum is an
@@ -27,7 +30,7 @@ less a stated rounding margin.  The entropy of a sum of independent steps
 never decreases as steps are added (M. Madiman, "On the entropy of sums",
 ITW 2008), so that is a ceiling too, and a chunk it rules out is skipped
 before the table grows.  Golden section uses the same ceiling on its upper
-probes, at one gamma against the scalar ``lb_*``: it only compares the two
+probes, at one gamma: it only compares the two
 probes' values (J. Kiefer, "Sequential minimax search for a maximum",
 1953), so an upper probe whose ceiling cannot beat the lower one's value
 is dropped unevaluated.  A search thus builds the rows its exact
@@ -55,6 +58,7 @@ from .analytic_bounds import (
     BoundGrid,
     BoundResult,
     SeriesConfig,
+    _CHUNK_CELLS,
     _r_truncation,
     _row_table_size,
     lb_deletion,
@@ -66,6 +70,7 @@ from .analytic_bounds import (
     lb_delins,
     lb_delins_grid,
 )
+from .core import ChannelParams
 
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
            "channel_bounds", "best_key", "sweep"]
@@ -76,8 +81,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 199
 _GRID = np.array([min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)])
 _GRID.flags.writeable = False
-# Cap on a chunk's G x (2 r_max + 1), r_max its top point's: twice its p_r matrix.
-_CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -206,21 +209,19 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     chunk it rules out is skipped with its rows never built.
 
     Golden section keeps a lower probe x1 < x2 and evaluates its upper probe
-    x2 only to compare f2 with f1: f1 >= f2 drops x2, else x1.  Before an
-    upper probe is evaluated, ``rules_out(x2, beat)`` tries the row-bounded
-    ceiling at x2 (:meth:`~.analytic_bounds.BoundGrid.rules_out`), with the
-    terms of the scalar ``lb_*`` and, past the R rows held, H_R - M in place
-    of each row entropy, which puts the ceiling at or above f2 bit for bit.
-    If it holds, f2 <= beat is certain and f2 is taken as -inf unevaluated,
-    so the table does not grow.  For the first upper probe beat = f1; then
-    f2 <= f1 takes the branch f1 >= f2 that drops x2, ties included, as the
-    real f2 would, and the first pair is never compared with the best
-    value.  A later upper probe's f2 is compared with the best value, and
-    f1 may exceed it, since f1 may be a first-pair value carried along;
-    there beat = min(f1, best), so the best point is not moved either.
-    Lower probes are never tested: each lies below a point already
-    evaluated, so the table already holds its rows.  Every step, the best
-    point and its value are the unpruned search's, bit for bit.
+    x2 only to compare f2 with f1: f1 >= f2 drops x2, else x1.  Every value
+    evaluated, the first pair's included, is compared with the best value,
+    a tie never displacing the earlier argmax, so the best value is at
+    least f1.  Before an upper probe is evaluated, ``rules_out(x2, f1)``
+    tries the row-bounded ceiling at x2
+    (:meth:`~.analytic_bounds.BoundGrid.rules_out`), which is at or above
+    f2 bit for bit.  If it holds, f2 <= f1 is certain and f2 is taken as
+    -inf unevaluated, so the table does not grow: f2 <= f1 takes the branch
+    f1 >= f2 that drops x2, ties included, as the real f2 would, and cannot
+    move the best point.  Lower probes are never tested: each lies below a
+    point already evaluated, so the table already holds its rows.  Every
+    step, the best point and its value are the unpruned search's, bit for
+    bit.
 
     With the ``delinscap`` logger at DEBUG, the search logs one record at its
     end: grid points and chunks evaluated and skipped (by either ceiling),
@@ -264,30 +265,28 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     x2 = a + _INVPHI * (c - a)
     probe_skips = 0
 
-    def upper(x: float, beat: float) -> float:
-        """The objective at the upper probe ``x``, or -inf if it is ruled out
-        as at most ``beat``."""
-        nonlocal probe_skips
-        if grid.rules_out(x, beat):
+    def probe(x: float, beat: float = -math.inf) -> float:
+        """The objective at ``x``, taken as the best if it is, or -inf if ruled out as at most ``beat``."""
+        nonlocal best_g, best_v, probe_skips
+        if beat > -math.inf and grid.rules_out(x, beat):
             probe_skips += 1
             return -math.inf
-        return safe_eval(x)
+        v = safe_eval(x)
+        if v > best_v:
+            best_g, best_v = x, v
+        return v
 
-    f1 = safe_eval(x1)
-    f2 = upper(x2, f1)
+    f1 = probe(x1)
+    f2 = probe(x2, f1)
     while c - a > tol:
         if f1 >= f2:
             c, x2, f2 = x2, x1, f1
             x1 = c - _INVPHI * (c - a)
-            f1 = safe_eval(x1)
-            if f1 > best_v:
-                best_g, best_v = x1, f1
+            f1 = probe(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (c - a)
-            f2 = upper(x2, min(f1, best_v))
-            if f2 > best_v:
-                best_g, best_v = x2, f2
+            f2 = probe(x2, f1)
     # Until something imports logging, no handler exists for a record to reach;
     # importing it here would add ~0.5 MiB and a few ms to every start-up.
     if (logging := sys.modules.get("logging")) is not None:
@@ -308,12 +307,13 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     ``channel`` is one of ``deletion``, ``insertion_lb1``, ``insertion_lb2``
     or ``delins``.
     """
+    ChannelParams(d=d, i=i, alpha=alpha)  # before the grid, which takes them unchecked
     bound = _lookup(_BOUNDS, channel)
     cfg = cfg or SeriesConfig()
     # the printed form goes point by point, with no ceiling: a printed penalty may be negative
     grid = None if use_printed_hs2 else bound.grid(d, i, alpha, _GRID, cfg)
-    gamma_star, _ = maximize_over_gamma(
-        lambda g: bound.evaluate(d, i, alpha, g, cfg, False, use_printed_hs2).bound_bits, tol, grid=grid, cfg=cfg)
+    objective = grid.at if grid is not None else lambda g: bound.evaluate(d, i, alpha, g, cfg, False, True).bound_bits
+    gamma_star, _ = maximize_over_gamma(objective, tol, grid=grid, cfg=cfg)
     return bound.evaluate(d, i, alpha, gamma_star, cfg, True, use_printed_hs2)
 
 

@@ -64,6 +64,41 @@ class TestMaximize:
         maximize_over_gamma(fn)
         assert min(seen) >= GAMMA_MIN and max(seen) <= GAMMA_MAX
 
+    @pytest.mark.parametrize("probe", [0, 1])
+    def test_best_point_of_the_first_golden_section_pair_is_returned(self, probe):
+        # grid argmax 0.5, bracket [0.495, 0.505]; a spike at one probe of the
+        # first pair that no later probe comes near
+        a, c = float(go._GRID[98]), float(go._GRID[100])
+        x = (c - go._INVPHI * (c - a), a + go._INVPHI * (c - a))[probe]
+        assert maximize_over_gamma(lambda g: 1.0 if g == x else -(g - 0.5) ** 2) == (x, 1.0)
+
+    def test_returns_the_largest_value_evaluated(self):
+        # at this point the first lower probe's value stays above the best for three steps
+        grid = _Recording(go._BOUNDS["delins"].grid(0.8, 0.05, 0.9, go._GRID, ab.SeriesConfig()))
+        g, v = maximize_over_gamma(grid.at, grid=grid)
+        assert v == max(grid.seen) and grid.at(g) == v
+        assert repr(optimize_bound("delins", d=0.8, i=0.05, alpha=0.9).gamma_star) == repr(g)
+
+
+class _Recording:
+    """A :class:`~delinscap.analytic_bounds.BoundGrid` that records every
+    value its grid form and its float form return."""
+
+    def __init__(self, grid):
+        self._grid, self.ceilings, self.seen = grid, grid.ceilings, []
+
+    def values(self, chunk, beat):
+        values = self._grid.values(chunk, beat)
+        self.seen += [] if values is None else values.tolist()
+        return values
+
+    def rules_out(self, gamma, beat):
+        return self._grid.rules_out(gamma, beat)
+
+    def at(self, gamma):
+        self.seen.append(self._grid.at(gamma))
+        return self.seen[-1]
+
 
 class TestOptimizeBound:
     def test_deletion_identity(self):
@@ -90,6 +125,19 @@ class TestOptimizeBound:
     def test_unknown_channel(self):
         with pytest.raises(ValueError):
             optimize_bound("bogus")
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("insertion_lb1", {"i": 1.2, "alpha": 0.5}, "insertion probability i=1.2 must be in [0, 1)"),
+        ("insertion_lb1", {"i": 0.3, "alpha": 1.5}, "duplication fraction alpha=1.5 must be in [0, 1]"),
+        ("delins", {"d": 0.3, "i": 0.3, "alpha": -0.5}, "duplication fraction alpha=-0.5 must be in [0, 1]"),
+        ("deletion", {"d": math.nan}, "deletion probability d=nan must be in [0, 1)"),
+        ("insertion_lb2", {"i": math.nan, "alpha": 0.8}, "insertion probability i=nan must be in [0, 1)"),
+        ("delins", {"d": 0.1, "i": 0.1, "alpha": math.nan}, "duplication fraction alpha=nan must be in [0, 1]"),
+    ])
+    def test_parameters_are_checked_before_the_grid(self, name, params, message):
+        with pytest.raises(ValueError) as err:
+            optimize_bound(name, **params)
+        assert str(err.value) == message
 
 
 class TestSweep:
@@ -377,6 +425,52 @@ class TestArrayForm:
             assert type(res.bound_bits) is float and all(type(t.value) is float for t in res.terms)
         assert np.all(grid.ceilings >= values)
         assert type(bound.ceiling(d, i, alpha, float(gammas[0]))) is float
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+           st.floats(GAMMA_MIN, 0.9999))
+    @example("delins", 0.45, 0.55, 0.5, 0.9999)  # d + i = 1: t = -1
+    @example("delins", 0.7, 0.3, 1.0, 0.995)
+    @example("insertion_lb2", 0.0, 0.999, 0.3, 0.9999)
+    @example("deletion", 5e-324, 0.0, 1.0, 0.99)  # subnormal rates
+    @example("delins", 5e-324, 0.2, 0.8, 0.6)
+    @example("delins", 0.3, 5e-324, 0.8, 0.9)
+    @example("insertion_lb2", 0.0, 5e-324, 0.8, 0.3)
+    @example("insertion_lb1", 0.0, 5e-324, 0.0, GAMMA_MIN)
+    def test_search_objective_is_the_lb_bit_for_bit(self, name, d, i, alpha, gamma):
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        cfg = ab.SeriesConfig()
+        bound = go._BOUNDS[name]
+        grid = bound.grid(d, i, alpha, go._GRID, cfg)
+        assert repr(grid.at(gamma)) == repr(bound.evaluate(d, i, alpha, gamma, cfg, False, False).bound_bits)
+        # The grid-level H(L_out), on each gamma's own 0..2 r_max, is that
+        # gamma's array form alone, bit for bit, and its float form within
+        # numpy's and math's differing last bits: 1e-15 max(1, H) is exceeded
+        # at gamma <= 0.2 by the closed form itself (2.6e-15 at i = 0.999).
+        gammas = np.append(go._GRID, gamma)
+        h_out = bound.grid(d, i, alpha, gammas, cfg)._h_out
+        assume(h_out is not None)  # LB 1 has no run-length term
+        step = ab._step_law(d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
+        for g, h in zip(gammas.tolist(), h_out.tolist()):
+            s_max = 2 * ab._r_truncation(g, cfg)
+            assert ab._output_length_entropy(np.array([g]), step, np.array([s_max])).tolist() == [h]
+            ref = ab._output_length_entropy(g, step, s_max)
+            assert abs(h - ref) <= 1e-14 * max(1.0, ref)
+
+    @pytest.mark.parametrize("d, i", [(0.45, 0.55), (0.7, 0.3)])
+    def test_grid_output_length_entropy_allocates_little(self, d, i):
+        # d + i = 1: up to 2 r_max + 1 correction terms at every grid point,
+        # 199 x 11 041 of them at grid point 0.995, had they been taken at once
+        import tracemalloc
+        ab.lb_delins_grid(d, i, 0.5, go._GRID)  # the grid's r_max kept
+        tracemalloc.start()
+        try:
+            ab.lb_delins_grid(d, i, 0.5, go._GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 ** 20
 
     @pytest.mark.parametrize("name, params", _PRUNED_CASES)
     def test_array_search_finds_the_scalar_grid_argmax(self, name, params, caplog):
