@@ -29,6 +29,8 @@ the order they are added (``_deletion_terms`` and its siblings); its
 ``lb_*`` turns them into :class:`~.core.EntropyTerm` records, and its array
 form, :class:`BoundGrid`, evaluates them over a whole array of gammas, the
 run-length term's row sums chunk by chunk, or sums them at one float gamma.
+What the chunks need of the gammas and the :class:`SeriesConfig` alone is
+one plan, kept per (``cfg``, gammas) (:class:`_GridPlan`).
 
 The deletion bound also evaluates the two printed closed forms of its
 penalties, the deleted-run-count entropy and the run-length entropy, and
@@ -74,9 +76,6 @@ __all__ = [
     "closed_form_HLXLY",
     "delins_S_term",
     "closed_form_delins_S",
-    "deletion_run_law_row",
-    "duplication_run_law_row",
-    "delins_run_law_row",
     "lb_deletion",
     "lb1_insertion",
     "lb2_insertion",
@@ -96,16 +95,19 @@ class SeriesConfig:
     """Truncation policy for the infinite sums.
 
     ``tail_epsilon`` is the geometric-ratio threshold at which a series is
-    cut; ``r_max_cap`` is a hard cap on the run-length truncation index.
-    Doubling ``r_max_cap`` and halving ``tail_epsilon`` must not move any
-    reported value by more than its ``truncation_error`` (tested).
+    cut, a number in (0, 1); ``r_max_cap`` is a hard cap on the run-length
+    truncation index.  Doubling ``r_max_cap`` and halving ``tail_epsilon``
+    must not move any reported value by more than its ``truncation_error``
+    (tested).
     """
 
     tail_epsilon: float = 1e-12
     r_max_cap: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.tail_epsilon <= 0 or self.r_max_cap <= 0:
+        if not 0.0 < self.tail_epsilon < 1.0:  # NaN included
+            raise ValueError(f"tail_epsilon={self.tail_epsilon} must lie strictly inside (0, 1)")
+        if self.r_max_cap <= 0:
             raise ValueError("series configuration entries must be positive")
 
 
@@ -302,17 +304,17 @@ def cond_entropy_S_given_YY(gamma: float, d: float) -> EntropyTerm:
     return delins_S_term(gamma, d, 0.0, 1.0)
 
 
-def closed_form_HS2(gamma: float, d: float) -> float:
-    """Literal printed closed form for H(S2 | Y1 Y2) (diagnostic only)."""
+def closed_form_HS2(gamma, d: float):
+    """Literal printed closed form for H(S2 | Y1 Y2), of a float gamma or of
+    an array, its logs taken apart (:func:`~.core.xlog2`) so that a subnormal
+    d cannot overflow 1 / theta (a diagnostic, and the printed-form penalty)."""
     q = markov_q(gamma, d)
     th, be = _theta(gamma, d), _beta(gamma, d)
     tb = 1.0 - th
-    out = gamma * tb * math.log2(q / tb)
-    if th > 0.0:
-        out += be * th / tb ** 2 * math.log2(1.0 / th)
-        out += be * th / (1.0 - th ** 2) * math.log2(q / be)
-    out += be / (1.0 - th ** 2) * math.log2((1.0 - q) / be)
-    return out
+    out = xlog2(gamma * tb, q, tb)
+    out += xlog2(be * th / tb ** 2, 1.0, th)
+    out += xlog2(be * th / (1.0 - th ** 2), q, be)
+    return out + xlog2(be / (1.0 - th ** 2), 1.0 - q, be)
 
 
 # ---------------------------------------------------------------------------
@@ -543,78 +545,69 @@ def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
     return step[int(d == 0.0):3 - int(i == 0.0)]
 
 
-def _run_law_values(gammas, d: float, i: float, cfg: SeriesConfig) -> _RunLawChunk:
-    """The value of :func:`_run_law_entropy` at a float gamma, or at each
-    gamma of a 1-D array, everything but the row entropies and an array's
-    H(L_out) computed: :meth:`_RunLawChunk.values` gives the values,
-    :meth:`_RunLawChunk.floor` a lower bound on them from the rows the table
-    already holds.
-
-    At a float gamma the sums are those of :func:`_run_law_entropy`, bit for
-    bit.  Over an array every gamma keeps its own r_max and the sums of its
-    scalar evaluation; only their rounding differs (within 1e-13, tested).
-    With R the largest r_max, the joint part is the (G x R) matrix of p_r,
-    zero past each row's r_max and the largest temporary, times the row
-    entropies, the -log2 p_r part taken through the same matrix as
-    -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r; H(L_out), on each
-    row's own 0..2 r_max, is passed to ``values`` and ``floor`` by a caller
-    that has it (:class:`BoundGrid`), else computed there.  The parts that
-    depend on the gammas and ``cfg`` alone are :func:`_chunk_weights`.
-    """
-    return _RunLawChunk(gammas, d, i, cfg)
-
-
 class _ChunkWeights(NamedTuple):
-    """The parts of H(L_X | L_out) over a 1-D array of gammas that depend on
-    the gammas and the :class:`SeriesConfig` alone, not on the channel."""
+    """The parts of H(L_X | L_out) over a chunk of gammas that depend on the
+    gammas and the :class:`SeriesConfig` alone, not on the channel."""
 
     size: int  # the largest r_max
-    r_max: np.ndarray  # (G,): each gamma's r_max
     p: np.ndarray  # (G, size): p_r = gamma**(r-1) (1 - gamma), zero past each row's r_max
     log_p: np.ndarray  # (G,): sum_r p_r log2 p_r
 
 
-def _chunk_weights(gammas: np.ndarray, cfg: SeriesConfig) -> _ChunkWeights:
-    """The :class:`_ChunkWeights` of ``gammas``.
+class _GridPlan:
+    """What a :class:`BoundGrid` needs of its gammas and :class:`SeriesConfig`
+    alone, one per (``cfg``, gammas) and kept (:func:`_grid_plan`):
+    ``r_max``, each gamma's; ``chunks``, the gammas cut into ascending slices
+    of at most _CHUNK_CELLS padded cells, G x (2 r_max + 1) with the r_max
+    of the slice's top point (a point over the cap alone is a slice of its
+    own); and each slice's :class:`_ChunkWeights`, built on first use."""
 
-    A read-only array is taken as a chunk of a fixed grid, as the gamma
-    search's grid is: its weights are computed once per (``cfg``, gammas)
-    and kept, read-only, since every search over the grid takes the same
-    chunks.  Any other array has them computed afresh, by the same code.
-    """
-    if not gammas.flags.writeable:
-        return _fixed_chunk_weights(cfg, tuple(gammas.tolist()))
-    r_max = np.array([_r_truncation(g, cfg) for g in gammas.tolist()])
-    size = int(r_max.max())
-    column = gammas[:, None]
-    k = np.arange(size)
-    p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
-    p = np.where(k >= r_max[:, None], 0.0, p)
-    log_p = np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k)
-    return _ChunkWeights(size, r_max, p, log_p)
+    def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...]) -> None:
+        self._gammas, self._weights = np.array(gammas), {}
+        self.r_max = np.array([_r_truncation(g, cfg) for g in gammas])
+        starts = [0]
+        for k, r in enumerate(self.r_max.tolist()):
+            if k > starts[-1] and (k + 1 - starts[-1]) * (2 * r + 1) > _CHUNK_CELLS:
+                starts.append(k)
+        self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
+        self.r_max.flags.writeable = False
+
+    def weights(self, chunk: slice) -> _ChunkWeights:
+        """The :class:`_ChunkWeights` of ``gammas[chunk]``, kept read-only:
+        the -log2 p_r part of the joint entropy is taken through the p_r
+        matrix as -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r."""
+        key = chunk.indices(self.r_max.size)
+        if key not in self._weights:
+            gammas, r_max = self._gammas[chunk], self.r_max[chunk]
+            size = int(r_max.max())
+            column = gammas[:, None]
+            k = np.arange(size)
+            p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
+            p = np.where(k >= r_max[:, None], 0.0, p)
+            log_p = np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k)
+            p.flags.writeable = log_p.flags.writeable = False
+            self._weights[key] = _ChunkWeights(size, p, log_p)
+        return self._weights[key]
 
 
-@functools.lru_cache(maxsize=64)
-def _fixed_chunk_weights(cfg: SeriesConfig, gammas: tuple[float, ...]) -> _ChunkWeights:
-    weights = _chunk_weights(np.array(gammas), cfg)
-    for array in weights[1:]:
-        array.flags.writeable = False
-    return weights
-
-
-@functools.lru_cache(maxsize=4)
-def _r_maxes(cfg: SeriesConfig, gammas: tuple[float, ...]) -> np.ndarray:
-    """Each gamma's r_max, kept, read-only, per (``cfg``, gammas)."""
-    r_max = np.array([_r_truncation(g, cfg) for g in gammas])
-    r_max.flags.writeable = False
-    return r_max
+_grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
 
 
 class _RunLawChunk:
-    """H(L_X | L_out) at a float gamma or over a 1-D array of gammas
-    (:func:`_run_law_values`)."""
+    """H(L_X | L_out) at a float gamma, or at each gamma of a chunk of a
+    :class:`BoundGrid`, everything but the row entropies computed:
+    :meth:`values` gives the values, :meth:`floor` a lower bound on them
+    from the rows the table already holds.
 
-    def __init__(self, gammas, d: float, i: float, cfg: SeriesConfig) -> None:
+    At a float gamma, ``weights`` is the :class:`SeriesConfig` that fixes
+    its r_max, and the sums are those of :func:`_run_law_entropy`, bit for
+    bit.  Over a chunk, ``weights`` is the chunk's :class:`_ChunkWeights`
+    and ``h_out`` its H(L_out), on each gamma's own 0..2 r_max; only the
+    rounding of the sums differs (within 1e-13, tested).
+    """
+
+    def __init__(self, gammas, d: float, i: float, weights: SeriesConfig | _ChunkWeights,
+                 h_out: np.ndarray | None = None) -> None:
         self.kernel, self.size = (), 0
         self._gammas, self._array = gammas, isinstance(gammas, np.ndarray)
         if d == 0.0 and i == 0.0:  # L_out = L_X
@@ -622,18 +615,19 @@ class _RunLawChunk:
             return
         self._step = _step_law(d, i)
         if self._array:
-            self.size, self._r_max, self._p, self._log_p = _chunk_weights(gammas, cfg)
+            self.size, self._p, self._log_p = weights
+            self._h_out = h_out
         else:  # the sums are taken by _from_rows, which a scalar chunk calls once
-            self.size = _r_truncation(gammas, cfg)
+            self.size = _r_truncation(gammas, weights)
         self.kernel = _row_kernel(self._step)
 
-    def values(self, h_out=None):
-        """The values, the table grown to the largest r_max; ``h_out``: an array's H(L_out), if known."""
+    def values(self):
+        """The values, the table grown to the largest r_max."""
         if not self.size:
             return self._zero
-        return self._from_rows(_row_entropies(self.kernel, self.size)[0], h_out)
+        return self._from_rows(_row_entropies(self.kernel, self.size)[0])
 
-    def floor(self, h_out=None):
+    def floor(self):
         """A lower bound on :meth:`values`, element by element, from the R
         rows the table holds now; None when R = 0 or R covers the chunk.
 
@@ -680,22 +674,20 @@ class _RunLawChunk:
             rows[held:] = h[-1] - margin
             return self._from_rows(rows)
         rows[held:] = h[-1]
-        return self._from_joint(self._p @ rows - margin, h_out)
+        return self._from_joint(self._p @ rows - margin)
 
-    def _from_rows(self, rows: np.ndarray, h_out=None):
+    def _from_rows(self, rows: np.ndarray):
         """The values from the row entropies H_r, r = 1..size."""
         if self._array:
-            return self._from_joint(self._p @ rows, h_out)
+            return self._from_joint(self._p @ rows)
         gamma, k = self._gammas, np.arange(self.size)
         joint = rows - (math.log2(1.0 - gamma) + k * math.log2(gamma))  # H(row_r) - log2 p_r
         joint *= (1.0 - gamma) * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
         return max(float(joint.sum()) - _output_length_entropy(gamma, self._step, 2 * self.size), 0.0)
 
-    def _from_joint(self, joint: np.ndarray, h_out) -> np.ndarray:
+    def _from_joint(self, joint: np.ndarray) -> np.ndarray:
         """An array chunk's values from sum_r p_r H_r."""
-        if h_out is None:
-            h_out = _output_length_entropy(self._gammas, self._step, 2 * self._r_max)
-        return np.maximum(joint - self._log_p - h_out, 0.0)
+        return np.maximum(joint - self._log_p - self._h_out, 0.0)
 
 
 def _run_tail_bound(gamma: float, r_max: int) -> float:
@@ -728,51 +720,6 @@ def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None 
     return _run_law_entropy(gamma, d, i, cfg or SeriesConfig(), "run_length_entropy_delins")
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def deletion_run_law_row(r: int, d: float) -> np.ndarray:
-    """P(output run length s | input run length r), s = 0..2r, deletions only."""
-    out = np.zeros(2 * r + 1)
-    for s in range(r + 1):
-        out[s] = math.exp(_log_comb(r, s)) * d ** (r - s) * (1.0 - d) ** s
-    return out
-
-
-def duplication_run_law_row(r: int, i: float) -> np.ndarray:
-    """P(s | r) for duplications only; support r <= s <= 2r."""
-    out = np.zeros(2 * r + 1)
-    for s in range(r, 2 * r + 1):
-        out[s] = math.exp(_log_comb(r, s - r)) * i ** (s - r) * (1.0 - i) ** (2 * r - s)
-    return out
-
-
-def delins_run_law_row(r: int, d: float, i: float) -> np.ndarray:
-    """P(s | r) for the combined channel via the explicit insertion-count sum.
-
-    For a pair (r, s), an assignment with ``n_ins`` insertions forces
-    ``r + n_ins - s`` deletions; ``n_ins`` ranges over 0..floor(s/2) when
-    s <= r and over (s - r)..floor(s/2) when s > r.
-    """
-    keep = 1.0 - d - i
-    out = np.zeros(2 * r + 1)
-    for s in range(2 * r + 1):
-        lo = max(0, s - r)
-        hi = s // 2
-        total = 0.0
-        for n_ins in range(lo, hi + 1):
-            n_del = r + n_ins - s
-            n_keep = s - 2 * n_ins
-            coef = math.exp(
-                math.lgamma(r + 1) - math.lgamma(n_ins + 1)
-                - math.lgamma(n_del + 1) - math.lgamma(n_keep + 1)
-            )
-            total += coef * i ** n_ins * d ** n_del * keep ** n_keep
-        out[s] = total
-    return out
-
-
 def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap: int = 20_000) -> float:
     """Literal printed closed form for the deletion H(L_X | L_Y') (diagnostic).
 
@@ -801,7 +748,9 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
         return 0.0
     gb, db = 1.0 - gamma, 1.0 - d
     gd = gamma * d
-    out = (d / gb - d * gb / (1.0 - gd) ** 2) * math.log2(1.0 / gd)
+    c = d / gb - d * gb / (1.0 - gd) ** 2
+    # log2(1 / gd), taken apart where gd is subnormal or 0, so 1 / gd cannot overflow
+    out = c * math.log2(1.0 / gd) if gd >= _TINY else xlog2(c, 1.0, gd)
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
 
@@ -859,13 +808,6 @@ def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
     if not math.isfinite(bound):
         raise ValueError(f"bound is {bound} at gamma={gamma_star}: a term is not finite")
     return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=tuple(terms), error_budget=budget)
-
-
-def _ceiling(terms):
-    """The source and credit terms summed in order: at least the bound of
-    ``terms``, bit for bit, since every penalty is >= 0 and round-to-nearest
-    is monotone."""
-    return _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
 
 
 def _run_length_term(gamma, run, run_error) -> _Term:
@@ -978,11 +920,12 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
 
 
 class BoundGrid:
-    """A bound at every gamma of a fixed 1-D array: the array form of its
-    ``lb_*``, made of the same terms added in the same order (no validation,
-    no diagnostics, no truncation errors).  ``terms_at`` lists the terms at
-    a float gamma or an array, with None for the run-length term, whose
-    (d, i, cfg) is ``run``; ``_run_law`` gives its :class:`_RunLawChunk`.
+    """A bound at every gamma of a fixed 1-D array, the gamma search's one
+    input: the array form of its ``lb_*``, made of the same terms added in
+    the same order (no validation, no diagnostics, no truncation errors).
+    ``terms_at`` lists the terms at a float gamma or an array, with None for
+    the run-length term, whose (d, i) is ``run``; ``chunks`` are those of the
+    gammas' :class:`_GridPlan` for ``cfg``.
 
     The closed-form terms, the run-length term's H(L_out) among them, are
     taken once over the whole array, where a numpy call costs about the same
@@ -990,11 +933,10 @@ class BoundGrid:
     and p_r matrix grow with the largest r_max, chunk by chunk
     (:meth:`values`).  The values agree with the ``lb_*`` within 1e-13
     (tested), and :meth:`at` is its bound at a float gamma, bit for bit.
-    ``ceilings``, the source and credit terms summed from the same arrays,
-    is at least every value, bit for bit; at a float gamma it is the float
-    ceiling of the ``lb_*``, its own terms summed.  A read-only array is a
-    fixed grid, whose chunks' gamma-only weights are kept
-    (:func:`_chunk_weights`).
+    ``ceilings``, the source and credit terms summed in order from the same
+    arrays, is at least every value, bit for bit, since every penalty is
+    >= 0 and round-to-nearest is monotone; it is None when a term entering
+    the bound has a signed role (a printed penalty, which may be negative).
 
     :meth:`values` given a value to ``beat`` first tries a second ceiling,
     the row-bounded one, when the chunk needs rows the table lacks: the
@@ -1004,36 +946,35 @@ class BoundGrid:
     gamma against :meth:`at`.
     """
 
-    def __init__(self, gammas, terms_at, run: tuple[float, float, SeriesConfig] | None = None) -> None:
+    def __init__(self, gammas: np.ndarray, terms_at, cfg: SeriesConfig, run: tuple[float, float] | None = None) -> None:
         terms = terms_at(gammas)
         k = terms.index(None) if None in terms else len(terms)
-        self.gammas = gammas
-        self.ceilings = _ceiling(terms)
+        self._plan = _grid_plan(cfg, tuple(gammas.tolist()))
+        self.gammas, self.chunks, self.ceilings = gammas, self._plan.chunks, None
+        if not any(t.role.sign and t.role.signed for t in terms if t is not None):
+            self.ceilings = _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
         self._head, self._tail, self._terms_at = _signed_sum(terms[:k]), terms[k + 1:], terms_at
-        self._run_law = self._h_out = None
-        if run is not None:
-            d, i, cfg = run
-            self._run_law = lambda g: _run_law_values(g, d, i, cfg)
-            if isinstance(gammas, np.ndarray):  # H(L_out) on each gamma's own 0..2 r_max
-                self._h_out = _output_length_entropy(gammas, _step_law(d, i), 2 * _r_maxes(cfg, tuple(gammas.tolist())))
+        self._cfg, self._run, self._h_out = cfg, run, None
+        if run is not None:  # H(L_out) on each gamma's own 0..2 r_max
+            self._h_out = _output_length_entropy(gammas, _step_law(*run), 2 * self._plan.r_max)
 
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when its row-bounded
         ceiling shows that no value there exceeds ``beat``; the table grows
         only in the first case, and both take the chunk's one p_r matrix."""
-        if self._run_law is None:
+        if self._run is None:
             return self._assemble(chunk, None)
-        run, h_out = self._run_law(self.gammas[chunk]), self._h_out[chunk]
-        if (floor := run.floor(h_out)) is not None and np.max(self._assemble(chunk, floor)) <= beat:
+        run = self._run_law(chunk)
+        if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
             return None
-        return self._assemble(chunk, run.values(h_out))
+        return self._assemble(chunk, run.values())
 
     def at(self, gamma: float, run: float | None = None) -> float:
         """The bound at the float ``gamma``: the ``lb_*``'s own terms summed
         by the same :func:`_signed_sum`, so its ``bound_bits`` bit for bit;
         with ``run``, if given, as H(L_X | L_out) in place of the value."""
         terms = self._terms_at(gamma)
-        if self._run_law is not None:
+        if self._run is not None:
             run = self._run_law(gamma).values() if run is None else run
             terms[terms.index(None)] = _run_length_term(gamma, run, 0.0)
         return _signed_sum(terms)
@@ -1044,9 +985,16 @@ class BoundGrid:
         :meth:`_RunLawChunk.floor`, at most the ``lb_*``'s run-length entropy
         bit for bit, is monotone in it.  False, and the table does not grow,
         when the table holds every row ``gamma`` needs."""
-        if self._run_law is None or (floor := self._run_law(gamma).floor()) is None:
+        if self._run is None or (floor := self._run_law(gamma).floor()) is None:
             return False
         return self.at(gamma, floor) <= beat
+
+    def _run_law(self, at: float | slice) -> _RunLawChunk:
+        """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
+        d, i = self._run
+        if isinstance(at, slice):
+            return _RunLawChunk(self.gammas[at], d, i, self._plan.weights(at), self._h_out[at])
+        return _RunLawChunk(at, d, i, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:
         """The terms at ``gammas[chunk]`` added in order, with ``run`` as
@@ -1060,22 +1008,23 @@ class BoundGrid:
         return v
 
 
-def lb_deletion_grid(d: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
+def lb_deletion_grid(d: float, gammas: np.ndarray, cfg: SeriesConfig | None = None,
+                     use_printed_hs2: bool = False) -> BoundGrid:
     """:func:`lb_deletion` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _deletion_terms(d, g, None), (d, 0.0, cfg or SeriesConfig()))
+    return BoundGrid(gammas, lambda g: _deletion_terms(d, g, None, use_printed_hs2), cfg or SeriesConfig(), (d, 0.0))
 
 
 def lb1_insertion_grid(i: float, alpha: float, gammas: np.ndarray) -> BoundGrid:
     """:func:`lb1_insertion` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _lb1_terms(i, alpha, g))
+    return BoundGrid(gammas, lambda g: _lb1_terms(i, alpha, g), SeriesConfig())
 
 
 def lb2_insertion_grid(i: float, alpha: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb2_insertion` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _lb2_terms(i, alpha, g, None), (0.0, i, cfg or SeriesConfig()))
+    return BoundGrid(gammas, lambda g: _lb2_terms(i, alpha, g, None), cfg or SeriesConfig(), (0.0, i))
 
 
 def lb_delins_grid(d: float, i: float, alpha: float, gammas: np.ndarray,
                    cfg: SeriesConfig | None = None) -> BoundGrid:
     """:func:`lb_delins` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _delins_terms(d, i, alpha, g, None), (d, i, cfg or SeriesConfig()))
+    return BoundGrid(gammas, lambda g: _delins_terms(d, i, alpha, g, None), cfg or SeriesConfig(), (d, i))

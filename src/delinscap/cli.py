@@ -53,10 +53,10 @@ def load_series_config() -> ab.SeriesConfig:
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown series-config keys in {path!r}: {sorted(unknown)}")
-    return ab.SeriesConfig(
-        tail_epsilon=float(values.get("tail_epsilon", 1e-12)),
-        r_max_cap=int(float(values.get("r_max_cap", 10_000))),
-    )
+    cap = float(values.get("r_max_cap", 10_000))
+    if not (math.isfinite(cap) and cap == int(cap)):
+        raise ValueError(f"r_max_cap={values['r_max_cap']} in {path!r} must be a whole number")
+    return ab.SeriesConfig(tail_epsilon=float(values.get("tail_epsilon", 1e-12)), r_max_cap=int(cap))
 
 
 def _parse_grid(spec: str) -> list[float]:

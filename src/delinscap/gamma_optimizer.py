@@ -7,46 +7,32 @@ because the bound functions ride on truncated series whose numerical
 derivatives are noisy at the 1e-9 level.  The returned value is always one
 the objective actually produced at the returned point, never an interpolant.
 
-The coarse grid is evaluated as arrays, not point by point: a numpy call
-costs about as much for one gamma as for a hundred, so a scalar ``lb_*``
-call is nearly all per-call overhead.  A bound's array form
-(:class:`~.analytic_bounds.BoundGrid`) takes its closed-form terms, H(L_out)
-included, over all 199 points at once and the rest of its run-length term
-in fixed ascending chunks of the grid (:func:`_grid_chunks`), each small
-enough that the row table and the temporaries grow only as far as the
-chunks evaluated need.  Golden section then refines through its float
-form (:meth:`~.analytic_bounds.BoundGrid.at`), the ``lb_*``'s bound bit for
-bit without the checks, records and error bounds the search would discard:
-the ``lb_*`` runs once per solve, at gamma*, for the report.
+The search has one input, a bound's array form
+(:class:`~.analytic_bounds.BoundGrid`), the paper's printed deleted-run
+form included.  It evaluates the coarse grid as arrays, in the grid's fixed
+ascending chunks: a numpy call costs about as much for one gamma as for a
+hundred, and the row table and the temporaries grow only as far as the
+chunks evaluated need.  Golden section then refines through the grid's
+float form (:meth:`~.analytic_bounds.BoundGrid.at`), the ``lb_*``'s bound
+bit for bit; the ``lb_*`` itself runs once per solve, at gamma*, for the
+report.
 
-The chunks are pruned by branch and bound, with two ceilings.  Every
-penalty is a conditional entropy, so a bound's source-plus-credit sum is an
-exact ceiling on it.  A chunk whose every ceiling cannot beat the best value
-below it is skipped: the top of the grid when gamma* is low, and with it the
-long run-length row table those points need.  A chunk that passes but needs
-more run-length rows than the table holds meets the row-bounded ceiling: its
-bound with every missing row entropy H_r replaced by the last one held, H_R,
-less a stated rounding margin.  The entropy of a sum of independent steps
-never decreases as steps are added (M. Madiman, "On the entropy of sums",
-ITW 2008), so that is a ceiling too, and a chunk it rules out is skipped
-before the table grows.  Golden section uses the same ceiling on its upper
-probes, at one gamma: it only compares the two
-probes' values (J. Kiefer, "Sequential minimax search for a maximum",
-1953), so an upper probe whose ceiling cannot beat the lower one's value
-is dropped unevaluated.  A search thus builds the rows its exact
-evaluations need: a cold d = 0.95 solve 7,232, not the 10,000 its upper
-probes near gamma = 1 would take.  Results stay bit-identical to the
-unpruned search (see :func:`maximize_over_gamma`).
+The chunks and the golden-section upper probes are pruned by two exact
+ceilings (see :func:`maximize_over_gamma`): the source-plus-credit sum,
+since every penalty is a conditional entropy (a printed penalty may be
+negative, so the printed form has none), and the row-bounded ceiling, which
+puts the last row entropy held in place of each row the table lacks.  A
+search thus builds only the rows its exact evaluations need, and its result
+is the unpruned search's, bit for bit.
 
 ``CHANNELS`` is the one registry of channels (CLI parameters, bounds, CSV
-term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``,
-its ceiling and its array form; everything that dispatches on a channel or a
-bound reads these two.
+term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``
+and its array form; everything that dispatches on a channel or a bound
+reads these two.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -58,8 +44,6 @@ from .analytic_bounds import (
     BoundGrid,
     BoundResult,
     SeriesConfig,
-    _CHUNK_CELLS,
-    _r_truncation,
     _row_table_size,
     lb_deletion,
     lb_deletion_grid,
@@ -106,12 +90,7 @@ CHANNELS = {
 
 class _Bound(NamedTuple):
     evaluate: Callable[..., BoundResult]  # at (d, i, alpha, gamma, cfg, diagnostics, use_printed_hs2)
-    grid: Callable[..., BoundGrid]  # at (d, i, alpha, gammas, cfg): the lb_*'s array form and array ceiling
-
-    def ceiling(self, d: float, i: float, alpha: float, gamma: float) -> float:
-        """The source and credit terms of ``evaluate`` at ``gamma``, summed:
-        a ceiling on the bound."""
-        return self.grid(d, i, alpha, gamma, None).ceilings
+    grid: Callable[..., BoundGrid]  # at (d, i, alpha, gammas, cfg, use_printed_hs2): the lb_*'s array form
 
 
 # bound name -> its lb_* and its array form.  The lambdas look lb_* up by
@@ -120,13 +99,13 @@ class _Bound(NamedTuple):
 _BOUNDS: dict[str, _Bound] = {
     "deletion": _Bound(lambda d, i, alpha, g, cfg, diag, printed:
                        lb_deletion(d, g, cfg, diagnostics=diag, use_printed_hs2=printed),
-                       lambda d, i, alpha, g, cfg: lb_deletion_grid(d, g, cfg)),
+                       lambda d, i, alpha, g, cfg, printed=False: lb_deletion_grid(d, g, cfg, printed)),
     "insertion_lb1": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb1_insertion(i, alpha, g),
-                            lambda d, i, alpha, g, cfg: lb1_insertion_grid(i, alpha, g)),
+                            lambda d, i, alpha, g, cfg, printed=False: lb1_insertion_grid(i, alpha, g)),
     "insertion_lb2": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb2_insertion(i, alpha, g, cfg),
-                            lambda d, i, alpha, g, cfg: lb2_insertion_grid(i, alpha, g, cfg)),
+                            lambda d, i, alpha, g, cfg, printed=False: lb2_insertion_grid(i, alpha, g, cfg)),
     "delins": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb_delins(d, i, alpha, g, cfg, diagnostics=diag),
-                     lambda d, i, alpha, g, cfg: lb_delins_grid(d, i, alpha, g, cfg)),
+                     lambda d, i, alpha, g, cfg, printed=False: lb_delins_grid(d, i, alpha, g, cfg)),
 }
 
 
@@ -136,56 +115,20 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_chunks(cfg: SeriesConfig) -> tuple[slice, ...]:
-    """The grid cut into ascending chunks of at most _CHUNK_CELLS padded
-    cells, G x (2 r_max + 1) with r_max that of the chunk's top point; a
-    point over the cap alone is a chunk of its own.  They depend on the grid
-    and ``cfg`` only."""
-    chunks, start = [], 0
-    for k, g in enumerate(_GRID.tolist()):
-        if k > start and (k + 1 - start) * (2 * _r_truncation(g, cfg) + 1) > _CHUNK_CELLS:
-            chunks.append(slice(start, k))
-            start = k
-    chunks.append(slice(start, _GRID.size))
-    return tuple(chunks)
+def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, float]:
+    """Maximize a bound over gamma in [GAMMA_MIN, GAMMA_MAX] through its grid
+    form ``grid`` (a :class:`~.analytic_bounds.BoundGrid`, or anything with
+    its ``gammas``, ``chunks``, ``ceilings``, ``values(chunk, beat)``,
+    ``at(gamma)`` and ``rules_out(gamma, beat)``).
 
-
-class _PointByPoint:
-    """The grid form of a scalar objective: ``bound_fn`` and ``ceiling``
-    (if any) called at each grid point."""
-
-    def __init__(self, bound_fn: Callable[[float], float], ceiling: Callable[[float], float] | None) -> None:
-        self._fn = bound_fn
-        self.ceilings = None if ceiling is None else np.array([ceiling(g) for g in _GRID.tolist()])
-
-    def values(self, chunk: slice, beat: float = -math.inf) -> np.ndarray:
-        return np.array([self._fn(g) for g in _GRID[chunk].tolist()])
-
-    def rules_out(self, gamma: float, beat: float) -> bool:
-        return False
-
-
-def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
-                        ceiling: Callable[[float], float] | None = None, grid: BoundGrid | None = None,
-                        cfg: SeriesConfig | None = None) -> tuple[float, float]:
-    """Maximize ``bound_fn`` over gamma in [GAMMA_MIN, GAMMA_MAX].
-
-    Evaluates a coarse grid of 199 equispaced points, then golden-section
-    refines ``bound_fn`` inside the bracket around the best grid point until
-    the interval is below ``tol``.  Returns the best point evaluated and its
-    value.
-
-    The grid is taken in fixed ascending chunks (:func:`_grid_chunks` of
-    ``cfg``), through ``grid``, the array form of ``bound_fn`` on the grid
-    (a :class:`~.analytic_bounds.BoundGrid` or anything with its
-    ``values(chunk, beat)``, ``ceilings`` and ``rules_out(gamma, beat)``), if
-    given, else through ``bound_fn`` and ``ceiling`` point by point.
-    ``ceiling``, if given, must satisfy ``bound_fn(g) <= ceiling(g)``, and
-    the grid's ceilings (None for none) must bound its values element by
-    element.  ``values(chunk, beat)`` may return None instead of the values
-    only if none of them exceeds ``beat``, and ``rules_out(gamma, beat)`` may
-    return True only if ``bound_fn(gamma) <= beat``.
+    Evaluates ``values`` on the coarse grid ``gammas``, chunk by ascending
+    chunk, then golden-section refines ``at`` inside the bracket around the
+    best grid point until the interval is below ``tol``.  Returns the best
+    point evaluated and its value; a non-finite value is an error.  The
+    ceilings (None for none) must bound the values element by element;
+    ``values(chunk, beat)`` may return None only if no value there exceeds
+    ``beat``, and ``rules_out(gamma, beat)`` may return True only if
+    ``at(gamma) <= beat``.
 
     A chunk whose every ceiling is at most the best value so far is
     skipped: at best it ties, and a tie never displaces the earlier first
@@ -202,26 +145,24 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     the chunk then tries its row-bounded ceiling: the rows past the R held
     take H_R, at most each of them since entropy never decreases as
     independent steps are added, and the p_r-weighted row sum is lowered by
-    M = 3 (n u log2(cells) + delta), which covers the rounding of both
-    products and the table's trimming
+    a margin that covers rounding and the table's trimming
     (:meth:`~.analytic_bounds._RunLawChunk.floor`).  The rest of the bound
-    is monotone in that sum, so this too is a ceiling bit for bit, and a
-    chunk it rules out is skipped with its rows never built.
+    is monotone in that sum, whatever the signs of its other terms, so this
+    too is a ceiling bit for bit, and a chunk it rules out is skipped with
+    its rows never built.
 
     Golden section keeps a lower probe x1 < x2 and evaluates its upper probe
-    x2 only to compare f2 with f1: f1 >= f2 drops x2, else x1.  Every value
+    x2 only to compare f2 with f1: f1 >= f2 drops x2, else x1 (J. Kiefer,
+    "Sequential minimax search for a maximum", 1953).  Every value
     evaluated, the first pair's included, is compared with the best value,
     a tie never displacing the earlier argmax, so the best value is at
     least f1.  Before an upper probe is evaluated, ``rules_out(x2, f1)``
-    tries the row-bounded ceiling at x2
-    (:meth:`~.analytic_bounds.BoundGrid.rules_out`), which is at or above
-    f2 bit for bit.  If it holds, f2 <= f1 is certain and f2 is taken as
-    -inf unevaluated, so the table does not grow: f2 <= f1 takes the branch
-    f1 >= f2 that drops x2, ties included, as the real f2 would, and cannot
-    move the best point.  Lower probes are never tested: each lies below a
-    point already evaluated, so the table already holds its rows.  Every
-    step, the best point and its value are the unpruned search's, bit for
-    bit.
+    tries the row-bounded ceiling at x2, which is at or above f2 bit for
+    bit.  If it holds, f2 <= f1 is certain and f2 is taken as -inf
+    unevaluated, so the table does not grow: that takes the branch that
+    drops x2, ties included, as the real f2 would, and cannot move the best
+    point.  Lower probes are never tested: each lies below a point already
+    evaluated, so the table already holds its rows.
 
     With the ``delinscap`` logger at DEBUG, the search logs one record at its
     end: grid points and chunks evaluated and skipped (by either ceiling),
@@ -232,17 +173,14 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
     if not tol >= 1e-9:  # NaN included
         raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
 
-    def safe_eval(g: float) -> float:
-        v = bound_fn(g)
+    def checked(g: float, v: float) -> float:
         if not math.isfinite(v):
             raise ValueError(f"bound function returned non-finite value {v} at gamma={g}")
         return v
 
-    if grid is None:
-        grid = _PointByPoint(safe_eval, ceiling)
-    chunks = _grid_chunks(cfg or SeriesConfig())
+    gammas = grid.gammas
     b, best_v, skipped, row_skips = -1, -math.inf, [], 0
-    for chunk in chunks:
+    for chunk in grid.chunks:
         if b >= 0 and grid.ceilings is not None and np.max(grid.ceilings[chunk]) <= best_v:
             skipped.append(chunk.stop - chunk.start)
             continue
@@ -251,15 +189,13 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
             skipped.append(chunk.stop - chunk.start)
             row_skips += 1
             continue
-        for j, (g, v) in enumerate(zip(_GRID[chunk].tolist(), values.tolist()), chunk.start):
-            if not math.isfinite(v):
-                raise ValueError(f"bound function returned non-finite value {v} at gamma={g}")
-            if v > best_v:
+        for j, (g, v) in enumerate(zip(gammas[chunk].tolist(), values.tolist()), chunk.start):
+            if checked(g, v) > best_v:
                 b, best_v = j, v
-    grid_g = best_g = float(_GRID[b])
+    grid_g = best_g = float(gammas[b])
 
-    a = float(_GRID[b - 1]) if b > 0 else GAMMA_MIN
-    c = float(_GRID[b + 1]) if b < _GRID.size - 1 else GAMMA_MAX
+    a = float(gammas[b - 1]) if b > 0 else GAMMA_MIN
+    c = float(gammas[b + 1]) if b < gammas.size - 1 else GAMMA_MAX
     bracket = a, c
     x1 = c - _INVPHI * (c - a)
     x2 = a + _INVPHI * (c - a)
@@ -271,7 +207,7 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
         if beat > -math.inf and grid.rules_out(x, beat):
             probe_skips += 1
             return -math.inf
-        v = safe_eval(x)
+        v = checked(x, grid.at(x))
         if v > best_v:
             best_g, best_v = x, v
         return v
@@ -294,8 +230,8 @@ def maximize_over_gamma(bound_fn: Callable[[float], float], tol: float = 1e-5,
             "gamma grid: %d points evaluated, %d skipped by the ceilings; %d chunks evaluated, %d skipped; "
             "argmax %r; bracket [%r, %r]; the row-bounded ceiling skipped %d chunks and %d probes; "
             "row table %d rows",
-            _GRID.size - sum(skipped), sum(skipped), len(chunks) - len(skipped), len(skipped), grid_g, *bracket,
-            row_skips, probe_skips, _row_table_size())
+            gammas.size - sum(skipped), sum(skipped), len(grid.chunks) - len(skipped), len(skipped), grid_g,
+            *bracket, row_skips, probe_skips, _row_table_size())
     return best_g, best_v
 
 
@@ -310,10 +246,7 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     ChannelParams(d=d, i=i, alpha=alpha)  # before the grid, which takes them unchecked
     bound = _lookup(_BOUNDS, channel)
     cfg = cfg or SeriesConfig()
-    # the printed form goes point by point, with no ceiling: a printed penalty may be negative
-    grid = None if use_printed_hs2 else bound.grid(d, i, alpha, _GRID, cfg)
-    objective = grid.at if grid is not None else lambda g: bound.evaluate(d, i, alpha, g, cfg, False, True).bound_bits
-    gamma_star, _ = maximize_over_gamma(objective, tol, grid=grid, cfg=cfg)
+    gamma_star, _ = maximize_over_gamma(bound.grid(d, i, alpha, _GRID, cfg, use_printed_hs2), tol)
     return bound.evaluate(d, i, alpha, gamma_star, cfg, True, use_printed_hs2)
 
 

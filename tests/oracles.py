@@ -14,6 +14,11 @@ bit.  ``output_length_law`` and ``entropy_bits`` build the output-length law
 of a geometric run cell by cell and sum its entropy, which the closed form
 ``analytic_bounds._output_length_entropy`` replaced;
 ``output_length_entropy_mpmath`` sums that entropy at 50 digits.
+``deletion_run_law_row``, ``duplication_run_law_row`` and
+``delins_run_law_row`` are the conditional run-length laws as lgamma sums,
+which the enumeration ``exact_oracle.exact_run_law`` is checked against.
+``PointByPoint`` is the gamma search's grid evaluated one scalar bound call
+at a time, with nothing pruned.
 
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
@@ -27,7 +32,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from delinscap import analytic_bounds as ab
+from delinscap import analytic_bounds as ab, gamma_optimizer as go
 from delinscap.channel_sim import Action, AuxSequences, ChannelOutput
 from delinscap.core import as_bits
 from delinscap.mc_estimator import BOOTSTRAP_BLOCKS, BOOTSTRAP_REPS, MIN_CONTEXT_OBS, McEstimate
@@ -243,6 +248,53 @@ def reference_row_entropies(kernel, r_max):
         lost[r0:r0 + block] = dropped
         row = rows[-1]
     return h[:r_max], float(lost[r_max - 1])
+
+
+# ---------------------------------------------------------------------------
+# run-length rows by lgamma sums
+# ---------------------------------------------------------------------------
+
+def _log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def deletion_run_law_row(r, d):
+    """P(output run length s | input run length r), s = 0..2r, deletions only."""
+    out = np.zeros(2 * r + 1)
+    for s in range(r + 1):
+        out[s] = math.exp(_log_comb(r, s)) * d ** (r - s) * (1.0 - d) ** s
+    return out
+
+
+def duplication_run_law_row(r, i):
+    """P(s | r) for duplications only; support r <= s <= 2r."""
+    out = np.zeros(2 * r + 1)
+    for s in range(r, 2 * r + 1):
+        out[s] = math.exp(_log_comb(r, s - r)) * i ** (s - r) * (1.0 - i) ** (2 * r - s)
+    return out
+
+
+def delins_run_law_row(r, d, i):
+    """P(s | r) for the combined channel via the explicit insertion-count sum.
+
+    For a pair (r, s), an assignment with ``n_ins`` insertions forces
+    ``r + n_ins - s`` deletions; ``n_ins`` ranges over 0..floor(s/2) when
+    s <= r and over (s - r)..floor(s/2) when s > r.
+    """
+    keep = 1.0 - d - i
+    out = np.zeros(2 * r + 1)
+    for s in range(2 * r + 1):
+        total = 0.0
+        for n_ins in range(max(0, s - r), s // 2 + 1):
+            n_del = r + n_ins - s
+            n_keep = s - 2 * n_ins
+            coef = math.exp(
+                math.lgamma(r + 1) - math.lgamma(n_ins + 1)
+                - math.lgamma(n_del + 1) - math.lgamma(n_keep + 1)
+            )
+            total += coef * i ** n_ins * d ** n_del * keep ** n_keep
+        out[s] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +518,24 @@ def reference_plug_in(ctx, val, n_ctx, seed):
         reps[b] = _entropy_of_table(block_tables[pick].sum(axis=0), MIN_CONTEXT_OBS)[0]
     return McEstimate(value=value, std_error=float(reps.std(ddof=1)),
                       bias_budget=bias, n_obs=n_used, pooled_contexts=pooled)
+
+
+# ---------------------------------------------------------------------------
+# the gamma search's grid, point by point
+# ---------------------------------------------------------------------------
+
+class PointByPoint:
+    """A grid for ``gamma_optimizer.maximize_over_gamma`` whose every value
+    is ``fn``'s at one float gamma: no ceilings, and no point ruled out.
+    With ``fn`` a scalar ``lb_*`` it is the unpruned search, which every
+    pruned one must match bit for bit; with a toy ``fn``, a plain objective.
+    """
+
+    def __init__(self, fn, gammas=go._GRID):
+        self.gammas, self.chunks, self.ceilings, self.at = gammas, (slice(0, gammas.size),), None, fn
+
+    def values(self, chunk, beat=-math.inf):
+        return np.array([self.at(g) for g in self.gammas[chunk].tolist()])
+
+    def rules_out(self, gamma, beat):
+        return False

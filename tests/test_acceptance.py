@@ -38,13 +38,13 @@ def test_criterion_2_run_law_oracle():
     worst = 0.0
     for d in ver.RUN_LAW_DELETION_POINTS:
         table = oracle.exact_run_law(8, ChannelParams(d=d), "deletion")
-        worst = max(worst, max(float(np.abs(table[r] - ab.deletion_run_law_row(r, d)).max()) for r in table))
+        worst = max(worst, max(float(np.abs(table[r] - oracles.deletion_run_law_row(r, d)).max()) for r in table))
     for i, a in ver.RUN_LAW_INSERTION_POINTS:
         table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a), "insertion")
-        worst = max(worst, max(float(np.abs(table[r] - ab.duplication_run_law_row(r, i)).max()) for r in table))
+        worst = max(worst, max(float(np.abs(table[r] - oracles.duplication_run_law_row(r, i)).max()) for r in table))
     for d, i in ver.RUN_LAW_DELINS_POINTS:
         table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=0.5), "delins")
-        worst = max(worst, max(float(np.abs(table[r] - ab.delins_run_law_row(r, d, i)).max()) for r in table))
+        worst = max(worst, max(float(np.abs(table[r] - oracles.delins_run_law_row(r, d, i)).max()) for r in table))
     _announce(2, worst <= ver.TOL_RUN_LAW,
               f"run-law enumeration vs closed laws for r <= 8, max gap {worst:.3e} <= 1e-12")
 

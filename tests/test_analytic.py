@@ -209,15 +209,15 @@ class TestRunLawEntropies:
         assert ab.run_law_deletion_H(0.5, 0.0).value == 0.0
 
     def test_deletion_row_values(self):
-        row = ab.deletion_run_law_row(2, 0.3)
+        row = oracles.deletion_run_law_row(2, 0.3)
         assert row[0] == pytest.approx(0.09, abs=1e-15)
         assert row[1] == pytest.approx(2 * 0.3 * 0.7, abs=1e-15)
         assert row[2] == pytest.approx(0.49, abs=1e-15)
 
     def test_rows_normalized_to_r30(self):
         for r in range(1, 31):
-            assert ab.deletion_run_law_row(r, 0.35).sum() == pytest.approx(1.0, abs=1e-12)
-            assert ab.duplication_run_law_row(r, 0.25).sum() == pytest.approx(1.0, abs=1e-12)
+            assert oracles.deletion_run_law_row(r, 0.35).sum() == pytest.approx(1.0, abs=1e-12)
+            assert oracles.duplication_run_law_row(r, 0.25).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_deletion_series_vs_closed_form(self):
         term = ab.run_law_deletion_H(0.5, 0.2)
@@ -227,7 +227,7 @@ class TestRunLawEntropies:
         assert ab.run_law_duplication_H(0.5, 0.0).value == 0.0
 
     def test_duplication_row_values(self):
-        row = ab.duplication_run_law_row(1, 0.1)
+        row = oracles.duplication_run_law_row(1, 0.1)
         assert row[1] == pytest.approx(0.9, abs=1e-15)
         assert row[2] == pytest.approx(0.1, abs=1e-15)
 
@@ -235,7 +235,7 @@ class TestRunLawEntropies:
         gamma, i = 0.5, 0.1
         r_max = 60  # gamma**60 ~ 8.7e-19, far below the series tail budget
         p_r = [gamma ** (r - 1) * (1 - gamma) for r in range(1, r_max + 1)]
-        rows = [ab.duplication_run_law_row(r, i) for r in range(1, r_max + 1)]
+        rows = [oracles.duplication_run_law_row(r, i) for r in range(1, r_max + 1)]
         p_s = np.zeros(2 * r_max + 1)
         for pr, row in zip(p_r, rows):
             p_s[: row.size] += pr * row
@@ -249,7 +249,7 @@ class TestRunLawEntropies:
         assert abs(ab.run_law_duplication_H(gamma, i).value - oracle) <= 1e-10
 
     def test_delins_row_base_cases(self):
-        row = ab.delins_run_law_row(1, 0.3, 0.2)
+        row = oracles.delins_run_law_row(1, 0.3, 0.2)
         assert row[0] == pytest.approx(0.3, abs=1e-15)
         assert row[1] == pytest.approx(0.5, abs=1e-15)
         assert row[2] == pytest.approx(0.2, abs=1e-15)
@@ -260,7 +260,7 @@ class TestRunLawEntropies:
             conv = np.array([1.0])
             for r in range(1, 31):
                 conv = np.convolve(conv, step)
-                literal = ab.delins_run_law_row(r, d, i)
+                literal = oracles.delins_run_law_row(r, d, i)
                 assert literal.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.abs(conv - literal).max() <= 1e-13
 
@@ -438,13 +438,14 @@ class TestOutputLengthEntropy:
         import tracemalloc
         from delinscap import gamma_optimizer as go
 
-        cfg = ab.SeriesConfig()
-        gammas = go._GRID[go._grid_chunks(cfg)[-1]]
-        ab._run_law_values(gammas, d, i, cfg)  # fills the grid chunk's weights
+        grid = ab.lb_delins_grid(d, i, 0.5, go._GRID)
+        chunk = grid.chunks[-1]
+        gammas = go._GRID[chunk]
+        grid._run_law(chunk)  # fills the grid chunk's weights
         saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
         tracemalloc.start()
         try:
-            run = ab._run_law_values(gammas, d, i, cfg)
+            run = grid._run_law(chunk)
             assert run.floor() is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -612,21 +613,22 @@ class TestRowBoundedCeiling:
         assert np.all(np.diff(table) >= -2.0 * delta)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.sampled_from(["deletion", "insertion_lb2", "delins"]), st.floats(0.0, 0.95), st.floats(0.0, 0.95),
-           st.floats(0.0, 1.0), st.integers(0, 15), st.floats(0.0, 1.0))
+    @given(st.sampled_from(["deletion", "deletion_printed", "insertion_lb2", "delins"]), st.floats(0.0, 0.95),
+           st.floats(0.0, 0.95), st.floats(0.0, 1.0), st.integers(0, 15), st.floats(0.0, 1.0))
     @example("delins", 0.45, 0.55, 0.5, 15, 0.5)
     @example("deletion", 0.85, 0.0, 1.0, 15, 1.0)
     @example("deletion", 0.3, 0.0, 1.0, 0, 0.0)
     @example("insertion_lb2", 0.0, 0.4, 0.6, 12, 0.3)
+    @example("deletion_printed", 0.85, 0.0, 1.0, 15, 0.5)
     def test_row_bounded_ceiling_bounds_the_values(self, name, d, i, alpha, c, share):
         from delinscap import gamma_optimizer as go
 
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        cfg = ab.SeriesConfig()
-        chunk = go._grid_chunks(cfg)[c]
-        grid = go._BOUNDS[name].grid(d, i, alpha, go._GRID, cfg)
-        run = grid._run_law(go._GRID[chunk])
+        name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
+        grid = go._BOUNDS[name].grid(d, i, alpha, go._GRID, ab.SeriesConfig(), printed)
+        chunk = grid.chunks[c]
+        run = grid._run_law(chunk)
         blocks = (run.size - 1) // ab._ROW_BLOCK  # R = 16, 32, .., 16 blocks rows are all short of run.size
         assume(blocks >= 1)
         saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
@@ -825,11 +827,26 @@ class TestBounds:
         assert res.bound_bits != pytest.approx(ab.lb_deletion(0.2, 0.6).bound_bits, abs=1e-6)
 
 
-def test_series_config_validation():
+def test_series_config_validation(tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError):
         ab.SeriesConfig(tail_epsilon=0.0)
     with pytest.raises(ValueError):
         ab.SeriesConfig(r_max_cap=0)
+    # a threshold that cannot cut a geometric series: an overflow, a NaN index, or r_max 8 with error 1.32 once
+    for eps in (math.inf, math.nan, 1.0, 2.0):
+        with pytest.raises(ValueError, match="tail_epsilon"):
+            ab.SeriesConfig(tail_epsilon=eps)
+    from delinscap.cli import load_series_config, main
+
+    cfg_file = tmp_path / "series.cfg"
+    monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
+    for line in ("tail_epsilon=inf", "tail_epsilon=nan", "tail_epsilon=2", "r_max_cap=1e400", "r_max_cap=nan",
+                 "r_max_cap=2500.5"):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ValueError):
+            load_series_config()
+    assert main(["bound", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5"]) == 1
+    assert capsys.readouterr().err.startswith("error: r_max_cap=2500.5")
 
 
 def test_entropy_term_is_frozen_record():

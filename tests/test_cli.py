@@ -97,6 +97,17 @@ class TestBoundCommand:
         assert main(["bound", "--channel", "deletion", "--d", "0.2", "--tol", tol]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("d", ["5e-324", "1e-315", "1e-300"])
+    def test_subnormal_deletion_rate_prints_valid_json(self, d, capsys):
+        # gamma d underflowed to 0 in the printed run-length form (a ZeroDivisionError once), and
+        # 1 / theta overflowed in the printed deleted-run form (-Infinity in both diagnostics once)
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(["bound", "--channel", "deletion", "--d", d, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        _validate(payload, "bound_report.schema.json")
+
     def test_flag_rejected_off_deletion(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--channel", "delins", "--d", "0.1", "--i", "0.1",

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from delinscap.core import ChannelParams, as_bits
 from delinscap.channel_sim import action_probabilities
-from delinscap import analytic_bounds as ab
 from delinscap import exact_oracle as oracle
+
+import oracles
 
 
 # The per-input dict accumulation that the batched oracle replaced, kept as
@@ -196,17 +197,17 @@ class TestExactRunLaw:
         p = ChannelParams(d=0.2, i=0.25, alpha=0.3)
         table = oracle.exact_run_law(3, p, "delins")
         for r, row in table.items():
-            ref = ab.delins_run_law_row(r, p.d, p.i)
+            ref = oracles.delins_run_law_row(r, p.d, p.i)
             assert np.abs(row - ref).max() <= 1e-12
 
     def test_all_three_kinds_match_formulas_to_r8(self):
         d, i, a = 0.3, 0.2, 0.6
         table = oracle.exact_run_law(8, ChannelParams(d=d), "deletion")
-        assert max(np.abs(table[r] - ab.deletion_run_law_row(r, d)).max() for r in table) <= 1e-12
+        assert max(np.abs(table[r] - oracles.deletion_run_law_row(r, d)).max() for r in table) <= 1e-12
         table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a), "insertion")
-        assert max(np.abs(table[r] - ab.duplication_run_law_row(r, i)).max() for r in table) <= 1e-12
+        assert max(np.abs(table[r] - oracles.duplication_run_law_row(r, i)).max() for r in table) <= 1e-12
         table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=a), "delins")
-        assert max(np.abs(table[r] - ab.delins_run_law_row(r, d, i)).max() for r in table) <= 1e-12
+        assert max(np.abs(table[r] - oracles.delins_run_law_row(r, d, i)).max() for r in table) <= 1e-12
 
     def test_refuses_large_runs(self):
         with pytest.raises(ValueError):

@@ -19,22 +19,24 @@ from delinscap import gamma_optimizer as go
 from delinscap.gamma_optimizer import (CHANNELS, GAMMA_MAX, GAMMA_MIN, channel_bounds, maximize_over_gamma,
                                        optimize_bound, sweep)
 
+from oracles import PointByPoint
+
 
 class TestMaximize:
     def test_source_entropy(self):
-        g, v = maximize_over_gamma(binary_entropy)
+        g, v = maximize_over_gamma(PointByPoint(binary_entropy))
         assert abs(g - 0.5) <= 1e-4
         assert v == 1.0
 
     def test_returns_evaluated_point(self):
         fn = lambda g: -(g - 0.37) ** 2
-        g, v = maximize_over_gamma(fn, tol=1e-6)
+        g, v = maximize_over_gamma(PointByPoint(fn), tol=1e-6)
         assert v == fn(g)  # exact re-evaluation, not an interpolant
         assert abs(g - 0.37) <= 1e-5
 
     def test_beats_coarse_grid(self):
         fn = lambda g: -(g - 0.1234) ** 2
-        g, v = maximize_over_gamma(fn)
+        g, v = maximize_over_gamma(PointByPoint(fn))
         grid_best = max(fn((k + 1) / 200) for k in range(199))
         assert v >= grid_best
 
@@ -42,17 +44,17 @@ class TestMaximize:
         # two humps; the grid must find the taller one even though a local
         # refinement started anywhere near the other would miss it
         fn = lambda g: math.exp(-((g - 0.2) / 0.02) ** 2) + 1.5 * math.exp(-((g - 0.8) / 0.02) ** 2)
-        g, _ = maximize_over_gamma(fn)
+        g, _ = maximize_over_gamma(PointByPoint(fn))
         assert abs(g - 0.8) <= 1e-4
 
     @pytest.mark.parametrize("tol", [float("nan"), 1e-10, -1.0])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError):
-            maximize_over_gamma(binary_entropy, tol=tol)
+            maximize_over_gamma(PointByPoint(binary_entropy), tol=tol)
 
     def test_non_finite_propagates(self):
         with pytest.raises(ValueError):
-            maximize_over_gamma(lambda g: float("nan"))
+            maximize_over_gamma(PointByPoint(lambda g: float("nan")))
 
     def test_respects_domain(self):
         seen = []
@@ -61,7 +63,7 @@ class TestMaximize:
             seen.append(g)
             return binary_entropy(g)
 
-        maximize_over_gamma(fn)
+        maximize_over_gamma(PointByPoint(fn))
         assert min(seen) >= GAMMA_MIN and max(seen) <= GAMMA_MAX
 
     @pytest.mark.parametrize("probe", [0, 1])
@@ -70,12 +72,12 @@ class TestMaximize:
         # first pair that no later probe comes near
         a, c = float(go._GRID[98]), float(go._GRID[100])
         x = (c - go._INVPHI * (c - a), a + go._INVPHI * (c - a))[probe]
-        assert maximize_over_gamma(lambda g: 1.0 if g == x else -(g - 0.5) ** 2) == (x, 1.0)
+        assert maximize_over_gamma(PointByPoint(lambda g: 1.0 if g == x else -(g - 0.5) ** 2)) == (x, 1.0)
 
     def test_returns_the_largest_value_evaluated(self):
         # at this point the first lower probe's value stays above the best for three steps
-        grid = _Recording(go._BOUNDS["delins"].grid(0.8, 0.05, 0.9, go._GRID, ab.SeriesConfig()))
-        g, v = maximize_over_gamma(grid.at, grid=grid)
+        grid = _Recording(go._BOUNDS["delins"].grid(0.8, 0.05, 0.9, go._GRID, ab.SeriesConfig(), False))
+        g, v = maximize_over_gamma(grid)
         assert v == max(grid.seen) and grid.at(g) == v
         assert repr(optimize_bound("delins", d=0.8, i=0.05, alpha=0.9).gamma_star) == repr(g)
 
@@ -85,7 +87,8 @@ class _Recording:
     value its grid form and its float form return."""
 
     def __init__(self, grid):
-        self._grid, self.ceilings, self.seen = grid, grid.ceilings, []
+        self._grid, self.seen = grid, []
+        self.gammas, self.chunks, self.ceilings = grid.gammas, grid.chunks, grid.ceilings
 
     def values(self, chunk, beat):
         values = self._grid.values(chunk, beat)
@@ -191,10 +194,11 @@ class TestRegistry:
 
 
 def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5):
-    """optimize_bound's search with no ceiling: every grid point evaluated."""
+    """optimize_bound's search with no ceiling: every grid point evaluated by the lb_* itself."""
     cfg = ab.SeriesConfig()
     bound = go._BOUNDS[name]
-    gamma_star, _ = maximize_over_gamma(lambda g: bound.evaluate(d, i, alpha, g, cfg, False, printed).bound_bits, tol)
+    grid = PointByPoint(lambda g: bound.evaluate(d, i, alpha, g, cfg, False, printed).bound_bits)
+    gamma_star, _ = maximize_over_gamma(grid, tol)
     return bound.evaluate(d, i, alpha, gamma_star, cfg, True, printed)
 
 
@@ -209,13 +213,15 @@ class TestCeiling:
         assume(d + i <= 1.0)
         bound = go._BOUNDS[name]
         res = bound.evaluate(d, i, alpha, gamma, ab.SeriesConfig(), True, False)
-        ceiling = bound.ceiling(d, i, alpha, gamma)
         positive = 0.0
         for t in res.terms:  # in order, as the bound is assembled
             if t.role.sign > 0:
                 positive += t.value
-        assert repr(ceiling) == repr(positive)
-        assert res.bound_bits <= ceiling
+        assert res.bound_bits <= positive
+        # the grid's ceiling is the same sum over its own term arrays, at or above its values bit for bit
+        grid = bound.grid(d, i, alpha, np.array([gamma]), ab.SeriesConfig())
+        assert abs(grid.ceilings[0] - positive) <= 1e-13
+        assert grid.ceilings[0] >= grid.values()[0]
 
     @pytest.mark.parametrize("name, params", [
         ("deletion", {"d": 0.0}), ("deletion", {"d": 0.1}), ("deletion", {"d": 0.9}),
@@ -279,19 +285,21 @@ class TestCeiling:
         assert message.endswith(f"; row table {ab._row_table_size()} rows")
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.sampled_from(["deletion", "insertion_lb2", "delins"]), st.floats(0.0, 0.95), st.floats(0.0, 0.95),
-           st.floats(0.0, 1.0), st.floats(0.9, 0.9999), st.floats(0.0, 1.0))
+    @given(st.sampled_from(["deletion", "deletion_printed", "insertion_lb2", "delins"]), st.floats(0.0, 0.95),
+           st.floats(0.0, 0.95), st.floats(0.0, 1.0), st.floats(0.9, 0.9999), st.floats(0.0, 1.0))
     @example("deletion", 0.95, 0.0, 1.0, 0.9953, 1.0)
     @example("delins", 0.45, 0.55, 0.5, 0.99, 0.5)  # interior zero: every bit deleted or doubled
     @example("insertion_lb2", 0.0, 0.4, 0.6, 0.9999, 0.0)
+    @example("deletion_printed", 0.9, 0.0, 1.0, 0.995, 0.5)
     def test_probe_is_ruled_out_only_if_the_bound_cannot_beat(self, name, d, i, alpha, gamma, share):
         # the probe ceiling is at least the lb_* itself, bit for bit: a beat
         # one ulp below the bound is never ruled out
         if d + i > 1.0:
             d, i = i, 1.0 - i
+        name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
         cfg = ab.SeriesConfig()
         bound = go._BOUNDS[name]
-        grid = bound.grid(d, i, alpha, go._GRID, cfg)
+        grid = bound.grid(d, i, alpha, go._GRID, cfg, printed)
         kernel = grid._run_law(gamma).kernel
         blocks = (ab._r_truncation(gamma, cfg) - 1) // ab._ROW_BLOCK
         assume(kernel and blocks >= 1)
@@ -299,7 +307,7 @@ class TestCeiling:
         empty = ((), np.ones(1), np.zeros(0), np.zeros(0))
         saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, empty
         try:
-            value = bound.evaluate(d, i, alpha, gamma, cfg, False, False).bound_bits
+            value = bound.evaluate(d, i, alpha, gamma, cfg, False, printed).bound_bits
             ab._ROW_ENTROPIES = empty
             ab._row_entropies(kernel, held)
             assert not grid.rules_out(gamma, math.nextafter(value, -math.inf))
@@ -309,17 +317,18 @@ class TestCeiling:
             ab._ROW_ENTROPIES = saved
 
     def test_grid_chunk_weights_are_kept_read_only(self):
-        cfg = ab.SeriesConfig(tail_epsilon=2e-12)  # weights no other test fills
+        cfg = ab.SeriesConfig(tail_epsilon=2e-12)  # a plan no other test fills
         first = optimize_bound("deletion", d=0.9, cfg=cfg)
-        info = ab._fixed_chunk_weights.cache_info()
+        info = ab._grid_plan.cache_info()
         warm = optimize_bound("deletion", d=0.9, cfg=cfg)
-        assert ab._fixed_chunk_weights.cache_info().misses == info.misses
+        assert ab._grid_plan.cache_info().misses == info.misses
         assert repr(warm) == repr(first)
-        weights = ab._chunk_weights(go._GRID[go._grid_chunks(cfg)[-1]], cfg)
-        assert not any(array.flags.writeable for array in weights[1:])
-        ab._fixed_chunk_weights.cache_clear()
+        plan = ab._grid_plan(cfg, tuple(go._GRID.tolist()))
+        weights = plan.weights(plan.chunks[-1])
+        assert plan.weights(plan.chunks[-1]) is weights  # built once, then kept
+        assert not any(array.flags.writeable for array in (plan.r_max, *weights[1:]))
+        ab._grid_plan.cache_clear()
         assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
-        assert ab._chunk_weights(np.array([0.5, 0.9]), cfg).p.flags.writeable  # any other array: no memo
 
     def test_gamma_star_on_both_sides_of_0_9(self):
         assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
@@ -327,10 +336,11 @@ class TestCeiling:
             optimize_bound("delins", d=0.8, i=0.05, alpha=0.9).gamma_star
 
     def test_non_finite_objective_raises_with_a_ceiling(self):
-        with pytest.raises(ValueError):
-            maximize_over_gamma(lambda g: float("nan"), ceiling=lambda g: 1.0)
-        with pytest.raises(ValueError):
-            maximize_over_gamma(lambda g: float("inf") if g > 0.5 else 0.0, ceiling=lambda g: float("inf"))
+        for fn, ceiling in [(lambda g: float("nan"), 1.0), (lambda g: float("inf") if g > 0.5 else 0.0, math.inf)]:
+            grid = PointByPoint(fn)
+            grid.ceilings = np.full(go._GRID.size, ceiling)
+            with pytest.raises(ValueError):
+                maximize_over_gamma(grid)
 
     def test_low_gamma_solve_keeps_the_row_table_short(self, monkeypatch):
         monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
@@ -338,19 +348,24 @@ class TestCeiling:
         rows = ab._ROW_ENTROPIES[2].size
         assert 0 < rows <= ab._r_truncation(0.995, ab.SeriesConfig()) // 10
 
-    def test_printed_form_is_not_pruned(self, monkeypatch):
-        calls = []
-        original = go.lb_deletion
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(go, "lb_deletion", counted)
+    def test_printed_form_is_not_pruned(self):
+        # a printed penalty may be negative: no source-plus-credit ceiling
+        assert ab.lb_deletion_grid(0.2, go._GRID, use_printed_hs2=True).ceilings is None
         res = optimize_bound("deletion", d=0.2, use_printed_hs2=True)
-        assert len(set(calls)) > 199  # every grid point, then golden section
         assert repr(res) == repr(_unpruned("deletion", d=0.2, printed=True))
         assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
+
+    @pytest.mark.parametrize("d", [0.0, 0.2, 0.9, 0.99])
+    def test_printed_form_search_is_bit_identical(self, d, monkeypatch):
+        # from a cold table, so that the row-bounded ceiling prunes the printed form too
+        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+        pruned = optimize_bound("deletion", d=d, use_printed_hs2=True)
+        assert repr(pruned) == repr(_unpruned("deletion", d=d, printed=True))
+
+    def test_only_the_printed_form_lacks_ceilings(self):
+        for name, bound in go._BOUNDS.items():
+            assert bound.grid(0.2, 0.1, 0.8, go._GRID, ab.SeriesConfig()).ceilings is not None, name
+        assert go._BOUNDS["deletion"].grid(0.2, 0.0, 1.0, go._GRID, ab.SeriesConfig(), True).ceilings is None
 
     def test_one_debug_record_per_search(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
@@ -424,7 +439,7 @@ class TestArrayForm:
             assert abs(v - res.bound_bits) <= 1e-13
             assert type(res.bound_bits) is float and all(type(t.value) is float for t in res.terms)
         assert np.all(grid.ceilings >= values)
-        assert type(bound.ceiling(d, i, alpha, float(gammas[0]))) is float
+        assert type(grid.at(float(gammas[0]))) is float
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
@@ -480,13 +495,13 @@ class TestArrayForm:
     def test_custom_series_config_takes_the_array_path(self, monkeypatch):
         from delinscap import verification
         seen = []
-        original = ab._run_law_values
+        original = ab._grid_plan
 
-        def spy(gammas, d, i, cfg):
+        def spy(cfg, gammas):
             seen.append(cfg)
-            return original(gammas, d, i, cfg)
+            return original(cfg, gammas)
 
-        monkeypatch.setattr(ab, "_run_law_values", spy)
+        monkeypatch.setattr(ab, "_grid_plan", spy)
         tight = ab.SeriesConfig(tail_epsilon=5e-13, r_max_cap=20_000)
         for name, params in [("deletion", {"d": 0.1}), ("insertion_lb2", {"i": 0.2, "alpha": 0.8}),
                              ("delins", {"d": 0.2, "i": 0.2, "alpha": 0.5})]:
@@ -520,4 +535,4 @@ class TestArrayForm:
         message = record.getMessage()
         evaluated = int(message.split(" chunks evaluated")[0].split()[-1])
         skipped = int(message.split(" skipped; argmax")[0].split()[-1])
-        assert evaluated + skipped == len(go._grid_chunks(ab.SeriesConfig())) and evaluated > 0 and skipped > 0
+        assert evaluated + skipped == len(ab.lb_deletion_grid(0.1, go._GRID).chunks) and evaluated > 0 and skipped > 0
