@@ -24,13 +24,16 @@ any r_max: the gamma search uses that to skip points before the table grows
 
 Every closed-form kernel the bounds use takes gamma as a float or as an
 array: a float goes through ``math``, so a scalar bound keeps its bits, an
-array through numpy, elementwise.  Each bound's terms are listed once, in
-the order they are added (``_deletion_terms`` and its siblings); its
-``lb_*`` turns them into :class:`~.core.EntropyTerm` records, and its array
-form, :class:`BoundGrid`, evaluates them over a whole array of gammas, the
-run-length term's row sums chunk by chunk, or sums them at one float gamma.
-What the chunks need of the gammas and the :class:`SeriesConfig` alone is
-one plan, kept per (``cfg``, gammas) (:class:`_GridPlan`).
+array through numpy, elementwise.  Each bound is declared once, in
+``_BOUNDS``: its terms, listed in the order they are added
+(``_deletion_terms`` and its siblings), and its ``lb_*``, which turns them
+into :class:`~.core.EntropyTerm` records.  Its array form,
+:class:`BoundGrid`, is built from the same entry and is all the gamma search
+sees: it evaluates the terms over a whole array of gammas, the run-length
+term's row sums chunk by chunk, sums them at one float gamma, and applies
+every ceiling that lets the search skip a chunk or a probe.  What the chunks
+need of the gammas and the :class:`SeriesConfig` alone is one plan, kept per
+(``cfg``, gammas) (:class:`_GridPlan`).
 
 The deletion bound also evaluates the two printed closed forms of its
 penalties, the deleted-run-count entropy and the run-length entropy, and
@@ -50,7 +53,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,10 +85,6 @@ __all__ = [
     "lb2_insertion",
     "lb_delins",
     "BoundGrid",
-    "lb_deletion_grid",
-    "lb1_insertion_grid",
-    "lb2_insertion_grid",
-    "lb_delins_grid",
 ]
 
 _LOG2E = math.log2(math.e)
@@ -96,9 +96,10 @@ class SeriesConfig:
 
     ``tail_epsilon`` is the geometric-ratio threshold at which a series is
     cut, a number in (0, 1); ``r_max_cap`` is a hard cap on the run-length
-    truncation index.  Doubling ``r_max_cap`` and halving ``tail_epsilon``
-    must not move any reported value by more than its ``truncation_error``
-    (tested).
+    truncation index, an integer of at least 8 (the fewest rows a run-length
+    term takes; a numpy integer is accepted, a bool or a float is not).
+    Doubling ``r_max_cap`` and halving ``tail_epsilon`` must not move any
+    reported value by more than its ``truncation_error`` (tested).
     """
 
     tail_epsilon: float = 1e-12
@@ -107,8 +108,13 @@ class SeriesConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tail_epsilon < 1.0:  # NaN included
             raise ValueError(f"tail_epsilon={self.tail_epsilon} must lie strictly inside (0, 1)")
-        if self.r_max_cap <= 0:
-            raise ValueError("series configuration entries must be positive")
+        try:
+            cap = 0 if isinstance(self.r_max_cap, bool) else operator.index(self.r_max_cap)
+        except TypeError:  # a float, or no number at all
+            cap = 0
+        if cap < 8:
+            raise ValueError(f"r_max_cap={self.r_max_cap!r} must be an integer of at least 8")
+        object.__setattr__(self, "r_max_cap", cap)
 
 
 @dataclass(frozen=True)
@@ -504,35 +510,6 @@ def _series_terms(log_t, log_a, m: np.ndarray) -> np.ndarray:
     return np.exp(log_a * m) * w * np.log2(np.maximum(w, _TINY))
 
 
-def _run_law_entropy(gamma: float, d: float, i: float, cfg: SeriesConfig, name: str) -> EntropyTerm:
-    """H(L_X | L_out) where L_out is the sum over the run's bits of i.i.d.
-    per-bit length contributions in {0, 1, 2} with probabilities
-    (d, 1 - d - i, i).
-
-    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and
-    H(L_X, L_out) = sum_r p_r (-log2 p_r + H(row_r)) over r = 1..r_max, where
-    row_r, the law of L_out given L_X = r, is the r-fold convolution of the
-    step law.  The rows do not depend on gamma, so their entropies come from
-    a table built once per step law, a block of rows per matrix product
-    (:func:`_row_entropies`), and each call does O(r_max) work
-    (:class:`_RunLawChunk` at a float gamma); H(L_out), on 0..2 r_max, is a
-    closed form (:func:`_output_length_entropy`).  The truncation error adds
-    to the dropped tail the certified bound on the table's trimmed mass D:
-    the p_r-weighted entropies move by at most
-    D (log2(2 r_max + 1) - log2 D + log2 e), the logs taken apart so that a
-    subnormal D cannot overflow their ratio.
-    """
-    r_max = _r_truncation(gamma, cfg)
-    trunc = _run_tail_bound(gamma, r_max)
-    if d == 0.0 and i == 0.0:  # L_out = L_X
-        return EntropyTerm(name, 0.0, trunc)
-    run = _RunLawChunk(gamma, d, i, cfg)
-    h_rows, lost = _row_entropies(run.kernel, r_max)
-    if lost > 0.0:
-        trunc += lost * (math.log2(2 * r_max + 1) - math.log2(lost) + _LOG2E)
-    return EntropyTerm(name, run._from_rows(h_rows), trunc)
-
-
 def _step_law(d: float, i: float) -> tuple[float, float, float]:
     """Per-bit output-length law (d, 1 - d - i, i); d + i may exceed 1 by rounding."""
     return d, max(1.0 - d - i, 0.0), i
@@ -595,37 +572,62 @@ _grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
 
 class _RunLawChunk:
     """H(L_X | L_out) at a float gamma, or at each gamma of a chunk of a
-    :class:`BoundGrid`, everything but the row entropies computed:
-    :meth:`values` gives the values, :meth:`floor` a lower bound on them
-    from the rows the table already holds.
+    :class:`BoundGrid`, L_out the sum over the run's L_X bits of i.i.d.
+    per-bit output lengths in {0, 1, 2} with probabilities (d, 1 - d - i, i).
+
+    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and
+    H(L_X, L_out) = sum_r p_r (-log2 p_r + H_r) over r = 1..r_max, where
+    H_r is the entropy of row_r, the law of L_out given L_X = r: the r-fold
+    convolution of the step law.  The rows do not depend on gamma, so their
+    entropies come from a table built once per step law, a block of rows per
+    matrix product (:func:`_row_entropies`), and each gamma does O(r_max)
+    work; H(L_out), on 0..2 r_max, is a closed form
+    (:func:`_output_length_entropy`).  Everything but the row entropies is
+    computed here: :meth:`values` gives the values, :meth:`floor` a lower
+    bound on them from the rows the table already holds, and, at a float
+    gamma, :meth:`term` the value with its truncation error.
 
     At a float gamma, ``weights`` is the :class:`SeriesConfig` that fixes
-    its r_max, and the sums are those of :func:`_run_law_entropy`, bit for
-    bit.  Over a chunk, ``weights`` is the chunk's :class:`_ChunkWeights`
-    and ``h_out`` its H(L_out), on each gamma's own 0..2 r_max; only the
-    rounding of the sums differs (within 1e-13, tested).
+    its r_max, and the sums are taken term by term.  Over a chunk,
+    ``weights`` is the chunk's :class:`_ChunkWeights` and ``h_out`` its
+    H(L_out), on each gamma's own 0..2 r_max; only the rounding of the sums
+    differs from the float gamma's (within 1e-13, tested).  At d = i = 0,
+    L_out = L_X: the kernel is (), ``size`` (the rows needed) is 0 and the
+    values are 0.
     """
 
     def __init__(self, gammas, d: float, i: float, weights: SeriesConfig | _ChunkWeights,
                  h_out: np.ndarray | None = None) -> None:
-        self.kernel, self.size = (), 0
         self._gammas, self._array = gammas, isinstance(gammas, np.ndarray)
-        if d == 0.0 and i == 0.0:  # L_out = L_X
-            self._zero = np.zeros(gammas.shape) if self._array else 0.0
-            return
         self._step = _step_law(d, i)
         if self._array:
-            self.size, self._p, self._log_p = weights
+            r_max, self._p, self._log_p = weights
             self._h_out = h_out
-        else:  # the sums are taken by _from_rows, which a scalar chunk calls once
-            self.size = _r_truncation(gammas, weights)
-        self.kernel = _row_kernel(self._step)
+        else:  # the sums are taken by _from_rows, which a float gamma calls once
+            r_max = self._r_max = _r_truncation(gammas, weights)
+        # the rows the values need: none at d = i = 0, where L_out = L_X
+        self.kernel, self.size = (_row_kernel(self._step), r_max) if d or i else ((), 0)
 
     def values(self):
         """The values, the table grown to the largest r_max."""
         if not self.size:
-            return self._zero
+            return np.zeros(self._gammas.shape) if self._array else 0.0
         return self._from_rows(_row_entropies(self.kernel, self.size)[0])
+
+    def term(self, name: str) -> EntropyTerm:
+        """At a float gamma, :meth:`values` as an entropy term.  Its
+        truncation error adds to the dropped runs' tail
+        (:func:`_run_tail_bound`) the certified bound on the table's trimmed
+        mass D: the p_r-weighted entropies move by at most
+        D (log2(2 r_max + 1) - log2 D + log2 e), the logs taken apart so that
+        a subnormal D cannot overflow their ratio."""
+        trunc = _run_tail_bound(self._gammas, self._r_max)
+        if not self.size:
+            return EntropyTerm(name, 0.0, trunc)
+        h_rows, lost = _row_entropies(self.kernel, self.size)
+        if lost > 0.0:
+            trunc += lost * (math.log2(2 * self.size + 1) - math.log2(lost) + _LOG2E)
+        return EntropyTerm(name, self._from_rows(h_rows), trunc)
 
     def floor(self):
         """A lower bound on :meth:`values`, element by element, from the R
@@ -653,12 +655,9 @@ class _RunLawChunk:
         in the same order for any rows, and every step is monotone in the
         rows; so it subtracts M from each row past R instead, each then at
         most its stored entropy, and the sum is at most the one of
-        :meth:`values` with no rounding argument at all.  The rest of the
-        term, and of the bound, is the same floating-point operations on the
-        same arrays, each monotone in that sum, so a bound built on the floor
-        is at least the one built on the values, bit for bit.  The table's
-        own rounding, O(r) ulp, stays far below its increments; both that
-        and the bound on D are tested.
+        :meth:`values` with no rounding argument at all.  The table's own
+        rounding, O(r) ulp, stays far below its increments; both that and
+        the bound on D are tested.
         """
         key, _, h, _ = _ROW_ENTROPIES
         held = h.size if key == self.kernel else 0
@@ -706,21 +705,27 @@ def _run_tail_bound(gamma: float, r_max: int) -> float:
 
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for pure deletion: each bit survives with prob 1 - d."""
-    return _run_law_entropy(gamma, d, 0.0, cfg or SeriesConfig(), "run_length_entropy_deletion")
+    return _RunLawChunk(gamma, d, 0.0, cfg or SeriesConfig()).term("run_length_entropy_deletion")
 
 
 def run_law_duplication_H(gamma: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Ytilde) for insertions only: each bit contributes 1 or 2."""
-    return _run_law_entropy(gamma, 0.0, i, cfg or SeriesConfig(), "run_length_entropy_insertion")
+    return _RunLawChunk(gamma, 0.0, i, cfg or SeriesConfig()).term("run_length_entropy_insertion")
 
 
 def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for the combined channel: contributions {0, 1, 2} with
     probabilities (d, 1 - d - i, i)."""
-    return _run_law_entropy(gamma, d, i, cfg or SeriesConfig(), "run_length_entropy_delins")
+    return _RunLawChunk(gamma, d, i, cfg or SeriesConfig()).term("run_length_entropy_delins")
 
 
-def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap: int = 20_000) -> float:
+# The printed run-length form's series is cut where the remaining mass bound
+# drops below _HLXLY_TAIL, or at _HLXLY_M_CAP terms.
+_HLXLY_TAIL = 1e-14
+_HLXLY_M_CAP = 20_000
+
+
+def closed_form_HLXLY(gamma: float, d: float) -> float:
     """Literal printed closed form for the deletion H(L_X | L_Y') (diagnostic).
 
     Its residual double series
@@ -732,7 +737,7 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
     uses), so the diagnostic at a search's gamma* reuses that search's table.
     The series converges since its terms are dominated by m gamma**m; it is
     cut at M, the first m >= 2 where the remaining mass bound drops below
-    ``tail_epsilon``, or at ``m_cap``.
+    _HLXLY_TAIL, or at _HLXLY_M_CAP.
 
     The table is read only up to R = min(M, r), r = ceil(log(1e-12) /
     log(gamma)), the r_max of the default :class:`SeriesConfig` before its
@@ -755,13 +760,13 @@ def closed_form_HLXLY(gamma: float, d: float, tail_epsilon: float = 1e-14, m_cap
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
 
     def tail_below(m: int) -> bool:  # the mass after term m is at most sum_{m' > m} m' gamma**m'
-        return gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb < tail_epsilon
+        return gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb < _HLXLY_TAIL
 
     # that bound falls as m grows, so the first m where it drops below
-    # tail_epsilon is found by bisection
-    ms = range(2, m_cap + 1)
+    # _HLXLY_TAIL is found by bisection
+    ms = range(2, _HLXLY_M_CAP + 1)
     end = bisect.bisect_left(ms, True, key=tail_below)
-    m_end = ms[end] if end < len(ms) else m_cap
+    m_end = ms[end] if end < len(ms) else _HLXLY_M_CAP
     rows = min(m_end, math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)))
     h_rows = _row_entropies((d, db), rows)[0]
     m = np.arange(2.0, rows + 1.0)
@@ -816,12 +821,14 @@ def _run_length_term(gamma, run, run_error) -> _Term:
 
 
 # The terms of each bound, in the order they are added, at gamma a float or
-# an array.  ``run`` is the run-length penalty (:func:`_run_length_term`):
-# the one term whose scalar form, with its truncation error, and array form
-# are computed apart.  A grid passes None for it and fills it in chunk by
-# chunk (:class:`BoundGrid`).
+# an array, of the bound's own ChannelParams ``p``.  ``run`` is the
+# run-length penalty (:func:`_run_length_term`): the one term whose scalar
+# form, with its truncation error, and array form are computed apart.  A grid
+# passes None for it and fills it in chunk by chunk (:class:`BoundGrid`).
+# ``printed`` picks the deletion bound's printed deleted-run form.
 
-def _deletion_terms(d, gamma, run: _Term | None, printed: bool = False) -> list:
+def _deletion_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
+    d = p.d
     if printed:
         hs2 = _Term("deleted_runs_penalty_printed_form", (1.0 - d) * closed_form_HS2(gamma, d),
                     role=Role.PRINTED_PENALTY)
@@ -830,7 +837,8 @@ def _deletion_terms(d, gamma, run: _Term | None, printed: bool = False) -> list:
     return [_Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE), hs2, run]
 
 
-def _lb1_terms(i, alpha, gamma) -> list:
+def _lb1_terms(p: ChannelParams, gamma, run: None = None, printed: bool = False) -> list:
+    i, alpha = p.i, p.alpha
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
         _Term("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma)),
@@ -838,7 +846,8 @@ def _lb1_terms(i, alpha, gamma) -> list:
     ]
 
 
-def _lb2_terms(i, alpha, gamma, run: _Term | None) -> list:
+def _lb2_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
+    i, alpha = p.i, p.alpha
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
         _Term("comp_insertion_penalty", (1.0 + i) * h_T_limit(i, alpha, gamma)),
@@ -847,13 +856,12 @@ def _lb2_terms(i, alpha, gamma, run: _Term | None) -> list:
     ]
 
 
-def _delins_terms(d, i, alpha, gamma, run: _Term | None) -> list:
-    q = markov_q(gamma, d)
-    ip = ChannelParams(d=d, i=i).i_prime
+def _delins_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
+    d, i, alpha = p.d, p.i, p.alpha
     scale = 1.0 - d + i  # output symbols per input bit
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
-        _Term("comp_insertion_penalty", scale * h_T_limit(ip, alpha, q)),
+        _Term("comp_insertion_penalty", scale * h_T_limit(p.i_prime, alpha, markov_q(gamma, d))),
         _Term("deleted_runs_penalty", scale * _nonneg(closed_form_delins_S(gamma, d, i, alpha))),
         run,
         _Term("insertion_ambiguity_credit", delins_ambiguity_credit(d, i, alpha, gamma), role=Role.CREDIT),
@@ -868,10 +876,10 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     printed closed form, which is subtracted in its place (a printed penalty,
     which may be negative), for side-by-side study of the suspected erratum.
     """
-    ChannelParams(d=d)
+    p = ChannelParams(d=d)
     MarkovSourceParams(gamma)
     run = run_law_deletion_H(gamma, d, cfg)
-    terms = _deletion_terms(d, gamma, _run_length_term(gamma, run.value, run.truncation_error), use_printed_hs2)
+    terms = _deletion_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error), use_printed_hs2)
     terms = [EntropyTerm(*t) for t in terms]
     if diagnostics:
         hs2 = cond_entropy_S_given_YY(gamma, d).value
@@ -884,17 +892,17 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
 
 def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     """Insertion bound decoding all insertion positions (LB 1)."""
-    ChannelParams(i=i, alpha=alpha)
+    p = ChannelParams(i=i, alpha=alpha)
     MarkovSourceParams(gamma)
-    return _assemble(gamma, [EntropyTerm(*t) for t in _lb1_terms(i, alpha, gamma)])
+    return _assemble(gamma, [EntropyTerm(*t) for t in _lb1_terms(p, gamma)])
 
 
 def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None = None) -> BoundResult:
     """Insertion bound decoding only complementary insertions (LB 2)."""
-    ChannelParams(i=i, alpha=alpha)
+    p = ChannelParams(i=i, alpha=alpha)
     MarkovSourceParams(gamma)
     run = run_law_duplication_H(gamma, i, cfg)
-    terms = _lb2_terms(i, alpha, gamma, _run_length_term(gamma, run.value, run.truncation_error))
+    terms = _lb2_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error))
     return _assemble(gamma, [EntropyTerm(*t) for t in terms])
 
 
@@ -912,82 +920,114 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     term is its closed form, so a series-minus-closed-form residual would be
     0 by construction.
     """
-    ChannelParams(d=d, i=i, alpha=alpha)
+    p = ChannelParams(d=d, i=i, alpha=alpha)
     MarkovSourceParams(gamma)
     run = run_law_delins_H(gamma, d, i, cfg)
-    terms = _delins_terms(d, i, alpha, gamma, _run_length_term(gamma, run.value, run.truncation_error))
+    terms = _delins_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error))
     return _assemble(gamma, [EntropyTerm(*t) for t in terms])
 
 
-class BoundGrid:
-    """A bound at every gamma of a fixed 1-D array, the gamma search's one
-    input: the array form of its ``lb_*``, made of the same terms added in
-    the same order (no validation, no diagnostics, no truncation errors).
-    ``terms_at`` lists the terms at a float gamma or an array, with None for
-    the run-length term, whose (d, i) is ``run``; ``chunks`` are those of the
-    gammas' :class:`_GridPlan` for ``cfg``.
+class _Bound(NamedTuple):
+    """A bound's terms and its ``lb_*``, both of the bound's own parameters."""
 
+    terms: Callable[..., list]  # at (params, gamma, run, printed)
+    lb: Callable[..., BoundResult]  # at (params, gamma, cfg, diagnostics, printed)
+
+
+# bound name -> its terms and its lb_*, both of the bound's own ChannelParams
+# (those of its channel's flags), whose (d, i) is its run-length law.  The
+# lambdas look each lb_* up by module-level name at call time, so a rebinding
+# of those names (as a tracer does) is seen.
+_BOUNDS = {
+    "deletion": _Bound(_deletion_terms, lambda p, g, cfg, diag, printed: lb_deletion(p.d, g, cfg, diag, printed)),
+    "insertion_lb1": _Bound(_lb1_terms, lambda p, g, cfg, diag, printed: lb1_insertion(p.i, p.alpha, g)),
+    "insertion_lb2": _Bound(_lb2_terms, lambda p, g, cfg, diag, printed: lb2_insertion(p.i, p.alpha, g, cfg)),
+    "delins": _Bound(_delins_terms, lambda p, g, cfg, diag, printed: lb_delins(p.d, p.i, p.alpha, g, cfg, diag)),
+}
+
+
+class BoundGrid:
+    """The bound ``name`` of ``_BOUNDS`` at every gamma of a fixed 1-D
+    array, the gamma search's one input, for the bound's own ``params``,
+    ``cfg`` and, for the deletion bound, its ``printed`` deleted-run form.
+
+    It is the array form of the bound's ``lb_*``: the same terms added in the
+    same order, with no validation, no diagnostics and no truncation errors.
     The closed-form terms, the run-length term's H(L_out) among them, are
     taken once over the whole array, where a numpy call costs about the same
     for 1 gamma as for 199; the rest of the run-length term, whose row table
-    and p_r matrix grow with the largest r_max, chunk by chunk
-    (:meth:`values`).  The values agree with the ``lb_*`` within 1e-13
-    (tested), and :meth:`at` is its bound at a float gamma, bit for bit.
-    ``ceilings``, the source and credit terms summed in order from the same
-    arrays, is at least every value, bit for bit, since every penalty is
-    >= 0 and round-to-nearest is monotone; it is None when a term entering
-    the bound has a signed role (a printed penalty, which may be negative).
+    and p_r matrix grow with the largest r_max, chunk by chunk, in the
+    ``chunks`` of the gammas' :class:`_GridPlan` for ``cfg`` (:meth:`values`).
+    The values agree with the ``lb_*`` within 1e-13 (tested), and
+    :meth:`at` is its bound at a float gamma, bit for bit.
 
-    :meth:`values` given a value to ``beat`` first tries a second ceiling,
-    the row-bounded one, when the chunk needs rows the table lacks: the
-    bound with the run-length entropy's floor from the rows held
-    (:meth:`_RunLawChunk.floor`), which is at least every value of the
-    chunk, bit for bit.  :meth:`rules_out` runs the same test at one float
-    gamma against :meth:`at`.
+    Given a value to ``beat``, :meth:`values` and :meth:`at` return None when
+    a ceiling, at least every value they would return bit for bit, is at most
+    ``beat``; the table does not grow then.  There are three:
+
+    - source plus credit (:meth:`values`): every penalty is a conditional
+      entropy, >= 0, so the source and credit terms summed in order from the
+      same arrays are at least the bound, since the bound adds its terms in
+      order and round-to-nearest is monotone.  The printed form has none: a
+      printed penalty may be negative.
+    - row-bounded (:meth:`values`), when the chunk needs rows the table
+      lacks: the bound with the run-length entropy's floor from the rows held
+      (:meth:`_RunLawChunk.floor`) in its place, which is at most that
+      entropy bit for bit.  The rest of the term and of the bound is the
+      same floating-point operations on the same arrays, each monotone in
+      that entropy whatever the signs of the other terms, so the bound built
+      on the floor is at least the one built on the values.  ``row_skips``
+      counts the chunks it ruled out.
+    - the same at a float gamma (:meth:`at`), whose floor is at most the
+      ``lb_*``'s run-length entropy bit for bit.  One float
+      :class:`_RunLawChunk` gives both the floor and the value.
     """
 
-    def __init__(self, gammas: np.ndarray, terms_at, cfg: SeriesConfig, run: tuple[float, float] | None = None) -> None:
-        terms = terms_at(gammas)
+    def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
+                 printed: bool = False) -> None:
+        bound_terms = _BOUNDS[name].terms
+        self._terms = lambda g: bound_terms(params, g, None, printed)
+        terms = self._terms(gammas)
         k = terms.index(None) if None in terms else len(terms)
         self._plan = _grid_plan(cfg, tuple(gammas.tolist()))
-        self.gammas, self.chunks, self.ceilings = gammas, self._plan.chunks, None
+        self.gammas, self.chunks, self.row_skips, self._ceilings = gammas, self._plan.chunks, 0, None
         if not any(t.role.sign and t.role.signed for t in terms if t is not None):
-            self.ceilings = _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
-        self._head, self._tail, self._terms_at = _signed_sum(terms[:k]), terms[k + 1:], terms_at
-        self._cfg, self._run, self._h_out = cfg, run, None
-        if run is not None:  # H(L_out) on each gamma's own 0..2 r_max
-            self._h_out = _output_length_entropy(gammas, _step_law(*run), 2 * self._plan.r_max)
+            self._ceilings = _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
+        self._head, self._tail = _signed_sum(terms[:k]), terms[k + 1:]
+        self._cfg, self._run, self._h_out = cfg, None, None
+        if k < len(terms):  # H(L_out) on each gamma's own 0..2 r_max
+            self._run = params.d, params.i
+            self._h_out = _output_length_entropy(gammas, _step_law(*self._run), 2 * self._plan.r_max)
 
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
-        """The bound at ``gammas[chunk]``, or None when its row-bounded
-        ceiling shows that no value there exceeds ``beat``; the table grows
-        only in the first case, and both take the chunk's one p_r matrix."""
+        """The bound at ``gammas[chunk]``, or None when a ceiling shows that
+        no value there exceeds ``beat``; the chunk's one p_r matrix serves
+        both the row-bounded ceiling and the values."""
+        if self._ceilings is not None and np.max(self._ceilings[chunk]) <= beat:
+            return None
         if self._run is None:
             return self._assemble(chunk, None)
         run = self._run_law(chunk)
         if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
+            self.row_skips += 1
             return None
         return self._assemble(chunk, run.values())
 
-    def at(self, gamma: float, run: float | None = None) -> float:
-        """The bound at the float ``gamma``: the ``lb_*``'s own terms summed
+    def at(self, gamma: float, beat: float = -math.inf) -> float | None:
+        """The bound at the float ``gamma``, the ``lb_*``'s own terms summed
         by the same :func:`_signed_sum`, so its ``bound_bits`` bit for bit;
-        with ``run``, if given, as H(L_X | L_out) in place of the value."""
-        terms = self._terms_at(gamma)
-        if self._run is not None:
-            run = self._run_law(gamma).values() if run is None else run
-            terms[terms.index(None)] = _run_length_term(gamma, run, 0.0)
+        or None when the row-bounded ceiling shows that it is at most
+        ``beat``."""
+        terms = self._terms(gamma)
+        if self._run is None:
+            return _signed_sum(terms)
+        k, run = terms.index(None), self._run_law(gamma)
+        if beat > -math.inf and (floor := run.floor()) is not None:
+            terms[k] = _run_length_term(gamma, floor, 0.0)
+            if _signed_sum(terms) <= beat:
+                return None
+        terms[k] = _run_length_term(gamma, run.values(), 0.0)
         return _signed_sum(terms)
-
-    def rules_out(self, gamma: float, beat: float) -> bool:
-        """Whether the row-bounded ceiling shows that the bound at the float
-        ``gamma`` is at most ``beat``: :meth:`at` on the float floor of
-        :meth:`_RunLawChunk.floor`, at most the ``lb_*``'s run-length entropy
-        bit for bit, is monotone in it.  False, and the table does not grow,
-        when the table holds every row ``gamma`` needs."""
-        if self._run is None or (floor := self._run_law(gamma).floor()) is None:
-            return False
-        return self.at(gamma, floor) <= beat
 
     def _run_law(self, at: float | slice) -> _RunLawChunk:
         """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
@@ -1006,25 +1046,3 @@ class BoundGrid:
         for t in self._tail:
             v = v + t.role.sign * t.value[chunk]
         return v
-
-
-def lb_deletion_grid(d: float, gammas: np.ndarray, cfg: SeriesConfig | None = None,
-                     use_printed_hs2: bool = False) -> BoundGrid:
-    """:func:`lb_deletion` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _deletion_terms(d, g, None, use_printed_hs2), cfg or SeriesConfig(), (d, 0.0))
-
-
-def lb1_insertion_grid(i: float, alpha: float, gammas: np.ndarray) -> BoundGrid:
-    """:func:`lb1_insertion` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _lb1_terms(i, alpha, g), SeriesConfig())
-
-
-def lb2_insertion_grid(i: float, alpha: float, gammas: np.ndarray, cfg: SeriesConfig | None = None) -> BoundGrid:
-    """:func:`lb2_insertion` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _lb2_terms(i, alpha, g, None), cfg or SeriesConfig(), (0.0, i))
-
-
-def lb_delins_grid(d: float, i: float, alpha: float, gammas: np.ndarray,
-                   cfg: SeriesConfig | None = None) -> BoundGrid:
-    """:func:`lb_delins` over ``gammas``."""
-    return BoundGrid(gammas, lambda g: _delins_terms(d, i, alpha, g, None), cfg or SeriesConfig(), (d, i))

@@ -49,14 +49,19 @@ def load_series_config() -> ab.SeriesConfig:
                 raise ValueError(f"bad line in {path!r}: {line!r} (expected key=value)")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
-    known = {"tail_epsilon", "r_max_cap"}
-    unknown = set(values) - known
+    parse = {"tail_epsilon": float, "r_max_cap": _number}
+    unknown = set(values) - set(parse)
     if unknown:
         raise ValueError(f"unknown series-config keys in {path!r}: {sorted(unknown)}")
-    cap = float(values.get("r_max_cap", 10_000))
-    if not (math.isfinite(cap) and cap == int(cap)):
-        raise ValueError(f"r_max_cap={values['r_max_cap']} in {path!r} must be a whole number")
-    return ab.SeriesConfig(tail_epsilon=float(values.get("tail_epsilon", 1e-12)), r_max_cap=int(cap))
+    return ab.SeriesConfig(**{key: parse[key](text) for key, text in values.items()})
+
+
+def _number(text: str) -> int | float:
+    """An integer literal as an int, any other number as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _parse_grid(spec: str) -> list[float]:

@@ -258,28 +258,18 @@ def cascade_equivalence_check(n: int, params: ChannelParams, seed: int = 0) -> f
     return worst
 
 
-def exact_run_law(r_max: int, params: ChannelParams, kind: str) -> dict[int, np.ndarray]:
+def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     """P(output run length s | input run length r) by action enumeration.
 
     A run of ``r`` identical bits sits between opposite-symbol guards, so its
     image in the augmented/flipped output is simply the concatenation of its
     per-bit fragments; ``s`` is the total fragment length.  Returns, per r,
-    an array over s = 0..2r.  ``kind`` selects which actions are live:
-    ``deletion`` (delete/keep), ``insertion`` (keep/duplicate/complement) or
-    ``delins`` (all four).
+    an array over s = 0..2r.  The actions of zero probability under
+    ``params`` (all but delete/keep at i = 0, delete at d = 0) are dropped.
     """
     if r_max > 10:
         raise ValueError("exact run law enumeration supports r_max <= 10")
-    d, i, a = params.d, params.i, params.alpha
-    if kind == "deletion":
-        probs4 = np.array([d, 1.0 - d, 0.0, 0.0])
-    elif kind == "insertion":
-        probs4 = np.array([0.0, 1.0 - i, i * a, i * (1.0 - a)])
-    elif kind == "delins":
-        probs4 = action_probabilities(params)
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    codes, probs = _active_actions(probs4)
+    codes, probs = _active_actions(action_probabilities(params))
     out: dict[int, np.ndarray] = {}
     for r in range(1, r_max + 1):
         table = np.zeros(2 * r + 1)
@@ -373,12 +363,13 @@ def _cond_entropy(joint: dict, group) -> float:
     return math.fsum(pieces)
 
 
-def exact_decomposition_check(n: int, gamma: float, params: ChannelParams, kind: str) -> DecompositionCheck:
+def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> DecompositionCheck:
     """Exact residual of the auxiliary-sequence entropy decomposition.
 
     Builds the full joint of (Markov input, action pattern), marginalizes to
-    (X, Y, aux) where aux is S for the deletion channel, T for the insertion
-    channel and (T, S) for the combined channel, and evaluates both sides of
+    (X, Y, aux) where aux is (T, S), which is S alone for the deletion
+    channel (T is then all zeros) and T alone for the insertion channel (S is
+    then all zeros), and evaluates both sides of
 
         H(X | Y) = H(X, aux | Y) - H(aux | X, Y)
 
@@ -387,14 +378,6 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams, kind:
     """
     if n > 8:
         raise ValueError("decomposition check supports n <= 8")
-    if kind == "deletion":
-        aux_of = lambda t, s: s
-    elif kind == "insertion":
-        aux_of = lambda t, s: t
-    elif kind == "delins":
-        aux_of = lambda t, s: (t, s)
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
 
     probs4 = action_probabilities(params)
     codes, probs = _active_actions(probs4)
@@ -417,8 +400,7 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams, kind:
                 pp *= probs_l[rem % k_act]
                 rem //= k_act
             y, i_fl, t_fl, s = reference_apply(x, acts)
-            aux = aux_of(tuple(t_fl), tuple(s))
-            joint[(xv, tuple(y), aux)] += pp
+            joint[(xv, tuple(y), (tuple(t_fl), tuple(s)))] += pp
 
     mass_error = abs(math.fsum(joint.values()) - 1.0)
     xy: dict = defaultdict(float)

@@ -17,18 +17,15 @@ float form (:meth:`~.analytic_bounds.BoundGrid.at`), the ``lb_*``'s bound
 bit for bit; the ``lb_*`` itself runs once per solve, at gamma*, for the
 report.
 
-The chunks and the golden-section upper probes are pruned by two exact
-ceilings (see :func:`maximize_over_gamma`): the source-plus-credit sum,
-since every penalty is a conditional entropy (a printed penalty may be
-negative, so the printed form has none), and the row-bounded ceiling, which
-puts the last row entropy held in place of each row the table lacks.  A
+The grid owns every ceiling: it returns None for a chunk or a golden-section
+probe that cannot beat the best value so far, and the search skips it.  A
 search thus builds only the rows its exact evaluations need, and its result
 is the unpruned search's, bit for bit.
 
 ``CHANNELS`` is the one registry of channels (CLI parameters, bounds, CSV
-term columns) and ``_BOUNDS`` the one map from a bound name to its ``lb_*``
-and its array form; everything that dispatches on a channel or a bound
-reads these two.
+term columns); everything that dispatches on a channel reads it.  A bound
+itself, its terms and its ``lb_*``, is declared once, in
+``analytic_bounds``.
 """
 
 from __future__ import annotations
@@ -36,24 +33,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .analytic_bounds import (
-    BoundGrid,
-    BoundResult,
-    SeriesConfig,
-    _row_table_size,
-    lb_deletion,
-    lb_deletion_grid,
-    lb1_insertion,
-    lb1_insertion_grid,
-    lb2_insertion,
-    lb2_insertion_grid,
-    lb_delins,
-    lb_delins_grid,
-)
+from .analytic_bounds import _BOUNDS, BoundGrid, BoundResult, SeriesConfig, _row_table_size
 from .core import ChannelParams
 
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
@@ -88,25 +72,8 @@ CHANNELS = {
         "insertion_ambiguity_credit")),
 }
 
-class _Bound(NamedTuple):
-    evaluate: Callable[..., BoundResult]  # at (d, i, alpha, gamma, cfg, diagnostics, use_printed_hs2)
-    grid: Callable[..., BoundGrid]  # at (d, i, alpha, gammas, cfg, use_printed_hs2): the lb_*'s array form
-
-
-# bound name -> its lb_* and its array form.  The lambdas look lb_* up by
-# module-level name at call time, so a rebinding of those names (as a tracer
-# does) is seen.
-_BOUNDS: dict[str, _Bound] = {
-    "deletion": _Bound(lambda d, i, alpha, g, cfg, diag, printed:
-                       lb_deletion(d, g, cfg, diagnostics=diag, use_printed_hs2=printed),
-                       lambda d, i, alpha, g, cfg, printed=False: lb_deletion_grid(d, g, cfg, printed)),
-    "insertion_lb1": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb1_insertion(i, alpha, g),
-                            lambda d, i, alpha, g, cfg, printed=False: lb1_insertion_grid(i, alpha, g)),
-    "insertion_lb2": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb2_insertion(i, alpha, g, cfg),
-                            lambda d, i, alpha, g, cfg, printed=False: lb2_insertion_grid(i, alpha, g, cfg)),
-    "delins": _Bound(lambda d, i, alpha, g, cfg, diag, printed: lb_delins(d, i, alpha, g, cfg, diagnostics=diag),
-                     lambda d, i, alpha, g, cfg, printed=False: lb_delins_grid(d, i, alpha, g, cfg)),
-}
+# bound name -> its channel
+_CHANNEL_OF = {name: channel for channel in CHANNELS.values() for name in channel.bounds.values()}
 
 
 def _lookup(table: dict, name: str):
@@ -115,60 +82,48 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
+def _bound_params(name: str, d: float, i: float, alpha: float) -> ChannelParams:
+    """The bound ``name``'s own parameters: those among (d, i, alpha) that
+    its channel's flags name, the others at their defaults."""
+    given = {"d": d, "i": i, "alpha": alpha}
+    return ChannelParams(**{flag: given[flag] for flag in _lookup(_CHANNEL_OF, name).flags})
+
+
 def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, float]:
     """Maximize a bound over gamma in [GAMMA_MIN, GAMMA_MAX] through its grid
     form ``grid`` (a :class:`~.analytic_bounds.BoundGrid`, or anything with
-    its ``gammas``, ``chunks``, ``ceilings``, ``values(chunk, beat)``,
-    ``at(gamma)`` and ``rules_out(gamma, beat)``).
+    its ``gammas``, ``chunks``, ``values(chunk, beat)`` and
+    ``at(gamma, beat)``).
 
     Evaluates ``values`` on the coarse grid ``gammas``, chunk by ascending
     chunk, then golden-section refines ``at`` inside the bracket around the
     best grid point until the interval is below ``tol``.  Returns the best
-    point evaluated and its value; a non-finite value is an error.  The
-    ceilings (None for none) must bound the values element by element;
-    ``values(chunk, beat)`` may return None only if no value there exceeds
-    ``beat``, and ``rules_out(gamma, beat)`` may return True only if
-    ``at(gamma) <= beat``.
+    point evaluated and its value; a non-finite value is an error.
 
-    A chunk whose every ceiling is at most the best value so far is
-    skipped: at best it ties, and a tie never displaces the earlier first
-    argmax.  The chunks do not depend on the pruning, so the bracket, every
-    golden-section step and the result are those of the unpruned grid, bit
-    for bit.  A bound's source-plus-credit sum meets the condition exactly in
-    floating point, taken from the same term arrays as the bound: every
-    penalty is >= 0, the bound adds its terms in order, and round-to-nearest
-    is monotone, so each partial sum with the penalties is at most the same
-    sum without them.
-
-    A chunk that passes is handed the best value so far as ``beat``.  A
-    :class:`~.analytic_bounds.BoundGrid` whose row table is too short for
-    the chunk then tries its row-bounded ceiling: the rows past the R held
-    take H_R, at most each of them since entropy never decreases as
-    independent steps are added, and the p_r-weighted row sum is lowered by
-    a margin that covers rounding and the table's trimming
-    (:meth:`~.analytic_bounds._RunLawChunk.floor`).  The rest of the bound
-    is monotone in that sum, whatever the signs of its other terms, so this
-    too is a ceiling bit for bit, and a chunk it rules out is skipped with
-    its rows never built.
+    Each call hands the grid the best value so far as ``beat``, and it may
+    return None only if no value it would return exceeds ``beat`` (the grid
+    states its ceilings and why they hold bit for bit); the search then
+    skips the chunk or the probe.  At best that point would tie, and a tie
+    never displaces the earlier first argmax.  The chunks do not depend on
+    the pruning, so the bracket, every golden-section step and the result
+    are those of the unpruned grid, bit for bit.
 
     Golden section keeps a lower probe x1 < x2 and evaluates its upper probe
     x2 only to compare f2 with f1: f1 >= f2 drops x2, else x1 (J. Kiefer,
     "Sequential minimax search for a maximum", 1953).  Every value
     evaluated, the first pair's included, is compared with the best value,
     a tie never displacing the earlier argmax, so the best value is at
-    least f1.  Before an upper probe is evaluated, ``rules_out(x2, f1)``
-    tries the row-bounded ceiling at x2, which is at or above f2 bit for
-    bit.  If it holds, f2 <= f1 is certain and f2 is taken as -inf
-    unevaluated, so the table does not grow: that takes the branch that
-    drops x2, ties included, as the real f2 would, and cannot move the best
-    point.  Lower probes are never tested: each lies below a point already
-    evaluated, so the table already holds its rows.
+    least f1.  An upper probe is handed f1 as ``beat``: if it is ruled out,
+    f2 <= f1 is certain and f2 is taken as -inf unevaluated, which takes the
+    branch that drops x2, ties included, as the real f2 would, and cannot
+    move the best point.  Lower probes are handed nothing: each lies below a
+    point already evaluated, so the row table already holds its rows.
 
     With the ``delinscap`` logger at DEBUG, the search logs one record at its
-    end: grid points and chunks evaluated and skipped (by either ceiling),
-    the grid argmax and the golden-section bracket, then the chunks and the
-    upper probes the row-bounded ceiling skipped and the rows the row table
-    holds.
+    end: grid points and chunks evaluated and skipped (by any ceiling), the
+    grid argmax and the golden-section bracket, then the chunks the
+    row-bounded ceiling skipped (a grid's ``row_skips``, 0 for a grid without
+    one) and the upper probes ruled out, and the rows the row table holds.
     """
     if not tol >= 1e-9:  # NaN included
         raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
@@ -179,15 +134,11 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
         return v
 
     gammas = grid.gammas
-    b, best_v, skipped, row_skips = -1, -math.inf, [], 0
+    b, best_v, skipped = -1, -math.inf, []
     for chunk in grid.chunks:
-        if b >= 0 and grid.ceilings is not None and np.max(grid.ceilings[chunk]) <= best_v:
-            skipped.append(chunk.stop - chunk.start)
-            continue
         values = grid.values(chunk, best_v)
-        if values is None:  # skipped by the row-bounded ceiling
+        if values is None:
             skipped.append(chunk.stop - chunk.start)
-            row_skips += 1
             continue
         for j, (g, v) in enumerate(zip(gammas[chunk].tolist(), values.tolist()), chunk.start):
             if checked(g, v) > best_v:
@@ -204,11 +155,11 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
     def probe(x: float, beat: float = -math.inf) -> float:
         """The objective at ``x``, taken as the best if it is, or -inf if ruled out as at most ``beat``."""
         nonlocal best_g, best_v, probe_skips
-        if beat > -math.inf and grid.rules_out(x, beat):
+        v = grid.at(x, beat)
+        if v is None:
             probe_skips += 1
             return -math.inf
-        v = checked(x, grid.at(x))
-        if v > best_v:
+        if checked(x, v) > best_v:
             best_g, best_v = x, v
         return v
 
@@ -231,7 +182,7 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
             "argmax %r; bracket [%r, %r]; the row-bounded ceiling skipped %d chunks and %d probes; "
             "row table %d rows",
             gammas.size - sum(skipped), sum(skipped), len(grid.chunks) - len(skipped), len(skipped), grid_g,
-            *bracket, row_skips, probe_skips, _row_table_size())
+            *bracket, getattr(grid, "row_skips", 0), probe_skips, _row_table_size())
     return best_g, best_v
 
 
@@ -241,13 +192,13 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     """Optimize one bound over gamma and return the full breakdown at gamma*.
 
     ``channel`` is one of ``deletion``, ``insertion_lb1``, ``insertion_lb2``
-    or ``delins``.
+    or ``delins``; the parameters its channel does not take are ignored.
     """
     ChannelParams(d=d, i=i, alpha=alpha)  # before the grid, which takes them unchecked
-    bound = _lookup(_BOUNDS, channel)
+    params = _bound_params(channel, d, i, alpha)
     cfg = cfg or SeriesConfig()
-    gamma_star, _ = maximize_over_gamma(bound.grid(d, i, alpha, _GRID, cfg, use_printed_hs2), tol)
-    return bound.evaluate(d, i, alpha, gamma_star, cfg, True, use_printed_hs2)
+    gamma_star, _ = maximize_over_gamma(BoundGrid(channel, params, _GRID, cfg, use_printed_hs2), tol)
+    return _BOUNDS[channel].lb(params, gamma_star, cfg, True, use_printed_hs2)
 
 
 def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float = 1.0,
@@ -260,7 +211,7 @@ def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     if gamma is None:
         return {key: optimize_bound(name, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol, use_printed_hs2=use_printed_hs2)
                 for key, name in bounds.items()}
-    return {key: _BOUNDS[name].evaluate(d, i, alpha, gamma, cfg, True, use_printed_hs2)
+    return {key: _BOUNDS[name].lb(_bound_params(name, d, i, alpha), gamma, cfg, True, use_printed_hs2)
             for key, name in bounds.items()}
 
 

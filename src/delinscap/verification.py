@@ -75,11 +75,11 @@ class _Checks(list):
         self._since = now
 
 
-def _run_law_gap(params: ChannelParams, kind: str) -> float:
+def _run_law_gap(params: ChannelParams) -> float:
     """Largest gap, over input run lengths r <= 8, between the entropy of the
     enumerated law of the output run length and the row entropy H(row_r)
     that the bound's run-length term reads (``_row_entropies``)."""
-    table = oracle.exact_run_law(8, params, kind)
+    table = oracle.exact_run_law(8, params)
     rows = ab._row_entropies(ab._row_kernel(ab._step_law(params.d, params.i)), 8)[0]
     return max(abs(-float(xlog2(table[r], table[r]).sum()) - float(rows[r - 1])) for r in table)
 
@@ -94,18 +94,16 @@ def verify_oracle(n_max: int = 8, decomp_n: int = 6, seed: int = 0) -> dict:
                    f"max pointwise law gap over all {n_max}-bit inputs")
 
     for d in RUN_LAW_DELETION_POINTS:
-        checks.add(f"run_law_deletion_d{d}", _run_law_gap(ChannelParams(d=d), "deletion"), TOL_RUN_LAW)
+        checks.add(f"run_law_deletion_d{d}", _run_law_gap(ChannelParams(d=d)), TOL_RUN_LAW)
     for i, a in RUN_LAW_INSERTION_POINTS:
-        checks.add(f"run_law_insertion_i{i}_a{a}", _run_law_gap(ChannelParams(i=i, alpha=a), "insertion"),
-                   TOL_RUN_LAW)
+        checks.add(f"run_law_insertion_i{i}_a{a}", _run_law_gap(ChannelParams(i=i, alpha=a)), TOL_RUN_LAW)
     for d, i in RUN_LAW_DELINS_POINTS:
-        checks.add(f"run_law_delins_d{d}_i{i}", _run_law_gap(ChannelParams(d=d, i=i, alpha=0.5), "delins"),
-                   TOL_RUN_LAW)
+        checks.add(f"run_law_delins_d{d}_i{i}", _run_law_gap(ChannelParams(d=d, i=i, alpha=0.5)), TOL_RUN_LAW)
 
-    chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.3), "deletion")
+    chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.3))
     checks.add("decomposition_deletion", chk.residual, TOL_DECOMP,
                f"mass error {chk.mass_error:.2e}")
-    chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8), "delins")
+    chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
     checks.add("decomposition_delins", chk.residual, TOL_DECOMP,
                f"mass error {chk.mass_error:.2e}")
     return _report("oracle", checks)

@@ -526,16 +526,16 @@ def reference_plug_in(ctx, val, n_ctx, seed):
 
 class PointByPoint:
     """A grid for ``gamma_optimizer.maximize_over_gamma`` whose every value
-    is ``fn``'s at one float gamma: no ceilings, and no point ruled out.
-    With ``fn`` a scalar ``lb_*`` it is the unpruned search, which every
-    pruned one must match bit for bit; with a toy ``fn``, a plain objective.
+    is ``fn``'s at one float gamma: nothing is ever ruled out.  With ``fn`` a
+    scalar ``lb_*`` it is the unpruned search, which every pruned one must
+    match bit for bit; with a toy ``fn``, a plain objective.
     """
 
     def __init__(self, fn, gammas=go._GRID):
-        self.gammas, self.chunks, self.ceilings, self.at = gammas, (slice(0, gammas.size),), None, fn
+        self.gammas, self.chunks, self._fn = gammas, (slice(0, gammas.size),), fn
 
     def values(self, chunk, beat=-math.inf):
-        return np.array([self.at(g) for g in self.gammas[chunk].tolist()])
+        return np.array([self._fn(g) for g in self.gammas[chunk].tolist()])
 
-    def rules_out(self, gamma, beat):
-        return False
+    def at(self, gamma, beat=-math.inf):
+        return self._fn(gamma)

@@ -37,21 +37,21 @@ def test_criterion_1_cascade_equivalence():
 def test_criterion_2_run_law_oracle():
     worst = 0.0
     for d in ver.RUN_LAW_DELETION_POINTS:
-        table = oracle.exact_run_law(8, ChannelParams(d=d), "deletion")
+        table = oracle.exact_run_law(8, ChannelParams(d=d))
         worst = max(worst, max(float(np.abs(table[r] - oracles.deletion_run_law_row(r, d)).max()) for r in table))
     for i, a in ver.RUN_LAW_INSERTION_POINTS:
-        table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a), "insertion")
+        table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a))
         worst = max(worst, max(float(np.abs(table[r] - oracles.duplication_run_law_row(r, i)).max()) for r in table))
     for d, i in ver.RUN_LAW_DELINS_POINTS:
-        table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=0.5), "delins")
+        table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=0.5))
         worst = max(worst, max(float(np.abs(table[r] - oracles.delins_run_law_row(r, d, i)).max()) for r in table))
     _announce(2, worst <= ver.TOL_RUN_LAW,
               f"run-law enumeration vs closed laws for r <= 8, max gap {worst:.3e} <= 1e-12")
 
 
 def test_criterion_3_decomposition_identities():
-    del_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3), "deletion")
-    di_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8), "delins")
+    del_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3))
+    di_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
     worst = max(del_chk.residual, di_chk.residual)
     _announce(3, worst <= ver.TOL_DECOMP,
               f"entropy decomposition residuals at n=6: deletion {del_chk.residual:.3e}, "

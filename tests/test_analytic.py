@@ -438,7 +438,7 @@ class TestOutputLengthEntropy:
         import tracemalloc
         from delinscap import gamma_optimizer as go
 
-        grid = ab.lb_delins_grid(d, i, 0.5, go._GRID)
+        grid = ab.BoundGrid("delins", ChannelParams(d=d, i=i, alpha=0.5), go._GRID, ab.SeriesConfig())
         chunk = grid.chunks[-1]
         gammas = go._GRID[chunk]
         grid._run_law(chunk)  # fills the grid chunk's weights
@@ -626,7 +626,7 @@ class TestRowBoundedCeiling:
         if d + i > 1.0:
             d, i = i, 1.0 - i
         name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
-        grid = go._BOUNDS[name].grid(d, i, alpha, go._GRID, ab.SeriesConfig(), printed)
+        grid = ab.BoundGrid(name, go._bound_params(name, d, i, alpha), go._GRID, ab.SeriesConfig(), printed)
         chunk = grid.chunks[c]
         run = grid._run_law(chunk)
         blocks = (run.size - 1) // ab._ROW_BLOCK  # R = 16, 32, .., 16 blocks rows are all short of run.size
@@ -832,6 +832,12 @@ def test_series_config_validation(tmp_path, monkeypatch, capsys):
         ab.SeriesConfig(tail_epsilon=0.0)
     with pytest.raises(ValueError):
         ab.SeriesConfig(r_max_cap=0)
+    # a cap the row table cannot slice by (a raw TypeError once), or one _r_truncation silently raised to 8
+    for cap in (100.5, 3, 7, True):
+        with pytest.raises(ValueError, match="r_max_cap"):
+            ab.SeriesConfig(r_max_cap=cap)
+    cfg = ab.SeriesConfig(r_max_cap=np.int64(5000))
+    assert cfg.r_max_cap == 5000 and type(cfg.r_max_cap) is int
     # a threshold that cannot cut a geometric series: an overflow, a NaN index, or r_max 8 with error 1.32 once
     for eps in (math.inf, math.nan, 1.0, 2.0):
         with pytest.raises(ValueError, match="tail_epsilon"):

@@ -182,57 +182,57 @@ class TestBatchedOracleMatchesReference:
 
 class TestExactRunLaw:
     def test_deletion_binomial(self):
-        table = oracle.exact_run_law(3, ChannelParams(d=0.4), "deletion")
+        table = oracle.exact_run_law(3, ChannelParams(d=0.4))
         row = table[2]
         assert row[0] == pytest.approx(0.16, abs=1e-15)
         assert row[1] == pytest.approx(0.48, abs=1e-15)
         assert row[2] == pytest.approx(0.36, abs=1e-15)
 
     def test_duplication_single_bit(self):
-        table = oracle.exact_run_law(2, ChannelParams(i=0.15, alpha=1.0), "insertion")
+        table = oracle.exact_run_law(2, ChannelParams(i=0.15, alpha=1.0))
         assert table[1][1] == pytest.approx(0.85, abs=1e-15)
         assert table[1][2] == pytest.approx(0.15, abs=1e-15)
 
     def test_delins_matches_formula(self):
         p = ChannelParams(d=0.2, i=0.25, alpha=0.3)
-        table = oracle.exact_run_law(3, p, "delins")
+        table = oracle.exact_run_law(3, p)
         for r, row in table.items():
             ref = oracles.delins_run_law_row(r, p.d, p.i)
             assert np.abs(row - ref).max() <= 1e-12
 
     def test_all_three_kinds_match_formulas_to_r8(self):
         d, i, a = 0.3, 0.2, 0.6
-        table = oracle.exact_run_law(8, ChannelParams(d=d), "deletion")
+        table = oracle.exact_run_law(8, ChannelParams(d=d))
         assert max(np.abs(table[r] - oracles.deletion_run_law_row(r, d)).max() for r in table) <= 1e-12
-        table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a), "insertion")
+        table = oracle.exact_run_law(8, ChannelParams(i=i, alpha=a))
         assert max(np.abs(table[r] - oracles.duplication_run_law_row(r, i)).max() for r in table) <= 1e-12
-        table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=a), "delins")
+        table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=a))
         assert max(np.abs(table[r] - oracles.delins_run_law_row(r, d, i)).max() for r in table) <= 1e-12
 
     def test_refuses_large_runs(self):
         with pytest.raises(ValueError):
-            oracle.exact_run_law(11, ChannelParams(d=0.1), "deletion")
+            oracle.exact_run_law(11, ChannelParams(d=0.1))
 
 
 class TestDecomposition:
     def test_deletion_identity(self):
-        chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3), "deletion")
+        chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3))
         assert chk.residual <= 1e-10
         assert chk.mass_error <= 1e-12
 
     def test_delins_identity(self):
-        chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8), "delins")
+        chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
         assert chk.residual <= 1e-10
 
     def test_insertion_identity(self):
-        chk = oracle.exact_decomposition_check(5, 0.6, ChannelParams(i=0.25, alpha=0.7), "insertion")
+        chk = oracle.exact_decomposition_check(5, 0.6, ChannelParams(i=0.25, alpha=0.7))
         assert chk.residual <= 1e-10
 
     def test_identity_channel_degenerate(self):
-        chk = oracle.exact_decomposition_check(4, 0.5, ChannelParams(), "delins")
+        chk = oracle.exact_decomposition_check(4, 0.5, ChannelParams())
         assert chk.residual == 0.0
         assert chk.h_aux_given_xy == 0.0
 
     def test_conditioning_reduces_entropy(self):
-        chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.3), "deletion")
+        chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.3))
         assert chk.h_x_aux_given_y >= chk.h_x_given_y >= 0.0

@@ -76,7 +76,7 @@ class TestMaximize:
 
     def test_returns_the_largest_value_evaluated(self):
         # at this point the first lower probe's value stays above the best for three steps
-        grid = _Recording(go._BOUNDS["delins"].grid(0.8, 0.05, 0.9, go._GRID, ab.SeriesConfig(), False))
+        grid = _Recording(_grid("delins", 0.8, 0.05, 0.9))
         g, v = maximize_over_gamma(grid)
         assert v == max(grid.seen) and grid.at(g) == v
         assert repr(optimize_bound("delins", d=0.8, i=0.05, alpha=0.9).gamma_star) == repr(g)
@@ -88,19 +88,30 @@ class _Recording:
 
     def __init__(self, grid):
         self._grid, self.seen = grid, []
-        self.gammas, self.chunks, self.ceilings = grid.gammas, grid.chunks, grid.ceilings
+        self.gammas, self.chunks = grid.gammas, grid.chunks
 
     def values(self, chunk, beat):
         values = self._grid.values(chunk, beat)
         self.seen += [] if values is None else values.tolist()
         return values
 
-    def rules_out(self, gamma, beat):
-        return self._grid.rules_out(gamma, beat)
+    def at(self, gamma, beat=-math.inf):
+        value = self._grid.at(gamma, beat)
+        self.seen += [] if value is None else [value]
+        return value
 
-    def at(self, gamma):
-        self.seen.append(self._grid.at(gamma))
-        return self.seen[-1]
+
+class _Ceiling(PointByPoint):
+    """A :class:`~oracles.PointByPoint` in chunks of ten points, each skipped
+    when the constant ``ceiling`` cannot beat the best value so far."""
+
+    def __init__(self, fn, ceiling):
+        super().__init__(fn)
+        self.chunks, self._ceiling = tuple(slice(k, min(k + 10, self.gammas.size)) for k in
+                                           range(0, self.gammas.size, 10)), ceiling
+
+    def values(self, chunk, beat=-math.inf):
+        return None if self._ceiling <= beat else super().values(chunk, beat)
 
 
 class TestOptimizeBound:
@@ -193,35 +204,52 @@ class TestRegistry:
             sweep("bogus", [{"d": 0.1}])
 
 
+def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=go._GRID, printed=False):
+    """The bound's array form over ``gammas``, of the parameters optimize_bound gives it."""
+    return ab.BoundGrid(name, go._bound_params(name, d, i, alpha), gammas, ab.SeriesConfig(), printed)
+
+
+def _lb(name, d, i, alpha, gamma, diagnostics=False, printed=False):
+    """The bound's lb_* at ``gamma``, called as optimize_bound calls it."""
+    return ab._BOUNDS[name].lb(go._bound_params(name, d, i, alpha), gamma, ab.SeriesConfig(), diagnostics, printed)
+
+
+def _warm(grid):
+    """The grid with every chunk evaluated: the row table then holds every row it needs."""
+    for chunk in grid.chunks:
+        grid.values(chunk)
+    return grid
+
+
 def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5):
     """optimize_bound's search with no ceiling: every grid point evaluated by the lb_* itself."""
-    cfg = ab.SeriesConfig()
-    bound = go._BOUNDS[name]
-    grid = PointByPoint(lambda g: bound.evaluate(d, i, alpha, g, cfg, False, printed).bound_bits)
+    grid = PointByPoint(lambda g: _lb(name, d, i, alpha, g, printed=printed).bound_bits)
     gamma_star, _ = maximize_over_gamma(grid, tol)
-    return bound.evaluate(d, i, alpha, gamma_star, cfg, True, printed)
+    return _lb(name, d, i, alpha, gamma_star, diagnostics=True, printed=printed)
 
 
 class TestCeiling:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(0.0, 1.0),
+    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(0.0, 1.0),
            st.floats(1e-6, 0.99))
     @example("delins", 0.0, 0.0, 1.0, 0.5)
     @example("deletion", 0.0, 0.0, 1.0, 0.99)
     @example("insertion_lb2", 0.0, 0.9, 1.0, 1e-6)
     def test_ceiling_is_the_positive_terms_and_bounds_the_bound(self, name, d, i, alpha, gamma):
         assume(d + i <= 1.0)
-        bound = go._BOUNDS[name]
-        res = bound.evaluate(d, i, alpha, gamma, ab.SeriesConfig(), True, False)
+        res = _lb(name, d, i, alpha, gamma, diagnostics=True)
         positive = 0.0
         for t in res.terms:  # in order, as the bound is assembled
             if t.role.sign > 0:
                 positive += t.value
         assert res.bound_bits <= positive
-        # the grid's ceiling is the same sum over its own term arrays, at or above its values bit for bit
-        grid = bound.grid(d, i, alpha, np.array([gamma]), ab.SeriesConfig())
-        assert abs(grid.ceilings[0] - positive) <= 1e-13
-        assert grid.ceilings[0] >= grid.values()[0]
+        # the grid's ceiling is the same sum over its own term arrays, at or above its values bit for bit:
+        # with every row held, a beat rules the point out exactly when the ceiling does not exceed it
+        grid = _warm(_grid(name, d, i, alpha, np.array([gamma])))
+        value = grid.values()[0]
+        assert grid.values(beat=positive + 1e-13) is None
+        assert grid.values(beat=positive - 1e-13) is not None
+        assert grid.values(beat=math.nextafter(value, -math.inf)) is not None
 
     @pytest.mark.parametrize("name, params", [
         ("deletion", {"d": 0.0}), ("deletion", {"d": 0.1}), ("deletion", {"d": 0.9}),
@@ -298,8 +326,7 @@ class TestCeiling:
             d, i = i, 1.0 - i
         name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
         cfg = ab.SeriesConfig()
-        bound = go._BOUNDS[name]
-        grid = bound.grid(d, i, alpha, go._GRID, cfg, printed)
+        grid = _grid(name, d, i, alpha, printed=printed)
         kernel = grid._run_law(gamma).kernel
         blocks = (ab._r_truncation(gamma, cfg) - 1) // ab._ROW_BLOCK
         assume(kernel and blocks >= 1)
@@ -307,12 +334,12 @@ class TestCeiling:
         empty = ((), np.ones(1), np.zeros(0), np.zeros(0))
         saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, empty
         try:
-            value = bound.evaluate(d, i, alpha, gamma, cfg, False, printed).bound_bits
+            value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
             ab._ROW_ENTROPIES = empty
             ab._row_entropies(kernel, held)
-            assert not grid.rules_out(gamma, math.nextafter(value, -math.inf))
-            assert grid.rules_out(gamma, math.inf)
-            assert ab._row_table_size() == held
+            assert grid.at(gamma, math.inf) is None
+            assert ab._row_table_size() == held  # ruled out before the table grew
+            assert repr(grid.at(gamma, math.nextafter(value, -math.inf))) == repr(value)
         finally:
             ab._ROW_ENTROPIES = saved
 
@@ -337,10 +364,8 @@ class TestCeiling:
 
     def test_non_finite_objective_raises_with_a_ceiling(self):
         for fn, ceiling in [(lambda g: float("nan"), 1.0), (lambda g: float("inf") if g > 0.5 else 0.0, math.inf)]:
-            grid = PointByPoint(fn)
-            grid.ceilings = np.full(go._GRID.size, ceiling)
             with pytest.raises(ValueError):
-                maximize_over_gamma(grid)
+                maximize_over_gamma(_Ceiling(fn, ceiling))
 
     def test_low_gamma_solve_keeps_the_row_table_short(self, monkeypatch):
         monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
@@ -349,8 +374,10 @@ class TestCeiling:
         assert 0 < rows <= ab._r_truncation(0.995, ab.SeriesConfig()) // 10
 
     def test_printed_form_is_not_pruned(self):
-        # a printed penalty may be negative: no source-plus-credit ceiling
-        assert ab.lb_deletion_grid(0.2, go._GRID, use_printed_hs2=True).ceilings is None
+        # a printed penalty may be negative: no source-plus-credit ceiling, so with every row held
+        # no chunk is ruled out even against an infinite beat
+        grid = _warm(_grid("deletion", 0.2, printed=True))
+        assert all(grid.values(chunk, math.inf) is not None for chunk in grid.chunks)
         res = optimize_bound("deletion", d=0.2, use_printed_hs2=True)
         assert repr(res) == repr(_unpruned("deletion", d=0.2, printed=True))
         assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
@@ -363,9 +390,12 @@ class TestCeiling:
         assert repr(pruned) == repr(_unpruned("deletion", d=d, printed=True))
 
     def test_only_the_printed_form_lacks_ceilings(self):
-        for name, bound in go._BOUNDS.items():
-            assert bound.grid(0.2, 0.1, 0.8, go._GRID, ab.SeriesConfig()).ceilings is not None, name
-        assert go._BOUNDS["deletion"].grid(0.2, 0.0, 1.0, go._GRID, ab.SeriesConfig(), True).ceilings is None
+        # with every row held, only the source-plus-credit ceiling can rule a chunk out
+        for name in ab._BOUNDS:
+            grid = _warm(_grid(name, 0.2, 0.1, 0.8))
+            assert all(grid.values(chunk, math.inf) is None for chunk in grid.chunks), name
+        grid = _warm(_grid("deletion", 0.2, 0.0, 1.0, printed=True))
+        assert all(grid.values(chunk, math.inf) is not None for chunk in grid.chunks)
 
     def test_one_debug_record_per_search(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
@@ -412,10 +442,10 @@ def _grid_argmax(caplog, search) -> str:
 
 
 class TestArrayForm:
-    """Each bound's array form (``_BOUNDS[name].grid``) against its lb_*."""
+    """Each bound's array form (:class:`~delinscap.analytic_bounds.BoundGrid`) against its lb_*."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.95), st.floats(0.0, 0.95), st.floats(0.0, 1.0),
+    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.95), st.floats(0.0, 0.95), st.floats(0.0, 1.0),
            st.lists(st.floats(GAMMA_MIN, GAMMA_MAX), min_size=1, max_size=4))
     @example("deletion", 0.0, 0.0, 1.0, [0.5])
     @example("insertion_lb1", 0.0, 0.0, 0.3, [0.5])
@@ -430,19 +460,17 @@ class TestArrayForm:
     def test_array_form_matches_scalar_form(self, name, d, i, alpha, drawn):
         assume(d + i <= 1.0)
         gammas = np.array(sorted({GAMMA_MIN, 0.995, GAMMA_MAX, *drawn}))
-        cfg = ab.SeriesConfig()
-        bound = go._BOUNDS[name]
-        grid = bound.grid(d, i, alpha, gammas, cfg)
+        grid = _grid(name, d, i, alpha, gammas)
         values = grid.values()
-        scalar = [bound.evaluate(d, i, alpha, g, cfg, False, False) for g in gammas.tolist()]
+        scalar = [_lb(name, d, i, alpha, g) for g in gammas.tolist()]
         for v, res in zip(values.tolist(), scalar):
             assert abs(v - res.bound_bits) <= 1e-13
             assert type(res.bound_bits) is float and all(type(t.value) is float for t in res.terms)
-        assert np.all(grid.ceilings >= values)
+        assert np.all(grid._ceilings >= values)
         assert type(grid.at(float(gammas[0]))) is float
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(go._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
            st.floats(GAMMA_MIN, 0.9999))
     @example("delins", 0.45, 0.55, 0.5, 0.9999)  # d + i = 1: t = -1
     @example("delins", 0.7, 0.3, 1.0, 0.995)
@@ -456,15 +484,14 @@ class TestArrayForm:
         if d + i > 1.0:
             d, i = i, 1.0 - i
         cfg = ab.SeriesConfig()
-        bound = go._BOUNDS[name]
-        grid = bound.grid(d, i, alpha, go._GRID, cfg)
-        assert repr(grid.at(gamma)) == repr(bound.evaluate(d, i, alpha, gamma, cfg, False, False).bound_bits)
+        grid = _grid(name, d, i, alpha)
+        assert repr(grid.at(gamma)) == repr(_lb(name, d, i, alpha, gamma).bound_bits)
         # The grid-level H(L_out), on each gamma's own 0..2 r_max, is that
         # gamma's array form alone, bit for bit, and its float form within
         # numpy's and math's differing last bits: 1e-15 max(1, H) is exceeded
         # at gamma <= 0.2 by the closed form itself (2.6e-15 at i = 0.999).
         gammas = np.append(go._GRID, gamma)
-        h_out = bound.grid(d, i, alpha, gammas, cfg)._h_out
+        h_out = _grid(name, d, i, alpha, gammas)._h_out
         assume(h_out is not None)  # LB 1 has no run-length term
         step = ab._step_law(d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
         for g, h in zip(gammas.tolist(), h_out.tolist()):
@@ -478,10 +505,10 @@ class TestArrayForm:
         # d + i = 1: up to 2 r_max + 1 correction terms at every grid point,
         # 199 x 11 041 of them at grid point 0.995, had they been taken at once
         import tracemalloc
-        ab.lb_delins_grid(d, i, 0.5, go._GRID)  # the grid's r_max kept
+        _grid("delins", d, i, 0.5)  # the grid's r_max kept
         tracemalloc.start()
         try:
-            ab.lb_delins_grid(d, i, 0.5, go._GRID)
+            _grid("delins", d, i, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,4 +562,4 @@ class TestArrayForm:
         message = record.getMessage()
         evaluated = int(message.split(" chunks evaluated")[0].split()[-1])
         skipped = int(message.split(" skipped; argmax")[0].split()[-1])
-        assert evaluated + skipped == len(ab.lb_deletion_grid(0.1, go._GRID).chunks) and evaluated > 0 and skipped > 0
+        assert evaluated + skipped == len(_grid("deletion", 0.1).chunks) and evaluated > 0 and skipped > 0
