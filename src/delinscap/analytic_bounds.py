@@ -10,16 +10,19 @@ error budget.  The deleted-run term H(S | Y_prev, Y, T) has one kernel,
 classes, summed exactly, so it carries no truncation error; the deletion
 channel's H(S2 | Y1 Y2) is the same kernel at i = 0.  (The truncated direct
 sums it replaced are kept in the tests as oracles.)  The run-length entropy
-H(L_X | L_out) sums its joint law over input run lengths up to r_max: the
-row entropies H(L_out | L_X = r) do not depend on gamma, so they are
-tabulated once per per-bit step law, a block of rows per matrix product from
-a trimmed base row, and reused by every gamma of a search; H(L_out) is a
-closed form of the law's generating function.  The truncation point is
-chosen from ``SeriesConfig.tail_epsilon``, and the term carries a
-conservative closed-form bound on the discarded mass's entropy contribution,
-the mass trimmed from the row table included.  The row entropies never
-decrease in r, so the rows already built also bound the term from below at
-any r_max: the gamma search uses that to skip points before the table grows
+H(L_X | L_out) sums its joint law over input run lengths up to r_max, by one
+formula whether gamma is a float or a chunk of an array
+(:class:`_RunLawChunk`): p @ H - sum_r p_r log2 p_r - H(L_out), with p the
+run-length weights.  The row entropies H = H(L_out | L_X = r) do not depend
+on gamma, so they are tabulated once per per-bit step law, a block of rows
+per matrix product from a trimmed base row, and reused by every gamma of a
+search; H(L_out) is a closed form of the law's generating function.  The
+truncation point is chosen from ``SeriesConfig.tail_epsilon``, and the term
+carries a conservative closed-form bound on the discarded mass's entropy
+contribution, the mass trimmed from the row table included.  The row
+entropies never decrease in r, so the rows already built also bound the term
+from below at any r_max, by one proof for a float and an array alike: the
+gamma search uses that to skip points before the table grows
 (:class:`BoundGrid`).
 
 Every closed-form kernel the bounds use takes gamma as a float or as an
@@ -61,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, binary_entropy, xlog2
+from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, _i_prime, binary_entropy, xlog2
 
 __all__ = [
     "SeriesConfig",
@@ -217,7 +220,7 @@ def insertion_penalty_credit(i: float, alpha: float, gamma: float) -> float:
 def delins_ambiguity_credit(d: float, i: float, alpha: float, gamma: float) -> float:
     """The combined channel's insertion-ambiguity credit: the insertion one at
     the first-stage output statistics (gamma -> q, i -> i' = i/(1-d)), per input bit."""
-    return (1.0 - d) * insertion_penalty_credit(ChannelParams(d=d, i=i).i_prime, alpha, markov_q(gamma, d))
+    return (1.0 - d) * insertion_penalty_credit(_i_prime(d, i), alpha, markov_q(gamma, d))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,7 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
     """
     if d == 0.0:
         return 0.0 * gamma
-    ip = ChannelParams(d=d, i=i).i_prime
+    ip = _i_prime(d, i)
     ab = 1.0 - alpha
     c1 = 1.0 - ip * ab
     th, be, g0 = _theta(gamma, d), _beta(gamma, d), _g0(gamma, d)
@@ -392,7 +395,7 @@ def _row_entropies(kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, f
     the next block.  The kernel powers sum to one, so every row of that block
     misses exactly the mass D dropped so far; with row_r on at most
     2 r_max + 1 cells, H(row_r) then moves by at most
-    D (log2(2 r_max + 1) - log2 D + log2 e).
+    D (log2(2 r_max + 1) - log2 D + log2 e) (:func:`_trim_bound`).
     """
     global _ROW_ENTROPIES
     key, row, h, lost = _ROW_ENTROPIES
@@ -524,7 +527,8 @@ def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
 
 class _ChunkWeights(NamedTuple):
     """The parts of H(L_X | L_out) over a chunk of gammas that depend on the
-    gammas and the :class:`SeriesConfig` alone, not on the channel."""
+    gammas and the :class:`SeriesConfig` alone, not on the channel; a float
+    gamma's, a chunk of one point, have p a vector and log_p a scalar."""
 
     size: int  # the largest r_max
     p: np.ndarray  # (G, size): p_r = gamma**(r-1) (1 - gamma), zero past each row's r_max
@@ -571,63 +575,59 @@ _grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
 
 
 class _RunLawChunk:
-    """H(L_X | L_out) at a float gamma, or at each gamma of a chunk of a
-    :class:`BoundGrid`, L_out the sum over the run's L_X bits of i.i.d.
-    per-bit output lengths in {0, 1, 2} with probabilities (d, 1 - d - i, i).
+    """H(L_X | L_out) at each gamma of a chunk of a :class:`BoundGrid`, or at
+    a float gamma, a chunk of one point; L_out is the sum over the run's L_X
+    bits of i.i.d. per-bit output lengths in {0, 1, 2} with probabilities
+    (d, 1 - d - i, i).
 
-    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and
-    H(L_X, L_out) = sum_r p_r (-log2 p_r + H_r) over r = 1..r_max, where
-    H_r is the entropy of row_r, the law of L_out given L_X = r: the r-fold
-    convolution of the step law.  The rows do not depend on gamma, so their
-    entropies come from a table built once per step law, a block of rows per
-    matrix product (:func:`_row_entropies`), and each gamma does O(r_max)
-    work; H(L_out), on 0..2 r_max, is a closed form
-    (:func:`_output_length_entropy`).  Everything but the row entropies is
-    computed here: :meth:`values` gives the values, :meth:`floor` a lower
-    bound on them from the rows the table already holds, and, at a float
-    gamma, :meth:`term` the value with its truncation error.
+    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
+    sum_r p_r (H_r - log2 p_r) over r = 1..r_max, H_r the entropy of row_r,
+    the law of L_out given L_X = r (the r-fold convolution of the step law).
+    So the values are p @ H - sum_r p_r log2 p_r - H(L_out), clipped at 0:
+    H from a table built once per step law (:func:`_row_entropies`), the
+    weights from the chunk's :class:`_ChunkWeights` and H(L_out), on each
+    gamma's own 0..2 r_max, a closed form (:func:`_output_length_entropy`).
+    :meth:`values` gives them, :meth:`floor` a lower bound on them from the
+    rows the table holds, and, at a float gamma, :meth:`term` the value with
+    its truncation error.
 
-    At a float gamma, ``weights`` is the :class:`SeriesConfig` that fixes
-    its r_max, and the sums are taken term by term.  Over a chunk,
-    ``weights`` is the chunk's :class:`_ChunkWeights` and ``h_out`` its
-    H(L_out), on each gamma's own 0..2 r_max; only the rounding of the sums
-    differs from the float gamma's (within 1e-13, tested).  At d = i = 0,
-    L_out = L_X: the kernel is (), ``size`` (the rows needed) is 0 and the
-    values are 0.
+    Over a chunk, ``weights`` and ``h_out`` are given; at a float gamma,
+    ``weights`` is the :class:`SeriesConfig` that fixes its r_max, and its
+    weights (p a vector) and H(L_out) are built here, once.  Only the
+    rounding of the sums differs between a grid point and the same float
+    gamma (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is
+    (), ``size`` (the rows needed) is 0 and the values are 0.
     """
 
     def __init__(self, gammas, d: float, i: float, weights: SeriesConfig | _ChunkWeights,
                  h_out: np.ndarray | None = None) -> None:
-        self._gammas, self._array = gammas, isinstance(gammas, np.ndarray)
-        self._step = _step_law(d, i)
-        if self._array:
-            r_max, self._p, self._log_p = weights
-            self._h_out = h_out
-        else:  # the sums are taken by _from_rows, which a float gamma calls once
+        step = _step_law(d, i)
+        if not isinstance(gammas, np.ndarray):  # a chunk of one point, p_r as in _GridPlan.weights
             r_max = self._r_max = _r_truncation(gammas, weights)
+            k = np.arange(float(r_max))
+            p = (1.0 - gammas) * np.power(gammas, k)
+            weights = _ChunkWeights(r_max, p, math.log2(1.0 - gammas) * p.sum() + math.log2(gammas) * (p @ k))
+            h_out = _output_length_entropy(gammas, step, 2 * r_max)
+        r_max, self._p, self._log_p = weights
+        self._gammas, self._h_out = gammas, h_out
         # the rows the values need: none at d = i = 0, where L_out = L_X
-        self.kernel, self.size = (_row_kernel(self._step), r_max) if d or i else ((), 0)
+        self.kernel, self.size = (_row_kernel(step), r_max) if d or i else ((), 0)
 
     def values(self):
-        """The values, the table grown to the largest r_max."""
+        """The values, the table grown to the largest r_max (a numpy scalar at a float gamma)."""
         if not self.size:
-            return np.zeros(self._gammas.shape) if self._array else 0.0
-        return self._from_rows(_row_entropies(self.kernel, self.size)[0])
+            return 0.0 * self._gammas
+        return self._from_joint(self._p @ _row_entropies(self.kernel, self.size)[0])
 
     def term(self, name: str) -> EntropyTerm:
         """At a float gamma, :meth:`values` as an entropy term.  Its
         truncation error adds to the dropped runs' tail
-        (:func:`_run_tail_bound`) the certified bound on the table's trimmed
-        mass D: the p_r-weighted entropies move by at most
-        D (log2(2 r_max + 1) - log2 D + log2 e), the logs taken apart so that
-        a subnormal D cannot overflow their ratio."""
+        (:func:`_run_tail_bound`) the bound on what the table's trimmed mass
+        moves the rows (:func:`_trim_bound`)."""
         trunc = _run_tail_bound(self._gammas, self._r_max)
-        if not self.size:
-            return EntropyTerm(name, 0.0, trunc)
-        h_rows, lost = _row_entropies(self.kernel, self.size)
-        if lost > 0.0:
-            trunc += lost * (math.log2(2 * self.size + 1) - math.log2(lost) + _LOG2E)
-        return EntropyTerm(name, self._from_rows(h_rows), trunc)
+        if self.size:
+            trunc += _trim_bound(_row_entropies(self.kernel, self.size)[1], self.size)
+        return EntropyTerm(name, float(self.values()), trunc)
 
     def floor(self):
         """A lower bound on :meth:`values`, element by element, from the R
@@ -636,57 +636,46 @@ class _RunLawChunk:
         The entropy of a sum of independent steps never decreases as steps
         are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
         ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
-        sum_r p_r H_r.  The margin M subtracted covers two kinds of error,
-        with n the chunk's largest r_max, c = (len(kernel) - 1) n + 1 the
-        most cells of a row and u = 2**-53:
+        p @ H.  The margin M subtracted covers two kinds of error, with n
+        the chunk's largest r_max, c = (len(kernel) - 1) n + 1 the most
+        cells of a row and u = 2**-53:
 
-        - trimming: a stored row moves by at most
-          delta = D (log2(2 n + 1) - log2 D + log2 e) (:func:`_row_entropies`),
-          D the trimmed mass, at most ceil(n / _ROW_BLOCK) blocks times c
+        - trimming: a stored row moves by at most delta, :func:`_trim_bound`
+          of a trimmed mass of at most ceil(n / _ROW_BLOCK) blocks times c
           cells times _ROW_TRIM, so a stored H_r >= the stored H_R - 2 delta;
-        - rounding: each of the two p @ H products of an array chunk, this
-          one and the one of :meth:`values`, errs by at most
-          gamma_n sum_r p_r |H_r| <= 1.01 n u log2(c), since
+        - rounding: each of the two p @ H products, this one and the one of
+          :meth:`values`, errs by at most gamma_n sum_r p_r |H_r| <=
+          1.01 n u log2(c) in any order of summation (Higham, *Accuracy and
+          Stability of Numerical Algorithms*, section 4.2), since
           sum_r p_r <= 1 + 4u and no row has more than c cells.
 
-        M = 3 (n u log2(c) + delta) exceeds the sum of both.  An array chunk
-        subtracts it from the product, which is then at most the product
-        :meth:`values` computes.  A float gamma's sum is taken term by term,
-        in the same order for any rows, and every step is monotone in the
-        rows; so it subtracts M from each row past R instead, each then at
-        most its stored entropy, and the sum is at most the one of
-        :meth:`values` with no rounding argument at all.  The table's own
-        rounding, O(r) ulp, stays far below its increments; both that and
-        the bound on D are tested.
+        M = 3 (n u log2(c) + delta) exceeds their sum, so the product less
+        M, rounded, is at most the one :meth:`values` computes, and the rest
+        is the same monotone operations: for a chunk and a float gamma
+        alike.  The table's own rounding, O(r) ulp, stays far below its
+        increments; it and the bound on the trimmed mass are tested.
         """
         key, _, h, _ = _ROW_ENTROPIES
         held = h.size if key == self.kernel else 0
         if not 0 < held < self.size:
             return None
         n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
-        lost = -(-n // _ROW_BLOCK) * cells * _ROW_TRIM
-        delta = lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
-        margin = 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta)
+        delta = _trim_bound(-(-n // _ROW_BLOCK) * cells * _ROW_TRIM, n)
         rows = np.empty(n)
         rows[:held] = h
-        if not self._array:
-            rows[held:] = h[-1] - margin
-            return self._from_rows(rows)
         rows[held:] = h[-1]
-        return self._from_joint(self._p @ rows - margin)
+        return self._from_joint(self._p @ rows - 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta))
 
-    def _from_rows(self, rows: np.ndarray):
-        """The values from the row entropies H_r, r = 1..size."""
-        if self._array:
-            return self._from_joint(self._p @ rows)
-        gamma, k = self._gammas, np.arange(self.size)
-        joint = rows - (math.log2(1.0 - gamma) + k * math.log2(gamma))  # H(row_r) - log2 p_r
-        joint *= (1.0 - gamma) * np.power(gamma, k)  # p_r = gamma**(r-1) (1 - gamma)
-        return max(float(joint.sum()) - _output_length_entropy(gamma, self._step, 2 * self.size), 0.0)
-
-    def _from_joint(self, joint: np.ndarray) -> np.ndarray:
-        """An array chunk's values from sum_r p_r H_r."""
+    def _from_joint(self, joint):
+        """The values from sum_r p_r H_r."""
         return np.maximum(joint - self._log_p - self._h_out, 0.0)
+
+
+def _trim_bound(lost: float, n: int) -> float:
+    """How far rows on at most 2 n + 1 cells that miss the mass ``lost`` move
+    in entropy (:func:`_row_entropies`), the logs taken apart so that a
+    subnormal ``lost`` cannot overflow their ratio."""
+    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
 
 
 def _run_tail_bound(gamma: float, r_max: int) -> float:
@@ -768,7 +757,7 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     end = bisect.bisect_left(ms, True, key=tail_below)
     m_end = ms[end] if end < len(ms) else _HLXLY_M_CAP
     rows = min(m_end, math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)))
-    h_rows = _row_entropies((d, db), rows)[0]
+    h_rows = _row_entropies(_row_kernel(_step_law(d, 0.0)), rows)[0]
     m = np.arange(2.0, rows + 1.0)
     series = m * binary_entropy(d)
     series -= h_rows[1:]
@@ -861,7 +850,7 @@ def _delins_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = Fa
     scale = 1.0 - d + i  # output symbols per input bit
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
-        _Term("comp_insertion_penalty", scale * h_T_limit(p.i_prime, alpha, markov_q(gamma, d))),
+        _Term("comp_insertion_penalty", scale * h_T_limit(_i_prime(d, i), alpha, markov_q(gamma, d))),
         _Term("deleted_runs_penalty", scale * _nonneg(closed_form_delins_S(gamma, d, i, alpha))),
         run,
         _Term("insertion_ambiguity_credit", delins_ambiguity_credit(d, i, alpha, gamma), role=Role.CREDIT),
@@ -978,9 +967,11 @@ class BoundGrid:
       that entropy whatever the signs of the other terms, so the bound built
       on the floor is at least the one built on the values.  ``row_skips``
       counts the chunks it ruled out.
-    - the same at a float gamma (:meth:`at`), whose floor is at most the
-      ``lb_*``'s run-length entropy bit for bit.  One float
-      :class:`_RunLawChunk` gives both the floor and the value.
+    - the same at a float gamma (:meth:`at`): a float gamma is a chunk of
+      one point, so its floor, by the same proof, is at most the ``lb_*``'s
+      run-length entropy bit for bit.  One float :class:`_RunLawChunk`
+      builds its weights and H(L_out) once and gives both the floor and the
+      value.
     """
 
     def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
@@ -1023,10 +1014,10 @@ class BoundGrid:
             return _signed_sum(terms)
         k, run = terms.index(None), self._run_law(gamma)
         if beat > -math.inf and (floor := run.floor()) is not None:
-            terms[k] = _run_length_term(gamma, floor, 0.0)
+            terms[k] = _run_length_term(gamma, float(floor), 0.0)
             if _signed_sum(terms) <= beat:
                 return None
-        terms[k] = _run_length_term(gamma, run.values(), 0.0)
+        terms[k] = _run_length_term(gamma, float(run.values()), 0.0)
         return _signed_sum(terms)
 
     def _run_law(self, at: float | slice) -> _RunLawChunk:

@@ -69,8 +69,13 @@ class ChannelParams:
 
     @property
     def i_prime(self) -> float:
-        """Cascade second-stage insertion rate i / (1 - d), at most 1 (d + i = 1 may round above)."""
-        return min(self.i / (1.0 - self.d), 1.0)
+        """Cascade second-stage insertion rate (:func:`_i_prime`)."""
+        return _i_prime(self.d, self.i)
+
+
+def _i_prime(d: float, i: float) -> float:
+    """i / (1 - d), at most 1 (d + i = 1 may round above), of validated rates."""
+    return min(i / (1.0 - d), 1.0)
 
 
 @dataclass(frozen=True)

@@ -342,13 +342,15 @@ def reference_apply(x: list[int], actions: list[int]) -> tuple[list[int], list[i
 
 @dataclass(frozen=True)
 class DecompositionCheck:
-    """Residual of one exact entropy-decomposition identity."""
+    """The terms of one exact entropy-decomposition identity, its residual,
+    and H(runs(X) | Y, aux) (:func:`exact_decomposition_check`)."""
 
     residual: float
     mass_error: float
     h_x_given_y: float
     h_x_aux_given_y: float
     h_aux_given_xy: float
+    h_runs_given_y_aux: float
 
 
 def _cond_entropy(joint: dict, group) -> float:
@@ -373,8 +375,11 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
 
         H(X | Y) = H(X, aux | Y) - H(aux | X, Y)
 
-    by direct grouping.  The two sides agree mathematically; the residual
-    exercises the bookkeeping that derives the auxiliary sequences.
+    by direct grouping.  That is the chain rule, 0 for any aux, so what
+    checks the auxiliary sequences is H(runs(X) | Y, aux) from the same
+    joint: Y with its complementary insertions (T) and deleted runs (S)
+    marked fixes the number of input runs, so it is exactly 0, and a dropped
+    T or S entry makes it positive (a misplaced S entry does not).
     """
     if n > 8:
         raise ValueError("decomposition check supports n <= 8")
@@ -386,8 +391,10 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
     k_act = len(codes_l)
 
     joint: dict = defaultdict(float)
+    run_count = []
     for xv in range(2 ** n):
         x = [(xv >> (n - 1 - j)) & 1 for j in range(n)]
+        run_count.append(sum(x[j] != x[j - 1] for j in range(1, n)) + bool(n))
         px = 0.5
         for j in range(1, n):
             px *= gamma if x[j] == x[j - 1] else 1.0 - gamma
@@ -404,17 +411,14 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
 
     mass_error = abs(math.fsum(joint.values()) - 1.0)
     xy: dict = defaultdict(float)
+    runs: dict = defaultdict(float)  # (run count of x, y, aux)
     for (xv, y, aux), p in joint.items():
         xy[(xv, y)] += p
+        runs[(run_count[xv], y, aux)] += p
 
     h_x_given_y = _cond_entropy(xy, lambda k: k[1])
     h_xaux_given_y = _cond_entropy(joint, lambda k: k[1])
     h_aux_given_xy = _cond_entropy(joint, lambda k: (k[0], k[1]))
     residual = abs(h_x_given_y - (h_xaux_given_y - h_aux_given_xy))
-    return DecompositionCheck(
-        residual=residual,
-        mass_error=mass_error,
-        h_x_given_y=h_x_given_y,
-        h_x_aux_given_y=h_xaux_given_y,
-        h_aux_given_xy=h_aux_given_xy,
-    )
+    return DecompositionCheck(residual, mass_error, h_x_given_y, h_xaux_given_y, h_aux_given_xy,
+                              _cond_entropy(runs, lambda k: (k[1], k[2])))

@@ -100,12 +100,10 @@ def verify_oracle(n_max: int = 8, decomp_n: int = 6, seed: int = 0) -> dict:
     for d, i in RUN_LAW_DELINS_POINTS:
         checks.add(f"run_law_delins_d{d}_i{i}", _run_law_gap(ChannelParams(d=d, i=i, alpha=0.5)), TOL_RUN_LAW)
 
-    chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.3))
-    checks.add("decomposition_deletion", chk.residual, TOL_DECOMP,
-               f"mass error {chk.mass_error:.2e}")
-    chk = oracle.exact_decomposition_check(decomp_n, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
-    checks.add("decomposition_delins", chk.residual, TOL_DECOMP,
-               f"mass error {chk.mass_error:.2e}")
+    for name, params in (("deletion", ChannelParams(d=0.3)), ("delins", ChannelParams(d=0.15, i=0.15, alpha=0.8))):
+        chk = oracle.exact_decomposition_check(decomp_n, 0.5, params)
+        checks.add(f"decomposition_{name}", chk.residual, TOL_DECOMP, f"mass error {chk.mass_error:.2e}")
+        checks.add(f"run_alignment_{name}", chk.h_runs_given_y_aux, TOL_DECOMP, "H(runs(X) | Y, T, S)")
     return _report("oracle", checks)
 
 

@@ -15,11 +15,17 @@ change that moves a number on purpose regenerates the file and commits it,
 so the move shows as a reviewed diff:
 
     PYTHONPATH=src python tests/golden.py
+
+and ``--diff`` prints, without writing, how far the numbers moved from the
+committed file: the largest |move| of each column and how many cases moved,
+and in how many ``gamma_star`` did (the summary a failing test gives too).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 from pathlib import Path
 
 from delinscap.cli import _parse_grid
@@ -74,10 +80,50 @@ def compute() -> list[dict]:
     return records
 
 
+def load() -> list[dict]:
+    """The committed records."""
+    return [json.loads(line) for line in PATH.read_text(encoding="utf-8").splitlines()]
+
+
 def dump(records: list[dict]) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
+def _columns(record: dict) -> dict[str, float]:
+    """Every number of a record by column, its terms under their names."""
+    out = {key: float(value) for key, value in record.items() if key not in ("case", "terms")}
+    out.update((name, float(value)) for name, value in record["terms"].items())
+    return out
+
+
+def summary(expected: list[dict], got: list[dict]) -> str:
+    """How ``got`` moved from ``expected``, case by case: how many cases
+    moved, in how many ``gamma_star`` did, and the largest |move| of each
+    column that moved (inf where a column is on one side only)."""
+    if [r["case"] for r in got] != [r["case"] for r in expected]:
+        return f"the cases differ: {len(expected)} expected, {len(got)} computed"
+    largest: dict[str, float] = {}
+    moved = gamma_moved = 0
+    for e, g in zip(expected, got):
+        if e == g:
+            continue
+        moved += 1
+        gamma_moved += e["gamma_star"] != g["gamma_star"]
+        ce, cg = _columns(e), _columns(g)
+        for key in ce.keys() | cg.keys():
+            move = abs(cg[key] - ce[key]) if key in ce and key in cg else math.inf
+            if move > 0.0 or key not in ce or key not in cg:
+                largest[key] = max(largest.get(key, 0.0), move)
+    lines = [f"{moved} of {len(expected)} cases moved; gamma_star moved in {gamma_moved}"]
+    lines += [f"  {key}: largest |move| {move!r}" for key, move in sorted(largest.items())]
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    PATH.write_text(dump(compute()), encoding="utf-8")
-    print(f"wrote {PATH}")
+    parser = argparse.ArgumentParser(description="Regenerate the golden numbers, or show how far they moved.")
+    parser.add_argument("--diff", action="store_true", help="print the moves against the committed file; write nothing")
+    if parser.parse_args().diff:
+        print(summary(load(), compute()))
+    else:
+        PATH.write_text(dump(compute()), encoding="utf-8")
+        print(f"wrote {PATH}")

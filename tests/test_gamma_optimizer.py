@@ -563,3 +563,44 @@ class TestArrayForm:
         evaluated = int(message.split(" chunks evaluated")[0].split()[-1])
         skipped = int(message.split(" skipped; argmax")[0].split()[-1])
         assert evaluated + skipped == len(_grid("deletion", 0.1).chunks) and evaluated > 0 and skipped > 0
+
+
+def _capacity(name, d):
+    """A capacity the bound ``name`` may not exceed: 1 - d for the deletion
+    and combined channels (a genie that reveals where bits were deleted and
+    inserted leaves an erasure channel), 1 for the insertion channel."""
+    return 1.0 - d if name in ("deletion", "delins") else 1.0
+
+
+class TestCapacityEnvelope:
+    """Every bound, at any gamma and at gamma*, lies below its channel's
+    capacity, up to its own error budget and 1e-12: the terms are O(1) bits
+    added in a few float operations, so their rounding is far below that."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+           st.floats(GAMMA_MIN, GAMMA_MAX))
+    @example("deletion", 0.0, 0.0, 1.0, 0.5)  # the bound is the capacity, 1
+    @example("deletion", 0.99, 0.0, 1.0, GAMMA_MAX)
+    @example("deletion", 0.5, 0.0, 1.0, GAMMA_MIN)
+    @example("delins", 0.45, 0.55, 0.5, GAMMA_MAX)  # d + i = 1
+    @example("delins", 0.3, 0.7, 1.0, GAMMA_MIN)
+    @example("delins", 0.5, 0.3, 0.8, 0.9999)  # the run-length term cut by r_max_cap
+    @example("insertion_lb1", 0.0, 0.999, 0.0, GAMMA_MAX)
+    @example("insertion_lb2", 0.0, 0.999, 0.3, GAMMA_MIN)
+    def test_bound_at_any_gamma(self, name, d, i, alpha, gamma):
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        res = _lb(name, d, i, alpha, gamma)
+        assert res.bound_bits <= _capacity(name, go._bound_params(name, d, i, alpha).d) + res.error_budget + 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.99), st.floats(0.0, 0.99), st.floats(0.0, 1.0))
+    @example("deletion", 0.99, 0.0, 1.0)
+    @example("delins", 0.45, 0.55, 0.5)
+    @example("delins", 0.5, 0.3, 0.8)
+    def test_optimized_bound(self, name, d, i, alpha):
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        res = optimize_bound(name, d=d, i=i, alpha=alpha)
+        assert res.bound_bits <= _capacity(name, go._bound_params(name, d, i, alpha).d) + res.error_budget + 1e-12

@@ -1,13 +1,26 @@
 """Every number of the golden set (``golden.py``) is recomputed and compared repr for repr."""
 
-import json
+import copy
+import math
 
 import golden
 
 
 def test_golden_numbers_are_unchanged():
-    expected = [json.loads(line) for line in golden.PATH.read_text(encoding="utf-8").splitlines()]
+    expected = golden.load()
     got = golden.compute()
     assert [r["case"] for r in got] == [r["case"] for r in expected]
-    moved = [(e["case"], e, g) for e, g in zip(expected, got) if e != g]
-    assert not moved, f"{len(moved)} cases moved; the first: {moved[0]}"
+    assert got == expected, golden.summary(expected, got)
+
+
+def test_summary_gives_the_largest_move_per_column():
+    expected = golden.load()[:3]
+    got = copy.deepcopy(expected)
+    got[1]["bound_bits"] = repr(math.nextafter(float(got[1]["bound_bits"]), 2.0))
+    name = next(iter(got[2]["terms"]))
+    got[2]["terms"][name] = repr(float(got[2]["terms"][name]) + 0.5)
+    lines = golden.summary(expected, got).splitlines()
+    assert lines[0] == "2 of 3 cases moved; gamma_star moved in 0"
+    assert sorted(lines[1:]) == sorted([f"  bound_bits: largest |move| {math.ulp(float(expected[1]['bound_bits']))!r}",
+                                        f"  {name}: largest |move| 0.5"])
+    assert golden.summary(expected, expected).splitlines() == ["0 of 3 cases moved; gamma_star moved in 0"]
