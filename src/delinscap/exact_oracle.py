@@ -394,7 +394,7 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
     run_count = []
     for xv in range(2 ** n):
         x = [(xv >> (n - 1 - j)) & 1 for j in range(n)]
-        run_count.append(sum(x[j] != x[j - 1] for j in range(1, n)) + bool(n))
+        run_count.append(sum(x[j] != x[j - 1] for j in range(1, n)) + (n > 0))
         px = 0.5
         for j in range(1, n):
             px *= gamma if x[j] == x[j - 1] else 1.0 - gamma

@@ -112,7 +112,7 @@ def summary(expected: list[dict], got: list[dict]) -> str:
         ce, cg = _columns(e), _columns(g)
         for key in ce.keys() | cg.keys():
             move = abs(cg[key] - ce[key]) if key in ce and key in cg else math.inf
-            if move > 0.0 or key not in ce or key not in cg:
+            if move > 0.0:
                 largest[key] = max(largest.get(key, 0.0), move)
     lines = [f"{moved} of {len(expected)} cases moved; gamma_star moved in {gamma_moved}"]
     lines += [f"  {key}: largest |move| {move!r}" for key, move in sorted(largest.items())]
