@@ -12,11 +12,12 @@ channel's H(S2 | Y1 Y2) is the same kernel at i = 0.  (The truncated direct
 sums it replaced are kept in the tests as oracles.)  The run-length entropy
 H(L_X | L_out) sums its joint law over input run lengths up to r_max, by one
 formula whether gamma is a float or a chunk of an array
-(:class:`_RunLawChunk`): p @ H - sum_r p_r log2 p_r - H(L_out), with p the
-run-length weights.  The row entropies H = H(L_out | L_X = r) do not depend
-on gamma, so they are tabulated once per per-bit step law, a block of rows
-per matrix product from a trimmed base row, and reused by every gamma of a
-search; H(L_out) is a closed form of the law's generating function.  The
+(:class:`_RunLawChunk`): p @ H + (H(L_X) - H(L_out)), with p the run-length
+weights.  The row entropies H = H(L_out | L_X = r) do not depend on gamma,
+so they are tabulated once per per-bit step law, a block of rows per matrix
+product from a trimmed base row, and reused by every gamma of a search; the
+truncated H(L_X) = -sum_r p_r log2 p_r is a geometric sum in closed form,
+and H(L_out) a closed form of the law's generating function.  The
 truncation point is chosen from ``SeriesConfig.tail_epsilon``, and the term
 carries a conservative closed-form bound on the discarded mass's entropy
 contribution, the mass trimmed from the row table included.  The row
@@ -42,8 +43,8 @@ The deletion bound also evaluates the two printed closed forms of its
 penalties, the deleted-run-count entropy and the run-length entropy, and
 reports each computed-minus-printed residual as a diagnostic.  The binomial
 double series of the printed deletion run-length form is summed as
-sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))), with the binomial entropies
-read from the same row table.  The literal deleted-run-count formula
+sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))): its m h(d) part in closed
+form, its binomial entropies read from the same row table.  The literal deleted-run-count formula
 disagrees with the law at d = 0 (it evaluates to ``gamma*log2(gamma)``
 where the law gives 0), so the kernel above is authoritative throughout and
 the literal form is exposed only for side-by-side study: with
@@ -53,7 +54,6 @@ like it, although it may be negative.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -525,14 +525,15 @@ def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
     return step[int(d == 0.0):3 - int(i == 0.0)]
 
 
-class _ChunkWeights(NamedTuple):
-    """The parts of H(L_X | L_out) over a chunk of gammas that depend on the
-    gammas and the :class:`SeriesConfig` alone, not on the channel; a float
-    gamma's, a chunk of one point, have p a vector and log_p a scalar."""
-
-    size: int  # the largest r_max
-    p: np.ndarray  # (G, size): p_r = gamma**(r-1) (1 - gamma), zero past each row's r_max
-    log_p: np.ndarray  # (G,): sum_r p_r log2 p_r
+def _run_length_entropy(gamma, r_max):
+    """H(L_X) cut at r_max, -sum_{r<=R} p_r log2 p_r with p_r =
+    gamma**(r-1) (1 - gamma) and R = r_max, in closed form, of a float gamma
+    and an int R or of arrays, elementwise: log2 p_r = log2(1 - gamma) +
+    (r - 1) log2(gamma), sum p_r = 1 - gamma**R and sum (r - 1) p_r =
+    (gamma - gamma**R (R - (R - 1) gamma)) / (1 - gamma)."""
+    xp = np if isinstance(gamma, np.ndarray) else math
+    gb, tail = 1.0 - gamma, gamma ** r_max
+    return -xp.log2(gb) * (1.0 - tail) - xp.log2(gamma) * ((gamma - tail * (r_max - (r_max - 1) * gamma)) / gb)
 
 
 class _GridPlan:
@@ -541,7 +542,7 @@ class _GridPlan:
     ``r_max``, each gamma's; ``chunks``, the gammas cut into ascending slices
     of at most _CHUNK_CELLS padded cells, G x (2 r_max + 1) with the r_max
     of the slice's top point (a point over the cap alone is a slice of its
-    own); and each slice's :class:`_ChunkWeights`, built on first use."""
+    own); and each slice's run-length weights, built on first use."""
 
     def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...]) -> None:
         self._gammas, self._weights = np.array(gammas), {}
@@ -553,21 +554,16 @@ class _GridPlan:
         self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
         self.r_max.flags.writeable = False
 
-    def weights(self, chunk: slice) -> _ChunkWeights:
-        """The :class:`_ChunkWeights` of ``gammas[chunk]``, kept read-only:
-        the -log2 p_r part of the joint entropy is taken through the p_r
-        matrix as -log2(1-gamma) sum p_r - log2(gamma) sum (r-1) p_r."""
+    def weights(self, chunk: slice) -> np.ndarray:
+        """The (G, largest r_max) matrix of p_r = gamma**(r-1) (1 - gamma)
+        at ``gammas[chunk]``, zero past each row's r_max, kept read-only."""
         key = chunk.indices(self.r_max.size)
         if key not in self._weights:
-            gammas, r_max = self._gammas[chunk], self.r_max[chunk]
-            size = int(r_max.max())
-            column = gammas[:, None]
-            k = np.arange(size)
-            p = (1.0 - column) * np.power(column, k)  # p_r = gamma**(r-1) (1 - gamma), r = k + 1
-            p = np.where(k >= r_max[:, None], 0.0, p)
-            log_p = np.log2(1.0 - gammas) * p.sum(axis=1) + np.log2(gammas) * (p @ k)
-            p.flags.writeable = log_p.flags.writeable = False
-            self._weights[key] = _ChunkWeights(size, p, log_p)
+            column, r_max = self._gammas[chunk, None], self.r_max[chunk, None]
+            k = np.arange(int(r_max.max()))
+            p = np.where(k >= r_max, 0.0, (1.0 - column) * np.power(column, k))  # r = k + 1
+            p.flags.writeable = False
+            self._weights[key] = p
         return self._weights[key]
 
 
@@ -581,37 +577,34 @@ class _RunLawChunk:
     (d, 1 - d - i, i).
 
     H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
-    sum_r p_r (H_r - log2 p_r) over r = 1..r_max, H_r the entropy of row_r,
-    the law of L_out given L_X = r (the r-fold convolution of the step law).
-    So the values are p @ H - sum_r p_r log2 p_r - H(L_out), clipped at 0:
-    H from a table built once per step law (:func:`_row_entropies`), the
-    weights from the chunk's :class:`_ChunkWeights` and H(L_out), on each
-    gamma's own 0..2 r_max, a closed form (:func:`_output_length_entropy`).
-    :meth:`values` gives them, :meth:`floor` a lower bound on them from the
-    rows the table holds, and, at a float gamma, :meth:`term` the value with
-    its truncation error.
+    H(L_X) + sum_r p_r H_r over r = 1..r_max, H_r the entropy of row_r, the
+    law of L_out given L_X = r (the r-fold convolution of the step law).  So
+    the values are p @ H + (H(L_X) - H(L_out)), clipped at 0: H from a table
+    built once per step law (:func:`_row_entropies`), p the run-length
+    weights (:meth:`_GridPlan.weights`), and the closed part, on each
+    gamma's own r_max, two closed forms (:func:`_run_length_entropy`,
+    :func:`_output_length_entropy` on 0..2 r_max).  :meth:`values` gives
+    them, :meth:`floor` a lower bound on them from the rows the table holds,
+    and, at a float gamma, :meth:`term` the value with its truncation error.
 
-    Over a chunk, ``weights`` and ``h_out`` are given; at a float gamma,
-    ``weights`` is the :class:`SeriesConfig` that fixes its r_max, and its
-    weights (p a vector) and H(L_out) are built here, once.  Only the
-    rounding of the sums differs between a grid point and the same float
-    gamma (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is
-    (), ``size`` (the rows needed) is 0 and the values are 0.
+    Over a chunk, ``weights`` (the p matrix) and ``closed`` are given; at a
+    float gamma, ``weights`` is the :class:`SeriesConfig` that fixes its
+    r_max, and p (a vector) and the closed part are built here, once.  Only
+    the rounding differs between a grid point and the same float gamma
+    (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
+    ``size`` (the rows needed) is 0 and the values are 0.
     """
 
-    def __init__(self, gammas, d: float, i: float, weights: SeriesConfig | _ChunkWeights,
-                 h_out: np.ndarray | None = None) -> None:
+    def __init__(self, gammas, d: float, i: float, weights: SeriesConfig | np.ndarray,
+                 closed: np.ndarray | None = None) -> None:
         step = _step_law(d, i)
         if not isinstance(gammas, np.ndarray):  # a chunk of one point, p_r as in _GridPlan.weights
             r_max = self._r_max = _r_truncation(gammas, weights)
-            k = np.arange(float(r_max))
-            p = (1.0 - gammas) * np.power(gammas, k)
-            weights = _ChunkWeights(r_max, p, math.log2(1.0 - gammas) * p.sum() + math.log2(gammas) * (p @ k))
-            h_out = _output_length_entropy(gammas, step, 2 * r_max)
-        r_max, self._p, self._log_p = weights
-        self._gammas, self._h_out = gammas, h_out
+            weights = (1.0 - gammas) * np.power(gammas, np.arange(float(r_max)))
+            closed = _run_length_entropy(gammas, r_max) - _output_length_entropy(gammas, step, 2 * r_max)
+        self._gammas, self._p, self._closed = gammas, weights, closed
         # the rows the values need: none at d = i = 0, where L_out = L_X
-        self.kernel, self.size = (_row_kernel(step), r_max) if d or i else ((), 0)
+        self.kernel, self.size = (_row_kernel(step), weights.shape[-1]) if d or i else ((), 0)
 
     def values(self):
         """The values, the table grown to the largest r_max (a numpy scalar at a float gamma)."""
@@ -651,9 +644,10 @@ class _RunLawChunk:
 
         M = 3 (n u log2(c) + delta) exceeds their sum, so the product less
         M, rounded, is at most the one :meth:`values` computes, and the rest
-        is the same monotone operations: for a chunk and a float gamma
-        alike.  The table's own rounding, O(r) ulp, stays far below its
-        increments; it and the bound on the trimmed mass are tested.
+        is one addition of the same closed part and the clip, both monotone:
+        for a chunk and a float gamma alike.  The table's own rounding, O(r)
+        ulp, stays far below its increments; it and the bound on the trimmed
+        mass are tested.
         """
         key, _, h, _ = _ROW_ENTROPIES
         held = h.size if key == self.kernel else 0
@@ -668,7 +662,7 @@ class _RunLawChunk:
 
     def _from_joint(self, joint):
         """The values from sum_r p_r H_r."""
-        return np.maximum(joint - self._log_p - self._h_out, 0.0)
+        return np.maximum(joint + self._closed, 0.0)
 
 
 def _trim_bound(lost: float, n: int) -> float:
@@ -708,9 +702,7 @@ def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None 
     return _RunLawChunk(gamma, d, i, cfg or SeriesConfig()).term("run_length_entropy_delins")
 
 
-# The printed run-length form's series is cut where the remaining mass bound
-# drops below _HLXLY_TAIL, or at _HLXLY_M_CAP terms.
-_HLXLY_TAIL = 1e-14
+# The printed run-length form's series reads at most _HLXLY_M_CAP rows.
 _HLXLY_M_CAP = 20_000
 
 
@@ -724,19 +716,18 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     law P.  H(Binomial(m, 1-d)) is the entropy H_m of row m of the deletion
     run-length table (kernel (d, 1-d), the one :func:`run_law_deletion_H`
     uses), so the diagnostic at a search's gamma* reuses that search's table.
-    The series converges since its terms are dominated by m gamma**m; it is
-    cut at M, the first m >= 2 where the remaining mass bound drops below
-    _HLXLY_TAIL, or at _HLXLY_M_CAP.
+    The series enters times (1 - gamma) / gamma.  Its m h(d) part is a
+    geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
+    its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma).
 
-    The table is read only up to R = min(M, r), r = ceil(log(1e-12) /
-    log(gamma)), the r_max of the default :class:`SeriesConfig` before its
-    cap, so the diagnostic needs no rows the bound at gamma did not.  Rows
-    R < m <= M take H_R in place of H_m, a lower bound since the entropy of
-    a sum of independent steps never decreases as steps are added
-    (M. Madiman, "On the entropy of sums", ITW 2008), and are summed in
-    closed form: h(d) sum m gamma**m - H_R sum gamma**m.  That moves the
-    series by at most sum_{m > R} gamma**m (H_m - H_R), with
-    gamma**R <= 1e-12.
+    The table is read only up to R = min(r, _HLXLY_M_CAP), r = ceil(log(1e-12)
+    / log(gamma)), the r_max of the default :class:`SeriesConfig` before its
+    cap, so the diagnostic needs no rows the bound at gamma did not below
+    the cap.  Rows m > R take H_R in place of H_m, a lower bound since the
+    entropy of a sum of independent steps never decreases as steps are added
+    (M. Madiman, "On the entropy of sums", ITW 2008), and sum to
+    gamma**R H_R.  That moves the value by sum_{m>R} p_m (H_m - H_R), with
+    gamma**R <= 1e-12 below the cap.
     """
     if d == 0.0:
         return 0.0
@@ -747,26 +738,13 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out = c * math.log2(1.0 / gd) if gd >= _TINY else xlog2(c, 1.0, gd)
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
-
-    def tail_below(m: int) -> bool:  # the mass after term m is at most sum_{m' > m} m' gamma**m'
-        return gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb < _HLXLY_TAIL
-
-    # that bound falls as m grows, so the first m where it drops below
-    # _HLXLY_TAIL is found by bisection
-    ms = range(2, _HLXLY_M_CAP + 1)
-    end = bisect.bisect_left(ms, True, key=tail_below)
-    m_end = ms[end] if end < len(ms) else _HLXLY_M_CAP
-    rows = min(m_end, math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)))
+    out -= binary_entropy(d) * (1.0 / gb - gb)
+    rows = min(math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)), _HLXLY_M_CAP)
     h_rows = _row_entropies(_row_kernel(_step_law(d, 0.0)), rows)[0]
-    m = np.arange(2.0, rows + 1.0)
-    series = m * binary_entropy(d)
-    series -= h_rows[1:]
-    series *= np.power(gamma, m, out=m)
-    total = float(series.sum())
-    if rows < m_end:  # m = rows + 1 .. m_end, as the difference of two infinite tails
-        (s0, s1), (t0, t1) = _geom_sums(gamma, rows + 1, 1), _geom_sums(gamma, m_end + 1, 1)
-        total += binary_entropy(d) * (s1 - t1) - float(h_rows[-1]) * (s0 - t0)
-    return out - (gb / gamma) * total
+    series = np.power(gamma, np.arange(1.0, rows))  # p_m, m = 2..R
+    series *= gb
+    series *= h_rows[1:]
+    return out + float(series.sum()) + gamma ** rows * float(h_rows[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -942,10 +920,11 @@ class BoundGrid:
 
     It is the array form of the bound's ``lb_*``: the same terms added in the
     same order, with no validation, no diagnostics and no truncation errors.
-    The closed-form terms, the run-length term's H(L_out) among them, are
-    taken once over the whole array, where a numpy call costs about the same
-    for 1 gamma as for 199; the rest of the run-length term, whose row table
-    and p_r matrix grow with the largest r_max, chunk by chunk, in the
+    The closed-form terms, the run-length term's H(L_X) - H(L_out) among
+    them, are taken once over the whole array, where a numpy call costs
+    about the same for 1 gamma as for 199; the rest of the run-length term,
+    p @ H, whose row table and p_r matrix grow with the largest r_max, chunk
+    by chunk, in the
     ``chunks`` of the gammas' :class:`_GridPlan` for ``cfg`` (:meth:`values`).
     The values agree with the ``lb_*`` within 1e-13 (tested), and
     :meth:`at` is its bound at a float gamma, bit for bit.
@@ -970,8 +949,8 @@ class BoundGrid:
     - the same at a float gamma (:meth:`at`): a float gamma is a chunk of
       one point, so its floor, by the same proof, is at most the ``lb_*``'s
       run-length entropy bit for bit.  One float :class:`_RunLawChunk`
-      builds its weights and H(L_out) once and gives both the floor and the
-      value.
+      builds its weights and H(L_X) - H(L_out) once and gives both the floor
+      and the value.
     """
 
     def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
@@ -985,10 +964,11 @@ class BoundGrid:
         if not any(t.role.sign and t.role.signed for t in terms if t is not None):
             self._ceilings = _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
         self._head, self._tail = _signed_sum(terms[:k]), terms[k + 1:]
-        self._cfg, self._run, self._h_out = cfg, None, None
-        if k < len(terms):  # H(L_out) on each gamma's own 0..2 r_max
-            self._run = params.d, params.i
-            self._h_out = _output_length_entropy(gammas, _step_law(*self._run), 2 * self._plan.r_max)
+        self._cfg, self._run, self._closed = cfg, None, None
+        if k < len(terms):  # H(L_X) - H(L_out), each gamma's at its own r_max
+            self._run, r_max = (params.d, params.i), self._plan.r_max
+            self._closed = _run_length_entropy(gammas, r_max) - _output_length_entropy(
+                gammas, _step_law(*self._run), 2 * r_max)
 
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when a ceiling shows that
@@ -1024,7 +1004,7 @@ class BoundGrid:
         """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
         d, i = self._run
         if isinstance(at, slice):
-            return _RunLawChunk(self.gammas[at], d, i, self._plan.weights(at), self._h_out[at])
+            return _RunLawChunk(self.gammas[at], d, i, self._plan.weights(at), self._closed[at])
         return _RunLawChunk(at, d, i, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:

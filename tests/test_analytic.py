@@ -466,11 +466,14 @@ def _convolution_row_entropies(kernel, r_max):
     return out
 
 
-def _log_factorial_HLXLY(gamma, d, tail_epsilon=1e-14, m_cap=20_000):
+def _log_factorial_HLXLY(gamma, d, tail_epsilon=1e-14, m_cap=200_000):
     """closed_form_HLXLY with its double series summed term by term: a
     cumulative ln(k!) table, then per m the binomial weights times
     log2 C(m, k).  Each m sums k over |k - m (1 - d)| <= 6 sqrt(m): by
-    Hoeffding the omitted binomial mass is below 2 exp(-72) = 1.1e-31."""
+    Hoeffding the omitted binomial mass is below 2 exp(-72) = 1.1e-31.  The
+    sum stops where the bound on the rest drops below ``tail_epsilon``; the
+    cap lies past that point at every gamma the tests use (m = 49 957 at
+    gamma = 0.999)."""
     gb, db = 1.0 - gamma, 1.0 - d
     gd = gamma * d
     out = (d / gb - d * gb / (1.0 - gd) ** 2) * math.log2(1.0 / gd)
@@ -663,6 +666,14 @@ class TestClosedFormHLXLY:
         _clear_row_table(monkeypatch)
         ab.closed_form_HLXLY(0.99, 0.8)
         assert ab._row_table_size() <= 2_752
+
+    @pytest.mark.parametrize("gamma, d", [(0.5, 0.2), (0.99, 0.98), (0.999, 0.5)])
+    def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, monkeypatch):
+        # the rows it reads are summed the same way however far the table grew
+        _clear_row_table(monkeypatch)
+        cold = ab.closed_form_HLXLY(gamma, d)
+        ab._row_entropies(ab._ROW_ENTROPIES[0], ab._row_table_size() + 1_000)
+        assert repr(ab.closed_form_HLXLY(gamma, d)) == repr(cold)
 
     def test_reuses_the_deletion_table(self, monkeypatch):
         _clear_row_table(monkeypatch)

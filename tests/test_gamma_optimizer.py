@@ -353,7 +353,7 @@ class TestCeiling:
         plan = ab._grid_plan(cfg, tuple(go._GRID.tolist()))
         weights = plan.weights(plan.chunks[-1])
         assert plan.weights(plan.chunks[-1]) is weights  # built once, then kept
-        assert not any(array.flags.writeable for array in (plan.r_max, *weights[1:]))
+        assert not any(array.flags.writeable for array in (plan.r_max, weights))
         ab._grid_plan.cache_clear()
         assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
 
@@ -486,19 +486,21 @@ class TestArrayForm:
         cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha)
         assert repr(grid.at(gamma)) == repr(_lb(name, d, i, alpha, gamma).bound_bits)
-        # The grid-level H(L_out), on each gamma's own 0..2 r_max, is that
-        # gamma's array form alone, bit for bit, and its float form within
-        # numpy's and math's differing last bits: 1e-15 max(1, H) is exceeded
-        # at gamma <= 0.2 by the closed form itself (2.6e-15 at i = 0.999).
+        # The grid-level H(L_X) - H(L_out), at each gamma's own r_max, is
+        # that gamma's array form alone, bit for bit, and H(L_out) of it its
+        # float form within numpy's and math's differing last bits: 1e-15
+        # max(1, H) is exceeded at gamma <= 0.2 by the closed form itself
+        # (2.6e-15 at i = 0.999).
         gammas = np.append(go._GRID, gamma)
-        h_out = _grid(name, d, i, alpha, gammas)._h_out
-        assume(h_out is not None)  # LB 1 has no run-length term
+        closed = _grid(name, d, i, alpha, gammas)._closed
+        assume(closed is not None)  # LB 1 has no run-length term
         step = ab._step_law(d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
-        for g, h in zip(gammas.tolist(), h_out.tolist()):
-            s_max = 2 * ab._r_truncation(g, cfg)
-            assert ab._output_length_entropy(np.array([g]), step, np.array([s_max])).tolist() == [h]
-            ref = ab._output_length_entropy(g, step, s_max)
-            assert abs(h - ref) <= 1e-14 * max(1.0, ref)
+        for g, c in zip(gammas.tolist(), closed.tolist()):
+            r_max = ab._r_truncation(g, cfg)
+            h_out = ab._output_length_entropy(np.array([g]), step, np.array([2 * r_max]))
+            assert (ab._run_length_entropy(np.array([g]), np.array([r_max])) - h_out).tolist() == [c]
+            ref = ab._output_length_entropy(g, step, 2 * r_max)
+            assert abs(float(h_out[0]) - ref) <= 1e-14 * max(1.0, ref)
 
     @pytest.mark.parametrize("d, i", [(0.45, 0.55), (0.7, 0.3)])
     def test_grid_output_length_entropy_allocates_little(self, d, i):
