@@ -127,9 +127,11 @@ def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
 def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     """Deterministically apply a per-bit action pattern to ``x``.
 
-    This is the single source of truth for how a pattern maps to
-    ``(y, I, T, S)``; both the random channel wrappers and the exhaustive
-    enumeration oracle go through it.
+    This is the simulator's one map from a pattern to ``(y, I, T, S)``; the
+    random channel wrappers go through it.  The exhaustive enumeration
+    oracle does not: :mod:`~.exact_oracle` builds outputs from its own
+    pattern table and keeps ``reference_apply``, an independent
+    re-implementation of the bookkeeping, to check this one against.
 
     Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
     (``y | I << 1 | T << 2``) from ``_SLOTS`` and ``_EMITS[action]`` keeps the

@@ -269,16 +269,12 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     """
     if r_max > 10:
         raise ValueError("exact run law enumeration supports r_max <= 10")
-    codes, probs = _active_actions(action_probabilities(params))
+    probs4 = action_probabilities(params)
     out: dict[int, np.ndarray] = {}
     for r in range(1, r_max + 1):
-        table = np.zeros(2 * r + 1)
-        for digits in _digit_chunks(r, codes.size):
-            acts = codes[digits]
-            p = probs[digits].prod(axis=1)
-            s = _FRAG_LEN[acts].sum(axis=1)
-            table += np.bincount(s, weights=p, minlength=2 * r + 1)
-        out[r] = table
+        keys, probs = _sparse_law(_PatternTable(r, probs4).outputs(np.zeros(r, dtype=np.uint8)))
+        lengths = [_split_key(k)[0] for k in keys.tolist()]
+        out[r] = np.bincount(lengths, weights=probs, minlength=2 * r + 1)
     return out
 
 
@@ -384,11 +380,9 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
     if n > 8:
         raise ValueError("decomposition check supports n <= 8")
 
-    probs4 = action_probabilities(params)
-    codes, probs = _active_actions(probs4)
-    codes_l = codes.tolist()
-    probs_l = probs.tolist()
-    k_act = len(codes_l)
+    codes, probs = _active_actions(action_probabilities(params))
+    patterns = [pattern for digits in _digit_chunks(n, codes.size)
+                for pattern in zip(codes[digits].tolist(), probs[digits].prod(axis=1).tolist())]
 
     joint: dict = defaultdict(float)
     run_count = []
@@ -398,16 +392,9 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
         px = 0.5
         for j in range(1, n):
             px *= gamma if x[j] == x[j - 1] else 1.0 - gamma
-        for pat in range(k_act ** n):
-            acts = []
-            pp = px
-            rem = pat
-            for _ in range(n):
-                acts.append(codes_l[rem % k_act])
-                pp *= probs_l[rem % k_act]
-                rem //= k_act
+        for acts, pa in patterns:
             y, i_fl, t_fl, s = reference_apply(x, acts)
-            joint[(xv, tuple(y), (tuple(t_fl), tuple(s)))] += pp
+            joint[(xv, tuple(y), (tuple(t_fl), tuple(s)))] += px * pa
 
     mass_error = abs(math.fsum(joint.values()) - 1.0)
     xy: dict = defaultdict(float)

@@ -164,45 +164,43 @@ def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
     return EmpiricalStationary(freqs=freqs.reshape(2, 2, 2), std_errors=se.reshape(2, 2, 2), n_obs=int(n))
 
 
+def _context_entropy(params: ChannelParams, gamma: float, steps: int, seed: int, burn_in: int,
+                     pick) -> McEstimate:
+    """Plug-in H(value | context) on one simulated chain: ``pick(out)`` gives
+    the value sequence and the context bit sequences, aligned, and the
+    context is their bit code."""
+    _, out = _simulate(params, gamma, steps, seed)
+    val, *bits = pick(out)
+    return _plug_in(_bit_code(burn_in, *bits), val[burn_in:], 2 ** len(bits), seed + 1)
+
+
 def estimate_hI(i: float, alpha: float, gamma: float, steps: int, seed: int = 0,
                 burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(I_j | I_{j-1}, Y_j, Y_{j-1}, Y_{j-2})."""
-    _, out = _simulate(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
-    y, i_fl = out.y, out.aux.i_flags
-    ctx = _bit_code(burn_in, i_fl[1:-1], y[2:], y[1:-1], y[:-2])
-    val = i_fl[2:][burn_in:]
-    return _plug_in(ctx, val, 16, seed + 1)
+    return _context_entropy(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda out: (
+        out.aux.i_flags[2:], out.aux.i_flags[1:-1], out.y[2:], out.y[1:-1], out.y[:-2]))
 
 
 def estimate_hT(i: float, alpha: float, gamma: float, steps: int, seed: int = 0,
                 burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(T_j | T_{j-1}, Y_j, Y_{j-1})."""
-    _, out = _simulate(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
-    y, t_fl = out.y, out.aux.t_flags
-    ctx = _bit_code(burn_in, t_fl[:-1], y[1:], y[:-1])
-    val = t_fl[1:][burn_in:]
-    return _plug_in(ctx, val, 8, seed + 1)
+    return _context_entropy(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda out: (
+        out.aux.t_flags[1:], out.aux.t_flags[:-1], out.y[1:], out.y[:-1]))
 
 
 def estimate_HS2(gamma: float, d: float, steps: int, seed: int = 0,
                  burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
-    """Plug-in estimate of H(S_2 | Y_1 Y_2) from a deletion-channel chain."""
-    _, out = _simulate(ChannelParams(d=d), gamma, steps, seed)
-    y, s = out.y, out.aux.s_counts
-    # gap g sits between output bits g-1 and g
-    ctx = _bit_code(burn_in, y[:-1], y[1:])
-    val = s[1:-1][burn_in:]
-    return _plug_in(ctx, val, 4, seed + 1)
+    """Plug-in estimate of H(S_2 | Y_1 Y_2) from a deletion-channel chain:
+    :func:`estimate_delins_S_term` at i = 0, where T is all zeros."""
+    return estimate_delins_S_term(gamma, d, 0.0, 1.0, steps, seed, burn_in)
 
 
 def estimate_delins_S_term(gamma: float, d: float, i: float, alpha: float, steps: int,
                            seed: int = 0, burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(S_j | Y_{j-1}, Y_j, T_j) on the combined channel."""
-    _, out = _simulate(ChannelParams(d=d, i=i, alpha=alpha), gamma, steps, seed)
-    y, t_fl, s = out.y, out.aux.t_flags, out.aux.s_counts
-    ctx = _bit_code(burn_in, t_fl[1:], y[:-1], y[1:])
-    val = s[1:-1][burn_in:]
-    return _plug_in(ctx, val, 8, seed + 1)
+    # gap g sits between output bits g-1 and g
+    return _context_entropy(ChannelParams(d=d, i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda out: (
+        out.aux.s_counts[1:-1], out.aux.t_flags[1:], out.y[:-1], out.y[1:]))
 
 
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
