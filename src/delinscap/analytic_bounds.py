@@ -44,12 +44,12 @@ penalties, the deleted-run-count entropy and the run-length entropy, and
 reports each computed-minus-printed residual as a diagnostic.  The binomial
 double series of the printed deletion run-length form is summed as
 sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))): its m h(d) part in closed
-form, its binomial entropies read from the same row table.  The literal deleted-run-count formula
-disagrees with the law at d = 0 (it evaluates to ``gamma*log2(gamma)``
-where the law gives 0), so the kernel above is authoritative throughout and
-the literal form is exposed only for side-by-side study: with
-``use_printed_hs2`` it replaces the deleted-run penalty and is subtracted
-like it, although it may be negative.
+form, its binomial entropies read from the same row table.  The literal
+deleted-run-count formula disagrees with the law at d = 0 (it evaluates to
+``gamma*log2(gamma)`` where the law gives 0), so the kernel above is
+authoritative throughout and the literal form is exposed only for
+side-by-side study: with ``use_printed_hs2`` it replaces the deleted-run
+penalty and is subtracted like it, although it may be negative.
 """
 
 from __future__ import annotations
@@ -924,8 +924,8 @@ class BoundGrid:
     them, are taken once over the whole array, where a numpy call costs
     about the same for 1 gamma as for 199; the rest of the run-length term,
     p @ H, whose row table and p_r matrix grow with the largest r_max, chunk
-    by chunk, in the
-    ``chunks`` of the gammas' :class:`_GridPlan` for ``cfg`` (:meth:`values`).
+    by chunk, in the ``chunks`` of the gammas' :class:`_GridPlan` for
+    ``cfg`` (:meth:`values`).
     The values agree with the ``lb_*`` within 1e-13 (tested), and
     :meth:`at` is its bound at a float gamma, bit for bit.
 
