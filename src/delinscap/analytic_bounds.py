@@ -530,10 +530,12 @@ def _run_length_entropy(gamma, r_max):
     gamma**(r-1) (1 - gamma) and R = r_max, in closed form, of a float gamma
     and an int R or of arrays, elementwise: log2 p_r = log2(1 - gamma) +
     (r - 1) log2(gamma), sum p_r = 1 - gamma**R and sum (r - 1) p_r =
-    (gamma - gamma**R (R - (R - 1) gamma)) / (1 - gamma)."""
+    (gamma - gamma**R (R - (R - 1) gamma)) / (1 - gamma).  R - (R - 1) gamma
+    is taken as 1 + (R - 1)(1 - gamma), which does not cancel near
+    gamma = 1 (within 2e-15 of a direct sum up to gamma = 1 - 1e-6, tested)."""
     xp = np if isinstance(gamma, np.ndarray) else math
     gb, tail = 1.0 - gamma, gamma ** r_max
-    return -xp.log2(gb) * (1.0 - tail) - xp.log2(gamma) * ((gamma - tail * (r_max - (r_max - 1) * gamma)) / gb)
+    return -xp.log2(gb) * (1.0 - tail) - xp.log2(gamma) * ((gamma - tail * (1.0 + (r_max - 1) * gb)) / gb)
 
 
 class _GridPlan:
@@ -722,8 +724,8 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
 
     The table is read only up to R = min(r, _HLXLY_M_CAP), r = ceil(log(1e-12)
     / log(gamma)), the r_max of the default :class:`SeriesConfig` before its
-    cap, so the diagnostic needs no rows the bound at gamma did not below
-    the cap.  Rows m > R take H_R in place of H_m, a lower bound since the
+    cap, so below that cap the diagnostic needs no rows the bound at gamma
+    did not.  Rows m > R take H_R in place of H_m, a lower bound since the
     entropy of a sum of independent steps never decreases as steps are added
     (M. Madiman, "On the entropy of sums", ITW 2008), and sum to
     gamma**R H_R.  That moves the value by sum_{m>R} p_m (H_m - H_R), with

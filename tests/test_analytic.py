@@ -648,6 +648,19 @@ class TestRowBoundedCeiling:
         assert np.all(ceiling >= full)
 
 
+class TestRunLengthEntropy:
+    @pytest.mark.parametrize("gamma", [1e-6, 0.3, 0.9, 0.999, 0.9999, 0.99999, 0.999999])
+    def test_matches_the_direct_sum(self, gamma):
+        # -sum_{r<=R} p_r log2 p_r term by term, at the fewest rows and at
+        # the bound's own R, the cap of 10 000 from gamma = 0.9972 on
+        for r_max in (8, ab._r_truncation(gamma, ab.SeriesConfig())):
+            ps = [gamma ** (r - 1) * (1.0 - gamma) for r in range(1, r_max + 1)]
+            ref = -math.fsum(p * math.log2(p) for p in ps)
+            tol = 2e-15 * max(1.0, ref)
+            assert abs(ab._run_length_entropy(gamma, r_max) - ref) <= tol
+            assert abs(ab._run_length_entropy(np.array([gamma]), np.array([r_max]))[0] - ref) <= tol
+
+
 class TestClosedFormHLXLY:
     @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99, 0.9953, 0.999])
     def test_matches_log_factorial_series(self, gamma):
