@@ -263,9 +263,10 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
 
     A run of ``r`` identical bits sits between opposite-symbol guards, so its
     image in the augmented/flipped output is simply the concatenation of its
-    per-bit fragments; ``s`` is the total fragment length.  Returns, per r,
-    an array over s = 0..2r.  The actions of zero probability under
-    ``params`` (all but delete/keep at i = 0, delete at d = 0) are dropped.
+    per-bit fragments; ``s`` is the total fragment length, the length of the
+    output key of the pattern table on r zero bits.  Returns, per r, an
+    array over s = 0..2r.  The actions of zero probability under ``params``
+    (all but delete/keep at i = 0, delete at d = 0) are dropped.
     """
     if r_max > 10:
         raise ValueError("exact run law enumeration supports r_max <= 10")
