@@ -23,6 +23,7 @@ chains never share a stream and aggregation order does not matter.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,7 @@ def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
 
 
 def _context_entropy(params: ChannelParams, gamma: float, steps: int, seed: int, burn_in: int,
-                     pick) -> McEstimate:
+                     pick: Callable[[ChannelOutput], tuple[np.ndarray, ...]]) -> McEstimate:
     """Plug-in H(value | context) on one simulated chain: ``pick(out)`` gives
     the value sequence and the context bit sequences, aligned, and the
     context is their bit code."""
