@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChannelParams, EntropyTerm, MarkovSourceParams, Role, _i_prime, binary_entropy, xlog2
+from .core import GAMMA_MAX, GAMMA_MIN, ChannelParams, EntropyTerm, Role, _i_prime, binary_entropy, xlog2
 
 __all__ = [
     "SeriesConfig",
@@ -837,6 +837,12 @@ def _delins_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = Fa
     ]
 
 
+def _check_gamma(gamma: float) -> None:
+    """Reject a gamma outside [GAMMA_MIN, GAMMA_MAX], past which the kernels fail."""
+    if not GAMMA_MIN <= gamma <= GAMMA_MAX:
+        raise ValueError(f"gamma={gamma} must lie in [{GAMMA_MIN}, {GAMMA_MAX}]")
+
+
 def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
                 diagnostics: bool = True, use_printed_hs2: bool = False) -> BoundResult:
     """Deletion-channel bound h(gamma) - (1-d) H(S2|Y1Y2) - (1-gamma) H(L_X|L_Y').
@@ -846,7 +852,7 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     which may be negative), for side-by-side study of the suspected erratum.
     """
     p = ChannelParams(d=d)
-    MarkovSourceParams(gamma)
+    _check_gamma(gamma)
     run = run_law_deletion_H(gamma, d, cfg)
     terms = _deletion_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error), use_printed_hs2)
     terms = [EntropyTerm(*t) for t in terms]
@@ -862,14 +868,14 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
 def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     """Insertion bound decoding all insertion positions (LB 1)."""
     p = ChannelParams(i=i, alpha=alpha)
-    MarkovSourceParams(gamma)
+    _check_gamma(gamma)
     return _assemble(gamma, [EntropyTerm(*t) for t in _lb1_terms(p, gamma)])
 
 
 def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None = None) -> BoundResult:
     """Insertion bound decoding only complementary insertions (LB 2)."""
     p = ChannelParams(i=i, alpha=alpha)
-    MarkovSourceParams(gamma)
+    _check_gamma(gamma)
     run = run_law_duplication_H(gamma, i, cfg)
     terms = _lb2_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error))
     return _assemble(gamma, [EntropyTerm(*t) for t in terms])
@@ -890,7 +896,7 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     0 by construction.
     """
     p = ChannelParams(d=d, i=i, alpha=alpha)
-    MarkovSourceParams(gamma)
+    _check_gamma(gamma)
     run = run_law_delins_H(gamma, d, i, cfg)
     terms = _delins_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error))
     return _assemble(gamma, [EntropyTerm(*t) for t in terms])

@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
-import numpy as np
-
-from .core import ChannelParams, MarkovSourceParams, bits_to_str, generate_markov_sequence
-from .channel_sim import Action, apply_delins, augment_with_deleted_runs, flip_complementary
-from . import analytic_bounds as ab
+from .core import ChannelParams, MarkovSourceParams, bits_to_str
+from .channel_sim import Action, augment_with_deleted_runs, flip_complementary
+from . import analytic_bounds as ab, mc_estimator as mc
 from .gamma_optimizer import CHANNELS, best_key, channel_bounds, sweep
-from .verification import run_suite
+from .verification import SUITES, run_suite
 
 ENV_CONFIG = "DELINSCAP_SERIES_CONFIG"
 _GRID_MAX = 10_000  # most values one grid spec may expand to
@@ -100,7 +100,8 @@ def positive_int(text: str) -> int:
     return int(val)
 
 
-def _require(parser: argparse.ArgumentParser, args) -> None:
+def _channel_flags(parser: argparse.ArgumentParser, args) -> dict:
+    """The channel's own flags, its ChannelParams keywords; a usage error for a missing or foreign one."""
     needed = CHANNELS[args.channel].flags
     for flag in ("d", "i", "alpha"):
         val = getattr(args, flag)
@@ -108,6 +109,7 @@ def _require(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--{flag} is required for channel {args.channel!r}")
         if flag not in needed and val is not None:
             parser.error(f"--{flag} does not apply to channel {args.channel!r}")
+    return {flag: getattr(args, flag) for flag in needed}
 
 
 def _result_dict(res: ab.BoundResult) -> dict:
@@ -132,21 +134,18 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args)
+    flags = _channel_flags(parser, args)
     if args.paper_closed_forms and args.channel != "deletion":
         parser.error("--paper-closed-forms applies only to the deletion channel")
-    cfg = load_series_config()
-    d = args.d or 0.0
-    i = args.i or 0.0
-    alpha = args.alpha if args.alpha is not None else 1.0
     try:
-        ChannelParams(d=d, i=i, alpha=alpha)
+        params = ChannelParams(**flags)
         if args.gamma is not None:
-            MarkovSourceParams(args.gamma)
+            ab._check_gamma(args.gamma)
     except ValueError as exc:
         parser.error(str(exc))
+    cfg = load_series_config()
 
-    bounds = channel_bounds(args.channel, d=d, i=i, alpha=alpha, gamma=args.gamma, cfg=cfg, tol=args.tol,
+    bounds = channel_bounds(args.channel, **asdict(params), gamma=args.gamma, cfg=cfg, tol=args.tol,
                             use_printed_hs2=args.paper_closed_forms)
     if args.paper_closed_forms:
         print("note: --paper-closed-forms subtracts the printed deleted-run term, which can be "
@@ -155,12 +154,9 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
     best = bounds[winner]
     payload = {
         "channel": args.channel,
-        "params": {"d": d, "i": i, "alpha": alpha},
+        "params": asdict(params),
         "gamma": args.gamma,
-        "series_config": {
-            "tail_epsilon": cfg.tail_epsilon,
-            "r_max_cap": cfg.r_max_cap,
-        },
+        "series_config": asdict(cfg),
         "bounds": {k: _result_dict(v) for k, v in bounds.items()},
         "bound_bits": best.bound_bits,
         "gamma_star": best.gamma_star,
@@ -168,7 +164,7 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
     if args.json or args.out:
         _emit(payload, args.out)
     else:
-        print(f"channel={args.channel} d={d} i={i} alpha={alpha}")
+        print(f"channel={args.channel} d={params.d} i={params.i} alpha={params.alpha}")
         for key in sorted(bounds):
             res = bounds[key]
             print(f"  {key}: {res.bound_bits:.9f} bits/use at gamma*={res.gamma_star:.6f} "
@@ -181,24 +177,19 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args)
+    flags = _channel_flags(parser, args)
     cfg = load_series_config()
     try:
-        d_grid = _parse_grid(args.d) if args.d is not None else [0.0]
-        i_grid = _parse_grid(args.i) if args.i is not None else [0.0]
-        a_grid = _parse_grid(args.alpha) if args.alpha is not None else [1.0]
+        grids = {flag: _parse_grid(spec) for flag, spec in flags.items()}
     except ValueError as exc:
         parser.error(str(exc))
-    points = [
-        {"d": d, "i": i, "alpha": a}
-        for d in d_grid for i in i_grid for a in a_grid
-    ]
+    points = [dict(zip(grids, values)) for values in itertools.product(*grids.values())]
     rows = sweep(args.channel, points, cfg=cfg, tol=args.tol)
 
     spec = CHANNELS[args.channel]
     totals = [*spec.bounds, "lb_max"] if len(spec.bounds) > 1 else []
-    header = ["channel", "d", "i", "alpha", "gamma_star", "bound", *totals]
-    header += [f"term:{n}" for n in spec.term_columns]
+    columns = ["d", "i", "alpha", "gamma_star", "bound", *totals]
+    header = ["channel", *columns, *(f"term:{n}" for n in spec.term_columns)]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -206,9 +197,7 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
         for row in rows:
             res: ab.BoundResult = row["result"]
             terms = {t.name: t.value for t in res.terms}
-            record = [row["channel"], repr(row["d"]), repr(row["i"]), repr(row["alpha"]),
-                      repr(row["gamma_star"]), repr(row["bound"])]
-            record += [repr(row[k]) for k in totals]
+            record = [row["channel"], *(repr(row[k]) for k in columns)]
             record += [repr(terms[n]) if n in terms else "" for n in spec.term_columns]
             writer.writerow(record)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -216,27 +205,22 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
-    _require(parser, args)
+    flags = _channel_flags(parser, args)
     if args.n < 1:
         parser.error("--n must be at least 1")
-    d = args.d or 0.0
-    i = args.i or 0.0
-    alpha = args.alpha if args.alpha is not None else 1.0
     try:
-        params = ChannelParams(d=d, i=i, alpha=alpha)
-        src = MarkovSourceParams(args.gamma)
+        params = ChannelParams(**flags)
+        MarkovSourceParams(args.gamma)
     except ValueError as exc:
         parser.error(str(exc))
 
-    seeds = np.random.SeedSequence(args.seed).spawn(2)
-    x = generate_markov_sequence(src, args.n, int(seeds[0].generate_state(1, np.uint64)[0]))
-    out = apply_delins(x, params, int(seeds[1].generate_state(1, np.uint64)[0]))
+    x, out = mc._simulate(params, args.gamma, args.n, args.seed)
     flipped = flip_complementary(out.y, out.aux.t_flags)
     augmented = augment_with_deleted_runs(flipped, out.aux.s_counts)
 
     payload = {
         "channel": args.channel,
-        "params": {"d": d, "i": i, "alpha": alpha},
+        "params": asdict(params),
         "gamma": args.gamma,
         "n": args.n,
         "seed": args.seed,
@@ -255,7 +239,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
-    report = run_suite(args.suite, steps=args.steps, seed=args.seed, n_max=args.n_max)
+    report = run_suite(args.suite, steps=args.steps, seed=args.seed, n_max=args.n_max, cfg=load_series_config())
     _emit(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -298,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("oracle", "mc", "reductions", "truncation"))
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--steps", type=positive_int, default="1e6", help="Monte Carlo chain length (mc suite)")
     p.add_argument("--seed", type=int, default=20240501)
     p.add_argument("--n-max", type=int, default=8, help="input length for the cascade check (oracle suite)")

@@ -42,6 +42,10 @@ __all__ = [
     "as_bits",
 ]
 
+# the gamma range of the bounds and of their search
+GAMMA_MIN = 1e-6
+GAMMA_MAX = 1.0 - 1e-6
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -230,8 +234,7 @@ def from_runs(runs: RunSequence) -> np.ndarray:
 
 def geometric_run_pmf(gamma: float, r: int) -> float:
     """P(run length = r) = gamma**(r-1) * (1 - gamma) for r >= 1."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma={gamma} must lie strictly inside (0, 1)")
+    MarkovSourceParams(gamma)
     if r < 1:
         raise ValueError(f"run length r={r} must be a positive integer")
     return gamma ** (r - 1) * (1.0 - gamma)

@@ -32,19 +32,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from .analytic_bounds import _BOUNDS, BoundGrid, BoundResult, SeriesConfig, _row_table_size
-from .core import ChannelParams
+from .core import GAMMA_MAX, GAMMA_MIN, ChannelParams
 
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
            "channel_bounds", "best_key", "sweep"]
 
-GAMMA_MIN = 1e-6
-GAMMA_MAX = 1.0 - 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 199
 _GRID = np.array([min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)])
@@ -207,7 +205,6 @@ def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     """Every bound of ``channel`` by report key: at ``gamma`` if it is given,
     else each optimized over gamma."""
     bounds = _lookup(CHANNELS, channel).bounds
-    cfg = cfg or SeriesConfig()
     if gamma is None:
         return {key: optimize_bound(name, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol, use_printed_hs2=use_printed_hs2)
                 for key, name in bounds.items()}
@@ -222,7 +219,8 @@ def best_key(bounds: dict[str, BoundResult]) -> str:
 
 def sweep(channel: str, points: Iterable[dict], cfg: SeriesConfig | None = None,
           tol: float = 1e-5) -> list[dict]:
-    """Optimize the bounds at every parameter point; rows keep input order.
+    """Optimize the bounds at every parameter point, its missing parameters
+    at the :class:`~.core.ChannelParams` defaults; rows keep input order.
 
     A channel with several bounds carries each (``lb1``, ``lb2``) and their
     max (``lb_max``) in every row, since whichever is larger is still a valid
@@ -230,13 +228,10 @@ def sweep(channel: str, points: Iterable[dict], cfg: SeriesConfig | None = None,
     """
     rows = []
     for pt in points:
-        d = float(pt.get("d", 0.0))
-        i = float(pt.get("i", 0.0))
-        alpha = float(pt.get("alpha", 1.0))
-        bounds = channel_bounds(channel, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol)
+        params = {f.name: float(pt.get(f.name, f.default)) for f in fields(ChannelParams)}
+        bounds = channel_bounds(channel, **params, cfg=cfg, tol=tol)
         res = bounds[best_key(bounds)]
-        row = {"channel": channel, "d": d, "i": i, "alpha": alpha,
-               "gamma_star": res.gamma_star, "bound": res.bound_bits, "result": res}
+        row = {"channel": channel, **params, "gamma_star": res.gamma_star, "bound": res.bound_bits, "result": res}
         if len(bounds) > 1:
             row.update({key: r.bound_bits for key, r in bounds.items()}, lb_max=res.bound_bits)
         rows.append(row)

@@ -23,6 +23,7 @@ chains never share a stream and aggregation order does not matter.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -147,7 +148,7 @@ def _plug_in(ctx: np.ndarray, val: np.ndarray, n_ctx: int, seed: int) -> McEstim
     bias = 0.0
     if n_total:
         n_values = max(2, int((table.sum(axis=0) > 0).sum()))
-        bias = float(totals[~keep].sum()) / n_total * np.log2(n_values)
+        bias = float(totals[~keep].sum()) / n_total * math.log2(n_values)
     return McEstimate(value=float(values[0]), std_error=float(values[1:].std(ddof=1)),
                       bias_budget=bias, n_obs=n_total, pooled_contexts=pooled)
 

@@ -1,7 +1,8 @@
 """Verification suites: exact-oracle, Monte Carlo, reduction and truncation checks.
 
-Each suite returns a machine-readable report: a list of named checks with the
-measured figure, its tolerance, a pass flag, and the seconds spent on it.
+Each suite returns a machine-readable verdict: a list of named checks with the
+measured figure, its tolerance, a pass flag, and the seconds spent on it;
+:func:`run_suite` adds the suite's name.
 The acceptance test module runs these same suites, so the tolerances below
 are the single source of truth for what this package promises numerically.
 """
@@ -51,6 +52,7 @@ RUN_LAW_INSERTION_POINTS = [(0.1, 0.8), (0.2, 0.5), (0.3, 1.0)]
 RUN_LAW_DELINS_POINTS = [(0.1, 0.1), (0.2, 0.15), (0.3, 0.3)]
 
 MC_SEED = 20240501
+DECOMP_N = 6  # input length of the decomposition identities
 
 
 class _Checks(list):
@@ -84,9 +86,9 @@ def _run_law_gap(params: ChannelParams) -> float:
     return max(abs(-float(xlog2(table[r], table[r]).sum()) - float(rows[r - 1])) for r in table)
 
 
-def verify_oracle(n_max: int = 8, decomp_n: int = 6, seed: int = 0) -> dict:
-    """Cascade equivalence, the run-length row entropies against enumeration,
-    and decomposition identities."""
+def verify_oracle(n_max: int = 8, seed: int = 0) -> dict:
+    """Cascade equivalence (``seed`` samples its inputs past n_max = 8), the
+    run-length row entropies against enumeration, and decomposition identities."""
     checks = _Checks()
     for d, i, a in CASCADE_PARAMS:
         worst = oracle.cascade_equivalence_check(n_max, ChannelParams(d=d, i=i, alpha=a), seed=seed)
@@ -101,10 +103,10 @@ def verify_oracle(n_max: int = 8, decomp_n: int = 6, seed: int = 0) -> dict:
         checks.add(f"run_law_delins_d{d}_i{i}", _run_law_gap(ChannelParams(d=d, i=i, alpha=0.5)), TOL_RUN_LAW)
 
     for name, params in (("deletion", ChannelParams(d=0.3)), ("delins", ChannelParams(d=0.15, i=0.15, alpha=0.8))):
-        chk = oracle.exact_decomposition_check(decomp_n, 0.5, params)
+        chk = oracle.exact_decomposition_check(DECOMP_N, 0.5, params)
         checks.add(f"decomposition_{name}", chk.residual, TOL_DECOMP, f"mass error {chk.mass_error:.2e}")
         checks.add(f"run_alignment_{name}", chk.h_runs_given_y_aux, TOL_DECOMP, "H(runs(X) | Y, T, S)")
-    return _report("oracle", checks)
+    return _verdict(checks)
 
 
 def verify_mc(steps: int = 10 ** 6, seed: int = MC_SEED) -> dict:
@@ -133,12 +135,11 @@ def verify_mc(steps: int = 10 ** 6, seed: int = MC_SEED) -> dict:
     ref = ab.delins_S_term(0.5, 0.1, 0.1, 0.8).value
     checks.add("delins_S_vs_series", abs(est.value - ref), TOL_MC_DELINS,
                f"est {est.value:.6f} ref {ref:.6f} se {est.std_error:.1e}")
-    return _report("mc", checks)
+    return _verdict(checks)
 
 
 def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
     """Combined-channel reductions to the pure-channel bounds, plus trivial anchors."""
-    cfg = cfg or ab.SeriesConfig()
     gammas = [0.2, 0.35, 0.5, 0.65, 0.8]
     checks = _Checks()
 
@@ -166,7 +167,7 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
     checks.add("anchor_lb1_i0", abs(ab.lb1_insertion(0.0, 0.5, 0.5).bound_bits - 1.0), TOL_ANCHOR)
     checks.add("anchor_lb2_i0", abs(ab.lb2_insertion(0.0, 0.5, 0.5, cfg).bound_bits - 1.0), TOL_ANCHOR)
     checks.add("anchor_delins_00", abs(ab.lb_delins(0.0, 0.0, 0.7, 0.5, cfg).bound_bits - 1.0), TOL_ANCHOR)
-    return _report("reductions", checks)
+    return _verdict(checks)
 
 
 def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
@@ -192,20 +193,25 @@ def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
         if delta > a.error_budget + 1e-15:
             checks.add(f"truncation_{name}_within_budget", delta, a.error_budget,
                        "shift exceeded the reported truncation budget")
-    return _report("truncation", checks)
+    return _verdict(checks)
 
 
-def _report(suite: str, checks: list[dict]) -> dict:
-    return {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks}
+def _verdict(checks: list[dict]) -> dict:
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def run_suite(suite: str, *, steps: int = 10 ** 6, seed: int = MC_SEED, n_max: int = 8) -> dict:
-    if suite == "oracle":
-        return verify_oracle(n_max=n_max)
-    if suite == "mc":
-        return verify_mc(steps=steps, seed=seed)
-    if suite == "reductions":
-        return verify_reductions()
-    if suite == "truncation":
-        return verify_truncation()
-    raise ValueError(f"unknown suite {suite!r}; expected oracle/mc/reductions/truncation")
+# suite name -> its verdict, from the options it reads
+SUITES = {
+    "oracle": lambda n_max, seed, **_: verify_oracle(n_max, seed),
+    "mc": lambda steps, seed, **_: verify_mc(steps, seed),
+    "reductions": lambda cfg, **_: verify_reductions(cfg),
+    "truncation": lambda cfg, **_: verify_truncation(cfg),
+}
+
+
+def run_suite(suite: str, *, steps: int = 10 ** 6, seed: int = MC_SEED, n_max: int = 8,
+              cfg: ab.SeriesConfig | None = None) -> dict:
+    """The report of ``suite``: its name and its verdict."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected {'/'.join(SUITES)}")
+    return {"suite": suite, **SUITES[suite](steps=steps, seed=seed, n_max=n_max, cfg=cfg)}

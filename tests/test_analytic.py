@@ -469,7 +469,8 @@ def _convolution_row_entropies(kernel, r_max):
 def _log_factorial_HLXLY(gamma, d, tail_epsilon=1e-14, m_cap=200_000):
     """closed_form_HLXLY with its double series summed term by term: a
     cumulative ln(k!) table, then per m the binomial weights times
-    log2 C(m, k).  Each m sums k over |k - m (1 - d)| <= 6 sqrt(m): by
+    log2 C(m, k), taken for a block of m at once and added by one
+    ``math.fsum``.  Each m sums k over |k - m (1 - d)| <= 6 sqrt(m): by
     Hoeffding the omitted binomial mass is below 2 exp(-72) = 1.1e-31.  The
     sum stops where the bound on the rest drops below ``tail_epsilon``; the
     cap lies past that point at every gamma the tests use (m = 49 957 at
@@ -482,16 +483,23 @@ def _log_factorial_HLXLY(gamma, d, tail_epsilon=1e-14, m_cap=200_000):
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, m_cap + 1.0)))])
     lnx, lny = math.log(db * gamma), math.log(d * gamma)
     double = []
-    m = 2
-    while m <= m_cap:
-        half = 6.0 * math.sqrt(m)
-        ks = np.arange(max(1, math.floor(m * db - half)), min(m - 1, math.ceil(m * db + half)) + 1)
+    for m0 in range(2, m_cap + 1, 32):  # 32 values of m at a time, one row each
+        m = np.arange(m0, min(m0 + 32, m_cap + 1))[:, None]
+        half = 6.0 * np.sqrt(m)
+        lo = np.maximum(1, np.floor(m * db - half)).astype(np.int64)
+        hi = np.minimum(m - 1, np.ceil(m * db + half)).astype(np.int64)
+        ks = lo + np.arange(int((hi - lo).max()) + 1)
+        inside = ks <= hi
+        np.minimum(ks, hi, out=ks)  # a row's padding repeats its last k, and ``inside`` drops it
         lc = log_fact[m] - log_fact[ks] - log_fact[m - ks]
-        double.append(float(np.dot(np.exp(ks * lnx + (m - ks) * lny + lc), lc)) / math.log(2.0))
-        rem = gamma ** (m + 1) * ((m + 1) + gamma / gb) / gb
-        if rem < tail_epsilon:
+        weights = np.exp(ks * lnx + (m - ks) * lny + lc)
+        lc *= inside
+        sums = np.einsum("ij,ij->i", weights, lc)
+        rem = gamma ** (m[:, 0] + 1.0) * ((m[:, 0] + 1.0) + gamma / gb) / gb
+        stop = np.flatnonzero(rem < tail_epsilon)
+        double += (sums[:stop[0] + 1 if stop.size else sums.size] / math.log(2.0)).tolist()
+        if stop.size:
             break
-        m += 1
     return out - (gb / gamma) * math.fsum(double)
 
 
@@ -898,6 +906,17 @@ class TestTinyParameters:
     def test_tiny_deletion_rate_reduces_to_identity(self):
         # theta**k underflows in the deleted-run-count law (a ZeroDivisionError once)
         assert ab.lb_deletion(4e-271, 0.5).bound_bits == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lb, gamma", [
+        (lambda g: ab.lb_deletion(0.5, g), 1e-154),  # a nan bound once
+        (lambda g: ab.lb2_insertion(0.5, 0.8, g), 1e-204),  # a math domain error once
+        (lambda g: ab.lb_deletion(0.5, g), 1.0 - 2.0 ** -53),  # a math domain error once
+        (lambda g: ab.lb_delins(0.3, 0.2, 0.5, g), 1.0 - 1e-10),  # a run-length penalty of 0 once
+        (lambda g: ab.lb1_insertion(0.5, 0.8, g), 0.0),
+    ])
+    def test_gamma_outside_the_search_range_is_an_error(self, lb, gamma):
+        with pytest.raises(ValueError, match=r"gamma=.* must lie in \[1e-06, 0.999999\]"):
+            lb(gamma)
 
     def test_overflowing_term_is_an_error(self, monkeypatch):
         # a kernel that overflows makes the bound non-finite, which is an error, not a result

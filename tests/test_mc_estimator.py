@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ class TestPlugInEstimates:
         b = mc.estimate_HS2(0.5, 0.3, steps=STEPS, seed=12)
         tol = 3 * (a.std_error + b.std_error) + 1e-3
         assert abs(a.value - b.value) <= tol
+
+    def test_fields_have_their_declared_types(self):
+        # bias_budget was np.float64 (a float subclass) once, taken with np.log2
+        estimates = [mc.estimate_hI(0.2, 0.5, 0.5, steps=50_000, seed=14),
+                     mc.estimate_hT(0.2, 0.5, 0.5, steps=50_000, seed=15),
+                     mc.estimate_HS2(0.5, 0.3, steps=STEPS, seed=3),
+                     mc.estimate_delins_S_term(0.5, 0.1, 0.1, 0.8, steps=50_000, seed=16)]
+        for est in estimates:
+            for name, kind in typing.get_type_hints(mc.McEstimate).items():
+                assert type(getattr(est, name)) is kind, (name, est)
 
     def test_determinism(self):
         a = mc.estimate_hI(0.2, 0.5, 0.5, steps=50_000, seed=13)
