@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
 from delinscap import analytic_bounds as ab
@@ -481,19 +482,20 @@ def _log_factorial_HLXLY(gamma, d, tail_epsilon=1e-14, m_cap=200_000):
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, m_cap + 1.0)))])
+    padded = np.concatenate([np.zeros(32), log_fact])  # ln j! at 32 + j, and 0 for j < 0
     lnx, lny = math.log(db * gamma), math.log(d * gamma)
     double = []
     for m0 in range(2, m_cap + 1, 32):  # 32 values of m at a time, one row each
         m = np.arange(m0, min(m0 + 32, m_cap + 1))[:, None]
         half = 6.0 * np.sqrt(m)
-        lo = np.maximum(1, np.floor(m * db - half)).astype(np.int64)
-        hi = np.minimum(m - 1, np.ceil(m * db + half)).astype(np.int64)
-        ks = lo + np.arange(int((hi - lo).max()) + 1)
-        inside = ks <= hi
-        np.minimum(ks, hi, out=ks)  # a row's padding repeats its last k, and ``inside`` drops it
-        lc = log_fact[m] - log_fact[ks] - log_fact[m - ks]
-        weights = np.exp(ks * lnx + (m - ks) * lny + lc)
-        lc *= inside
+        lo = np.maximum(1, np.floor(m * db - half))
+        hi = np.minimum(m - 1, np.ceil(m * db + half))
+        klo, khi = int(lo.min()), int(hi.max())
+        k = np.arange(klo, khi + 1.0)  # every row's window, each row masked to its own below
+        lmk = sliding_window_view(padded, k.size)[32 + m[:, 0] - khi, ::-1]  # ln (m - k)!
+        lc = log_fact[m] - log_fact[klo:khi + 1] - lmk
+        weights = np.exp(k * lnx + (m - k) * lny + lc)
+        lc *= (lo <= k) & (k <= hi)
         sums = np.einsum("ij,ij->i", weights, lc)
         rem = gamma ** (m[:, 0] + 1.0) * ((m[:, 0] + 1.0) + gamma / gb) / gb
         stop = np.flatnonzero(rem < tail_epsilon)
