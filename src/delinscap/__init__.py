@@ -21,66 +21,13 @@ import os
 # before anything below imports numpy
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .core import (  # noqa: E402
-    ChannelParams,
-    MarkovSourceParams,
-    RunSequence,
-    Role,
-    EntropyTerm,
-    binary_entropy,
-    generate_markov_sequence,
-    to_runs,
-    from_runs,
-    geometric_run_pmf,
-)
-from .channel_sim import (  # noqa: E402
-    Action,
-    AuxSequences,
-    ChannelOutput,
-    apply_pattern,
-    apply_delins,
-    apply_deletion,
-    apply_insertion,
-    apply_cascade,
-    flip_complementary,
-    augment_with_deleted_runs,
-)
-from .analytic_bounds import (  # noqa: E402
-    SeriesConfig,
-    BoundResult,
-    markov_q,
-    stationary_iy,
-    h_I_limit,
-    h_T_limit,
-    insertion_penalty_credit,
-    cond_entropy_S_given_YY,
-    closed_form_HS2,
-    run_law_deletion_H,
-    run_law_duplication_H,
-    run_law_delins_H,
-    closed_form_HLXLY,
-    delins_S_term,
-    closed_form_delins_S,
-    lb_deletion,
-    lb1_insertion,
-    lb2_insertion,
-    lb_delins,
-)
-from .gamma_optimizer import maximize_over_gamma, optimize_bound, sweep  # noqa: E402
+from . import core, channel_sim, analytic_bounds, gamma_optimizer  # noqa: E402
+from .core import *  # noqa: E402,F401,F403
+from .channel_sim import *  # noqa: E402,F401,F403
+from .analytic_bounds import *  # noqa: E402,F401,F403
+from .gamma_optimizer import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelParams", "MarkovSourceParams", "RunSequence", "Role", "EntropyTerm",
-    "binary_entropy", "generate_markov_sequence", "to_runs", "from_runs",
-    "geometric_run_pmf",
-    "Action", "AuxSequences", "ChannelOutput", "apply_pattern", "apply_delins",
-    "apply_deletion", "apply_insertion", "apply_cascade", "flip_complementary",
-    "augment_with_deleted_runs",
-    "SeriesConfig", "BoundResult", "markov_q", "stationary_iy", "h_I_limit", "h_T_limit",
-    "insertion_penalty_credit", "cond_entropy_S_given_YY", "closed_form_HS2",
-    "run_law_deletion_H", "run_law_duplication_H", "run_law_delins_H",
-    "closed_form_HLXLY", "delins_S_term", "closed_form_delins_S",
-    "lb_deletion", "lb1_insertion", "lb2_insertion", "lb_delins",
-    "maximize_over_gamma", "optimize_bound", "sweep",
-]
+# the public API: the four modules' own __all__ lists, each name declared once there
+__all__ = [*core.__all__, *channel_sim.__all__, *analytic_bounds.__all__, *gamma_optimizer.__all__]

@@ -518,11 +518,11 @@ def _step_law(d: float, i: float) -> tuple[float, float, float]:
     return d, max(1.0 - d - i, 0.0), i
 
 
-def _row_kernel(step: tuple[float, float, float]) -> tuple[float, ...]:
-    """The step law as a row-table kernel: a zero end step only shifts the
-    rows, so it is dropped; an interior zero (d + i = 1) stays."""
-    d, _, i = step
-    return step[int(d == 0.0):3 - int(i == 0.0)]
+def _row_kernel(d: float, i: float) -> tuple[float, ...]:
+    """The step law (:func:`_step_law`) as a row-table kernel: a zero end
+    step only shifts the rows, so it is dropped; an interior zero (d + i = 1)
+    stays.  At d = i = 0, L_out = L_X and no row is needed: the kernel is ()."""
+    return _step_law(d, i)[int(d == 0.0):3 - int(i == 0.0)] if d or i else ()
 
 
 def _run_length_entropy(gamma, r_max):
@@ -536,6 +536,14 @@ def _run_length_entropy(gamma, r_max):
     xp = np if isinstance(gamma, np.ndarray) else math
     gb, tail = 1.0 - gamma, gamma ** r_max
     return -xp.log2(gb) * (1.0 - tail) - xp.log2(gamma) * ((gamma - tail * (1.0 + (r_max - 1) * gb)) / gb)
+
+
+def _run_law_closed(gamma, d: float, i: float, r_max):
+    """H(L_X) - H(L_out) on r_max, the closed part of H(L_X | L_out)
+    (:class:`_RunLawChunk`), of a float gamma and an int r_max or of arrays,
+    elementwise: :func:`_run_length_entropy` less :func:`_output_length_entropy`
+    on 0..2 r_max."""
+    return _run_length_entropy(gamma, r_max) - _output_length_entropy(gamma, _step_law(d, i), 2 * r_max)
 
 
 class _GridPlan:
@@ -574,39 +582,28 @@ _grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
 
 class _RunLawChunk:
     """H(L_X | L_out) at each gamma of a chunk of a :class:`BoundGrid`, or at
-    a float gamma, a chunk of one point; L_out is the sum over the run's L_X
-    bits of i.i.d. per-bit output lengths in {0, 1, 2} with probabilities
-    (d, 1 - d - i, i).
+    a float gamma, a chunk of one point (:func:`_run_law_at`); L_out is the
+    sum over the run's L_X bits of i.i.d. per-bit output lengths in {0, 1, 2}
+    with probabilities (d, 1 - d - i, i).
 
     H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
     H(L_X) + sum_r p_r H_r over r = 1..r_max, H_r the entropy of row_r, the
     law of L_out given L_X = r (the r-fold convolution of the step law).  So
     the values are p @ H + (H(L_X) - H(L_out)), clipped at 0: H from a table
-    built once per step law (:func:`_row_entropies`), p the run-length
-    weights (:meth:`_GridPlan.weights`), and the closed part, on each
-    gamma's own r_max, two closed forms (:func:`_run_length_entropy`,
-    :func:`_output_length_entropy` on 0..2 r_max).  :meth:`values` gives
+    built once per step law, the row ``kernel`` (:func:`_row_entropies`), p
+    the run-length weights, a matrix over a chunk (:meth:`_GridPlan.weights`)
+    and a vector at a float gamma, and ``closed``, the closed part on each
+    gamma's own r_max (:func:`_run_law_closed`).  :meth:`values` gives
     them, :meth:`floor` a lower bound on them from the rows the table holds,
     and, at a float gamma, :meth:`term` the value with its truncation error.
-
-    Over a chunk, ``weights`` (the p matrix) and ``closed`` are given; at a
-    float gamma, ``weights`` is the :class:`SeriesConfig` that fixes its
-    r_max, and p (a vector) and the closed part are built here, once.  Only
-    the rounding differs between a grid point and the same float gamma
+    Only the rounding differs between a grid point and the same float gamma
     (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
     ``size`` (the rows needed) is 0 and the values are 0.
     """
 
-    def __init__(self, gammas, d: float, i: float, weights: SeriesConfig | np.ndarray,
-                 closed: np.ndarray | None = None) -> None:
-        step = _step_law(d, i)
-        if not isinstance(gammas, np.ndarray):  # a chunk of one point, p_r as in _GridPlan.weights
-            r_max = self._r_max = _r_truncation(gammas, weights)
-            weights = (1.0 - gammas) * np.power(gammas, np.arange(float(r_max)))
-            closed = _run_length_entropy(gammas, r_max) - _output_length_entropy(gammas, step, 2 * r_max)
-        self._gammas, self._p, self._closed = gammas, weights, closed
-        # the rows the values need: none at d = i = 0, where L_out = L_X
-        self.kernel, self.size = (_row_kernel(step), weights.shape[-1]) if d or i else ((), 0)
+    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed) -> None:
+        self._gammas, self.kernel, self._p, self._closed = gammas, kernel, p, closed
+        self.size = p.shape[-1] if kernel else 0
 
     def values(self):
         """The values, the table grown to the largest r_max (a numpy scalar at a float gamma)."""
@@ -619,7 +616,7 @@ class _RunLawChunk:
         truncation error adds to the dropped runs' tail
         (:func:`_run_tail_bound`) the bound on what the table's trimmed mass
         moves the rows (:func:`_trim_bound`)."""
-        trunc = _run_tail_bound(self._gammas, self._r_max)
+        trunc = _run_tail_bound(self._gammas, self._p.size)
         if self.size:
             trunc += _trim_bound(_row_entropies(self.kernel, self.size)[1], self.size)
         return EntropyTerm(name, float(self.values()), trunc)
@@ -688,20 +685,28 @@ def _run_tail_bound(gamma: float, r_max: int) -> float:
     return tail_joint + tail_marg
 
 
+def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
+    """The run-length term at a float gamma, a chunk of one point on the
+    r_max ``cfg`` fixes, its p_r as in :meth:`_GridPlan.weights`."""
+    r_max = _r_truncation(gamma, cfg or SeriesConfig())
+    p = (1.0 - gamma) * np.power(gamma, np.arange(float(r_max)))
+    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max))
+
+
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for pure deletion: each bit survives with prob 1 - d."""
-    return _RunLawChunk(gamma, d, 0.0, cfg or SeriesConfig()).term("run_length_entropy_deletion")
+    return _run_law_at(gamma, d, 0.0, cfg).term("run_length_entropy_deletion")
 
 
 def run_law_duplication_H(gamma: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Ytilde) for insertions only: each bit contributes 1 or 2."""
-    return _RunLawChunk(gamma, 0.0, i, cfg or SeriesConfig()).term("run_length_entropy_insertion")
+    return _run_law_at(gamma, 0.0, i, cfg).term("run_length_entropy_insertion")
 
 
 def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for the combined channel: contributions {0, 1, 2} with
     probabilities (d, 1 - d - i, i)."""
-    return _RunLawChunk(gamma, d, i, cfg or SeriesConfig()).term("run_length_entropy_delins")
+    return _run_law_at(gamma, d, i, cfg).term("run_length_entropy_delins")
 
 
 # The printed run-length form's series reads at most _HLXLY_M_CAP rows.
@@ -742,7 +747,7 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
     out -= binary_entropy(d) * (1.0 / gb - gb)
     rows = min(math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)), _HLXLY_M_CAP)
-    h_rows = _row_entropies(_row_kernel(_step_law(d, 0.0)), rows)[0]
+    h_rows = _row_entropies(_row_kernel(d, 0.0), rows)[0]
     series = np.power(gamma, np.arange(1.0, rows))  # p_m, m = 2..R
     series *= gb
     series *= h_rows[1:]
@@ -956,9 +961,9 @@ class BoundGrid:
       counts the chunks it ruled out.
     - the same at a float gamma (:meth:`at`): a float gamma is a chunk of
       one point, so its floor, by the same proof, is at most the ``lb_*``'s
-      run-length entropy bit for bit.  One float :class:`_RunLawChunk`
-      builds its weights and H(L_X) - H(L_out) once and gives both the floor
-      and the value.
+      run-length entropy bit for bit.  One float chunk
+      (:func:`_run_law_at`) builds its weights and H(L_X) - H(L_out) once
+      and gives both the floor and the value.
     """
 
     def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
@@ -974,9 +979,8 @@ class BoundGrid:
         self._head, self._tail = _signed_sum(terms[:k]), terms[k + 1:]
         self._cfg, self._run, self._closed = cfg, None, None
         if k < len(terms):  # H(L_X) - H(L_out), each gamma's at its own r_max
-            self._run, r_max = (params.d, params.i), self._plan.r_max
-            self._closed = _run_length_entropy(gammas, r_max) - _output_length_entropy(
-                gammas, _step_law(*self._run), 2 * r_max)
+            self._run = params.d, params.i
+            self._closed = _run_law_closed(gammas, params.d, params.i, self._plan.r_max)
 
     def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when a ceiling shows that
@@ -1010,10 +1014,9 @@ class BoundGrid:
 
     def _run_law(self, at: float | slice) -> _RunLawChunk:
         """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
-        d, i = self._run
         if isinstance(at, slice):
-            return _RunLawChunk(self.gammas[at], d, i, self._plan.weights(at), self._closed[at])
-        return _RunLawChunk(at, d, i, self._cfg)
+            return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._closed[at])
+        return _run_law_at(at, *self._run, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:
         """The terms at ``gammas[chunk]`` added in order, with ``run`` as

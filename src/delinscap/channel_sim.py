@@ -41,7 +41,6 @@ __all__ = [
     "Action",
     "AuxSequences",
     "ChannelOutput",
-    "sample_actions",
     "apply_pattern",
     "apply_delins",
     "apply_deletion",
@@ -106,9 +105,13 @@ def action_probabilities(params: ChannelParams) -> np.ndarray:
     return np.array([d, 1.0 - d - i, i * a, i * (1.0 - a)], dtype=float)
 
 
-def sample_actions(n: int, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one i.i.d. action per input bit."""
-    return _sample_from_probs(n, action_probabilities(params), rng)
+def insertion_stage_probabilities(params: ChannelParams) -> np.ndarray:
+    """The action law of the cascade's insertion stage (i' = i/(1-d), alpha):
+    (0, 1 - i', i' alpha, i' (1 - alpha)), for :func:`apply_cascade` and the
+    exact oracle.  Built here, not as ``action_probabilities`` of a
+    ChannelParams with i = i', which would reject the i' = 1 of d + i = 1."""
+    ip, a = params.i_prime, params.alpha
+    return np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
 
 
 def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -204,7 +207,7 @@ def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutp
     """One realization of the combined deletion+insertion channel."""
     x = as_bits(x)
     rng = np.random.default_rng(seed)
-    actions = sample_actions(x.size, params, rng)
+    actions = _sample_from_probs(x.size, action_probabilities(params), rng)
     return apply_pattern(x, actions)
 
 
@@ -227,15 +230,10 @@ def apply_cascade(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOut
     channel.
     """
     x = as_bits(x)
-    if params.d >= 1.0:
-        raise ValueError("cascade undefined at d = 1")
     rng = np.random.default_rng(seed)
     deleted = rng.random(x.size) < params.d
     n_kept = int((~deleted).sum())
-    # i' may equal 1 exactly when d + i == 1, so bypass ChannelParams here
-    ip, a = params.i_prime, params.alpha
-    stage2_probs = np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
-    kept_actions = _sample_from_probs(n_kept, stage2_probs, rng)
+    kept_actions = _sample_from_probs(n_kept, insertion_stage_probabilities(params), rng)
     actions = np.full(x.size, Action.DELETE, dtype=np.int8)
     actions[~deleted] = kept_actions
     return apply_pattern(x, actions)

@@ -27,6 +27,7 @@ from dataclasses import asdict
 
 from .core import ChannelParams, MarkovSourceParams, bits_to_str
 from .channel_sim import Action, augment_with_deleted_runs, flip_complementary
+from .exact_oracle import MAX_CASCADE_BITS
 from . import analytic_bounds as ab, mc_estimator as mc
 from .gamma_optimizer import CHANNELS, best_key, channel_bounds, sweep
 from .verification import SUITES, run_suite
@@ -98,6 +99,14 @@ def positive_int(text: str) -> int:
     if not (math.isfinite(val) and val >= 1 and val == int(val)):
         raise ValueError(text)
     return int(val)
+
+
+def cascade_length(text: str) -> int:
+    """An input length the cascade equivalence check takes, 0..MAX_CASCADE_BITS."""
+    val = int(text)
+    if not 0 <= val <= MAX_CASCADE_BITS:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..{MAX_CASCADE_BITS}, got {text}")
+    return val
 
 
 def _channel_flags(parser: argparse.ArgumentParser, args) -> dict:
@@ -285,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--steps", type=positive_int, default="1e6", help="Monte Carlo chain length (mc suite)")
     p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--n-max", type=int, default=8, help="input length for the cascade check (oracle suite)")
+    p.add_argument("--n-max", type=cascade_length, default=8,
+                   help="input length for the cascade check (oracle suite)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
     return parser

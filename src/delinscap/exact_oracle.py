@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelParams, as_bits
-from .channel_sim import Action, action_probabilities
+from .channel_sim import Action, action_probabilities, insertion_stage_probabilities
 
 __all__ = [
     "MAX_ENUM_BITS",
+    "MAX_CASCADE_BITS",
     "enumerate_channel_law",
     "cascade_law",
     "cascade_equivalence_check",
@@ -46,6 +47,8 @@ __all__ = [
 ]
 
 MAX_ENUM_BITS = 12
+# longest input the cascade equivalence check takes (it samples 64 inputs past 8 bits)
+MAX_CASCADE_BITS = 10
 
 # Output fragment of each action, indexed by action code.  Every fragment is
 # an affine function of its input bit b, packed most-significant-first:
@@ -145,9 +148,8 @@ class _Cascade:
     """
 
     def __init__(self, n: int, params: ChannelParams) -> None:
-        d, ip, a = params.d, params.i_prime, params.alpha
-        self.stage1 = _PatternTable(n, np.array([d, 1.0 - d, 0.0, 0.0]))
-        self._ins_probs = np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
+        self.stage1 = _PatternTable(n, np.array([params.d, 1.0 - params.d, 0.0, 0.0]))
+        self._ins_probs = insertion_stage_probabilities(params)
         self._tables: dict[int, _PatternTable] = {}
         self._laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -230,7 +232,7 @@ def cascade_law(x, params: ChannelParams) -> dict[str, float]:
 def cascade_equivalence_check(n: int, params: ChannelParams, seed: int = 0) -> float:
     """Max pointwise |P_direct(y|x) - P_cascade(y|x)| over inputs of length n.
 
-    All 2**n inputs are checked for n <= 8; for n in {9, 10} a fixed
+    All 2**n inputs are checked for n <= 8; for n = 9 .. MAX_CASCADE_BITS a fixed
     pseudorandom subset of 64 inputs is used (the pattern count blows up as
     8**n otherwise).  The direct side runs the 4-action patterns on ``x``;
     the cascade side runs the deletion patterns on ``x`` and then the
@@ -238,8 +240,8 @@ def cascade_equivalence_check(n: int, params: ChannelParams, seed: int = 0) -> f
     pattern tables once per call, and both laws are compared as arrays over
     all outputs of at most 2n bits.
     """
-    if not 0 <= n <= 10:
-        raise ValueError("cascade equivalence check supports 0 <= n <= 10")
+    if not 0 <= n <= MAX_CASCADE_BITS:
+        raise ValueError(f"cascade equivalence check supports 0 <= n <= {MAX_CASCADE_BITS}")
     if n <= 8:
         inputs = range(2 ** n)
     else:

@@ -203,8 +203,9 @@ def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
                    gamma: float | None = None, cfg: SeriesConfig | None = None, tol: float = 1e-5,
                    use_printed_hs2: bool = False) -> dict[str, BoundResult]:
     """Every bound of ``channel`` by report key: at ``gamma`` if it is given,
-    else each optimized over gamma."""
+    else each optimized over gamma.  (d, i, alpha) are checked first, for both."""
     bounds = _lookup(CHANNELS, channel).bounds
+    ChannelParams(d=d, i=i, alpha=alpha)
     if gamma is None:
         return {key: optimize_bound(name, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol, use_printed_hs2=use_printed_hs2)
                 for key, name in bounds.items()}

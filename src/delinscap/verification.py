@@ -82,7 +82,7 @@ def _run_law_gap(params: ChannelParams) -> float:
     enumerated law of the output run length and the row entropy H(row_r)
     that the bound's run-length term reads (``_row_entropies``)."""
     table = oracle.exact_run_law(8, params)
-    rows = ab._row_entropies(ab._row_kernel(ab._step_law(params.d, params.i)), 8)[0]
+    rows = ab._row_entropies(ab._row_kernel(params.d, params.i), 8)[0]
     return max(abs(-float(xlog2(table[r], table[r]).sum()) - float(rows[r - 1])) for r in table)
 
 

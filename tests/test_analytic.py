@@ -613,7 +613,7 @@ class TestRowBoundedCeiling:
         # the stored ones may only lose what the trimming can move them
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        kernel = ab._row_kernel(ab._step_law(d, i))
+        kernel = ab._row_kernel(d, i)
         assume(len(kernel) > 1)  # the identity step (d = i = 0) has no table: L_out = L_X
         saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
         try:

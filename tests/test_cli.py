@@ -108,6 +108,23 @@ class TestBoundCommand:
         payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
         _validate(payload, "bound_report.schema.json")
 
+    def test_text_report_matches_json(self, capsys):
+        args = ["bound", "--channel", "insertion", "--i", "0.1", "--alpha", "0.8"]
+        assert main(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "channel=insertion d=0.0 i=0.1 alpha=0.8"
+        expected = []
+        for key in ("lb1", "lb2"):
+            res = payload["bounds"][key]
+            expected.append(f"  {key}: {res['bound_bits']:.9f} bits/use at gamma*={res['gamma_star']:.6f} "
+                            f"(error budget {res['error_budget']:.2e})")
+            expected += [f"      {t['name']:42s} {t['value']: .9f}  (trunc {t['truncation_error']:.2e})"
+                         for t in res["terms"]]
+        assert lines[1:-1] == expected
+        assert lines[-1] == f"  max: {payload['bound_bits']:.9f} bits/use (lb2)"
+
     def test_flag_rejected_off_deletion(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--channel", "delins", "--d", "0.1", "--i", "0.1",

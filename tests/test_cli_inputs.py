@@ -9,6 +9,7 @@ import pytest
 
 from delinscap import exact_oracle
 from delinscap import verification as ver
+from delinscap.core import ChannelParams
 from delinscap.cli import build_parser, main
 
 SCHEMA = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas" / "verification.schema.json"
@@ -65,3 +66,36 @@ def test_series_config_reaches_the_truncation_suite(tmp_path, monkeypatch, capsy
                for report in (default, capped)]
     assert all(float(b.split()[1]) < 1e-9 for b in budgets[0])
     assert max(float(b.split()[1]) for b in budgets[1]) > 0.1
+
+
+@pytest.mark.parametrize("n_max", [11, -1])
+def test_n_max_outside_the_cascade_check_is_a_usage_error(n_max, capsys):
+    # these exited 1 with the library's ValueError once
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "oracle", "--n-max", str(n_max)])
+    assert exc.value.code == 2
+    assert "--n-max" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="supports 0 <= n <= 10"):
+        exact_oracle.cascade_equivalence_check(n_max, ChannelParams(d=0.1))
+
+
+def test_simulate_n_zero_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5", "--n", "0"])
+    assert exc.value.code == 2
+    assert "--n must be at least 1" in capsys.readouterr().err
+
+
+def test_series_config_line_without_equals_is_an_error(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "series.cfg"
+    cfg_file.write_text("tail_epsilon 1e-10\n")
+    monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
+    assert main(["bound", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad line") and "expected key=value" in err
+
+
+def test_unknown_suite_lists_the_suites():
+    with pytest.raises(ValueError) as err:
+        ver.run_suite("bogus")
+    assert str(err.value) == "unknown suite 'bogus'; expected oracle/mc/reductions/truncation"

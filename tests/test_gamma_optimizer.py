@@ -203,6 +203,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             sweep("bogus", [{"d": 0.1}])
 
+    @pytest.mark.parametrize("params, message", [
+        ({"d": 0.5, "i": 0.7}, "d + i = 1.2 exceeds 1; unmodified probability would be negative"),
+        ({"d": 0.5, "alpha": 2.0}, "duplication fraction alpha=2.0 must be in [0, 1]"),
+    ])
+    def test_channel_bounds_checks_parameters_with_and_without_gamma(self, params, message):
+        # a fixed gamma once skipped the check: deletion at (0.5, 0.7) returned -0.18654 bits
+        for gamma in (None, 0.5):
+            with pytest.raises(ValueError) as err:
+                channel_bounds("deletion", **params, gamma=gamma)
+            assert str(err.value) == message
+
 
 def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=go._GRID, printed=False):
     """The bound's array form over ``gammas``, of the parameters optimize_bound gives it."""
