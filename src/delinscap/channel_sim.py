@@ -23,9 +23,10 @@ pattern's version, never an inference.
 ``apply_pattern`` touches each input bit once through a slot table: the
 input bit and its action index a pair of output slots, each packing
 ``y | I << 1 | T << 2``, and an emit table keeps the slots the action
-writes.  ``S`` comes from run indices: the runs strictly between two
-consecutive survivors hold no survivor, so they are exactly the fully
-deleted runs of that gap.
+writes.  ``S`` is read off the deleted bits alone: each maximal stretch of
+consecutive deleted bits is one gap, and the runs that start inside it,
+bar the last unless it ends there, are the gap's fully deleted runs.  With
+no bit deleted ``S`` is all zeros and nothing is computed for it.
 """
 
 from __future__ import annotations
@@ -118,12 +119,20 @@ def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
     """One draw per bit from ``probs``: the number of cumulative edges <= u.
 
     Equal, bit for bit, to ``np.searchsorted(edges, u, side="right")``.
+    Since 0 <= u < 1, an edge at or below 0 counts for every draw and one at
+    or above 1 for none, so neither is compared with u; an edge that a zero
+    probability repeats is compared once and counted as often as it occurs.
     """
-    edges = np.cumsum(probs[:-1])
+    edges = np.cumsum(probs[:-1]).tolist()
     u = rng.random(n)
-    codes = np.zeros(n, dtype=np.int8)
-    for edge in edges:
-        codes += u >= edge
+    codes = np.full(n, sum(edge <= 0.0 for edge in edges), dtype=np.int8)
+    for edge in sorted(set(edges)):
+        if 0.0 < edge < 1.0:
+            hit = (u >= edge).view(np.int8)
+            repeats = edges.count(edge)
+            if repeats > 1:
+                hit *= repeats
+            codes += hit
     return codes
 
 
@@ -140,13 +149,18 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     (``y | I << 1 | T << 2``) from ``_SLOTS`` and ``_EMITS[action]`` keeps the
     ones the action writes, so the kept slots in input order are the output.
 
-    ``S`` is read off the input's run indices.  Two consecutive survivors
-    have no survivor between them, so every run strictly between their runs
-    was deleted in full, and no other run of that gap was: the gap holds
-    ``max(run_b - run_a - 1, 0)`` deleted runs.  The count sits at the later
-    survivor's output position (the outputs with ``I = 0`` are the
-    survivors); the runs before the first survivor and after the last go to
-    ``S[0]`` and ``S[m]``.
+    ``S`` is read off the deleted bits alone, so it costs nothing when no
+    bit is deleted.  The bits between two consecutive survivors form one
+    maximal stretch u..v of deleted bits, and the gap's fully deleted runs
+    are those inside it: of the R runs that start in u..v, all but the last
+    end there too, and the last does when a run starts at v + 1.  The gap
+    holds ``max(R - 1 + [a run starts at v + 1], 0)`` runs (v + 1 = n
+    counts as a start), at the output position of the survivor v + 1 (the
+    outputs with ``I = 0`` are the survivors), or in ``S[m]`` when v is the
+    last bit; only the gaps holding a run are written.  That is one pass
+    over the actions and one over the input bits, one over the outputs when
+    some gap holds a run, and otherwise work in proportion to the deleted
+    bits.
     """
     x = as_bits(x)
     actions = np.asarray(actions, dtype=np.int8)
@@ -180,22 +194,32 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     del slots
     m = y.size
 
-    run = np.empty(n, dtype=np.int32)
-    run[0] = 0
-    np.cumsum(x[1:] != x[:-1], dtype=np.int32, out=run[1:])
-    num_runs = int(run[-1]) + 1
-    surv_runs = np.compress(actions != Action.DELETE, run)
-    del run
     s_counts = np.zeros(m + 1, dtype=np.int64)
-    if m == 0:
-        s_counts[0] = num_runs
-    else:
-        gaps = np.diff(surv_runs)
-        gaps -= 1
-        np.maximum(gaps, 0, out=gaps)
-        s_counts[np.flatnonzero(i_flags == 0)[1:]] = gaps
-        s_counts[0] = surv_runs[0]
-        s_counts[m] = num_runs - 1 - int(surv_runs[-1])
+    dels = (codes == Action.DELETE).nonzero()[0]
+    if dels.size:
+        # a run starts at each bit unlike the one before it, and past the last bit
+        starts = np.empty(n + 1, dtype=bool)
+        starts[0] = starts[n] = True
+        np.not_equal(x[1:], x[:-1], out=starts[1:n])
+        # stretch k of consecutive deleted bits u..v ends at v = dels[last[k]]
+        ends = np.empty(dels.size, dtype=bool)
+        ends[-1] = True
+        np.not_equal(dels[1:] - dels[:-1], 1, out=ends[:-1])
+        last = ends.nonzero()[0]
+        end = dels[last]
+        # per stretch: the R run starts in u..v (from their running count),
+        # plus one if a run starts at v + 1, less one
+        counts = starts[dels].cumsum()[last]
+        counts[1:] -= counts[:-1].copy()
+        counts += starts[end + 1]
+        counts -= 1
+        if end[-1] == n - 1:
+            s_counts[m] = counts[-1]
+            counts[-1] = 0
+        hit = (counts > 0).nonzero()[0]
+        if hit.size:
+            # survivor v + 1 has v - last[k] survivors before it, and they are the outputs with I = 0
+            s_counts[(i_flags == 0).nonzero()[0][end[hit] - last[hit]]] = counts[hit]
     return ChannelOutput(
         y=y,
         aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
@@ -231,11 +255,9 @@ def apply_cascade(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOut
     """
     x = as_bits(x)
     rng = np.random.default_rng(seed)
-    deleted = rng.random(x.size) < params.d
-    n_kept = int((~deleted).sum())
-    kept_actions = _sample_from_probs(n_kept, insertion_stage_probabilities(params), rng)
+    kept = rng.random(x.size) >= params.d
     actions = np.full(x.size, Action.DELETE, dtype=np.int8)
-    actions[~deleted] = kept_actions
+    actions[kept] = _sample_from_probs(np.count_nonzero(kept), insertion_stage_probabilities(params), rng)
     return apply_pattern(x, actions)
 
 

@@ -370,6 +370,11 @@ class TestSimulatorMatchesArrayReference:
     @example([0, 1] * 32, np.array([1.0, 0.0, 0.0, 0.0]), 1)  # all deleted
     @example([1, 1, 0] * 21, np.array([0.0, 0.0, 0.5, 0.5]), 2)  # every bit inserts
     @example([], np.array([0.25, 0.25, 0.25, 0.25]), 3)
+    # no deletion: a first edge at 0 that every draw passes
+    @example([0, 1, 1, 0, 0, 0, 1] * 9, np.array([0.0, 0.5, 0.3, 0.2]), 4)  # keep, duplicate and complement
+    @example([1, 0, 0, 1] * 16, np.array([0.0, 0.6, 0.0, 0.4]), 5)  # alpha = 0: a repeated edge
+    @example([1, 1, 0, 1] * 16, np.array([0.0, 0.6, 0.4, 0.0]), 6)  # alpha = 1: an edge at 1
+    @example([0, 0, 1] * 21, np.array([0.3, 0.3, 0.0, 0.4]), 7)  # alpha = 0 with deletions
     def test_random_patterns(self, x, probs, seed):
         x = np.array(x, dtype=np.uint8)
         actions = _sample_from_probs(x.size, probs, np.random.default_rng(seed))
@@ -415,6 +420,12 @@ class TestSimulatorMatchesArrayReference:
         out = apply_delins(x, ChannelParams(d=0.3, i=0.2, alpha=0.6), seed=62)
         _assert_same_output(out, oracles.reference_apply_pattern(x, out.pattern))
 
+    def test_insertion_only_realization_at_full_length(self):
+        x = generate_markov_sequence(MarkovSourceParams(0.7), 10 ** 5, seed=63)
+        out = apply_delins(x, ChannelParams(i=0.3, alpha=0.6), seed=64)
+        _assert_same_output(out, oracles.reference_apply_pattern(x, out.pattern))
+        assert not out.aux.s_counts.any()
+
 
 def test_apply_delins_memory_peak():
     # every 10^6-bit array is touched in uint8/int32 form; the int64 fragment
@@ -427,3 +438,17 @@ def test_apply_delins_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2 ** 20
+
+
+def test_apply_insertion_memory_peak():
+    # with no bit deleted S is the all-zero array it starts as, and nothing
+    # is built for it; run ids and survivor positions would take the peak to
+    # ~29 MiB
+    x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=73)
+    tracemalloc.start()
+    try:
+        apply_delins(x, ChannelParams(i=0.15, alpha=0.6), seed=74)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20

@@ -9,6 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import delinscap
+from delinscap import verification
 from delinscap.cli import build_parser, main, load_series_config, _parse_grid
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas"
@@ -254,6 +255,17 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         _validate(payload, "verification.schema.json")
         assert all(c["seconds"] >= 0.0 for c in payload["checks"])
+        cascade = [c["detail"] for c in payload["checks"] if c["name"].startswith("cascade_equivalence")]
+        assert cascade == ["max pointwise law gap over all 8-bit inputs"] * 3
+
+    def test_oracle_detail_names_the_sampled_inputs(self):
+        # up to 8 bits every input is checked; past that, 64 sampled with the seed
+        assert verification._cascade_detail(2, 5) == "max pointwise law gap over all 2-bit inputs"
+        assert verification._cascade_detail(8, 5) == "max pointwise law gap over all 8-bit inputs"
+        assert verification._cascade_detail(9, 5) == \
+            "max pointwise law gap over 64 of the 9-bit inputs, sampled with seed 5"
+        assert verification._cascade_detail(10, 0) == \
+            "max pointwise law gap over 64 of the 10-bit inputs, sampled with seed 0"
 
 
 class TestSeriesConfigEnv:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -66,11 +67,12 @@ def reference_cascade_law(x, params: ChannelParams) -> dict[str, float]:
     return {_reference_str(k): v for k, v in sorted(law.items())}
 
 
-def per_input_gap(n: int, params: ChannelParams) -> float:
-    """The per-input comparison through the public law functions, the
-    reference for the batched ``cascade_equivalence_check``."""
+def per_input_gap(n: int, params: ChannelParams, inputs=None) -> float:
+    """The per-input comparison through the public law functions over
+    ``inputs`` (all of them by default), the reference for the batched
+    ``cascade_equivalence_check``."""
     worst = 0.0
-    for xv in range(2 ** n):
+    for xv in range(2 ** n) if inputs is None else inputs:
         x = np.array([(xv >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
         direct = oracle.enumerate_channel_law(x, params)
         casc = oracle.cascade_law(x, params)
@@ -165,6 +167,18 @@ class TestBatchedOracleMatchesReference:
             assert oracle.enumerate_channel_law(x, params) == reference_channel_law(x, params)
             assert oracle.cascade_law(x, params) == reference_cascade_law(x, params)
 
+    @pytest.mark.parametrize("params", [ChannelParams(d=1e-300, i=0.2, alpha=0.5),
+                                        ChannelParams(d=0.3, i=0.2, alpha=1e-300)])
+    def test_public_laws_keep_outputs_whose_probability_underflows(self, params):
+        # an output reached only through products below the smallest double
+        # stays in the law, with probability 0.0
+        for x in ("0110", "10010110"):
+            law = oracle.cascade_law(x, params)
+            assert 0.0 in law.values()
+            assert list(law.items()) == list(reference_cascade_law(x, params).items())
+            assert list(oracle.enumerate_channel_law(x, params).items()) == \
+                list(reference_channel_law(x, params).items())
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 6), channel_params())
     def test_batched_gap(self, n, params):
@@ -173,8 +187,35 @@ class TestBatchedOracleMatchesReference:
 
     @pytest.mark.parametrize("params", _EDGE_PARAMS)
     def test_batched_gap_at_edges(self, params):
-        for n in (0, 1, 6):
+        for n in (0, 1, 6, 7):
             assert oracle.cascade_equivalence_check(n, params) == per_input_gap(n, params)
+
+    def test_sampled_gap_matches_per_input_reference(self):
+        # past 8 bits the check compares the 64 inputs drawn with the seed;
+        # alpha = 1 leaves 3 actions, so the direct side has 3**9 patterns
+        params = ChannelParams(d=0.2, i=0.1, alpha=1.0)
+        inputs = sorted(np.random.default_rng(11).choice(2 ** 9, size=64, replace=False).tolist())
+        assert oracle.cascade_equivalence_check(9, params, seed=11) == per_input_gap(9, params, inputs)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_memory_peak(self, n):
+        # the n = 8 laws of all 256 inputs would be 256 x 131,071 cells; the
+        # check sums them a block of inputs at a time
+        tracemalloc.start()
+        try:
+            oracle.cascade_equivalence_check(n, ChannelParams(d=0.15, i=0.15, alpha=0.6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
+
+    @pytest.mark.parametrize("x,params", [("1101001011", ChannelParams(d=0.2, i=0.1, alpha=1.0)),
+                                          ("0110100101", ChannelParams(d=0.0, i=0.2, alpha=0.5)),
+                                          ("10010110", ChannelParams(d=0.2, i=0.1, alpha=0.5))])
+    def test_public_law_over_two_chunks(self, x, params):
+        # 3**10 and 4**8 patterns are summed 2**15 at a time, then across chunks
+        assert list(oracle.enumerate_channel_law(x, params).items()) == \
+            list(reference_channel_law(x, params).items())
 
     def test_key_order(self):
         assert [oracle._key_to_str(k) for k in range(7)] == ["", "0", "1", "00", "01", "10", "11"]
