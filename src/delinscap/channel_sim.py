@@ -22,11 +22,12 @@ pattern's version, never an inference.
 
 ``apply_pattern`` touches each input bit once through a slot table: the
 input bit and its action index a pair of output slots, each packing
-``y | I << 1 | T << 2``, and an emit table keeps the slots the action
-writes.  ``S`` is read off the deleted bits alone: each maximal stretch of
-consecutive deleted bits is one gap, and the runs that start inside it,
-bar the last unless it ends there, are the gap's fully deleted runs.  With
-no bit deleted ``S`` is all zeros and nothing is computed for it.
+``y | I << 1 | T << 2 | W << 3``, and the slots with W = 1, those the
+action writes, are kept.  ``S`` is read off the deleted bits alone: each
+maximal stretch of consecutive deleted bits is one gap, and the runs that
+start inside it, bar the last unless it ends there, are the gap's fully
+deleted runs.  With no bit deleted ``S`` is all zeros and nothing is
+computed for it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import ChannelParams, RunSequence, as_bits
+from .core import ChannelParams, RunSequence, _uniform_blocks, _uniforms_at_least, as_bits
 
 __all__ = [
     "Action",
@@ -61,17 +62,21 @@ class Action(IntEnum):
     COMPLEMENT = 3
 
 
+# the codes as plain ints for array expressions, where an IntEnum operand
+# takes a 10^6-element compare off numpy's fast path (0.21 against 0.014 ms)
+_DELETE, _COMPLEMENT = int(Action.DELETE), int(Action.COMPLEMENT)
+
 # Output slots of one input bit, indexed by ``action << 1 | x``; each slot
-# packs y | I << 1 | T << 2.  KEEP writes x, DUPLICATE x then an inserted x,
-# COMPLEMENT x then an inserted, complementary 1 - x.
+# packs y | I << 1 | T << 2 | W << 3, where W = 1 marks a slot the action
+# writes.  KEEP writes x, DUPLICATE x then an inserted x, COMPLEMENT x then
+# an inserted, complementary 1 - x.
+_WRITTEN = 8
 _SLOTS = np.array([
-    [0, 0], [0, 0],    # DELETE
-    [0, 0], [1, 0],    # KEEP
-    [0, 2], [1, 3],    # DUPLICATE
-    [0, 7], [1, 6],    # COMPLEMENT
+    [0, 0], [0, 0],      # DELETE
+    [8, 0], [9, 0],      # KEEP
+    [8, 10], [9, 11],    # DUPLICATE
+    [8, 15], [9, 14],    # COMPLEMENT
 ], dtype=np.uint8)
-# which of the two slots each action writes, indexed by action code
-_EMITS = np.array([[0, 0], [1, 0], [1, 1], [1, 1]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -118,21 +123,24 @@ def insertion_stage_probabilities(params: ChannelParams) -> np.ndarray:
 def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw per bit from ``probs``: the number of cumulative edges <= u.
 
-    Equal, bit for bit, to ``np.searchsorted(edges, u, side="right")``.
-    Since 0 <= u < 1, an edge at or below 0 counts for every draw and one at
-    or above 1 for none, so neither is compared with u; an edge that a zero
-    probability repeats is compared once and counted as often as it occurs.
+    Equal, bit for bit, to ``np.searchsorted(edges, u, side="right")`` with
+    ``u = rng.random(n)``.  Since 0 <= u < 1, an edge at or below 0 counts
+    for every draw and one at or above 1 for none, so neither is compared
+    with u; an edge that a zero probability repeats is compared once and
+    counted as often as it occurs.  The uniforms are drawn a block at a time
+    (:func:`~.core._uniform_blocks`); they, and the generator's state after
+    them, equal those of the one ``rng.random(n)``.
     """
     edges = np.cumsum(probs[:-1]).tolist()
-    u = rng.random(n)
+    inner = [(edge, edges.count(edge)) for edge in sorted(set(edges)) if 0.0 < edge < 1.0]
     codes = np.full(n, sum(edge <= 0.0 for edge in edges), dtype=np.int8)
-    for edge in sorted(set(edges)):
-        if 0.0 < edge < 1.0:
+    for part, u in _uniform_blocks(rng, n):
+        block = codes[part]
+        for edge, repeats in inner:
             hit = (u >= edge).view(np.int8)
-            repeats = edges.count(edge)
             if repeats > 1:
                 hit *= repeats
-            codes += hit
+            block += hit
     return codes
 
 
@@ -146,8 +154,8 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     re-implementation of the bookkeeping, to check this one against.
 
     Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
-    (``y | I << 1 | T << 2``) from ``_SLOTS`` and ``_EMITS[action]`` keeps the
-    ones the action writes, so the kept slots in input order are the output.
+    (``y | I << 1 | T << 2 | W << 3``) from ``_SLOTS``, and the slots with
+    ``W = 1``, those the action writes, in input order are the output.
 
     ``S`` is read off the deleted bits alone, so it costs nothing when no
     bit is deleted.  The bits between two consecutive survivors form one
@@ -179,23 +187,23 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
         )
 
     codes = actions.view(np.uint8)
-    try:  # the bounds check of the lookup is the range check: -1 is 255 here
-        emits = _EMITS.take(codes, axis=0)
-    except IndexError:
-        raise ValueError(f"action codes must be 0-3, got {int(actions[codes > Action.COMPLEMENT][0])}") from None
+    if codes.max() > _COMPLEMENT:  # -1 is 255 here
+        raise ValueError(f"action codes must be 0-3, got {int(actions[codes > _COMPLEMENT][0])}")
     code = codes << 1
     code |= x
-    slots = np.compress(emits.ravel(), _SLOTS.take(code, axis=0).ravel())
-    del code, emits
+    slots = _SLOTS.take(code, axis=0).ravel()
+    del code
+    slots = np.compress(slots >= _WRITTEN, slots)
     y = slots & 1
     i_flags = slots >> 1
     i_flags &= 1
     t_flags = slots >> 2
+    t_flags &= 1
     del slots
     m = y.size
 
     s_counts = np.zeros(m + 1, dtype=np.int64)
-    dels = (codes == Action.DELETE).nonzero()[0]
+    dels = (codes == _DELETE).nonzero()[0]
     if dels.size:
         # a run starts at each bit unlike the one before it, and past the last bit
         starts = np.empty(n + 1, dtype=bool)
@@ -255,8 +263,8 @@ def apply_cascade(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOut
     """
     x = as_bits(x)
     rng = np.random.default_rng(seed)
-    kept = rng.random(x.size) >= params.d
-    actions = np.full(x.size, Action.DELETE, dtype=np.int8)
+    kept = _uniforms_at_least(rng, params.d, np.empty(x.size, dtype=bool))
+    actions = np.full(x.size, _DELETE, dtype=np.int8)
     actions[kept] = _sample_from_probs(np.count_nonzero(kept), insertion_stage_probabilities(params), rng)
     return apply_pattern(x, actions)
 
@@ -271,7 +279,7 @@ def flip_complementary(y: np.ndarray, t_flags: np.ndarray) -> np.ndarray:
     t = np.asarray(t_flags, dtype=np.uint8).ravel()
     if t.size != y.size:
         raise ValueError("T must have the same length as y")
-    return (y ^ t).astype(np.uint8)
+    return y ^ t
 
 
 def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequence:
@@ -296,7 +304,7 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
 
     inner = s[1:m]  # deleted runs in the gap before output bit g, g = 1..m-1
     boundary = y[1:] != y[:-1]
-    gaps = np.flatnonzero(inner)
+    gaps = np.flatnonzero(inner != 0)  # nonzero scans a bool mask ~3x faster than the int64 counts
     # an odd count belongs between equal neighbours, an even one between unequal
     bad = (inner[gaps] & 1).astype(bool) == boundary[gaps]
     if bad.any():
@@ -329,4 +337,4 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
     del runs, pos
 
     first_bit = int(y[0]) ^ (int(s[0]) & 1)
-    return RunSequence(first_bit=first_bit, lengths=tuple(lengths.tolist()))
+    return RunSequence(first_bit=first_bit, lengths=lengths)

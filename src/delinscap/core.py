@@ -106,6 +106,9 @@ class RunSequence:
     augmented sequences, where they mark runs that a deletion channel erased
     completely; consecutive runs alternate symbols either way, so the symbol
     of run ``j`` is ``first_bit ^ (j & 1)``.
+
+    ``lengths`` may be given as a 1-D integer array: it is checked with one
+    numpy ``min`` and stored as the same tuple of Python ints.
     """
 
     first_bit: int
@@ -114,7 +117,15 @@ class RunSequence:
     def __post_init__(self) -> None:
         if self.first_bit not in (0, 1):
             raise ValueError(f"first_bit must be 0 or 1, got {self.first_bit}")
-        if min(self.lengths, default=0) < 0:
+        lengths = self.lengths
+        if isinstance(lengths, np.ndarray):
+            if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
+                raise ValueError(f"run lengths must be a 1-D integer array, got {lengths.dtype} {lengths.shape}")
+            negative = lengths.size and lengths.min() < 0
+            object.__setattr__(self, "lengths", tuple(lengths.tolist()))
+        else:
+            negative = min(lengths, default=0) < 0
+        if negative:
             raise ValueError("run lengths must be non-negative")
 
     @property
@@ -191,11 +202,41 @@ def binary_entropy(p):
     return xlog2(p, 1.0, p) + xlog2(1.0 - p, 1.0, 1.0 - p)
 
 
+# uniforms per block of a long draw: 256 KiB of doubles, reused block to block
+_BLOCK = 2 ** 15
+
+
+def _uniform_blocks(rng: np.random.Generator, n: int):
+    """Draw ``n`` uniforms a block at a time: yield ``(part, u)``, the slice
+    ``part`` of the ``n`` draws and their values ``u``, a view of one buffer
+    of at most :data:`_BLOCK` doubles that each block overwrites.
+
+    PCG64 spends one 64-bit output on each double, so the draws, and the
+    generator's state after the last block, are those of ``rng.random(n)``.
+    """
+    buf = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        u = buf[:min(_BLOCK, n - start)]
+        rng.random(out=u)
+        yield slice(start, start + u.size), u
+
+
+def _uniforms_at_least(rng: np.random.Generator, threshold: float, out: np.ndarray) -> np.ndarray:
+    """``np.greater_equal(rng.random(out.size), threshold, out=out)``, drawn
+    a block at a time (:func:`_uniform_blocks`)."""
+    for part, u in _uniform_blocks(rng, out.size):
+        np.greater_equal(u, threshold, out=out[part])
+    return out
+
+
 def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` bits of the symmetric first-order Markov source.
 
     The first bit is uniform; each later bit equals its predecessor with
-    probability ``src.gamma``.  Deterministic for a fixed seed.
+    probability ``src.gamma``.  Deterministic for a fixed seed.  The n - 1
+    uniforms behind the flips are drawn a block at a time
+    (:func:`_uniforms_at_least`); they, and the generator's state after
+    them, equal those of one ``rng.random(n - 1)``.
     """
     if n < 0:
         raise ValueError("sequence length must be non-negative")
@@ -204,7 +245,7 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
         return np.zeros(0, dtype=np.uint8)
     bits = np.empty(n, dtype=np.uint8)
     bits[0] = rng.integers(0, 2, dtype=np.uint8)
-    np.greater_equal(rng.random(n - 1), src.gamma, out=bits[1:].view(bool))
+    _uniforms_at_least(rng, src.gamma, bits[1:].view(bool))
     # each bit is the first bit xor the flips so far: one running xor
     np.bitwise_xor.accumulate(bits, out=bits)
     return bits
@@ -215,9 +256,8 @@ def to_runs(bits: np.ndarray) -> RunSequence:
     bits = as_bits(bits)
     if bits.size == 0:
         return RunSequence(first_bit=0, lengths=())
-    change = np.flatnonzero(bits[1:] != bits[:-1])
-    bounds = np.concatenate(([0], change + 1, [bits.size]))
-    lengths = tuple(np.diff(bounds).tolist())
+    # the runs end at each bit unlike the next one, and at the last bit
+    lengths = np.diff(np.flatnonzero(bits[1:] != bits[:-1]), prepend=-1, append=bits.size - 1)
     return RunSequence(first_bit=int(bits[0]), lengths=lengths)
 
 

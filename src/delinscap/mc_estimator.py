@@ -123,13 +123,15 @@ def _plug_in(ctx: np.ndarray, val: np.ndarray, n_ctx: int, seed: int) -> McEstim
     n = ctx.size
     n_val = int(val.max()) + 1 if n else 1
     cells = n_ctx * n_val
-    code = np.multiply(ctx, n_val, dtype=np.intp)
-    code += val
-    bounds = -(-np.arange(BOOTSTRAP_BLOCKS + 1) * n // BOOTSTRAP_BLOCKS)
+    bounds = (-(-np.arange(BOOTSTRAP_BLOCKS + 1) * n // BOOTSTRAP_BLOCKS)).tolist()
     block_tables = np.empty((BOOTSTRAP_BLOCKS, cells))
-    for b in range(BOOTSTRAP_BLOCKS):
-        block_tables[b] = np.bincount(code[bounds[b]:bounds[b + 1]], minlength=cells)
-    del code
+    # one block's cell codes at a time, in one buffer
+    code = np.empty(-(-n // BOOTSTRAP_BLOCKS), dtype=np.intp)
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        block = code[:hi - lo]
+        np.multiply(ctx[lo:hi], n_val, out=block, dtype=np.intp)
+        block += val[lo:hi]
+        block_tables[b] = np.bincount(block, minlength=cells)
 
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, BOOTSTRAP_BLOCKS, size=(BOOTSTRAP_REPS, BOOTSTRAP_BLOCKS))

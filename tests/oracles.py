@@ -23,17 +23,22 @@ at a time, with nothing pruned.
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
 survivor counts for ``S``), ``reference_sample_from_probs``
-(``searchsorted``), ``reference_markov_sequence`` (a running sum of flips)
-and ``reference_plug_in`` (one bootstrap replicate at a time).
+(``searchsorted``), ``reference_markov_sequence`` (a running sum of flips),
+``reference_cascade_actions`` and ``reference_plug_in`` (one bootstrap
+replicate at a time).  Each random reference takes all its uniforms from
+one ``rng.random(n)``, the draw the package's block draws must equal;
+``generators_made`` hands a test the generators the package seeded, so
+their next draws can be compared too.
 """
 
+import contextlib
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap import analytic_bounds as ab, gamma_optimizer as go
-from delinscap.channel_sim import Action, AuxSequences, ChannelOutput
+from delinscap.channel_sim import Action, AuxSequences, ChannelOutput, insertion_stage_probabilities
 from delinscap.core import as_bits
 from delinscap.mc_estimator import BOOTSTRAP_BLOCKS, BOOTSTRAP_REPS, MIN_CONTEXT_OBS, McEstimate
 
@@ -386,10 +391,35 @@ def reference_sample_from_probs(n, probs, rng):
     return np.searchsorted(edges, u, side="right").astype(np.int8)
 
 
-def reference_markov_sequence(gamma, n, seed):
+def reference_cascade_actions(n, params, rng):
+    """The cascade's pattern: the deleted bits from one ``rng.random(n)``,
+    then the insertion stage's actions of the kept bits."""
+    kept = rng.random(n) >= params.d
+    actions = np.full(n, Action.DELETE, dtype=np.int8)
+    actions[kept] = reference_sample_from_probs(int(kept.sum()), insertion_stage_probabilities(params), rng)
+    return actions
+
+
+@contextlib.contextmanager
+def generators_made():
+    """Collect, in a list, every generator ``np.random.default_rng`` makes
+    inside the ``with`` block."""
+    made, make = [], np.random.default_rng
+
+    def record(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    np.random.default_rng = record
+    try:
+        yield made
+    finally:
+        np.random.default_rng = make
+
+
+def reference_markov_sequence(gamma, n, rng):
     """The symmetric Markov source, each bit the first bit plus a running sum
     of flips, mod 2."""
-    rng = np.random.default_rng(seed)
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
     first = rng.integers(0, 2, dtype=np.uint8)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from delinscap import core
 from delinscap.core import (ChannelParams, MarkovSourceParams, RunSequence, as_bits, bits_from_str, bits_to_str,
                             generate_markov_sequence, to_runs)
 from delinscap.channel_sim import (
     Action,
     _sample_from_probs,
+    action_probabilities,
     apply_cascade,
     apply_deletion,
     apply_delins,
@@ -411,7 +413,7 @@ class TestSimulatorMatchesArrayReference:
     def test_markov_source_matches_running_sum(self, n, gamma):
         for seed in (0, 1, 2 ** 40 + 3):
             got = generate_markov_sequence(MarkovSourceParams(gamma), n, seed)
-            want = oracles.reference_markov_sequence(gamma, n, seed)
+            want = oracles.reference_markov_sequence(gamma, n, np.random.default_rng(seed))
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -427,6 +429,26 @@ class TestSimulatorMatchesArrayReference:
         assert not out.aux.s_counts.any()
 
 
+class TestBlockDraws:
+    """The channels draw their uniforms a block at a time; the patterns, and
+    the generator's state after them, are those of one ``rng.random(n)``."""
+
+    @pytest.mark.parametrize("n", [0, 1, core._BLOCK - 1, core._BLOCK, core._BLOCK + 1, 2 * core._BLOCK + 1])
+    @pytest.mark.parametrize("params", [ChannelParams(d=0.2, i=0.3, alpha=0.6), ChannelParams(d=0.6, i=0.4, alpha=0.0),
+                                        ChannelParams(i=0.3, alpha=1.0), ChannelParams(d=0.4)])
+    def test_channels_equal_one_shot_draws(self, n, params):
+        x = generate_markov_sequence(MarkovSourceParams(0.5), n, seed=n)
+        for apply, reference_actions in (
+                (apply_delins, lambda rng: oracles.reference_sample_from_probs(n, action_probabilities(params), rng)),
+                (apply_cascade, lambda rng: oracles.reference_cascade_actions(n, params, rng))):
+            with oracles.generators_made() as made:
+                out = apply(x, params, seed=n + 1)
+            ref = np.random.default_rng(n + 1)
+            _assert_same_output(out, oracles.reference_apply_pattern(x, reference_actions(ref)))
+            (rng,) = made
+            assert rng.random() == ref.random()
+
+
 def test_apply_delins_memory_peak():
     # every 10^6-bit array is touched in uint8/int32 form; the int64 fragment
     # offsets and run ids of the array reference peak near 73 MiB here
@@ -438,6 +460,18 @@ def test_apply_delins_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2 ** 20
+
+
+def test_markov_source_memory_peak():
+    # the flips' uniforms are drawn into one 256 KiB block buffer; one
+    # rng.random(n - 1) of 8 MB took the peak to 9.3 MiB
+    tracemalloc.start()
+    try:
+        generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_apply_insertion_memory_peak():

@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import oracles
+from delinscap import core
 from delinscap.core import (
     ChannelParams,
     MarkovSourceParams,
@@ -80,6 +83,42 @@ class TestRunCodec:
             assert back == runs
 
 
+class TestRunSequenceFromArray:
+    """Lengths given as an integer array are stored as a tuple of Python ints."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_stores_a_tuple_of_ints(self, dtype):
+        runs = RunSequence(1, np.array([3, 0, 2], dtype=dtype))
+        assert type(runs.lengths) is tuple and all(type(v) is int for v in runs.lengths)
+        assert runs == RunSequence(1, (3, 0, 2))
+        # what `simulate --json` writes of an augmented sequence
+        assert json.dumps({"lengths": list(runs.lengths)}) == '{"lengths": [3, 0, 2]}'
+        assert RunSequence(0, np.zeros(0, dtype=dtype)).lengths == ()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_entry_raises_the_tuple_message(self, dtype):
+        with pytest.raises(ValueError) as from_tuple:
+            RunSequence(0, (2, 0, -1))
+        with pytest.raises(ValueError) as from_array:
+            RunSequence(0, np.array([2, 0, -1], dtype=dtype))
+        assert str(from_array.value) == str(from_tuple.value)
+
+    @pytest.mark.parametrize("lengths", [np.array([1.0, 2.0]), np.array([True, False]), np.ones((2, 2), np.int64)])
+    def test_other_arrays_rejected(self, lengths):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            RunSequence(0, lengths)
+
+    def test_to_runs_of_a_long_sequence(self):
+        x = generate_markov_sequence(MarkovSourceParams(0.8), 10 ** 5, seed=13)
+        runs = to_runs(x)
+        assert type(runs.lengths) is tuple and all(type(v) is int for v in runs.lengths)
+        assert np.array_equal(from_runs(runs), x)
+
+
+# n at the edges of the block draws
+BLOCK_EDGES = [0, 1, core._BLOCK - 1, core._BLOCK, core._BLOCK + 1, 2 * core._BLOCK + 1]
+
+
 class TestGeometricPmf:
     def test_values(self):
         assert geometric_run_pmf(0.5, 1) == 0.5
@@ -137,6 +176,20 @@ class TestMarkovSource:
         for g in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
                 MarkovSourceParams(g)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("gamma", [0.3, 0.9])
+    def test_block_draws_equal_one_shot_draw(self, n, gamma):
+        # the flips come from the same uniforms as one rng.random(n - 1), and
+        # the generator is left where that draw leaves it
+        with oracles.generators_made() as made:
+            got = generate_markov_sequence(MarkovSourceParams(gamma), n, seed=n + 17)
+        ref = np.random.default_rng(n + 17)
+        want = oracles.reference_markov_sequence(gamma, n, ref)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        (rng,) = made
+        assert rng.random() == ref.random()
 
 
 class TestParams:

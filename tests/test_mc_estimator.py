@@ -168,6 +168,19 @@ class TestBootstrapMatchesReplicateLoop:
         assert (est.value, est.std_error, est.n_obs) == (0.0, 0.0, 0)
 
 
+def test_hT_memory_peak():
+    # each bootstrap block's cell codes go into one reused buffer of n / 50
+    # entries and the channel's uniforms are drawn a block at a time; an
+    # 8 MB code array and an 8 MB draw took this call's peak to 26.8 MiB
+    tracemalloc.start()
+    try:
+        mc.estimate_hT(0.3, 0.5, 0.5, steps=10 ** 6, seed=83)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2 ** 20
+
+
 def test_delins_S_term_memory_peak():
     # contexts are uint8 codes and each bootstrap block is counted on its own;
     # int64 copies of y, T and the contexts peaked near 74 MiB here
