@@ -19,19 +19,34 @@ so the move shows as a reviewed diff:
 and ``--diff`` prints, without writing, how far the numbers moved from the
 committed file: the largest |move| of each column and how many cases moved,
 and in how many ``gamma_star`` did (the summary a failing test gives too).
+
+``golden_sim.jsonl`` is the simulator's contract: for each of a fixed set of
+(d, i, alpha, gamma, n, seed) cases, the sha256 of every array of one
+``apply_delins`` and one ``apply_cascade`` realization (y, I, T, S and the
+pattern, each hashed with its dtype, and the augmented run lengths of the
+flipped output) and the reprs of two Monte Carlo estimates.  A change that
+moves a simulated bit on purpose regenerates it:
+
+    PYTHONPATH=src python tests/golden.py --sim
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
+
+from delinscap import channel_sim, mc_estimator
 from delinscap.cli import _parse_grid
+from delinscap.core import ChannelParams, MarkovSourceParams, generate_markov_sequence
 from delinscap.gamma_optimizer import optimize_bound, sweep
 
 PATH = Path(__file__).resolve().parent / "golden_bounds.jsonl"
+SIM_PATH = Path(__file__).resolve().parent / "golden_sim.jsonl"
 
 _DELETION = sorted({round(0.03 * k, 2) for k in range(34)} | {0.8, 0.85, 0.9, 0.93, 0.947, 0.95, 0.96, 0.97, 0.99})
 _INSERTION = [(0.1, 0.8), (0.3, 1.0), (0.5, 0.5)]
@@ -80,9 +95,61 @@ def compute() -> list[dict]:
     return records
 
 
-def load() -> list[dict]:
+# (d, i, alpha, gamma, n, seed): d = 0, i = 0, alpha in {0, 1}, d + i = 1
+# (where i/(1 - d) rounds above 1 too), nearly every bit deleted, and the
+# empty and tiny inputs
+SIM_CASES = [
+    (0.15, 0.15, 0.6, 0.5, 200_000, 1),
+    (0.0, 0.0, 1.0, 0.5, 1_000, 2),
+    (0.3, 0.0, 1.0, 0.7, 50_000, 3),
+    (0.0, 0.3, 0.0, 0.4, 50_000, 4),
+    (0.0, 0.2, 1.0, 0.6, 50_000, 5),
+    (0.6, 0.4, 0.5, 0.5, 20_000, 6),
+    (0.8, 0.2, 0.9, 0.3, 20_000, 7),
+    (0.9, 0.05, 0.8, 0.9, 100_000, 8),
+    (0.05, 0.3, 0.2, 0.3, 100_000, 9),
+    (0.25, 0.2, 0.6, 0.95, 200_000, 10),
+    (0.99, 0.0, 1.0, 0.2, 10_000, 11),
+    (0.5, 0.3, 0.5, 0.5, 7, 12),
+    (0.2, 0.1, 0.5, 0.5, 0, 13),
+]
+# steps of each Monte Carlo estimate
+SIM_MC_STEPS = 20_000
+
+
+def _digest(arr) -> str:
+    arr = np.ascontiguousarray(arr)
+    return hashlib.sha256(arr.dtype.str.encode() + arr.tobytes()).hexdigest()
+
+
+def _realization(out) -> dict:
+    flipped = channel_sim.flip_complementary(out.y, out.aux.t_flags)
+    augmented = channel_sim.augment_with_deleted_runs(flipped, out.aux.s_counts)
+    return {"y": _digest(out.y), "i_flags": _digest(out.aux.i_flags), "t_flags": _digest(out.aux.t_flags),
+            "s_counts": _digest(out.aux.s_counts), "pattern": _digest(out.pattern),
+            "augmented": [augmented.first_bit, _digest(np.array(augmented.lengths, dtype=np.int64))]}
+
+
+def compute_sim() -> list[dict]:
+    """Every simulator case, in the file's order."""
+    records = []
+    for d, i, alpha, gamma, n, seed in SIM_CASES:
+        params = ChannelParams(d=d, i=i, alpha=alpha)
+        x = generate_markov_sequence(MarkovSourceParams(gamma), n, seed)
+        records.append({
+            "case": f"d={d!r} i={i!r} alpha={alpha!r} gamma={gamma!r} n={n} seed={seed}",
+            "x": _digest(x),
+            "delins": _realization(channel_sim.apply_delins(x, params, seed + 1)),
+            "cascade": _realization(channel_sim.apply_cascade(x, params, seed + 2)),
+            "hT": repr(mc_estimator.estimate_hT(i, alpha, gamma, SIM_MC_STEPS, seed=seed + 3)),
+            "S": repr(mc_estimator.estimate_delins_S_term(gamma, d, i, alpha, SIM_MC_STEPS, seed=seed + 4)),
+        })
+    return records
+
+
+def load(path: Path = PATH) -> list[dict]:
     """The committed records."""
-    return [json.loads(line) for line in PATH.read_text(encoding="utf-8").splitlines()]
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def dump(records: list[dict]) -> str:
@@ -122,7 +189,12 @@ def summary(expected: list[dict], got: list[dict]) -> str:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate the golden numbers, or show how far they moved.")
     parser.add_argument("--diff", action="store_true", help="print the moves against the committed file; write nothing")
-    if parser.parse_args().diff:
+    parser.add_argument("--sim", action="store_true", help="regenerate the simulator hashes instead")
+    args = parser.parse_args()
+    if args.sim:
+        SIM_PATH.write_text(dump(compute_sim()), encoding="utf-8")
+        print(f"wrote {SIM_PATH}")
+    elif args.diff:
         print(summary(load(), compute()))
     else:
         PATH.write_text(dump(compute()), encoding="utf-8")

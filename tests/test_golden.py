@@ -1,4 +1,5 @@
-"""Every number of the golden set (``golden.py``) is recomputed and compared repr for repr."""
+"""Every number of the golden set (``golden.py``) is recomputed and compared
+repr for repr, and every simulator hash of ``golden_sim.jsonl`` hash for hash."""
 
 import copy
 import math
@@ -11,6 +12,14 @@ def test_golden_numbers_are_unchanged():
     got = golden.compute()
     assert [r["case"] for r in got] == [r["case"] for r in expected]
     assert got == expected, golden.summary(expected, got)
+
+
+def test_simulator_hashes_are_unchanged():
+    expected = golden.load(golden.SIM_PATH)
+    got = golden.compute_sim()
+    assert [r["case"] for r in got] == [r["case"] for r in expected]
+    for e, g in zip(expected, got):
+        assert g == e, e["case"]
 
 
 def test_summary_gives_the_largest_move_per_column():
