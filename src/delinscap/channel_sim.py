@@ -64,7 +64,8 @@ class Action(IntEnum):
 
 # the codes as plain ints for array expressions, where an IntEnum operand
 # takes a 10^6-element compare off numpy's fast path (0.21 against 0.014 ms)
-_DELETE, _COMPLEMENT = int(Action.DELETE), int(Action.COMPLEMENT)
+_DELETE, _DUPLICATE, _COMPLEMENT = int(Action.DELETE), int(Action.DUPLICATE), int(Action.COMPLEMENT)
+_CODES = tuple(map(int, Action))
 
 # Output slots of one input bit, indexed by ``action << 1 | x``; each slot
 # packs y | I << 1 | T << 2 | W << 3, where W = 1 marks a slot the action
@@ -163,15 +164,28 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     are those inside it: of the R runs that start in u..v, all but the last
     end there too, and the last does when a run starts at v + 1.  The gap
     holds ``max(R - 1 + [a run starts at v + 1], 0)`` runs (v + 1 = n
-    counts as a start), at the output position of the survivor v + 1 (the
-    outputs with ``I = 0`` are the survivors), or in ``S[m]`` when v is the
-    last bit; only the gaps holding a run are written.  That is one pass
-    over the actions and one over the input bits, one over the outputs when
-    some gap holds a run, and otherwise work in proportion to the deleted
-    bits.
+    counts as a start), at the output position of the survivor v + 1, or
+    in ``S[m]`` when v is the last bit; only the gaps holding a run are
+    written.  Survivor v + 1 comes after the survivors in 0..v, each
+    followed by its inserted bit if it has one, so its position is
+    (v + 1) - (the deleted bits in 0..v) + (the insertion actions in 0..v),
+    the last count a binary search in the positions of the insertion
+    actions.  That is one pass over the actions and one over the input
+    bits, one more over the actions when some gap holds a run, and
+    otherwise work in proportion to the deleted bits.  ``S`` is allocated
+    after the temporaries it is read from are freed.
+
+    Codes given as a list or as an array wider than a byte are checked at
+    their own values, so 1.5 or 257 is a ``ValueError``, not a cut or
+    wrapped code; 0.0 to 3.0 are codes.
     """
     x = as_bits(x)
-    actions = np.asarray(actions, dtype=np.int8)
+    actions = np.asarray(actions)
+    if actions.dtype.kind not in "biu" or actions.dtype.itemsize > 1:
+        bad = ~np.isin(actions, _CODES)
+        if bad.any():
+            raise ValueError(f"action codes must be 0-3, got {actions[bad][0]}")
+    actions = actions.astype(np.int8, copy=False)
     if actions.size != x.size:
         raise ValueError("pattern length must equal input length")
     n = x.size
@@ -202,37 +216,56 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     del slots
     m = y.size
 
+    # S is allocated once the temporaries it is read from are freed, so the
+    # call holds its outputs and the temporaries of one step at a time
+    at, counts, tail = _deleted_runs(x, codes)
     s_counts = np.zeros(m + 1, dtype=np.int64)
-    dels = (codes == _DELETE).nonzero()[0]
-    if dels.size:
-        # a run starts at each bit unlike the one before it, and past the last bit
-        starts = np.empty(n + 1, dtype=bool)
-        starts[0] = starts[n] = True
-        np.not_equal(x[1:], x[:-1], out=starts[1:n])
-        # stretch k of consecutive deleted bits u..v ends at v = dels[last[k]]
-        ends = np.empty(dels.size, dtype=bool)
-        ends[-1] = True
-        np.not_equal(dels[1:] - dels[:-1], 1, out=ends[:-1])
-        last = ends.nonzero()[0]
-        end = dels[last]
-        # per stretch: the R run starts in u..v (from their running count),
-        # plus one if a run starts at v + 1, less one
-        counts = starts[dels].cumsum()[last]
-        counts[1:] -= counts[:-1].copy()
-        counts += starts[end + 1]
-        counts -= 1
-        if end[-1] == n - 1:
-            s_counts[m] = counts[-1]
-            counts[-1] = 0
-        hit = (counts > 0).nonzero()[0]
-        if hit.size:
-            # survivor v + 1 has v - last[k] survivors before it, and they are the outputs with I = 0
-            s_counts[(i_flags == 0).nonzero()[0][end[hit] - last[hit]]] = counts[hit]
+    s_counts[at] = counts
+    s_counts[m] = tail
     return ChannelOutput(
         y=y,
         aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
         pattern=actions,
     )
+
+
+def _deleted_runs(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nonzero entries of ``S`` for input ``x`` and action codes
+    ``codes`` (see :func:`apply_pattern`): the output positions and counts of
+    the gaps before a survivor that hold a fully deleted run, and the count
+    of the runs deleted after the last survivor."""
+    n = x.size
+    dels = (codes == _DELETE).nonzero()[0]
+    if not dels.size:
+        return dels, dels, 0
+    # a run starts at each bit unlike the one before it, and past the last bit
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(x[1:], x[:-1], out=starts[1:n])
+    # stretch k of consecutive deleted bits u..v ends at v = dels[last[k]]
+    ends = np.empty(dels.size, dtype=bool)
+    ends[-1] = True
+    np.not_equal(dels[1:] - dels[:-1], 1, out=ends[:-1])
+    last = ends.nonzero()[0]
+    end = dels[last]
+    # per stretch: the R run starts in u..v (from their running count),
+    # plus one if a run starts at v + 1, less one
+    counts = starts[dels].cumsum()[last]
+    counts[1:] -= counts[:-1].copy()
+    counts += starts[end + 1]
+    counts -= 1
+    tail = 0
+    if end[-1] == n - 1:
+        tail = int(counts[-1])
+        counts[-1] = 0
+    hit = (counts > 0).nonzero()[0]
+    end = end[hit]
+    # survivor v + 1 follows the v - last[k] survivors before it and the
+    # bits inserted after them, one per insertion action in 0..v
+    at = end - last[hit]
+    if hit.size:
+        at += (codes >= _DUPLICATE).nonzero()[0].searchsorted(end)
+    return at, counts[hit], tail
 
 
 def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutput:
@@ -299,8 +332,7 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
 
     m = y.size
     if m == 0:
-        k = int(s[0])
-        return RunSequence(first_bit=0, lengths=(0,) * k)
+        return RunSequence(first_bit=0, lengths=np.zeros(int(s[0]), dtype=np.int32))
 
     inner = s[1:m]  # deleted runs in the gap before output bit g, g = 1..m-1
     boundary = y[1:] != y[:-1]

@@ -20,7 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
 import numpy as np
@@ -98,7 +98,6 @@ class MarkovSourceParams:
         return 1.0 / (1.0 - self.gamma)
 
 
-@dataclass(frozen=True)
 class RunSequence:
     """Run-length view of a binary sequence: first-run symbol plus lengths.
 
@@ -107,34 +106,63 @@ class RunSequence:
     completely; consecutive runs alternate symbols either way, so the symbol
     of run ``j`` is ``first_bit ^ (j & 1)``.
 
-    ``lengths`` may be given as a 1-D integer array: it is checked with one
-    numpy ``min`` and stored as the same tuple of Python ints.
+    The lengths, given as a tuple, a list or a 1-D integer array, are kept
+    as one read-only integer array, the sequence's own copy; ``num_runs``
+    and ``total_length`` read it.  ``lengths``, the tuple of Python ints,
+    is built the first time it is read and kept.  A sequence is immutable,
+    and equality and hashing are on ``(first_bit, lengths)``.
     """
 
-    first_bit: int
-    lengths: tuple[int, ...]
+    __slots__ = ("first_bit", "_runs", "_lengths")
 
-    def __post_init__(self) -> None:
-        if self.first_bit not in (0, 1):
-            raise ValueError(f"first_bit must be 0 or 1, got {self.first_bit}")
-        lengths = self.lengths
-        if isinstance(lengths, np.ndarray):
-            if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
-                raise ValueError(f"run lengths must be a 1-D integer array, got {lengths.dtype} {lengths.shape}")
-            negative = lengths.size and lengths.min() < 0
-            object.__setattr__(self, "lengths", tuple(lengths.tolist()))
-        else:
-            negative = min(lengths, default=0) < 0
-        if negative:
+    def __init__(self, first_bit: int, lengths) -> None:
+        if first_bit not in (0, 1):
+            raise ValueError(f"first_bit must be 0 or 1, got {first_bit}")
+        runs = np.array(lengths)
+        if runs.size == 0 and not isinstance(lengths, np.ndarray):
+            runs = runs.astype(np.int64)  # an empty tuple or list reads as float64
+        if runs.ndim != 1 or runs.dtype.kind not in "iu":
+            raise ValueError(f"run lengths must be a 1-D integer array, got {runs.dtype} {runs.shape}")
+        if runs.size and runs.min() < 0:
             raise ValueError("run lengths must be non-negative")
+        runs.flags.writeable = False
+        object.__setattr__(self, "first_bit", first_bit)
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_lengths", None)
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        if self._lengths is None:
+            object.__setattr__(self, "_lengths", tuple(self._runs.tolist()))
+        return self._lengths
 
     @property
     def num_runs(self) -> int:
-        return len(self.lengths)
+        return self._runs.size
 
     @property
     def total_length(self) -> int:
-        return int(sum(self.lengths))
+        return int(self._runs.sum())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.first_bit == other.first_bit and np.array_equal(self._runs, other._runs)
+
+    def __hash__(self) -> int:
+        return hash((self.first_bit, self.lengths))
+
+    def __repr__(self) -> str:
+        return f"RunSequence(first_bit={self.first_bit!r}, lengths={self.lengths!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RunSequence, (self.first_bit, self._runs)
 
 
 class Role(Enum):
@@ -264,12 +292,11 @@ def to_runs(bits: np.ndarray) -> RunSequence:
 def from_runs(runs: RunSequence) -> np.ndarray:
     """Decode a run sequence back to bits.  Zero lengths are rejected here;
     augmented sequences (with deleted-run markers) are a separate flow."""
-    if any(l == 0 for l in runs.lengths):
+    lengths = runs._runs
+    if lengths.size and lengths.min() == 0:
         raise ValueError("zero-length run encountered; from_runs only decodes plain sequences")
-    if not runs.lengths:
-        return np.zeros(0, dtype=np.uint8)
-    symbols = (runs.first_bit + np.arange(len(runs.lengths))) & 1
-    return np.repeat(symbols.astype(np.uint8), runs.lengths)
+    symbols = (runs.first_bit + np.arange(lengths.size)) & 1
+    return np.repeat(symbols.astype(np.uint8), lengths.astype(np.intp, copy=False))
 
 
 def geometric_run_pmf(gamma: float, r: int) -> float:
@@ -292,10 +319,20 @@ def bits_to_str(bits: np.ndarray) -> str:
 
 
 def as_bits(seq) -> np.ndarray:
-    """Coerce a list/str/array of 0s and 1s to the canonical uint8 array form."""
+    """Coerce a list/str/array of 0s and 1s to the canonical uint8 array form.
+
+    A one-byte (uint8, int8, bool) array is checked with one ``max``; a list
+    or a wider array at its own values, which the cast to uint8 would cut
+    or wrap (0.5 to 0, 257 to 1), so 0.0 and 1.0 are bits and 0.5 is not.
+    """
     if isinstance(seq, str):
         return bits_from_str(seq)
-    arr = np.asarray(seq, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
+    arr = np.asarray(seq)
+    if arr.dtype.kind in "biu" and arr.dtype.itemsize == 1:
+        arr = arr.astype(np.uint8, copy=False)
+        bad = arr.size and arr.max() > 1
+    else:
+        bad = not np.isin(arr, (0, 1)).all()
+    if bad:
         raise ValueError("bit sequence contains symbols other than 0/1")
-    return arr
+    return arr.astype(np.uint8, copy=False).ravel()

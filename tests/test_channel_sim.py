@@ -74,12 +74,25 @@ class TestWorkedExamples:
         with pytest.raises(ValueError):
             apply_deletion(bits_from_str("010"), 1.0, seed=0)
 
-    @pytest.mark.parametrize("bad", [4, -1, 127, -128, -4])
+    @pytest.mark.parametrize("bad", [4, -1, 127, -128, -4, 300, -129, 257, 1.5, 0.5])
     def test_bad_action_code_rejected(self, bad):
         with pytest.raises(ValueError, match=f"got {bad}$"):
             apply_pattern(bits_from_str("011"), [K, bad, K])
-        with pytest.raises(ValueError):
-            apply_pattern(np.zeros(1000, dtype=np.uint8), np.append(np.ones(999, dtype=np.int8), np.int8(bad)))
+        # the same code at the end of a long array, int8 where it fits
+        fits = bad == int(bad) and -128 <= bad <= 127
+        codes = np.ones(1000, dtype=np.int8 if fits else np.asarray(bad).dtype)
+        codes[-1] = bad
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            apply_pattern(np.zeros(1000, dtype=np.uint8), codes)
+
+    @pytest.mark.parametrize("codes", [[1.0, 2.0, 0.0, 3.0], np.array([1, 2, 0, 3], dtype=np.uint8),
+                                       np.array([1, 2, 0, 3], dtype=np.int64)])
+    def test_codes_of_other_types(self, codes):
+        out = apply_pattern(bits_from_str("0110"), codes)
+        ref = apply_pattern(bits_from_str("0110"), np.array([K, P, D, C], dtype=np.int8))
+        _assert_same_output(out, ref)
+        kept = apply_pattern(bits_from_str("01"), np.array([True, False]))
+        assert kept.pattern.dtype == np.int8 and bits_to_str(kept.y) == "0"
 
 
 class TestFlip:
@@ -377,6 +390,12 @@ class TestSimulatorMatchesArrayReference:
     @example([1, 0, 0, 1] * 16, np.array([0.0, 0.6, 0.0, 0.4]), 5)  # alpha = 0: a repeated edge
     @example([1, 1, 0, 1] * 16, np.array([0.0, 0.6, 0.4, 0.0]), 6)  # alpha = 1: an edge at 1
     @example([0, 0, 1] * 21, np.array([0.3, 0.3, 0.0, 0.4]), 7)  # alpha = 0 with deletions
+    # d + i = 1: deleted stretches at bit 0 and at bit n - 1, each holding a
+    # whole run, and duplications and complements directly before deleted
+    # stretches that hold runs, so S is placed past inserted bits
+    @example([0, 0, 1, 1, 0, 1] * 8, np.array([0.5, 0.0, 0.3, 0.2]), 2)
+    @example([1, 0, 0, 1, 1, 1, 0] * 7, np.array([0.4, 0.3, 0.0, 0.3]), 2)  # the same with keeps, alpha = 0
+    @example([1], np.array([1.0, 0.0, 0.0, 0.0]), 8)  # every bit of one deleted
     def test_random_patterns(self, x, probs, seed):
         x = np.array(x, dtype=np.uint8)
         actions = _sample_from_probs(x.size, probs, np.random.default_rng(seed))
@@ -460,6 +479,20 @@ def test_apply_delins_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2 ** 20
+
+
+def test_apply_delins_memory_peak_without_a_survivor_index():
+    # S is placed at each survivor's output position, counted from the
+    # insertions before it, and allocated once its temporaries are freed
+    # (13.4 MiB here); an index of every survivor took the peak to 24.6 MiB
+    x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=71)
+    tracemalloc.start()
+    try:
+        apply_delins(x, ChannelParams(d=0.15, i=0.15, alpha=0.6), seed=72)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 2 ** 20
 
 
 def test_markov_source_memory_peak():

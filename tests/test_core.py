@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -12,6 +14,7 @@ from delinscap.core import (
     RunSequence,
     EntropyTerm,
     Role,
+    as_bits,
     binary_entropy,
     bits_from_str,
     bits_to_str,
@@ -113,6 +116,78 @@ class TestRunSequenceFromArray:
         runs = to_runs(x)
         assert type(runs.lengths) is tuple and all(type(v) is int for v in runs.lengths)
         assert np.array_equal(from_runs(runs), x)
+
+
+class TestRunSequenceContract:
+    """The lengths are kept as the sequence's own read-only array; a tuple,
+    a list and an array of the same lengths make the same sequence."""
+
+    def test_later_write_to_the_given_array_does_not_change_the_sequence(self):
+        lengths = np.array([3, 0, 2], dtype=np.int32)
+        runs = RunSequence(1, lengths)
+        lengths[0] = 9
+        assert runs.lengths == (3, 0, 2) and runs.total_length == 5
+        given = [1, 2]
+        runs = RunSequence(0, given)
+        given[0] = 7
+        assert runs.lengths == (1, 2) and type(runs.lengths) is tuple
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.uint64])
+    def test_array_and_tuple_agree(self, dtype):
+        from_tuple = RunSequence(0, (4, 0, 0, 1, 7))
+        from_array = RunSequence(0, np.array([4, 0, 0, 1, 7], dtype=dtype))
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert (from_array.num_runs, from_array.total_length) == (from_tuple.num_runs, from_tuple.total_length) == (5, 12)
+        assert from_array != RunSequence(1, (4, 0, 0, 1, 7)) and from_array != RunSequence(0, (4, 0, 0, 1))
+        assert len({from_array, from_tuple}) == 1
+        decoded = from_runs(RunSequence(1, np.array([2, 1, 3], dtype=dtype)))
+        assert decoded.tolist() == from_runs(RunSequence(1, (2, 1, 3))).tolist() == [1, 1, 0, 1, 1, 1]
+
+    @pytest.mark.parametrize("empty", [(), [], np.zeros(0, dtype=np.int32)])
+    def test_empty(self, empty):
+        runs = RunSequence(0, empty)
+        assert (runs.num_runs, runs.total_length, runs.lengths) == (0, 0, ())
+        assert runs == RunSequence(0, ()) and hash(runs) == hash((0, ()))
+        assert repr(runs) == "RunSequence(first_bit=0, lengths=())"
+        assert from_runs(runs).size == 0
+
+    def test_repr_and_json_keep_their_format(self):
+        runs = RunSequence(1, np.array([3, 0, 2], dtype=np.int32))
+        assert repr(runs) == "RunSequence(first_bit=1, lengths=(3, 0, 2))"
+        assert json.dumps({"lengths": list(runs.lengths)}) == '{"lengths": [3, 0, 2]}'
+
+    def test_immutable_and_copyable(self):
+        runs = RunSequence(1, (2, 1))
+        for name, value in (("first_bit", 0), ("lengths", (5,))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(runs, name, value)
+        assert runs.lengths == (2, 1)
+        assert copy.deepcopy(runs) == runs
+
+    @pytest.mark.parametrize("lengths", [(1, 2.5), [1.0, 2.0], ((1, 2), (3, 4)), ("1", "2"), (2 ** 70,)])
+    def test_non_integer_lengths_rejected(self, lengths):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            RunSequence(0, lengths)
+
+
+class TestAsBits:
+    @pytest.mark.parametrize("seq", [[0.5, 1], [1, -1], [1, 2], [1, 257], [float("nan")], np.array([0.5, 1.0]),
+                                     np.array([1, -1], dtype=np.int8), np.array([0, 2], dtype=np.uint8),
+                                     np.array([1, 256], dtype=np.int64)])
+    def test_non_bits_rejected(self, seq):
+        with pytest.raises(ValueError, match="symbols other than 0/1"):
+            as_bits(seq)
+
+    @pytest.mark.parametrize("seq", ["011", [0, 1, 1], (0, 1, 1), [0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.int8),
+                                     np.array([False, True, True]), np.array([0, 1, 1], dtype=np.int64),
+                                     np.array([[0], [1], [1]], dtype=np.uint8)])
+    def test_bits_accepted(self, seq):
+        bits = as_bits(seq)
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1]
+
+    def test_uint8_array_is_not_copied(self):
+        x = np.array([0, 1, 1], dtype=np.uint8)
+        assert np.shares_memory(as_bits(x), x)
 
 
 # n at the edges of the block draws
