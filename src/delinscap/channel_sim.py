@@ -23,11 +23,11 @@ pattern's version, never an inference.
 ``apply_pattern`` touches each input bit once through a slot table: the
 input bit and its action index a pair of output slots, each packing
 ``y | I << 1 | T << 2 | W << 3``, and the slots with W = 1, those the
-action writes, are kept.  ``S`` is read off the deleted bits alone: each
-maximal stretch of consecutive deleted bits is one gap, and the runs that
-start inside it, bar the last unless it ends there, are the gap's fully
-deleted runs.  With no bit deleted ``S`` is all zeros and nothing is
-computed for it.
+action writes, are kept, one block of input bits at a time.  ``S`` is read
+off the deleted bits alone: each maximal stretch of consecutive deleted
+bits is one gap, and the runs that start inside it, bar the last unless it
+ends there, are the gap's fully deleted runs.  With no bit deleted ``S`` is
+all zeros and nothing is computed for it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ _SLOTS = np.array([
     [8, 10], [9, 11],    # DUPLICATE
     [8, 15], [9, 14],    # COMPLEMENT
 ], dtype=np.uint8)
+# input bits per slot lookup: the lookup, its W = 1 mask and the index that
+# keeps the written slots are built for one block at a time, never for all
+# 2n slots at once
+_SLOT_BLOCK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,10 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
 
     Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
     (``y | I << 1 | T << 2 | W << 3``) from ``_SLOTS``, and the slots with
-    ``W = 1``, those the action writes, in input order are the output.
+    ``W = 1``, those the action writes, in input order are the output.  The
+    lookup and the keeping run on one block of ``_SLOT_BLOCK`` input bits at
+    a time, and the later blocks' kept slots are joined to the first's; a
+    short input is one block, kept without a copy.
 
     ``S`` is read off the deleted bits alone, so it costs nothing when no
     bit is deleted.  The bits between two consecutive survivors form one
@@ -203,11 +210,10 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     codes = actions.view(np.uint8)
     if codes.max() > _COMPLEMENT:  # -1 is 255 here
         raise ValueError(f"action codes must be 0-3, got {int(actions[codes > _COMPLEMENT][0])}")
-    code = codes << 1
-    code |= x
-    slots = _SLOTS.take(code, axis=0).ravel()
-    del code
-    slots = np.compress(slots >= _WRITTEN, slots)
+    slots = _written_slots(codes[:_SLOT_BLOCK], x[:_SLOT_BLOCK])
+    if n > _SLOT_BLOCK:
+        slots = np.concatenate([slots, *(_written_slots(codes[lo:lo + _SLOT_BLOCK], x[lo:lo + _SLOT_BLOCK])
+                                         for lo in range(_SLOT_BLOCK, n, _SLOT_BLOCK))])
     y = slots & 1
     i_flags = slots >> 1
     i_flags &= 1
@@ -227,6 +233,15 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
         aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
         pattern=actions,
     )
+
+
+def _written_slots(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The packed slots that the action codes ``codes`` write for the input
+    bits ``x``, in input order."""
+    code = codes << 1
+    code |= x
+    slots = _SLOTS.take(code, axis=0).ravel()
+    return slots.compress(slots >= _WRITTEN)
 
 
 def _deleted_runs(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -350,17 +365,19 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
     boundary[gaps] = True
     cuts = np.flatnonzero(boundary)  # g - 1 for every such gap g
     del boundary, gaps, bad
-    # run lengths are the differences of the run ends [cuts, m - 1], taken in place
-    runs = np.empty(cuts.size + 1, dtype=np.int64)
+    # run lengths are the differences of the run ends [cuts, m - 1], taken in
+    # place in the output's int32
+    runs = np.empty(cuts.size + 1, dtype=np.int32)
     runs[:-1] = cuts
     runs[-1] = m - 1
     runs[1:] -= cuts
     runs[0] += 1
     # surviving run j goes after the s[0] leading markers, the j runs before
-    # it and the markers of the first j cuts
+    # it and the markers of the first j cuts; every cut indexes ``inner``,
+    # and mode="clip" takes them without the buffered copy of mode="raise"
     pos = np.empty(runs.size, dtype=np.int64)
     pos[0] = s[0]
-    np.take(inner, cuts, out=pos[1:])
+    np.take(inner, cuts, out=pos[1:], mode="clip")
     del cuts
     pos[1:] += 1
     np.cumsum(pos, out=pos)

@@ -5,6 +5,7 @@ oracle cannot reach: long-run stationary frequencies and plug-in conditional
 entropies of the auxiliary sequences.  Each estimator simulates one long
 channel realization, tabulates the finite conditioning contexts after
 burn-in, and substitutes the empirical frequencies into the entropy formula.
+A burn-in below 0, or one that leaves no observation, is a ``ValueError``.
 
 Contexts observed fewer than :data:`MIN_CONTEXT_OBS` times are pooled; their
 probability mass times the log alphabet size is reported as ``bias_budget``
@@ -86,7 +87,13 @@ def _simulate(kind_params: ChannelParams, gamma: float, steps: int, seed: int) -
 
 def _bit_code(burn_in: int, *bits: np.ndarray) -> np.ndarray:
     """Pack equal-length uint8 bit sequences, most significant first, into one
-    uint8 code per position, dropping the first ``burn_in`` positions."""
+    uint8 code per position, dropping the first ``burn_in`` positions.
+
+    A ``burn_in`` below 0, or one that leaves no position, is a ``ValueError``:
+    an estimate of no observations would read as an exact zero."""
+    n = bits[0].size
+    if not 0 <= burn_in < n:
+        raise ValueError(f"burn_in={burn_in} must be at least 0 and below the {n} observations of the chain")
     code = bits[0][burn_in:].copy()
     for b in bits[1:]:
         code <<= 1
@@ -172,9 +179,9 @@ def _context_entropy(params: ChannelParams, gamma: float, steps: int, seed: int,
                      pick: Callable[[ChannelOutput], tuple[np.ndarray, ...]]) -> McEstimate:
     """Plug-in H(value | context) on one simulated chain: ``pick(out)`` gives
     the value sequence and the context bit sequences, aligned, and the
-    context is their bit code."""
-    _, out = _simulate(params, gamma, steps, seed)
-    val, *bits = pick(out)
+    context is their bit code.  Only the picked sequences are kept while
+    counting: the input and the realization's other arrays are freed first."""
+    val, *bits = pick(_simulate(params, gamma, steps, seed)[1])
     return _plug_in(_bit_code(burn_in, *bits), val[burn_in:], 2 ** len(bits), seed + 1)
 
 

@@ -24,29 +24,47 @@ and in how many ``gamma_star`` did (the summary a failing test gives too).
 (d, i, alpha, gamma, n, seed) cases, the sha256 of every array of one
 ``apply_delins`` and one ``apply_cascade`` realization (y, I, T, S and the
 pattern, each hashed with its dtype, and the augmented run lengths of the
-flipped output) and the reprs of two Monte Carlo estimates.  A change that
-moves a simulated bit on purpose regenerates it:
+flipped output) and the reprs of two Monte Carlo estimates (or the error an
+estimate raises).  A change that moves a simulated bit on purpose
+regenerates it:
 
     PYTHONPATH=src python tests/golden.py --sim
+
+``golden_cli.jsonl`` is the CLI's contract: for each ``delinscap`` command of
+README's CLI section, in README's order, its exit code, stdout and stderr
+and the files it writes, run through ``cli.main`` in an empty directory.
+The ``"seconds"`` lines of a verification report are dropped, as they are
+wall-clock times.  ``tests/test_cli.py`` runs each command and compares
+byte for byte; a change to the CLI's output regenerates the file:
+
+    PYTHONPATH=src python tests/golden.py --cli
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import re
+import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from delinscap import channel_sim, mc_estimator
+from delinscap import channel_sim, cli, mc_estimator
 from delinscap.cli import _parse_grid
 from delinscap.core import ChannelParams, MarkovSourceParams, generate_markov_sequence
 from delinscap.gamma_optimizer import optimize_bound, sweep
 
 PATH = Path(__file__).resolve().parent / "golden_bounds.jsonl"
 SIM_PATH = Path(__file__).resolve().parent / "golden_sim.jsonl"
+CLI_PATH = Path(__file__).resolve().parent / "golden_cli.jsonl"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 _DELETION = sorted({round(0.03 * k, 2) for k in range(34)} | {0.8, 0.85, 0.9, 0.93, 0.947, 0.95, 0.96, 0.97, 0.99})
 _INSERTION = [(0.1, 0.8), (0.3, 1.0), (0.5, 0.5)]
@@ -130,6 +148,14 @@ def _realization(out) -> dict:
             "augmented": [augmented.first_bit, _digest(np.array(augmented.lengths, dtype=np.int64))]}
 
 
+def _estimate(estimator, *args, **kwargs) -> str:
+    """The repr of an estimate, or the ``ValueError`` it raises."""
+    try:
+        return repr(estimator(*args, **kwargs))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def compute_sim() -> list[dict]:
     """Every simulator case, in the file's order."""
     records = []
@@ -141,10 +167,46 @@ def compute_sim() -> list[dict]:
             "x": _digest(x),
             "delins": _realization(channel_sim.apply_delins(x, params, seed + 1)),
             "cascade": _realization(channel_sim.apply_cascade(x, params, seed + 2)),
-            "hT": repr(mc_estimator.estimate_hT(i, alpha, gamma, SIM_MC_STEPS, seed=seed + 3)),
-            "S": repr(mc_estimator.estimate_delins_S_term(gamma, d, i, alpha, SIM_MC_STEPS, seed=seed + 4)),
+            "hT": _estimate(mc_estimator.estimate_hT, i, alpha, gamma, SIM_MC_STEPS, seed=seed + 3),
+            "S": _estimate(mc_estimator.estimate_delins_S_term, gamma, d, i, alpha, SIM_MC_STEPS, seed=seed + 4),
         })
     return records
+
+
+def readme_commands() -> list[str]:
+    """The ``delinscap`` commands of README's CLI section, in order."""
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("delinscap ")]
+
+
+def run_cli(command: str) -> dict:
+    """Run one ``delinscap`` command through ``cli.main`` in an empty
+    directory: its exit code, stdout, stderr and the files it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(shlex.split(command)[1:])
+        finally:
+            os.chdir(cwd)
+        files = {p.name: p.read_bytes().decode("utf-8") for p in sorted(Path(tmp).iterdir())}
+    return {"command": command, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
+_SECONDS = re.compile(r'^ *"seconds": .*\n', re.MULTILINE)
+
+
+def cli_record(run: dict) -> dict:
+    """A :func:`run_cli` result as the contract keeps it: without the
+    wall-clock ``"seconds"`` lines of a verification report."""
+    return {**run, "stdout": _SECONDS.sub("", run["stdout"])}
+
+
+def compute_cli() -> list[dict]:
+    """Every README command's record, in README's order."""
+    return [cli_record(run_cli(command)) for command in readme_commands()]
 
 
 def load(path: Path = PATH) -> list[dict]:
@@ -190,8 +252,12 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate the golden numbers, or show how far they moved.")
     parser.add_argument("--diff", action="store_true", help="print the moves against the committed file; write nothing")
     parser.add_argument("--sim", action="store_true", help="regenerate the simulator hashes instead")
+    parser.add_argument("--cli", action="store_true", help="regenerate the CLI outputs of README's examples instead")
     args = parser.parse_args()
-    if args.sim:
+    if args.cli:
+        CLI_PATH.write_text(dump(compute_cli()), encoding="utf-8")
+        print(f"wrote {CLI_PATH}")
+    elif args.sim:
         SIM_PATH.write_text(dump(compute_sim()), encoding="utf-8")
         print(f"wrote {SIM_PATH}")
     elif args.diff:

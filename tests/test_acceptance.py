@@ -52,10 +52,11 @@ def test_criterion_2_run_law_oracle():
 def test_criterion_3_decomposition_identities():
     del_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3))
     di_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
-    worst = max(del_chk.residual, di_chk.residual)
+    worst = max(del_chk.residual, di_chk.residual, del_chk.h_runs_given_y_aux, di_chk.h_runs_given_y_aux)
     _announce(3, worst <= ver.TOL_DECOMP,
               f"entropy decomposition residuals at n=6: deletion {del_chk.residual:.3e}, "
-              f"combined {di_chk.residual:.3e} <= 1e-10")
+              f"combined {di_chk.residual:.3e}; H(runs(X) | Y, T, S): deletion "
+              f"{del_chk.h_runs_given_y_aux:.3e}, combined {di_chk.h_runs_given_y_aux:.3e} <= 1e-10")
 
 
 def test_criterion_4_monte_carlo_cross_checks():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from delinscap import core
+from delinscap import channel_sim, core
 from delinscap.core import (ChannelParams, MarkovSourceParams, RunSequence, as_bits, bits_from_str, bits_to_str,
                             generate_markov_sequence, to_runs)
 from delinscap.channel_sim import (
@@ -468,6 +468,29 @@ class TestBlockDraws:
             assert rng.random() == ref.random()
 
 
+class TestSlotBlocks:
+    """The slot stage keeps the written slots of one block of input bits at a
+    time; the output is that of the whole-array reference."""
+
+    B = channel_sim._SLOT_BLOCK
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("layout", ["random", "deleted block, then inserting block",
+                                        "inserting block, then deleted bits"])
+    def test_blocks_match_reference(self, n, layout):
+        x = generate_markov_sequence(MarkovSourceParams(0.6), n, seed=n)
+        rng = np.random.default_rng(n)
+        actions = rng.integers(0, 4, size=n).astype(np.int8)
+        inserting = rng.integers(Action.DUPLICATE, Action.COMPLEMENT + 1, size=n).astype(np.int8)
+        if layout == "deleted block, then inserting block":
+            actions[:self.B] = Action.DELETE
+            actions[self.B:2 * self.B] = inserting[self.B:2 * self.B]
+        elif layout == "inserting block, then deleted bits":
+            actions[:self.B] = inserting[:self.B]
+            actions[self.B:] = Action.DELETE
+        _assert_same_output(apply_pattern(x, actions), oracles.reference_apply_pattern(x, actions))
+
+
 def test_apply_delins_memory_peak():
     # every 10^6-bit array is touched in uint8/int32 form; the int64 fragment
     # offsets and run ids of the array reference peak near 73 MiB here
@@ -493,6 +516,22 @@ def test_apply_delins_memory_peak_without_a_survivor_index():
     finally:
         tracemalloc.stop()
     assert peak <= 22 * 2 ** 20
+
+
+def test_augment_memory_peak():
+    # the run lengths are built in the output's int32 and the markers'
+    # positions taken with mode="clip" (8.75 MiB here); int64 run lengths and
+    # the buffered copy of a mode="raise" take peaked at 14.0 MiB
+    x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=71)
+    out = apply_delins(x, ChannelParams(d=0.15, i=0.15, alpha=0.6), seed=72)
+    y = flip_complementary(out.y, out.aux.t_flags)
+    tracemalloc.start()
+    try:
+        augment_with_deleted_runs(y, out.aux.s_counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
 
 
 def test_markov_source_memory_peak():

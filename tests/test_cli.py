@@ -9,6 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import delinscap
+import golden
 from delinscap import verification
 from delinscap.cli import build_parser, main, load_series_config, _parse_grid
 
@@ -21,6 +22,23 @@ def _schema(name):
 
 def _validate(payload, schema_name):
     jsonschema.validate(payload, _schema(schema_name))
+
+
+@pytest.fixture(scope="module")
+def readme_runs():
+    """Every README CLI example, run once through ``cli.main``."""
+    return {command: golden.run_cli(command) for command in golden.readme_commands()}
+
+
+class TestReadmeContract:
+    """README's CLI examples print what ``golden_cli.jsonl`` holds, byte for byte."""
+
+    @pytest.mark.parametrize("expected", golden.load(golden.CLI_PATH), ids=lambda r: r["command"])
+    def test_example_output_is_unchanged(self, expected, readme_runs):
+        assert golden.cli_record(readme_runs[expected["command"]]) == expected
+
+    def test_contract_lists_the_readme_commands(self):
+        assert [r["command"] for r in golden.load(golden.CLI_PATH)] == golden.readme_commands()
 
 
 class TestBoundCommand:
@@ -250,9 +268,10 @@ class TestVerifyCommand:
         assert {c["name"] for c in payload["checks"]} >= {"hI_vs_limit", "hT_vs_limit",
                                                           "HS2_vs_series", "stationary_iy_tv"}
 
-    def test_oracle_suite_times_each_check(self, capsys):
-        assert main(["verify", "oracle"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_oracle_suite_times_each_check(self, readme_runs):
+        run = readme_runs["delinscap verify oracle --n-max 8"]
+        assert run["exit"] == 0
+        payload = json.loads(run["stdout"])
         _validate(payload, "verification.schema.json")
         assert all(c["seconds"] >= 0.0 for c in payload["checks"])
         cascade = [c["detail"] for c in payload["checks"] if c["name"].startswith("cascade_equivalence")]
@@ -349,6 +368,15 @@ def test_verify_steps_usage_error(steps, capsys):
         main(["verify", "mc", "--steps", steps])
     assert exc.value.code == 2
     assert "--steps" in capsys.readouterr().err
+
+
+def test_verify_mc_too_short_for_its_burn_in_is_an_error(capsys):
+    # ten steps leave no observation after the 1000-step burn-in; the suite
+    # wrote a report of five failed checks instead
+    assert main(["verify", "mc", "--steps", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: burn_in=1000 must be at least 0")
 
 
 def test_verify_steps_accepts_float_notation():

@@ -92,6 +92,24 @@ class TestPlugInEstimates:
         assert math.sqrt(2) / 1.5 <= mean_ratio <= math.sqrt(2) * 1.5
 
 
+@pytest.mark.parametrize("estimate, message", [
+    # the burn-in outlasts the chain: value, error and bias budget read 0.0
+    (lambda: mc.estimate_hT(0.2, 0.5, 0.5, steps=10), "burn_in=1000 must be at least 0 and below the 10"),
+    # a negative burn-in counted the last three positions
+    (lambda: mc.estimate_hT(0.2, 0.5, 0.5, steps=5000, seed=1, burn_in=-3),
+     "burn_in=-3 must be at least 0 and below the 5964"),
+    # NaN frequencies and a RuntimeWarning
+    (lambda: mc.estimate_stationary_iy(0.2, 0.5, 0.6, steps=5), "burn_in=1000 must be at least 0 and below the 5"),
+    # nearly every bit deleted: 218 gaps in 20,000 steps
+    (lambda: mc.estimate_delins_S_term(0.2, 0.99, 0.0, 1.0, steps=20_000, seed=15),
+     "burn_in=1000 must be at least 0 and below the 218"),
+])
+def test_no_observations_is_an_error(estimate, message):
+    with pytest.raises(ValueError) as exc:
+        estimate()
+    assert str(exc.value) == message + " observations of the chain"
+
+
 class TestSupportConstraints:
     def test_deleted_run_parity(self):
         x = generate_markov_sequence(MarkovSourceParams(0.5), STEPS, seed=31)
