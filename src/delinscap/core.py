@@ -93,10 +93,6 @@ class MarkovSourceParams:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma={self.gamma} must lie strictly inside (0, 1)")
 
-    @property
-    def mean_run_length(self) -> float:
-        return 1.0 / (1.0 - self.gamma)
-
 
 class RunSequence:
     """Run-length view of a binary sequence: first-run symbol plus lengths.

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelParams, as_bits
+from .core import ChannelParams, MarkovSourceParams, as_bits
 from .channel_sim import Action, action_probabilities, insertion_stage_probabilities
 
 __all__ = [
@@ -90,15 +90,6 @@ _BLOCK_CELLS = 1 << 17
 def _active_actions(probs4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.flatnonzero(probs4 > 0.0).astype(np.int8)
     return codes, probs4[codes]
-
-
-def _digit_chunks(n: int, base: int):
-    """Yield (chunk, n) arrays of base-``base`` digit rows covering all base**n patterns."""
-    total = base ** n
-    pows = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield (idx[:, None] // pows) % base
 
 
 # An output of L bits with binary value v has the dense key 2**L - 1 + v, so
@@ -372,10 +363,11 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     per-bit fragments; ``s`` is the total fragment length, the length of the
     output key of the pattern table on r zero bits.  Returns, per r, an
     array over s = 0..2r.  The actions of zero probability under ``params``
-    (all but delete/keep at i = 0, delete at d = 0) are dropped.
+    (all but delete/keep at i = 0, delete at d = 0) are dropped.  Refuses
+    r_max outside 0..10.
     """
-    if r_max > 10:
-        raise ValueError("exact run law enumeration supports r_max <= 10")
+    if not 0 <= r_max <= 10:
+        raise ValueError(f"exact run law enumeration supports 0 <= r_max <= 10, got {r_max}")
     halves = _half_tables(action_probabilities(params), r_max - r_max // 2)
     out: dict[int, np.ndarray] = {}
     for r in range(1, r_max + 1):
@@ -483,20 +475,25 @@ def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> De
     joint: Y with its complementary insertions (T) and deleted runs (S)
     marked fixes the number of input runs, so it is exactly 0, and a dropped
     T or S entry makes it positive (a misplaced S entry does not).
+
+    Refuses n outside 0..8, and gamma outside (0, 1) as
+    :class:`~delinscap.core.MarkovSourceParams` does.
     """
-    if n > 8:
-        raise ValueError("decomposition check supports n <= 8")
+    if not 0 <= n <= 8:
+        raise ValueError(f"decomposition check supports 0 <= n <= 8, got {n}")
+    MarkovSourceParams(gamma)
 
     codes, probs = _active_actions(action_probabilities(params))
-    patterns = [pattern for digits in _digit_chunks(n, codes.size)
-                for pattern in zip(codes[digits].tolist(), probs[digits].prod(axis=1).tolist())]
+    # every action pattern on n bits, one row each, the first bit's action most significant
+    digits = np.arange(codes.size ** n)[:, None] // codes.size ** np.arange(n - 1, -1, -1) % codes.size
+    patterns = list(zip(codes[digits].tolist(), probs[digits].prod(axis=1).tolist()))
 
     joint: dict = defaultdict(float)
     run_count = []
     for xv in range(2 ** n):
         x = [(xv >> (n - 1 - j)) & 1 for j in range(n)]
         run_count.append(sum(x[j] != x[j - 1] for j in range(1, n)) + (n > 0))
-        px = 0.5
+        px = 0.5 if n else 1.0  # the empty input is certain
         for j in range(1, n):
             px *= gamma if x[j] == x[j - 1] else 1.0 - gamma
         for acts, pa in patterns:

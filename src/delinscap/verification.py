@@ -2,9 +2,11 @@
 
 Each suite returns a machine-readable verdict: a list of named checks with the
 measured figure, its tolerance, a pass flag, and the seconds spent on it;
-:func:`run_suite` adds the suite's name.
-The acceptance test module runs these same suites, so the tolerances below
-are the single source of truth for what this package promises numerically.
+:func:`run_suite` adds the suite's name.  Acceptance criteria 1, 3
+and 5-7 assert on the named checks of README's ``verify oracle --n-max 8``,
+``verify reductions`` and ``verify truncation`` reports, so these suites are
+the one computation behind them, and the tolerances below the single source
+of truth for what this package promises numerically.
 """
 
 from __future__ import annotations

@@ -1,23 +1,28 @@
 """Acceptance suite: one test per contract criterion, at the stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion.  Monte Carlo checks use fixed seeds and full-length (1e6) chains;
-the whole suite is budgeted to run in a few minutes.
+criterion.  Criteria 1, 3 and 5-7 assert on the named checks of a report of
+README's ``delinscap verify`` examples, the run that the CLI contract tests
+compare byte for byte; the suites in ``delinscap.verification`` are the one
+computation behind them.  Monte Carlo checks use fixed seeds and full-length
+(1e6) chains; the whole suite is budgeted to run in a few minutes.
 """
 
-import math
+import json
 
 import numpy as np
-import pytest
 
-from delinscap.core import ChannelParams, binary_entropy
+from delinscap.core import ChannelParams
 from delinscap import analytic_bounds as ab
 from delinscap import exact_oracle as oracle
-from delinscap import mc_estimator as mc
-from delinscap.gamma_optimizer import optimize_bound, sweep
+from delinscap.gamma_optimizer import sweep
 from delinscap import verification as ver
 
 import oracles
+
+ORACLE = "delinscap verify oracle --n-max 8"
+REDUCTIONS = "delinscap verify reductions"
+TRUNCATION = "delinscap verify truncation"
 
 
 def _announce(num: int, ok: bool, detail: str) -> None:
@@ -25,13 +30,22 @@ def _announce(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def test_criterion_1_cascade_equivalence():
-    worst_overall = 0.0
-    for d, i, a in ver.CASCADE_PARAMS:
-        worst = oracle.cascade_equivalence_check(8, ChannelParams(d=d, i=i, alpha=a))
-        worst_overall = max(worst_overall, worst)
-    _announce(1, worst_overall <= ver.TOL_CASCADE,
-              f"cascade equivalence over all 8-bit inputs, max gap {worst_overall:.3e} <= 1e-12")
+def _checks(readme_run, command: str, *prefixes: str) -> dict[str, dict]:
+    """The checks of ``command``'s report whose names start with one of
+    ``prefixes``, by name; at least one per prefix."""
+    checks = json.loads(readme_run(command)["stdout"])["checks"]
+    named = {c["name"]: c for c in checks if c["name"].startswith(prefixes)}
+    for prefix in prefixes:
+        assert any(name.startswith(prefix) for name in named), f"{command} reports no {prefix}* check"
+    return named
+
+
+def test_criterion_1_cascade_equivalence(readme_run):
+    checks = _checks(readme_run, ORACLE, "cascade_equivalence_").values()
+    ok = len(checks) == len(ver.CASCADE_PARAMS) and all(
+        c["passed"] and "all 8-bit inputs" in c["detail"] for c in checks)
+    worst = max(c["measured"] for c in checks)
+    _announce(1, ok, f"cascade equivalence over all 8-bit inputs, max gap {worst:.3e} <= 1e-12")
 
 
 def test_criterion_2_run_law_oracle():
@@ -49,14 +63,13 @@ def test_criterion_2_run_law_oracle():
               f"run-law enumeration vs closed laws for r <= 8, max gap {worst:.3e} <= 1e-12")
 
 
-def test_criterion_3_decomposition_identities():
-    del_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3))
-    di_chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
-    worst = max(del_chk.residual, di_chk.residual, del_chk.h_runs_given_y_aux, di_chk.h_runs_given_y_aux)
-    _announce(3, worst <= ver.TOL_DECOMP,
-              f"entropy decomposition residuals at n=6: deletion {del_chk.residual:.3e}, "
-              f"combined {di_chk.residual:.3e}; H(runs(X) | Y, T, S): deletion "
-              f"{del_chk.h_runs_given_y_aux:.3e}, combined {di_chk.h_runs_given_y_aux:.3e} <= 1e-10")
+def test_criterion_3_decomposition_identities(readme_run):
+    checks = _checks(readme_run, ORACLE, "decomposition_", "run_alignment_")
+    m = {name: c["measured"] for name, c in checks.items()}
+    _announce(3, all(c["passed"] for c in checks.values()),
+              f"entropy decomposition residuals at n={ver.DECOMP_N}: deletion {m['decomposition_deletion']:.3e}, "
+              f"combined {m['decomposition_delins']:.3e}; H(runs(X) | Y, T, S): deletion "
+              f"{m['run_alignment_deletion']:.3e}, combined {m['run_alignment_delins']:.3e} <= 1e-10")
 
 
 def test_criterion_4_monte_carlo_cross_checks():
@@ -65,30 +78,27 @@ def test_criterion_4_monte_carlo_cross_checks():
     _announce(4, report["passed"], f"analytic vs Monte Carlo at 1e6 steps: {detail}")
 
 
-def test_criterion_5_trivial_anchors():
-    res = optimize_bound("deletion", d=0.0)
-    ok = abs(res.bound_bits - 1.0) <= 1e-6 and abs(res.gamma_star - 0.5) <= 1e-3
-    for g in (0.5,):
-        ok &= abs(ab.lb1_insertion(0.0, 0.5, g).bound_bits - 1.0) <= 1e-6
-        ok &= abs(ab.lb2_insertion(0.0, 0.5, g).bound_bits - 1.0) <= 1e-6
-        ok &= abs(ab.lb_delins(0.0, 0.0, 0.7, g).bound_bits - 1.0) <= 1e-6
-    _announce(5, ok, f"identity-channel anchors all equal 1 (deletion gamma*={res.gamma_star})")
+def test_criterion_5_trivial_anchors(readme_run):
+    checks = _checks(readme_run, REDUCTIONS, "anchor_")
+    worst = max(c["measured"] for name, c in checks.items() if name != "anchor_deletion_d0_gamma")
+    _announce(5, all(c["passed"] for c in checks.values()),
+              f"identity-channel anchors all equal 1, max gap {worst:.3e} <= 1e-6 (deletion "
+              f"|gamma* - 0.5| = {checks['anchor_deletion_d0_gamma']['measured']:.3e} <= 1e-3)")
 
 
-def test_criterion_6_reduction_identities():
-    report = ver.verify_reductions()
-    checks = {c["name"]: c for c in report["checks"]}
+def test_criterion_6_reduction_identities(readme_run):
+    checks = _checks(readme_run, REDUCTIONS, "delins_reduces_")
     a = checks["delins_reduces_to_deletion"]
     b = checks["delins_reduces_to_insertion_lb2"]
-    ok = a["passed"] and b["passed"]
-    _announce(6, ok, f"combined-channel reductions over 5x5 grids: to deletion {a['measured']:.3e}, "
-                     f"to insertion LB2 {b['measured']:.3e} <= 1e-9")
+    _announce(6, all(c["passed"] for c in checks.values()),
+              f"combined-channel reductions over 5x5 grids: to deletion {a['measured']:.3e}, "
+              f"to insertion LB2 {b['measured']:.3e} <= 1e-9")
 
 
-def test_criterion_7_truncation_robustness():
-    report = ver.verify_truncation()
-    worst = max(c["measured"] for c in report["checks"])
-    _announce(7, report["passed"],
+def test_criterion_7_truncation_robustness(readme_run):
+    checks = _checks(readme_run, TRUNCATION, "truncation_").values()
+    worst = max(c["measured"] for c in checks)
+    _announce(7, all(c["passed"] for c in checks),
               f"doubling r_max and halving tail_epsilon moves bounds at most {worst:.3e} <= 1e-9")
 
 

@@ -95,6 +95,12 @@ class TestWorkedExamples:
         assert kept.pattern.dtype == np.int8 and bits_to_str(kept.y) == "0"
 
 
+def test_aux_sequences_need_one_more_s_entry_than_output_bits():
+    flags = np.zeros(3, dtype=np.uint8)
+    with pytest.raises(ValueError, match="one more entry"):
+        channel_sim.AuxSequences(i_flags=flags, t_flags=flags, s_counts=np.zeros(3, dtype=np.int64))
+
+
 class TestFlip:
     def test_all_zero_t(self):
         y = bits_from_str("0110")
@@ -136,9 +142,10 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment_with_deleted_runs(bits_from_str("00"), [0, 2, 0])
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            augment_with_deleted_runs(bits_from_str("01"), [0, 0])
+    @pytest.mark.parametrize("s,match", [([0, 0], r"len\(y\) \+ 1"), ([0, -1, 0], "non-negative")])
+    def test_malformed_s_rejected(self, s, match):
+        with pytest.raises(ValueError, match=match):
+            augment_with_deleted_runs(bits_from_str("01"), s)
 
     def test_empty_output(self):
         runs = augment_with_deleted_runs(np.zeros(0, np.uint8), [3])

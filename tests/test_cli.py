@@ -24,18 +24,12 @@ def _validate(payload, schema_name):
     jsonschema.validate(payload, _schema(schema_name))
 
 
-@pytest.fixture(scope="module")
-def readme_runs():
-    """Every README CLI example, run once through ``cli.main``."""
-    return {command: golden.run_cli(command) for command in golden.readme_commands()}
-
-
 class TestReadmeContract:
     """README's CLI examples print what ``golden_cli.jsonl`` holds, byte for byte."""
 
     @pytest.mark.parametrize("expected", golden.load(golden.CLI_PATH), ids=lambda r: r["command"])
-    def test_example_output_is_unchanged(self, expected, readme_runs):
-        assert golden.cli_record(readme_runs[expected["command"]]) == expected
+    def test_example_output_is_unchanged(self, expected, readme_run):
+        assert golden.cli_record(readme_run(expected["command"])) == expected
 
     def test_contract_lists_the_readme_commands(self):
         assert [r["command"] for r in golden.load(golden.CLI_PATH)] == golden.readme_commands()
@@ -245,17 +239,14 @@ class TestSimulateCommand:
 
 
 class TestVerifyCommand:
-    def test_reductions_suite(self, tmp_path):
-        out = tmp_path / "v.json"
-        assert main(["verify", "reductions", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+    @pytest.mark.parametrize("suite", ["oracle --n-max 8", "reductions", "truncation"])
+    def test_readme_suite_passes_and_times_each_check(self, suite, readme_run):
+        run = readme_run(f"delinscap verify {suite}")
+        assert run["exit"] == 0
+        payload = json.loads(run["stdout"])
         _validate(payload, "verification.schema.json")
         assert payload["passed"] is True
-
-    def test_truncation_suite(self, tmp_path):
-        out = tmp_path / "v.json"
-        assert main(["verify", "truncation", "--out", str(out)]) == 0
-        _validate(json.loads(out.read_text()), "verification.schema.json")
+        assert all(c["seconds"] >= 0.0 for c in payload["checks"])
 
     def test_mc_suite_report_shape(self, tmp_path):
         # short chains may miss the full-length tolerances; only the report
@@ -267,15 +258,6 @@ class TestVerifyCommand:
         assert code == (0 if payload["passed"] else 1)
         assert {c["name"] for c in payload["checks"]} >= {"hI_vs_limit", "hT_vs_limit",
                                                           "HS2_vs_series", "stationary_iy_tv"}
-
-    def test_oracle_suite_times_each_check(self, readme_runs):
-        run = readme_runs["delinscap verify oracle --n-max 8"]
-        assert run["exit"] == 0
-        payload = json.loads(run["stdout"])
-        _validate(payload, "verification.schema.json")
-        assert all(c["seconds"] >= 0.0 for c in payload["checks"])
-        cascade = [c["detail"] for c in payload["checks"] if c["name"].startswith("cascade_equivalence")]
-        assert cascade == ["max pointwise law gap over all 8-bit inputs"] * 3
 
     def test_oracle_detail_names_the_sampled_inputs(self):
         # up to 8 bits every input is checked; past that, 64 sampled with the seed

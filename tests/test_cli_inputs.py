@@ -54,9 +54,8 @@ def test_seed_reaches_the_sampled_cascade_check(monkeypatch):
     assert seeds == [(9, 5)] * len(ver.CASCADE_PARAMS) + [(9, 6)] * len(ver.CASCADE_PARAMS)
 
 
-def test_series_config_reaches_the_truncation_suite(tmp_path, monkeypatch, capsys):
-    assert main(["verify", "truncation"]) == 0
-    default = json.loads(capsys.readouterr().out)
+def test_series_config_reaches_the_truncation_suite(tmp_path, monkeypatch, capsys, readme_run):
+    default = json.loads(readme_run("delinscap verify truncation")["stdout"])
     cfg_file = tmp_path / "series.cfg"
     cfg_file.write_text("r_max_cap=8\ntail_epsilon=0.5\n")
     monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
@@ -79,11 +78,14 @@ def test_n_max_outside_the_cascade_check_is_a_usage_error(n_max, capsys):
         exact_oracle.cascade_equivalence_check(n_max, ChannelParams(d=0.1))
 
 
-def test_simulate_n_zero_is_a_usage_error(capsys):
+@pytest.mark.parametrize("flag,value,message", [("--n", "0", "--n must be at least 1"),
+                                                 ("--gamma", "1.0", "gamma=1.0 must lie strictly inside (0, 1)")])
+def test_simulate_input_out_of_range_is_a_usage_error(flag, value, message, capsys):
+    args = {"--gamma": "0.5", "--n": "10", flag: value}
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5", "--n", "0"])
+        main(["simulate", "--channel", "deletion", "--d", "0.1", *[x for kv in args.items() for x in kv]])
     assert exc.value.code == 2
-    assert "--n must be at least 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_series_config_line_without_equals_is_an_error(tmp_path, monkeypatch, capsys):

@@ -38,7 +38,7 @@ class TestBinaryEntropy:
         assert binary_entropy(0.25) == pytest.approx(expected, abs=1e-15)
         assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0, np.array([1.5]), np.array([0.5, -0.1])])
     def test_domain(self, p):
         with pytest.raises(ValueError):
             binary_entropy(p)
@@ -140,6 +140,8 @@ class TestRunSequenceContract:
         assert (from_array.num_runs, from_array.total_length) == (from_tuple.num_runs, from_tuple.total_length) == (5, 12)
         assert from_array != RunSequence(1, (4, 0, 0, 1, 7)) and from_array != RunSequence(0, (4, 0, 0, 1))
         assert len({from_array, from_tuple}) == 1
+        # a tuple of the same fields is not a sequence: __eq__ returns NotImplemented
+        assert (RunSequence(0, [1]) == (0, (1,))) is False
         decoded = from_runs(RunSequence(1, np.array([2, 1, 3], dtype=dtype)))
         assert decoded.tolist() == from_runs(RunSequence(1, (2, 1, 3))).tolist() == [1, 1, 0, 1, 1, 1]
 
@@ -161,8 +163,15 @@ class TestRunSequenceContract:
         for name, value in (("first_bit", 0), ("lengths", (5,))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(runs, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del runs.first_bit
         assert runs.lengths == (2, 1)
         assert copy.deepcopy(runs) == runs
+
+    @pytest.mark.parametrize("first_bit", [2, -1])
+    def test_first_bit_must_be_a_bit(self, first_bit):
+        with pytest.raises(ValueError, match=f"first_bit must be 0 or 1, got {first_bit}"):
+            RunSequence(first_bit, (1, 2))
 
     @pytest.mark.parametrize("lengths", [(1, 2.5), [1.0, 2.0], ((1, 2), (3, 4)), ("1", "2"), (2 ** 70,)])
     def test_non_integer_lengths_rejected(self, lengths):
@@ -251,6 +260,10 @@ class TestMarkovSource:
         for g in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
                 MarkovSourceParams(g)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_markov_sequence(MarkovSourceParams(0.5), -1, seed=1)
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     @pytest.mark.parametrize("gamma", [0.3, 0.9])

@@ -250,9 +250,11 @@ class TestExactRunLaw:
         table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=a))
         assert max(np.abs(table[r] - oracles.delins_run_law_row(r, d, i)).max() for r in table) <= 1e-12
 
-    def test_refuses_large_runs(self):
-        with pytest.raises(ValueError):
-            oracle.exact_run_law(11, ChannelParams(d=0.1))
+    @pytest.mark.parametrize("r_max", [11, -3])
+    def test_refuses_runs_outside_0_to_10(self, r_max):
+        # r_max = -3 returned {} once
+        with pytest.raises(ValueError, match="0 <= r_max <= 10"):
+            oracle.exact_run_law(r_max, ChannelParams(d=0.1))
 
 
 class TestDecomposition:
@@ -276,6 +278,18 @@ class TestDecomposition:
         chk = oracle.exact_decomposition_check(4, 0.5, ChannelParams())
         assert chk.residual == 0.0
         assert chk.h_aux_given_xy == 0.0
+
+    def test_empty_input_is_certain(self):
+        # the empty input started at probability 0.5 once, a mass error of 0.5
+        chk = oracle.exact_decomposition_check(0, 0.5, ChannelParams(d=0.3))
+        assert chk == oracle.DecompositionCheck(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n,gamma", [(9, 0.5), (-1, 0.5), (3, 1.5), (3, 0.0), (3, 1.0)])
+    def test_refuses_inputs_outside_its_domain(self, n, gamma):
+        # n = -1 raised a TypeError from range once, and gamma = 1.5 passed
+        # with a residual built from negative probabilities
+        with pytest.raises(ValueError, match=r"0 <= n <= 8|must lie strictly inside \(0, 1\)"):
+            oracle.exact_decomposition_check(n, gamma, ChannelParams(d=0.3))
 
     def test_conditioning_reduces_entropy(self):
         chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.3))
