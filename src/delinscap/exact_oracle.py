@@ -20,6 +20,15 @@ intermediate sequence some input reaches, one table per length, and
 gathers the (input, intermediate, output) triples of a block from those
 laws.  Strings are made only for the public return values.
 
+The run alignment check keys every (input, pattern) pair of one table by
+its (y, T, S).  The y key is the pattern's output key on the input.  The T
+key is its output key on the all-zero input: there a complement insertion
+writes "01" and a duplication "00", so the 1s of that output are T's.  The
+S key is the sum of (n + 1)**pos over the fully deleted runs, pos being the
+output length before the run's first bit, which is where the next
+survivor's output lands, or m after the last survivor; no S entry exceeds
+n, so the key is one-to-one.
+
 Probabilities of equal outputs are summed in plain double precision, and
 always in the same order.  ``np.bincount`` adds its weights one at a time
 in array order, so a key array laid out input by input, and within an
@@ -41,13 +50,9 @@ Inputs longer than :data:`MAX_ENUM_BITS` are refused outright.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ChannelParams, MarkovSourceParams, as_bits
+from .core import ChannelParams, as_bits
 from .channel_sim import Action, action_probabilities, insertion_stage_probabilities
 
 __all__ = [
@@ -59,9 +64,10 @@ __all__ = [
     "cascade_law",
     "cascade_equivalence_check",
     "exact_run_law",
-    "exact_decomposition_check",
+    "MAX_ALIGNMENT_BITS",
+    "run_alignment_check",
+    "aux_reference_mismatches",
     "reference_apply",
-    "DecompositionCheck",
 ]
 
 MAX_ENUM_BITS = 12
@@ -70,6 +76,9 @@ MAX_ENUM_BITS = 12
 MAX_CASCADE_BITS = 10
 MAX_EXHAUSTIVE_BITS = 8
 CASCADE_SAMPLE = 64
+# longest input of the run alignment check, which holds the keys of all
+# 2**n * 4**n (input, pattern) pairs at once: a 24 MiB peak at n = 6, x8 per bit
+MAX_ALIGNMENT_BITS = 6
 
 # Output fragment of each action, indexed by action code: its length, and
 # its key (see below) on input bit b = 0, 1 (rows).  DELETE -> "", KEEP -> "b",
@@ -377,6 +386,48 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     return out
 
 
+def _aux_keys(n: int, probs4: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (y, T, S) keys of every (input, pattern) pair on ``n`` bits, a
+    (3, 2**n, patterns) array; the run count of each input; and the action
+    codes of each pattern, a (patterns, n) array, in the table's order."""
+    if not 0 <= n <= MAX_ALIGNMENT_BITS:
+        raise ValueError(f"run alignment check supports 0 <= n <= {MAX_ALIGNMENT_BITS}, got {n}")
+    table = _pattern_table(n, probs4)
+    xs = np.arange(1 << n)
+    y = np.concatenate([k for k, _ in table.outputs(xs)], axis=1)
+    t = np.concatenate([k for k, _ in table.outputs(xs[:1])], axis=1)  # on the all-zero input
+    codes, _ = _active_actions(probs4)
+    actions = codes[np.arange(table.size)[:, None] // codes.size ** np.arange(n - 1, -1, -1) % codes.size]
+    pos = np.zeros((table.size, n + 1), dtype=np.int64)  # output length before each bit
+    np.cumsum(_FRAG_LEN[actions], axis=1, out=pos[:, 1:])
+    weight = (n + 1) ** pos
+    bits = (xs[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    # edge[:, j]: a run starts at bit j (j < n) or ends at bit j - 1 (j > 0)
+    edge = np.diff(np.pad(bits, ((0, 0), (1, 1)), constant_values=2), axis=1) != 0
+    s = np.zeros(y.shape, dtype=np.int64)
+    survived = np.zeros(y.shape, dtype=bool)  # some bit of the current run has survived
+    for j in range(n):
+        survived = (survived & ~edge[:, j, None]) | (pos[:, j + 1] > pos[:, j])
+        s += np.where(edge[:, j + 1, None] & ~survived, weight[:, j + 1], 0)
+    return np.stack((y, np.broadcast_to(t, y.shape), s)), edge[:, :n].sum(axis=1), actions
+
+
+def run_alignment_check(n: int, params: ChannelParams) -> int:
+    """How many (y, T, S) keys of the ``n``-bit inputs, under the patterns of
+    positive probability under ``params``, are reached from two input run
+    counts, each key counted once per run count beyond its first.
+
+    The paper's decoder recovers the input runs from Y with T and S marked,
+    so this is 0: H(runs(X) | Y, T, S) = 0 for a Markov input of any gamma
+    in (0, 1).  A dropped T or S entry makes it positive.  Refuses n outside
+    0..:data:`MAX_ALIGNMENT_BITS`."""
+    keys, runs, _ = _aux_keys(n, action_probabilities(params))
+    rows = np.vstack((keys.reshape(3, -1), np.broadcast_to(runs[:, None], keys.shape[1:]).reshape(1, -1)))
+    rows = rows[:, np.lexsort(rows[::-1])]  # by key, then by run count
+    step = rows[:, 1:] != rows[:, :-1]
+    return int((step[3] & ~step[:3].any(axis=0)).sum())
+
+
 # ---------------------------------------------------------------------------
 # pure-Python reference channel semantics (kept independent of channel_sim)
 # ---------------------------------------------------------------------------
@@ -386,8 +437,11 @@ def reference_apply(x: list[int], actions: list[int]) -> tuple[list[int], list[i
 
     Independent re-implementation of the channel bookkeeping used by the
     enumeration checks, so the fast simulator can be validated against it.
+    A pattern whose length is not the input's is a ``ValueError``.
     """
     n = len(x)
+    if len(actions) != n:
+        raise ValueError("pattern length must equal input length")
     y: list[int] = []
     i_fl: list[int] = []
     t_fl: list[int] = []
@@ -435,81 +489,20 @@ def reference_apply(x: list[int], actions: list[int]) -> tuple[list[int], list[i
     return y, i_fl, t_fl, s
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """The terms of one exact entropy-decomposition identity, its residual,
-    and H(runs(X) | Y, aux) (:func:`exact_decomposition_check`)."""
-
-    residual: float
-    mass_error: float
-    h_x_given_y: float
-    h_x_aux_given_y: float
-    h_aux_given_xy: float
-    h_runs_given_y_aux: float
-
-
-def _cond_entropy(joint: dict, group) -> float:
-    by: dict = defaultdict(list)
-    for k, p in joint.items():
-        if p > 0.0:
-            by[group(k)].append(p)
-    pieces = []
-    for ps in by.values():
-        pg = math.fsum(ps)
-        pieces.extend(p * math.log2(pg / p) for p in ps)
-    return math.fsum(pieces)
-
-
-def exact_decomposition_check(n: int, gamma: float, params: ChannelParams) -> DecompositionCheck:
-    """Exact residual of the auxiliary-sequence entropy decomposition.
-
-    Builds the full joint of (Markov input, action pattern), marginalizes to
-    (X, Y, aux) where aux is (T, S), which is S alone for the deletion
-    channel (T is then all zeros) and T alone for the insertion channel (S is
-    then all zeros), and evaluates both sides of
-
-        H(X | Y) = H(X, aux | Y) - H(aux | X, Y)
-
-    by direct grouping.  That is the chain rule, 0 for any aux, so what
-    checks the auxiliary sequences is H(runs(X) | Y, aux) from the same
-    joint: Y with its complementary insertions (T) and deleted runs (S)
-    marked fixes the number of input runs, so it is exactly 0, and a dropped
-    T or S entry makes it positive (a misplaced S entry does not).
-
-    Refuses n outside 0..8, and gamma outside (0, 1) as
-    :class:`~delinscap.core.MarkovSourceParams` does.
-    """
-    if not 0 <= n <= 8:
-        raise ValueError(f"decomposition check supports 0 <= n <= 8, got {n}")
-    MarkovSourceParams(gamma)
-
-    codes, probs = _active_actions(action_probabilities(params))
-    # every action pattern on n bits, one row each, the first bit's action most significant
-    digits = np.arange(codes.size ** n)[:, None] // codes.size ** np.arange(n - 1, -1, -1) % codes.size
-    patterns = list(zip(codes[digits].tolist(), probs[digits].prod(axis=1).tolist()))
-
-    joint: dict = defaultdict(float)
-    run_count = []
-    for xv in range(2 ** n):
+def aux_reference_mismatches(n: int, params: ChannelParams) -> int:
+    """How many (input, pattern) pairs on ``n`` bits, under the patterns of
+    positive probability under ``params``, have table (y, T, S) keys that
+    differ from those of :func:`reference_apply`, one pair at a time in
+    pure Python.  Unlike :func:`run_alignment_check`, this sees an ``S``
+    entry misplaced the same way every time.  Refuses n outside
+    0..:data:`MAX_ALIGNMENT_BITS`."""
+    keys, _, actions = _aux_keys(n, action_probabilities(params))
+    actions = actions.tolist()
+    mismatches = 0
+    for xv, table_keys in enumerate(keys.transpose(1, 2, 0).tolist()):
         x = [(xv >> (n - 1 - j)) & 1 for j in range(n)]
-        run_count.append(sum(x[j] != x[j - 1] for j in range(1, n)) + (n > 0))
-        px = 0.5 if n else 1.0  # the empty input is certain
-        for j in range(1, n):
-            px *= gamma if x[j] == x[j - 1] else 1.0 - gamma
-        for acts, pa in patterns:
-            y, i_fl, t_fl, s = reference_apply(x, acts)
-            joint[(xv, tuple(y), (tuple(t_fl), tuple(s)))] += px * pa
-
-    mass_error = abs(math.fsum(joint.values()) - 1.0)
-    xy: dict = defaultdict(float)
-    runs: dict = defaultdict(float)  # (run count of x, y, aux)
-    for (xv, y, aux), p in joint.items():
-        xy[(xv, y)] += p
-        runs[(run_count[xv], y, aux)] += p
-
-    h_x_given_y = _cond_entropy(xy, lambda k: k[1])
-    h_xaux_given_y = _cond_entropy(joint, lambda k: k[1])
-    h_aux_given_xy = _cond_entropy(joint, lambda k: (k[0], k[1]))
-    residual = abs(h_x_given_y - (h_xaux_given_y - h_aux_given_xy))
-    return DecompositionCheck(residual, mass_error, h_x_given_y, h_xaux_given_y, h_aux_given_xy,
-                              _cond_entropy(runs, lambda k: (k[1], k[2])))
+        for acts, key in zip(actions, table_keys):
+            y, _, t, s = reference_apply(x, acts)
+            ref = [int("".join(map(str, [1, *bits])), 2) - 1 for bits in (y, t)]  # 2**len - 1 + value
+            mismatches += key != ref + [sum(c * (n + 1) ** k for k, c in enumerate(s))]
+    return mismatches

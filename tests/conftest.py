@@ -12,8 +12,3 @@ def readme_run():
     the same run of a README command; they must not change the result."""
     return functools.cache(golden.run_cli)
 
-
-def pytest_collection_modifyitems(items):
-    # the acceptance criteria go last: they read the verification reports
-    # that the CLI contract tests have run by then
-    items.sort(key=lambda item: item.path.name == "test_acceptance.py")

@@ -3,7 +3,6 @@ and the series configuration of every verify suite."""
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -36,19 +35,14 @@ def test_suite_names_agree_with_the_schema_and_the_parser():
 
 
 def test_seed_reaches_the_sampled_cascade_check(monkeypatch):
-    # past 8 bits the cascade check samples 64 inputs from its seed; the
-    # decomposition identities, whose cost dominates the suite, do not read it
+    # past 8 bits the cascade check samples 64 inputs from its seed
     seeds = []
 
     def cascade(n, params, seed=0):
         seeds.append((n, seed))
         return 0.0
 
-    def decomposition(n, gamma, params):
-        return SimpleNamespace(residual=0.0, mass_error=0.0, h_runs_given_y_aux=0.0)
-
     monkeypatch.setattr(exact_oracle, "cascade_equivalence_check", cascade)
-    monkeypatch.setattr(exact_oracle, "exact_decomposition_check", decomposition)
     for seed in ("5", "6"):
         assert main(["verify", "oracle", "--n-max", "9", "--seed", seed]) == 0
     assert seeds == [(9, 5)] * len(ver.CASCADE_PARAMS) + [(9, 6)] * len(ver.CASCADE_PARAMS)

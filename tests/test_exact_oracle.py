@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from delinscap.core import ChannelParams, as_bits
 from delinscap.channel_sim import action_probabilities
 from delinscap import exact_oracle as oracle
+from delinscap import verification as ver
 
 import oracles
 
@@ -257,60 +258,59 @@ class TestExactRunLaw:
             oracle.exact_run_law(r_max, ChannelParams(d=0.1))
 
 
-class TestDecomposition:
-    def test_deletion_identity(self):
-        chk = oracle.exact_decomposition_check(6, 0.5, ChannelParams(d=0.3))
-        assert chk.residual <= 1e-10
-        assert chk.mass_error <= 1e-12
-        assert chk.h_runs_given_y_aux == 0.0
+class TestRunAlignment:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 4), channel_params())
+    @example(0, ChannelParams(d=0.3))
+    @example(4, ChannelParams())
+    def test_keys_match_the_reference_and_fix_the_run_count(self, n, params):
+        assert oracle.aux_reference_mismatches(n, params) == 0
+        assert oracle.run_alignment_check(n, params) == 0
 
-    def test_delins_identity(self):
-        chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8))
-        assert chk.residual <= 1e-10
-        assert chk.h_runs_given_y_aux == 0.0
+    @pytest.mark.parametrize("check", [oracle.run_alignment_check, oracle.aux_reference_mismatches])
+    @pytest.mark.parametrize("n", [oracle.MAX_ALIGNMENT_BITS + 1, -1])
+    def test_refuses_n_outside_its_domain(self, check, n):
+        with pytest.raises(ValueError, match=f"0 <= n <= {oracle.MAX_ALIGNMENT_BITS}"):
+            check(n, ChannelParams(d=0.3))
 
-    def test_insertion_identity(self):
-        chk = oracle.exact_decomposition_check(5, 0.6, ChannelParams(i=0.25, alpha=0.7))
-        assert chk.residual <= 1e-10
-        assert chk.h_runs_given_y_aux == 0.0
+    @pytest.mark.parametrize("params,dropped", [(ChannelParams(d=0.3), 2),
+                                                (ChannelParams(i=0.25, alpha=0.7), 1),
+                                                (ChannelParams(d=0.15, i=0.15, alpha=0.8), 2)])
+    def test_dropped_aux_entries_leave_the_run_count_open(self, params, dropped, monkeypatch):
+        # with S dropped (T for the insertion channel, whose S is all zeros)
+        # Y and the other sequence no longer fix the run count
+        aux_keys = oracle._aux_keys
 
-    def test_identity_channel_degenerate(self):
-        chk = oracle.exact_decomposition_check(4, 0.5, ChannelParams())
-        assert chk.residual == 0.0
-        assert chk.h_aux_given_xy == 0.0
+        def without(n, probs4):
+            keys, runs, actions = aux_keys(n, probs4)
+            keys[dropped] = 0
+            return keys, runs, actions
 
-    def test_empty_input_is_certain(self):
-        # the empty input started at probability 0.5 once, a mass error of 0.5
-        chk = oracle.exact_decomposition_check(0, 0.5, ChannelParams(d=0.3))
-        assert chk == oracle.DecompositionCheck(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(oracle, "_aux_keys", without)
+        assert oracle.run_alignment_check(6, params) > 0
 
-    @pytest.mark.parametrize("n,gamma", [(9, 0.5), (-1, 0.5), (3, 1.5), (3, 0.0), (3, 1.0)])
-    def test_refuses_inputs_outside_its_domain(self, n, gamma):
-        # n = -1 raised a TypeError from range once, and gamma = 1.5 passed
-        # with a residual built from negative probabilities
-        with pytest.raises(ValueError, match=r"0 <= n <= 8|must lie strictly inside \(0, 1\)"):
-            oracle.exact_decomposition_check(n, gamma, ChannelParams(d=0.3))
-
-    def test_conditioning_reduces_entropy(self):
-        chk = oracle.exact_decomposition_check(5, 0.5, ChannelParams(d=0.3))
-        assert chk.h_x_aux_given_y >= chk.h_x_given_y >= 0.0
-
-    @pytest.mark.parametrize("gamma,params", [(0.5, ChannelParams(d=0.3)),
-                                              (0.5, ChannelParams(d=0.15, i=0.15, alpha=0.8)),
-                                              (0.6, ChannelParams(i=0.25, alpha=0.7))])
-    def test_dropped_aux_entries_leave_the_run_count_open(self, gamma, params, monkeypatch):
-        # the residual is the chain rule, 0 for any aux; the run count is
-        # not: with S dropped (T for the insertion channel, whose S is all
-        # zeros) Y and aux no longer fix it
+    def test_misplaced_deleted_runs_fail_the_oracle_suite(self, monkeypatch):
+        # the runs deleted after the last survivor counted in S[0]: every
+        # input still has one key per run count, so only the comparison with
+        # the reference sees it
         reference_apply = oracle.reference_apply
 
-        def dropped(x, actions):
+        def misplaced(x, actions):
             y, i_fl, t_fl, s = reference_apply(x, actions)
-            if params.d:
-                return y, i_fl, t_fl, [0] * len(s)
-            return y, i_fl, [0] * len(t_fl), s
+            return y, i_fl, t_fl, [s[0] + s[-1]] + s[1:-1] + [0] if y else s
 
-        monkeypatch.setattr(oracle, "reference_apply", dropped)
-        chk = oracle.exact_decomposition_check(5, gamma, params)
-        assert chk.residual <= 1e-10
-        assert chk.h_runs_given_y_aux > 0.1
+        monkeypatch.setattr(oracle, "reference_apply", misplaced)
+        params = ChannelParams(d=0.15, i=0.15, alpha=0.8)
+        assert all(oracle.aux_reference_mismatches(n, params) > 0 for n in (2, 3, 4))
+        assert oracle.run_alignment_check(6, params) == 0
+        report = ver.verify_oracle(n_max=4)
+        assert not report["passed"]
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == \
+            {"aux_vs_reference_deletion", "aux_vs_reference_delins"}
+
+    @pytest.mark.parametrize("x,actions", [([0, 1], [1]), ([0], [1, 1])])
+    def test_reference_refuses_a_pattern_of_another_length(self, x, actions):
+        # the first returned S = [0, 1], a deleted run where nothing was
+        # deleted, once; the second raised an IndexError
+        with pytest.raises(ValueError, match="pattern length must equal input length"):
+            oracle.reference_apply(x, actions)
