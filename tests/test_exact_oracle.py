@@ -267,6 +267,40 @@ class TestRunAlignment:
         assert oracle.aux_reference_mismatches(n, params) == 0
         assert oracle.run_alignment_check(n, params) == 0
 
+    @pytest.mark.parametrize("params", [ChannelParams(d=0.3), ChannelParams(i=0.25, alpha=0.7),
+                                        ChannelParams(d=0.15, i=0.15, alpha=0.8)],
+                             ids=["deletion", "insertion", "delins"])
+    def test_each_channel_fixes_the_run_count_at_the_largest_n(self, params):
+        # the property test stops at n = 4, and verify oracle runs no
+        # insertion-only channel
+        assert oracle.run_alignment_check(oracle.MAX_ALIGNMENT_BITS, params) == 0
+
+    def test_identity_channel_keys_are_the_input(self):
+        keys, runs, actions = oracle._aux_keys(3, action_probabilities(ChannelParams()))
+        assert actions.tolist() == [[1, 1, 1]]
+        assert keys[0, :, 0].tolist() == [7 + x for x in range(8)]  # 2**3 - 1 + x
+        assert (keys[1] == 7).all() and (keys[2] == 0).all()
+        assert runs.tolist() == [1, 2, 3, 2, 2, 3, 2, 1]
+
+    def test_empty_input_has_one_key(self):
+        keys, runs, actions = oracle._aux_keys(0, action_probabilities(ChannelParams(d=0.3)))
+        assert keys.tolist() == [[[0]], [[0]], [[0]]]
+        assert runs.tolist() == [0] and actions.shape == (1, 0)
+
+    @pytest.mark.parametrize("params,row", [(ChannelParams(d=0.3), "T"),
+                                            (ChannelParams(i=0.25, alpha=0.7), "S")])
+    def test_the_absent_edit_leaves_its_key_empty(self, params, row):
+        # without insertions T is all zeros, 2**len(y) - 1; without
+        # deletions no run is fully deleted, so S is 0
+        keys, _, _ = oracle._aux_keys(5, action_probabilities(params))
+        y, t, s = (k.ravel().tolist() for k in keys)
+        if row == "T":
+            assert t == [(1 << ((v + 1).bit_length() - 1)) - 1 for v in y]
+            assert any(s)
+        else:
+            assert not any(s)
+            assert len(set(t)) > 1
+
     @pytest.mark.parametrize("check", [oracle.run_alignment_check, oracle.aux_reference_mismatches])
     @pytest.mark.parametrize("n", [oracle.MAX_ALIGNMENT_BITS + 1, -1])
     def test_refuses_n_outside_its_domain(self, check, n):
