@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .core import ChannelParams, MarkovSourceParams, bits_to_str
+from .core import ChannelParams, MarkovSourceParams, _check_gamma, bits_to_str
 from .channel_sim import Action, augment_with_deleted_runs, flip_complementary
 from .exact_oracle import MAX_CASCADE_BITS
 from . import analytic_bounds as ab, mc_estimator as mc
@@ -149,7 +149,7 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
     try:
         params = ChannelParams(**flags)
         if args.gamma is not None:
-            ab._check_gamma(args.gamma)
+            _check_gamma(args.gamma)
     except ValueError as exc:
         parser.error(str(exc))
     cfg = load_series_config()

@@ -47,6 +47,12 @@ GAMMA_MIN = 1e-6
 GAMMA_MAX = 1.0 - 1e-6
 
 
+def _check_gamma(gamma: float) -> None:
+    """Reject a gamma outside [GAMMA_MIN, GAMMA_MAX], past which the kernels fail."""
+    if not GAMMA_MIN <= gamma <= GAMMA_MAX:
+        raise ValueError(f"gamma={gamma} must lie in [{GAMMA_MIN}, {GAMMA_MAX}]")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Edit-channel parameters (d, i, alpha).

@@ -37,8 +37,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .analytic_bounds import _BOUNDS, BoundGrid, BoundResult, SeriesConfig, _row_table_size
+from .analytic_bounds import _BOUNDS, BoundGrid, BoundResult, SeriesConfig
 from .core import GAMMA_MAX, GAMMA_MIN, ChannelParams
+from .run_length import ROWS
 
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
            "channel_bounds", "best_key", "sweep"]
@@ -180,7 +181,7 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
             "argmax %r; bracket [%r, %r]; the row-bounded ceiling skipped %d chunks and %d probes; "
             "row table %d rows",
             gammas.size - sum(skipped), sum(skipped), len(grid.chunks) - len(skipped), len(skipped), grid_g,
-            *bracket, getattr(grid, "row_skips", 0), probe_skips, _row_table_size())
+            *bracket, getattr(grid, "row_skips", 0), probe_skips, ROWS.size)
     return best_g, best_v
 
 

@@ -1,0 +1,499 @@
+"""The run-length term of the bounds and its truncation policy.  The entropy
+H(L_X | L_out) of an input run's length given its output length sums its
+joint law over input run lengths up to r_max, by one formula whether gamma
+is a float or a chunk of an array (:class:`_RunLawChunk`):
+p @ H + (H(L_X) - H(L_out)), with p the run-length weights.  The row
+entropies H = H(L_out | L_X = r) do not depend on gamma, so they are
+tabulated once per per-bit step law, a block of rows per matrix product from
+a trimmed base row, and reused by every gamma of a search (:data:`ROWS`);
+the truncated H(L_X) = -sum_r p_r log2 p_r is a geometric sum in closed
+form, and H(L_out) a closed form of the law's generating function.  The
+truncation point is chosen from ``SeriesConfig.tail_epsilon``, and the term
+carries a conservative closed-form bound on the discarded mass's entropy
+contribution, the mass trimmed from the row table included.  The row
+entropies never decrease in r, so the rows already built also bound the term
+from below at any r_max, by one proof for a float and an array alike: the
+gamma search uses that to skip points before the table grows
+(:class:`~.analytic_bounds.BoundGrid`).  What a grid's chunks need of its
+gammas and the :class:`SeriesConfig` alone is one plan, kept per (``cfg``,
+gammas) (:class:`_GridPlan`).
+
+The binomial double series of the printed deletion run-length form
+(:func:`closed_form_HLXLY`) is summed as
+sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))): its m h(d) part in closed
+form, its binomial entropies read from the same row table.
+"""
+
+import functools
+import math
+import operator
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+from .core import ChannelParams, EntropyTerm, _check_gamma, binary_entropy, xlog2
+
+
+@dataclass(frozen=True)
+class SeriesConfig:
+    """Truncation policy for the infinite sums.
+
+    ``tail_epsilon`` is the geometric-ratio threshold at which a series is
+    cut, a number in (0, 1); ``r_max_cap`` is a hard cap on the run-length
+    truncation index, an integer of at least 8 (the fewest rows a run-length
+    term takes; a numpy integer is accepted, a bool or a float is not).
+    Doubling ``r_max_cap`` and halving ``tail_epsilon`` must not move any
+    reported value by more than its ``truncation_error`` (tested).
+    """
+
+    tail_epsilon: float = 1e-12
+    r_max_cap: int = 10_000
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tail_epsilon < 1.0:  # NaN included
+            raise ValueError(f"tail_epsilon={self.tail_epsilon} must lie strictly inside (0, 1)")
+        try:
+            cap = 0 if isinstance(self.r_max_cap, bool) else operator.index(self.r_max_cap)
+        except TypeError:  # a float, or no number at all
+            cap = 0
+        if cap < 8:
+            raise ValueError(f"r_max_cap={self.r_max_cap!r} must be an integer of at least 8")
+        object.__setattr__(self, "r_max_cap", cap)
+
+
+def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
+    r = int(math.ceil(math.log(cfg.tail_epsilon) / math.log(gamma)))
+    return max(8, min(cfg.r_max_cap, r))
+
+
+_LOG2E = math.log2(math.e)
+# Rows advanced by one block product, and the entry below which the tails of
+# a row are dropped before it seeds the next block.
+_ROW_BLOCK = 16
+_ROW_TRIM = 1e-30
+# Cap on a grid chunk's G x (2 r_max + 1) (twice its p_r matrix), and on a block of the H(L_out) series.
+_CHUNK_CELLS = 4096
+# Smallest normal double: zero entries are clipped to it before the log, so
+# they contribute exactly 0 to an entropy.
+_TINY = np.finfo(float).tiny
+# The printed run-length form's series reads at most _HLXLY_M_CAP rows.
+_HLXLY_M_CAP = 20_000
+
+
+class _RowTable:
+    """The rows of the most recent step law (:meth:`entropies`); :data:`ROWS`
+    is the one table.  Its state (kernel, its powers, last row, H, lost mass)
+    is replaced whole, never mutated, so a reader never sees a kernel paired
+    with another kernel's rows."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every row, as at import."""
+        self._state = (None, None, np.ones(1), np.zeros(0), np.zeros(0))
+
+    @property
+    def size(self) -> int:
+        """Rows held now, a multiple of _ROW_BLOCK."""
+        return self._state[3].size
+
+    def held(self, kernel: tuple[float, ...]) -> np.ndarray:
+        """H(row_r) for the rows held of ``kernel``: none unless it is the most recent step law."""
+        key, _, _, h, _ = self._state
+        return h if key == kernel else h[:0]
+
+    def entropies(self, kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, float]:
+        """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
+        convolution of ``kernel``, and the mass missing from row_r_max.
+
+        The table is kept for one kernel and grown on demand, _ROW_BLOCK = B rows
+        per step.  From the base row row_r0, r0 a multiple of B,
+        row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B, the
+        B x (M + 1) matrix whose rows are kernel^{*1..B}, kept with the rows,
+        times the (M + 1) x n window matrix, whose row t is the base row shifted
+        by t, gives the next B rows in one product, and one log2 over the
+        product gives their B entropies.  Every term is non-negative, so
+        rounding stays relative.  Blocks start at fixed r, so a grown table is
+        bit-identical to one built cold.
+
+        Per block the loop does little besides the product and the logs: the
+        window is copied from one strided view (strides -1 and +1 cells) into
+        the zero-padded base row, made when the buffers grow, and the trim ends
+        are two argmax calls.
+
+        A row is trimmed at both ends to its entries >= _ROW_TRIM before it seeds
+        the next block.  The kernel powers sum to one, so every row of that block
+        misses exactly the mass D dropped so far; with row_r on at most
+        2 r_max + 1 cells, H(row_r) then moves by at most
+        D (log2(2 r_max + 1) - log2 D + log2 e) (:func:`_trim_bound`).
+        """
+        key, powers, row, h, lost = self._state
+        if key != kernel:  # a new step law: row j of ``powers`` is kernel^{*(j+1)}, zero-padded
+            powers, power = np.zeros((_ROW_BLOCK, (len(kernel) - 1) * _ROW_BLOCK + 1)), np.ones(1)
+            for j in range(_ROW_BLOCK):
+                power = np.convolve(power, kernel)
+                powers[j, :power.size] = power
+            powers.flags.writeable = False
+            row, h, lost = np.ones(1), np.zeros(0), np.zeros(0)
+        if h.size < r_max:
+            pad = powers.shape[1] - 1
+            start = h.size
+            dropped = float(lost[-1]) if start else 0.0
+            grown = -(-(r_max - start) // _ROW_BLOCK) * _ROW_BLOCK
+            h, lost = np.concatenate([h, np.empty(grown)]), np.concatenate([lost, np.empty(grown)])
+            cap = 0
+            for r0 in range(start, start + grown, _ROW_BLOCK):
+                keep = row >= _ROW_TRIM
+                lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
+                dropped += float(row[:lo].sum() + row[hi:].sum())
+                m = hi - lo
+                n = m + pad
+                if n > cap:  # reused, and grown by a quarter at a time, to keep the heap flat
+                    cap = n + n // 4
+                    # the window, then the B rows of logs
+                    window_buf = np.empty(max(pad + 1, _ROW_BLOCK) * cap)
+                    rows_buf = np.empty(_ROW_BLOCK * cap)
+                    padded = np.zeros(cap + pad)  # its first pad cells stay zero
+                    # row t of ``shifted`` starts pad - t cells into ``padded``:
+                    # the base row shifted by t
+                    shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
+                padded[pad:pad + m] = row[lo:hi]
+                padded[pad + m:pad + n] = 0.0
+                window = window_buf[:(pad + 1) * n].reshape(pad + 1, n)
+                np.copyto(window, shifted[:, :n])
+                rows = np.matmul(powers, window, out=rows_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
+                logs = np.maximum(rows, _TINY, out=window_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
+                np.log2(logs, out=logs)
+                logs *= rows
+                h[r0:r0 + _ROW_BLOCK] = -logs.sum(axis=1)
+                lost[r0:r0 + _ROW_BLOCK] = dropped
+                row = rows[-1]
+            self._state = (kernel, powers, row.copy(), h, lost)
+        return h[:r_max], float(lost[r_max - 1])
+
+
+ROWS = _RowTable()
+
+
+def _output_length_entropy(gamma, step: tuple[float, float, float], s_max):
+    """Entropy in bits of P(L_out = s), s = 0..s_max, of a geometric run
+    whose bits add 0, 1 or 2 output bits with probabilities ``step`` =
+    (d, 1-d-i, i); gamma and ``s_max`` are scalars or 1-D arrays.
+
+    With 1 - gamma phi(z) = c0 (1 - a z)(1 - b z), phi(z) = d + (1-d-i) z +
+    i z**2, c0 = 1 - gamma d, a > 0 >= b, P(0) = (1-gamma) d / c0 and
+    P(s) = K (a**m - b**m), m = s + 1, K = (1-gamma) / (gamma c0 (a - b)).
+    So H = -P(0) log2 P(0) - log2 K M0 - log2 a M1 - C: M0, M1 (mass and
+    first moment in m of s = 1..s_max) are the whole law's less geometric
+    tails from m = s_max + 2; C = sum K a**m (1 - t**m) log2(1 - t**m),
+    t = b / a, is 0 at i = 0, else summed until the bound 2 K |b|**m /
+    (1 - |b|) on the rest is below 1e-18, at most to s_max + 1.  1 - a =
+    (1-gamma) / (c0 (1 - b)), b = -(gamma i / c0) / a and log a =
+    -log1p((1 - a) / a) keep their relative precision; 1 - t**m =
+    -expm1(m log|t|) at even m is exactly 0 at d + i = 1 (t = -1); 0 log 0
+    is 0.  The tails would cancel at small s_max, which s_max >= 16 avoids.
+    """
+    d, keep, i = step
+    array = isinstance(gamma, np.ndarray)
+    xp = np if array else math
+    gb, c0 = 1.0 - gamma, 1.0 - gamma * d
+    q, g_c, mass = gamma / c0, gb / c0, (1.0 - d) / c0  # mass = P(L_out >= 1)
+    a_plus_b = keep * q
+    a_minus_b = xp.sqrt(a_plus_b * a_plus_b + 4.0 * i * q) if i > 0.0 else a_plus_b
+    a = (a_plus_b + a_minus_b) * 0.5 if i > 0.0 else a_plus_b
+    b = -i * q / a if i > 0.0 else 0.0
+    u = g_c / (1.0 - b)  # 1 - a
+    log_a = -xp.log1p(u / a)  # log a, from 1 / a = 1 + u / a
+    k = g_c / (gamma * a_minus_b)
+    n = s_max + 2  # the first m past the sum
+    tail0 = xp.exp(n * log_a) / u  # sum a**m over m >= n
+    tail1 = tail0 * (n + a / u)  # sum m a**m
+    b_tail0 = b ** n / (1.0 - b) if i > 0.0 else 0.0
+    tail0, tail1 = tail0 - b_tail0, tail1 - b_tail0 * (n + b / (1.0 - b))
+    h = (k * tail0 - mass) * xp.log2(k) + (k * tail1 - mass - (1.0 - d + i) / gb) * (_LOG2E * log_a)
+    h = h - g_c * d * (xp.log2(g_c) + math.log2(d)) if d > 0.0 else h  # P(0) log2 P(0), 0 if it underflows
+    if i == 0.0:
+        return h
+    if not array:  # b = 0 where i underflows against a: no terms; with terms, |t| is well above 0
+        top = min(math.ceil(math.log(1e-18 * (1.0 + b) / (2.0 * k)) / math.log(-b or _TINY)) - 1, s_max + 1)
+        log_t = math.log1p(-a_plus_b / a) if top >= 2 else 0.0
+        if top > 40:
+            return h - k * float(_series_terms(log_t, log_a, np.arange(2.0, top + 1.0)).sum())
+        for m in range(2, top + 1):  # a short series costs less as a loop than as numpy calls
+            w = 1.0 + math.exp(m * log_t) if m % 2 else -math.expm1(m * log_t)
+            h -= k * math.exp(m * log_a) * w * math.log2(w) if w > 0.0 else 0.0
+        return h
+    with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms
+        last = np.minimum(np.ceil(np.log(1e-18 * (1.0 + b) / (2.0 * k)) / np.log(-b)) - 1.0, s_max + 1)
+        log_t = np.log1p(-a_plus_b / a)
+    # Fixed column blocks, 16 wide then doubling up to _CHUNK_CELLS, each over
+    # the rows it reaches in groups of at most _CHUNK_CELLS cells: the
+    # temporaries stay small, and each gamma's bits do not depend on the others.
+    series, m0, width, top = np.zeros(gamma.shape), 2, 16, last.max()
+    while m0 <= top:
+        m, rows, n = np.arange(m0, m0 + width, dtype=float), np.flatnonzero(last >= m0), _CHUNK_CELLS // width
+        for sel in (rows[r:r + n] for r in range(0, rows.size, n)):
+            terms = _series_terms(log_t[sel, None], log_a[sel, None], m)
+            terms[m > last[sel, None]] = 0.0
+            series[sel] += terms.sum(axis=1)
+        m0, width = m0 + width, min(2 * width, _CHUNK_CELLS)
+    return h - k * series
+
+
+def _series_terms(log_t, log_a, m: np.ndarray) -> np.ndarray:
+    """a**m (1 - t**m) log2(1 - t**m) at each m, an even m first; log_t = log|t|."""
+    e = log_t * m  # m log|t|
+    w = np.exp(e)  # 1 - t**m, t**m = (-1)**m |t|**m
+    w[..., 0::2] = -np.expm1(e[..., 0::2])
+    w[..., 1::2] += 1.0
+    return np.exp(log_a * m) * w * np.log2(np.maximum(w, _TINY))
+
+
+def _step_law(d: float, i: float) -> tuple[float, float, float]:
+    """Per-bit output-length law (d, 1 - d - i, i); d + i may exceed 1 by rounding."""
+    return d, max(1.0 - d - i, 0.0), i
+
+
+def _row_kernel(d: float, i: float) -> tuple[float, ...]:
+    """The step law (:func:`_step_law`) as a row-table kernel: a zero end
+    step only shifts the rows, so it is dropped; an interior zero (d + i = 1)
+    stays.  At d = i = 0, L_out = L_X and no row is needed: the kernel is ()."""
+    return _step_law(d, i)[int(d == 0.0):3 - int(i == 0.0)] if d or i else ()
+
+
+def _run_length_entropy(gamma, r_max):
+    """H(L_X) cut at r_max, -sum_{r<=R} p_r log2 p_r with p_r =
+    gamma**(r-1) (1 - gamma) and R = r_max, in closed form, of a float gamma
+    and an int R or of arrays, elementwise: log2 p_r = log2(1 - gamma) +
+    (r - 1) log2(gamma), sum p_r = 1 - gamma**R and sum (r - 1) p_r =
+    (gamma - gamma**R (R - (R - 1) gamma)) / (1 - gamma).  R - (R - 1) gamma
+    is taken as 1 + (R - 1)(1 - gamma), which does not cancel near
+    gamma = 1 (within 2e-15 of a direct sum up to gamma = 1 - 1e-6, tested)."""
+    xp = np if isinstance(gamma, np.ndarray) else math
+    gb, tail = 1.0 - gamma, gamma ** r_max
+    return -xp.log2(gb) * (1.0 - tail) - xp.log2(gamma) * ((gamma - tail * (1.0 + (r_max - 1) * gb)) / gb)
+
+
+def _run_law_closed(gamma, d: float, i: float, r_max):
+    """H(L_X) - H(L_out) on r_max, the closed part of H(L_X | L_out)
+    (:class:`_RunLawChunk`), of a float gamma and an int r_max or of arrays,
+    elementwise: :func:`_run_length_entropy` less :func:`_output_length_entropy`
+    on 0..2 r_max."""
+    return _run_length_entropy(gamma, r_max) - _output_length_entropy(gamma, _step_law(d, i), 2 * r_max)
+
+
+class _GridPlan:
+    """What a :class:`~.analytic_bounds.BoundGrid` needs of its gammas and
+    :class:`SeriesConfig` alone, one per (``cfg``, gammas) and kept
+    (:func:`_grid_plan`): ``r_max``, each gamma's; ``chunks``, the gammas cut
+    into ascending slices of at most _CHUNK_CELLS padded cells,
+    G x (2 r_max + 1) with the r_max of the slice's top point (a point over
+    the cap alone is a slice of its own); and each slice's run-length
+    weights, built on first use."""
+
+    def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...]) -> None:
+        self._gammas, self._weights = np.array(gammas), {}
+        self.r_max = np.array([_r_truncation(g, cfg) for g in gammas])
+        starts = [0]
+        for k, r in enumerate(self.r_max.tolist()):
+            if k > starts[-1] and (k + 1 - starts[-1]) * (2 * r + 1) > _CHUNK_CELLS:
+                starts.append(k)
+        self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
+        self.r_max.flags.writeable = False
+
+    def weights(self, chunk: slice) -> np.ndarray:
+        """The (G, largest r_max) matrix of p_r = gamma**(r-1) (1 - gamma)
+        at ``gammas[chunk]``, zero past each row's r_max, kept read-only."""
+        key = chunk.indices(self.r_max.size)
+        if key not in self._weights:
+            column, r_max = self._gammas[chunk, None], self.r_max[chunk, None]
+            k = np.arange(int(r_max.max()))
+            p = np.where(k >= r_max, 0.0, (1.0 - column) * np.power(column, k))  # r = k + 1
+            p.flags.writeable = False
+            self._weights[key] = p
+        return self._weights[key]
+
+
+_grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
+
+
+class _RunLawChunk:
+    """H(L_X | L_out) at each gamma of a chunk of a
+    :class:`~.analytic_bounds.BoundGrid`, or at a float gamma, a chunk of one
+    point (:func:`_run_law_at`); L_out is the sum over the run's L_X bits of
+    i.i.d. per-bit output lengths in {0, 1, 2} with probabilities
+    (d, 1 - d - i, i).
+
+    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
+    H(L_X) + sum_r p_r H_r over r = 1..r_max, H_r the entropy of row_r, the
+    law of L_out given L_X = r (the r-fold convolution of the step law).  So
+    the values are p @ H + (H(L_X) - H(L_out)), clipped at 0: H from a table
+    built once per step law, the row ``kernel`` (:data:`ROWS`), p
+    the run-length weights, a matrix over a chunk (:meth:`_GridPlan.weights`)
+    and a vector at a float gamma, and ``closed``, the closed part on each
+    gamma's own r_max (:func:`_run_law_closed`).  :meth:`values` gives
+    them, :meth:`floor` a lower bound on them from the rows the table holds,
+    and, at a float gamma, :meth:`term` the value with its truncation error.
+    Only the rounding differs between a grid point and the same float gamma
+    (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
+    ``size`` (the rows needed) is 0 and the values are 0.
+    """
+
+    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed) -> None:
+        self._gammas, self.kernel, self._p, self._closed = gammas, kernel, p, closed
+        self.size = p.shape[-1] if kernel else 0
+
+    def values(self):
+        """The values, the table grown to the largest r_max (a numpy scalar at a float gamma)."""
+        if not self.size:
+            return 0.0 * self._gammas
+        return self._from_joint(self._p @ ROWS.entropies(self.kernel, self.size)[0])
+
+    def term(self, name: str) -> EntropyTerm:
+        """At a float gamma, :meth:`values` as an entropy term.  Its
+        truncation error adds to the dropped runs' tail
+        (:func:`_run_tail_bound`) the bound on what the table's trimmed mass
+        moves the rows (:func:`_trim_bound`)."""
+        trunc = _run_tail_bound(self._gammas, self._p.size)
+        if self.size:
+            trunc += _trim_bound(ROWS.entropies(self.kernel, self.size)[1], self.size)
+        return EntropyTerm(name, float(self.values()), trunc)
+
+    def floor(self):
+        """A lower bound on :meth:`values`, element by element, from the R
+        rows the table holds now; None when R = 0 or R covers the chunk.
+
+        The entropy of a sum of independent steps never decreases as steps
+        are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
+        ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
+        p @ H.  The margin M subtracted covers two kinds of error, with n
+        the chunk's largest r_max, c = (len(kernel) - 1) n + 1 the most
+        cells of a row and u = 2**-53:
+
+        - trimming: a stored row moves by at most delta, :func:`_trim_bound`
+          of a trimmed mass of at most ceil(n / _ROW_BLOCK) blocks times c
+          cells times _ROW_TRIM, so a stored H_r >= the stored H_R - 2 delta;
+        - rounding: each of the two p @ H products, this one and the one of
+          :meth:`values`, errs by at most gamma_n sum_r p_r |H_r| <=
+          1.01 n u log2(c) in any order of summation (Higham, *Accuracy and
+          Stability of Numerical Algorithms*, section 4.2), since
+          sum_r p_r <= 1 + 4u and no row has more than c cells.
+
+        M = 3 (n u log2(c) + delta) exceeds their sum, so the product less
+        M, rounded, is at most the one :meth:`values` computes, and the rest
+        is one addition of the same closed part and the clip, both monotone:
+        for a chunk and a float gamma alike.  The table's own rounding, O(r)
+        ulp, stays far below its increments; it and the bound on the trimmed
+        mass are tested.
+        """
+        h = ROWS.held(self.kernel)
+        if not 0 < h.size < self.size:
+            return None
+        n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
+        delta = _trim_bound(-(-n // _ROW_BLOCK) * cells * _ROW_TRIM, n)
+        rows = np.empty(n)
+        rows[:h.size] = h
+        rows[h.size:] = h[-1]
+        return self._from_joint(self._p @ rows - 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta))
+
+    def _from_joint(self, joint):
+        """The values from sum_r p_r H_r."""
+        return np.maximum(joint + self._closed, 0.0)
+
+
+def _trim_bound(lost: float, n: int) -> float:
+    """How far rows on at most 2 n + 1 cells that miss the mass ``lost`` move
+    in entropy (:meth:`_RowTable.entropies`), the logs taken apart so that a
+    subnormal ``lost`` cannot overflow their ratio."""
+    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
+
+
+def _run_tail_bound(gamma: float, r_max: int) -> float:
+    """Conservative bound on the error from dropping runs longer than r_max."""
+    eps = gamma ** r_max  # P(L_X > r_max)
+    gb = 1.0 - gamma
+    # entropy carried by the dropped joint rows p_r = c gamma**r, r > r_max, c = (1 - gamma) / gamma: at most
+    # c (s0 |log2 c| + s1 |log2 gamma|), s0 = sum gamma**r and s1 = sum r gamma**r = s0 (r_max + 1 + gamma / gb)
+    c, s0 = gb / gamma, gamma ** (r_max + 1) / gb
+    tail_joint = c * (s0 * abs(math.log2(1.0 / c)) + s0 * (r_max + 1 + gamma / gb) * abs(math.log2(gamma)))
+    tail_joint += eps * math.log2(2 * r_max + 3) + eps * gamma / gb
+    # distortion of the output-length marginal (Fannes-style)
+    n_cols = 2 * r_max + 2
+    eps_h = binary_entropy(min(eps, 0.5))
+    tail_marg = 2.0 * eps * math.log2(n_cols) + eps_h + 2.0 * eps
+    return tail_joint + tail_marg
+
+
+def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
+    """The run-length term at a float gamma, a chunk of one point on the
+    r_max ``cfg`` fixes, its p_r as in :meth:`_GridPlan.weights`."""
+    r_max = _r_truncation(gamma, cfg or SeriesConfig())
+    p = (1.0 - gamma) * np.power(gamma, np.arange(float(r_max)))
+    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max))
+
+
+def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
+    """H(L_X | L_Y') for pure deletion: each bit survives with prob 1 - d."""
+    ChannelParams(d=d)
+    _check_gamma(gamma)
+    return _run_law_at(gamma, d, 0.0, cfg).term("run_length_entropy_deletion")
+
+
+def run_law_duplication_H(gamma: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
+    """H(L_X | L_Ytilde) for insertions only: each bit contributes 1 or 2."""
+    ChannelParams(i=i)
+    _check_gamma(gamma)
+    return _run_law_at(gamma, 0.0, i, cfg).term("run_length_entropy_insertion")
+
+
+def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
+    """H(L_X | L_Y') for the combined channel: contributions {0, 1, 2} with
+    probabilities (d, 1 - d - i, i)."""
+    ChannelParams(d=d, i=i)
+    _check_gamma(gamma)
+    return _run_law_at(gamma, d, i, cfg).term("run_length_entropy_delins")
+
+
+def closed_form_HLXLY(gamma: float, d: float) -> float:
+    """Literal printed closed form for the deletion H(L_X | L_Y') (diagnostic).
+
+    Its residual double series
+    sum_{m>=2} gamma**m sum_k C(m,k) (1-d)**k d**(m-k) log2 C(m,k) equals
+    sum_{m>=2} gamma**m (m h(d) - H(Binomial(m, 1-d))), since
+    log2 C(m,k) = log2 P(k) - k log2(1-d) - (m-k) log2(d) under the binomial
+    law P.  H(Binomial(m, 1-d)) is the entropy H_m of row m of the deletion
+    run-length table (kernel (d, 1-d), the one :func:`run_law_deletion_H`
+    uses), so the diagnostic at a search's gamma* reuses that search's table.
+    The series enters times (1 - gamma) / gamma.  Its m h(d) part is a
+    geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
+    its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma).
+
+    The table is read only up to R = min(r, _HLXLY_M_CAP), r = ceil(log(1e-12)
+    / log(gamma)), the r_max of the default :class:`SeriesConfig` before its
+    cap, so below that cap the diagnostic needs no rows the bound at gamma
+    did not.  Rows m > R take H_R in place of H_m, a lower bound since the
+    entropy of a sum of independent steps never decreases as steps are added
+    (M. Madiman, "On the entropy of sums", ITW 2008), and sum to
+    gamma**R H_R.  That moves the value by sum_{m>R} p_m (H_m - H_R), with
+    gamma**R <= 1e-12 below the cap.
+    """
+    ChannelParams(d=d)
+    _check_gamma(gamma)
+    if d == 0.0:
+        return 0.0
+    gb, db = 1.0 - gamma, 1.0 - d
+    gd = gamma * d
+    c = d / gb - d * gb / (1.0 - gd) ** 2
+    # log2(1 / gd), taken apart where gd is subnormal or 0, so 1 / gd cannot overflow
+    out = c * math.log2(1.0 / gd) if gd >= _TINY else xlog2(c, 1.0, gd)
+    out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
+    out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
+    out -= binary_entropy(d) * (1.0 / gb - gb)
+    rows = min(math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)), _HLXLY_M_CAP)
+    h_rows = ROWS.entropies(_row_kernel(d, 0.0), rows)[0]
+    series = np.power(gamma, np.arange(1.0, rows))  # p_m, m = 2..R
+    series *= gb
+    series *= h_rows[1:]
+    return out + float(series.sum()) + gamma ** rows * float(h_rows[-1])

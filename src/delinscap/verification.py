@@ -19,6 +19,7 @@ from .core import ChannelParams, xlog2
 from . import analytic_bounds as ab
 from . import exact_oracle as oracle
 from . import mc_estimator as mc
+from .run_length import ROWS, _row_kernel
 from .gamma_optimizer import optimize_bound
 
 __all__ = [
@@ -82,9 +83,9 @@ class _Checks(list):
 def _run_law_gap(params: ChannelParams) -> float:
     """Largest gap, over input run lengths r <= 8, between the entropy of the
     enumerated law of the output run length and the row entropy H(row_r)
-    that the bound's run-length term reads (``_row_entropies``)."""
+    that the bound's run-length term reads (``ROWS``)."""
     table = oracle.exact_run_law(8, params)
-    rows = ab._row_entropies(ab._row_kernel(params.d, params.i), 8)[0]
+    rows = ROWS.entropies(_row_kernel(params.d, params.i), 8)[0]
     return max(abs(-float(xlog2(table[r], table[r]).sum()) - float(rows[r - 1])) for r in table)
 
 

@@ -3,6 +3,7 @@ import functools
 import pytest
 
 import golden
+from delinscap.run_length import ROWS
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +13,12 @@ def readme_run():
     the same run of a README command; they must not change the result."""
     return functools.cache(golden.run_cli)
 
+
+@pytest.fixture
+def cold_rows():
+    """The run-length row table, emptied before the test and again after it:
+    the test builds every row it reads, and no row it built (under a patched
+    trim, say) reaches a later test."""
+    ROWS.reset()
+    yield ROWS
+    ROWS.reset()

@@ -9,10 +9,10 @@ before the closed form replaced them, and are kept as independent oracles.
 ``iy_transition_matrix`` is the one-step kernel of the insertion chain whose
 stationary law ``analytic_bounds.stationary_iy`` gives in closed form.
 ``reference_row_entropies`` is the run-length row table's earlier block loop,
-which the lean loop of ``analytic_bounds._row_entropies`` must match bit for
+which the lean loop of ``run_length.ROWS.entropies`` must match bit for
 bit.  ``output_length_law`` and ``entropy_bits`` build the output-length law
 of a geometric run cell by cell and sum its entropy, which the closed form
-``analytic_bounds._output_length_entropy`` replaced;
+``run_length._output_length_entropy`` replaced;
 ``output_length_entropy_mpmath`` sums that entropy at 50 digits.
 ``deletion_run_law_row``, ``duplication_run_law_row`` and
 ``delins_run_law_row`` are the conditional run-length laws as lgamma sums,
@@ -37,7 +37,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from delinscap import analytic_bounds as ab, gamma_optimizer as go
+from delinscap import analytic_bounds as ab, gamma_optimizer as go, run_length as rl
 from delinscap.channel_sim import Action, AuxSequences, ChannelOutput, insertion_stage_probabilities
 from delinscap.core import as_bits
 from delinscap.mc_estimator import BOOTSTRAP_BLOCKS, BOOTSTRAP_REPS, MIN_CONTEXT_OBS, McEstimate
@@ -223,10 +223,10 @@ def delins_s_mpmath(gamma, d, i, alpha, dps=50):
 
 def reference_row_entropies(kernel, r_max):
     """(H(row_r) for r = 1..r_max, mass missing from row_r_max), built cold
-    with the block loop that ``analytic_bounds._row_entropies`` replaced:
+    with the block loop that ``run_length.ROWS.entropies`` replaced:
     kernel powers from 16 convolutions, ``flatnonzero`` trim ends and a
     ``sliding_window_view`` window, the same matrix product and logs."""
-    block = ab._ROW_BLOCK
+    block = rl._ROW_BLOCK
     pad = (len(kernel) - 1) * block
     powers = np.zeros((block, pad + 1))
     power = np.ones(1)
@@ -237,7 +237,7 @@ def reference_row_entropies(kernel, r_max):
     grown = -(-r_max // block) * block
     h, lost = np.empty(grown), np.empty(grown)
     for r0 in range(0, grown, block):
-        keep = np.flatnonzero(row >= ab._ROW_TRIM)
+        keep = np.flatnonzero(row >= rl._ROW_TRIM)
         lo, hi = keep[0], keep[-1] + 1
         dropped += float(row[:lo].sum() + row[hi:].sum())
         n = hi - lo + pad
@@ -246,7 +246,7 @@ def reference_row_entropies(kernel, r_max):
         window = np.empty((pad + 1, n))
         np.copyto(window, sliding_window_view(padded, n)[::-1])
         rows = np.matmul(powers, window)
-        logs = np.maximum(rows, ab._TINY)
+        logs = np.maximum(rows, rl._TINY)
         np.log2(logs, out=logs)
         logs *= rows
         h[r0:r0 + block] = -logs.sum(axis=1)
@@ -311,7 +311,7 @@ def output_length_law(gamma, step, s_max):
     each contribute 0, 1 or 2 output bits with probabilities
     ``step`` = (d, 1-d-i, i); ``gamma`` is a float, or a (G, 1) column of
     them for one law per row.  The run-length term took its H(L_out) from
-    this law until the closed form ``analytic_bounds._output_length_entropy``
+    this law until the closed form ``run_length._output_length_entropy``
     replaced it.
 
     The generating function is (1-gamma) phi(z) / (1 - gamma phi(z)) with
@@ -349,7 +349,7 @@ def entropy_bits(law):
         law = law[law > 0.0]
         h = np.log2(law)
     else:  # zeros add 0 x log2(tiny) = 0
-        h = np.log2(np.maximum(law, ab._TINY))
+        h = np.log2(np.maximum(law, rl._TINY))
     h *= law
     return -h.sum(axis=-1)
 

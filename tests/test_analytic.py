@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
-from delinscap import analytic_bounds as ab
+from delinscap import analytic_bounds as ab, run_length as rl
 
 import oracles
 
@@ -307,10 +307,6 @@ def _exact_marginal(gamma, d, i, s_max):
     return oracles.output_length_law(gamma, (d, max(1.0 - d - i, 0.0), i), s_max)
 
 
-def _clear_row_table(monkeypatch):
-    monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), np.ones(1), np.zeros(0), np.zeros(0)))
-
-
 # each public run-length kernel at one channel, with that channel's (d, i)
 _KERNELS = {
     "deletion": (lambda g: ab.run_law_deletion_H(g, 0.3), 0.3, 0.0),
@@ -325,7 +321,7 @@ class TestRunLengthKernel:
     def test_matches_convolution_oracle(self, kind, gamma):
         kernel, d, i = _KERNELS[kind]
         term = kernel(gamma)
-        r_max = ab._r_truncation(gamma, ab.SeriesConfig())
+        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
         oracle = _convolution_oracle(gamma, np.array([d, 1.0 - d - i, i]), r_max)
         assert abs(term.value - oracle) <= term.truncation_error
 
@@ -334,7 +330,7 @@ class TestRunLengthKernel:
         # every bit is deleted or doubled, so odd output lengths carry no mass
         gamma = 0.9
         term = ab.run_law_delins_H(gamma, d, i)
-        r_max = ab._r_truncation(gamma, ab.SeriesConfig())
+        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
         oracle = _convolution_oracle(gamma, np.array([d, 0.0, i]), r_max)
         assert abs(term.value - oracle) <= term.truncation_error
         law = _exact_marginal(gamma, d, i, 2 * r_max)
@@ -344,16 +340,15 @@ class TestRunLengthKernel:
         for gamma in (0.3, 0.9, 0.995):
             assert ab.run_law_delins_H(gamma, 0.0, 0.0).value == 0.0
 
-    def test_cache_is_bit_identical_to_a_cleared_cache(self, monkeypatch):
+    def test_cache_is_bit_identical_to_a_cleared_cache(self, cold_rows):
         calls = [
             ("deletion", 0.5), ("duplication", 0.5), ("deletion", 0.5),
             ("delins", 0.9), ("deletion", 0.5), ("deletion", 0.995), ("deletion", 0.5),
             ("duplication", 0.995), ("delins", 0.5), ("duplication", 0.5),
         ]
-        _clear_row_table(monkeypatch)
         warm = [_KERNELS[kind][0](g) for kind, g in calls]
         for (kind, g), got in zip(calls, warm):
-            _clear_row_table(monkeypatch)
+            cold_rows.reset()
             cold = _KERNELS[kind][0](g)
             assert (got.value, got.truncation_error) == (cold.value, cold.truncation_error)
 
@@ -405,11 +400,11 @@ class TestOutputLengthEntropy:
         # the truncated H(L_out) of the run-length term, s = 0..2 r_max, with
         # r_max capped at 10 000 rows from gamma = 0.9972 up
         d, i = _OUTPUT_LAWS[law]
-        s_max = 2 * ab._r_truncation(gamma, ab.SeriesConfig())
+        s_max = 2 * rl._r_truncation(gamma, ab.SeriesConfig())
         ref = oracles.output_length_entropy_mpmath(gamma, d, i, s_max)
-        step = ab._step_law(d, i)
-        scalar = ab._output_length_entropy(gamma, step, s_max)
-        array = ab._output_length_entropy(np.array([0.3, gamma]), step, np.array([16, s_max]))
+        step = rl._step_law(d, i)
+        scalar = rl._output_length_entropy(gamma, step, s_max)
+        array = rl._output_length_entropy(np.array([0.3, gamma]), step, np.array([16, s_max]))
         assert type(scalar) is float
         assert abs(scalar - ref) <= 1e-14 * max(1.0, ref)
         assert abs(array[1] - ref) <= 1e-14 * max(1.0, ref)
@@ -424,16 +419,16 @@ class TestOutputLengthEntropy:
         if d + i > 1.0:
             d, i = i, 1.0 - i
         assume(d + i > 0.0)
-        s_max = 2 * ab._r_truncation(gamma, ab.SeriesConfig())
-        step = ab._step_law(d, i)
+        s_max = 2 * rl._r_truncation(gamma, ab.SeriesConfig())
+        step = rl._step_law(d, i)
         direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, s_max)))
-        got = ab._output_length_entropy(gamma, step, s_max)
+        got = rl._output_length_entropy(gamma, step, s_max)
         assert abs(got - direct) <= 1e-12 * max(1.0, direct)
-        rows = ab._output_length_entropy(np.array([gamma, gamma]), step, np.array([s_max, s_max + 7]))
+        rows = rl._output_length_entropy(np.array([gamma, gamma]), step, np.array([s_max, s_max + 7]))
         assert abs(rows[0] - direct) <= 1e-12 * max(1.0, direct)
 
     @pytest.mark.parametrize("d,i", [(0.95, 0.0), (0.7, 0.05)])
-    def test_cold_top_grid_chunk_builds_no_law(self, d, i):
+    def test_cold_top_grid_chunk_builds_no_law(self, d, i, cold_rows):
         # with the row table empty, a chunk takes its kept weights and its
         # closed-form H(L_out): no (G, 2 R + 1) output-length law
         import tracemalloc
@@ -443,7 +438,6 @@ class TestOutputLengthEntropy:
         chunk = grid.chunks[-1]
         gammas = go._GRID[chunk]
         grid._run_law(chunk)  # fills the grid chunk's weights
-        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
         tracemalloc.start()
         try:
             run = grid._run_law(chunk)
@@ -451,7 +445,6 @@ class TestOutputLengthEntropy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            ab._ROW_ENTROPIES = saved
         assert peak < gammas.size * (2 * run.size + 1) * 8
 
 
@@ -518,23 +511,21 @@ def _mp_binomial_entropy(m, p):
 
 class TestRowTable:
     @pytest.mark.parametrize("kernel", [(0.9, 0.1), (0.2, 0.7, 0.1), (0.45, 0.0, 0.55)])
-    def test_matches_convolution_rows(self, kernel, monkeypatch):
+    def test_matches_convolution_rows(self, kernel, cold_rows):
         # the two builds round differently and drift apart by O(r) ulp
         # (1e-12 seen at r = 10 000); each row may differ by 1e-15 per step
         r_max = ab.SeriesConfig().r_max_cap
-        _clear_row_table(monkeypatch)
-        table, lost = ab._row_entropies(kernel, r_max)
+        table, lost = rl.ROWS.entropies(kernel, r_max)
         gap = np.abs(table - _convolution_row_entropies(kernel, r_max))
         assert np.all(gap <= 1e-14 + 1e-15 * np.arange(1, r_max + 1))
         assert 0.0 < lost < 1e-24
 
     @pytest.mark.parametrize("kernel", [(0.3, 0.7), (0.2, 0.7, 0.1), (0.4, 0.0, 0.6)])
-    def test_growth_across_blocks_is_bit_identical_to_cold_builds(self, kernel, monkeypatch):
-        _clear_row_table(monkeypatch)
-        grown = [ab._row_entropies(kernel, r) for r in (7, 16, 17, 1000, 5513)]
+    def test_growth_across_blocks_is_bit_identical_to_cold_builds(self, kernel, cold_rows):
+        grown = [rl.ROWS.entropies(kernel, r) for r in (7, 16, 17, 1000, 5513)]
         for (table, lost), r in zip(grown, (7, 16, 17, 1000, 5513)):
-            _clear_row_table(monkeypatch)
-            cold, cold_lost = ab._row_entropies(kernel, r)
+            cold_rows.reset()
+            cold, cold_lost = rl.ROWS.entropies(kernel, r)
             assert table.size == r
             assert np.array_equal(table, cold) and lost == cold_lost
 
@@ -544,58 +535,50 @@ class TestRowTable:
         (0.2, 0.7, 0.1),
         (0.5, 0.0, 0.5),  # interior zero: every bit deleted or doubled
     ])
-    def test_matches_the_earlier_block_loop_bit_for_bit(self, kernel, monkeypatch):
+    def test_matches_the_earlier_block_loop_bit_for_bit(self, kernel, cold_rows):
         reference, reference_lost = oracles.reference_row_entropies(kernel, 10_000)
-        _clear_row_table(monkeypatch)
-        table, lost = ab._row_entropies(kernel, 10_000)
+        table, lost = rl.ROWS.entropies(kernel, 10_000)
         assert np.array_equal(table, reference) and lost == reference_lost
-        _clear_row_table(monkeypatch)
+        cold_rows.reset()
         for r in (5, 16, 17, 333, 1_000, 4_321, 9_999, 10_000):  # grown in uneven steps
-            table, lost = ab._row_entropies(kernel, r)
+            table, lost = rl.ROWS.entropies(kernel, r)
             assert np.array_equal(table, reference[:r])
             assert lost == oracles.reference_row_entropies(kernel, r)[1]
 
     @pytest.mark.parametrize("r_max", [16, 17])
-    def test_point_mass_kernel_has_zero_entropy(self, r_max, monkeypatch):
+    def test_point_mass_kernel_has_zero_entropy(self, r_max, cold_rows):
         # one entry: no padding, so the B rows of logs need their own room
-        _clear_row_table(monkeypatch)
-        table, lost = ab._row_entropies((1.0,), r_max)
+        table, lost = rl.ROWS.entropies((1.0,), r_max)
         assert table.size == r_max and np.all(table == 0.0) and lost == 0.0
-        _clear_row_table(monkeypatch)
-        ab._row_entropies((1.0,), 3)
-        grown, grown_lost = ab._row_entropies((1.0,), r_max)
+        cold_rows.reset()
+        rl.ROWS.entropies((1.0,), 3)
+        grown, grown_lost = rl.ROWS.entropies((1.0,), r_max)
         assert np.array_equal(grown, table) and grown_lost == 0.0
 
     @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
-    def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch):
+    def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch, cold_rows):
         gamma = 0.99
-        r_max = ab._r_truncation(gamma, ab.SeriesConfig())
-        _clear_row_table(monkeypatch)
+        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
         trimmed = ab.run_law_delins_H(gamma, d, i)
         kernel = tuple(x for x in (d, 1.0 - d - i, i) if x > 0.0)
-        lost = ab._row_entropies(kernel, r_max)[1]
+        lost = rl.ROWS.entropies(kernel, r_max)[1]
         assert lost > 0.0
         assert trimmed.truncation_error == (
-            ab._run_tail_bound(gamma, r_max) + lost * (math.log2(2 * r_max + 1) - math.log2(lost) + math.log2(math.e)))
-        monkeypatch.setattr(ab, "_ROW_TRIM", 0.0)
-        _clear_row_table(monkeypatch)
+            rl._run_tail_bound(gamma, r_max) + lost * (math.log2(2 * r_max + 1) - math.log2(lost) + math.log2(math.e)))
+        monkeypatch.setattr(rl, "_ROW_TRIM", 0.0)
+        cold_rows.reset()
         full = ab.run_law_delins_H(gamma, d, i)
-        assert ab._row_entropies(kernel, r_max)[1] == 0.0
-        assert full.truncation_error == ab._run_tail_bound(gamma, r_max)
+        assert rl.ROWS.entropies(kernel, r_max)[1] == 0.0
+        assert full.truncation_error == rl._run_tail_bound(gamma, r_max)
         assert abs(trimmed.value - full.value) <= trimmed.truncation_error
 
     @pytest.mark.parametrize("d", [0.5, 0.8])
-    def test_binomial_rows_match_mpmath(self, d, monkeypatch):
+    def test_binomial_rows_match_mpmath(self, d, cold_rows):
         # the rows of the deletion kernel are the binomial laws behind
         # closed_form_HLXLY, which reads them up to m_cap = 20 000
-        _clear_row_table(monkeypatch)
-        table = ab._row_entropies((d, 1.0 - d), 20_000)[0]
+        table = rl.ROWS.entropies((d, 1.0 - d), 20_000)[0]
         for m in (10, 1000, 20_000):
             assert abs(table[m - 1] - _mp_binomial_entropy(m, 1.0 - d)) <= 1e-12
-
-
-def _empty_row_table():
-    return ((), np.ones(1), np.zeros(0), np.zeros(0))
 
 
 class TestRowBoundedCeiling:
@@ -613,14 +596,11 @@ class TestRowBoundedCeiling:
         # the stored ones may only lose what the trimming can move them
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        kernel = ab._row_kernel(d, i)
+        kernel = rl._row_kernel(d, i)
         assume(len(kernel) > 1)  # the identity step (d = i = 0) has no table: L_out = L_X
-        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
-        try:
-            table, lost = ab._row_entropies(kernel, 10_000)
-        finally:
-            ab._ROW_ENTROPIES = saved
-        bound = -(-10_000 // ab._ROW_BLOCK) * ((len(kernel) - 1) * 10_000 + 1) * ab._ROW_TRIM
+        rl.ROWS.reset()
+        table, lost = rl.ROWS.entropies(kernel, 10_000)
+        bound = -(-10_000 // rl._ROW_BLOCK) * ((len(kernel) - 1) * 10_000 + 1) * rl._ROW_TRIM
         assert lost <= bound
         delta = lost * (math.log2(20_001) - math.log2(lost) + math.log2(math.e)) if lost > 0.0 else 0.0
         assert np.all(np.diff(table) >= -2.0 * delta)
@@ -642,17 +622,14 @@ class TestRowBoundedCeiling:
         grid = ab.BoundGrid(name, go._bound_params(name, d, i, alpha), go._GRID, ab.SeriesConfig(), printed)
         chunk = grid.chunks[c]
         run = grid._run_law(chunk)
-        blocks = (run.size - 1) // ab._ROW_BLOCK  # R = 16, 32, .., 16 blocks rows are all short of run.size
+        blocks = (run.size - 1) // rl._ROW_BLOCK  # R = 16, 32, .., 16 blocks rows are all short of run.size
         assume(blocks >= 1)
-        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, _empty_row_table()
-        try:
-            ab._row_entropies(run.kernel, ab._ROW_BLOCK * (1 + int(share * (blocks - 1))))
-            floor = run.floor()
-            ceiling = grid._assemble(chunk, floor)
-            values = run.values()
-            full = grid.values(chunk)
-        finally:
-            ab._ROW_ENTROPIES = saved
+        rl.ROWS.reset()
+        rl.ROWS.entropies(run.kernel, rl._ROW_BLOCK * (1 + int(share * (blocks - 1))))
+        floor = run.floor()
+        ceiling = grid._assemble(chunk, floor)
+        values = run.values()
+        full = grid.values(chunk)
         assert np.all(floor <= values)
         assert np.array_equal(grid._assemble(chunk, values), full)
         assert np.all(ceiling >= full)
@@ -663,12 +640,12 @@ class TestRunLengthEntropy:
     def test_matches_the_direct_sum(self, gamma):
         # -sum_{r<=R} p_r log2 p_r term by term, at the fewest rows and at
         # the bound's own R, the cap of 10 000 from gamma = 0.9972 on
-        for r_max in (8, ab._r_truncation(gamma, ab.SeriesConfig())):
+        for r_max in (8, rl._r_truncation(gamma, ab.SeriesConfig())):
             ps = [gamma ** (r - 1) * (1.0 - gamma) for r in range(1, r_max + 1)]
             ref = -math.fsum(p * math.log2(p) for p in ps)
             tol = 2e-15 * max(1.0, ref)
-            assert abs(ab._run_length_entropy(gamma, r_max) - ref) <= tol
-            assert abs(ab._run_length_entropy(np.array([gamma]), np.array([r_max]))[0] - ref) <= tol
+            assert abs(rl._run_length_entropy(gamma, r_max) - ref) <= tol
+            assert abs(rl._run_length_entropy(np.array([gamma]), np.array([r_max]))[0] - ref) <= tol
 
 
 class TestClosedFormHLXLY:
@@ -684,26 +661,23 @@ class TestClosedFormHLXLY:
         for d in (0.1, 0.5, 0.8, 0.95):
             assert abs(ab.closed_form_HLXLY(gamma, d) - _log_factorial_HLXLY(gamma, d)) <= tol
 
-    def test_reads_no_rows_past_the_bound(self, monkeypatch):
+    def test_reads_no_rows_past_the_bound(self, cold_rows):
         # r_max of the bound at gamma = 0.99 is 2 750 rows, 2 752 in blocks
-        _clear_row_table(monkeypatch)
         ab.closed_form_HLXLY(0.99, 0.8)
-        assert ab._row_table_size() <= 2_752
+        assert cold_rows.size <= 2_752
 
     @pytest.mark.parametrize("gamma, d", [(0.5, 0.2), (0.99, 0.98), (0.999, 0.5)])
-    def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, monkeypatch):
+    def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, cold_rows):
         # the rows it reads are summed the same way however far the table grew
-        _clear_row_table(monkeypatch)
         cold = ab.closed_form_HLXLY(gamma, d)
-        ab._row_entropies(ab._ROW_ENTROPIES[0], ab._row_table_size() + 1_000)
+        cold_rows.entropies(rl._row_kernel(d, 0.0), cold_rows.size + 1_000)
         assert repr(ab.closed_form_HLXLY(gamma, d)) == repr(cold)
 
-    def test_reuses_the_deletion_table(self, monkeypatch):
-        _clear_row_table(monkeypatch)
+    def test_reuses_the_deletion_table(self, cold_rows):
         ab.run_law_deletion_H(0.99, 0.8)
-        kernel = ab._ROW_ENTROPIES[0]
+        held = cold_rows.held((0.8, 1.0 - 0.8)).size
         ab.closed_form_HLXLY(0.99, 0.8)
-        assert ab._ROW_ENTROPIES[0] == kernel == (0.8, 1.0 - 0.8)
+        assert cold_rows.held((0.8, 1.0 - 0.8)).size == cold_rows.size >= held > 0
 
 
 class TestDelinsSTerm:
@@ -919,6 +893,19 @@ class TestTinyParameters:
     def test_gamma_outside_the_search_range_is_an_error(self, lb, gamma):
         with pytest.raises(ValueError, match=r"gamma=.* must lie in \[1e-06, 0.999999\]"):
             lb(gamma)
+
+    @pytest.mark.parametrize("kernel, args, match", [
+        (ab.run_law_delins_H, (1.0, 0.2, 0.1), r"gamma=.* must lie in"),  # a ZeroDivisionError once
+        (ab.closed_form_HLXLY, (1.2, 0.5), r"gamma=.* must lie in"),  # an IndexError once
+        (ab.run_law_deletion_H, (math.nan, 0.5), r"gamma=.* must lie in"),  # cannot convert NaN to integer, once
+        (ab.run_law_deletion_H, (0.5, 1.5), "deletion probability"),  # a ZeroDivisionError once
+        (ab.run_law_deletion_H, (0.5, -0.1), "deletion probability"),  # 0.0 once
+        (ab.run_law_duplication_H, (0.5, 1.0), "insertion probability"),  # 0.0 once
+        (ab.closed_form_HLXLY, (0.5, 1.0), "deletion probability"),  # 2.0 once
+    ])
+    def test_public_run_length_kernels_refuse_bad_input(self, kernel, args, match):
+        with pytest.raises(ValueError, match=match):
+            kernel(*args)
 
     def test_overflowing_term_is_an_error(self, monkeypatch):
         # a kernel that overflows makes the bound non-finite, which is an error, not a result

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import delinscap
 from delinscap.cli import build_parser
 from delinscap.core import binary_entropy
-from delinscap import analytic_bounds as ab
+from delinscap import analytic_bounds as ab, run_length as rl
 from delinscap import gamma_optimizer as go
 from delinscap.gamma_optimizer import (CHANNELS, GAMMA_MAX, GAMMA_MIN, channel_bounds, maximize_over_gamma,
                                        optimize_bound, sweep)
@@ -278,50 +278,45 @@ class TestCeiling:
         ("deletion", {"d": 0.85}), ("deletion", {"d": 0.93}), ("deletion", {"d": 0.95}),
         ("delins", {"d": 0.5, "i": 0.1, "alpha": 0.8}), ("delins", {"d": 0.7, "i": 0.05, "alpha": 0.8}),
     ])
-    def test_high_gamma_search_is_bit_identical(self, name, params, monkeypatch):
+    def test_high_gamma_search_is_bit_identical(self, name, params, cold_rows):
         # gamma* 0.95-0.995: from a cold table, the row-bounded ceiling prunes the top of the grid
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
         pruned = optimize_bound(name, **params)
         assert repr(pruned) == repr(_unpruned(name, **params))
 
     @pytest.mark.parametrize("name, params, rows", [
         ("deletion", {"d": 0.85}, 2_752), ("delins", {"d": 0.5, "i": 0.1, "alpha": 0.8}, 1_000),
     ])
-    def test_cold_high_gamma_solve_builds_only_the_rows_it_needs(self, name, params, rows, monkeypatch, caplog):
+    def test_cold_high_gamma_solve_builds_only_the_rows_it_needs(self, name, params, rows, cold_rows, caplog):
         # every grid point up to 0.995 would take 5 520 rows
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound(name, **params)
-        assert ab._row_table_size() <= rows
+        assert cold_rows.size <= rows
         (record,) = [r for r in caplog.records if r.name == "delinscap"]
         message = record.getMessage()
         assert int(message.split("row-bounded ceiling skipped ")[1].split()[0]) > 0
-        assert message.endswith(f"; row table {ab._row_table_size()} rows")
+        assert message.endswith(f"; row table {cold_rows.size} rows")
 
     @pytest.mark.parametrize("name, params", [
         ("deletion", {"d": 0.8}), ("deletion", {"d": 0.9}), ("deletion", {"d": 0.947}), ("deletion", {"d": 0.96}),
         ("deletion", {"d": 0.97}), ("delins", {"d": 0.8, "i": 0.05, "alpha": 0.9}),
     ])
-    def test_cold_search_with_upper_probes_ruled_out_is_bit_identical(self, name, params, monkeypatch):
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+    def test_cold_search_with_upper_probes_ruled_out_is_bit_identical(self, name, params, cold_rows):
         pruned = optimize_bound(name, **params)
         assert repr(pruned) == repr(_unpruned(name, **params))
 
     @pytest.mark.parametrize("d, rows", [(0.9, 3_120), (0.93, 5_520), (0.95, 7_232)])
-    def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, monkeypatch):
+    def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, cold_rows):
         # with every upper probe evaluated: 3 744, 7 232 and 10 000 rows
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
         optimize_bound("deletion", d=d)
-        assert ab._row_table_size() <= rows
+        assert cold_rows.size <= rows
 
-    def test_debug_record_counts_ruled_out_probes(self, monkeypatch, caplog):
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+    def test_debug_record_counts_ruled_out_probes(self, cold_rows, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound("deletion", d=0.95)
         (record,) = [r for r in caplog.records if r.name == "delinscap"]
         message = record.getMessage()
         assert int(message.split(" probes; row table")[0].split()[-1]) >= 1
-        assert message.endswith(f"; row table {ab._row_table_size()} rows")
+        assert message.endswith(f"; row table {cold_rows.size} rows")
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.sampled_from(["deletion", "deletion_printed", "insertion_lb2", "delins"]), st.floats(0.0, 0.95),
@@ -339,33 +334,29 @@ class TestCeiling:
         cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha, printed=printed)
         kernel = grid._run_law(gamma).kernel
-        blocks = (ab._r_truncation(gamma, cfg) - 1) // ab._ROW_BLOCK
+        blocks = (rl._r_truncation(gamma, cfg) - 1) // rl._ROW_BLOCK
         assume(kernel and blocks >= 1)
-        held = ab._ROW_BLOCK * (1 + int(share * (blocks - 1)))  # short of r_max
-        empty = ((), np.ones(1), np.zeros(0), np.zeros(0))
-        saved, ab._ROW_ENTROPIES = ab._ROW_ENTROPIES, empty
-        try:
-            value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
-            ab._ROW_ENTROPIES = empty
-            ab._row_entropies(kernel, held)
-            assert grid.at(gamma, math.inf) is None
-            assert ab._row_table_size() == held  # ruled out before the table grew
-            assert repr(grid.at(gamma, math.nextafter(value, -math.inf))) == repr(value)
-        finally:
-            ab._ROW_ENTROPIES = saved
+        held = rl._ROW_BLOCK * (1 + int(share * (blocks - 1)))  # short of r_max
+        rl.ROWS.reset()
+        value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
+        rl.ROWS.reset()
+        rl.ROWS.entropies(kernel, held)
+        assert grid.at(gamma, math.inf) is None
+        assert rl.ROWS.size == held  # ruled out before the table grew
+        assert repr(grid.at(gamma, math.nextafter(value, -math.inf))) == repr(value)
 
     def test_grid_chunk_weights_are_kept_read_only(self):
         cfg = ab.SeriesConfig(tail_epsilon=2e-12)  # a plan no other test fills
         first = optimize_bound("deletion", d=0.9, cfg=cfg)
-        info = ab._grid_plan.cache_info()
+        info = rl._grid_plan.cache_info()
         warm = optimize_bound("deletion", d=0.9, cfg=cfg)
-        assert ab._grid_plan.cache_info().misses == info.misses
+        assert rl._grid_plan.cache_info().misses == info.misses
         assert repr(warm) == repr(first)
-        plan = ab._grid_plan(cfg, tuple(go._GRID.tolist()))
+        plan = rl._grid_plan(cfg, tuple(go._GRID.tolist()))
         weights = plan.weights(plan.chunks[-1])
         assert plan.weights(plan.chunks[-1]) is weights  # built once, then kept
         assert not any(array.flags.writeable for array in (plan.r_max, weights))
-        ab._grid_plan.cache_clear()
+        rl._grid_plan.cache_clear()
         assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
 
     def test_gamma_star_on_both_sides_of_0_9(self):
@@ -378,11 +369,10 @@ class TestCeiling:
             with pytest.raises(ValueError):
                 maximize_over_gamma(_Ceiling(fn, ceiling))
 
-    def test_low_gamma_solve_keeps_the_row_table_short(self, monkeypatch):
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
+    def test_low_gamma_solve_keeps_the_row_table_short(self, cold_rows):
         optimize_bound("deletion", d=0.1)
-        rows = ab._ROW_ENTROPIES[2].size
-        assert 0 < rows <= ab._r_truncation(0.995, ab.SeriesConfig()) // 10
+        rows = cold_rows.size
+        assert 0 < rows <= rl._r_truncation(0.995, ab.SeriesConfig()) // 10
 
     def test_printed_form_is_not_pruned(self):
         # a printed penalty may be negative: no source-plus-credit ceiling, so with every row held
@@ -394,9 +384,8 @@ class TestCeiling:
         assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
 
     @pytest.mark.parametrize("d", [0.0, 0.2, 0.9, 0.99])
-    def test_printed_form_search_is_bit_identical(self, d, monkeypatch):
+    def test_printed_form_search_is_bit_identical(self, d, cold_rows):
         # from a cold table, so that the row-bounded ceiling prunes the printed form too
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), ab.np.ones(1), ab.np.zeros(0), ab.np.zeros(0)))
         pruned = optimize_bound("deletion", d=d, use_printed_hs2=True)
         assert repr(pruned) == repr(_unpruned("deletion", d=d, printed=True))
 
@@ -505,12 +494,12 @@ class TestArrayForm:
         gammas = np.append(go._GRID, gamma)
         closed = _grid(name, d, i, alpha, gammas)._closed
         assume(closed is not None)  # LB 1 has no run-length term
-        step = ab._step_law(d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
+        step = rl._step_law(d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
         for g, c in zip(gammas.tolist(), closed.tolist()):
-            r_max = ab._r_truncation(g, cfg)
-            h_out = ab._output_length_entropy(np.array([g]), step, np.array([2 * r_max]))
-            assert (ab._run_length_entropy(np.array([g]), np.array([r_max])) - h_out).tolist() == [c]
-            ref = ab._output_length_entropy(g, step, 2 * r_max)
+            r_max = rl._r_truncation(g, cfg)
+            h_out = rl._output_length_entropy(np.array([g]), step, np.array([2 * r_max]))
+            assert (rl._run_length_entropy(np.array([g]), np.array([r_max])) - h_out).tolist() == [c]
+            ref = rl._output_length_entropy(g, step, 2 * r_max)
             assert abs(float(h_out[0]) - ref) <= 1e-14 * max(1.0, ref)
 
     @pytest.mark.parametrize("d, i", [(0.45, 0.55), (0.7, 0.3)])
@@ -535,7 +524,7 @@ class TestArrayForm:
     def test_custom_series_config_takes_the_array_path(self, monkeypatch):
         from delinscap import verification
         seen = []
-        original = ab._grid_plan
+        original = rl._grid_plan
 
         def spy(cfg, gammas):
             seen.append(cfg)
@@ -556,10 +545,10 @@ class TestArrayForm:
         ("deletion", {"d": 0.2}), ("deletion", {"d": 0.95}), ("insertion_lb2", {"i": 0.1, "alpha": 0.8}),
         ("delins", {"d": 0.5, "i": 0.1, "alpha": 0.8}),
     ])
-    def test_cold_solve_allocates_little(self, name, params, monkeypatch):
+    def test_cold_solve_allocates_little(self, name, params, cold_rows):
         import tracemalloc
         optimize_bound("deletion", d=0.5)  # first-use allocations of numpy and the package
-        monkeypatch.setattr(ab, "_ROW_ENTROPIES", ((), np.ones(1), np.zeros(0), np.zeros(0)))
+        cold_rows.reset()
         tracemalloc.start()
         try:
             optimize_bound(name, **params)
