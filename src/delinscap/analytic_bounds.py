@@ -508,7 +508,8 @@ class BoundGrid:
     def _run_law(self, at: float | slice) -> _RunLawChunk:
         """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
         if isinstance(at, slice):
-            return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._closed[at])
+            return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._closed[at],
+                                self._plan.r_max[at], self._cfg.r_max_cap)
         return _run_law_at(at, *self._run, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:

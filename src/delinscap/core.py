@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
@@ -302,11 +303,16 @@ def from_runs(runs: RunSequence) -> np.ndarray:
 
 
 def geometric_run_pmf(gamma: float, r: int) -> float:
-    """P(run length = r) = gamma**(r-1) * (1 - gamma) for r >= 1."""
+    """P(run length = r) = gamma**(r-1) * (1 - gamma) for an integer r >= 1
+    (a numpy integer is accepted, a bool or a float is not)."""
     MarkovSourceParams(gamma)
-    if r < 1:
-        raise ValueError(f"run length r={r} must be a positive integer")
-    return gamma ** (r - 1) * (1.0 - gamma)
+    try:
+        length = 0 if isinstance(r, bool) else operator.index(r)
+    except TypeError:  # a float, or no number at all
+        length = 0
+    if length < 1:
+        raise ValueError(f"run length r={r!r} must be a positive integer")
+    return gamma ** (length - 1) * (1.0 - gamma)
 
 
 def bits_from_str(s: str) -> np.ndarray:

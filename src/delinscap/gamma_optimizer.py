@@ -223,11 +223,17 @@ def sweep(channel: str, points: Iterable[dict], cfg: SeriesConfig | None = None,
           tol: float = 1e-5) -> list[dict]:
     """Optimize the bounds at every parameter point, its missing parameters
     at the :class:`~.core.ChannelParams` defaults; rows keep input order.
+    A key that is no :class:`~.core.ChannelParams` field is an error,
+    found before any point is solved.
 
     A channel with several bounds carries each (``lb1``, ``lb2``) and their
     max (``lb_max``) in every row, since whichever is larger is still a valid
     lower bound; the breakdown reported is the winning bound's.
     """
+    points, names = list(points), [f.name for f in fields(ChannelParams)]
+    for pt in points:
+        if unknown := sorted(set(pt) - set(names)):
+            raise ValueError(f"unknown parameter keys {unknown} in sweep point {pt!r}; expected some of {names}")
     rows = []
     for pt in points:
         params = {f.name: float(pt.get(f.name, f.default)) for f in fields(ChannelParams)}

@@ -18,6 +18,18 @@ gamma search uses that to skip points before the table grows
 gammas and the :class:`SeriesConfig` alone is one plan, kept per (``cfg``,
 gammas) (:class:`_GridPlan`).
 
+Near gamma = 1 the rows dominate the cost, and the last ones carry little
+weight.  An evaluation whose r_max lies in [_BAND_MIN_ROWS, ``r_max_cap``)
+reads exact rows only up to a start R (:func:`_band_start`) and, for
+R < r <= r_max (the band), the maximum-entropy bound
+U_r = log2(2 pi e (r Var + 1/12)) / 2 >= H_r, Var the step's variance
+(T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
+discrete entropy bound).  The term can then only grow, so every bound stays
+a lower bound, and its excess over the exact rows, at most
+:func:`_band_slack`, joins its truncation error.  R depends on the step
+law, gamma and r_max alone, never on the rows the table holds, and is the
+same at a float gamma and at a grid point.
+
 The binomial double series of the printed deletion run-length form
 (:func:`closed_form_HLXLY`) is summed as
 sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))): its m h(d) part in closed
@@ -79,6 +91,13 @@ _CHUNK_CELLS = 4096
 _TINY = np.finfo(float).tiny
 # The printed run-length form's series reads at most _HLXLY_M_CAP rows.
 _HLXLY_M_CAP = 20_000
+# Fewest rows an evaluation has for its last ones to take the max-entropy band:
+# from there on a grid chunk holds one gamma (2 r_max + 1 > _CHUNK_CELLS / 2), and
+# below it the rows cost less than choosing the band start.
+_BAND_MIN_ROWS = 1024
+# Rounds of the band start's fixed point (:func:`_band_start`) before it gives up on the band.
+_BAND_ROUNDS = 4
+_LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 
 class _RowTable:
@@ -339,31 +358,67 @@ class _RunLawChunk:
     Only the rounding differs between a grid point and the same float gamma
     (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
     ``size`` (the rows needed) is 0 and the values are 0.
+
+    A point whose r_max, from ``r_max`` (an int at a float gamma, the
+    chunk's array otherwise), lies in [_BAND_MIN_ROWS, ``cap``) reads exact
+    rows only up to its band start and U_r past it (:func:`_exact_rows`).
     """
 
-    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed) -> None:
+    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed, r_max, cap: int) -> None:
         self._gammas, self.kernel, self._p, self._closed = gammas, kernel, p, closed
         self.size = p.shape[-1] if kernel else 0
+        self._r_max, self._cap, self._found = r_max, cap, None
+
+    def _exact(self, held: float = math.inf) -> list[tuple[int, int]] | None:
+        """(exact rows read, r_max) of each point, a float gamma being one,
+        or None when no point has a band (:func:`_exact_rows`); a chunk of
+        fewer than _BAND_MIN_ROWS rows has none.  With ``held``, the table
+        does not grow (:func:`_band_start`).  Once found whole, all within
+        ``held``, the answer is kept."""
+        if self._found is not None:
+            return self._found[0]
+        exact = None
+        if self.size >= _BAND_MIN_ROWS:
+            points = [(self._gammas, self.size)] if self._p.ndim == 1 else \
+                zip(self._gammas.tolist(), self._r_max.tolist())
+            exact = [(_exact_rows(self.kernel, g, n, self._cap, held), n) for g, n in points]
+            exact = exact if any(e < n for e, n in exact) else None
+        if exact is None or max(e for e, _ in exact) <= held:
+            self._found = (exact,)
+        return exact
 
     def values(self):
-        """The values, the table grown to the largest r_max (a numpy scalar at a float gamma)."""
+        """The values, the table grown to the most exact rows a point reads
+        (a numpy scalar at a float gamma).  With a band, each point is summed
+        on its own rows."""
         if not self.size:
             return 0.0 * self._gammas
-        return self._from_joint(self._p @ ROWS.entropies(self.kernel, self.size)[0])
+        exact = self._exact()
+        if exact is None:
+            return self._from_joint(self._p @ ROWS.entropies(self.kernel, self.size)[0])
+        if self._p.ndim == 1:
+            return self._from_joint(self._p @ _rows_read(self.kernel, *exact[0]))
+        return self._from_joint(np.array([p[:n] @ _rows_read(self.kernel, e, n) for p, (e, n) in zip(self._p, exact)]))
 
     def term(self, name: str) -> EntropyTerm:
         """At a float gamma, :meth:`values` as an entropy term.  Its
         truncation error adds to the dropped runs' tail
         (:func:`_run_tail_bound`) the bound on what the table's trimmed mass
-        moves the rows (:func:`_trim_bound`)."""
+        moves the exact rows (:func:`_trim_bound`) and, with a band, the bound
+        on the band's excess (:func:`_band_slack`)."""
         trunc = _run_tail_bound(self._gammas, self._p.size)
         if self.size:
-            trunc += _trim_bound(ROWS.entropies(self.kernel, self.size)[1], self.size)
+            exact = self._exact()
+            exact = exact[0][0] if exact else self.size
+            trunc += _trim_bound(ROWS.entropies(self.kernel, exact)[1], exact)
+            if exact < self.size:
+                trunc += _band_slack(self.kernel, self._gammas, exact)
         return EntropyTerm(name, float(self.values()), trunc)
 
     def floor(self):
         """A lower bound on :meth:`values`, element by element, from the R
-        rows the table holds now; None when R = 0 or R covers the chunk.
+        rows the table holds now; None when R = 0 or R covers every exact row
+        the chunk reads, found without growing the table.
 
         The entropy of a sum of independent steps never decreases as steps
         are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
@@ -381,6 +436,15 @@ class _RunLawChunk:
           Stability of Numerical Algorithms*, section 4.2), since
           sum_r p_r <= 1 + 4u and no row has more than c cells.
 
+        The same holds with a band (:func:`_exact_rows`): H_held <= H_r <=
+        U_r, and :meth:`values` takes, at each point, one product over its
+        rows read, exact rows then band, all of them in [0, log2(c)]:
+        U_r <= U_n = log2(2 pi e (n Var + 1/12)) / 2 with Var <= (c - 1)**2
+        / (4 n**2), which is at most log2(c) from n = 4 on for a kernel of
+        two or three steps (every channel's), and a band needs
+        n >= _BAND_MIN_ROWS.  So that product errs by at most
+        1.01 n u log2(c) too.
+
         M = 3 (n u log2(c) + delta) exceeds their sum, so the product less
         M, rounded, is at most the one :meth:`values` computes, and the rest
         is one addition of the same closed part and the clip, both monotone:
@@ -390,6 +454,8 @@ class _RunLawChunk:
         """
         h = ROWS.held(self.kernel)
         if not 0 < h.size < self.size:
+            return None
+        if (exact := self._exact(h.size)) is not None and max(e for e, _ in exact) <= h.size:
             return None
         n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
         delta = _trim_bound(-(-n // _ROW_BLOCK) * cells * _ROW_TRIM, n)
@@ -426,12 +492,111 @@ def _run_tail_bound(gamma: float, r_max: int) -> float:
     return tail_joint + tail_marg
 
 
+@functools.lru_cache(maxsize=8)
+def _step_variance(kernel: tuple[float, ...]) -> float:
+    """Variance of one step of ``kernel``, a law on 0..len(kernel) - 1,
+    summed as w_k (k - mean)**2, which does not cancel at a tiny rate."""
+    mean = math.fsum(k * w for k, w in enumerate(kernel))
+    return math.fsum(w * (k - mean) ** 2 for k, w in enumerate(kernel))
+
+
+def _max_entropy(kernel: tuple[float, ...], r):
+    """U_r = log2(2 pi e (r Var + 1/12)) / 2, Var the variance of one step
+    of ``kernel``, of an int r or elementwise of an array: at least the
+    entropy H_r of row_r, the law of a sum of r steps on the integers
+    (T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
+    discrete entropy bound: the maximum entropy of its variance plus that of
+    a uniform spread over one unit)."""
+    xp = np if isinstance(r, np.ndarray) else math
+    return 0.5 * (xp.log2(r * _step_variance(kernel) + 1.0 / 12.0) + _LOG2_2PIE)
+
+
+@functools.lru_cache(maxsize=4)
+def _max_entropy_rows(kernel: tuple[float, ...], n: int) -> np.ndarray:
+    """U_1..U_n (:func:`_max_entropy`), kept read-only; callers take n a
+    power of two, so that a search over gamma computes few."""
+    u = _max_entropy(kernel, np.arange(1.0, n + 1.0))
+    u.flags.writeable = False
+    return u
+
+
+def _band_slack(kernel: tuple[float, ...], gamma: float, start: int) -> float:
+    """A bound on how far U_r in place of H_r for r > R = ``start`` raises
+    sum_r p_r H_r, p_r = gamma**(r-1) (1 - gamma), however far past R the
+    rows go: gamma**R ((U_R - H_R + delta) + log2(1 + 1 / ((1 - gamma) R)) / 2),
+    H_R the table's row and delta its trim bound (:func:`_trim_bound`).
+
+    For r > R, H_r >= H_R (the entropy of a sum of independent steps never
+    decreases as steps are added; M. Madiman, "On the entropy of sums",
+    ITW 2008), so U_r - H_r <= (U_R - H_R) + (U_r - U_R), and
+    U_r - U_R <= log2(r / R) / 2.  The band's weights sum to at most
+    gamma**R, and given r > R, r - R is geometric with mean 1 / (1 - gamma),
+    so by Jensen's inequality their weighted log2(r / R) / 2 is at most
+    gamma**R log2(1 + 1 / ((1 - gamma) R)) / 2.  The stored H_R errs from
+    the exact one by at most delta."""
+    h, lost = ROWS.entropies(kernel, start)
+    gap = _max_entropy(kernel, start) - float(h[-1]) + _trim_bound(lost, start)
+    return gamma ** start * (gap + 0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))
+
+
+def _band_start(kernel: tuple[float, ...], gamma: float, r_max: int, held: float = math.inf) -> int:
+    """The fewest exact rows R found whose band slack (:func:`_band_slack`)
+    is at most the dropped runs' tail bound at r_max
+    (:func:`_run_tail_bound`), so that the band at most doubles the term's
+    error budget; r_max, no band, if none is found.
+
+    The slack is gamma**R D(R), with D(R) >= log2(1 + 1 / ((1 - gamma)
+    r_max)) / 2 for every R <= r_max.  The first guess is the least R with
+    gamma**R times that floor below the target, so no R below it can do;
+    each round reads D at the guess from the table and moves up to the least
+    R that D would allow, until the slack read at a guess is below the
+    target, two rounds at most in practice.  Each guess is rounded up to a
+    whole block of rows, which the table builds anyway.  The guesses only
+    rise, so the table grows no further than R, and they depend on the rows'
+    values alone, never on how many the table held.  With ``held``, the
+    first guess past ``held`` rows is returned as it is, a lower bound on R
+    that tells the caller that the table lacks rows, and none is built."""
+    target = _run_tail_bound(gamma, r_max)
+    log_gamma = math.log(gamma)
+    start = r_max
+    for _ in range(2):  # D's log term alone, at the guess
+        start = math.ceil(math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))) / log_gamma)
+    for _ in range(_BAND_ROUNDS):
+        start = max(_ROW_BLOCK, -(-start // _ROW_BLOCK) * _ROW_BLOCK)  # the table builds whole blocks
+        if start >= r_max:
+            break
+        if start > held:
+            return start
+        slack = _band_slack(kernel, gamma, start)
+        if slack <= target:
+            return start
+        start = max(start + 1, math.ceil(start + math.log(target / slack) / log_gamma))
+    return r_max
+
+
+def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, held: float = math.inf) -> int:
+    """How many exact rows an evaluation on r_max rows reads: its band start
+    (:func:`_band_start`, ``held`` passed on) when _BAND_MIN_ROWS <= r_max <
+    ``cap``, else all r_max.  At the cap the term is kept as it was: its
+    r_max already cuts more than tail_epsilon asks."""
+    return _band_start(kernel, gamma, r_max, held) if _BAND_MIN_ROWS <= r_max < cap else r_max
+
+
+def _rows_read(kernel: tuple[float, ...], exact: int, r_max: int) -> np.ndarray:
+    """H_1..H_exact from the table, then U_r (:func:`_max_entropy`) up to r_max."""
+    h = ROWS.entropies(kernel, exact)[0]
+    if exact == r_max:
+        return h
+    return np.concatenate([h, _max_entropy_rows(kernel, 1 << (r_max - 1).bit_length())[exact:r_max]])
+
+
 def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
     """The run-length term at a float gamma, a chunk of one point on the
     r_max ``cfg`` fixes, its p_r as in :meth:`_GridPlan.weights`."""
-    r_max = _r_truncation(gamma, cfg or SeriesConfig())
+    cfg = cfg or SeriesConfig()
+    r_max = _r_truncation(gamma, cfg)
     p = (1.0 - gamma) * np.power(gamma, np.arange(float(r_max)))
-    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max))
+    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max), r_max, cfg.r_max_cap)
 
 
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
@@ -470,14 +635,14 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
     its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma).
 
-    The table is read only up to R = min(r, _HLXLY_M_CAP), r = ceil(log(1e-12)
+    The rows are read only up to R = min(r, _HLXLY_M_CAP), r = ceil(log(1e-12)
     / log(gamma)), the r_max of the default :class:`SeriesConfig` before its
-    cap, so below that cap the diagnostic needs no rows the bound at gamma
-    did not.  Rows m > R take H_R in place of H_m, a lower bound since the
-    entropy of a sum of independent steps never decreases as steps are added
-    (M. Madiman, "On the entropy of sums", ITW 2008), and sum to
-    gamma**R H_R.  That moves the value by sum_{m>R} p_m (H_m - H_R), with
-    gamma**R <= 1e-12 below the cap.
+    cap, and with the band below _HLXLY_M_CAP (:func:`_exact_rows`), as the
+    bound at gamma reads them: below the bound's cap the diagnostic needs no
+    rows the bound did not.  Rows m > R take the last row read, H_R (or U_R
+    with a band), in place of H_m, and sum to gamma**R times it.  That
+    moves the value by at most sum_{m>R} p_m |H_m - H_R|, with gamma**R <=
+    1e-12 below the cap.
     """
     ChannelParams(d=d)
     _check_gamma(gamma)
@@ -492,7 +657,8 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
     out -= binary_entropy(d) * (1.0 / gb - gb)
     rows = min(math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)), _HLXLY_M_CAP)
-    h_rows = ROWS.entropies(_row_kernel(d, 0.0), rows)[0]
+    kernel = _row_kernel(d, 0.0)
+    h_rows = _rows_read(kernel, _exact_rows(kernel, gamma, rows, _HLXLY_M_CAP), rows)
     series = np.power(gamma, np.arange(1.0, rows))  # p_m, m = 2..R
     series *= gb
     series *= h_rows[1:]

@@ -19,7 +19,7 @@ from .core import ChannelParams, xlog2
 from . import analytic_bounds as ab
 from . import exact_oracle as oracle
 from . import mc_estimator as mc
-from .run_length import ROWS, _row_kernel
+from .run_length import _RowTable, _row_kernel
 from .gamma_optimizer import optimize_bound
 
 __all__ = [
@@ -83,9 +83,11 @@ class _Checks(list):
 def _run_law_gap(params: ChannelParams) -> float:
     """Largest gap, over input run lengths r <= 8, between the entropy of the
     enumerated law of the output run length and the row entropy H(row_r)
-    that the bound's run-length term reads (``ROWS``)."""
+    that the bound's run-length term reads.  The rows come from a table of
+    their own, the same code as the bound's (``ROWS``), so the check leaves
+    the bound's rows in place."""
     table = oracle.exact_run_law(8, params)
-    rows = ROWS.entropies(_row_kernel(params.d, params.i), 8)[0]
+    rows = _RowTable().entropies(_row_kernel(params.d, params.i), 8)[0]
     return max(abs(-float(xlog2(table[r], table[r]).sum()) - float(rows[r - 1])) for r in table)
 
 

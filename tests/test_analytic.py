@@ -557,19 +557,27 @@ class TestRowTable:
 
     @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
     def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch, cold_rows):
+        # r_max = 2 750 at gamma = 0.99: the term reads exact rows up to its
+        # band start R, and its error is the tail, the trim bound at R and
+        # the band's slack, summed in that order
         gamma = 0.99
-        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
+        cfg = ab.SeriesConfig()
+        r_max = rl._r_truncation(gamma, cfg)
         trimmed = ab.run_law_delins_H(gamma, d, i)
         kernel = tuple(x for x in (d, 1.0 - d - i, i) if x > 0.0)
-        lost = rl.ROWS.entropies(kernel, r_max)[1]
+        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
+        assert rl._BAND_MIN_ROWS <= start < r_max
+        lost = rl.ROWS.entropies(kernel, start)[1]
         assert lost > 0.0
         assert trimmed.truncation_error == (
-            rl._run_tail_bound(gamma, r_max) + lost * (math.log2(2 * r_max + 1) - math.log2(lost) + math.log2(math.e)))
+            rl._run_tail_bound(gamma, r_max) + lost * (math.log2(2 * start + 1) - math.log2(lost) + math.log2(math.e))
+            + rl._band_slack(kernel, gamma, start))
         monkeypatch.setattr(rl, "_ROW_TRIM", 0.0)
         cold_rows.reset()
         full = ab.run_law_delins_H(gamma, d, i)
+        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
         assert rl.ROWS.entropies(kernel, r_max)[1] == 0.0
-        assert full.truncation_error == rl._run_tail_bound(gamma, r_max)
+        assert full.truncation_error == rl._run_tail_bound(gamma, r_max) + rl._band_slack(kernel, gamma, start)
         assert abs(trimmed.value - full.value) <= trimmed.truncation_error
 
     @pytest.mark.parametrize("d", [0.5, 0.8])
@@ -622,8 +630,13 @@ class TestRowBoundedCeiling:
         grid = ab.BoundGrid(name, go._bound_params(name, d, i, alpha), go._GRID, ab.SeriesConfig(), printed)
         chunk = grid.chunks[c]
         run = grid._run_law(chunk)
-        blocks = (run.size - 1) // rl._ROW_BLOCK  # R = 16, 32, .., 16 blocks rows are all short of run.size
+        rl.ROWS.reset()
+        run.values()
+        # R = 16, 32, .., 16 blocks rows are all short of the rows the chunk reads:
+        # run.size, or the band start below the cap
+        blocks = (min(rl.ROWS.size, run.size) - 1) // rl._ROW_BLOCK
         assume(blocks >= 1)
+        run = grid._run_law(chunk)
         rl.ROWS.reset()
         rl.ROWS.entropies(run.kernel, rl._ROW_BLOCK * (1 + int(share * (blocks - 1))))
         floor = run.floor()
@@ -633,6 +646,85 @@ class TestRowBoundedCeiling:
         assert np.all(floor <= values)
         assert np.array_equal(grid._assemble(chunk, values), full)
         assert np.all(ceiling >= full)
+
+
+# the gammas whose r_max lies in [1 024, 10 000) at the default SeriesConfig: the band's range
+_BAND_GAMMAS = (math.exp(math.log(1e-12) / 1_024), math.exp(math.log(1e-12) / 9_999))
+
+
+class TestBand:
+    """The run-length term reads exact rows up to its band start R and the
+    max-entropy bound U_r past it, for 1 024 <= r_max < r_max_cap."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(*_BAND_GAMMAS))
+    @example(0.45, 0.55, 0.99)  # d + i = 1: rows on every other cell, so U_r is a bit above H_r
+    @example(0.9, 0.0, 0.995)
+    @example(0.5, 0.5, _BAND_GAMMAS[1])  # the largest step variance at the largest r_max
+    @example(1e-300, 0.0, 0.98)  # a step that all but never varies
+    @example(0.0, 0.3, _BAND_GAMMAS[0])
+    def test_band_raises_the_term_by_at_most_its_slack(self, d, i, gamma):
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        cfg = ab.SeriesConfig()
+        r_max = rl._r_truncation(gamma, cfg)
+        kernel = rl._row_kernel(d, i)
+        assume(kernel and rl._BAND_MIN_ROWS <= r_max < cfg.r_max_cap)
+        rl.ROWS.reset()
+        value = float(rl._run_law_at(gamma, d, i, cfg).values())
+        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
+        assert rl._ROW_BLOCK <= start < r_max
+        slack = rl._band_slack(kernel, gamma, start)
+        assert 0.0 < slack <= rl._run_tail_bound(gamma, r_max)
+        # every row exact: the same r_max, p_r and closed part at the cap, where no row takes the band
+        full = float(rl._run_law_at(gamma, d, i, ab.SeriesConfig(r_max_cap=r_max)).values())
+        rows = rl.ROWS.entropies(kernel, r_max)[0][start:]
+        band = rl._max_entropy(kernel, np.arange(start + 1.0, r_max + 1.0))
+        assert np.all(band >= rows)
+        p = (1.0 - gamma) * np.power(gamma, np.arange(float(start), float(r_max)))
+        assert math.fsum((p * (band - rows)).tolist()) <= slack
+        # the two sums differ by that excess and their rounding, within 1e-13 as a grid point and a float do
+        assert full - 1e-13 <= value <= full + slack + 1e-13
+
+    @pytest.mark.parametrize("gamma, d, i", [(0.99, 0.9, 0.0), (0.995, 0.0, 0.3), (0.98, 0.45, 0.55)])
+    def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, i, cold_rows):
+        # the band start reads rows' values only, never how many the table held
+        cold = ab.run_law_delins_H(gamma, d, i)
+        kernel = rl._row_kernel(d, i)
+        start = rl._exact_rows(kernel, gamma, rl._r_truncation(gamma, ab.SeriesConfig()), 10_000)
+        assert cold_rows.size == start
+        for held in (start - 2 * rl._ROW_BLOCK, start + 1_000):
+            cold_rows.reset()
+            cold_rows.entropies(kernel, held)
+            assert repr(ab.run_law_delins_H(gamma, d, i)) == repr(cold)
+
+    @pytest.mark.parametrize("gamma, cap", [(0.97, 10_000), (0.999, 10_000), (0.995, 2_000), (0.99, 1_024)])
+    def test_term_outside_the_band_sums_every_row(self, gamma, cap, cold_rows):
+        # r_max = 908 < 1 024 at gamma = 0.97, and r_max at the cap otherwise: every row is
+        # read exactly, and the term is p @ H plus its closed part, with the tail and trim bounds
+        cfg = ab.SeriesConfig(r_max_cap=cap)
+        r_max = rl._r_truncation(gamma, cfg)
+        assert r_max < rl._BAND_MIN_ROWS or r_max == cap
+        for d, i in [(0.9, 0.0), (0.2, 0.1)]:
+            term = ab.run_law_delins_H(gamma, d, i, cfg)
+            rows, lost = rl.ROWS.entropies(rl._row_kernel(d, i), r_max)
+            p = (1.0 - gamma) * np.power(gamma, np.arange(float(r_max)))
+            value = float(np.maximum(p @ rows + rl._run_law_closed(gamma, d, i, r_max), 0.0))
+            assert repr(term.value) == repr(value)
+            assert repr(term.truncation_error) == repr(rl._run_tail_bound(gamma, r_max) + rl._trim_bound(lost, r_max))
+
+    def test_a_chunk_takes_each_points_own_band(self, cold_rows):
+        # gammas out of order put 0.99 (r_max 2 750) in one chunk with two short points
+        gammas = np.array([0.99, 0.5, 0.3])
+        grid = ab.BoundGrid("delins", ChannelParams(d=0.2, i=0.1, alpha=0.8), gammas, ab.SeriesConfig())
+        (chunk,) = grid.chunks
+        kernel = rl._row_kernel(0.2, 0.1)
+        start = rl._exact_rows(kernel, 0.99, 2_750, 10_000)
+        assert grid._run_law(chunk)._exact() == [(start, 2_750), (40, 40), (23, 23)]
+        assert grid._run_law(0.99)._exact() == [(start, 2_750)]
+        for g, v in zip(gammas.tolist(), grid.values().tolist()):
+            assert abs(v - ab.lb_delins(0.2, 0.1, 0.8, g).bound_bits) <= 1e-13
+        assert cold_rows.size == start
 
 
 class TestRunLengthEntropy:

@@ -12,6 +12,9 @@ import delinscap
 import golden
 from delinscap import verification
 from delinscap.cli import build_parser, main, load_series_config, _parse_grid
+from delinscap.core import ChannelParams
+from delinscap.gamma_optimizer import optimize_bound
+from delinscap.run_length import _row_kernel
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas"
 
@@ -121,6 +124,12 @@ class TestBoundCommand:
         payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
         _validate(payload, "bound_report.schema.json")
 
+    def test_out_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "b.json"
+        assert main(["bound", "--channel", "deletion", "--d", "0.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
     def test_text_report_matches_json(self, capsys):
         args = ["bound", "--channel", "insertion", "--i", "0.1", "--alpha", "0.8"]
         assert main(args + ["--json"]) == 0
@@ -180,6 +189,13 @@ class TestSweepCommand:
         assert main(["sweep", "--channel", "delins", "--d", "0.7,0.8", "--i", "0.2", "--alpha", "0.5",
                      "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 2
+
+    def test_out_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sweep", "--channel", "deletion", "--d", "0.1,0.2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(out) in captured.err
 
     def test_empty_grid_rejected_without_writing(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
@@ -259,6 +275,14 @@ class TestVerifyCommand:
         assert {c["name"] for c in payload["checks"]} >= {"hI_vs_limit", "hT_vs_limit",
                                                           "HS2_vs_series", "stationary_iy_tv"}
 
+    def test_run_law_check_leaves_the_bound_rows(self, cold_rows):
+        # the check once replaced the d = 0.9 rows by 16 of its own kernel, and the
+        # next d = 0.9 solve rebuilt them (3.8 ms instead of 0.8 ms)
+        optimize_bound("deletion", d=0.9)
+        size = cold_rows.size
+        assert verification._run_law_gap(ChannelParams(d=0.3)) <= verification.TOL_RUN_LAW
+        assert cold_rows.size == size and cold_rows.held(_row_kernel(0.9, 0.0)).size == size > 16
+
     def test_oracle_detail_names_the_sampled_inputs(self):
         # up to 8 bits every input is checked; past that, 64 sampled with the seed
         assert verification._cascade_detail(2, 5) == "max pointwise law gap over all 2-bit inputs"
@@ -292,6 +316,15 @@ class TestSeriesConfigEnv:
         monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
         with pytest.raises(ValueError):
             load_series_config()
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_is_an_error(self, where, tmp_path, monkeypatch, capsys):
+        # FileNotFoundError and IsADirectoryError ended in a traceback once
+        path = tmp_path / "missing" / "cfg.txt" if where == "missing" else tmp_path
+        monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(path))
+        assert main(["bound", "--channel", "deletion", "--d", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
     def test_cli_uses_env_config(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "series.cfg"

@@ -224,6 +224,15 @@ class TestGeometricPmf:
         with pytest.raises(ValueError):
             geometric_run_pmf(1.0, 2)
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, True, "2", None])
+    def test_run_length_must_be_an_integer(self, r):
+        # a run length is a whole number of bits: 1.5 gave 0.354 before
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            geometric_run_pmf(0.5, r)
+
+    def test_numpy_integer_run_length(self):
+        assert geometric_run_pmf(0.5, np.int64(3)) == geometric_run_pmf(0.5, 3)
+
 
 class TestMarkovSource:
     def test_empty(self):

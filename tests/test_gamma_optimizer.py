@@ -175,6 +175,13 @@ class TestSweep:
             assert terms["comp_insertion_penalty"] == 0.0
             assert terms["insertion_ambiguity_credit"] == 0.0
 
+    def test_unknown_point_keys_are_an_error(self):
+        # a misspelt key used to take its default silently: "q" solved d = 0.2 alone
+        for points, keys in [([{"d": 0.2, "q": 1}], "['q']"), ([{"d": 0.1}, {"D": 0.2, "alfa": 1.0}], "['D', 'alfa']")]:
+            with pytest.raises(ValueError) as err:
+                sweep("deletion", points)
+            assert str(err.value).startswith(f"unknown parameter keys {keys} ")
+
     def test_deterministic_row_order_and_values(self):
         pts = [{"d": d} for d in (0.1, 0.3)]
         a = sweep("deletion", pts, tol=1e-4)
@@ -310,6 +317,12 @@ class TestCeiling:
         optimize_bound("deletion", d=d)
         assert cold_rows.size <= rows
 
+    @pytest.mark.parametrize("d, rows", [(0.8, 960), (0.9, 2_144), (0.947, 3_936)])
+    def test_cold_solve_reads_exact_rows_only_up_to_the_band(self, d, rows, cold_rows):
+        # 1 376, 3 120 and 5 840 rows when every row up to r_max was read exactly
+        optimize_bound("deletion", d=d)
+        assert cold_rows.size <= rows
+
     def test_debug_record_counts_ruled_out_probes(self, cold_rows, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound("deletion", d=0.95)
@@ -334,11 +347,12 @@ class TestCeiling:
         cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha, printed=printed)
         kernel = grid._run_law(gamma).kernel
-        blocks = (rl._r_truncation(gamma, cfg) - 1) // rl._ROW_BLOCK
-        assume(kernel and blocks >= 1)
-        held = rl._ROW_BLOCK * (1 + int(share * (blocks - 1)))  # short of r_max
         rl.ROWS.reset()
         value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
+        # the rows the point reads: r_max, or its band start below the cap
+        blocks = (min(rl.ROWS.size, rl._r_truncation(gamma, cfg)) - 1) // rl._ROW_BLOCK
+        assume(kernel and blocks >= 1)
+        held = rl._ROW_BLOCK * (1 + int(share * (blocks - 1)))  # short of them
         rl.ROWS.reset()
         rl.ROWS.entropies(kernel, held)
         assert grid.at(gamma, math.inf) is None
