@@ -20,7 +20,7 @@ gammas) (:class:`_GridPlan`).
 
 Near gamma = 1 the rows dominate the cost, and the last ones carry little
 weight.  An evaluation whose r_max lies in [_BAND_MIN_ROWS, ``r_max_cap``)
-reads exact rows only up to a start R (:func:`_band_start`) and, for
+reads exact rows only up to a start R (:func:`_exact_rows`) and, for
 R < r <= r_max (the band), the maximum-entropy bound
 U_r = log2(2 pi e (r Var + 1/12)) / 2 >= H_r, Var the step's variance
 (T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
@@ -95,7 +95,7 @@ _HLXLY_M_CAP = 20_000
 # from there on a grid chunk holds one gamma (2 r_max + 1 > _CHUNK_CELLS / 2), and
 # below it the rows cost less than choosing the band start.
 _BAND_MIN_ROWS = 1024
-# Rounds of the band start's fixed point (:func:`_band_start`) before it gives up on the band.
+# Rounds of the band start's fixed point (:func:`_exact_rows`) before it gives up on the band.
 _BAND_ROUNDS = 4
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -371,18 +371,18 @@ class _RunLawChunk:
 
     def _exact(self, held: float = math.inf) -> list[tuple[int, int]] | None:
         """(exact rows read, r_max) of each point, a float gamma being one,
-        or None when no point has a band (:func:`_exact_rows`); a chunk of
-        fewer than _BAND_MIN_ROWS rows has none.  With ``held``, the table
-        does not grow (:func:`_band_start`).  Once found whole, all within
+        or None when no point has a band (:func:`_exact_rows`, which takes
+        ``held``, so that the table does not grow); a chunk of fewer than
+        _BAND_MIN_ROWS rows has none.  Once found whole, all within
         ``held``, the answer is kept."""
+        if self.size < _BAND_MIN_ROWS:
+            return None
         if self._found is not None:
             return self._found[0]
-        exact = None
-        if self.size >= _BAND_MIN_ROWS:
-            points = [(self._gammas, self.size)] if self._p.ndim == 1 else \
-                zip(self._gammas.tolist(), self._r_max.tolist())
-            exact = [(_exact_rows(self.kernel, g, n, self._cap, held), n) for g, n in points]
-            exact = exact if any(e < n for e, n in exact) else None
+        points = [(self._gammas, self.size)] if self._p.ndim == 1 else \
+            zip(self._gammas.tolist(), self._r_max.tolist())
+        exact = [(_exact_rows(self.kernel, g, n, self._cap, held), n) for g, n in points]
+        exact = exact if any(e < n for e, n in exact) else None
         if exact is None or max(e for e, _ in exact) <= held:
             self._found = (exact,)
         return exact
@@ -539,23 +539,29 @@ def _band_slack(kernel: tuple[float, ...], gamma: float, start: int) -> float:
     return gamma ** start * (gap + 0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))
 
 
-def _band_start(kernel: tuple[float, ...], gamma: float, r_max: int, held: float = math.inf) -> int:
-    """The fewest exact rows R found whose band slack (:func:`_band_slack`)
-    is at most the dropped runs' tail bound at r_max
+def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, held: float = math.inf) -> int:
+    """How many exact rows an evaluation on r_max rows reads: all r_max
+    unless _BAND_MIN_ROWS <= r_max < ``cap`` (at the cap the term is kept as
+    it was, since its r_max already cuts more than tail_epsilon asks), and
+    else its band start R, the fewest rows found whose band slack
+    (:func:`_band_slack`) is at most the dropped runs' tail bound at r_max
     (:func:`_run_tail_bound`), so that the band at most doubles the term's
     error budget; r_max, no band, if none is found.
 
-    The slack is gamma**R D(R), with D(R) >= log2(1 + 1 / ((1 - gamma)
-    r_max)) / 2 for every R <= r_max.  The first guess is the least R with
-    gamma**R times that floor below the target, so no R below it can do;
-    each round reads D at the guess from the table and moves up to the least
-    R that D would allow, until the slack read at a guess is below the
-    target, two rounds at most in practice.  Each guess is rounded up to a
-    whole block of rows, which the table builds anyway.  The guesses only
-    rise, so the table grows no further than R, and they depend on the rows'
-    values alone, never on how many the table held.  With ``held``, the
-    first guess past ``held`` rows is returned as it is, a lower bound on R
-    that tells the caller that the table lacks rows, and none is built."""
+    The slack is gamma**R D(R), and most of D(R) is its log term
+    log2(1 + 1 / ((1 - gamma) R)) / 2, which needs no row (U_R - H_R is
+    about 2% of it near the deletion optima).  So the first guess is two
+    rounds of the least R that the log term alone allows, from r_max; then
+    each round reads D at the guess from the table and moves up to the
+    least R that D would allow, until the slack read at a guess is at most
+    the target, which the first guess meets in practice.  Each guess is
+    rounded up to a whole block of rows, which the table builds anyway.
+    After the first, the guesses only rise, so the table grows no further
+    than R, and they depend on the rows' values alone, never on how many
+    the table held.  With ``held``, a guess past ``held`` rows is returned
+    as it is, before any row is read for it: more than the table holds."""
+    if not _BAND_MIN_ROWS <= r_max < cap:
+        return r_max
     target = _run_tail_bound(gamma, r_max)
     log_gamma = math.log(gamma)
     start = r_max
@@ -572,14 +578,6 @@ def _band_start(kernel: tuple[float, ...], gamma: float, r_max: int, held: float
             return start
         start = max(start + 1, math.ceil(start + math.log(target / slack) / log_gamma))
     return r_max
-
-
-def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, held: float = math.inf) -> int:
-    """How many exact rows an evaluation on r_max rows reads: its band start
-    (:func:`_band_start`, ``held`` passed on) when _BAND_MIN_ROWS <= r_max <
-    ``cap``, else all r_max.  At the cap the term is kept as it was: its
-    r_max already cuts more than tail_epsilon asks."""
-    return _band_start(kernel, gamma, r_max, held) if _BAND_MIN_ROWS <= r_max < cap else r_max
 
 
 def _rows_read(kernel: tuple[float, ...], exact: int, r_max: int) -> np.ndarray:
@@ -639,10 +637,10 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     / log(gamma)), the r_max of the default :class:`SeriesConfig` before its
     cap, and with the band below _HLXLY_M_CAP (:func:`_exact_rows`), as the
     bound at gamma reads them: below the bound's cap the diagnostic needs no
-    rows the bound did not.  Rows m > R take the last row read, H_R (or U_R
+    rows the bound did not.  Rows m > R take the last row read, H_R (U_R
     with a band), in place of H_m, and sum to gamma**R times it.  That
-    moves the value by at most sum_{m>R} p_m |H_m - H_R|, with gamma**R <=
-    1e-12 below the cap.
+    moves the value by at most sum_{m>R} p_m |H_m - H_R| (U_R in place of
+    H_R with a band), with gamma**R <= 1e-12 below the cap.
     """
     ChannelParams(d=d)
     _check_gamma(gamma)
