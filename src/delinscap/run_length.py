@@ -565,8 +565,9 @@ def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, h
     target = _run_tail_bound(gamma, r_max)
     log_gamma = math.log(gamma)
     start = r_max
-    for _ in range(2):  # D's log term alone, at the guess
-        start = math.ceil(math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))) / log_gamma)
+    for _ in range(2):  # D's log term alone, at the guess; a loose tail_epsilon may allow any R
+        start = max(1, math.ceil(math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start))))
+                                 / log_gamma))
     for _ in range(_BAND_ROUNDS):
         start = max(_ROW_BLOCK, -(-start // _ROW_BLOCK) * _ROW_BLOCK)  # the table builds whole blocks
         if start >= r_max:

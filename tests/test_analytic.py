@@ -713,6 +713,17 @@ class TestBand:
             assert repr(term.value) == repr(value)
             assert repr(term.truncation_error) == repr(rl._run_tail_bound(gamma, r_max) + rl._trim_bound(lost, r_max))
 
+    @pytest.mark.parametrize("tail_epsilon", [0.5, 0.9])
+    def test_loose_tail_budget_takes_a_short_band_start(self, tail_epsilon, cold_rows):
+        # r_max = 6 932 and 1 054 at gamma = 0.9999: the tail bound exceeds the slack of a
+        # single block, so the band starts there (a math domain error once)
+        cfg = ab.SeriesConfig(tail_epsilon=tail_epsilon)
+        r_max = rl._r_truncation(0.9999, cfg)
+        assert rl._BAND_MIN_ROWS <= r_max < cfg.r_max_cap
+        term = ab.run_law_delins_H(0.9999, 0.3, 0.1, cfg)
+        assert rl._exact_rows(rl._row_kernel(0.3, 0.1), 0.9999, r_max, cfg.r_max_cap) == rl._ROW_BLOCK
+        assert math.isfinite(term.value) and math.isfinite(term.truncation_error)
+
     def test_a_chunk_takes_each_points_own_band(self, cold_rows):
         # gammas out of order put 0.99 (r_max 2 750) in one chunk with two short points
         gammas = np.array([0.99, 0.5, 0.3])
