@@ -193,22 +193,29 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     points = [dict(zip(grids, values)) for values in itertools.product(*grids.values())]
-    rows = sweep(args.channel, points, cfg=cfg, tol=args.tol)
 
     spec = CHANNELS[args.channel]
     totals = [*spec.bounds, "lb_max"] if len(spec.bounds) > 1 else []
     columns = ["d", "i", "alpha", "gamma_star", "bound", *totals]
     header = ["channel", *columns, *(f"term:{n}" for n in spec.term_columns)]
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            res: ab.BoundResult = row["result"]
-            terms = {t.name: t.value for t in res.terms}
-            record = [row["channel"], *(repr(row[k]) for k in columns)]
-            record += [repr(terms[n]) if n in terms else "" for n in spec.term_columns]
-            writer.writerow(record)
+    # opened before the first solve, so that a path that cannot be written costs no solve;
+    # removed again if anything stops the sweep, so that no partial file is left
+    fh = open(args.out, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            rows = sweep(args.channel, points, cfg=cfg, tol=args.tol)
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                res: ab.BoundResult = row["result"]
+                terms = {t.name: t.value for t in res.terms}
+                record = [row["channel"], *(repr(row[k]) for k in columns)]
+                record += [repr(terms[n]) if n in terms else "" for n in spec.term_columns]
+                writer.writerow(record)
+    except BaseException:
+        os.remove(args.out)
+        raise
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

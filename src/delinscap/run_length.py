@@ -80,9 +80,12 @@ def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
 
 
 _LOG2E = math.log2(math.e)
-# Rows advanced by one block product, and the entry below which the tails of
-# a row are dropped before it seeds the next block.
+# The whole blocks of rows a band start is rounded up to; the cells a row
+# widens by over one block product of the table (:func:`_block_rows`); and
+# the entry below which the tails of a row are dropped before it seeds the
+# next block.
 _ROW_BLOCK = 16
+_ROW_PAD = 32
 _ROW_TRIM = 1e-30
 # Cap on a grid chunk's G x (2 r_max + 1) (twice its p_r matrix), and on a block of the H(L_out) series.
 _CHUNK_CELLS = 4096
@@ -95,102 +98,148 @@ _HLXLY_M_CAP = 20_000
 # from there on a grid chunk holds one gamma (2 r_max + 1 > _CHUNK_CELLS / 2), and
 # below it the rows cost less than choosing the band start.
 _BAND_MIN_ROWS = 1024
+# Fewest rows whose float-gamma weights take one exp in place of np.power (:func:`_run_weights`).
+_EXP_WEIGHTS_MIN_ROWS = 128
 # Rounds of the band start's fixed point (:func:`_exact_rows`) before it gives up on the band.
 _BAND_ROUNDS = 4
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 
+def _block_rows(kernel: tuple[float, ...]) -> int:
+    """Rows one block product of the table advances for ``kernel``, over
+    which a row widens by _ROW_PAD cells: 32 for a two-step kernel, 16 for a
+    three-step one."""
+    return _ROW_PAD // max(len(kernel) - 1, 1)
+
+
+def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
+    """The block x ((len(kernel) - 1) block + 1) matrix whose row j is
+    kernel^{*(j+1)}, zero-padded, kept read-only: the first _ROW_BLOCK rows
+    by np.convolve, and the rest as the first ones times row _ROW_BLOCK, one
+    product with the window whose row t is that row shifted by t, as the
+    table advances its rows.  32 np.convolve calls would cost half as much
+    again; powers from repeated doubling cost a little less, but their rows
+    sum a few ulp further from the kernel's mass, and the rows of the table
+    drift with that sum, block after block (4e-12 in H at 20,000 rows)."""
+    steps, first = len(kernel) - 1, min(block, _ROW_BLOCK)
+    powers, power = np.zeros((block, steps * block + 1)), np.ones(1)
+    for j in range(first):
+        power = np.convolve(power, kernel)
+        powers[j, :power.size] = power
+    if block > first:
+        shift = steps * (block - first)
+        padded = np.zeros(power.size + 2 * shift)
+        padded[shift:shift + power.size] = power
+        window = as_strided(padded[shift:], (shift + 1, power.size + shift), (-padded.itemsize, padded.itemsize))
+        np.matmul(powers[:block - first, :shift + 1], window, out=powers[first:])
+    powers.flags.writeable = False
+    return powers
+
+
 class _RowTable:
     """The rows of the most recent step law (:meth:`entropies`); :data:`ROWS`
-    is the one table.  Its state (kernel, its powers, last row, H, lost mass)
-    is replaced whole, never mutated, so a reader never sees a kernel paired
-    with another kernel's rows."""
+    is the one table.  A new step law replaces its state (kernel, its
+    powers, last row, H, dropped counts, size) whole, and growth only writes
+    past the rows held, so a reader never sees a kernel paired with another
+    kernel's rows, nor a row it read change."""
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Forget every row, as at import."""
-        self._state = (None, None, np.ones(1), np.zeros(0), np.zeros(0))
+        self._state = (None, None, np.ones(1), np.zeros(0), [], 0)
+        self._work = None
 
     @property
     def size(self) -> int:
-        """Rows held now, a multiple of _ROW_BLOCK."""
-        return self._state[3].size
+        """Rows held now, a multiple of the kernel's block (:func:`_block_rows`) and of _ROW_BLOCK."""
+        return self._state[5]
 
     def held(self, kernel: tuple[float, ...]) -> np.ndarray:
         """H(row_r) for the rows held of ``kernel``: none unless it is the most recent step law."""
-        key, _, _, h, _ = self._state
-        return h if key == kernel else h[:0]
+        key, _, _, h, _, size = self._state
+        return h[:size] if key == kernel else h[:0]
 
     def entropies(self, kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, float]:
         """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
-        convolution of ``kernel``, and the mass missing from row_r_max.
+        convolution of ``kernel``, and a bound on the mass missing from
+        row_r_max.
 
-        The table is kept for one kernel and grown on demand, _ROW_BLOCK = B rows
-        per step.  From the base row row_r0, r0 a multiple of B,
-        row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B, the
-        B x (M + 1) matrix whose rows are kernel^{*1..B}, kept with the rows,
-        times the (M + 1) x n window matrix, whose row t is the base row shifted
-        by t, gives the next B rows in one product, and one log2 over the
-        product gives their B entropies.  Every term is non-negative, so
-        rounding stays relative.  Blocks start at fixed r, so a grown table is
-        bit-identical to one built cold.
+        The table is kept for one kernel and grown on demand, B rows per step
+        (:func:`_block_rows`).  From the base row row_r0, r0 a multiple of B,
+        row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B =
+        _ROW_PAD, the B x (M + 1) matrix whose rows are kernel^{*1..B}
+        (:func:`_kernel_powers`), kept with the rows, times the (M + 1) x n
+        window matrix, whose row t is the base row shifted by t, gives the
+        next B rows in one product.  One
+        log2 over the product and one fused reduction
+        (``einsum('ij,ij->i')``) of the logs times the rows then give their B
+        sums x log2 x, whose sign is turned once per growth.  Every term is
+        non-negative, so rounding stays relative.  Blocks start at fixed r,
+        so a grown table is bit-identical to one built cold.  A block of 32
+        rows of a three-step kernel would need a 64-cell pad, and the larger
+        product costs more than the calls it saves.
 
-        Per block the loop does little besides the product and the logs: the
-        window is copied from one strided view (strides -1 and +1 cells) into
-        the zero-padded base row, made when the buffers grow, and the trim ends
-        are two argmax calls.
+        Per block the loop does little besides the product, the logs and the
+        reduction: the window is copied from one strided view (strides -1
+        and +1 cells) into the zero-padded base row, and the trim ends are
+        two argmax calls.  The window, product and padded-row buffers and the
+        H array stay with the table across growth calls.
 
-        A row is trimmed at both ends to its entries >= _ROW_TRIM before it seeds
-        the next block.  The kernel powers sum to one, so every row of that block
-        misses exactly the mass D dropped so far; with row_r on at most
-        2 r_max + 1 cells, H(row_r) then moves by at most
-        D (log2(2 r_max + 1) - log2 D + log2 e) (:func:`_trim_bound`).
+        A row is trimmed at both ends to its entries >= _ROW_TRIM before it
+        seeds the next block.  Every entry dropped is below _ROW_TRIM, so the
+        mass D dropped so far is at most their count times _ROW_TRIM, the
+        bound returned: at most ceil(n / B) blocks times the c cells of a
+        row, which :meth:`_RunLawChunk.floor` takes with B = _ROW_BLOCK <=
+        :func:`_block_rows`.  The kernel powers sum to one, so every row of a
+        block misses exactly the mass dropped before it; with row_r on at
+        most 2 r_max + 1 cells, H(row_r) then moves by at most
+        D (log2(2 r_max + 1) - log2 D + log2 e) (:func:`_trim_bound`), which
+        grows with D while D < 2 r_max + 1.
         """
-        key, powers, row, h, lost = self._state
-        if key != kernel:  # a new step law: row j of ``powers`` is kernel^{*(j+1)}, zero-padded
-            powers, power = np.zeros((_ROW_BLOCK, (len(kernel) - 1) * _ROW_BLOCK + 1)), np.ones(1)
-            for j in range(_ROW_BLOCK):
-                power = np.convolve(power, kernel)
-                powers[j, :power.size] = power
-            powers.flags.writeable = False
-            row, h, lost = np.ones(1), np.zeros(0), np.zeros(0)
-        if h.size < r_max:
-            pad = powers.shape[1] - 1
-            start = h.size
-            dropped = float(lost[-1]) if start else 0.0
-            grown = -(-(r_max - start) // _ROW_BLOCK) * _ROW_BLOCK
-            h, lost = np.concatenate([h, np.empty(grown)]), np.concatenate([lost, np.empty(grown)])
-            cap = 0
-            for r0 in range(start, start + grown, _ROW_BLOCK):
+        key, powers, row, h, dropped, size = self._state
+        if key != kernel:  # a new step law
+            powers = _kernel_powers(kernel, _block_rows(kernel))
+            row, h, dropped, size = np.ones(1), np.zeros(0), [], 0
+        block, pad = powers.shape[0], powers.shape[1] - 1
+        if size < r_max:
+            stop = size + -(-(r_max - size) // block) * block
+            if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
+                h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
+            total, counts = dropped[-1] if dropped else 0, []
+            # the buffers of the last growth, if its kernel had as many steps
+            work = self._work if self._work and self._work[0] == powers.shape else None
+            _, cap, windows, products, padded, shifted = work or (None, 0, None, None, None, None)
+            for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
-                dropped += float(row[:lo].sum() + row[hi:].sum())
+                total += row.size - (hi - lo)  # the entries dropped so far
+                counts.append(total)
                 m = hi - lo
                 n = m + pad
-                if n > cap:  # reused, and grown by a quarter at a time, to keep the heap flat
+                if n > cap:  # grown by a quarter at a time, to keep the heap flat
                     cap = n + n // 4
-                    # the window, then the B rows of logs
-                    window_buf = np.empty(max(pad + 1, _ROW_BLOCK) * cap)
-                    rows_buf = np.empty(_ROW_BLOCK * cap)
+                    windows = np.empty(max(pad + 1, block) * cap)  # the window, then the B rows of logs
+                    products = np.empty(block * cap)
                     padded = np.zeros(cap + pad)  # its first pad cells stay zero
                     # row t of ``shifted`` starts pad - t cells into ``padded``:
                     # the base row shifted by t
                     shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
                 padded[pad:pad + m] = row[lo:hi]
                 padded[pad + m:pad + n] = 0.0
-                window = window_buf[:(pad + 1) * n].reshape(pad + 1, n)
+                window = windows[:(pad + 1) * n].reshape(pad + 1, n)
                 np.copyto(window, shifted[:, :n])
-                rows = np.matmul(powers, window, out=rows_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
-                logs = np.maximum(rows, _TINY, out=window_buf[:_ROW_BLOCK * n].reshape(_ROW_BLOCK, n))
+                rows = np.matmul(powers, window, out=products[:block * n].reshape(block, n))
+                logs = np.maximum(rows, _TINY, out=windows[:block * n].reshape(block, n))
                 np.log2(logs, out=logs)
-                logs *= rows
-                h[r0:r0 + _ROW_BLOCK] = -logs.sum(axis=1)
-                lost[r0:r0 + _ROW_BLOCK] = dropped
+                np.einsum("ij,ij->i", logs, rows, out=h[r0:r0 + block])
                 row = rows[-1]
-            self._state = (kernel, powers, row.copy(), h, lost)
-        return h[:r_max], float(lost[r_max - 1])
+            np.negative(h[size:stop], out=h[size:stop])
+            self._work = (powers.shape, cap, windows, products, padded, shifted)
+            dropped, size = dropped + counts, stop
+            self._state = (kernel, powers, row.copy(), h, dropped, size)
+        return h[:r_max], dropped[(r_max - 1) // block] * _ROW_TRIM
 
 
 ROWS = _RowTable()
@@ -397,8 +446,8 @@ class _RunLawChunk:
         if exact is None:
             return self._from_joint(self._p @ ROWS.entropies(self.kernel, self.size)[0])
         if self._p.ndim == 1:
-            return self._from_joint(self._p @ _rows_read(self.kernel, *exact[0]))
-        return self._from_joint(np.array([p[:n] @ _rows_read(self.kernel, e, n) for p, (e, n) in zip(self._p, exact)]))
+            return self._from_joint(_weighted_rows(self.kernel, self._p, exact[0][0]))
+        return self._from_joint(np.array([_weighted_rows(self.kernel, p[:n], e) for p, (e, n) in zip(self._p, exact)]))
 
     def term(self, name: str) -> EntropyTerm:
         """At a float gamma, :meth:`values` as an entropy term.  Its
@@ -424,33 +473,43 @@ class _RunLawChunk:
         are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
         ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
         p @ H.  The margin M subtracted covers two kinds of error, with n
-        the chunk's largest r_max, c = (len(kernel) - 1) n + 1 the most
-        cells of a row and u = 2**-53:
+        the chunk's largest r_max (n > R >= 16), c = (len(kernel) - 1) n + 1
+        the most cells of a row and u = 2**-53:
 
         - trimming: a stored row moves by at most delta, :func:`_trim_bound`
           of a trimmed mass of at most ceil(n / _ROW_BLOCK) blocks times c
-          cells times _ROW_TRIM, so a stored H_r >= the stored H_R - 2 delta;
-        - rounding: each of the two p @ H products, this one and the one of
-          :meth:`values`, errs by at most gamma_n sum_r p_r |H_r| <=
-          1.01 n u log2(c) in any order of summation (Higham, *Accuracy and
-          Stability of Numerical Algorithms*, section 4.2), since
-          sum_r p_r <= 1 + 4u and no row has more than c cells.
+          cells times _ROW_TRIM (the table's blocks are no shorter), so a
+          stored H_r >= the stored H_R - 2 delta;
+        - rounding: the floor's p @ H and the sum of :meth:`values` (one
+          product, or with a band one over the exact rows and one over the
+          band, added) each pass every term p_r H_r through at most n + 1
+          roundings, so each errs by at most gamma_{n+1} sum_r p_r |H_r| <=
+          1.06 n u log2(c) (1 + 2239 u) in any order of summation (Higham,
+          *Accuracy and Stability of Numerical Algorithms*, section 4.2),
+          since no row has more than c cells and the weights sum to at most
+          1 + 2239 u.  A grid chunk's np.power weights err by at most 2u
+          each; a float gamma's (:func:`_run_weights`), from one exp of
+          (r - 1) log(gamma) with log and exp within an ulp, by at most
+          (3 (r - 1) |log gamma| + 4) u relative (2**-1074 where p_r is
+          subnormal, which adds nothing here), and (r - 1) |log gamma| <
+          |log tail_epsilon| <= 745 for r <= r_max, so sum_r p_r <=
+          1 + 2239 u, where np.power's weights gave 1 + 4u.
 
         The same holds with a band (:func:`_exact_rows`): H_held <= H_r <=
         U_r, and :meth:`values` takes, at each point, one product over its
-        rows read, exact rows then band, all of them in [0, log2(c)]:
+        exact rows and one over its band, all of them in [0, log2(c)]:
         U_r <= U_n = log2(2 pi e (n Var + 1/12)) / 2 with Var <= (c - 1)**2
         / (4 n**2), which is at most log2(c) from n = 4 on for a kernel of
         two or three steps (every channel's), and a band needs
-        n >= _BAND_MIN_ROWS.  So that product errs by at most
-        1.01 n u log2(c) too.
+        n >= _BAND_MIN_ROWS.  So that sum errs by at most the same.
 
-        M = 3 (n u log2(c) + delta) exceeds their sum, so the product less
-        M, rounded, is at most the one :meth:`values` computes, and the rest
-        is one addition of the same closed part and the clip, both monotone:
-        for a chunk and a float gamma alike.  The table's own rounding, O(r)
-        ulp, stays far below its increments; it and the bound on the trimmed
-        mass are tested.
+        M = 3 (n u log2(c) + delta) exceeds the two roundings and the
+        trimming, 2.12 n u log2(c) (1 + 2239 u) + 2 delta (1 + 2239 u), and
+        its own few roundings, so the floor less M, rounded, is at most the
+        sum :meth:`values` computes, and the rest is one addition of the same
+        closed part and the clip, both monotone: for a chunk and a float
+        gamma alike.  The table's own rounding, O(r) ulp, stays far below its
+        increments; it and the bound on the trimmed mass are tested.
         """
         h = ROWS.held(self.kernel)
         if not 0 < h.size < self.size:
@@ -459,7 +518,7 @@ class _RunLawChunk:
             return None
         n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
         delta = _trim_bound(-(-n // _ROW_BLOCK) * cells * _ROW_TRIM, n)
-        rows = np.empty(n)
+        rows = np.empty(n)  # copied: two products, p[:R] @ H and the tail sum of p times H_R, cost more
         rows[:h.size] = h
         rows[h.size:] = h[-1]
         return self._from_joint(self._p @ rows - 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta))
@@ -581,20 +640,47 @@ def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, h
     return r_max
 
 
-def _rows_read(kernel: tuple[float, ...], exact: int, r_max: int) -> np.ndarray:
-    """H_1..H_exact from the table, then U_r (:func:`_max_entropy`) up to r_max."""
+def _weighted_rows(kernel: tuple[float, ...], p: np.ndarray, exact: int):
+    """sum_r p_r H_r over r = 1..p.size, a numpy scalar: H_1..H_exact from
+    the table, then U_r (:func:`_max_entropy`), one product each."""
     h = ROWS.entropies(kernel, exact)[0]
-    if exact == r_max:
-        return h
-    return np.concatenate([h, _max_entropy_rows(kernel, 1 << (r_max - 1).bit_length())[exact:r_max]])
+    if exact == p.size:
+        return p @ h
+    return p[:exact] @ h + p[exact:] @ _max_entropy_rows(kernel, 1 << (p.size - 1).bit_length())[exact:p.size]
+
+
+@functools.lru_cache(maxsize=4)
+def _steps(n: int) -> np.ndarray:
+    """0, 1, .., n - 1 as floats, kept read-only; callers take n a power of two."""
+    k = np.arange(float(n))
+    k.flags.writeable = False
+    return k
+
+
+def _run_weights(gamma: float, r_max: int) -> np.ndarray:
+    """p_r = (1 - gamma) gamma**(r-1), r = 1..r_max, at a float gamma.
+    From _EXP_WEIGHTS_MIN_ROWS rows on, gamma**(r-1) is one exp of
+    (r - 1) log(gamma), which costs a quarter of np.power's time at a few
+    thousand rows, and errs by at most
+    (3 (r - 1) |log gamma| + 4) u relative, u = 2**-53, with log and exp
+    within an ulp (:meth:`_RunLawChunk.floor`); below, np.power's fewer
+    calls cost less."""
+    k = _steps(1 << (r_max - 1).bit_length())[:r_max]
+    if r_max < _EXP_WEIGHTS_MIN_ROWS:
+        p = np.power(gamma, k)
+    else:
+        p = np.multiply(k, math.log(gamma))
+        np.exp(p, out=p)
+    p *= 1.0 - gamma
+    return p
 
 
 def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
     """The run-length term at a float gamma, a chunk of one point on the
-    r_max ``cfg`` fixes, its p_r as in :meth:`_GridPlan.weights`."""
+    r_max ``cfg`` fixes, its p_r from :func:`_run_weights`."""
     cfg = cfg or SeriesConfig()
     r_max = _r_truncation(gamma, cfg)
-    p = (1.0 - gamma) * np.power(gamma, np.arange(float(r_max)))
+    p = _run_weights(gamma, r_max)
     return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max), r_max, cfg.r_max_cap)
 
 
@@ -657,8 +743,8 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out -= binary_entropy(d) * (1.0 / gb - gb)
     rows = min(math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)), _HLXLY_M_CAP)
     kernel = _row_kernel(d, 0.0)
-    h_rows = _rows_read(kernel, _exact_rows(kernel, gamma, rows, _HLXLY_M_CAP), rows)
-    series = np.power(gamma, np.arange(1.0, rows))  # p_m, m = 2..R
-    series *= gb
-    series *= h_rows[1:]
-    return out + float(series.sum()) + gamma ** rows * float(h_rows[-1])
+    exact = _exact_rows(kernel, gamma, rows, _HLXLY_M_CAP)
+    p = _run_weights(gamma, rows)  # p_m, m = 1..R
+    p[0] = 0.0  # the series starts at m = 2
+    last = float(ROWS.entropies(kernel, rows)[0][-1]) if exact == rows else _max_entropy(kernel, rows)
+    return out + float(_weighted_rows(kernel, p, exact)) + gamma ** rows * last

@@ -8,9 +8,9 @@ conservative bound on the dropped tail.  They were the package's kernels
 before the closed form replaced them, and are kept as independent oracles.
 ``iy_transition_matrix`` is the one-step kernel of the insertion chain whose
 stationary law ``analytic_bounds.stationary_iy`` gives in closed form.
-``reference_row_entropies`` is the run-length row table's earlier block loop,
-which the lean loop of ``run_length.ROWS.entropies`` must match bit for
-bit.  ``output_length_law`` and ``entropy_bits`` build the output-length law
+``reference_row_entropies`` is the run-length row table's block loop
+written plainly, which the lean loop of ``run_length.ROWS.entropies`` must
+match bit for bit.  ``output_length_law`` and ``entropy_bits`` build the output-length law
 of a geometric run cell by cell and sum its entropy, which the closed form
 ``run_length._output_length_entropy`` replaced;
 ``output_length_entropy_mpmath`` sums that entropy at 50 digits.
@@ -222,24 +222,35 @@ def delins_s_mpmath(gamma, d, i, alpha, dps=50):
 # ---------------------------------------------------------------------------
 
 def reference_row_entropies(kernel, r_max):
-    """(H(row_r) for r = 1..r_max, mass missing from row_r_max), built cold
-    with the block loop that ``run_length.ROWS.entropies`` replaced:
-    kernel powers from 16 convolutions, ``flatnonzero`` trim ends and a
-    ``sliding_window_view`` window, the same matrix product and logs."""
-    block = rl._ROW_BLOCK
+    """(H(row_r) for r = 1..r_max, bound on the mass missing from row_r_max),
+    built cold with the block loop that ``run_length.ROWS.entropies`` keeps
+    lean: 32 rows per product for a two-step kernel and 16 for a three-step
+    one (a 32-cell pad either way), the first 16 kernel powers by
+    convolution and the rest as those times the 16th, ``flatnonzero`` trim
+    ends, the dropped entries counted at
+    ``_ROW_TRIM`` each, a ``sliding_window_view`` window, the same matrix
+    product and logs, and one ``einsum`` per block whose sign is turned at
+    the end."""
+    block = rl._ROW_PAD // max(len(kernel) - 1, 1)
     pad = (len(kernel) - 1) * block
+    steps, first = len(kernel) - 1, min(block, 16)
     powers = np.zeros((block, pad + 1))
     power = np.ones(1)
-    for j in range(block):
+    for j in range(first):
         power = np.convolve(power, kernel)
         powers[j, :power.size] = power
-    row, dropped = np.ones(1), 0.0
+    if block > first:
+        shift = steps * (block - first)
+        padded = np.zeros(power.size + 2 * shift)
+        padded[shift:shift + power.size] = power
+        powers[first:] = powers[:block - first, :shift + 1] @ sliding_window_view(padded, power.size + shift)[::-1]
+    row, dropped = np.ones(1), 0
     grown = -(-r_max // block) * block
     h, lost = np.empty(grown), np.empty(grown)
     for r0 in range(0, grown, block):
         keep = np.flatnonzero(row >= rl._ROW_TRIM)
         lo, hi = keep[0], keep[-1] + 1
-        dropped += float(row[:lo].sum() + row[hi:].sum())
+        dropped += row.size - (hi - lo)
         n = hi - lo + pad
         padded = np.zeros(n + pad)
         padded[pad:n] = row[lo:hi]
@@ -248,11 +259,10 @@ def reference_row_entropies(kernel, r_max):
         rows = np.matmul(powers, window)
         logs = np.maximum(rows, rl._TINY)
         np.log2(logs, out=logs)
-        logs *= rows
-        h[r0:r0 + block] = -logs.sum(axis=1)
-        lost[r0:r0 + block] = dropped
+        h[r0:r0 + block] = np.einsum("ij,ij->i", logs, rows)
+        lost[r0:r0 + block] = dropped * rl._ROW_TRIM
         row = rows[-1]
-    return h[:r_max], float(lost[r_max - 1])
+    return -h[:r_max], float(lost[r_max - 1])
 
 
 # ---------------------------------------------------------------------------

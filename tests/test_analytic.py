@@ -545,6 +545,33 @@ class TestRowTable:
             assert np.array_equal(table, reference[:r])
             assert lost == oracles.reference_row_entropies(kernel, r)[1]
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.lists(st.integers(1, 1_200), min_size=1, max_size=5))
+    @example(0.45, 0.55, [7, 40, 1_100])  # interior zero: every bit deleted or doubled
+    @example(1e-310, 0.0, [31, 32, 33, 700])  # a subnormal step, two steps
+    @example(0.3, 1e-310, [15, 16, 17, 900])  # a subnormal step, three steps
+    @example(0.0, 0.3, [1, 1_200])
+    def test_grown_table_is_the_cold_one_within_the_oracle(self, d, i, sizes):
+        # each table of its own, grown through increasing sizes: every answer is the
+        # cold build's bit for bit, and no row handed out changes as the table grows
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        kernel = rl._row_kernel(d, i)
+        assume(len(kernel) > 1)
+        sizes = sorted(set(sizes))
+        table = rl._RowTable()
+        grown = [table.entropies(kernel, r) for r in sizes]
+        n = sizes[-1]
+        rows = table.entropies(kernel, n)[0]
+        oracle = _convolution_row_entropies(kernel, n)
+        block, cells = rl._block_rows(kernel), (len(kernel) - 1) * n + 1
+        for (h, lost), r in zip(grown, sizes):
+            cold, cold_lost = rl._RowTable().entropies(kernel, r)
+            assert np.array_equal(h, cold) and lost == cold_lost
+            assert np.array_equal(h, rows[:r])
+            assert 0.0 <= lost <= -(-r // block) * cells * rl._ROW_TRIM
+        assert np.all(np.abs(rows - oracle) <= 1e-14 + 1e-15 * np.arange(1, n + 1))
+
     @pytest.mark.parametrize("r_max", [16, 17])
     def test_point_mass_kernel_has_zero_entropy(self, r_max, cold_rows):
         # one entry: no padding, so the B rows of logs need their own room
@@ -590,7 +617,19 @@ class TestRowTable:
 
 
 class TestRowBoundedCeiling:
-    """The two facts behind the row-bounded ceiling of the gamma search."""
+    """The facts behind the row-bounded ceiling of the gamma search."""
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.99, 0.9972, 0.9999, 1.0 - 1e-9])
+    def test_float_weights_err_within_the_floor_margin(self, gamma):
+        # p_r = (1 - gamma) gamma**(r-1) at a float gamma, np.power under 128 rows and one exp
+        # from there on, errs by at most (3 (r - 1) |log gamma| + 4) u relative (floor's margin)
+        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
+        p = rl._run_weights(gamma, r_max)
+        with mpmath.workdps(40):
+            for r in sorted({1, 2, r_max // 3, r_max // 2, r_max - 1, r_max}):
+                exact = (1 - mpmath.mpf(gamma)) * mpmath.mpf(gamma) ** (r - 1)
+                bound = (3.0 * (r - 1) * abs(math.log(gamma)) + 4.0) * 2.0 ** -53
+                assert abs(float((mpmath.mpf(p[r - 1]) - exact) / exact)) <= bound
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -632,13 +671,14 @@ class TestRowBoundedCeiling:
         run = grid._run_law(chunk)
         rl.ROWS.reset()
         run.values()
-        # R = 16, 32, .., 16 blocks rows are all short of the rows the chunk reads:
-        # run.size, or the band start below the cap
-        blocks = (min(rl.ROWS.size, run.size) - 1) // rl._ROW_BLOCK
+        # R = B, 2 B, .., blocks B rows, B the table's own block, are all short of
+        # the rows the chunk reads: run.size, or the band start below the cap
+        block = rl._block_rows(run.kernel)
+        blocks = (min(rl.ROWS.size, run.size) - 1) // block
         assume(blocks >= 1)
         run = grid._run_law(chunk)
         rl.ROWS.reset()
-        rl.ROWS.entropies(run.kernel, rl._ROW_BLOCK * (1 + int(share * (blocks - 1))))
+        rl.ROWS.entropies(run.kernel, block * (1 + int(share * (blocks - 1))))
         floor = run.floor()
         ceiling = grid._assemble(chunk, floor)
         values = run.values()
@@ -708,7 +748,8 @@ class TestBand:
         for d, i in [(0.9, 0.0), (0.2, 0.1)]:
             term = ab.run_law_delins_H(gamma, d, i, cfg)
             rows, lost = rl.ROWS.entropies(rl._row_kernel(d, i), r_max)
-            p = (1.0 - gamma) * np.power(gamma, np.arange(float(r_max)))
+            assert r_max >= rl._EXP_WEIGHTS_MIN_ROWS  # weights from one exp, as _run_law_at takes them
+            p = (1.0 - gamma) * np.exp(np.arange(float(r_max)) * math.log(gamma))
             value = float(np.maximum(p @ rows + rl._run_law_closed(gamma, d, i, r_max), 0.0))
             assert repr(term.value) == repr(value)
             assert repr(term.truncation_error) == repr(rl._run_tail_bound(gamma, r_max) + rl._trim_bound(lost, r_max))

@@ -10,10 +10,10 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import delinscap
 import golden
-from delinscap import verification
+from delinscap import cli, verification
 from delinscap.cli import build_parser, main, load_series_config, _parse_grid
 from delinscap.core import ChannelParams
-from delinscap.gamma_optimizer import optimize_bound
+from delinscap.gamma_optimizer import optimize_bound, sweep
 from delinscap.run_length import _row_kernel
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas"
@@ -190,12 +190,25 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 2
 
-    def test_out_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+    def test_out_into_a_missing_directory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a) or sweep(*a, **k))
         out = tmp_path / "missing" / "s.csv"
         assert main(["sweep", "--channel", "deletion", "--d", "0.1,0.2", "--out", str(out)]) == 1
+        assert calls == []  # the path is opened before the first solve
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(out) in captured.err
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, capsys):
+        # d + i = 1.2 at the second point: the sweep stops after the file was opened
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--channel", "delins", "--d", "0.1,0.7", "--i", "0.5", "--alpha", "0.8",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_empty_grid_rejected_without_writing(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"

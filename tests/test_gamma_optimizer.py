@@ -349,10 +349,11 @@ class TestCeiling:
         kernel = grid._run_law(gamma).kernel
         rl.ROWS.reset()
         value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
-        # the rows the point reads: r_max, or its band start below the cap
-        blocks = (min(rl.ROWS.size, rl._r_truncation(gamma, cfg)) - 1) // rl._ROW_BLOCK
+        # the rows the point reads: r_max, or its band start below the cap; held in the table's own block
+        block = rl._block_rows(kernel)
+        blocks = (min(rl.ROWS.size, rl._r_truncation(gamma, cfg)) - 1) // block
         assume(kernel and blocks >= 1)
-        held = rl._ROW_BLOCK * (1 + int(share * (blocks - 1)))  # short of them
+        held = block * (1 + int(share * (blocks - 1)))  # short of them
         rl.ROWS.reset()
         rl.ROWS.entropies(kernel, held)
         assert grid.at(gamma, math.inf) is None

@@ -33,3 +33,17 @@ def test_summary_gives_the_largest_move_per_column():
     assert sorted(lines[1:]) == sorted([f"  bound_bits: largest |move| {math.ulp(float(expected[1]['bound_bits']))!r}",
                                         f"  {name}: largest |move| 0.5"])
     assert golden.summary(expected, expected).splitlines() == ["0 of 3 cases moved; gamma_star moved in 0"]
+    assert golden.moved_by_rounding(expected, got) and golden.moved_by_rounding(expected, expected)
+    # a bound_bits move past the case's own error_budget is named, and fails the gate
+    budget = float(expected[2]["error_budget"])
+    got[2]["bound_bits"] = repr(float(got[2]["bound_bits"]) - 2.0 * budget)
+    lines = golden.summary(expected, got).splitlines()
+    assert lines[0] == "2 of 3 cases moved; gamma_star moved in 0"
+    assert lines[-1] == f"  bound_bits moved past its error_budget in: {expected[2]['case']}"
+    assert not golden.moved_by_rounding(expected, got)
+    # so does any gamma_star move, and a different case list
+    got = copy.deepcopy(expected)
+    got[0]["gamma_star"] = repr(math.nextafter(float(got[0]["gamma_star"]), 1.0))
+    assert golden.summary(expected, got).splitlines()[0] == "1 of 3 cases moved; gamma_star moved in 1"
+    assert not golden.moved_by_rounding(expected, got)
+    assert not golden.moved_by_rounding(expected, got[:2])
