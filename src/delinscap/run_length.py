@@ -80,7 +80,8 @@ def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
 
 
 _LOG2E = math.log2(math.e)
-# The whole blocks of rows a band start is rounded up to; the cells a row
+# The whole blocks of rows a band start is rounded up to, and the kernel
+# powers taken by np.convolve (:func:`_kernel_powers`); the cells a row
 # widens by over one block product of the table (:func:`_block_rows`); and
 # the entry below which the tails of a row are dropped before it seeds the
 # next block.
@@ -201,16 +202,14 @@ class _RowTable:
         key, powers, row, h, dropped, size = self._state
         if key != kernel:  # a new step law
             powers = _kernel_powers(kernel, _block_rows(kernel))
-            row, h, dropped, size = np.ones(1), np.zeros(0), [], 0
+            row, h, dropped, size, self._work = np.ones(1), np.zeros(0), [], 0, None
         block, pad = powers.shape[0], powers.shape[1] - 1
         if size < r_max:
             stop = size + -(-(r_max - size) // block) * block
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
             total, counts = dropped[-1] if dropped else 0, []
-            # the buffers of the last growth, if its kernel had as many steps
-            work = self._work if self._work and self._work[0] == powers.shape else None
-            _, cap, windows, products, padded, shifted = work or (None, 0, None, None, None, None)
+            cap, windows, products, padded, shifted = self._work or (0, None, None, None, None)
             for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
@@ -236,7 +235,7 @@ class _RowTable:
                 np.einsum("ij,ij->i", logs, rows, out=h[r0:r0 + block])
                 row = rows[-1]
             np.negative(h[size:stop], out=h[size:stop])
-            self._work = (powers.shape, cap, windows, products, padded, shifted)
+            self._work = (cap, windows, products, padded, shifted)
             dropped, size = dropped + counts, stop
             self._state = (kernel, powers, row.copy(), h, dropped, size)
         return h[:r_max], dropped[(r_max - 1) // block] * _ROW_TRIM
