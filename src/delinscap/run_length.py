@@ -173,11 +173,10 @@ class _RowTable:
         _ROW_PAD, the B x (M + 1) matrix whose rows are kernel^{*1..B}
         (:func:`_kernel_powers`), kept with the rows, times the (M + 1) x n
         window matrix, whose row t is the base row shifted by t, gives the
-        next B rows in one product.  One
-        log2 over the product and one fused reduction
-        (``einsum('ij,ij->i')``) of the logs times the rows then give their B
-        sums x log2 x, whose sign is turned once per growth.  Every term is
-        non-negative, so rounding stays relative.  Blocks start at fixed r,
+        next B rows in one product.  One log2 over the product and one fused
+        reduction (``einsum('ij,ij->i')``) of the logs times the rows then
+        give their B sums x log2 x, whose sign is turned once per growth.
+        Every term is non-negative, so rounding stays relative.  Blocks start at fixed r,
         so a grown table is bit-identical to one built cold.  A block of 32
         rows of a three-step kernel would need a 64-cell pad, and the larger
         product costs more than the calls it saves.
@@ -186,7 +185,7 @@ class _RowTable:
         reduction: the window is copied from one strided view (strides -1
         and +1 cells) into the zero-padded base row, and the trim ends are
         two argmax calls.  The window, product and padded-row buffers and the
-        H array stay with the table across growth calls.
+        H array stay with the table across growth calls of one step law.
 
         A row is trimmed at both ends to its entries >= _ROW_TRIM before it
         seeds the next block.  Every entry dropped is below _ROW_TRIM, so the
