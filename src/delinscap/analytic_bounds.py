@@ -475,12 +475,15 @@ class BoundGrid:
             self._run = params.d, params.i
             self._closed = _run_law_closed(gammas, params.d, params.i, self._plan.r_max)
 
-    def values(self, chunk: slice = slice(None), beat: float = -math.inf) -> np.ndarray | None:
+    def values(self, chunk: slice | None = None, beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when a ceiling shows that
         no value there exceeds ``beat``; the chunk's one p_r matrix serves
-        both the row-bounded ceiling and the values."""
-        if self._ceilings is not None and np.max(self._ceilings[chunk]) <= beat:
+        both the row-bounded ceiling and the values.  With no chunk, the
+        bound at every gamma, the plan's chunks in turn."""
+        if self._ceilings is not None and np.max(self._ceilings[chunk or slice(None)]) <= beat:
             return None
+        if chunk is None:
+            return np.concatenate([self.values(c) for c in self.chunks])
         if self._run is None:
             return self._assemble(chunk, None)
         run = self._run_law(chunk)
@@ -509,7 +512,7 @@ class BoundGrid:
         """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
         if isinstance(at, slice):
             return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._closed[at],
-                                self._plan.r_max[at], self._cfg.r_max_cap)
+                                self._cfg.r_max_cap)
         return _run_law_at(at, *self._run, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:

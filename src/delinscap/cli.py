@@ -109,6 +109,17 @@ def cascade_length(text: str) -> int:
     return val
 
 
+def _seed(text: str) -> int:
+    """A seed of numpy's generators: a whole number of at least 0."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = None
+    if val is None or val < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return val
+
+
 def _channel_flags(parser: argparse.ArgumentParser, args) -> dict:
     """The channel's own flags, its ChannelParams keywords; a usage error for a missing or foreign one."""
     needed = CHANNELS[args.channel].flags
@@ -293,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_channel_flags(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="input length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--steps", type=positive_int, default="1e6", help="Monte Carlo chain length (mc suite)")
-    p.add_argument("--seed", type=int, default=20240501)
+    p.add_argument("--seed", type=_seed, default=20240501)
     p.add_argument("--n-max", type=cascade_length, default=8,
                    help="input length for the cascade check (oracle suite)")
     p.add_argument("--out", default=None)

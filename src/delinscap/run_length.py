@@ -19,12 +19,13 @@ gammas and the :class:`SeriesConfig` alone is one plan, kept per (``cfg``,
 gammas) (:class:`_GridPlan`).
 
 Near gamma = 1 the rows dominate the cost, and the last ones carry little
-weight.  An evaluation whose r_max lies in [_BAND_MIN_ROWS, ``r_max_cap``)
-reads exact rows only up to a start R (:func:`_exact_rows`) and, for
-R < r <= r_max (the band), the maximum-entropy bound
+weight.  An evaluation whose r_max lies in [_BAND_MIN_ROWS, ``r_max_cap``),
+always one point, reads exact rows only up to a start R (:func:`_exact_rows`)
+and, for R < r <= r_max (the band), the maximum-entropy bound
 U_r = log2(2 pi e (r Var + 1/12)) / 2 >= H_r, Var the step's variance
 (T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
-discrete entropy bound).  The term can then only grow, so every bound stays
+discrete entropy bound), summed in closed form at the band's mean run length
+(:func:`_weighted_rows`).  The term can then only grow, so every bound stays
 a lower bound, and its excess over the exact rows, at most
 :func:`_band_slack`, joins its truncation error.  R depends on the step
 law, gamma and r_max alone, never on the rows the table holds, and is the
@@ -80,12 +81,9 @@ def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
 
 
 _LOG2E = math.log2(math.e)
-# The whole blocks of rows a band start is rounded up to, and the kernel
-# powers taken by np.convolve (:func:`_kernel_powers`); the cells a row
-# widens by over one block product of the table (:func:`_block_rows`); and
-# the entry below which the tails of a row are dropped before it seeds the
-# next block.
-_ROW_BLOCK = 16
+# The cells a row widens by over one block product of the table
+# (:func:`_block_rows`), and the entry below which the tails of a row are
+# dropped before it seeds the next block.
 _ROW_PAD = 32
 _ROW_TRIM = 1e-30
 # Cap on a grid chunk's G x (2 r_max + 1) (twice its p_r matrix), and on a block of the H(L_out) series.
@@ -93,13 +91,13 @@ _CHUNK_CELLS = 4096
 # Smallest normal double: zero entries are clipped to it before the log, so
 # they contribute exactly 0 to an entropy.
 _TINY = np.finfo(float).tiny
-# The printed run-length form's series reads at most _HLXLY_M_CAP rows.
-_HLXLY_M_CAP = 20_000
+# The printed run-length form's series is cut as the bounds' are, at most 20,000 rows.
+_HLXLY_SERIES = SeriesConfig(r_max_cap=20_000)
 # Fewest rows an evaluation has for its last ones to take the max-entropy band:
 # from there on a grid chunk holds one gamma (2 r_max + 1 > _CHUNK_CELLS / 2), and
 # below it the rows cost less than choosing the band start.
 _BAND_MIN_ROWS = 1024
-# Fewest rows whose float-gamma weights take one exp in place of np.power (:func:`_run_weights`).
+# Fewest rows whose weights take one exp in place of np.power (:func:`_run_weights`).
 _EXP_WEIGHTS_MIN_ROWS = 128
 # Rounds of the band start's fixed point (:func:`_exact_rows`) before it gives up on the band.
 _BAND_ROUNDS = 4
@@ -109,30 +107,31 @@ _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 def _block_rows(kernel: tuple[float, ...]) -> int:
     """Rows one block product of the table advances for ``kernel``, over
     which a row widens by _ROW_PAD cells: 32 for a two-step kernel, 16 for a
-    three-step one."""
+    three-step one.  The one row granularity of the term: band starts are
+    rounded up to it (:func:`_exact_rows`), and the floor counts the
+    table's trimmed blocks in it (:meth:`_RunLawChunk.floor`)."""
     return _ROW_PAD // max(len(kernel) - 1, 1)
 
 
 def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
     """The block x ((len(kernel) - 1) block + 1) matrix whose row j is
-    kernel^{*(j+1)}, zero-padded, kept read-only: the first _ROW_BLOCK rows
-    by np.convolve, and the rest as the first ones times row _ROW_BLOCK, one
+    kernel^{*(j+1)}, zero-padded, kept read-only: the first block / 2 rows
+    by np.convolve, and the rest as the first ones times row block / 2, one
     product with the window whose row t is that row shifted by t, as the
-    table advances its rows.  32 np.convolve calls would cost half as much
+    table advances its rows.  A convolution per row would cost half as much
     again; powers from repeated doubling cost a little less, but their rows
     sum a few ulp further from the kernel's mass, and the rows of the table
     drift with that sum, block after block (4e-12 in H at 20,000 rows)."""
-    steps, first = len(kernel) - 1, min(block, _ROW_BLOCK)
+    steps, half = len(kernel) - 1, block // 2
     powers, power = np.zeros((block, steps * block + 1)), np.ones(1)
-    for j in range(first):
+    for j in range(half):
         power = np.convolve(power, kernel)
         powers[j, :power.size] = power
-    if block > first:
-        shift = steps * (block - first)
-        padded = np.zeros(power.size + 2 * shift)
-        padded[shift:shift + power.size] = power
-        window = as_strided(padded[shift:], (shift + 1, power.size + shift), (-padded.itemsize, padded.itemsize))
-        np.matmul(powers[:block - first, :shift + 1], window, out=powers[first:])
+    shift = steps * half
+    padded = np.zeros(power.size + 2 * shift)
+    padded[shift:shift + power.size] = power
+    window = as_strided(padded[shift:], (shift + 1, power.size + shift), (-padded.itemsize, padded.itemsize))
+    np.matmul(powers[:half, :shift + 1], window, out=powers[half:])
     powers.flags.writeable = False
     return powers
 
@@ -154,7 +153,7 @@ class _RowTable:
 
     @property
     def size(self) -> int:
-        """Rows held now, a multiple of the kernel's block (:func:`_block_rows`) and of _ROW_BLOCK."""
+        """Rows held now, a multiple of the kernel's block (:func:`_block_rows`)."""
         return self._state[5]
 
     def held(self, kernel: tuple[float, ...]) -> np.ndarray:
@@ -171,13 +170,14 @@ class _RowTable:
         (:func:`_block_rows`).  From the base row row_r0, r0 a multiple of B,
         row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B =
         _ROW_PAD, the B x (M + 1) matrix whose rows are kernel^{*1..B}
-        (:func:`_kernel_powers`), kept with the rows, times the (M + 1) x n
-        window matrix, whose row t is the base row shifted by t, gives the
-        next B rows in one product.  One log2 over the product and one fused
-        reduction (``einsum('ij,ij->i')``) of the logs times the rows then
-        give their B sums x log2 x, whose sign is turned once per growth.
-        Every term is non-negative, so rounding stays relative.  Blocks start at fixed r,
-        so a grown table is bit-identical to one built cold.  A block of 32
+        (:func:`_kernel_powers`, B / 2 of them by convolution), kept with the
+        rows, times the (M + 1) x n window matrix, whose row t is the base row
+        shifted by t, gives the next B rows in one product.  One log2 over the
+        product and one fused reduction (``einsum('ij,ij->i')``) of the logs
+        times the rows then give their B sums x log2 x, whose sign is turned
+        once per growth.  Every term is non-negative, so rounding stays
+        relative.  Blocks start at fixed r, so a grown table is bit-identical
+        to one built cold, and it only ever holds whole blocks.  A block of 32
         rows of a three-step kernel would need a 64-cell pad, and the larger
         product costs more than the calls it saves.
 
@@ -191,10 +191,10 @@ class _RowTable:
         seeds the next block.  Every entry dropped is below _ROW_TRIM, so the
         mass D dropped so far is at most their count times _ROW_TRIM, the
         bound returned: at most ceil(n / B) blocks times the c cells of a
-        row, which :meth:`_RunLawChunk.floor` takes with B = _ROW_BLOCK <=
-        :func:`_block_rows`.  The kernel powers sum to one, so every row of a
-        block misses exactly the mass dropped before it; with row_r on at
-        most 2 r_max + 1 cells, H(row_r) then moves by at most
+        row, which :meth:`_RunLawChunk.floor` takes.  The kernel powers sum
+        to one, so every row of a block misses exactly the mass dropped
+        before it; with row_r on at most 2 r_max + 1 cells, H(row_r) then
+        moves by at most
         D (log2(2 r_max + 1) - log2 D + log2 e) (:func:`_trim_bound`), which
         grows with D while D < 2 r_max + 1.
         """
@@ -354,29 +354,34 @@ class _GridPlan:
     """What a :class:`~.analytic_bounds.BoundGrid` needs of its gammas and
     :class:`SeriesConfig` alone, one per (``cfg``, gammas) and kept
     (:func:`_grid_plan`): ``r_max``, each gamma's; ``chunks``, the gammas cut
-    into ascending slices of at most _CHUNK_CELLS padded cells,
-    G x (2 r_max + 1) with the r_max of the slice's top point (a point over
-    the cap alone is a slice of its own); and each slice's run-length
-    weights, built on first use."""
+    into slices of at most _CHUNK_CELLS padded cells, G x (2 r_max + 1) with
+    the slice's largest r_max (a point over the cap alone is a slice of its
+    own); and each slice's run-length weights, built on first use.  Two
+    points of _BAND_MIN_ROWS rows would pass the cap, so a point that may
+    take the band (:func:`_exact_rows`) is a slice of its own."""
 
     def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...]) -> None:
-        self._gammas, self._weights = np.array(gammas), {}
+        self._gammas, self._weights = gammas, {}
         self.r_max = np.array([_r_truncation(g, cfg) for g in gammas])
-        starts = [0]
+        starts, top = [0], 0
         for k, r in enumerate(self.r_max.tolist()):
-            if k > starts[-1] and (k + 1 - starts[-1]) * (2 * r + 1) > _CHUNK_CELLS:
+            top = max(top, r)
+            if k > starts[-1] and (k + 1 - starts[-1]) * (2 * top + 1) > _CHUNK_CELLS:
                 starts.append(k)
+                top = r
         self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
         self.r_max.flags.writeable = False
 
     def weights(self, chunk: slice) -> np.ndarray:
         """The (G, largest r_max) matrix of p_r = gamma**(r-1) (1 - gamma)
-        at ``gammas[chunk]``, zero past each row's r_max, kept read-only."""
+        at ``gammas[chunk]``, each row a float gamma's (:func:`_run_weights`)
+        and zero past its r_max, kept read-only."""
         key = chunk.indices(self.r_max.size)
         if key not in self._weights:
-            column, r_max = self._gammas[chunk, None], self.r_max[chunk, None]
-            k = np.arange(int(r_max.max()))
-            p = np.where(k >= r_max, 0.0, (1.0 - column) * np.power(column, k))  # r = k + 1
+            r_max = self.r_max[chunk].tolist()
+            p = np.zeros((len(r_max), max(r_max)))
+            for row, gamma, r in zip(p, self._gammas[chunk], r_max):
+                row[:r] = _run_weights(gamma, r)
             p.flags.writeable = False
             self._weights[key] = p
         return self._weights[key]
@@ -397,55 +402,48 @@ class _RunLawChunk:
     law of L_out given L_X = r (the r-fold convolution of the step law).  So
     the values are p @ H + (H(L_X) - H(L_out)), clipped at 0: H from a table
     built once per step law, the row ``kernel`` (:data:`ROWS`), p
-    the run-length weights, a matrix over a chunk (:meth:`_GridPlan.weights`)
-    and a vector at a float gamma, and ``closed``, the closed part on each
-    gamma's own r_max (:func:`_run_law_closed`).  :meth:`values` gives
-    them, :meth:`floor` a lower bound on them from the rows the table holds,
-    and, at a float gamma, :meth:`term` the value with its truncation error.
-    Only the rounding differs between a grid point and the same float gamma
-    (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
-    ``size`` (the rows needed) is 0 and the values are 0.
+    the run-length weights (:func:`_run_weights`), a matrix over a chunk
+    (:meth:`_GridPlan.weights`) and a vector at a float gamma, and
+    ``closed``, the closed part on each gamma's own r_max
+    (:func:`_run_law_closed`).  :meth:`values` gives them, :meth:`floor` a
+    lower bound on them from the rows the table holds, and, at a float
+    gamma, :meth:`term` the value with its truncation error.  Only the
+    rounding differs between a grid point and the same float gamma (within
+    1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (), ``size``
+    (the rows needed) is 0 and the values are 0.
 
-    A point whose r_max, from ``r_max`` (an int at a float gamma, the
-    chunk's array otherwise), lies in [_BAND_MIN_ROWS, ``cap``) reads exact
-    rows only up to its band start and U_r past it (:func:`_exact_rows`).
+    A chunk of at least _BAND_MIN_ROWS rows is one point (:class:`_GridPlan`),
+    and below ``cap`` it reads exact rows only up to its band start
+    (:func:`_exact_rows`), and the band's sum past it in closed form
+    (:func:`_weighted_rows`).
     """
 
-    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed, r_max, cap: int) -> None:
+    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed, cap: int) -> None:
         self._gammas, self.kernel, self._p, self._closed = gammas, kernel, p, closed
         self.size = p.shape[-1] if kernel else 0
-        self._r_max, self._cap, self._found = r_max, cap, None
+        self._cap, self._found = cap, None
+        # the float gamma of a chunk that may take the band, one point (:class:`_GridPlan`)
+        self._gamma = np.atleast_1d(gammas).item() if self.size >= _BAND_MIN_ROWS else None
 
-    def _exact(self, held: float = math.inf) -> list[tuple[int, int]] | None:
-        """(exact rows read, r_max) of each point, a float gamma being one,
-        or None when no point has a band (:func:`_exact_rows`, which takes
-        ``held``, so that the table does not grow); a chunk of fewer than
-        _BAND_MIN_ROWS rows has none.  Once found whole, all within
-        ``held``, the answer is kept."""
+    def _exact(self, held: float = math.inf) -> int:
+        """The exact rows the chunk reads (:func:`_exact_rows`, which takes
+        ``held``, so that the table does not grow): ``size`` below
+        _BAND_MIN_ROWS.  Once final, the answer is kept."""
         if self.size < _BAND_MIN_ROWS:
-            return None
-        if self._found is not None:
-            return self._found[0]
-        points = [(self._gammas, self.size)] if self._p.ndim == 1 else \
-            zip(self._gammas.tolist(), self._r_max.tolist())
-        exact = [(_exact_rows(self.kernel, g, n, self._cap, held), n) for g, n in points]
-        exact = exact if any(e < n for e, n in exact) else None
-        if exact is None or max(e for e, _ in exact) <= held:
-            self._found = (exact,)
-        return exact
+            return self.size
+        if self._found is None:
+            exact = _exact_rows(self.kernel, self._gamma, self.size, self._cap, held)
+            if exact <= held or exact == self.size:
+                self._found = exact
+            return exact
+        return self._found
 
     def values(self):
-        """The values, the table grown to the most exact rows a point reads
-        (a numpy scalar at a float gamma).  With a band, each point is summed
-        on its own rows."""
+        """The values, the table grown to the exact rows the chunk reads (a
+        numpy scalar at a float gamma)."""
         if not self.size:
             return 0.0 * self._gammas
-        exact = self._exact()
-        if exact is None:
-            return self._from_joint(self._p @ ROWS.entropies(self.kernel, self.size)[0])
-        if self._p.ndim == 1:
-            return self._from_joint(_weighted_rows(self.kernel, self._p, exact[0][0]))
-        return self._from_joint(np.array([_weighted_rows(self.kernel, p[:n], e) for p, (e, n) in zip(self._p, exact)]))
+        return self._from_joint(_weighted_rows(self.kernel, self._gamma, self._p[..., :self._exact()], self.size))
 
     def term(self, name: str) -> EntropyTerm:
         """At a float gamma, :meth:`values` as an entropy term.  Its
@@ -456,7 +454,6 @@ class _RunLawChunk:
         trunc = _run_tail_bound(self._gammas, self._p.size)
         if self.size:
             exact = self._exact()
-            exact = exact[0][0] if exact else self.size
             trunc += _trim_bound(ROWS.entropies(self.kernel, exact)[1], exact)
             if exact < self.size:
                 trunc += _band_slack(self.kernel, self._gammas, exact)
@@ -470,56 +467,57 @@ class _RunLawChunk:
         The entropy of a sum of independent steps never decreases as steps
         are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
         ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
-        p @ H.  The margin M subtracted covers two kinds of error, with n
-        the chunk's largest r_max (n > R >= 16), c = (len(kernel) - 1) n + 1
-        the most cells of a row and u = 2**-53:
+        p @ H.  With a band (:func:`_exact_rows`) past R' > R, H_R <= H_r <=
+        U_r there, and :meth:`values` sums the band as W U(r_bar) >=
+        sum p_r U_r (:func:`_weighted_rows`).  The margin M subtracted covers
+        three kinds of error, with n the chunk's largest r_max (n > R >= 16),
+        c = (len(kernel) - 1) n + 1 the most cells of a row, L = log2(c) and
+        u = 2**-53:
 
         - trimming: a stored row moves by at most delta, :func:`_trim_bound`
-          of a trimmed mass of at most ceil(n / _ROW_BLOCK) blocks times c
-          cells times _ROW_TRIM (the table's blocks are no shorter), so a
-          stored H_r >= the stored H_R - 2 delta;
-        - rounding: the floor's p @ H and the sum of :meth:`values` (one
-          product, or with a band one over the exact rows and one over the
-          band, added) each pass every term p_r H_r through at most n + 1
-          roundings, so each errs by at most gamma_{n+1} sum_r p_r |H_r| <=
-          1.06 n u log2(c) (1 + 2239 u) in any order of summation (Higham,
-          *Accuracy and Stability of Numerical Algorithms*, section 4.2),
-          since no row has more than c cells and the weights sum to at most
-          1 + 2239 u.  A grid chunk's np.power weights err by at most 2u
-          each; a float gamma's (:func:`_run_weights`), from one exp of
-          (r - 1) log(gamma) with log and exp within an ulp, by at most
+          of a trimmed mass of at most ceil(n / B) blocks of B rows
+          (:func:`_block_rows`) times c cells times _ROW_TRIM, so a stored
+          H_r >= the stored H_R - 2 delta;
+        - the weights: each p_r (:func:`_run_weights`), from one exp of
+          (r - 1) log(gamma), or np.power below _EXP_WEIGHTS_MIN_ROWS, with
+          log, exp and pow within an ulp, errs by at most
           (3 (r - 1) |log gamma| + 4) u relative (2**-1074 where p_r is
           subnormal, which adds nothing here), and (r - 1) |log gamma| <
-          |log tail_epsilon| <= 745 for r <= r_max, so sum_r p_r <=
-          1 + 2239 u, where np.power's weights gave 1 + 4u.
+          |log tail_epsilon| <= 745 for r <= r_max, so each errs by at most
+          2239 u relative and they sum to at most 1 + 2239 u;
+        - rounding: the floor's p @ H and the exact rows' product of
+          :meth:`values` pass every term p_r H_r through at most n + 1
+          roundings, so each errs by at most gamma_{n+1} sum_r p_r |H_r| <=
+          1.06 n u L (1 + 2239 u) in any order of summation (Higham,
+          *Accuracy and Stability of Numerical Algorithms*, section 4.2),
+          since every H_r and U_r lies in [0, L]: U_r <= U_n =
+          log2(2 pi e (n Var + 1/12)) / 2 with Var <= (c - 1)**2 / (4 n**2),
+          which is at most L from n = 4 on for a kernel of two or three
+          steps (every channel's).
 
-        The same holds with a band (:func:`_exact_rows`): H_held <= H_r <=
-        U_r, and :meth:`values` takes, at each point, one product over its
-        exact rows and one over its band, all of them in [0, log2(c)]:
-        U_r <= U_n = log2(2 pi e (n Var + 1/12)) / 2 with Var <= (c - 1)**2
-        / (4 n**2), which is at most log2(c) from n = 4 on for a kernel of
-        two or three steps (every channel's), and a band needs
-        n >= _BAND_MIN_ROWS.  So that sum errs by at most the same.
-
-        M = 3 (n u log2(c) + delta) exceeds the two roundings and the
-        trimming, 2.12 n u log2(c) (1 + 2239 u) + 2 delta (1 + 2239 u), and
-        its own few roundings, so the floor less M, rounded, is at most the
-        sum :meth:`values` computes, and the rest is one addition of the same
-        closed part and the clip, both monotone: for a chunk and a float
-        gamma alike.  The table's own rounding, O(r) ulp, stays far below its
-        increments; it and the bound on the trimmed mass are tested.
+        Without a band the floor and :meth:`values` read the same weights,
+        and M = 3 (2 n u L + delta) exceeds the two roundings and the
+        trimming, 2.12 n u L (1 + 2239 u) + 2 delta (1 + 2239 u), and its own
+        few roundings.  A band needs n >= _BAND_MIN_ROWS, so L >= 10, and the
+        W U(r_bar) that :meth:`values` computes is at least the floor's band
+        part, its computed weights times H_R, less 2239 u L for the weights,
+        8 u L for W and 0.73 u (11 n / 16 + 2) for r_bar
+        (:func:`_weighted_rows`, R' >= 16): less than the 3.88 n u L left of
+        M.  So the floor less M, rounded, is at most the sum :meth:`values`
+        computes, and the rest is one addition of the same closed part and
+        the clip, both monotone: for a chunk and a float gamma alike.  The
+        table's own rounding, O(r) ulp, stays far below its increments; it
+        and the bound on the trimmed mass are tested.
         """
         h = ROWS.held(self.kernel)
-        if not 0 < h.size < self.size:
-            return None
-        if (exact := self._exact(h.size)) is not None and max(e for e, _ in exact) <= h.size:
+        if not 0 < h.size < self.size or self._exact(h.size) <= h.size:
             return None
         n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
-        delta = _trim_bound(-(-n // _ROW_BLOCK) * cells * _ROW_TRIM, n)
+        delta = _trim_bound(-(-n // _block_rows(self.kernel)) * cells * _ROW_TRIM, n)
         rows = np.empty(n)  # copied: two products, p[:R] @ H and the tail sum of p times H_R, cost more
         rows[:h.size] = h
         rows[h.size:] = h[-1]
-        return self._from_joint(self._p @ rows - 3.0 * (n * 2.0 ** -53 * math.log2(cells) + delta))
+        return self._from_joint(self._p @ rows - 3.0 * (2.0 * n * 2.0 ** -53 * math.log2(cells) + delta))
 
     def _from_joint(self, joint):
         """The values from sum_r p_r H_r."""
@@ -568,29 +566,21 @@ def _max_entropy(kernel: tuple[float, ...], r):
     return 0.5 * (xp.log2(r * _step_variance(kernel) + 1.0 / 12.0) + _LOG2_2PIE)
 
 
-@functools.lru_cache(maxsize=4)
-def _max_entropy_rows(kernel: tuple[float, ...], n: int) -> np.ndarray:
-    """U_1..U_n (:func:`_max_entropy`), kept read-only; callers take n a
-    power of two, so that a search over gamma computes few."""
-    u = _max_entropy(kernel, np.arange(1.0, n + 1.0))
-    u.flags.writeable = False
-    return u
-
-
 def _band_slack(kernel: tuple[float, ...], gamma: float, start: int) -> float:
-    """A bound on how far U_r in place of H_r for r > R = ``start`` raises
-    sum_r p_r H_r, p_r = gamma**(r-1) (1 - gamma), however far past R the
-    rows go: gamma**R ((U_R - H_R + delta) + log2(1 + 1 / ((1 - gamma) R)) / 2),
+    """A bound on how far the band's sum (:func:`_weighted_rows`) in place
+    of H_r for r > R = ``start`` raises sum_r p_r H_r,
+    p_r = gamma**(r-1) (1 - gamma), however far past R the rows go:
+    gamma**R ((U_R - H_R + delta) + log2(1 + 1 / ((1 - gamma) R)) / 2),
     H_R the table's row and delta its trim bound (:func:`_trim_bound`).
 
-    For r > R, H_r >= H_R (the entropy of a sum of independent steps never
-    decreases as steps are added; M. Madiman, "On the entropy of sums",
-    ITW 2008), so U_r - H_r <= (U_R - H_R) + (U_r - U_R), and
-    U_r - U_R <= log2(r / R) / 2.  The band's weights sum to at most
-    gamma**R, and given r > R, r - R is geometric with mean 1 / (1 - gamma),
-    so by Jensen's inequality their weighted log2(r / R) / 2 is at most
-    gamma**R log2(1 + 1 / ((1 - gamma) R)) / 2.  The stored H_R errs from
-    the exact one by at most delta."""
+    The band's weights sum to W <= gamma**R, and its mean run length r_bar
+    is at most that of every r > R, R + 1 / (1 - gamma), since given r > R,
+    r - R is geometric.  For r > R, H_r >= H_R (the entropy of a sum of
+    independent steps never decreases as steps are added; M. Madiman, "On
+    the entropy of sums", ITW 2008), so W U(r_bar) - sum p_r H_r <=
+    W ((U_R - H_R) + (U(r_bar) - U_R)), and U(r_bar) - U_R <=
+    log2(r_bar / R) / 2 <= log2(1 + 1 / ((1 - gamma) R)) / 2.  The stored
+    H_R errs from the exact one by at most delta."""
     h, lost = ROWS.entropies(kernel, start)
     gap = _max_entropy(kernel, start) - float(h[-1]) + _trim_bound(lost, start)
     return gamma ** start * (gap + 0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))
@@ -612,7 +602,8 @@ def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, h
     each round reads D at the guess from the table and moves up to the
     least R that D would allow, until the slack read at a guess is at most
     the target, which the first guess meets in practice.  Each guess is
-    rounded up to a whole block of rows, which the table builds anyway.
+    rounded up to a whole block of rows (:func:`_block_rows`), which the
+    table builds anyway.
     After the first, the guesses only rise, so the table grows no further
     than R, and they depend on the rows' values alone, never on how many
     the table held.  With ``held``, a guess past ``held`` rows is returned
@@ -620,13 +611,13 @@ def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, h
     if not _BAND_MIN_ROWS <= r_max < cap:
         return r_max
     target = _run_tail_bound(gamma, r_max)
-    log_gamma = math.log(gamma)
+    log_gamma, block = math.log(gamma), _block_rows(kernel)
     start = r_max
     for _ in range(2):  # D's log term alone, at the guess; a loose tail_epsilon may allow any R
         start = max(1, math.ceil(math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start))))
                                  / log_gamma))
     for _ in range(_BAND_ROUNDS):
-        start = max(_ROW_BLOCK, -(-start // _ROW_BLOCK) * _ROW_BLOCK)  # the table builds whole blocks
+        start = max(block, -(-start // block) * block)
         if start >= r_max:
             break
         if start > held:
@@ -638,13 +629,29 @@ def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, h
     return r_max
 
 
-def _weighted_rows(kernel: tuple[float, ...], p: np.ndarray, exact: int):
-    """sum_r p_r H_r over r = 1..p.size, a numpy scalar: H_1..H_exact from
-    the table, then U_r (:func:`_max_entropy`), one product each."""
-    h = ROWS.entropies(kernel, exact)[0]
-    if exact == p.size:
-        return p @ h
-    return p[:exact] @ h + p[exact:] @ _max_entropy_rows(kernel, 1 << (p.size - 1).bit_length())[exact:p.size]
+def _weighted_rows(kernel: tuple[float, ...], gamma: float | None, p: np.ndarray, n: int):
+    """sum_r p_r H_r over r = 1..n, a numpy scalar or, over a grid chunk's
+    rows p, an array: H_1..H_R from the table by one product, R =
+    p.shape[-1] the exact rows read, and past R, at a float ``gamma``, the
+    band's sum_{R<r<=n} p_r U_r <= W U(r_bar) (:func:`_max_entropy`, concave
+    in r, so Jensen's inequality applies), W = gamma**R - gamma**n its
+    weights' sum and r_bar their mean run length.
+
+    With m = n - R and q = gamma**m, W = gamma**R (1 - q) and
+    r_bar = R + 1 / (1 - gamma) - t, t = m q / (1 - q) <= 1 / |log gamma|,
+    1 - q taken by expm1.  q errs by at most (2 m |log gamma| + 1) u
+    relative, u = 2**-53, and m |log gamma| t <= m, so r_bar errs by at most
+    2 m u + 9 u / (1 - gamma) + 2 u R; with r_bar >= R and
+    W / (1 - gamma) <= m, W U(r_bar) moves by at most
+    0.73 u (11 m / R + 2) (:meth:`_RunLawChunk.floor`)."""
+    exact = p.shape[-1]
+    joint = p @ ROWS.entropies(kernel, exact)[0]
+    if exact == n:
+        return joint
+    m, log_gamma = n - exact, math.log(gamma)
+    kept = -math.expm1(m * log_gamma)  # 1 - q
+    mean = exact + 1.0 / (1.0 - gamma) - m * math.exp(m * log_gamma) / kept
+    return joint + gamma ** exact * kept * _max_entropy(kernel, mean)
 
 
 @functools.lru_cache(maxsize=4)
@@ -679,7 +686,7 @@ def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _
     cfg = cfg or SeriesConfig()
     r_max = _r_truncation(gamma, cfg)
     p = _run_weights(gamma, r_max)
-    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max), r_max, cfg.r_max_cap)
+    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max), cfg.r_max_cap)
 
 
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
@@ -718,14 +725,14 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
     its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma).
 
-    The rows are read only up to R = min(r, _HLXLY_M_CAP), r = ceil(log(1e-12)
-    / log(gamma)), the r_max of the default :class:`SeriesConfig` before its
-    cap, and with the band below _HLXLY_M_CAP (:func:`_exact_rows`), as the
-    bound at gamma reads them: below the bound's cap the diagnostic needs no
-    rows the bound did not.  Rows m > R take the last row read, H_R (U_R
-    with a band), in place of H_m, and sum to gamma**R times it.  That
-    moves the value by at most sum_{m>R} p_m |H_m - H_R| (U_R in place of
-    H_R with a band), with gamma**R <= 1e-12 below the cap.
+    The rows are read only up to R = :func:`_r_truncation` at the default
+    tail_epsilon and a cap of 20,000 rows, and with the band below that cap
+    (:func:`_exact_rows`, :func:`_weighted_rows`), as the bound at gamma
+    reads them: below the bound's cap the diagnostic needs no rows the bound
+    did not.  Rows m > R take the last row read, H_R (U_R with a band), in
+    place of H_m, and sum to gamma**R times it.  That moves the value by at
+    most sum_{m>R} p_m |H_m - H_R| (U_R in place of H_R with a band), with
+    gamma**R <= 1e-12 below the cap.
     """
     ChannelParams(d=d)
     _check_gamma(gamma)
@@ -739,10 +746,10 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
     out -= binary_entropy(d) * (1.0 / gb - gb)
-    rows = min(math.ceil(math.log(SeriesConfig.tail_epsilon) / math.log(gamma)), _HLXLY_M_CAP)
+    rows = _r_truncation(gamma, _HLXLY_SERIES)
     kernel = _row_kernel(d, 0.0)
-    exact = _exact_rows(kernel, gamma, rows, _HLXLY_M_CAP)
-    p = _run_weights(gamma, rows)  # p_m, m = 1..R
+    exact = _exact_rows(kernel, gamma, rows, _HLXLY_SERIES.r_max_cap)
+    p = _run_weights(gamma, exact)  # p_m, m = 1..exact
     p[0] = 0.0  # the series starts at m = 2
     last = float(ROWS.entropies(kernel, rows)[0][-1]) if exact == rows else _max_entropy(kernel, rows)
-    return out + float(_weighted_rows(kernel, p, exact)) + gamma ** rows * last
+    return out + float(_weighted_rows(kernel, gamma, p, rows)) + gamma ** rows * last

@@ -279,9 +279,10 @@ def moved_by_rounding(expected: list[dict], got: list[dict]) -> bool:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate the golden numbers, or show how far they moved.")
-    parser.add_argument("--diff", action="store_true", help="print the moves against the committed file; write nothing")
-    parser.add_argument("--sim", action="store_true", help="regenerate the simulator hashes instead")
-    parser.add_argument("--cli", action="store_true", help="regenerate the CLI outputs of README's examples instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--diff", action="store_true", help="print the moves against the committed file; write nothing")
+    mode.add_argument("--sim", action="store_true", help="regenerate the simulator hashes instead")
+    mode.add_argument("--cli", action="store_true", help="regenerate the CLI outputs of README's examples instead")
     args = parser.parse_args()
     if args.cli:
         CLI_PATH.write_text(dump(compute_cli()), encoding="utf-8")

@@ -225,25 +225,24 @@ def reference_row_entropies(kernel, r_max):
     """(H(row_r) for r = 1..r_max, bound on the mass missing from row_r_max),
     built cold with the block loop that ``run_length.ROWS.entropies`` keeps
     lean: 32 rows per product for a two-step kernel and 16 for a three-step
-    one (a 32-cell pad either way), the first 16 kernel powers by
-    convolution and the rest as those times the 16th, ``flatnonzero`` trim
+    one (a 32-cell pad either way), the first half of the kernel powers by
+    convolution and the rest as those times the last of them, ``flatnonzero`` trim
     ends, the dropped entries counted at
     ``_ROW_TRIM`` each, a ``sliding_window_view`` window, the same matrix
     product and logs, and one ``einsum`` per block whose sign is turned at
     the end."""
     block = rl._ROW_PAD // max(len(kernel) - 1, 1)
     pad = (len(kernel) - 1) * block
-    steps, first = len(kernel) - 1, min(block, 16)
+    steps, half = len(kernel) - 1, block // 2
     powers = np.zeros((block, pad + 1))
     power = np.ones(1)
-    for j in range(first):
+    for j in range(half):
         power = np.convolve(power, kernel)
         powers[j, :power.size] = power
-    if block > first:
-        shift = steps * (block - first)
-        padded = np.zeros(power.size + 2 * shift)
-        padded[shift:shift + power.size] = power
-        powers[first:] = powers[:block - first, :shift + 1] @ sliding_window_view(padded, power.size + shift)[::-1]
+    shift = steps * half
+    padded = np.zeros(power.size + 2 * shift)
+    padded[shift:shift + power.size] = power
+    powers[half:] = powers[:half, :shift + 1] @ sliding_window_view(padded, power.size + shift)[::-1]
     row, dropped = np.ones(1), 0
     grown = -(-r_max // block) * block
     h, lost = np.empty(grown), np.empty(grown)

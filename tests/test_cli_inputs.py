@@ -82,6 +82,19 @@ def test_simulate_input_out_of_range_is_a_usage_error(flag, value, message, caps
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5", "--n", "10"],
+    ["verify", "mc"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-3", "1.5", "x"])
+def test_seed_that_is_no_non_negative_integer_is_a_usage_error(command, seed, capsys):
+    # a negative seed exited 1 with numpy's "expected non-negative integer", naming no flag
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be a non-negative integer, got {seed}" in capsys.readouterr().err
+
+
 def test_series_config_line_without_equals_is_an_error(tmp_path, monkeypatch, capsys):
     cfg_file = tmp_path / "series.cfg"
     cfg_file.write_text("tail_epsilon 1e-10\n")

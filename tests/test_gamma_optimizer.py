@@ -374,6 +374,23 @@ class TestCeiling:
         rl._grid_plan.cache_clear()
         assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
 
+    @pytest.mark.parametrize("cap", [10_000, 20_000])
+    @pytest.mark.parametrize("gammas", [
+        tuple(go._GRID.tolist()), tuple(go._GRID[::-1].tolist()), (0.99, 0.5, 0.3),
+        tuple(np.random.default_rng(7).permutation(go._GRID).tolist()),
+    ], ids=["sorted", "descending", "one_long_point_first", "shuffled"])
+    def test_every_chunk_holds_the_cell_cap_or_one_point(self, gammas, cap):
+        # the cut once read each point's own r_max: (0.99, 0.5, 0.3) was one chunk of 3 x 5 501 cells
+        plan = rl._GridPlan(ab.SeriesConfig(r_max_cap=cap), gammas)
+        assert plan.chunks[0].start == 0 and plan.chunks[-1].stop == len(gammas)
+        assert all(a.stop == b.start for a, b in zip(plan.chunks, plan.chunks[1:]))
+        for chunk in plan.chunks:
+            points = chunk.stop - chunk.start
+            assert points == 1 or points * (2 * int(plan.r_max[chunk].max()) + 1) <= rl._CHUNK_CELLS
+            assert plan.weights(chunk).shape == (points, plan.r_max[chunk].max())
+            if plan.r_max[chunk].max() >= rl._BAND_MIN_ROWS:
+                assert points == 1
+
     def test_gamma_star_on_both_sides_of_0_9(self):
         assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
         assert optimize_bound("delins", d=0.1, i=0.1, alpha=0.8).gamma_star < 0.9 < \

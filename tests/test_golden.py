@@ -3,6 +3,12 @@ repr for repr, and every simulator hash of ``golden_sim.jsonl`` hash for hash.""
 
 import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import golden
 
@@ -47,3 +53,17 @@ def test_summary_gives_the_largest_move_per_column():
     assert golden.summary(expected, got).splitlines()[0] == "1 of 3 cases moved; gamma_star moved in 1"
     assert not golden.moved_by_rounding(expected, got)
     assert not golden.moved_by_rounding(expected, got[:2])
+
+
+@pytest.mark.parametrize("flags", [["--diff", "--cli"], ["--diff", "--sim"], ["--sim", "--cli"]])
+def test_modes_together_are_a_usage_error_that_writes_nothing(flags):
+    # --cli and --sim were read before --diff: "--diff --cli" rewrote golden_cli.jsonl and exited 0
+    files = (golden.PATH, golden.SIM_PATH, golden.CLI_PATH)
+    before = [f.read_bytes() for f in files]
+    src = str(Path(golden.__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, golden.__file__, *flags], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert run.returncode == 2
+    assert "not allowed with argument" in run.stderr and not run.stdout
+    assert [f.read_bytes() for f in files] == before
