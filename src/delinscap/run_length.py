@@ -603,11 +603,11 @@ def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, h
     least R that D would allow, until the slack read at a guess is at most
     the target, which the first guess meets in practice.  Each guess is
     rounded up to a whole block of rows (:func:`_block_rows`), which the
-    table builds anyway.
-    After the first, the guesses only rise, so the table grows no further
-    than R, and they depend on the rows' values alone, never on how many
-    the table held.  With ``held``, a guess past ``held`` rows is returned
-    as it is, before any row is read for it: more than the table holds."""
+    table builds anyway.  After the first, the guesses only rise, so the
+    table grows no further than R, and they depend on the rows' values
+    alone, never on how many the table held.  With ``held``, a guess past
+    ``held`` rows is returned as it is, before any row is read for it: more
+    than the table holds."""
     if not _BAND_MIN_ROWS <= r_max < cap:
         return r_max
     target = _run_tail_bound(gamma, r_max)
@@ -663,7 +663,8 @@ def _steps(n: int) -> np.ndarray:
 
 
 def _run_weights(gamma: float, r_max: int) -> np.ndarray:
-    """p_r = (1 - gamma) gamma**(r-1), r = 1..r_max, at a float gamma.
+    """p_r = (1 - gamma) gamma**(r-1), r = 1..r_max, at a float gamma, the
+    one weight law (a grid chunk's rows too, :meth:`_GridPlan.weights`).
     From _EXP_WEIGHTS_MIN_ROWS rows on, gamma**(r-1) is one exp of
     (r - 1) log(gamma), which costs a quarter of np.power's time at a few
     thousand rows, and errs by at most

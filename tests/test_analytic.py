@@ -746,12 +746,12 @@ class TestBand:
         start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
         assert start < r_max < cfg.r_max_cap
         band_sum = float(rl._weighted_rows(kernel, gamma, np.zeros(start), r_max))
-        p = (1.0 - gamma) * np.power(gamma, np.arange(float(start), float(r_max)))
-        band = rl._max_entropy(kernel, np.arange(start + 1.0, r_max + 1.0))
-        rows = rl.ROWS.entropies(kernel, r_max)[0][start:]
-        assert abs(band_sum - gamma ** start * (1.0 - gamma ** (r_max - start)) * rl._max_entropy(
-            kernel, math.fsum((np.arange(start + 1.0, r_max + 1.0) * p).tolist()) / math.fsum(p.tolist()))) \
+        r = np.arange(start + 1.0, r_max + 1.0)
+        p = (1.0 - gamma) * np.power(gamma, r - 1.0)
+        weight = math.fsum(p.tolist())
+        assert abs(band_sum - weight * rl._max_entropy(kernel, math.fsum((r * p).tolist()) / weight)) \
             <= 1e-12 * band_sum
+        band, rows = rl._max_entropy(kernel, r), rl.ROWS.entropies(kernel, r_max)[0][start:]
         assert math.fsum((p * band).tolist()) <= band_sum * (1.0 + 1e-12)
         assert band_sum - math.fsum((p * rows).tolist()) <= rl._band_slack(kernel, gamma, start)
 
