@@ -45,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, binary_entropy, xlog2
-from .run_length import (SeriesConfig, _grid_plan, _row_kernel, _run_law_at, _run_law_closed, _RunLawChunk,
-                         closed_form_HLXLY, run_law_deletion_H, run_law_delins_H, run_law_duplication_H)
+from .run_length import (SeriesConfig, _band, _block_rows, _grid_plan, _row_kernel, _run_law_at, _run_law_closed,
+                         _RunLawChunk, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H, run_law_duplication_H)
 
 __all__ = [
     "SeriesConfig",
@@ -465,15 +465,17 @@ class BoundGrid:
         self._terms = lambda g: bound_terms(params, g, None, printed)
         terms = self._terms(gammas)
         k = terms.index(None) if None in terms else len(terms)
-        self._plan = _grid_plan(cfg, tuple(gammas.tolist()))
+        kernel = _row_kernel(params.d, params.i)
+        self._plan = _grid_plan(cfg, tuple(gammas.tolist()), _block_rows(kernel))
         self.gammas, self.chunks, self.row_skips, self._ceilings = gammas, self._plan.chunks, 0, None
         if not any(t.role.sign and t.role.signed for t in terms if t is not None):
             self._ceilings = _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
         self._head, self._tail = _signed_sum(terms[:k]), terms[k + 1:]
-        self._cfg, self._run, self._closed = cfg, None, None
-        if k < len(terms):  # H(L_X) - H(L_out), each gamma's at its own r_max
+        self._cfg, self._run, self._closed, self._band = cfg, None, None, None
+        if k < len(terms):  # H(L_X) - H(L_out), and the band past each gamma's R
             self._run = params.d, params.i
-            self._closed = _run_law_closed(gammas, params.d, params.i, self._plan.r_max)
+            self._closed = _run_law_closed(gammas, params.d, params.i)[0]
+            self._band = _band(kernel, gammas, self._plan.starts, cfg)
 
     def values(self, chunk: slice | None = None, beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when a ceiling shows that
@@ -511,8 +513,8 @@ class BoundGrid:
     def _run_law(self, at: float | slice) -> _RunLawChunk:
         """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
         if isinstance(at, slice):
-            return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._closed[at],
-                                self._cfg.r_max_cap)
+            return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._band[at],
+                                self._closed[at])
         return _run_law_at(at, *self._run, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:

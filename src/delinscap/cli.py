@@ -187,8 +187,8 @@ def _cmd_bound(parser: argparse.ArgumentParser, args) -> int:
         print(f"channel={args.channel} d={params.d} i={params.i} alpha={params.alpha}")
         for key in sorted(bounds):
             res = bounds[key]
-            print(f"  {key}: {res.bound_bits:.9f} bits/use at gamma*={res.gamma_star:.6f} "
-                  f"(error budget {res.error_budget:.2e})")
+            where = f"at gamma*={res.gamma_star:.6f}" if res.bound_bits > 0.0 else "(no positive rate is certified)"
+            print(f"  {key}: {res.bound_bits:.9f} bits/use {where} (error budget {res.error_budget:.2e})")
             for t in res.terms:
                 print(f"      {t.name:42s} {t.value: .9f}  (trunc {t.truncation_error:.2e})")
         if len(bounds) > 1:
@@ -228,6 +228,8 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
         os.remove(args.out)
         raise
     print(f"wrote {len(rows)} rows to {args.out}")
+    if uncertified := sum(row["bound"] <= 0.0 for row in rows):
+        print(f"no positive rate is certified at {uncertified} of the {len(rows)} points (bound <= 0)")
     return 0
 
 

@@ -1,40 +1,37 @@
-"""The run-length term of the bounds and its truncation policy.  The entropy
-H(L_X | L_out) of an input run's length given its output length sums its
-joint law over input run lengths up to r_max, by one formula whether gamma
-is a float or a chunk of an array (:class:`_RunLawChunk`):
-p @ H + (H(L_X) - H(L_out)), with p the run-length weights.  The row
-entropies H = H(L_out | L_X = r) do not depend on gamma, so they are
+"""The run-length term of the bounds, summed over every run length.  The
+entropy H(L_X | L_out) of an input run's length given its output length is
+H(L_X) + sum_{r>=1} p_r H_r - H(L_out), with p_r = gamma**(r-1) (1 - gamma)
+the run-length weights and H_r = H(L_out | L_X = r) the row entropies, by
+one formula whether gamma is a float or a chunk of an array
+(:class:`_RunLawChunk`).  H(L_X) = h(gamma) / (1 - gamma) and H(L_out), a
+closed form of the law's generating function, are taken whole
+(:func:`_run_law_closed`).  The rows do not depend on gamma, so they are
 tabulated once per per-bit step law, a block of rows per matrix product from
-a trimmed base row, and reused by every gamma of a search (:data:`ROWS`);
-the truncated H(L_X) = -sum_r p_r log2 p_r is a geometric sum in closed
-form, and H(L_out) a closed form of the law's generating function.  The
-truncation point is chosen from ``SeriesConfig.tail_epsilon``, and the term
-carries a conservative closed-form bound on the discarded mass's entropy
-contribution, the mass trimmed from the row table included.  The row
-entropies never decrease in r, so the rows already built also bound the term
-from below at any r_max, by one proof for a float and an array alike: the
-gamma search uses that to skip points before the table grows
+a trimmed base row, and reused by every gamma of a search (:data:`ROWS`).
+
+The sum over r reads the exact rows H_1..H_R and, past R, the
+maximum-entropy band U_r = log2(2 pi e (r Var + 1/12)) / 2 >= H_r, Var the
+step's variance (T. M. Cover and J. A. Thomas, *Elements of Information
+Theory*, the discrete entropy bound), summed to r = infinity in closed form
+by Jensen's inequality, since U is concave in r (:func:`_band`).  Every part
+of the value is then exact or an upper bound, so the term is an upper bound
+on H(L_X | L_out), and every bound built on it a lower bound; its
+``truncation_error`` holds only what rounding and the table's trimming can
+move.  R is one closed form of gamma and the :class:`SeriesConfig`
+(:func:`_band_start`), never of the rows the table holds.
+
+The row entropies never decrease in r, so the rows already built also bound
+the term from below, by one proof for a float and an array alike: the gamma
+search uses that to skip points before the table grows
 (:class:`~.analytic_bounds.BoundGrid`).  What a grid's chunks need of its
 gammas and the :class:`SeriesConfig` alone is one plan, kept per (``cfg``,
-gammas) (:class:`_GridPlan`).
-
-Near gamma = 1 the rows dominate the cost, and the last ones carry little
-weight.  An evaluation whose r_max lies in [_BAND_MIN_ROWS, ``r_max_cap``),
-always one point, reads exact rows only up to a start R (:func:`_exact_rows`)
-and, for R < r <= r_max (the band), the maximum-entropy bound
-U_r = log2(2 pi e (r Var + 1/12)) / 2 >= H_r, Var the step's variance
-(T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
-discrete entropy bound), summed in closed form at the band's mean run length
-(:func:`_weighted_rows`).  The term can then only grow, so every bound stays
-a lower bound, and its excess over the exact rows, at most
-:func:`_band_slack`, joins its truncation error.  R depends on the step
-law, gamma and r_max alone, never on the rows the table holds, and is the
-same at a float gamma and at a grid point.
+gammas, row block) (:class:`_GridPlan`).
 
 The binomial double series of the printed deletion run-length form
 (:func:`closed_form_HLXLY`) is summed as
 sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))): its m h(d) part in closed
-form, its binomial entropies read from the same row table.
+form, its binomial entropies as the bound sums them, from the same rows and
+band.
 """
 
 import functools
@@ -50,18 +47,21 @@ from .core import ChannelParams, EntropyTerm, _check_gamma, binary_entropy, xlog
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation policy for the infinite sums.
+    """How many exact rows the run-length term reads before its band.
 
-    ``tail_epsilon`` is the geometric-ratio threshold at which a series is
-    cut, a number in (0, 1); ``r_max_cap`` is a hard cap on the run-length
-    truncation index, an integer of at least 8 (the fewest rows a run-length
-    term takes; a numpy integer is accepted, a bool or a float is not).
-    Doubling ``r_max_cap`` and halving ``tail_epsilon`` must not move any
-    reported value by more than its ``truncation_error`` (tested).
+    ``tail_epsilon``, a number in (0, 1), is the band's target: the exact
+    rows end at the first whole row block R where the band past R costs the
+    bound at most about ``tail_epsilon`` bits per input bit
+    (:func:`_band_start`).  ``r_max_cap`` is R0, the most exact rows any
+    evaluation reads, an integer of at least 8 (a numpy integer is accepted,
+    a bool or a float is not); a band that starts at R0 is summed in
+    segments until the rest meets the target.  Doubling ``r_max_cap`` and
+    halving ``tail_epsilon`` moves a reported value by at most the band's
+    slack and the two rounding budgets (tested, and ``verify truncation``).
     """
 
     tail_epsilon: float = 1e-12
-    r_max_cap: int = 10_000
+    r_max_cap: int = 4096
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tail_epsilon < 1.0:  # NaN included
@@ -75,32 +75,23 @@ class SeriesConfig:
         object.__setattr__(self, "r_max_cap", cap)
 
 
-def _r_truncation(gamma: float, cfg: SeriesConfig) -> int:
-    r = int(math.ceil(math.log(cfg.tail_epsilon) / math.log(gamma)))
-    return max(8, min(cfg.r_max_cap, r))
-
-
 _LOG2E = math.log2(math.e)
+_U = 2.0 ** -53
 # The cells a row widens by over one block product of the table
 # (:func:`_block_rows`), and the entry below which the tails of a row are
 # dropped before it seeds the next block.
 _ROW_PAD = 32
 _ROW_TRIM = 1e-30
-# Cap on a grid chunk's G x (2 r_max + 1) (twice its p_r matrix), and on a block of the H(L_out) series.
+# Cap on a grid chunk's G x (2 R + 1) (twice its p_r matrix), on a block of
+# the H(L_out) series, and on that series' terms.
 _CHUNK_CELLS = 4096
 # Smallest normal double: zero entries are clipped to it before the log, so
 # they contribute exactly 0 to an entropy.
 _TINY = np.finfo(float).tiny
-# The printed run-length form's series is cut as the bounds' are, at most 20,000 rows.
-_HLXLY_SERIES = SeriesConfig(r_max_cap=20_000)
-# Fewest rows an evaluation has for its last ones to take the max-entropy band:
-# from there on a grid chunk holds one gamma (2 r_max + 1 > _CHUNK_CELLS / 2), and
-# below it the rows cost less than choosing the band start.
-_BAND_MIN_ROWS = 1024
 # Fewest rows whose weights take one exp in place of np.power (:func:`_run_weights`).
 _EXP_WEIGHTS_MIN_ROWS = 128
-# Rounds of the band start's fixed point (:func:`_exact_rows`) before it gives up on the band.
-_BAND_ROUNDS = 4
+# Growth of a band segment's start (:func:`_band`).
+_SEGMENT = 1.25
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 
@@ -108,8 +99,8 @@ def _block_rows(kernel: tuple[float, ...]) -> int:
     """Rows one block product of the table advances for ``kernel``, over
     which a row widens by _ROW_PAD cells: 32 for a two-step kernel, 16 for a
     three-step one.  The one row granularity of the term: band starts are
-    rounded up to it (:func:`_exact_rows`), and the floor counts the
-    table's trimmed blocks in it (:meth:`_RunLawChunk.floor`)."""
+    whole blocks (:func:`_band_start`), and the drift bound counts blocks
+    (:func:`_row_drift`)."""
     return _ROW_PAD // max(len(kernel) - 1, 1)
 
 
@@ -161,10 +152,10 @@ class _RowTable:
         key, _, _, h, _, size = self._state
         return h[:size] if key == kernel else h[:0]
 
-    def entropies(self, kernel: tuple[float, ...], r_max: int) -> tuple[np.ndarray, float]:
-        """H(row_r) in bits for r = 1..r_max, where row_r is the r-fold
+    def entropies(self, kernel: tuple[float, ...], n: int) -> tuple[np.ndarray, float]:
+        """H(row_r) in bits for r = 1..n, where row_r is the r-fold
         convolution of ``kernel``, and a bound on the mass missing from
-        row_r_max.
+        row_n.
 
         The table is kept for one kernel and grown on demand, B rows per step
         (:func:`_block_rows`).  From the base row row_r0, r0 a multiple of B,
@@ -176,10 +167,10 @@ class _RowTable:
         product and one fused reduction (``einsum('ij,ij->i')``) of the logs
         times the rows then give their B sums x log2 x, whose sign is turned
         once per growth.  Every term is non-negative, so rounding stays
-        relative.  Blocks start at fixed r, so a grown table is bit-identical
-        to one built cold, and it only ever holds whole blocks.  A block of 32
-        rows of a three-step kernel would need a 64-cell pad, and the larger
-        product costs more than the calls it saves.
+        relative (:func:`_row_drift`).  Blocks start at fixed r, so a grown
+        table is bit-identical to one built cold, and it only ever holds whole
+        blocks.  A block of 32 rows of a three-step kernel would need a 64-cell
+        pad, and the larger product costs more than the calls it saves.
 
         Per block the loop does little besides the product, the logs and the
         reduction: the window is copied from one strided view (strides -1
@@ -193,18 +184,17 @@ class _RowTable:
         bound returned: at most ceil(n / B) blocks times the c cells of a
         row, which :meth:`_RunLawChunk.floor` takes.  The kernel powers sum
         to one, so every row of a block misses exactly the mass dropped
-        before it; with row_r on at most 2 r_max + 1 cells, H(row_r) then
-        moves by at most
-        D (log2(2 r_max + 1) - log2 D + log2 e) (:func:`_trim_bound`), which
-        grows with D while D < 2 r_max + 1.
+        before it; with row_r on at most 2 n + 1 cells, H(row_r) then
+        moves by at most D (log2(2 n + 1) - log2 D + log2 e)
+        (:func:`_trim_bound`), which grows with D while D < 2 n + 1.
         """
         key, powers, row, h, dropped, size = self._state
         if key != kernel:  # a new step law
             powers = _kernel_powers(kernel, _block_rows(kernel))
             row, h, dropped, size, self._work = np.ones(1), np.zeros(0), [], 0, None
         block, pad = powers.shape[0], powers.shape[1] - 1
-        if size < r_max:
-            stop = size + -(-(r_max - size) // block) * block
+        if size < n:
+            stop = size + -(-(n - size) // block) * block
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
             total, counts = dropped[-1] if dropped else 0, []
@@ -215,9 +205,9 @@ class _RowTable:
                 total += row.size - (hi - lo)  # the entries dropped so far
                 counts.append(total)
                 m = hi - lo
-                n = m + pad
-                if n > cap:  # grown by a quarter at a time, to keep the heap flat
-                    cap = n + n // 4
+                width = m + pad
+                if width > cap:  # grown by a quarter at a time, to keep the heap flat
+                    cap = width + width // 4
                     windows = np.empty(max(pad + 1, block) * cap)  # the window, then the B rows of logs
                     products = np.empty(block * cap)
                     padded = np.zeros(cap + pad)  # its first pad cells stay zero
@@ -225,11 +215,11 @@ class _RowTable:
                     # the base row shifted by t
                     shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
                 padded[pad:pad + m] = row[lo:hi]
-                padded[pad + m:pad + n] = 0.0
-                window = windows[:(pad + 1) * n].reshape(pad + 1, n)
-                np.copyto(window, shifted[:, :n])
-                rows = np.matmul(powers, window, out=products[:block * n].reshape(block, n))
-                logs = np.maximum(rows, _TINY, out=windows[:block * n].reshape(block, n))
+                padded[pad + m:pad + width] = 0.0
+                window = windows[:(pad + 1) * width].reshape(pad + 1, width)
+                np.copyto(window, shifted[:, :width])
+                rows = np.matmul(powers, window, out=products[:block * width].reshape(block, width))
+                logs = np.maximum(rows, _TINY, out=windows[:block * width].reshape(block, width))
                 np.log2(logs, out=logs)
                 np.einsum("ij,ij->i", logs, rows, out=h[r0:r0 + block])
                 row = rows[-1]
@@ -237,29 +227,78 @@ class _RowTable:
             self._work = (cap, windows, products, padded, shifted)
             dropped, size = dropped + counts, stop
             self._state = (kernel, powers, row.copy(), h, dropped, size)
-        return h[:r_max], dropped[(r_max - 1) // block] * _ROW_TRIM
+        return h[:n], dropped[(n - 1) // block] * _ROW_TRIM
 
 
 ROWS = _RowTable()
 
 
-def _output_length_entropy(gamma, step: tuple[float, float, float], s_max):
-    """Entropy in bits of P(L_out = s), s = 0..s_max, of a geometric run
-    whose bits add 0, 1 or 2 output bits with probabilities ``step`` =
-    (d, 1-d-i, i); gamma and ``s_max`` are scalars or 1-D arrays.
+def _gamma_n(n: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53: the relative error of
+    n roundings (*Accuracy and Stability of Numerical Algorithms*, 3.1)."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _row_drift(kernel: tuple[float, ...], n: int) -> float:
+    """A bound on how far rounding moves a stored row H_r, r <= n, from the
+    entropy of its exact (trimmed) law.
+
+    Every entry of the table is a sum of non-negative terms, so its rounding
+    is relative.  A kernel power kernel^{*j}, j <= B / 2, is j convolutions
+    of at most three terms, so errs by gamma_{3 B / 2}; one of the other
+    half sums M / 2 + 1 products of two of those, so errs by at most
+    gamma_{3 B + M / 2 + 1}, M = _ROW_PAD.  A block product sums M + 1
+    products of a power and a base-row entry, so the rows of the k-th block
+    err by at most eta = gamma_{k (3 B + 3 M / 2 + 2)} relative, compounded
+    over its k <= ceil(n / B) blocks (B = :func:`_block_rows`).  A law whose
+    entries move by at most eta relative moves in entropy by at most
+    eta (H + log2 e (1 + eta) / (1 - eta)) <= eta (L + 2), L = log2(c) and
+    c = (len(kernel) - 1) n + 1 the most cells of a row, since H <= L; the
+    logs (within an ulp) and the einsum over at most c + M cells add
+    gamma_{c + M + 3} (L + 2).  A subnormal entry errs by at most 2**-1074,
+    which moves H by less than 1e-300."""
+    block, cells = _block_rows(kernel), (len(kernel) - 1) * n + 1
+    eta = _gamma_n(-(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 2))
+    return (eta + _gamma_n(cells + _ROW_PAD + 3)) * (math.log2(cells) + 2.0)
+
+
+def _sum_rounding(n: int, cells: int) -> float:
+    """A bound on the rounding of sum_{r<=n} p_r H_r as the term computes it:
+    the einsum of n products errs by at most gamma_n sum p_r H_r (Higham,
+    section 4.2), and each weight by at most 2239 u relative
+    (:func:`_run_weights`), with every H_r in [0, log2(cells)] and
+    sum p_r <= 1: at most (1.01 n + 2240) u log2(cells)."""
+    return (1.01 * n + 2240.0) * _U * math.log2(cells)
+
+
+def _output_length_entropy(gamma, step: tuple[float, float, float]):
+    """(H, e): the entropy H in bits of the whole law P(L_out = s), s >= 0,
+    of a geometric run whose bits add 0, 1 or 2 output bits with
+    probabilities ``step`` = (d, 1-d-i, i), at most the exact one, and e a
+    bound on the rounding of its one long sum; gamma is a float or a 1-D
+    array, and H and e are the same.
 
     With 1 - gamma phi(z) = c0 (1 - a z)(1 - b z), phi(z) = d + (1-d-i) z +
     i z**2, c0 = 1 - gamma d, a > 0 >= b, P(0) = (1-gamma) d / c0 and
     P(s) = K (a**m - b**m), m = s + 1, K = (1-gamma) / (gamma c0 (a - b)).
-    So H = -P(0) log2 P(0) - log2 K M0 - log2 a M1 - C: M0, M1 (mass and
-    first moment in m of s = 1..s_max) are the whole law's less geometric
-    tails from m = s_max + 2; C = sum K a**m (1 - t**m) log2(1 - t**m),
-    t = b / a, is 0 at i = 0, else summed until the bound 2 K |b|**m /
-    (1 - |b|) on the rest is below 1e-18, at most to s_max + 1.  1 - a =
-    (1-gamma) / (c0 (1 - b)), b = -(gamma i / c0) / a and log a =
-    -log1p((1 - a) / a) keep their relative precision; 1 - t**m =
-    -expm1(m log|t|) at even m is exactly 0 at d + i = 1 (t = -1); 0 log 0
-    is 0.  The tails would cancel at small s_max, which s_max >= 16 avoids.
+    So H = -P(0) log2 P(0) - M0 log2 K - M1 log2 a - K C: M0 = (1 - d) / c0
+    and M1 = M0 + (1 - d + i) / (1 - gamma) are the mass and first moment
+    in m of s >= 1, and C = sum_{m>=2} a**m f(t**m), f(y) = (1 - y) log2(1 - y),
+    t = b / a, is 0 at i = 0.  f(t**m) <= 0 at an even m, and at an odd m
+    f(t**m) <= 2 |t|**m (the chord of f on [-1, 0]), so past its last term
+    m = T the series is bounded by 2 sum_{odd m>T} |b|**m =
+    2 |b|**m0 / (1 - b**2), m0 the first odd m past T, which H takes in its
+    place: H can only fall.  T is where that rest falls below 1e-18, at most
+    _CHUNK_CELLS; at d + i = 1 (t = -1) every even term is 0 and every odd
+    one 2 a**m, so the rest is exact and T = 1: C = 2 a**3 / (1 - a**2).
+
+    1 - a = (1-gamma) / (c0 (1 - b)), b = -(gamma i / c0) / a,
+    log a = -log1p((1 - a) / a) and 1 - |b| = (1 - a) + (a + b) keep their
+    relative precision; 1 - t**m = -expm1(m log|t|) at even m; 0 log 0 is 0.
+    A term a**m f(t**m) errs by at most (m |log |b|| + 8) u relative and
+    |K a**m f(t**m)| <= 2 K |b|**m, so the terms, their sum (gamma_T) and
+    the rest err by at most e = 3 u S b**2 ((T + 2)(1.01 + |log |b||) + 14),
+    S = 2 K / (1 - b**2).
     """
     d, keep, i = step
     array = isinstance(gamma, np.ndarray)
@@ -273,39 +312,39 @@ def _output_length_entropy(gamma, step: tuple[float, float, float], s_max):
     u = g_c / (1.0 - b)  # 1 - a
     log_a = -xp.log1p(u / a)  # log a, from 1 / a = 1 + u / a
     k = g_c / (gamma * a_minus_b)
-    n = s_max + 2  # the first m past the sum
-    tail0 = xp.exp(n * log_a) / u  # sum a**m over m >= n
-    tail1 = tail0 * (n + a / u)  # sum m a**m
-    b_tail0 = b ** n / (1.0 - b) if i > 0.0 else 0.0
-    tail0, tail1 = tail0 - b_tail0, tail1 - b_tail0 * (n + b / (1.0 - b))
-    h = (k * tail0 - mass) * xp.log2(k) + (k * tail1 - mass - (1.0 - d + i) / gb) * (_LOG2E * log_a)
+    h = -mass * xp.log2(k) - (mass + (1.0 - d + i) / gb) * (_LOG2E * log_a)
     h = h - g_c * d * (xp.log2(g_c) + math.log2(d)) if d > 0.0 else h  # P(0) log2 P(0), 0 if it underflows
-    if i == 0.0:
-        return h
-    if not array:  # b = 0 where i underflows against a: no terms; with terms, |t| is well above 0
-        top = min(math.ceil(math.log(1e-18 * (1.0 + b) / (2.0 * k)) / math.log(-b or _TINY)) - 1, s_max + 1)
-        log_t = math.log1p(-a_plus_b / a) if top >= 2 else 0.0
+    if i == 0.0 or not array and b == 0.0:  # b = 0 where i underflows against a: no terms
+        return h, 0.0 * h
+    scale = 2.0 * k / ((u + a_plus_b) * (1.0 - b))  # 2 K / (1 - b**2)
+    if not array:
+        log_b = math.log(-b)
+        top = 1 if not keep else min(_CHUNK_CELLS, max(1, math.ceil(math.log(1e-18 / scale) / log_b) - 1))
+        log_t = math.log1p(-a_plus_b / a) if top >= 2 else 0.0  # log|t|
+        series = scale * math.exp((top + 1 + top % 2) * log_b)  # the rest past T
         if top > 40:
-            return h - k * float(_series_terms(log_t, log_a, np.arange(2.0, top + 1.0)).sum())
-        for m in range(2, top + 1):  # a short series costs less as a loop than as numpy calls
-            w = 1.0 + math.exp(m * log_t) if m % 2 else -math.expm1(m * log_t)
-            h -= k * math.exp(m * log_a) * w * math.log2(w) if w > 0.0 else 0.0
-        return h
-    with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms
-        last = np.minimum(np.ceil(np.log(1e-18 * (1.0 + b) / (2.0 * k)) / np.log(-b)) - 1.0, s_max + 1)
-        log_t = np.log1p(-a_plus_b / a)
+            series += k * float(_series_terms(log_t, log_a, np.arange(2.0, top + 1.0)).sum())
+        else:  # a short series costs less as a loop than as numpy calls
+            for m in range(2, top + 1):
+                w = 1.0 + math.exp(m * log_t) if m % 2 else -math.expm1(m * log_t)
+                series += k * math.exp(m * log_a) * w * math.log2(w) if w > 0.0 else 0.0
+        return h - series, 3.0 * _U * scale * b * b * ((top + 2) * (1.01 - log_b) + 14.0)
+    with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms, and no rest
+        log_b, log_t = np.maximum(np.log(-b), -745.0), np.log1p(-a_plus_b / a)
+    last = np.clip(np.ceil(np.log(1e-18 / scale) / log_b) - 1.0, 1.0, _CHUNK_CELLS) if keep else 1.0 + 0.0 * a
+    series = scale * np.exp((last + 1.0 + last % 2.0) * log_b)  # the rest past T
     # Fixed column blocks, 16 wide then doubling up to _CHUNK_CELLS, each over
     # the rows it reaches in groups of at most _CHUNK_CELLS cells: the
     # temporaries stay small, and each gamma's bits do not depend on the others.
-    series, m0, width, top = np.zeros(gamma.shape), 2, 16, last.max()
+    m0, width, top = 2, 16, last.max()
     while m0 <= top:
         m, rows, n = np.arange(m0, m0 + width, dtype=float), np.flatnonzero(last >= m0), _CHUNK_CELLS // width
         for sel in (rows[r:r + n] for r in range(0, rows.size, n)):
             terms = _series_terms(log_t[sel, None], log_a[sel, None], m)
             terms[m > last[sel, None]] = 0.0
-            series[sel] += terms.sum(axis=1)
+            series[sel] += k[sel] * terms.sum(axis=1)
         m0, width = m0 + width, min(2 * width, _CHUNK_CELLS)
-    return h - k * series
+    return h - series, 3.0 * _U * scale * b * b * ((last + 2.0) * (1.01 - log_b) + 14.0)
 
 
 def _series_terms(log_t, log_a, m: np.ndarray) -> np.ndarray:
@@ -329,222 +368,65 @@ def _row_kernel(d: float, i: float) -> tuple[float, ...]:
     return _step_law(d, i)[int(d == 0.0):3 - int(i == 0.0)] if d or i else ()
 
 
-def _run_length_entropy(gamma, r_max):
-    """H(L_X) cut at r_max, -sum_{r<=R} p_r log2 p_r with p_r =
-    gamma**(r-1) (1 - gamma) and R = r_max, in closed form, of a float gamma
-    and an int R or of arrays, elementwise: log2 p_r = log2(1 - gamma) +
-    (r - 1) log2(gamma), sum p_r = 1 - gamma**R and sum (r - 1) p_r =
-    (gamma - gamma**R (R - (R - 1) gamma)) / (1 - gamma).  R - (R - 1) gamma
-    is taken as 1 + (R - 1)(1 - gamma), which does not cancel near
-    gamma = 1 (within 2e-15 of a direct sum up to gamma = 1 - 1e-6, tested)."""
+def _run_length_entropy(gamma):
+    """H(L_X) = -sum_r p_r log2 p_r = h(gamma) / (1 - gamma), of a float gamma
+    or elementwise of an array, as -log2(1 - gamma) - gamma log2(gamma) / (1 - gamma)."""
     xp = np if isinstance(gamma, np.ndarray) else math
-    gb, tail = 1.0 - gamma, gamma ** r_max
-    return -xp.log2(gb) * (1.0 - tail) - xp.log2(gamma) * ((gamma - tail * (1.0 + (r_max - 1) * gb)) / gb)
+    return -xp.log2(1.0 - gamma) - gamma * xp.log2(gamma) / (1.0 - gamma)
 
 
-def _run_law_closed(gamma, d: float, i: float, r_max):
-    """H(L_X) - H(L_out) on r_max, the closed part of H(L_X | L_out)
-    (:class:`_RunLawChunk`), of a float gamma and an int r_max or of arrays,
-    elementwise: :func:`_run_length_entropy` less :func:`_output_length_entropy`
-    on 0..2 r_max."""
-    return _run_length_entropy(gamma, r_max) - _output_length_entropy(gamma, _step_law(d, i), 2 * r_max)
+def _run_law_closed(gamma, d: float, i: float):
+    """(H(L_X) - H(L_out), e), the closed part of H(L_X | L_out)
+    (:class:`_RunLawChunk`), of a float gamma or elementwise of an array:
+    :func:`_run_length_entropy` less :func:`_output_length_entropy`, whose
+    rounding bound is e."""
+    h_out, rounding = _output_length_entropy(gamma, _step_law(d, i))
+    return _run_length_entropy(gamma) - h_out, rounding
 
 
-class _GridPlan:
-    """What a :class:`~.analytic_bounds.BoundGrid` needs of its gammas and
-    :class:`SeriesConfig` alone, one per (``cfg``, gammas) and kept
-    (:func:`_grid_plan`): ``r_max``, each gamma's; ``chunks``, the gammas cut
-    into slices of at most _CHUNK_CELLS padded cells, G x (2 r_max + 1) with
-    the slice's largest r_max (a point over the cap alone is a slice of its
-    own); and each slice's run-length weights, built on first use.  Two
-    points of _BAND_MIN_ROWS rows would pass the cap, so a point that may
-    take the band (:func:`_exact_rows`) is a slice of its own."""
-
-    def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...]) -> None:
-        self._gammas, self._weights = gammas, {}
-        self.r_max = np.array([_r_truncation(g, cfg) for g in gammas])
-        starts, top = [0], 0
-        for k, r in enumerate(self.r_max.tolist()):
-            top = max(top, r)
-            if k > starts[-1] and (k + 1 - starts[-1]) * (2 * top + 1) > _CHUNK_CELLS:
-                starts.append(k)
-                top = r
-        self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
-        self.r_max.flags.writeable = False
-
-    def weights(self, chunk: slice) -> np.ndarray:
-        """The (G, largest r_max) matrix of p_r = gamma**(r-1) (1 - gamma)
-        at ``gammas[chunk]``, each row a float gamma's (:func:`_run_weights`)
-        and zero past its r_max, kept read-only."""
-        key = chunk.indices(self.r_max.size)
-        if key not in self._weights:
-            r_max = self.r_max[chunk].tolist()
-            p = np.zeros((len(r_max), max(r_max)))
-            for row, gamma, r in zip(p, self._gammas[chunk], r_max):
-                row[:r] = _run_weights(gamma, r)
-            p.flags.writeable = False
-            self._weights[key] = p
-        return self._weights[key]
+def _jensen_slack(gamma, start):
+    """gamma**R log2(1 + 1 / ((1 - gamma) R)) / 2 at R = ``start``: what one
+    Jensen piece of the band over every r > R can exceed the sum of p_r U_r
+    it replaces by (:func:`_band_slack`), of floats or elementwise."""
+    xp = np if isinstance(gamma, np.ndarray) else math
+    return gamma ** start * (0.5 * _LOG2E) * xp.log1p(1.0 / ((1.0 - gamma) * start))
 
 
-_grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
+def _band_start(gamma: float, cfg: SeriesConfig, block: int) -> int:
+    """R, the exact rows the term reads at ``gamma``: the least multiple of
+    ``block`` (:func:`_block_rows`) whose Jensen slack (:func:`_jensen_slack`)
+    is at most tail_epsilon / (1 - gamma), so that a band past R costs the
+    bound (1 - gamma) times the term about tail_epsilon bits per input bit
+    at most, capped at R0 = ``r_max_cap``.
+
+    The slack gamma**R l(R) falls with R, so R* = g(R*) at the least real R*
+    that meets the target, g(R) = log(target / l(R)) / log(gamma), and g
+    falls with R too: from R = block <= R*, g(block) >= R* and
+    g(g(block)) <= R*, and R is the first block from there that meets the
+    target (block itself if g(block) <= block)."""
+    target, cap, log_gamma = cfg.tail_epsilon / (1.0 - gamma), cfg.r_max_cap, math.log(gamma)
+
+    def g(r: float) -> float:
+        return math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * r)))) / log_gamma
+
+    over = g(block)
+    if over <= block:
+        return min(block, cap)
+    start = max(1, math.ceil(g(over) / block)) * block
+    while start < cap and _jensen_slack(gamma, start) > target:
+        start += block
+    return min(start, cap)
 
 
-class _RunLawChunk:
-    """H(L_X | L_out) at each gamma of a chunk of a
-    :class:`~.analytic_bounds.BoundGrid`, or at a float gamma, a chunk of one
-    point (:func:`_run_law_at`); L_out is the sum over the run's L_X bits of
-    i.i.d. per-bit output lengths in {0, 1, 2} with probabilities
-    (d, 1 - d - i, i).
-
-    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
-    H(L_X) + sum_r p_r H_r over r = 1..r_max, H_r the entropy of row_r, the
-    law of L_out given L_X = r (the r-fold convolution of the step law).  So
-    the values are p @ H + (H(L_X) - H(L_out)), clipped at 0: H from a table
-    built once per step law, the row ``kernel`` (:data:`ROWS`), p
-    the run-length weights (:func:`_run_weights`), a matrix over a chunk
-    (:meth:`_GridPlan.weights`) and a vector at a float gamma, and
-    ``closed``, the closed part on each gamma's own r_max
-    (:func:`_run_law_closed`).  :meth:`values` gives them, :meth:`floor` a
-    lower bound on them from the rows the table holds, and, at a float
-    gamma, :meth:`term` the value with its truncation error.  Only the
-    rounding differs between a grid point and the same float gamma (within
-    1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (), ``size``
-    (the rows needed) is 0 and the values are 0.
-
-    A chunk of at least _BAND_MIN_ROWS rows is one point (:class:`_GridPlan`),
-    and below ``cap`` it reads exact rows only up to its band start
-    (:func:`_exact_rows`), and the band's sum past it in closed form
-    (:func:`_weighted_rows`).
-    """
-
-    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, closed, cap: int) -> None:
-        self._gammas, self.kernel, self._p, self._closed = gammas, kernel, p, closed
-        self.size = p.shape[-1] if kernel else 0
-        self._cap, self._found = cap, None
-        # the float gamma of a chunk that may take the band, one point (:class:`_GridPlan`)
-        self._gamma = np.atleast_1d(gammas).item() if self.size >= _BAND_MIN_ROWS else None
-
-    def _exact(self, held: float = math.inf) -> int:
-        """The exact rows the chunk reads (:func:`_exact_rows`, which takes
-        ``held``, so that the table does not grow): ``size`` below
-        _BAND_MIN_ROWS.  Once final, the answer is kept."""
-        if self.size < _BAND_MIN_ROWS:
-            return self.size
-        if self._found is None:
-            exact = _exact_rows(self.kernel, self._gamma, self.size, self._cap, held)
-            if exact <= held or exact == self.size:
-                self._found = exact
-            return exact
-        return self._found
-
-    def values(self):
-        """The values, the table grown to the exact rows the chunk reads (a
-        numpy scalar at a float gamma)."""
-        if not self.size:
-            return 0.0 * self._gammas
-        return self._from_joint(_weighted_rows(self.kernel, self._gamma, self._p[..., :self._exact()], self.size))
-
-    def term(self, name: str) -> EntropyTerm:
-        """At a float gamma, :meth:`values` as an entropy term.  Its
-        truncation error adds to the dropped runs' tail
-        (:func:`_run_tail_bound`) the bound on what the table's trimmed mass
-        moves the exact rows (:func:`_trim_bound`) and, with a band, the bound
-        on the band's excess (:func:`_band_slack`)."""
-        trunc = _run_tail_bound(self._gammas, self._p.size)
-        if self.size:
-            exact = self._exact()
-            trunc += _trim_bound(ROWS.entropies(self.kernel, exact)[1], exact)
-            if exact < self.size:
-                trunc += _band_slack(self.kernel, self._gammas, exact)
-        return EntropyTerm(name, float(self.values()), trunc)
-
-    def floor(self):
-        """A lower bound on :meth:`values`, element by element, from the R
-        rows the table holds now; None when R = 0 or R covers every exact row
-        the chunk reads, found without growing the table.
-
-        The entropy of a sum of independent steps never decreases as steps
-        are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
-        ITW 2008), so H_r >= H_R for r > R, and H_R in their place lowers
-        p @ H.  With a band (:func:`_exact_rows`) past R' > R, H_R <= H_r <=
-        U_r there, and :meth:`values` sums the band as W U(r_bar) >=
-        sum p_r U_r (:func:`_weighted_rows`).  The margin M subtracted covers
-        three kinds of error, with n the chunk's largest r_max (n > R >= 16),
-        c = (len(kernel) - 1) n + 1 the most cells of a row, L = log2(c) and
-        u = 2**-53:
-
-        - trimming: a stored row moves by at most delta, :func:`_trim_bound`
-          of a trimmed mass of at most ceil(n / B) blocks of B rows
-          (:func:`_block_rows`) times c cells times _ROW_TRIM, so a stored
-          H_r >= the stored H_R - 2 delta;
-        - the weights: each p_r (:func:`_run_weights`), from one exp of
-          (r - 1) log(gamma), or np.power below _EXP_WEIGHTS_MIN_ROWS, with
-          log, exp and pow within an ulp, errs by at most
-          (3 (r - 1) |log gamma| + 4) u relative (2**-1074 where p_r is
-          subnormal, which adds nothing here), and (r - 1) |log gamma| <
-          |log tail_epsilon| <= 745 for r <= r_max, so each errs by at most
-          2239 u relative and they sum to at most 1 + 2239 u;
-        - rounding: the floor's p @ H and the exact rows' product of
-          :meth:`values` pass every term p_r H_r through at most n + 1
-          roundings, so each errs by at most gamma_{n+1} sum_r p_r |H_r| <=
-          1.06 n u L (1 + 2239 u) in any order of summation (Higham,
-          *Accuracy and Stability of Numerical Algorithms*, section 4.2),
-          since every H_r and U_r lies in [0, L]: U_r <= U_n =
-          log2(2 pi e (n Var + 1/12)) / 2 with Var <= (c - 1)**2 / (4 n**2),
-          which is at most L from n = 4 on for a kernel of two or three
-          steps (every channel's).
-
-        Without a band the floor and :meth:`values` read the same weights,
-        and M = 3 (2 n u L + delta) exceeds the two roundings and the
-        trimming, 2.12 n u L (1 + 2239 u) + 2 delta (1 + 2239 u), and its own
-        few roundings.  A band needs n >= _BAND_MIN_ROWS, so L >= 10, and the
-        W U(r_bar) that :meth:`values` computes is at least the floor's band
-        part, its computed weights times H_R, less 2239 u L for the weights,
-        8 u L for W and 0.73 u (11 n / 16 + 2) for r_bar
-        (:func:`_weighted_rows`, R' >= 16): less than the 3.88 n u L left of
-        M.  So the floor less M, rounded, is at most the sum :meth:`values`
-        computes, and the rest is one addition of the same closed part and
-        the clip, both monotone: for a chunk and a float gamma alike.  The
-        table's own rounding, O(r) ulp, stays far below its increments; it
-        and the bound on the trimmed mass are tested.
-        """
-        h = ROWS.held(self.kernel)
-        if not 0 < h.size < self.size or self._exact(h.size) <= h.size:
-            return None
-        n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
-        delta = _trim_bound(-(-n // _block_rows(self.kernel)) * cells * _ROW_TRIM, n)
-        rows = np.empty(n)  # copied: two products, p[:R] @ H and the tail sum of p times H_R, cost more
-        rows[:h.size] = h
-        rows[h.size:] = h[-1]
-        return self._from_joint(self._p @ rows - 3.0 * (2.0 * n * 2.0 ** -53 * math.log2(cells) + delta))
-
-    def _from_joint(self, joint):
-        """The values from sum_r p_r H_r."""
-        return np.maximum(joint + self._closed, 0.0)
-
-
-def _trim_bound(lost: float, n: int) -> float:
-    """How far rows on at most 2 n + 1 cells that miss the mass ``lost`` move
-    in entropy (:meth:`_RowTable.entropies`), the logs taken apart so that a
-    subnormal ``lost`` cannot overflow their ratio."""
-    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
-
-
-def _run_tail_bound(gamma: float, r_max: int) -> float:
-    """Conservative bound on the error from dropping runs longer than r_max."""
-    eps = gamma ** r_max  # P(L_X > r_max)
-    gb = 1.0 - gamma
-    # entropy carried by the dropped joint rows p_r = c gamma**r, r > r_max, c = (1 - gamma) / gamma: at most
-    # c (s0 |log2 c| + s1 |log2 gamma|), s0 = sum gamma**r and s1 = sum r gamma**r = s0 (r_max + 1 + gamma / gb)
-    c, s0 = gb / gamma, gamma ** (r_max + 1) / gb
-    tail_joint = c * (s0 * abs(math.log2(1.0 / c)) + s0 * (r_max + 1 + gamma / gb) * abs(math.log2(gamma)))
-    tail_joint += eps * math.log2(2 * r_max + 3) + eps * gamma / gb
-    # distortion of the output-length marginal (Fannes-style)
-    n_cols = 2 * r_max + 2
-    eps_h = binary_entropy(min(eps, 0.5))
-    tail_marg = 2.0 * eps * math.log2(n_cols) + eps_h + 2.0 * eps
-    return tail_joint + tail_marg
+def _max_entropy(kernel: tuple[float, ...], r):
+    """U_r = log2(2 pi e (r Var + 1/12)) / 2, Var the variance of one step
+    of ``kernel``, of a number r or elementwise of an array: at least the
+    entropy H_r of row_r, the law of a sum of r steps on the integers
+    (T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
+    discrete entropy bound: the maximum entropy of its variance plus that of
+    a uniform spread over one unit)."""
+    xp = np if isinstance(r, np.ndarray) else math
+    return 0.5 * (xp.log2(r * _step_variance(kernel) + 1.0 / 12.0) + _LOG2_2PIE)
 
 
 @functools.lru_cache(maxsize=8)
@@ -555,103 +437,82 @@ def _step_variance(kernel: tuple[float, ...]) -> float:
     return math.fsum(w * (k - mean) ** 2 for k, w in enumerate(kernel))
 
 
-def _max_entropy(kernel: tuple[float, ...], r):
-    """U_r = log2(2 pi e (r Var + 1/12)) / 2, Var the variance of one step
-    of ``kernel``, of an int r or elementwise of an array: at least the
-    entropy H_r of row_r, the law of a sum of r steps on the integers
-    (T. M. Cover and J. A. Thomas, *Elements of Information Theory*, the
-    discrete entropy bound: the maximum entropy of its variance plus that of
-    a uniform spread over one unit)."""
-    xp = np if isinstance(r, np.ndarray) else math
-    return 0.5 * (xp.log2(r * _step_variance(kernel) + 1.0 / 12.0) + _LOG2_2PIE)
+def _piece(kernel: tuple[float, ...], gamma, start, m=None):
+    """W U(r_bar) over the run lengths start < r <= start + m, or every
+    r > start without m: W the weights' sum and r_bar their mean run length,
+    at least their sum of p_r U_r by Jensen's inequality, of floats or
+    elementwise.  Given r > S, r - S is geometric, so over every r > S,
+    W = gamma**S and r_bar = S + 1 / (1 - gamma); over S < r <= S + m,
+    with q = gamma**m, W = gamma**S (1 - q) and
+    r_bar = S + 1 / (1 - gamma) - m q / (1 - q), 1 - q taken by expm1."""
+    head, mean = gamma ** start, start + 1.0 / (1.0 - gamma)
+    if m is None:
+        return head * _max_entropy(kernel, mean)
+    xp = np if isinstance(gamma, np.ndarray) else math
+    log_gamma = xp.log(gamma)
+    kept = -xp.expm1(m * log_gamma)  # 1 - q
+    return head * kept * _max_entropy(kernel, mean - m * xp.exp(m * log_gamma) / kept)
+
+
+def _band(kernel: tuple[float, ...], gamma, start, cfg: SeriesConfig):
+    """An upper bound on sum_{r>R} p_r H_r, R = ``start``: the band's
+    sum_{r>R} p_r U_r summed by :func:`_piece`, of a float gamma and an int R
+    or elementwise of arrays.  One piece from R to infinity, unless R is at
+    the cap and the piece's Jensen slack (:func:`_jensen_slack`) exceeds
+    tail_epsilon / (1 - gamma) (below the cap R meets that target by its
+    choice, :func:`_band_start`): then segments (S, ceil(1.25 S)] from
+    S = R on, until the rest from S meets the target and is one piece
+    (about 8 segments at d = 0.99 and R0 = 4,096, at most about 60 at
+    gamma near 1)."""
+    target = cfg.tail_epsilon / (1.0 - gamma)
+    if not isinstance(gamma, np.ndarray):
+        total = 0.0
+        while start >= cfg.r_max_cap and _jensen_slack(gamma, start) > target:
+            end = math.ceil(_SEGMENT * start)
+            total += _piece(kernel, gamma, start, end - start)
+            start = end
+        return total + _piece(kernel, gamma, start)
+    total, start = np.zeros(gamma.shape), start.astype(float)
+    split = np.flatnonzero(start >= cfg.r_max_cap)
+    while (split := split[_jensen_slack(gamma[split], start[split]) > target[split]]).size:
+        end = np.ceil(_SEGMENT * start[split])
+        total[split] += _piece(kernel, gamma[split], start[split], end - start[split])
+        start[split] = end
+    return total + _piece(kernel, gamma, start)
 
 
 def _band_slack(kernel: tuple[float, ...], gamma: float, start: int) -> float:
-    """A bound on how far the band's sum (:func:`_weighted_rows`) in place
-    of H_r for r > R = ``start`` raises sum_r p_r H_r,
-    p_r = gamma**(r-1) (1 - gamma), however far past R the rows go:
+    """A bound on how far the band (:func:`_band`) in place of H_r for
+    r > R = ``start`` raises sum_r p_r H_r, p_r = gamma**(r-1) (1 - gamma):
     gamma**R ((U_R - H_R + delta) + log2(1 + 1 / ((1 - gamma) R)) / 2),
-    H_R the table's row and delta its trim bound (:func:`_trim_bound`).
+    H_R the table's row and delta its trim and drift bounds
+    (:func:`_trim_bound`, :func:`_row_drift`).
 
-    The band's weights sum to W <= gamma**R, and its mean run length r_bar
-    is at most that of every r > R, R + 1 / (1 - gamma), since given r > R,
-    r - R is geometric.  For r > R, H_r >= H_R (the entropy of a sum of
-    independent steps never decreases as steps are added; M. Madiman, "On
-    the entropy of sums", ITW 2008), so W U(r_bar) - sum p_r H_r <=
+    Segments only lower the band (Jensen's inequality on each), so the one
+    piece bounds it: its weights sum to gamma**R, and its mean run length
+    r_bar is R + 1 / (1 - gamma).  For r > R, H_r >= H_R (the entropy of a
+    sum of independent steps never decreases as steps are added; M. Madiman,
+    "On the entropy of sums", ITW 2008), so W U(r_bar) - sum p_r H_r <=
     W ((U_R - H_R) + (U(r_bar) - U_R)), and U(r_bar) - U_R <=
-    log2(r_bar / R) / 2 <= log2(1 + 1 / ((1 - gamma) R)) / 2.  The stored
-    H_R errs from the exact one by at most delta."""
+    log2(r_bar / R) / 2 = log2(1 + 1 / ((1 - gamma) R)) / 2."""
     h, lost = ROWS.entropies(kernel, start)
-    gap = _max_entropy(kernel, start) - float(h[-1]) + _trim_bound(lost, start)
+    gap = _max_entropy(kernel, start) - float(h[-1]) + _trim_bound(lost, start) + _row_drift(kernel, start)
     return gamma ** start * (gap + 0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))
 
 
-def _exact_rows(kernel: tuple[float, ...], gamma: float, r_max: int, cap: int, held: float = math.inf) -> int:
-    """How many exact rows an evaluation on r_max rows reads: all r_max
-    unless _BAND_MIN_ROWS <= r_max < ``cap`` (at the cap the term is kept as
-    it was, since its r_max already cuts more than tail_epsilon asks), and
-    else its band start R, the fewest rows found whose band slack
-    (:func:`_band_slack`) is at most the dropped runs' tail bound at r_max
-    (:func:`_run_tail_bound`), so that the band at most doubles the term's
-    error budget; r_max, no band, if none is found.
-
-    The slack is gamma**R D(R), and most of D(R) is its log term
-    log2(1 + 1 / ((1 - gamma) R)) / 2, which needs no row (U_R - H_R is
-    about 2% of it near the deletion optima).  So the first guess is two
-    rounds of the least R that the log term alone allows, from r_max; then
-    each round reads D at the guess from the table and moves up to the
-    least R that D would allow, until the slack read at a guess is at most
-    the target, which the first guess meets in practice.  Each guess is
-    rounded up to a whole block of rows (:func:`_block_rows`), which the
-    table builds anyway.  After the first, the guesses only rise, so the
-    table grows no further than R, and they depend on the rows' values
-    alone, never on how many the table held.  With ``held``, a guess past
-    ``held`` rows is returned as it is, before any row is read for it: more
-    than the table holds."""
-    if not _BAND_MIN_ROWS <= r_max < cap:
-        return r_max
-    target = _run_tail_bound(gamma, r_max)
-    log_gamma, block = math.log(gamma), _block_rows(kernel)
-    start = r_max
-    for _ in range(2):  # D's log term alone, at the guess; a loose tail_epsilon may allow any R
-        start = max(1, math.ceil(math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start))))
-                                 / log_gamma))
-    for _ in range(_BAND_ROUNDS):
-        start = max(block, -(-start // block) * block)
-        if start >= r_max:
-            break
-        if start > held:
-            return start
-        slack = _band_slack(kernel, gamma, start)
-        if slack <= target:
-            return start
-        start = max(start + 1, math.ceil(start + math.log(target / slack) / log_gamma))
-    return r_max
+def _row_sum(kernel: tuple[float, ...], p: np.ndarray):
+    """sum_{r<=n} p_r H_r, n = p.shape[-1], a numpy scalar for a vector p or,
+    over a grid chunk's rows p, an array, by one einsum, whose order of
+    summation numpy fixes, so that its bits do not depend on the BLAS or
+    its threads."""
+    return np.einsum("...r,r->...", p, ROWS.entropies(kernel, p.shape[-1])[0])
 
 
-def _weighted_rows(kernel: tuple[float, ...], gamma: float | None, p: np.ndarray, n: int):
-    """sum_r p_r H_r over r = 1..n, a numpy scalar or, over a grid chunk's
-    rows p, an array: H_1..H_R from the table by one product, R =
-    p.shape[-1] the exact rows read, and past R, at a float ``gamma``, the
-    band's sum_{R<r<=n} p_r U_r <= W U(r_bar) (:func:`_max_entropy`, concave
-    in r, so Jensen's inequality applies), W = gamma**R - gamma**n its
-    weights' sum and r_bar their mean run length.
-
-    With m = n - R and q = gamma**m, W = gamma**R (1 - q) and
-    r_bar = R + 1 / (1 - gamma) - t, t = m q / (1 - q) <= 1 / |log gamma|,
-    1 - q taken by expm1.  q errs by at most (2 m |log gamma| + 1) u
-    relative, u = 2**-53, and m |log gamma| t <= m, so r_bar errs by at most
-    2 m u + 9 u / (1 - gamma) + 2 u R; with r_bar >= R and
-    W / (1 - gamma) <= m, W U(r_bar) moves by at most
-    0.73 u (11 m / R + 2) (:meth:`_RunLawChunk.floor`)."""
-    exact = p.shape[-1]
-    joint = p @ ROWS.entropies(kernel, exact)[0]
-    if exact == n:
-        return joint
-    m, log_gamma = n - exact, math.log(gamma)
-    kept = -math.expm1(m * log_gamma)  # 1 - q
-    mean = exact + 1.0 / (1.0 - gamma) - m * math.exp(m * log_gamma) / kept
-    return joint + gamma ** exact * kept * _max_entropy(kernel, mean)
+def _trim_bound(lost: float, n: int) -> float:
+    """How far rows on at most 2 n + 1 cells that miss the mass ``lost`` move
+    in entropy (:meth:`_RowTable.entropies`), the logs taken apart so that a
+    subnormal ``lost`` cannot overflow their ratio."""
+    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -662,17 +523,17 @@ def _steps(n: int) -> np.ndarray:
     return k
 
 
-def _run_weights(gamma: float, r_max: int) -> np.ndarray:
-    """p_r = (1 - gamma) gamma**(r-1), r = 1..r_max, at a float gamma, the
-    one weight law (a grid chunk's rows too, :meth:`_GridPlan.weights`).
-    From _EXP_WEIGHTS_MIN_ROWS rows on, gamma**(r-1) is one exp of
+def _run_weights(gamma: float, n: int) -> np.ndarray:
+    """p_r = (1 - gamma) gamma**(r-1), r = 1..n, at a float gamma, the one
+    weight law (a grid chunk's rows too, :meth:`_GridPlan.weights`).  From
+    _EXP_WEIGHTS_MIN_ROWS rows on, gamma**(r-1) is one exp of
     (r - 1) log(gamma), which costs a quarter of np.power's time at a few
-    thousand rows, and errs by at most
-    (3 (r - 1) |log gamma| + 4) u relative, u = 2**-53, with log and exp
-    within an ulp (:meth:`_RunLawChunk.floor`); below, np.power's fewer
-    calls cost less."""
-    k = _steps(1 << (r_max - 1).bit_length())[:r_max]
-    if r_max < _EXP_WEIGHTS_MIN_ROWS:
+    thousand rows, and errs by at most (3 (r - 1) |log gamma| + 4) u
+    relative, u = 2**-53, with log and exp within an ulp: at most 2239 u
+    where p_r is normal, as (r - 1) |log gamma| <= 745 there; below, np.power's
+    fewer calls cost less."""
+    k = _steps(1 << (n - 1).bit_length())[:n]
+    if n < _EXP_WEIGHTS_MIN_ROWS:
         p = np.power(gamma, k)
     else:
         p = np.multiply(k, math.log(gamma))
@@ -681,13 +542,153 @@ def _run_weights(gamma: float, r_max: int) -> np.ndarray:
     return p
 
 
+class _GridPlan:
+    """What a :class:`~.analytic_bounds.BoundGrid` needs of its gammas,
+    :class:`SeriesConfig` and row ``block`` alone, one per (``cfg``, gammas,
+    ``block``) and kept (:func:`_grid_plan`): ``starts``, each gamma's R
+    (:func:`_band_start`); ``chunks``, the gammas cut into slices of at most
+    _CHUNK_CELLS padded cells, G x (2 R + 1) with the slice's largest R (a
+    point over the cap alone is a slice of its own); and each slice's
+    run-length weights, built on first use."""
+
+    def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...], block: int) -> None:
+        self._gammas, self._weights = gammas, {}
+        self.starts = np.array([_band_start(g, cfg, block) for g in gammas])
+        starts, top = [0], 0
+        for k, r in enumerate(self.starts.tolist()):
+            top = max(top, r)
+            if k > starts[-1] and (k + 1 - starts[-1]) * (2 * top + 1) > _CHUNK_CELLS:
+                starts.append(k)
+                top = r
+        self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
+        self.starts.flags.writeable = False
+
+    def weights(self, chunk: slice) -> np.ndarray:
+        """The (G, largest R) matrix of p_r = gamma**(r-1) (1 - gamma) at
+        ``gammas[chunk]``, each row a float gamma's (:func:`_run_weights`)
+        and zero past its R, kept read-only."""
+        key = chunk.indices(self.starts.size)
+        if key not in self._weights:
+            starts = self.starts[chunk].tolist()
+            p = np.zeros((len(starts), max(starts)))
+            for row, gamma, r in zip(p, self._gammas[chunk], starts):
+                row[:r] = _run_weights(gamma, r)
+            p.flags.writeable = False
+            self._weights[key] = p
+        return self._weights[key]
+
+
+_grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
+
+
+class _RunLawChunk:
+    """An upper bound on H(L_X | L_out) at each gamma of a chunk of a
+    :class:`~.analytic_bounds.BoundGrid`, or at a float gamma, a chunk of one
+    point (:func:`_run_law_at`); L_out is the sum over the run's L_X bits of
+    i.i.d. per-bit output lengths in {0, 1, 2} with probabilities
+    (d, 1 - d - i, i).
+
+    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
+    H(L_X) + sum_{r>=1} p_r H_r, H_r the entropy of row_r, the law of L_out
+    given L_X = r (the r-fold convolution of the step law).  So the values
+    are p @ H + band + (H(L_X) - H(L_out)), clipped at 0: H from a table
+    built once per step law, the row ``kernel`` (:data:`ROWS`), p the
+    run-length weights up to each gamma's R = ``starts``
+    (:func:`_run_weights`), a matrix over a chunk (:meth:`_GridPlan.weights`)
+    and a vector at a float gamma, the band past R (:func:`_weighted_rows`),
+    and ``closed``, the closed part (:func:`_run_law_closed`), with
+    ``rounding`` its rounding bound.  :meth:`values` gives them,
+    :meth:`floor` a lower bound on them from the rows the table holds, and,
+    at a float gamma, :meth:`term` the value with its error budget.  Only
+    the rounding differs between a grid point and the same float gamma
+    (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
+    ``size`` (the rows needed) is 0 and the values are 0.
+    """
+
+    def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, band, closed, rounding: float = 0.0) -> None:
+        self._gammas, self.kernel, self._p, self._band = gammas, kernel, p, band
+        self._closed, self._rounding = closed, rounding
+        self.size = p.shape[-1] if kernel else 0
+
+    def values(self):
+        """The values, the table grown to the rows the chunk reads (a numpy
+        scalar at a float gamma)."""
+        if not self.size:
+            return 0.0 * self._gammas
+        return self._from_joint(_row_sum(self.kernel, self._p) + self._band)
+
+    def term(self, name: str) -> EntropyTerm:
+        """At a float gamma, :meth:`values` as an entropy term.  Its
+        truncation error is what the value may lie below H(L_X | L_out) by:
+        the bound on what the table's trimmed mass moves the rows
+        (:func:`_trim_bound`), their own rounding drift (:func:`_row_drift`),
+        and the rounding bounds of the two long sums, over the rows
+        (:func:`_sum_rounding`) and H(L_out)'s series
+        (:func:`_output_length_entropy`)."""
+        value = float(self.values())
+        if not self.size:
+            return EntropyTerm(name, value, 0.0)
+        n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
+        lost = ROWS.entropies(self.kernel, n)[1]
+        error = _trim_bound(lost, n) + _row_drift(self.kernel, n) + _sum_rounding(n, cells) + self._rounding
+        return EntropyTerm(name, value, error)
+
+    def floor(self):
+        """A lower bound on :meth:`values`, element by element, from the h
+        rows the table holds now; None when h = 0 or h covers every row the
+        chunk reads, found without growing the table:
+        p[:h] @ H[:h] + gamma**h H_h - M.
+
+        The entropy of a sum of independent steps never decreases as steps
+        are added (H(X + Y) >= H(X); M. Madiman, "On the entropy of sums",
+        ITW 2008), so H_r >= H_h for r > h, and the band's U_r >= H_r; the
+        weights past h sum to gamma**h.  So each gamma's sum over r > h of
+        its exact rows up to R and its band past R is at least gamma**h H_h,
+        whether R exceeds h or not.  The margin M covers the rest, with n the
+        chunk's largest R (n > h >= 8), c = (len(kernel) - 1) n + 1 the most
+        cells of a row, L = log2(c) and u = 2**-53:
+
+        - the rows: a stored row errs from its exact law's entropy by at
+          most delta, its trim and drift bounds (:func:`_trim_bound`,
+          :func:`_row_drift`) at n, so a stored H_r >= the stored H_h - 2 delta;
+        - the weights: each p_r errs by at most 2239 u relative
+          (:func:`_run_weights`), so the computed weights over h < r <= R
+          fall short of gamma**h - gamma**R by at most 2239 u;
+        - rounding: the floor's and :meth:`values`' einsums each err by at
+          most gamma_n sum p_r H_r <= 1.02 n u L (Higham, *Accuracy and
+          Stability of Numerical Algorithms*, section 4.2), as every H_r lies
+          in [0, L]; gamma**h, the floor's additions and the band's pieces
+          (at most about 60, each a few roundings of W U(r_bar) with
+          U(r_bar) <= 13 bits at gamma <= 1 - 1e-6) err by less than
+          4 10**4 u L.
+
+        So M = 3 (n + 10**4) u L + 3 delta exceeds their sum,
+        2.04 n u L + 2239 u L + 4 10**4 u L + 2 delta, and the floor less
+        M, rounded, is at most the sum :meth:`values` computes; the rest is
+        one addition of the same closed part and the clip, both monotone:
+        for a chunk and a float gamma alike.
+        """
+        h = ROWS.held(self.kernel)
+        if not 0 < h.size < self.size:
+            return None
+        n, held, cells = self.size, h.size, (len(self.kernel) - 1) * self.size + 1
+        delta = _trim_bound(-(-n // _block_rows(self.kernel)) * cells * _ROW_TRIM, n) + _row_drift(self.kernel, n)
+        joint = np.einsum("...r,r->...", self._p[..., :held], h) + self._gammas ** held * h[-1]
+        return self._from_joint(joint - 3.0 * ((n + 1e4) * _U * math.log2(cells) + delta))
+
+    def _from_joint(self, joint):
+        """The values from sum_r p_r H_r."""
+        return np.maximum(joint + self._closed, 0.0)
+
+
 def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
-    """The run-length term at a float gamma, a chunk of one point on the
-    r_max ``cfg`` fixes, its p_r from :func:`_run_weights`."""
+    """The run-length term at a float gamma, a chunk of one point on the R
+    ``cfg`` fixes, its p_r from :func:`_run_weights`."""
     cfg = cfg or SeriesConfig()
-    r_max = _r_truncation(gamma, cfg)
-    p = _run_weights(gamma, r_max)
-    return _RunLawChunk(gamma, _row_kernel(d, i), p, _run_law_closed(gamma, d, i, r_max), cfg.r_max_cap)
+    kernel = _row_kernel(d, i)
+    start = _band_start(gamma, cfg, _block_rows(kernel))
+    band = _band(kernel, gamma, start, cfg)
+    return _RunLawChunk(gamma, kernel, _run_weights(gamma, start), band, *_run_law_closed(gamma, d, i))
 
 
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
@@ -724,16 +725,11 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     uses), so the diagnostic at a search's gamma* reuses that search's table.
     The series enters times (1 - gamma) / gamma.  Its m h(d) part is a
     geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
-    its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma).
-
-    The rows are read only up to R = :func:`_r_truncation` at the default
-    tail_epsilon and a cap of 20,000 rows, and with the band below that cap
-    (:func:`_exact_rows`, :func:`_weighted_rows`), as the bound at gamma
-    reads them: below the bound's cap the diagnostic needs no rows the bound
-    did not.  Rows m > R take the last row read, H_R (U_R with a band), in
-    place of H_m, and sum to gamma**R times it.  That moves the value by at
-    most sum_{m>R} p_m |H_m - H_R| (U_R in place of H_R with a band), with
-    gamma**R <= 1e-12 below the cap.
+    its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma),
+    summed as the deletion bound at the default :class:`SeriesConfig` sums
+    it (:func:`_weighted_rows`): exact rows up to its R and the band past
+    them, so it reads no row the bound did not, and agrees with the bound's
+    term up to rounding.
     """
     ChannelParams(d=d)
     _check_gamma(gamma)
@@ -747,10 +743,8 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
     out -= binary_entropy(d) * (1.0 / gb - gb)
-    rows = _r_truncation(gamma, _HLXLY_SERIES)
-    kernel = _row_kernel(d, 0.0)
-    exact = _exact_rows(kernel, gamma, rows, _HLXLY_SERIES.r_max_cap)
-    p = _run_weights(gamma, exact)  # p_m, m = 1..exact
+    cfg, kernel = SeriesConfig(), _row_kernel(d, 0.0)
+    start = _band_start(gamma, cfg, _block_rows(kernel))
+    p = _run_weights(gamma, start)  # p_m, m = 1..R
     p[0] = 0.0  # the series starts at m = 2
-    last = float(ROWS.entropies(kernel, rows)[0][-1]) if exact == rows else _max_entropy(kernel, rows)
-    return out + float(_weighted_rows(kernel, gamma, p, rows)) + gamma ** rows * last
+    return out + float(_row_sum(kernel, p) + _band(kernel, gamma, start, cfg))

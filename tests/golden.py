@@ -19,10 +19,11 @@ so the move shows as a reviewed diff:
 and ``--diff`` prints, without writing, how far the numbers moved from the
 committed file: the largest |move| of each column and how many cases moved,
 and in how many ``gamma_star`` did (the summary a failing test gives too),
-and one line naming each case whose ``bound_bits`` moved by more than its
-committed ``error_budget``.  It exits 1 when that line appears or any
-``gamma_star`` moved: a regeneration meant to move numbers by rounding
-alone must pass it.
+and one line for each case whose ``gamma_star`` moved or whose
+``bound_bits`` moved by more than its committed ``error_budget``: its old
+and new ``gamma_star`` and ``bound_bits``, and its old ``error_budget``.
+It exits 1 when such a line appears: a regeneration meant to move numbers
+by rounding alone must pass it.
 
 ``golden_sim.jsonl`` is the simulator's contract: for each of a fixed set of
 (d, i, alpha, gamma, n, seed) cases, the sha256 of every array of one
@@ -231,11 +232,12 @@ def _columns(record: dict) -> dict[str, float]:
 
 def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, float], list[str]]:
     """(cases moved, cases whose ``gamma_star`` moved, the largest |move| of
-    each column that moved, the cases whose ``bound_bits`` moved by more
-    than their committed ``error_budget``), for the same cases in order."""
+    each column that moved, a line for each case whose ``gamma_star`` moved
+    or whose ``bound_bits`` moved by more than its committed
+    ``error_budget``), for the same cases in order."""
     largest: dict[str, float] = {}
     moved = gamma_moved = 0
-    past_budget = []
+    flagged = []
     for e, g in zip(expected, got):
         if e == g:
             continue
@@ -246,35 +248,31 @@ def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, f
             move = abs(cg[key] - ce[key]) if key in ce and key in cg else math.inf
             if move > 0.0:
                 largest[key] = max(largest.get(key, 0.0), move)
-        if not abs(cg["bound_bits"] - ce["bound_bits"]) <= ce["error_budget"]:
-            past_budget.append(e["case"])
-    return moved, gamma_moved, largest, past_budget
+        if e["gamma_star"] != g["gamma_star"] or not abs(cg["bound_bits"] - ce["bound_bits"]) <= ce["error_budget"]:
+            flagged.append(f"  {e['case']}: gamma_star {e['gamma_star']} -> {g['gamma_star']}; "
+                           f"bound_bits {e['bound_bits']} -> {g['bound_bits']}; error_budget {e['error_budget']}")
+    return moved, gamma_moved, largest, flagged
 
 
 def summary(expected: list[dict], got: list[dict]) -> str:
     """How ``got`` moved from ``expected``, case by case: how many cases
     moved, in how many ``gamma_star`` did, the largest |move| of each
-    column that moved (inf where a column is on one side only), and, when
-    there are any, one line naming the cases whose ``bound_bits`` moved by
-    more than their committed ``error_budget``."""
+    column that moved (inf where a column is on one side only), and one
+    line for each case whose ``gamma_star`` moved or whose ``bound_bits``
+    moved by more than its committed ``error_budget``."""
     if [r["case"] for r in got] != [r["case"] for r in expected]:
         return f"the cases differ: {len(expected)} expected, {len(got)} computed"
-    moved, gamma_moved, largest, past_budget = _moves(expected, got)
+    moved, gamma_moved, largest, flagged = _moves(expected, got)
     lines = [f"{moved} of {len(expected)} cases moved; gamma_star moved in {gamma_moved}"]
     lines += [f"  {key}: largest |move| {move!r}" for key, move in sorted(largest.items())]
-    if past_budget:
-        lines.append("  bound_bits moved past its error_budget in: " + "; ".join(past_budget))
-    return "\n".join(lines)
+    return "\n".join(lines + flagged)
 
 
 def moved_by_rounding(expected: list[dict], got: list[dict]) -> bool:
     """Whether ``got`` has the same cases as ``expected``, no ``gamma_star``
     moved and no ``bound_bits`` moved past its committed ``error_budget``:
     when ``--diff`` exits 0."""
-    if [r["case"] for r in got] != [r["case"] for r in expected]:
-        return False
-    _, gamma_moved, _, past_budget = _moves(expected, got)
-    return not gamma_moved and not past_budget
+    return [r["case"] for r in got] == [r["case"] for r in expected] and not _moves(expected, got)[3]
 
 
 if __name__ == "__main__":

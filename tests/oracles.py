@@ -312,6 +312,73 @@ def delins_run_law_row(r, d, i):
 
 
 # ---------------------------------------------------------------------------
+# run-length term bracketed from binomial rows, sharing no cut with the package
+# ---------------------------------------------------------------------------
+
+# the reference sums rows while gamma**r is at least this
+BRACKET_TAIL = 1e-17
+# a bound on the reference's own rounding, in bits of H(L_X | L_out)
+BRACKET_ROUNDING = 1e-10
+
+
+def run_length_bracket(gamma, p, shift):
+    """[lo, hi] around H(L_X | L_out) when a row is Binomial(r, p) shifted
+    by ``shift`` r: the deletion channel (p = 1 - d, shift 0) or
+    duplications only (p = i, shift 1), from rows of its own.
+
+    H(L_X | L_out) = h(gamma) / (1 - gamma) + sum_r p_r H_r - H(L_out),
+    p_r = (1 - gamma) gamma**(r-1).  Rows r = 1..N are read, N the first r
+    with gamma**r < BRACKET_TAIL: row r on the window
+    |k - r p| <= 14 sigma + 30, sigma**2 = r p (1 - p), whose outside mass is
+    at most 2 exp(-40) by Bernstein's inequality; the window is anchored by
+    lgamma at its first cell, walked by the ratio
+    P(k + 1) / P(k) = (r - k) p / ((k + 1)(1 - p)) in log space, and
+    normalised, so the anchor's rounding cancels.  H(L_out) is the entropy of
+    the mixture sum_{r<=N} p_r row_r, which misses mass gamma**N.  Past N,
+    lo takes H_N in place of every H_r (H_r >= H_N; M. Madiman, "On the
+    entropy of sums", ITW 2008) and hi the maximum-entropy bound
+    U_r = log2(2 pi e (r p (1 - p) + 1/12)) / 2 >= H_r, summed by Jensen's
+    inequality as gamma**N U(N + 1 / (1 - gamma)).  Each side is within
+    BRACKET_ROUNDING of its exact value: the walk's log-space sums err by at
+    most about 1e-12 per cell, the missing mass moves each entropy by under
+    1e-15."""
+    gb = 1.0 - gamma
+    n = max(1, math.ceil(math.log(BRACKET_TAIL) / math.log(gamma)))
+    var, log_ratio = p * (1.0 - p), math.log(p) - math.log1p(-p)
+    h_rows = np.empty(n)
+    mixture = np.zeros((1 + shift) * n + 1)
+    for r0 in range(1, n + 1, 256):
+        r = np.arange(r0, min(r0 + 256, n + 1))
+        half = np.ceil(14.0 * np.sqrt(r * var)) + 30.0
+        lo = np.maximum(0.0, np.floor(r * p - half))
+        hi = np.minimum(r, np.ceil(r * p + half))
+        k = lo[:, None] + np.arange(int((hi - lo).max()) + 1.0)
+        inside = k <= hi[:, None]
+        anchor = np.array([math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
+                           + b * math.log(p) + (a - b) * math.log1p(-p) for a, b in zip(r.tolist(), lo.tolist())])
+        steps = np.log(np.maximum(r[:, None] - k, 1.0)) - np.log(k + 1.0) + log_ratio
+        log_p = np.zeros(k.shape)
+        np.cumsum(steps[:, :-1], axis=1, out=log_p[:, 1:])
+        log_p += anchor[:, None]
+        law = np.where(inside, np.exp(log_p), 0.0)
+        total = law.sum(axis=1)
+        law /= total[:, None]
+        log_p -= np.log(total)[:, None]
+        h_rows[r - 1] = -np.einsum("ij,ij->i", law, np.where(inside, log_p, 0.0)) / math.log(2.0)
+        weight = gb * gamma ** (r - 1.0)
+        cells = (k + shift * r[:, None]).astype(np.int64)
+        mixture += np.bincount(cells[inside], weights=(law * weight[:, None])[inside], minlength=mixture.size)
+    weights = gb * gamma ** np.arange(float(n))
+    pos = mixture[mixture > 0.0]
+    h_out = -math.fsum((pos * np.log2(pos)).tolist())
+    closed = (-gb * math.log2(gb) - gamma * math.log2(gamma)) / gb - h_out
+    rows = math.fsum((weights * h_rows).tolist()) + closed
+    tail = gamma ** n
+    upper = 0.5 * math.log2(2.0 * math.pi * math.e * ((n + 1.0 / gb) * var + 1.0 / 12.0))
+    return rows + tail * h_rows[-1], rows + tail * upper
+
+
+# ---------------------------------------------------------------------------
 # output-length law of a geometric run, cell by cell
 # ---------------------------------------------------------------------------
 

@@ -266,18 +266,21 @@ class TestRunLawEntropies:
                 assert np.abs(conv - literal).max() <= 1e-13
 
     def test_truncation_error_is_honest(self):
+        # both values lie within their budgets below, and their band slack above, the exact term
         base = ab.SeriesConfig()
         tight = ab.SeriesConfig(tail_epsilon=1e-15, r_max_cap=40_000)
         for g, d, i in [(0.5, 0.2, 0.1), (0.8, 0.1, 0.05), (0.3, 0.4, 0.2)]:
             a = ab.run_law_delins_H(g, d, i, base)
             b = ab.run_law_delins_H(g, d, i, tight)
-            assert abs(a.value - b.value) <= a.truncation_error
+            slack = max(_band_slack_at(g, d, i, base), _band_slack_at(g, d, i, tight))
+            assert abs(a.value - b.value) <= slack + a.truncation_error + b.truncation_error
 
 
 def _convolution_oracle(gamma, step, r_max):
     """H(L_X | L_out) rebuilt from scratch for one gamma: the r-fold
     convolution rows, the truncated output-length marginal sum_r p_r row_r
-    and the joint entropy, all summed directly."""
+    and the joint entropy, all summed directly; cut at r_max, where
+    gamma**r_max < 1e-17 (:func:`_oracle_rows`) moves it by less than 1e-13."""
     gb = 1.0 - gamma
     marginal = np.zeros(2 * r_max + 1)
     joint_pieces = []
@@ -291,6 +294,11 @@ def _convolution_oracle(gamma, step, r_max):
         joint_pieces.append(p_r * (math.log2(1.0 / p_r) + row_entropy))
     pos = marginal[marginal > 0.0]
     return math.fsum(joint_pieces) + math.fsum(p * math.log2(p) for p in pos)
+
+
+def _oracle_rows(gamma):
+    """The rows the convolution oracle sums: gamma**r_max < 1e-17."""
+    return math.ceil(math.log(1e-17) / math.log(gamma))
 
 
 def _truncated_marginal(gamma, d, i, r_max):
@@ -315,24 +323,34 @@ _KERNELS = {
 }
 
 
+def _band_slack_at(gamma, d, i, cfg=None):
+    """The band's slack (:func:`run_length._band_slack`) of the term at gamma."""
+    kernel = rl._row_kernel(d, i)
+    return rl._band_slack(kernel, gamma, rl._band_start(gamma, cfg or ab.SeriesConfig(), rl._block_rows(kernel)))
+
+
 class TestRunLengthKernel:
-    @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.995, 0.999])
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.98])
     @pytest.mark.parametrize("kind", sorted(_KERNELS))
     def test_matches_convolution_oracle(self, kind, gamma):
+        # the term is an upper bound, within its error budget, that exceeds the
+        # oracle by at most the band's slack (the high-gamma band is checked
+        # against the binomial reference in TestReferenceBracket)
         kernel, d, i = _KERNELS[kind]
         term = kernel(gamma)
-        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
-        oracle = _convolution_oracle(gamma, np.array([d, 1.0 - d - i, i]), r_max)
-        assert abs(term.value - oracle) <= term.truncation_error
+        oracle = _convolution_oracle(gamma, np.array([d, 1.0 - d - i, i]), _oracle_rows(gamma))
+        assert oracle - term.truncation_error - 1e-13 <= term.value
+        assert term.value <= oracle + _band_slack_at(gamma, d, i) + term.truncation_error + 1e-13
 
     @pytest.mark.parametrize("d,i", [(0.4, 0.6), (0.5, 0.5), (0.9, 0.1)])
     def test_d_plus_i_one_matches_oracle(self, d, i):
         # every bit is deleted or doubled, so odd output lengths carry no mass
         gamma = 0.9
         term = ab.run_law_delins_H(gamma, d, i)
-        r_max = rl._r_truncation(gamma, ab.SeriesConfig())
+        r_max = _oracle_rows(gamma)
         oracle = _convolution_oracle(gamma, np.array([d, 0.0, i]), r_max)
-        assert abs(term.value - oracle) <= term.truncation_error
+        assert oracle - term.truncation_error - 1e-13 <= term.value
+        assert term.value <= oracle + _band_slack_at(gamma, d, i) + term.truncation_error + 1e-13
         law = _exact_marginal(gamma, d, i, 2 * r_max)
         assert np.all(law[1::2] == 0.0)
 
@@ -393,39 +411,63 @@ _OUTPUT_LAWS = {
 }
 
 
+def _law_cells(gamma, d, i):
+    """Output lengths s = 0..S whose law holds all but a negligible tail:
+    P(s) decays as a**s, a the larger root of the law (``_output_length_entropy``),
+    and a**S <= 1e-22 (1 - a)**2 leaves less than 1e-18 bits of entropy past S."""
+    keep, q = max(1.0 - d - i, 0.0), gamma / (1.0 - gamma * d)
+    a = 0.5 * (keep * q + math.sqrt((keep * q) ** 2 + 4.0 * i * q))
+    return math.ceil(math.log(1e-22 * (1.0 - a) ** 2) / math.log(a))
+
+
 class TestOutputLengthEntropy:
-    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 0.99])
     @pytest.mark.parametrize("law", sorted(_OUTPUT_LAWS))
-    def test_matches_mpmath_truncated_entropy(self, law, gamma):
-        # the truncated H(L_out) of the run-length term, s = 0..2 r_max, with
-        # r_max capped at 10 000 rows from gamma = 0.9972 up
+    def test_matches_mpmath_entropy(self, law, gamma):
+        # H(L_out) of the whole law, against its cells at 50 digits up to a negligible tail
         d, i = _OUTPUT_LAWS[law]
-        s_max = 2 * rl._r_truncation(gamma, ab.SeriesConfig())
-        ref = oracles.output_length_entropy_mpmath(gamma, d, i, s_max)
+        ref = oracles.output_length_entropy_mpmath(gamma, d, i, _law_cells(gamma, d, i))
         step = rl._step_law(d, i)
-        scalar = rl._output_length_entropy(gamma, step, s_max)
-        array = rl._output_length_entropy(np.array([0.3, gamma]), step, np.array([16, s_max]))
-        assert type(scalar) is float
+        scalar, rounding = rl._output_length_entropy(gamma, step)
+        array = rl._output_length_entropy(np.array([0.3, gamma]), step)[0]
+        assert type(scalar) is float and 0.0 <= rounding <= 1e-10
         assert abs(scalar - ref) <= 1e-14 * max(1.0, ref)
         assert abs(array[1] - ref) <= 1e-14 * max(1.0, ref)
 
+    @pytest.mark.parametrize("gamma", [0.999, 0.9999])
+    @pytest.mark.parametrize("law", sorted(_OUTPUT_LAWS))
+    def test_matches_the_direct_sum_near_gamma_one(self, law, gamma):
+        # up to a million cells, summed in floats; the oracle's a**(s+1) errs by about
+        # (s + 1) u relative, which moves its entropy by about 2 u E[s + 1] (H + 2)
+        d, i = _OUTPUT_LAWS[law]
+        step = rl._step_law(d, i)
+        direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, _law_cells(gamma, d, i))))
+        tol = 1e-14 * max(1.0, direct) + 4.0 * 2.0 ** -53 * (1.0 + (1.0 - d + i) / (1.0 - gamma)) * (direct + 2.0)
+        assert abs(rl._output_length_entropy(gamma, step)[0] - direct) <= tol
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.floats(1e-6, 0.995), st.floats(0.0, 0.999), st.floats(0.0, 0.999))
-    @example(0.995, 0.45, 0.55)  # t = -1 up to rounding
-    @example(0.995, 0.0, 0.999)  # |b| near 1: the correction series runs to s_max + 1
+    @example(0.995, 0.45, 0.55)  # t = -1: the rest is exact, C = 2 a**3 / (1 - a**2)
+    @example(0.995, 0.0, 0.999)  # |b| near 1: the series stops at _CHUNK_CELLS terms, its rest bounded
+    @example(0.995, 0.3, 0.6999999)
     @example(1e-6, 0.2, 0.1)
     @example(0.5, 5e-324, 0.0)
     def test_matches_the_direct_sum(self, gamma, d, i):
+        # never above the whole law's entropy; equal to it, within rounding, unless
+        # i / (1 - d) is so near 1 that the series stops short of its 1e-18 rest
+        # (4.1e-7 below at (0.995, 0.0, 0.999))
         if d + i > 1.0:
             d, i = i, 1.0 - i
         assume(d + i > 0.0)
-        s_max = 2 * rl._r_truncation(gamma, ab.SeriesConfig())
         step = rl._step_law(d, i)
-        direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, s_max)))
-        got = rl._output_length_entropy(gamma, step, s_max)
-        assert abs(got - direct) <= 1e-12 * max(1.0, direct)
-        rows = rl._output_length_entropy(np.array([gamma, gamma]), step, np.array([s_max, s_max + 7]))
-        assert abs(rows[0] - direct) <= 1e-12 * max(1.0, direct)
+        direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, _law_cells(gamma, d, i))))
+        got = rl._output_length_entropy(gamma, step)[0]
+        tol = 1e-12 * max(1.0, direct)
+        assert got <= direct + tol
+        if i <= 0.98 * (1.0 - d) or step[1] == 0.0:
+            assert direct - tol <= got
+        rows = rl._output_length_entropy(np.array([gamma, gamma]), step)[0]
+        assert rows[0] == rows[1] and abs(rows[0] - got) <= 1e-14 * max(1.0, direct)
 
     @pytest.mark.parametrize("d,i", [(0.95, 0.0), (0.7, 0.05)])
     def test_cold_top_grid_chunk_builds_no_law(self, d, i, cold_rows):
@@ -546,7 +588,8 @@ class TestRowTable:
             assert lost == oracles.reference_row_entropies(kernel, r)[1]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.lists(st.integers(1, 1_200), min_size=1, max_size=5))
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+           st.lists(st.integers(1, 1_200), min_size=1, max_size=5))
     @example(0.45, 0.55, [7, 40, 1_100])  # interior zero: every bit deleted or doubled
     @example(1e-310, 0.0, [31, 32, 33, 700])  # a subnormal step, two steps
     @example(0.3, 1e-310, [15, 16, 17, 900])  # a subnormal step, three steps
@@ -584,38 +627,41 @@ class TestRowTable:
 
     @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
     def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch, cold_rows):
-        # r_max = 2 750 at gamma = 0.99: the term reads exact rows up to its
-        # band start R, and its error is the tail, the trim bound at R and
-        # the band's slack, summed in that order
+        # R = 1 984 .. 2 048 at gamma = 0.99: the term's error is the trim bound at R, the
+        # rows' drift, the rounding of the row sum and that of H(L_out)'s series, in that order
         gamma = 0.99
-        cfg = ab.SeriesConfig()
-        r_max = rl._r_truncation(gamma, cfg)
         trimmed = ab.run_law_delins_H(gamma, d, i)
         kernel = tuple(x for x in (d, 1.0 - d - i, i) if x > 0.0)
-        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
-        assert rl._BAND_MIN_ROWS <= start < r_max
+        start = rl._band_start(gamma, ab.SeriesConfig(), rl._block_rows(kernel))
+        assert cold_rows.size == start
         lost = rl.ROWS.entropies(kernel, start)[1]
         assert lost > 0.0
+        cells = (len(kernel) - 1) * start + 1
+        rounding = rl._output_length_entropy(gamma, rl._step_law(d, i))[1]
         assert trimmed.truncation_error == (
-            rl._run_tail_bound(gamma, r_max) + lost * (math.log2(2 * start + 1) - math.log2(lost) + math.log2(math.e))
-            + rl._band_slack(kernel, gamma, start))
+            lost * (math.log2(2 * start + 1) - math.log2(lost) + math.log2(math.e)) + rl._row_drift(kernel, start)
+            + rl._sum_rounding(start, cells) + rounding)
         monkeypatch.setattr(rl, "_ROW_TRIM", 0.0)
         cold_rows.reset()
         full = ab.run_law_delins_H(gamma, d, i)
-        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
-        assert rl.ROWS.entropies(kernel, r_max)[1] == 0.0
-        assert full.truncation_error == rl._run_tail_bound(gamma, r_max) + rl._band_slack(kernel, gamma, start)
+        assert rl.ROWS.entropies(kernel, start)[1] == 0.0
+        assert full.truncation_error == rl._row_drift(kernel, start) + rl._sum_rounding(start, cells) + rounding
         assert abs(trimmed.value - full.value) <= trimmed.truncation_error
 
     @pytest.mark.parametrize("d", [0.2, 0.3, 0.5, 0.8])
     def test_binomial_rows_match_mpmath(self, d, cold_rows):
         # the rows of the deletion kernel are the binomial laws behind
-        # closed_form_HLXLY, which reads them up to 20 000 rows; at d = 0.2 and 0.3 they
-        # drift by 7.8e-12 and -5.9e-12 there, within test_matches_convolution_rows' O(r) ulp
-        table = rl.ROWS.entropies((d, 1.0 - d), 20_000)[0]
-        for m in (10, 1000, 20_000):
+        # closed_form_HLXLY; at d = 0.2 and 0.3 they drift by 7.8e-12 and
+        # -5.9e-12 at 20 000 rows, within test_matches_convolution_rows' O(r) ulp,
+        # and at R0 and 2 R0 within the drift bound the error budget takes
+        kernel, cap = (d, 1.0 - d), ab.SeriesConfig().r_max_cap
+        table = rl.ROWS.entropies(kernel, 20_000)[0]
+        for m in (10, 1000, cap, 2 * cap, 20_000):
+            drift = abs(table[m - 1] - _mp_binomial_entropy(m, 1.0 - d))
             tol = 1e-12 if d >= 0.5 else 1e-14 + 1e-15 * m
-            assert abs(table[m - 1] - _mp_binomial_entropy(m, 1.0 - d)) <= tol
+            assert drift <= tol
+            if m in (cap, 2 * cap):
+                assert drift <= rl._row_drift(kernel, m)
 
 
 class TestRowBoundedCeiling:
@@ -625,11 +671,11 @@ class TestRowBoundedCeiling:
     def test_float_weights_err_within_the_floor_margin(self, gamma):
         # p_r = (1 - gamma) gamma**(r-1) at a float gamma, np.power under 128 rows and one exp
         # from there on, errs by at most (3 (r - 1) |log gamma| + 4) u relative (floor's margin);
-        # a grid chunk's row is the same weights, zero past its r_max, in a chunk with 0.3 or alone
+        # a grid chunk's row is the same weights, zero past its R, in a chunk with 0.3 or alone
         cfg = ab.SeriesConfig()
-        r_max = rl._r_truncation(gamma, cfg)
+        r_max = rl._band_start(gamma, cfg, 32)
         p = rl._run_weights(gamma, r_max)
-        plan = rl._GridPlan(cfg, (gamma, 0.3))
+        plan = rl._GridPlan(cfg, (gamma, 0.3), 32)
         row = plan.weights(plan.chunks[0])[0]
         assert np.array_equal(row[:r_max], p) and not row[r_max:].any()
         with mpmath.workdps(40):
@@ -639,7 +685,7 @@ class TestRowBoundedCeiling:
                 assert abs(float((mpmath.mpf(p[r - 1]) - exact) / exact)) <= bound
 
     @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True))
     @example(0.45, 0.55)  # interior zero: every bit deleted or doubled
     @example(0.3, 0.7)
     @example(0.99, 0.0)
@@ -674,12 +720,12 @@ class TestRowBoundedCeiling:
             d, i = i, 1.0 - i
         name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
         grid = ab.BoundGrid(name, go._bound_params(name, d, i, alpha), go._GRID, ab.SeriesConfig(), printed)
-        chunk = grid.chunks[c]
+        chunk = grid.chunks[min(c, len(grid.chunks) - 1)]  # c = 15: the last chunk
         run = grid._run_law(chunk)
         rl.ROWS.reset()
         run.values()
-        # R = B, 2 B, .., blocks B rows, B the table's own block, are all short of
-        # the rows the chunk reads: run.size, or the band start below the cap
+        # h = B, 2 B, .., blocks B rows, B the table's own block, are all short of
+        # the rows the chunk reads, its largest R
         block = rl._block_rows(run.kernel)
         blocks = (min(rl.ROWS.size, run.size) - 1) // block
         assume(blocks >= 1)
@@ -695,131 +741,150 @@ class TestRowBoundedCeiling:
         assert np.all(ceiling >= full)
 
 
-# the gammas whose r_max lies in [1 024, 10 000) at the default SeriesConfig: the band's range
-_BAND_GAMMAS = (math.exp(math.log(1e-12) / 1_024), math.exp(math.log(1e-12) / 9_999))
-
-
 class TestBand:
-    """The run-length term reads exact rows up to its band start R and the
-    max-entropy bound U_r past it, for 1 024 <= r_max < r_max_cap."""
+    """The run-length term reads exact rows up to R (:func:`run_length._band_start`) and
+    the max-entropy bound U_r past it, summed to r = infinity."""
 
     @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(*_BAND_GAMMAS))
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.9, 0.999))
     @example(0.45, 0.55, 0.99)  # d + i = 1: rows on every other cell, so U_r is a bit above H_r
     @example(0.9, 0.0, 0.995)
-    @example(0.5, 0.5, _BAND_GAMMAS[1])  # the largest step variance at the largest r_max
+    @example(0.5, 0.5, 0.999)  # the largest step variance, R at the cap: a segmented band
     @example(1e-300, 0.0, 0.98)  # a step that all but never varies
-    @example(0.0, 0.3, _BAND_GAMMAS[0])
+    @example(0.0, 0.3, 0.9)
     def test_band_raises_the_term_by_at_most_its_slack(self, d, i, gamma):
+        # against the same term with exact rows until gamma**r < 1e-13, whose own band is negligible:
+        # never lower, up to rounding, and higher by at most the band's slack
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        cfg = ab.SeriesConfig()
-        r_max = rl._r_truncation(gamma, cfg)
         kernel = rl._row_kernel(d, i)
-        assume(kernel and rl._BAND_MIN_ROWS <= r_max < cfg.r_max_cap)
+        assume(kernel)
+        cfg = ab.SeriesConfig()
         rl.ROWS.reset()
         value = float(rl._run_law_at(gamma, d, i, cfg).values())
-        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
-        assert rl._block_rows(kernel) <= start < r_max
+        start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
+        assert rl._block_rows(kernel) <= start <= cfg.r_max_cap
         slack = rl._band_slack(kernel, gamma, start)
-        assert 0.0 < slack <= rl._run_tail_bound(gamma, r_max)
-        # every row exact: the same r_max, p_r and closed part at the cap, where no row takes the band
-        full = float(rl._run_law_at(gamma, d, i, ab.SeriesConfig(r_max_cap=r_max)).values())
-        rows = rl.ROWS.entropies(kernel, r_max)[0][start:]
-        band = rl._max_entropy(kernel, np.arange(start + 1.0, r_max + 1.0))
-        assert np.all(band >= rows)
-        p = (1.0 - gamma) * np.power(gamma, np.arange(float(start), float(r_max)))
-        assert math.fsum((p * (band - rows)).tolist()) <= slack
-        # the two sums differ by that excess and their rounding, within 1e-13 as a grid point and a float do
+        assert slack > 0.0
+        full = float(rl._run_law_at(gamma, d, i, ab.SeriesConfig(tail_epsilon=1e-16, r_max_cap=40_000)).values())
         assert full - 1e-13 <= value <= full + slack + 1e-13
 
     @pytest.mark.parametrize("d, i, gamma", [
-        (0.45, 0.55, 0.99), (0.9, 0.0, 0.995), (0.5, 0.5, 0.997), (1e-300, 0.0, 0.98), (0.0, 0.3, _BAND_GAMMAS[0]),
-        (0.2, 0.1, _BAND_GAMMAS[1] - 1e-9),
+        (0.45, 0.55, 0.99), (0.9, 0.0, 0.995), (0.5, 0.5, 0.997), (1e-300, 0.0, 0.98), (0.0, 0.3, 0.97),
+        (0.2, 0.1, 0.9972), (0.99, 0.0, 0.9991),
     ])
     def test_band_sum_is_at_least_the_rows_it_replaces(self, d, i, gamma, cold_rows):
-        # W U(r_bar) is at least the band's sum p_r U_r (Jensen: U is concave in r), within its
-        # rounding, and exceeds its sum p_r H_r by at most the slack
+        # the band is at least sum p_r U_r over every r > R (Jensen: U is concave in r), within its
+        # rounding, and exceeds sum p_r H_r by at most the slack; one piece below the cap, and
+        # segments, each lowering it, at the cap
         cfg = ab.SeriesConfig()
-        r_max = rl._r_truncation(gamma, cfg)
         kernel = rl._row_kernel(d, i)
-        start = rl._exact_rows(kernel, gamma, r_max, cfg.r_max_cap)
-        assert start < r_max < cfg.r_max_cap
-        band_sum = float(rl._weighted_rows(kernel, gamma, np.zeros(start), r_max))
-        r = np.arange(start + 1.0, r_max + 1.0)
+        start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
+        band = rl._band(kernel, gamma, start, cfg)
+        piece = rl._piece(kernel, gamma, start)
+        assert band == piece if start < cfg.r_max_cap else band < piece
+        r = np.arange(start + 1.0, math.ceil(math.log(1e-20) / math.log(gamma)))
         p = (1.0 - gamma) * np.power(gamma, r - 1.0)
-        weight = math.fsum(p.tolist())
-        assert abs(band_sum - weight * rl._max_entropy(kernel, math.fsum((r * p).tolist()) / weight)) \
-            <= 1e-12 * band_sum
-        band, rows = rl._max_entropy(kernel, r), rl.ROWS.entropies(kernel, r_max)[0][start:]
-        assert math.fsum((p * band).tolist()) <= band_sum * (1.0 + 1e-12)
-        assert band_sum - math.fsum((p * rows).tolist()) <= rl._band_slack(kernel, gamma, start)
+        assert math.fsum((p * rl._max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
+        rows = rl.ROWS.entropies(kernel, int(r[-1]))[0][start:]
+        assert band - math.fsum((p * rows).tolist()) <= rl._band_slack(kernel, gamma, start)
 
     @pytest.mark.parametrize("gamma, d, i", [(0.99, 0.9, 0.0), (0.995, 0.0, 0.3), (0.98, 0.45, 0.55)])
     def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, i, cold_rows):
-        # the band start reads rows' values only, never how many the table held
+        # R depends on gamma and the configuration alone, never on how many rows the table held
         cold = ab.run_law_delins_H(gamma, d, i)
         kernel = rl._row_kernel(d, i)
-        start = rl._exact_rows(kernel, gamma, rl._r_truncation(gamma, ab.SeriesConfig()), 10_000)
+        start = rl._band_start(gamma, ab.SeriesConfig(), rl._block_rows(kernel))
         assert cold_rows.size == start
         for held in (start - 2 * rl._block_rows(kernel), start + 1_000):
             cold_rows.reset()
             cold_rows.entropies(kernel, held)
             assert repr(ab.run_law_delins_H(gamma, d, i)) == repr(cold)
 
-    @pytest.mark.parametrize("gamma, cap", [(0.97, 10_000), (0.999, 10_000), (0.995, 2_000), (0.99, 1_024)])
-    def test_term_outside_the_band_sums_every_row(self, gamma, cap, cold_rows):
-        # r_max = 908 < 1 024 at gamma = 0.97, and r_max at the cap otherwise: every row is
-        # read exactly, and the term is p @ H plus its closed part, with the tail and trim bounds
+    @pytest.mark.parametrize("gamma, cap", [(0.97, 4_096), (0.999, 4_096), (0.995, 2_000), (0.99, 1_024)])
+    def test_term_is_its_rows_band_and_closed_part(self, gamma, cap, cold_rows):
+        # p[:R] . H[:R] by einsum, the band past R and H(L_X) - H(L_out), bit for bit
         cfg = ab.SeriesConfig(r_max_cap=cap)
-        r_max = rl._r_truncation(gamma, cfg)
-        assert r_max < rl._BAND_MIN_ROWS or r_max == cap
         for d, i in [(0.9, 0.0), (0.2, 0.1)]:
+            kernel = rl._row_kernel(d, i)
+            start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
             term = ab.run_law_delins_H(gamma, d, i, cfg)
-            rows, lost = rl.ROWS.entropies(rl._row_kernel(d, i), r_max)
-            assert r_max >= rl._EXP_WEIGHTS_MIN_ROWS  # weights from one exp, as _run_law_at takes them
-            p = (1.0 - gamma) * np.exp(np.arange(float(r_max)) * math.log(gamma))
-            value = float(np.maximum(p @ rows + rl._run_law_closed(gamma, d, i, r_max), 0.0))
-            assert repr(term.value) == repr(value)
-            assert repr(term.truncation_error) == repr(rl._run_tail_bound(gamma, r_max) + rl._trim_bound(lost, r_max))
+            rows = rl.ROWS.entropies(kernel, start)[0]
+            assert start >= rl._EXP_WEIGHTS_MIN_ROWS  # weights from one exp, as _run_law_at takes them
+            p = (1.0 - gamma) * np.exp(np.arange(float(start)) * math.log(gamma))
+            joint = np.einsum("r,r->", p, rows) + rl._band(kernel, gamma, start, cfg)
+            assert repr(term.value) == repr(float(np.maximum(joint + rl._run_law_closed(gamma, d, i)[0], 0.0)))
 
     @pytest.mark.parametrize("tail_epsilon", [0.5, 0.9])
     def test_loose_tail_budget_takes_a_short_band_start(self, tail_epsilon, cold_rows):
-        # r_max = 6 932 and 1 054 at gamma = 0.9999: the tail bound exceeds the slack of a
-        # single block, so the band starts there (a math domain error once)
+        # a target the first block already meets: R is one block, and the band the rest
         cfg = ab.SeriesConfig(tail_epsilon=tail_epsilon)
-        r_max = rl._r_truncation(0.9999, cfg)
-        assert rl._BAND_MIN_ROWS <= r_max < cfg.r_max_cap
         term = ab.run_law_delins_H(0.9999, 0.3, 0.1, cfg)
         kernel = rl._row_kernel(0.3, 0.1)
-        assert rl._exact_rows(kernel, 0.9999, r_max, cfg.r_max_cap) == rl._block_rows(kernel)
+        assert rl._band_start(0.9999, cfg, rl._block_rows(kernel)) == rl._block_rows(kernel) == cold_rows.size
         assert math.isfinite(term.value) and math.isfinite(term.truncation_error)
 
-    def test_a_banded_point_is_a_chunk_alone(self, cold_rows):
-        # gammas out of order once put 0.99 (r_max 2 750) in one chunk with two short points
+    def test_a_long_point_is_a_chunk_alone(self, cold_rows):
+        # gammas out of order once put 0.99 in one chunk with two short points
         gammas = np.array([0.99, 0.5, 0.3])
         grid = ab.BoundGrid("delins", ChannelParams(d=0.2, i=0.1, alpha=0.8), gammas, ab.SeriesConfig())
         assert grid.chunks == (slice(0, 1), slice(1, 3))
-        start = rl._exact_rows(rl._row_kernel(0.2, 0.1), 0.99, 2_750, 10_000)
-        assert start < 2_750
-        assert grid._run_law(grid.chunks[0])._exact() == grid._run_law(0.99)._exact() == start
-        assert grid._run_law(grid.chunks[1])._exact() == 40  # the larger r_max of the two, no band
+        start = rl._band_start(0.99, ab.SeriesConfig(), 16)
+        assert 2 * (2 * start + 1) > rl._CHUNK_CELLS
+        assert grid._run_law(grid.chunks[0]).size == grid._run_law(0.99).size == start
+        assert grid._run_law(grid.chunks[1]).size == rl._band_start(0.5, ab.SeriesConfig(), 16)  # the larger R
         for g, v in zip(gammas.tolist(), grid.values().tolist()):
             assert abs(v - ab.lb_delins(0.2, 0.1, 0.8, g).bound_bits) <= 1e-13
         assert cold_rows.size == start
 
 
+# golden cases (label -> the bound at a gamma, its row law) checked against the binomial reference
+_BRACKET_CASES = {
+    "sweep deletion d=0.1 i=0.0 alpha=1.0": (lambda g: ab.lb_deletion(0.1, g, diagnostics=False), 0.9, 0),
+    "sweep deletion d=0.5 i=0.0 alpha=1.0": (lambda g: ab.lb_deletion(0.5, g, diagnostics=False), 0.5, 0),
+    "optimize_bound deletion d=0.9": (lambda g: ab.lb_deletion(0.9, g, diagnostics=False), 0.1, 0),
+    "sweep deletion d=0.98 i=0.0 alpha=1.0": (lambda g: ab.lb_deletion(0.98, g, diagnostics=False), 0.02, 0),
+    "optimize_bound deletion d=0.99": (lambda g: ab.lb_deletion(0.99, g, diagnostics=False), 0.01, 0),
+    "optimize_bound insertion_lb2 i=0.1 alpha=0.8": (lambda g: ab.lb2_insertion(0.1, 0.8, g), 0.1, 1),
+    "optimize_bound insertion_lb2 i=0.5 alpha=0.5": (lambda g: ab.lb2_insertion(0.5, 0.5, g), 0.5, 1),
+}
+
+
+class TestReferenceBracket:
+    """Golden bounds against [F_lo, F_hi], the bound with its run-length penalty
+    taken from :func:`oracles.run_length_bracket`, which shares no cut with the
+    package: every bound_bits is at most F_lo (it is certified) and its exact
+    value, at least bound_bits - error_budget, at most F_hi.  The allowance is
+    the bound's own rounding budget and the reference's, (1 - gamma) times
+    oracles.BRACKET_ROUNDING."""
+
+    def test_golden_sample_lies_in_the_bracket(self):
+        import golden
+
+        records = {r["case"]: r for r in golden.load()}
+        for case, (bound, p, shift) in _BRACKET_CASES.items():
+            gamma = float(records[case]["gamma_star"])
+            res = bound(gamma)
+            assert repr(res.bound_bits) == records[case]["bound_bits"], case
+            run = {t.name: t.value for t in res.terms}["run_length_penalty"]
+            lo, hi = oracles.run_length_bracket(gamma, p, shift)
+            f_lo, f_hi = res.bound_bits + run - (1.0 - gamma) * hi, res.bound_bits + run - (1.0 - gamma) * lo
+            allowance = (1.0 - gamma) * oracles.BRACKET_ROUNDING
+            assert res.bound_bits <= f_lo + res.error_budget + allowance, case
+            assert res.bound_bits - res.error_budget <= f_hi + allowance, case
+            assert res.error_budget <= 1e-9, case
+
+
 class TestRunLengthEntropy:
     @pytest.mark.parametrize("gamma", [1e-6, 0.3, 0.9, 0.999, 0.9999, 0.99999, 0.999999])
-    def test_matches_the_direct_sum(self, gamma):
-        # -sum_{r<=R} p_r log2 p_r term by term, at the fewest rows and at
-        # the bound's own R, the cap of 10 000 from gamma = 0.9972 on
-        for r_max in (8, rl._r_truncation(gamma, ab.SeriesConfig())):
-            ps = [gamma ** (r - 1) * (1.0 - gamma) for r in range(1, r_max + 1)]
-            ref = -math.fsum(p * math.log2(p) for p in ps)
-            tol = 2e-15 * max(1.0, ref)
-            assert abs(rl._run_length_entropy(gamma, r_max) - ref) <= tol
-            assert abs(rl._run_length_entropy(np.array([gamma]), np.array([r_max]))[0] - ref) <= tol
+    def test_matches_mpmath(self, gamma):
+        # the whole H(L_X) = h(gamma) / (1 - gamma), at 30 digits
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            ref = float(-(g * mpmath.log(g, 2) + (1 - g) * mpmath.log(1 - g, 2)) / (1 - g))
+        tol = 2e-15 * max(1.0, ref)
+        assert abs(rl._run_length_entropy(gamma) - ref) <= tol
+        assert abs(rl._run_length_entropy(np.array([gamma]))[0] - ref) <= tol
 
 
 class TestClosedFormHLXLY:
@@ -831,14 +896,17 @@ class TestClosedFormHLXLY:
         # m = 10 000 (the rows the new form reads agree to 1e-12, see
         # TestRowTable).  Weighted by gamma**m, that error grows like
         # 1 / (1 - gamma)**2: 5.4e-9 at gamma = 0.999, 1.3e-10 at 0.9953.
+        # The form sums its binomial entropies as the bound does, with the band
+        # past R, so it lies above the reference by at most the band's slack.
         tol = 1e-10 + 1e-14 / (1.0 - gamma) ** 2
         for d in (0.1, 0.5, 0.8, 0.95):
-            assert abs(ab.closed_form_HLXLY(gamma, d) - _log_factorial_HLXLY(gamma, d)) <= tol
+            ref, value = _log_factorial_HLXLY(gamma, d), ab.closed_form_HLXLY(gamma, d)
+            assert ref - tol <= value <= ref + _band_slack_at(gamma, d, 0.0) + tol
 
     def test_reads_no_rows_past_the_bound(self, cold_rows):
-        # r_max of the bound at gamma = 0.99 is 2 750 rows, 2 752 in blocks
+        # R of the bound at gamma = 0.99 is 1 984 rows
         ab.closed_form_HLXLY(0.99, 0.8)
-        assert cold_rows.size <= 2_752
+        assert cold_rows.size == rl._band_start(0.99, ab.SeriesConfig(), 32) == 1_984
 
     @pytest.mark.parametrize("gamma, d", [(0.5, 0.2), (0.99, 0.98), (0.999, 0.5)])
     def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, cold_rows):

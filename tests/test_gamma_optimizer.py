@@ -311,21 +311,22 @@ class TestCeiling:
         pruned = optimize_bound(name, **params)
         assert repr(pruned) == repr(_unpruned(name, **params))
 
-    @pytest.mark.parametrize("d, rows", [(0.9, 3_120), (0.93, 5_520), (0.95, 7_232)])
+    @pytest.mark.parametrize("d, rows", [(0.9, 2_240), (0.93, 3_808), (0.95, 4_096)])
     def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, cold_rows):
-        # with every upper probe evaluated: 3 744, 7 232 and 10 000 rows
+        # a ruled-out probe builds no row: each solve holds the R of the points it evaluated
         optimize_bound("deletion", d=d)
         assert cold_rows.size <= rows
 
-    @pytest.mark.parametrize("d, rows", [(0.8, 960), (0.9, 2_144), (0.947, 3_936)])
+    @pytest.mark.parametrize("d, rows", [(0.8, 1_024), (0.9, 2_240), (0.947, 4_032), (0.99, 4_096)])
     def test_cold_solve_reads_exact_rows_only_up_to_the_band(self, d, rows, cold_rows):
-        # 1 376, 3 120 and 5 840 rows when every row up to r_max was read exactly
+        # exact rows up to R <= R0 = 4 096 and the band past them: once 960, 2 144, 3 936 and
+        # 20 000 rows, when rows were read up to r_max and the printed form up to 20 000
         optimize_bound("deletion", d=d)
-        assert cold_rows.size <= rows
+        assert cold_rows.size <= rows <= ab.SeriesConfig().r_max_cap
 
     def test_debug_record_counts_ruled_out_probes(self, cold_rows, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
-            optimize_bound("deletion", d=0.95)
+            optimize_bound("deletion", d=0.947)
         (record,) = [r for r in caplog.records if r.name == "delinscap"]
         message = record.getMessage()
         assert int(message.split(" probes; row table")[0].split()[-1]) >= 1
@@ -349,9 +350,9 @@ class TestCeiling:
         kernel = grid._run_law(gamma).kernel
         rl.ROWS.reset()
         value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
-        # the rows the point reads: r_max, or its band start below the cap; held in the table's own block
+        # the rows the point reads, its R, held in the table's own block
         block = rl._block_rows(kernel)
-        blocks = (min(rl.ROWS.size, rl._r_truncation(gamma, cfg)) - 1) // block
+        blocks = (min(rl.ROWS.size, rl._band_start(gamma, cfg, block)) - 1) // block
         assume(kernel and blocks >= 1)
         held = block * (1 + int(share * (blocks - 1)))  # short of them
         rl.ROWS.reset()
@@ -367,29 +368,27 @@ class TestCeiling:
         warm = optimize_bound("deletion", d=0.9, cfg=cfg)
         assert rl._grid_plan.cache_info().misses == info.misses
         assert repr(warm) == repr(first)
-        plan = rl._grid_plan(cfg, tuple(go._GRID.tolist()))
+        plan = rl._grid_plan(cfg, tuple(go._GRID.tolist()), 32)
         weights = plan.weights(plan.chunks[-1])
         assert plan.weights(plan.chunks[-1]) is weights  # built once, then kept
-        assert not any(array.flags.writeable for array in (plan.r_max, weights))
+        assert not any(array.flags.writeable for array in (plan.starts, weights))
         rl._grid_plan.cache_clear()
         assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
 
-    @pytest.mark.parametrize("cap", [10_000, 20_000])
+    @pytest.mark.parametrize("cap", [4_096, 20_000])
     @pytest.mark.parametrize("gammas", [
         tuple(go._GRID.tolist()), tuple(go._GRID[::-1].tolist()), (0.99, 0.5, 0.3),
         tuple(np.random.default_rng(7).permutation(go._GRID).tolist()),
     ], ids=["sorted", "descending", "one_long_point_first", "shuffled"])
     def test_every_chunk_holds_the_cell_cap_or_one_point(self, gammas, cap):
         # the cut once read each point's own r_max: (0.99, 0.5, 0.3) was one chunk of 3 x 5 501 cells
-        plan = rl._GridPlan(ab.SeriesConfig(r_max_cap=cap), gammas)
+        plan = rl._GridPlan(ab.SeriesConfig(r_max_cap=cap), gammas, 32)
         assert plan.chunks[0].start == 0 and plan.chunks[-1].stop == len(gammas)
         assert all(a.stop == b.start for a, b in zip(plan.chunks, plan.chunks[1:]))
         for chunk in plan.chunks:
             points = chunk.stop - chunk.start
-            assert points == 1 or points * (2 * int(plan.r_max[chunk].max()) + 1) <= rl._CHUNK_CELLS
-            assert plan.weights(chunk).shape == (points, plan.r_max[chunk].max())
-            if plan.r_max[chunk].max() >= rl._BAND_MIN_ROWS:
-                assert points == 1
+            assert points == 1 or points * (2 * int(plan.starts[chunk].max()) + 1) <= rl._CHUNK_CELLS
+            assert plan.weights(chunk).shape == (points, plan.starts[chunk].max())
 
     def test_gamma_star_on_both_sides_of_0_9(self):
         assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
@@ -404,7 +403,7 @@ class TestCeiling:
     def test_low_gamma_solve_keeps_the_row_table_short(self, cold_rows):
         optimize_bound("deletion", d=0.1)
         rows = cold_rows.size
-        assert 0 < rows <= rl._r_truncation(0.995, ab.SeriesConfig()) // 10
+        assert 0 < rows <= rl._band_start(0.995, ab.SeriesConfig(), 32) // 10
 
     def test_printed_form_is_not_pruned(self):
         # a printed penalty may be negative: no source-plus-credit ceiling, so with every row held
@@ -518,20 +517,21 @@ class TestArrayForm:
         cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha)
         assert repr(grid.at(gamma)) == repr(_lb(name, d, i, alpha, gamma).bound_bits)
-        # The grid-level H(L_X) - H(L_out), at each gamma's own r_max, is
-        # that gamma's array form alone, bit for bit, and H(L_out) of it its
-        # float form within numpy's and math's differing last bits: 1e-15
-        # max(1, H) is exceeded at gamma <= 0.2 by the closed form itself
-        # (2.6e-15 at i = 0.999).
+        # The grid-level H(L_X) - H(L_out) and band are each gamma's array
+        # form alone, bit for bit, and H(L_out) of it its float form within
+        # numpy's and math's differing last bits: 1e-15 max(1, H) is exceeded
+        # at gamma <= 0.2 by the closed form itself (2.6e-15 at i = 0.999).
         gammas = np.append(go._GRID, gamma)
-        closed = _grid(name, d, i, alpha, gammas)._closed
-        assume(closed is not None)  # LB 1 has no run-length term
-        step = rl._step_law(d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
-        for g, c in zip(gammas.tolist(), closed.tolist()):
-            r_max = rl._r_truncation(g, cfg)
-            h_out = rl._output_length_entropy(np.array([g]), step, np.array([2 * r_max]))
-            assert (rl._run_length_entropy(np.array([g]), np.array([r_max])) - h_out).tolist() == [c]
-            ref = rl._output_length_entropy(g, step, 2 * r_max)
+        grid = _grid(name, d, i, alpha, gammas)
+        assume(grid._closed is not None)  # LB 1 has no run-length term
+        law = (d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
+        step, kernel = rl._step_law(*law), rl._row_kernel(*law)
+        for g, c, b in zip(gammas.tolist(), grid._closed.tolist(), grid._band.tolist()):
+            h_out = rl._output_length_entropy(np.array([g]), step)[0]
+            assert (rl._run_length_entropy(np.array([g])) - h_out).tolist() == [c]
+            start = rl._band_start(g, cfg, rl._block_rows(kernel))
+            assert rl._band(kernel, np.array([g]), np.array([start]), cfg).tolist() == [b]
+            ref = rl._output_length_entropy(g, step)[0]
             assert abs(float(h_out[0]) - ref) <= 1e-14 * max(1.0, ref)
 
     @pytest.mark.parametrize("d, i", [(0.45, 0.55), (0.7, 0.3)])
@@ -558,9 +558,9 @@ class TestArrayForm:
         seen = []
         original = rl._grid_plan
 
-        def spy(cfg, gammas):
+        def spy(cfg, gammas, block):
             seen.append(cfg)
-            return original(cfg, gammas)
+            return original(cfg, gammas, block)
 
         monkeypatch.setattr(ab, "_grid_plan", spy)
         tight = ab.SeriesConfig(tail_epsilon=5e-13, r_max_cap=20_000)
@@ -619,7 +619,7 @@ class TestCapacityEnvelope:
     @example("deletion", 0.5, 0.0, 1.0, GAMMA_MIN)
     @example("delins", 0.45, 0.55, 0.5, GAMMA_MAX)  # d + i = 1
     @example("delins", 0.3, 0.7, 1.0, GAMMA_MIN)
-    @example("delins", 0.5, 0.3, 0.8, 0.9999)  # the run-length term cut by r_max_cap
+    @example("delins", 0.5, 0.3, 0.8, 0.9999)  # the run-length term's band at the cap
     @example("insertion_lb1", 0.0, 0.999, 0.0, GAMMA_MAX)
     @example("insertion_lb2", 0.0, 0.999, 0.3, GAMMA_MIN)
     def test_bound_at_any_gamma(self, name, d, i, alpha, gamma):
