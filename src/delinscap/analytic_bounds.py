@@ -9,9 +9,10 @@ error budget.  The deleted-run term H(S | Y_prev, Y, T) has one kernel,
 :func:`closed_form_delins_S`: its joint law is a handful of geometric
 classes, summed exactly, so it carries no truncation error; the deletion
 channel's H(S2 | Y1 Y2) is the same kernel at i = 0.  (The truncated direct
-sums it replaced are kept in the tests as oracles.)  The one truncated
-penalty, the run-length entropy H(L_X | L_out), is :mod:`.run_length`'s,
-with its :class:`SeriesConfig`; this module re-exports its public names.
+sums it replaced are kept in the tests as oracles.)  The one penalty summed
+over unbounded run lengths, the run-length entropy H(L_X | L_out), is
+:mod:`.run_length`'s, an upper bound at every gamma, with its
+:class:`SeriesConfig`; this module re-exports its public names.
 
 Every closed-form kernel the bounds use takes gamma as a float or as an
 array: a float goes through ``math``, so a scalar bound keeps its bits, an
@@ -426,11 +427,11 @@ class BoundGrid:
 
     It is the array form of the bound's ``lb_*``: the same terms added in the
     same order, with no validation, no diagnostics and no truncation errors.
-    The closed-form terms, the run-length term's H(L_X) - H(L_out) among
-    them, are taken once over the whole array, where a numpy call costs
-    about the same for 1 gamma as for 199; the rest of the run-length term,
-    p @ H, whose row table and p_r matrix grow with the largest r_max, chunk
-    by chunk, in the ``chunks`` of the gammas'
+    The closed-form terms, the run-length term's H(L_X) - H(L_out) and band
+    among them, are taken once over the whole array, where a numpy call
+    costs about the same for 1 gamma as for 199; the rest of the run-length
+    term, p @ H, whose row table and p_r matrix grow with the largest R,
+    chunk by chunk, in the ``chunks`` of the gammas'
     :class:`~.run_length._GridPlan` for ``cfg`` (:meth:`values`).
     The values agree with the ``lb_*`` within 1e-13 (tested), and
     :meth:`at` is its bound at a float gamma, bit for bit.

@@ -233,15 +233,11 @@ class _RowTable:
 ROWS = _RowTable()
 
 
-def _gamma_n(n: float) -> float:
-    """Higham's gamma_n = n u / (1 - n u), u = 2**-53: the relative error of
-    n roundings (*Accuracy and Stability of Numerical Algorithms*, 3.1)."""
-    return n * _U / (1.0 - n * _U)
-
-
 def _row_drift(kernel: tuple[float, ...], n: int) -> float:
     """A bound on how far rounding moves a stored row H_r, r <= n, from the
-    entropy of its exact (trimmed) law.
+    entropy of its exact (trimmed) law, with gamma_m = m u / (1 - m u) the
+    relative error of m roundings, u = 2**-53 (N. J. Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1).
 
     Every entry of the table is a sum of non-negative terms, so its rounding
     is relative.  A kernel power kernel^{*j}, j <= B / 2, is j convolutions
@@ -258,17 +254,8 @@ def _row_drift(kernel: tuple[float, ...], n: int) -> float:
     gamma_{c + M + 3} (L + 2).  A subnormal entry errs by at most 2**-1074,
     which moves H by less than 1e-300."""
     block, cells = _block_rows(kernel), (len(kernel) - 1) * n + 1
-    eta = _gamma_n(-(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 2))
-    return (eta + _gamma_n(cells + _ROW_PAD + 3)) * (math.log2(cells) + 2.0)
-
-
-def _sum_rounding(n: int, cells: int) -> float:
-    """A bound on the rounding of sum_{r<=n} p_r H_r as the term computes it:
-    the einsum of n products errs by at most gamma_n sum p_r H_r (Higham,
-    section 4.2), and each weight by at most 2239 u relative
-    (:func:`_run_weights`), with every H_r in [0, log2(cells)] and
-    sum p_r <= 1: at most (1.01 n + 2240) u log2(cells)."""
-    return (1.01 * n + 2240.0) * _U * math.log2(cells)
+    roundings = -(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 2) + cells + _ROW_PAD + 3
+    return roundings * _U / (1.0 - roundings * _U) * (math.log2(cells) + 2.0)
 
 
 def _output_length_entropy(gamma, step: tuple[float, float, float]):
@@ -405,14 +392,11 @@ def _band_start(gamma: float, cfg: SeriesConfig, block: int) -> int:
     g(g(block)) <= R*, and R is the first block from there that meets the
     target (block itself if g(block) <= block)."""
     target, cap, log_gamma = cfg.tail_epsilon / (1.0 - gamma), cfg.r_max_cap, math.log(gamma)
-
-    def g(r: float) -> float:
-        return math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * r)))) / log_gamma
-
-    over = g(block)
+    over = math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * block)))) / log_gamma
     if over <= block:
         return min(block, cap)
-    start = max(1, math.ceil(g(over) / block)) * block
+    under = math.log(target / (0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * over)))) / log_gamma
+    start = max(1, math.ceil(under / block)) * block
     while start < cap and _jensen_slack(gamma, start) > target:
         start += block
     return min(start, cap)
@@ -462,8 +446,8 @@ def _band(kernel: tuple[float, ...], gamma, start, cfg: SeriesConfig):
     tail_epsilon / (1 - gamma) (below the cap R meets that target by its
     choice, :func:`_band_start`): then segments (S, ceil(1.25 S)] from
     S = R on, until the rest from S meets the target and is one piece
-    (about 8 segments at d = 0.99 and R0 = 4,096, at most about 60 at
-    gamma near 1)."""
+    (7 or 8 segments at d = 0.99 and R0 = 4,096; 65 at gamma = 1 - 1e-6,
+    the least cap and tail_epsilon = 1e-15)."""
     target = cfg.tail_epsilon / (1.0 - gamma)
     if not isinstance(gamma, np.ndarray):
         total = 0.0
@@ -593,9 +577,9 @@ class _RunLawChunk:
     given L_X = r (the r-fold convolution of the step law).  So the values
     are p @ H + band + (H(L_X) - H(L_out)), clipped at 0: H from a table
     built once per step law, the row ``kernel`` (:data:`ROWS`), p the
-    run-length weights up to each gamma's R = ``starts``
-    (:func:`_run_weights`), a matrix over a chunk (:meth:`_GridPlan.weights`)
-    and a vector at a float gamma, the band past R (:func:`_weighted_rows`),
+    run-length weights up to each gamma's R (:func:`_run_weights`), a matrix
+    over a chunk (:meth:`_GridPlan.weights`) and a vector at a float gamma,
+    summed by :func:`_row_sum`, ``band`` the band past R (:func:`_band`),
     and ``closed``, the closed part (:func:`_run_law_closed`), with
     ``rounding`` its rounding bound.  :meth:`values` gives them,
     :meth:`floor` a lower bound on them from the rows the table holds, and,
@@ -622,16 +606,19 @@ class _RunLawChunk:
         truncation error is what the value may lie below H(L_X | L_out) by:
         the bound on what the table's trimmed mass moves the rows
         (:func:`_trim_bound`), their own rounding drift (:func:`_row_drift`),
-        and the rounding bounds of the two long sums, over the rows
-        (:func:`_sum_rounding`) and H(L_out)'s series
-        (:func:`_output_length_entropy`)."""
+        and the rounding bounds of the two long sums.  The einsum over the
+        rows errs by at most gamma_n sum p_r H_r (Higham, section 4.2) and
+        each weight by at most 2239 u relative (:func:`_run_weights`), with
+        every H_r in [0, log2(c)], c the most cells of a row, and
+        sum p_r <= 1: at most (1.01 n + 2240) u log2(c); H(L_out)'s series
+        has its own (:func:`_output_length_entropy`)."""
         value = float(self.values())
         if not self.size:
             return EntropyTerm(name, value, 0.0)
         n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
-        lost = ROWS.entropies(self.kernel, n)[1]
-        error = _trim_bound(lost, n) + _row_drift(self.kernel, n) + _sum_rounding(n, cells) + self._rounding
-        return EntropyTerm(name, value, error)
+        rounding = (1.01 * n + 2240.0) * _U * math.log2(cells)  # the row sum's
+        error = _trim_bound(ROWS.entropies(self.kernel, n)[1], n) + _row_drift(self.kernel, n) + rounding
+        return EntropyTerm(name, value, error + self._rounding)
 
     def floor(self):
         """A lower bound on :meth:`values`, element by element, from the h
@@ -658,7 +645,7 @@ class _RunLawChunk:
           most gamma_n sum p_r H_r <= 1.02 n u L (Higham, *Accuracy and
           Stability of Numerical Algorithms*, section 4.2), as every H_r lies
           in [0, L]; gamma**h, the floor's additions and the band's pieces
-          (at most about 60, each a few roundings of W U(r_bar) with
+          (fewer than 100, each a few roundings of W U(r_bar) with
           U(r_bar) <= 13 bits at gamma <= 1 - 1e-6) err by less than
           4 10**4 u L.
 
@@ -671,14 +658,21 @@ class _RunLawChunk:
         h = ROWS.held(self.kernel)
         if not 0 < h.size < self.size:
             return None
-        n, held, cells = self.size, h.size, (len(self.kernel) - 1) * self.size + 1
-        delta = _trim_bound(-(-n // _block_rows(self.kernel)) * cells * _ROW_TRIM, n) + _row_drift(self.kernel, n)
-        joint = np.einsum("...r,r->...", self._p[..., :held], h) + self._gammas ** held * h[-1]
-        return self._from_joint(joint - 3.0 * ((n + 1e4) * _U * math.log2(cells) + delta))
+        joint = np.einsum("...r,r->...", self._p[..., :h.size], h) + self._gammas ** h.size * h[-1]
+        return self._from_joint(joint - _floor_margin(self.kernel, self.size))
 
     def _from_joint(self, joint):
-        """The values from sum_r p_r H_r."""
-        return np.maximum(joint + self._closed, 0.0)
+        """The values from sum_r p_r H_r, clipped at 0 (by the builtin max at a float gamma)."""
+        joint = joint + self._closed
+        return np.maximum(joint, 0.0) if isinstance(joint, np.ndarray) else max(joint, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _floor_margin(kernel: tuple[float, ...], n: int) -> float:
+    """The margin M of :meth:`_RunLawChunk.floor` for rows up to n."""
+    cells = (len(kernel) - 1) * n + 1
+    delta = _trim_bound(-(-n // _block_rows(kernel)) * cells * _ROW_TRIM, n) + _row_drift(kernel, n)
+    return 3.0 * ((n + 1e4) * _U * math.log2(cells) + delta)
 
 
 def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
@@ -727,8 +721,8 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
     its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma),
     summed as the deletion bound at the default :class:`SeriesConfig` sums
-    it (:func:`_weighted_rows`): exact rows up to its R and the band past
-    them, so it reads no row the bound did not, and agrees with the bound's
+    it: exact rows up to its R (:func:`_row_sum`) and the band past them
+    (:func:`_band`), so it reads no row the bound did not, and agrees with the bound's
     term up to rounding.
     """
     ChannelParams(d=d)

@@ -13,14 +13,12 @@ checks count keys and pairs, and pass only at a count of 0.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 from .core import ChannelParams, xlog2
 from . import analytic_bounds as ab
 from . import exact_oracle as oracle
 from . import mc_estimator as mc
-from . import run_length as rl
-from .run_length import _RowTable, _row_kernel
+from .run_length import _RowTable, _band_slack, _band_start, _block_rows, _row_kernel
 from .gamma_optimizer import optimize_bound
 
 __all__ = [
@@ -185,40 +183,31 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
     return _verdict(checks)
 
 
-def _band_slack(gamma: float, d: float, i: float, cfg: ab.SeriesConfig) -> float:
-    """How far the band can raise the run-length penalty (1 - gamma) H(L_X | L_out)
-    of the law (d, i) at ``gamma`` under ``cfg`` (``run_length._band_slack``)."""
-    kernel = _row_kernel(d, i)
-    return (1.0 - gamma) * rl._band_slack(kernel, gamma, rl._band_start(gamma, cfg, rl._block_rows(kernel)))
-
-
 def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
     """Doubling the exact rows' cap and halving the band's target must not move
-    bounds: each value is a lower bound that lies below the exact one by at
-    most its band's slack and rounding budget, so two of them differ by at
-    most the larger slack and both budgets."""
+    bounds: each value lies below the exact one by at most its band's slack
+    (``run_length._band_slack``) and its rounding budget, so two of them
+    differ by at most the larger slack and both budgets."""
     base = cfg or ab.SeriesConfig()
     tight = ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0, r_max_cap=base.r_max_cap * 2)
-    cases: list[tuple[str, tuple[float, float, float], Callable[[ab.SeriesConfig], ab.BoundResult]]] = [
-        ("deletion_d0.1", (0.5777, 0.1, 0.0), lambda c: ab.lb_deletion(0.1, 0.5777, c, diagnostics=False)),
-        ("deletion_d0.5", (0.85, 0.5, 0.0), lambda c: ab.lb_deletion(0.5, 0.85, c, diagnostics=False)),
-        ("insertion_lb2_i0.2", (0.55, 0.0, 0.2), lambda c: ab.lb2_insertion(0.2, 0.8, 0.55, c)),
-        ("delins_d0.1_i0.1", (0.655, 0.1, 0.1), lambda c: ab.lb_delins(0.1, 0.1, 0.8, 0.655, c, diagnostics=False)),
-        ("delins_d0.2_i0.2", (0.7, 0.2, 0.2), lambda c: ab.lb_delins(0.2, 0.2, 0.5, 0.7, c, diagnostics=False)),
-        ("deletion_d0.9_g0.99", (0.99, 0.9, 0.0), lambda c: ab.lb_deletion(0.9, 0.99, c, diagnostics=False)),
-        ("delins_d0.7_i0.05_g0.98", (0.98, 0.7, 0.05),
-         lambda c: ab.lb_delins(0.7, 0.05, 0.8, 0.98, c, diagnostics=False)),
+    cases = [  # (name, bound, its parameters, gamma)
+        ("deletion_d0.1", "deletion", ChannelParams(d=0.1), 0.5777),
+        ("deletion_d0.5", "deletion", ChannelParams(d=0.5), 0.85),
+        ("insertion_lb2_i0.2", "insertion_lb2", ChannelParams(i=0.2, alpha=0.8), 0.55),
+        ("delins_d0.1_i0.1", "delins", ChannelParams(d=0.1, i=0.1, alpha=0.8), 0.655),
+        ("delins_d0.2_i0.2", "delins", ChannelParams(d=0.2, i=0.2, alpha=0.5), 0.7),
+        ("deletion_d0.9_g0.99", "deletion", ChannelParams(d=0.9), 0.99),
+        ("delins_d0.7_i0.05_g0.98", "delins", ChannelParams(d=0.7, i=0.05, alpha=0.8), 0.98),
     ]
     checks = _Checks()
-    for name, law, fn in cases:
-        a = fn(base)
-        b = fn(tight)
+    for name, bound, params, gamma in cases:
+        a, b = (ab._BOUNDS[bound].lb(params, gamma, c, False, False) for c in (base, tight))
+        kernel = _row_kernel(params.d, params.i)
+        slack = (1.0 - gamma) * max(_band_slack(kernel, gamma, _band_start(gamma, c, _block_rows(kernel)))
+                                    for c in (base, tight))
         delta = abs(a.bound_bits - b.bound_bits)
-        slack = max(_band_slack(*law, base), _band_slack(*law, tight))
-        checks.add(f"truncation_{name}", delta, TOL_TRUNCATION,
-                   f"budget {a.error_budget:.2e}, band slack {slack:.2e}")
-        allowed = slack + a.error_budget + b.error_budget
-        if delta > allowed:
+        checks.add(f"truncation_{name}", delta, TOL_TRUNCATION, f"budget {a.error_budget:.2e}, band slack {slack:.2e}")
+        if delta > (allowed := slack + a.error_budget + b.error_budget):
             checks.add(f"truncation_{name}_within_budget", delta, allowed,
                        "shift exceeded the band slack and the two budgets")
     return _verdict(checks)

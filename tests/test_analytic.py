@@ -636,16 +636,16 @@ class TestRowTable:
         assert cold_rows.size == start
         lost = rl.ROWS.entropies(kernel, start)[1]
         assert lost > 0.0
-        cells = (len(kernel) - 1) * start + 1
+        row_sum = (1.01 * start + 2240.0) * 2.0 ** -53 * math.log2((len(kernel) - 1) * start + 1)
         rounding = rl._output_length_entropy(gamma, rl._step_law(d, i))[1]
         assert trimmed.truncation_error == (
             lost * (math.log2(2 * start + 1) - math.log2(lost) + math.log2(math.e)) + rl._row_drift(kernel, start)
-            + rl._sum_rounding(start, cells) + rounding)
+            + row_sum + rounding)
         monkeypatch.setattr(rl, "_ROW_TRIM", 0.0)
         cold_rows.reset()
         full = ab.run_law_delins_H(gamma, d, i)
         assert rl.ROWS.entropies(kernel, start)[1] == 0.0
-        assert full.truncation_error == rl._row_drift(kernel, start) + rl._sum_rounding(start, cells) + rounding
+        assert full.truncation_error == rl._row_drift(kernel, start) + row_sum + rounding
         assert abs(trimmed.value - full.value) <= trimmed.truncation_error
 
     @pytest.mark.parametrize("d", [0.2, 0.3, 0.5, 0.8])
@@ -1082,7 +1082,7 @@ def test_series_config_validation(tmp_path, monkeypatch, capsys):
         ab.SeriesConfig(tail_epsilon=0.0)
     with pytest.raises(ValueError):
         ab.SeriesConfig(r_max_cap=0)
-    # a cap the row table cannot slice by (a raw TypeError once), or one _r_truncation silently raised to 8
+    # a cap the row table cannot slice by (a raw TypeError once), or one the row count once silently raised to 8
     for cap in (100.5, 3, 7, True):
         with pytest.raises(ValueError, match="r_max_cap"):
             ab.SeriesConfig(r_max_cap=cap)
