@@ -406,7 +406,11 @@ def output_length_law(gamma, step, s_max):
     a_plus_b = gamma * keep / c0
     a_minus_b = np.sqrt(a_plus_b * a_plus_b + 4.0 * gamma * i / c0)
     n = np.arange(1.0, s_max + 2.0)  # s + 1
-    law = np.power((a_plus_b + a_minus_b) / 2.0, n)
+    # 1 - gamma = c0 (1 - a)(1 - b) at z = 1, so from a = 1/2 on, log a = log1p(-(1 - gamma) / (c0 (1 - b)))
+    # keeps its relative precision, where a rounded a**n would err by n ulp near gamma = 1
+    a = (a_plus_b + a_minus_b) / 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):  # the branch not taken
+        law = np.where(a < 0.5, np.power(a, n), np.exp(n * np.log1p(-gb / (c0 * (1.0 + (gamma * i / c0) / a)))))
     law *= gb / (gamma * c0 * a_minus_b)
     if i > 0.0:
         with np.errstate(divide="ignore"):

@@ -437,13 +437,11 @@ class TestOutputLengthEntropy:
     @pytest.mark.parametrize("gamma", [0.999, 0.9999])
     @pytest.mark.parametrize("law", sorted(_OUTPUT_LAWS))
     def test_matches_the_direct_sum_near_gamma_one(self, law, gamma):
-        # up to a million cells, summed in floats; the oracle's a**(s+1) errs by about
-        # (s + 1) u relative, which moves its entropy by about 2 u E[s + 1] (H + 2)
+        # up to a million cells, summed in floats
         d, i = _OUTPUT_LAWS[law]
         step = rl._step_law(d, i)
         direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, _law_cells(gamma, d, i))))
-        tol = 1e-14 * max(1.0, direct) + 4.0 * 2.0 ** -53 * (1.0 + (1.0 - d + i) / (1.0 - gamma)) * (direct + 2.0)
-        assert abs(rl._output_length_entropy(gamma, step)[0] - direct) <= tol
+        assert abs(rl._output_length_entropy(gamma, step)[0] - direct) <= 1e-12 * max(1.0, direct)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.floats(1e-6, 0.995), st.floats(0.0, 0.999), st.floats(0.0, 0.999))
@@ -785,6 +783,11 @@ class TestBand:
         assert band == piece if start < cfg.r_max_cap else band < piece
         r = np.arange(start + 1.0, math.ceil(math.log(1e-20) / math.log(gamma)))
         p = (1.0 - gamma) * np.power(gamma, r - 1.0)
+        # a segment's W U(r_bar) in closed form, against its fsum-weighted mean
+        m = math.ceil(0.25 * start)
+        weight = math.fsum(p[:m].tolist())
+        mean = math.fsum((r[:m] * p[:m]).tolist()) / weight
+        assert abs(rl._piece(kernel, gamma, start, m) - weight * rl._max_entropy(kernel, mean)) <= 1e-12 * weight
         assert math.fsum((p * rl._max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
         rows = rl.ROWS.entropies(kernel, int(r[-1]))[0][start:]
         assert band - math.fsum((p * rows).tolist()) <= rl._band_slack(kernel, gamma, start)
