@@ -251,8 +251,9 @@ def _row_drift(kernel: tuple[float, ...], n: int) -> float:
     eta (H + log2 e (1 + eta) / (1 - eta)) <= eta (L + 2), L = log2(c) and
     c = (len(kernel) - 1) n + 1 the most cells of a row, since H <= L; the
     logs (within an ulp) and the einsum over at most c + M cells add
-    gamma_{c + M + 3} (L + 2).  A subnormal entry errs by at most 2**-1074,
-    which moves H by less than 1e-300."""
+    gamma_{c + M + 3} (L + 2), and gamma_a + gamma_b <= gamma_{a+b}.  A
+    subnormal entry errs by at most 2**-1074, which moves H by less than
+    1e-300."""
     block, cells = _block_rows(kernel), (len(kernel) - 1) * n + 1
     roundings = -(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 2) + cells + _ROW_PAD + 3
     return roundings * _U / (1.0 - roundings * _U) * (math.log2(cells) + 2.0)

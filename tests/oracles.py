@@ -17,6 +17,8 @@ of a geometric run cell by cell and sum its entropy, which the closed form
 ``deletion_run_law_row``, ``duplication_run_law_row`` and
 ``delins_run_law_row`` are the conditional run-length laws as lgamma sums,
 which the enumeration ``exact_oracle.exact_run_law`` is checked against.
+``run_length_bracket`` brackets the deletion and duplication run-length
+terms from binomial rows of its own, sharing no cut with the package.
 ``PointByPoint`` is the gamma search's grid evaluated one scalar bound call
 at a time, with nothing pruned.
 

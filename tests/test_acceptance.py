@@ -100,7 +100,7 @@ def test_criterion_7_truncation_robustness(readme_run):
     checks = _checks(readme_run, TRUNCATION, "truncation_").values()
     worst = max(c["measured"] for c in checks)
     _announce(7, all(c["passed"] for c in checks),
-              f"doubling r_max and halving tail_epsilon moves bounds at most {worst:.3e} <= 1e-9")
+              f"doubling r_max_cap and halving tail_epsilon moves bounds at most {worst:.3e} <= 1e-9")
 
 
 def test_criterion_8_closed_form_cross_checks():

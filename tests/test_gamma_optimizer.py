@@ -536,10 +536,10 @@ class TestArrayForm:
 
     @pytest.mark.parametrize("d, i", [(0.45, 0.55), (0.7, 0.3)])
     def test_grid_output_length_entropy_allocates_little(self, d, i):
-        # d + i = 1: up to 2 r_max + 1 correction terms at every grid point,
-        # 199 x 11 041 of them at grid point 0.995, had they been taken at once
+        # d + i = 1: no correction term at (0.45, 0.55); at (0.7, 0.3), where 1 - d - i
+        # rounds to 5.6e-17, up to 4 096 at every grid point, 199 x 4 096 had they been taken at once
         import tracemalloc
-        _grid("delins", d, i, 0.5)  # the grid's r_max kept
+        _grid("delins", d, i, 0.5)  # the grid's plan kept
         tracemalloc.start()
         try:
             _grid("delins", d, i, 0.5)
