@@ -82,9 +82,10 @@ _U = 2.0 ** -53
 # dropped before it seeds the next block.
 _ROW_PAD = 32
 _ROW_TRIM = 1e-30
-# Cap on a grid chunk's G x (2 R + 1) (twice its p_r matrix), on a block of
-# the H(L_out) series, and on that series' terms.
+# Caps on a grid chunk's G x (2 R + 1) (twice its p_r matrix) and on a block
+# of the H(L_out) series, and on that series' terms.
 _CHUNK_CELLS = 4096
+_SERIES_TERMS = 1 << 17
 # Smallest normal double: zero entries are clipped to it before the log, so
 # they contribute exactly 0 to an entropy.
 _TINY = np.finfo(float).tiny
@@ -277,8 +278,9 @@ def _output_length_entropy(gamma, step: tuple[float, float, float]):
     m = T the series is bounded by 2 sum_{odd m>T} |b|**m =
     2 |b|**m0 / (1 - b**2), m0 the first odd m past T, which H takes in its
     place: H can only fall.  T is where that rest falls below 1e-18, at most
-    _CHUNK_CELLS; at d + i = 1 (t = -1) every even term is 0 and every odd
-    one 2 a**m, so the rest is exact and T = 1: C = 2 a**3 / (1 - a**2).
+    _SERIES_TERMS, reached only at gamma > 0.999 with d + i within 1e-3 of
+    1; at t = -1 (d + i = 1) the odd terms are 2 a**m and the even ones 0,
+    so the rest is exact and T = 1: C = 2 a**3 / (1 - a**2).
 
     1 - a = (1-gamma) / (c0 (1 - b)), b = -(gamma i / c0) / a,
     log a = -log1p((1 - a) / a) and 1 - |b| = (1 - a) + (a + b) keep their
@@ -307,7 +309,7 @@ def _output_length_entropy(gamma, step: tuple[float, float, float]):
     scale = 2.0 * k / ((u + a_plus_b) * (1.0 - b))  # 2 K / (1 - b**2)
     if not array:
         log_b = math.log(-b)
-        top = 1 if not keep else min(_CHUNK_CELLS, max(1, math.ceil(math.log(1e-18 / scale) / log_b) - 1))
+        top = 1 if not keep else min(_SERIES_TERMS, max(1, math.ceil(math.log(1e-18 / scale) / log_b) - 1))
         log_t = math.log1p(-a_plus_b / a) if top >= 2 else 0.0  # log|t|
         series = scale * math.exp((top + 1 + top % 2) * log_b)  # the rest past T
         if top > 40:
@@ -319,7 +321,7 @@ def _output_length_entropy(gamma, step: tuple[float, float, float]):
         return h - series, 3.0 * _U * scale * b * b * ((top + 2) * (1.01 - log_b) + 14.0)
     with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms, and no rest
         log_b, log_t = np.maximum(np.log(-b), -745.0), np.log1p(-a_plus_b / a)
-    last = np.clip(np.ceil(np.log(1e-18 / scale) / log_b) - 1.0, 1.0, _CHUNK_CELLS) if keep else 1.0 + 0.0 * a
+    last = np.clip(np.ceil(np.log(1e-18 / scale) / log_b) - 1.0, 1.0, _SERIES_TERMS) if keep else 1.0 + 0.0 * a
     series = scale * np.exp((last + 1.0 + last % 2.0) * log_b)  # the rest past T
     # Fixed column blocks, 16 wide then doubling up to _CHUNK_CELLS, each over
     # the rows it reaches in groups of at most _CHUNK_CELLS cells: the
@@ -642,13 +644,13 @@ class _RunLawChunk:
         - the weights: each p_r errs by at most 2239 u relative
           (:func:`_run_weights`), so the computed weights over h < r <= R
           fall short of gamma**h - gamma**R by at most 2239 u;
-        - rounding: the floor's and :meth:`values`' einsums each err by at
-          most gamma_n sum p_r H_r <= 1.02 n u L (Higham, *Accuracy and
-          Stability of Numerical Algorithms*, section 4.2), as every H_r lies
-          in [0, L]; gamma**h, the floor's additions and the band's pieces
-          (fewer than 100, each a few roundings of W U(r_bar) with
-          U(r_bar) <= 13 bits at gamma <= 1 - 1e-6) err by less than
-          4 10**4 u L.
+        - rounding: the floor's product, in any order of summation, and
+          :meth:`values`' einsum each err by at most gamma_n sum p_r H_r <=
+          1.02 n u L (Higham, *Accuracy and Stability of Numerical
+          Algorithms*, section 4.2), as every H_r lies in [0, L]; gamma**h,
+          the floor's additions and the band's pieces (fewer than 100, each
+          a few roundings of W U(r_bar) with U(r_bar) <= 13 bits at
+          gamma <= 1 - 1e-6) err by less than 4 10**4 u L.
 
         So M = 3 (n + 10**4) u L + 3 delta exceeds their sum,
         2.04 n u L + 2239 u L + 4 10**4 u L + 2 delta, and the floor less
@@ -659,7 +661,7 @@ class _RunLawChunk:
         h = ROWS.held(self.kernel)
         if not 0 < h.size < self.size:
             return None
-        joint = np.einsum("...r,r->...", self._p[..., :h.size], h) + self._gammas ** h.size * h[-1]
+        joint = self._p[..., :h.size] @ h + self._gammas ** h.size * h[-1]
         return self._from_joint(joint - _floor_margin(self.kernel, self.size))
 
     def _from_joint(self, joint):

@@ -13,7 +13,8 @@ written plainly, which the lean loop of ``run_length.ROWS.entropies`` must
 match bit for bit.  ``output_length_law`` and ``entropy_bits`` build the output-length law
 of a geometric run cell by cell and sum its entropy, which the closed form
 ``run_length._output_length_entropy`` replaced;
-``output_length_entropy_mpmath`` sums that entropy at 50 digits.
+``output_length_entropy_mpmath`` sums that entropy at 50 digits, with the
+law's geometric tail in closed form.
 ``deletion_run_law_row``, ``duplication_run_law_row`` and
 ``delins_run_law_row`` are the conditional run-length laws as lgamma sums,
 which the enumeration ``exact_oracle.exact_run_law`` is checked against.
@@ -437,12 +438,23 @@ def entropy_bits(law):
 
 
 def output_length_entropy_mpmath(gamma, d, i, s_max, dps=50):
-    """Entropy in bits of P(L_out = s), s = 0..s_max, at ``dps`` digits.
+    """Entropy in bits of the whole law P(L_out = s), s >= 0, at ``dps``
+    digits: its cells s = 0..s_max one by one, and the cells past s_max in
+    closed form.
 
-    The law is rebuilt from the channel parameters, with 1 - d - i taken
-    exactly, by the recurrence of its generating function
+    The cells are rebuilt from the channel parameters, with 1 - d - i taken
+    exactly, by the recurrence of the law's generating function
     F = (1-gamma) phi + gamma phi F, phi(z) = d + (1-d-i) z + i z**2:
-    (1 - gamma d) P(s) = (1-gamma) phi_s + gamma ((1-d-i) P(s-1) + i P(s-2))."""
+    (1 - gamma d) P(s) = (1-gamma) phi_s + gamma ((1-d-i) P(s-1) + i P(s-2)).
+    With 1 - gamma phi(z) = c0 (1 - a z)(1 - b z), c0 = 1 - gamma d, every
+    s >= 1 has P(s) = K (a**m - b**m), m = s + 1 and
+    K = (1-gamma) / (gamma c0 (a - b)), so -P(s) ln P(s) past s_max is
+    -P(s) (ln K + m ln a + ln(1 - t**m)), t = b / a: its first two parts
+    are geometric sums of a**m, b**m, m a**m and m b**m, and the third is
+    ln 2 at every odd m and absent at every even one where t = -1 (d + i = 1),
+    and otherwise dropped, which moves the entropy by at most about
+    K |b|**(s_max + 2) / (1 - a): the caller takes s_max where |t|**s_max is
+    negligible."""
     import mpmath
 
     with mpmath.workdps(dps):
@@ -454,7 +466,20 @@ def output_length_entropy_mpmath(gamma, d, i, s_max, dps=50):
             p = (g * (phi[1] * prev + i * prev2) + ((1 - g) * phi[s] if s < 3 else 0)) / c0
             law.append(p)
             prev, prev2 = p, prev
-        return float(-mpmath.fsum(p * mpmath.ln(p) for p in law if p > 0) / mpmath.ln(2))
+        body = -mpmath.fsum(p * mpmath.ln(p) for p in law if p > 0)
+        a_plus_b = g * phi[1] / c0
+        a = (a_plus_b + mpmath.sqrt(a_plus_b ** 2 + 4 * g * i / c0)) / 2
+        b, m = a_plus_b - a, s_max + 2  # the first m past s_max
+        k = (1 - g) / (g * c0 * (a - b))
+
+        def geometric(x):  # (sum_{n>=m} x**n, sum_{n>=m} n x**n)
+            return x ** m / (1 - x), x ** m * (m - (m - 1) * x) / (1 - x) ** 2
+
+        (a0, a1), (b0, b1) = geometric(a), geometric(b)
+        tail = -k * ((a0 - b0) * mpmath.ln(k) + (a1 - b1) * mpmath.ln(a))
+        if phi[1] == 0 and i > 0:  # t = -1: P(s) = 2 K a**m at odd m, 0 at even m
+            tail -= k * (a0 - b0) * mpmath.ln(2)
+        return float((body + tail) / mpmath.ln(2))
 
 
 # ---------------------------------------------------------------------------

@@ -330,12 +330,13 @@ def _band_slack_at(gamma, d, i, cfg=None):
 
 
 class TestRunLengthKernel:
-    @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.98])
-    @pytest.mark.parametrize("kind", sorted(_KERNELS))
+    @pytest.mark.parametrize("kind, gamma", [
+        *((kind, gamma) for kind in sorted(_KERNELS) for gamma in (0.3, 0.9, 0.98, 0.995)), ("delins", 0.999),
+    ])
     def test_matches_convolution_oracle(self, kind, gamma):
-        # the term is an upper bound, within its error budget, that exceeds the
-        # oracle by at most the band's slack (the high-gamma band is checked
-        # against the binomial reference in TestReferenceBracket)
+        # the term is an upper bound, within its error budget, that exceeds the oracle by at
+        # most the band's slack; at 0.999 R is at the cap and the band is segmented (the
+        # oracle sums 39 100 rows, 2 s)
         kernel, d, i = _KERNELS[kind]
         term = kernel(gamma)
         oracle = _convolution_oracle(gamma, np.array([d, 1.0 - d - i, i]), _oracle_rows(gamma))
@@ -420,13 +421,25 @@ def _law_cells(gamma, d, i):
     return math.ceil(math.log(1e-22 * (1.0 - a) ** 2) / math.log(a))
 
 
+def _mpmath_cells(gamma, d, i):
+    """The cells the mpmath reference sums one by one (its tail past them in
+    closed form): |t|**S <= 1e-20, t = b / a, so the part of the tail it drops
+    is negligible, or 64 where t is 0 or -1 and it drops nothing; at most
+    :func:`_law_cells`."""
+    keep, q = max(1.0 - d - i, 0.0), gamma / (1.0 - gamma * d)
+    a = 0.5 * (keep * q + math.sqrt((keep * q) ** 2 + 4.0 * i * q))
+    t = abs(keep * q - a) / a
+    cut = max(64, math.ceil(math.log(1e-20) / math.log(t))) if 0.0 < t < 1.0 else 64
+    return min(cut, _law_cells(gamma, d, i))
+
+
 class TestOutputLengthEntropy:
-    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 0.99])
+    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 0.99, 0.999, 0.9999])
     @pytest.mark.parametrize("law", sorted(_OUTPUT_LAWS))
     def test_matches_mpmath_entropy(self, law, gamma):
-        # H(L_out) of the whole law, against its cells at 50 digits up to a negligible tail
+        # H(L_out) of the whole law, against its cells at 50 digits and their geometric tail
         d, i = _OUTPUT_LAWS[law]
-        ref = oracles.output_length_entropy_mpmath(gamma, d, i, _law_cells(gamma, d, i))
+        ref = oracles.output_length_entropy_mpmath(gamma, d, i, _mpmath_cells(gamma, d, i))
         step = rl._step_law(d, i)
         scalar, rounding = rl._output_length_entropy(gamma, step)
         array = rl._output_length_entropy(np.array([0.3, gamma]), step)[0]
@@ -434,36 +447,27 @@ class TestOutputLengthEntropy:
         assert abs(scalar - ref) <= 1e-14 * max(1.0, ref)
         assert abs(array[1] - ref) <= 1e-14 * max(1.0, ref)
 
-    @pytest.mark.parametrize("gamma", [0.999, 0.9999])
-    @pytest.mark.parametrize("law", sorted(_OUTPUT_LAWS))
-    def test_matches_the_direct_sum_near_gamma_one(self, law, gamma):
-        # up to a million cells, summed in floats
-        d, i = _OUTPUT_LAWS[law]
-        step = rl._step_law(d, i)
-        direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, _law_cells(gamma, d, i))))
-        assert abs(rl._output_length_entropy(gamma, step)[0] - direct) <= 1e-12 * max(1.0, direct)
+    def test_mpmath_tail_is_the_cells_it_replaces(self):
+        # the reference with its tail in closed form from a few cells on equals it summed cell by cell
+        for d, i in [(0.2, 0.1), (0.25, 0.75), (0.0, 0.4), (0.3, 0.0)]:
+            whole = oracles.output_length_entropy_mpmath(0.9, d, i, _law_cells(0.9, d, i))
+            assert abs(oracles.output_length_entropy_mpmath(0.9, d, i, _mpmath_cells(0.9, d, i)) - whole) <= 1e-15
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.floats(1e-6, 0.995), st.floats(0.0, 0.999), st.floats(0.0, 0.999))
     @example(0.995, 0.45, 0.55)  # t = -1: the rest is exact, C = 2 a**3 / (1 - a**2)
-    @example(0.995, 0.0, 0.999)  # |b| near 1: the series stops at _CHUNK_CELLS terms, its rest bounded
+    @example(0.995, 0.0, 0.999)  # |b| near 1: 1.6e4 terms before the rest falls below 1e-18
     @example(0.995, 0.3, 0.6999999)
     @example(1e-6, 0.2, 0.1)
     @example(0.5, 5e-324, 0.0)
     def test_matches_the_direct_sum(self, gamma, d, i):
-        # never above the whole law's entropy; equal to it, within rounding, unless
-        # i / (1 - d) is so near 1 that the series stops short of its 1e-18 rest
-        # (4.1e-7 below at (0.995, 0.0, 0.999))
         if d + i > 1.0:
             d, i = i, 1.0 - i
         assume(d + i > 0.0)
         step = rl._step_law(d, i)
         direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, _law_cells(gamma, d, i))))
         got = rl._output_length_entropy(gamma, step)[0]
-        tol = 1e-12 * max(1.0, direct)
-        assert got <= direct + tol
-        if i <= 0.98 * (1.0 - d) or step[1] == 0.0:
-            assert direct - tol <= got
+        assert abs(got - direct) <= 1e-12 * max(1.0, direct)
         rows = rl._output_length_entropy(np.array([gamma, gamma]), step)[0]
         assert rows[0] == rows[1] and abs(rows[0] - got) <= 1e-14 * max(1.0, direct)
 
@@ -751,8 +755,9 @@ class TestBand:
     @example(1e-300, 0.0, 0.98)  # a step that all but never varies
     @example(0.0, 0.3, 0.9)
     def test_band_raises_the_term_by_at_most_its_slack(self, d, i, gamma):
-        # against the same term with exact rows until gamma**r < 1e-13, whose own band is negligible:
-        # never lower, up to rounding, and higher by at most the band's slack
+        # against the rows summed by fsum until gamma**n < 1e-13 and H_n past n, below the exact
+        # term by at most gamma**n (U - H_n): never lower, up to rounding, and higher by at most
+        # the band's slack; U_r >= H_r at every row up to n, and the slack holds their excess
         if d + i > 1.0:
             d, i = i, 1.0 - i
         kernel = rl._row_kernel(d, i)
@@ -764,7 +769,14 @@ class TestBand:
         assert rl._block_rows(kernel) <= start <= cfg.r_max_cap
         slack = rl._band_slack(kernel, gamma, start)
         assert slack > 0.0
-        full = float(rl._run_law_at(gamma, d, i, ab.SeriesConfig(tail_epsilon=1e-16, r_max_cap=40_000)).values())
+        n = math.ceil(math.log(1e-13) / math.log(gamma))
+        rows = rl.ROWS.entropies(kernel, n)[0]
+        band = rl._max_entropy(kernel, np.arange(start + 1.0, n + 1.0))
+        assert np.all(band >= rows[start:])
+        p = (1.0 - gamma) * np.power(gamma, np.arange(float(n)))
+        assert math.fsum((p[start:] * (band - rows[start:])).tolist()) <= slack
+        joint = math.fsum((p * rows).tolist()) + gamma ** n * float(rows[-1])
+        full = max(joint + rl._run_law_closed(gamma, d, i)[0], 0.0)
         assert full - 1e-13 <= value <= full + slack + 1e-13
 
     @pytest.mark.parametrize("d, i, gamma", [

@@ -227,9 +227,10 @@ def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=go._GRID, printed=False):
     return ab.BoundGrid(name, go._bound_params(name, d, i, alpha), gammas, ab.SeriesConfig(), printed)
 
 
-def _lb(name, d, i, alpha, gamma, diagnostics=False, printed=False):
+def _lb(name, d, i, alpha, gamma, diagnostics=False, printed=False, cfg=None):
     """The bound's lb_* at ``gamma``, called as optimize_bound calls it."""
-    return ab._BOUNDS[name].lb(go._bound_params(name, d, i, alpha), gamma, ab.SeriesConfig(), diagnostics, printed)
+    return ab._BOUNDS[name].lb(go._bound_params(name, d, i, alpha), gamma, cfg or ab.SeriesConfig(), diagnostics,
+                               printed)
 
 
 def _warm(grid):
@@ -239,11 +240,11 @@ def _warm(grid):
     return grid
 
 
-def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5):
+def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5, cfg=None):
     """optimize_bound's search with no ceiling: every grid point evaluated by the lb_* itself."""
-    grid = PointByPoint(lambda g: _lb(name, d, i, alpha, g, printed=printed).bound_bits)
+    grid = PointByPoint(lambda g: _lb(name, d, i, alpha, g, printed=printed, cfg=cfg).bound_bits)
     gamma_star, _ = maximize_over_gamma(grid, tol)
-    return _lb(name, d, i, alpha, gamma_star, diagnostics=True, printed=printed)
+    return _lb(name, d, i, alpha, gamma_star, diagnostics=True, printed=printed, cfg=cfg)
 
 
 class TestCeiling:
@@ -311,11 +312,17 @@ class TestCeiling:
         pruned = optimize_bound(name, **params)
         assert repr(pruned) == repr(_unpruned(name, **params))
 
-    @pytest.mark.parametrize("d, rows", [(0.9, 2_240), (0.93, 3_808), (0.95, 4_096)])
+    @pytest.mark.parametrize("d, rows", [(0.9, 2_240), (0.93, 3_808), (0.95, 4_928)])
     def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, cold_rows):
-        # a ruled-out probe builds no row: each solve holds the R of the points it evaluated
-        optimize_bound("deletion", d=d)
-        assert cold_rows.size <= rows
+        # a ruled-out probe builds no row: under R0 = 20 000, which caps no R of these solves, a
+        # cold solve holds fewer rows than the same search with every probe evaluated (3 808,
+        # 4 928 and 7 776 rows)
+        cfg = ab.SeriesConfig(r_max_cap=20_000)
+        optimize_bound("deletion", d=d, cfg=cfg)
+        pruned = cold_rows.size
+        cold_rows.reset()
+        _unpruned("deletion", d=d, cfg=cfg)
+        assert pruned <= rows < cold_rows.size
 
     @pytest.mark.parametrize("d, rows", [(0.8, 1_024), (0.9, 2_240), (0.947, 4_032), (0.99, 4_096)])
     def test_cold_solve_reads_exact_rows_only_up_to_the_band(self, d, rows, cold_rows):
@@ -326,7 +333,7 @@ class TestCeiling:
 
     def test_debug_record_counts_ruled_out_probes(self, cold_rows, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
-            optimize_bound("deletion", d=0.947)
+            optimize_bound("deletion", d=0.95, cfg=ab.SeriesConfig(r_max_cap=20_000))
         (record,) = [r for r in caplog.records if r.name == "delinscap"]
         message = record.getMessage()
         assert int(message.split(" probes; row table")[0].split()[-1]) >= 1
