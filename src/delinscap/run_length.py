@@ -86,8 +86,9 @@ _ROW_TRIM = 1e-30
 # of the H(L_out) series, and on that series' terms.
 _CHUNK_CELLS = 4096
 _SERIES_TERMS = 1 << 17
-# Smallest normal double: zero entries are clipped to it before the log, so
-# they contribute exactly 0 to an entropy.
+# Smallest normal double: the row table adds it to every entry before the log
+# (:func:`_kernel_powers`), so an empty cell holds it and adds about 2e-305
+# bits to a row's entropy; the series clip their zero entries to it.
 _TINY = np.finfo(float).tiny
 # Fewest rows whose weights take one exp in place of np.power (:func:`_run_weights`).
 _EXP_WEIGHTS_MIN_ROWS = 128
@@ -106,16 +107,18 @@ def _block_rows(kernel: tuple[float, ...]) -> int:
 
 
 def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
-    """The block x ((len(kernel) - 1) block + 1) matrix whose row j is
-    kernel^{*(j+1)}, zero-padded, kept read-only: the first block / 2 rows
-    by np.convolve, and the rest as the first ones times row block / 2, one
-    product with the window whose row t is that row shifted by t, as the
-    table advances its rows.  A convolution per row would cost half as much
-    again; powers from repeated doubling cost a little less, but their rows
-    sum a few ulp further from the kernel's mass, and the rows of the table
-    drift with that sum, block after block (4e-12 in H at 20,000 rows)."""
+    """The block x ((len(kernel) - 1) block + 2) matrix whose row j is
+    kernel^{*(j+1)}, zero-padded, then _TINY, kept read-only: the first
+    block / 2 rows by np.convolve, and the rest as the first ones times row
+    block / 2, one product with the window whose row t is that row shifted
+    by t, as the table advances its rows.  A convolution per row would cost
+    half as much again; powers from repeated doubling cost a little less, but
+    their rows sum a few ulp further from the kernel's mass, and the rows of
+    the table drift with that sum, block after block (4e-12 in H at 20,000
+    rows).  The last column meets the table's row of ones, so every entry of
+    a block product is at least _TINY and its log is finite."""
     steps, half = len(kernel) - 1, block // 2
-    powers, power = np.zeros((block, steps * block + 1)), np.ones(1)
+    powers, power = np.zeros((block, steps * block + 2)), np.ones(1)
     for j in range(half):
         power = np.convolve(power, kernel)
         powers[j, :power.size] = power
@@ -123,7 +126,8 @@ def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
     padded = np.zeros(power.size + 2 * shift)
     padded[shift:shift + power.size] = power
     window = as_strided(padded[shift:], (shift + 1, power.size + shift), (-padded.itemsize, padded.itemsize))
-    np.matmul(powers[:half, :shift + 1], window, out=powers[half:])
+    np.matmul(powers[:half, :shift + 1], window, out=powers[half:, :-1])
+    powers[:, -1] = _TINY
     powers.flags.writeable = False
     return powers
 
@@ -164,11 +168,14 @@ class _RowTable:
         _ROW_PAD, the B x (M + 1) matrix whose rows are kernel^{*1..B}
         (:func:`_kernel_powers`, B / 2 of them by convolution), kept with the
         rows, times the (M + 1) x n window matrix, whose row t is the base row
-        shifted by t, gives the next B rows in one product.  One log2 over the
-        product and one fused reduction (``einsum('ij,ij->i')``) of the logs
-        times the rows then give their B sums x log2 x, whose sign is turned
-        once per growth.  Every term is non-negative, so rounding stays
-        relative (:func:`_row_drift`).  Blocks start at fixed r, so a grown
+        shifted by t, gives the next B rows in one product.  The powers carry
+        one more column, _TINY, and the window one more row, of ones, so the
+        product adds _TINY to every entry: an empty cell holds _TINY, not 0,
+        and the log needs no clip.  One log2 over the product and one fused
+        reduction (``einsum('ij,ij->i')``) of the logs times the rows then
+        give their B sums x log2 x, whose sign is turned once per growth.
+        Every term is non-negative, so rounding stays relative
+        (:func:`_row_drift`).  Blocks start at fixed r, so a grown
         table is bit-identical to one built cold, and it only ever holds whole
         blocks.  A block of 32 rows of a three-step kernel would need a 64-cell
         pad, and the larger product costs more than the calls it saves.
@@ -176,8 +183,9 @@ class _RowTable:
         Per block the loop does little besides the product, the logs and the
         reduction: the window is copied from one strided view (strides -1
         and +1 cells) into the zero-padded base row, and the trim ends are
-        two argmax calls.  The window, product and padded-row buffers and the
-        H array stay with the table across growth calls of one step law.
+        two argmax calls.  The window (its row of ones written once), product,
+        log and padded-row buffers and the H array stay with the table across
+        growth calls of one step law.
 
         A row is trimmed at both ends to its entries >= _ROW_TRIM before it
         seeds the next block.  Every entry dropped is below _ROW_TRIM, so the
@@ -193,13 +201,13 @@ class _RowTable:
         if key != kernel:  # a new step law
             powers = _kernel_powers(kernel, _block_rows(kernel))
             row, h, dropped, size, self._work = np.ones(1), np.zeros(0), [], 0, None
-        block, pad = powers.shape[0], powers.shape[1] - 1
+        block, pad = powers.shape[0], powers.shape[1] - 2
         if size < n:
             stop = size + -(-(n - size) // block) * block
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
             total, counts = dropped[-1] if dropped else 0, []
-            cap, windows, products, padded, shifted = self._work or (0, None, None, None, None)
+            cap, windows, products, logs, padded, shifted = self._work or (0, None, None, None, None, None)
             for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
@@ -209,23 +217,23 @@ class _RowTable:
                 width = m + pad
                 if width > cap:  # grown by a quarter at a time, to keep the heap flat
                     cap = width + width // 4
-                    windows = np.empty(max(pad + 1, block) * cap)  # the window, then the B rows of logs
-                    products = np.empty(block * cap)
+                    windows = np.empty((pad + 2, cap))  # the window's rows cap cells apart, then the ones
+                    windows[-1] = 1.0
+                    products, logs = np.empty(block * cap), np.empty(block * cap)
                     padded = np.zeros(cap + pad)  # its first pad cells stay zero
                     # row t of ``shifted`` starts pad - t cells into ``padded``:
                     # the base row shifted by t
                     shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
                 padded[pad:pad + m] = row[lo:hi]
                 padded[pad + m:pad + width] = 0.0
-                window = windows[:(pad + 1) * width].reshape(pad + 1, width)
-                np.copyto(window, shifted[:, :width])
+                window = windows[:, :width]
+                np.copyto(window[:-1], shifted[:, :width])
                 rows = np.matmul(powers, window, out=products[:block * width].reshape(block, width))
-                logs = np.maximum(rows, _TINY, out=windows[:block * width].reshape(block, width))
-                np.log2(logs, out=logs)
-                np.einsum("ij,ij->i", logs, rows, out=h[r0:r0 + block])
+                np.einsum("ij,ij->i", np.log2(rows, out=logs[:block * width].reshape(block, width)), rows,
+                          out=h[r0:r0 + block])
                 row = rows[-1]
             np.negative(h[size:stop], out=h[size:stop])
-            self._work = (cap, windows, products, padded, shifted)
+            self._work = (cap, windows, products, logs, padded, shifted)
             dropped, size = dropped + counts, stop
             self._state = (kernel, powers, row.copy(), h, dropped, size)
         return h[:n], dropped[(n - 1) // block] * _ROW_TRIM
@@ -245,18 +253,21 @@ def _row_drift(kernel: tuple[float, ...], n: int) -> float:
     of at most three terms, so errs by gamma_{3 B / 2}; one of the other
     half sums M / 2 + 1 products of two of those, so errs by at most
     gamma_{3 B + M / 2 + 1}, M = _ROW_PAD.  A block product sums M + 1
-    products of a power and a base-row entry, so the rows of the k-th block
-    err by at most eta = gamma_{k (3 B + 3 M / 2 + 2)} relative, compounded
-    over its k <= ceil(n / B) blocks (B = :func:`_block_rows`).  A law whose
+    products of a power and a base-row entry and one more, _TINY times 1,
+    exact, so the rows of the k-th block err by at most
+    eta = gamma_{k (3 B + 3 M / 2 + 3)} relative, compounded over its
+    k <= ceil(n / B) blocks (B = :func:`_block_rows`).  A law whose
     entries move by at most eta relative moves in entropy by at most
     eta (H + log2 e (1 + eta) / (1 - eta)) <= eta (L + 2), L = log2(c) and
     c = (len(kernel) - 1) n + 1 the most cells of a row, since H <= L; the
     logs (within an ulp) and the einsum over at most c + M cells add
     gamma_{c + M + 3} (L + 2), and gamma_a + gamma_b <= gamma_{a+b}.  A
-    subnormal entry errs by at most 2**-1074, which moves H by less than
-    1e-300."""
+    subnormal entry errs by at most 2**-1074, and the _TINY in every cell,
+    an empty one included, adds at most ceil(n / B) _TINY to an entry and
+    -x log2 x <= 1100 x to H for each of its c + M cells: below 1e-290 in
+    all."""
     block, cells = _block_rows(kernel), (len(kernel) - 1) * n + 1
-    roundings = -(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 2) + cells + _ROW_PAD + 3
+    roundings = -(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 3) + cells + _ROW_PAD + 3
     return roundings * _U / (1.0 - roundings * _U) * (math.log2(cells) + 2.0)
 
 
