@@ -1,26 +1,29 @@
 """One-dimensional maximization over the source parameter gamma, and sweeps.
 
 Unimodality of the bounds in gamma is not established, so optimization is a
-coarse equispaced grid followed by golden-section refinement around the best
-grid point.  Golden section is preferred over derivative-based refinement
-because the bound functions ride on truncated series whose numerical
-derivatives are noisy at the 1e-9 level.  The returned value is always one
-the objective actually produced at the returned point, never an interpolant.
+coarse equispaced grid followed by Brent's method inside the bracket around
+the best grid point: parabolic steps through the three best values, a
+golden-section step whenever the parabola is unsafe (R. P. Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 5).  The bound
+is summed to r = infinity, its rounding about 1e-13, so a parabola through
+values 1e-3 apart in gamma is well posed.  The returned value is always one
+the objective actually produced at the returned point, never an
+interpolant.
 
 The search has one input, a bound's array form
 (:class:`~.analytic_bounds.BoundGrid`), the paper's printed deleted-run
 form included.  It evaluates the coarse grid as arrays, in the grid's fixed
 ascending chunks: a numpy call costs about as much for one gamma as for a
 hundred, and the row table and the temporaries grow only as far as the
-chunks evaluated need.  Golden section then refines through the grid's
+chunks evaluated need.  Brent's method then refines through the grid's
 float form (:meth:`~.analytic_bounds.BoundGrid.at`), the ``lb_*``'s bound
 bit for bit; the ``lb_*`` itself runs once per solve, at gamma*, for the
 report.
 
-The grid owns every ceiling: it returns None for a chunk or a golden-section
-probe that cannot beat the best value so far, and the search skips it.  A
-search thus builds only the rows its exact evaluations need, and its result
-is the unpruned search's, bit for bit.
+The grid owns every ceiling: it returns None for a chunk or a probe that
+cannot beat the threshold it is handed, and the search skips it.  A search
+thus builds only the rows its exact evaluations need, and its result is the
+unpruned search's, bit for bit.
 
 ``CHANNELS`` is the one registry of channels (CLI parameters, bounds, CSV
 term columns); everything that dispatches on a channel reads it.  A bound
@@ -44,7 +47,7 @@ from .run_length import ROWS
 __all__ = ["GAMMA_MIN", "GAMMA_MAX", "CHANNELS", "Channel", "maximize_over_gamma", "optimize_bound",
            "channel_bounds", "best_key", "sweep"]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _COARSE_POINTS = 199
 _GRID = np.array([min(max((k + 1) / (_COARSE_POINTS + 1), GAMMA_MIN), GAMMA_MAX) for k in range(_COARSE_POINTS)])
 _GRID.flags.writeable = False
@@ -95,34 +98,43 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
     ``at(gamma, beat)``).
 
     Evaluates ``values`` on the coarse grid ``gammas``, chunk by ascending
-    chunk, then golden-section refines ``at`` inside the bracket around the
-    best grid point until the interval is below ``tol``.  Returns the best
-    point evaluated and its value; a non-finite value is an error.
+    chunk, then refines by Brent's method, through ``at``, inside the bracket
+    of the best grid point's neighbours, until the bracket around the best
+    point is at most ``tol`` wide.  Returns the best point probed and its
+    value; a non-finite value is an error.
 
-    Each call hands the grid the best value so far as ``beat``, and it may
+    Each chunk is handed the best value so far as ``beat``, and the grid may
     return None only if no value it would return exceeds ``beat`` (the grid
     states its ceilings and why they hold bit for bit); the search then
-    skips the chunk or the probe.  At best that point would tie, and a tie
-    never displaces the earlier first argmax.  The chunks do not depend on
-    the pruning, so the bracket, every golden-section step and the result
-    are those of the unpruned grid, bit for bit.
+    skips the chunk.  At best that point would tie, and a tie never
+    displaces the earlier first argmax.  The chunks do not depend on the
+    pruning, so the grid argmax and its bracket are the unpruned grid's.
 
-    Golden section keeps a lower probe x1 < x2 and evaluates its upper probe
-    x2 only to compare f2 with f1: f1 >= f2 drops x2, else x1 (J. Kiefer,
-    "Sequential minimax search for a maximum", 1953).  Every value
-    evaluated, the first pair's included, is compared with the best value,
-    a tie never displacing the earlier argmax, so the best value is at
-    least f1.  An upper probe is handed f1 as ``beat``: if it is ruled out,
-    f2 <= f1 is certain and f2 is taken as -inf unevaluated, which takes the
-    branch that drops x2, ties included, as the real f2 would, and cannot
-    move the best point.  Lower probes are handed nothing: each lies below a
-    point already evaluated, so the row table already holds its rows.
+    The refinement keeps Brent's best point x, the runner-up w and the
+    point v before it, and every value comes from ``at``: x starts at the
+    grid argmax with ``at``'s value there, not the grid's, which may differ
+    in the last bits.  Steps are at least tol / 4, and the search stops once
+    x lies within tol / 2 of both ends of the bracket.  A probe u's value
+    changes the state only through whether it exceeds a threshold fixed
+    before the probe, its ``beat``: min(f(w), f(v)) once x, w and v are
+    distinct; f(x) before that for a u above x, which then takes only a
+    value above f(x); none (-inf) for a u below x, whose rows the table
+    already holds, since the row table grows with gamma.  A value at or
+    below its threshold only moves the bracket's end to u, so a probe the
+    grid rules out takes -inf in its place and the state is the unpruned
+    search's, bit for bit: the comparisons with f(x), f(w) and f(v) are
+    strict, and a tie never displaces x.
+
+    If the bracket still ends at GAMMA_MIN or GAMMA_MAX when the search
+    stops, x has run into that end, and the end itself is probed (handed
+    f(x)): it is x if its value is larger.
 
     With the ``delinscap`` logger at DEBUG, the search logs one record at its
     end: grid points and chunks evaluated and skipped (by any ceiling), the
-    grid argmax and the golden-section bracket, then the chunks the
-    row-bounded ceiling skipped (a grid's ``row_skips``, 0 for a grid without
-    one) and the upper probes ruled out, and the rows the row table holds.
+    grid argmax and its bracket, the exact probes after the grid, then the
+    chunks the row-bounded ceiling skipped (a grid's ``row_skips``, 0 for a
+    grid without one) and the probes ruled out, and the rows the row table
+    holds.
     """
     if not tol >= 1e-9:  # NaN included
         raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
@@ -142,47 +154,73 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
         for j, (g, v) in enumerate(zip(gammas[chunk].tolist(), values.tolist()), chunk.start):
             if checked(g, v) > best_v:
                 b, best_v = j, v
-    grid_g = best_g = float(gammas[b])
+    x = float(gammas[b])
+    lo = float(gammas[b - 1]) if b > 0 else GAMMA_MIN
+    hi = float(gammas[b + 1]) if b < gammas.size - 1 else GAMMA_MAX
+    bracket = lo, hi
+    probes = probe_skips = 0
 
-    a = float(gammas[b - 1]) if b > 0 else GAMMA_MIN
-    c = float(gammas[b + 1]) if b < gammas.size - 1 else GAMMA_MAX
-    bracket = a, c
-    x1 = c - _INVPHI * (c - a)
-    x2 = a + _INVPHI * (c - a)
-    probe_skips = 0
-
-    def probe(x: float, beat: float = -math.inf) -> float:
-        """The objective at ``x``, taken as the best if it is, or -inf if ruled out as at most ``beat``."""
-        nonlocal best_g, best_v, probe_skips
-        v = grid.at(x, beat)
-        if v is None:
+    def probe(u: float, beat: float = -math.inf) -> float:
+        """The objective at ``u``, or -inf if ruled out as at most ``beat``."""
+        nonlocal probes, probe_skips
+        fu = grid.at(u, beat)
+        if fu is None:
             probe_skips += 1
             return -math.inf
-        if checked(x, v) > best_v:
-            best_g, best_v = x, v
-        return v
+        probes += 1
+        return checked(u, fu)
 
-    f1 = probe(x1)
-    f2 = probe(x2, f1)
-    while c - a > tol:
-        if f1 >= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _INVPHI * (c - a)
-            f1 = probe(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (c - a)
-            f2 = probe(x2, f1)
+    w = v = x
+    fx = fw = fv = probe(x)
+    step = last = 0.0  # the step just taken, and the one before it or a golden step's segment
+    small = tol / 4.0  # the least step
+    while max(x - lo, hi - x) > 2.0 * small:
+        mid = 0.5 * (lo + hi)
+        golden = True
+        if abs(last) > small:  # a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * last) and q * (lo - x) < p < q * (hi - x):
+                golden = False
+                last, step = step, p / q
+                if x + step - lo < 2.0 * small or hi - (x + step) < 2.0 * small:
+                    step = math.copysign(small, mid - x)
+        if golden:
+            last = (lo if x >= mid else hi) - x
+            step = _CGOLD * last
+        u = x + (step if abs(step) >= small else math.copysign(small, step))
+        distinct = x != w and x != v and w != v
+        beat = min(fw, fv) if distinct else (fx if u > x else -math.inf)
+        fu = probe(u, beat)
+        if fu > fx:  # u is the best point, and x an end of its bracket
+            lo, hi = (lo, x) if u < x else (x, hi)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+            continue
+        lo, hi = (u, hi) if u < x else (lo, u)
+        if fu <= beat:  # ruled out or not, only the bracket moves
+            continue
+        if fu > fw or w == x:
+            v, w, fv, fw = w, u, fw, fu
+        elif fu > fv or v == x or v == w:
+            v, fv = u, fu
+    for end, at_end in ((GAMMA_MIN, lo), (GAMMA_MAX, hi)):
+        if at_end == end and (fe := probe(end, fx)) > fx:
+            x, fx = end, fe
     # Until something imports logging, no handler exists for a record to reach;
     # importing it here would add ~0.5 MiB and a few ms to every start-up.
     if (logging := sys.modules.get("logging")) is not None:
         logging.getLogger("delinscap").debug(
             "gamma grid: %d points evaluated, %d skipped by the ceilings; %d chunks evaluated, %d skipped; "
-            "argmax %r; bracket [%r, %r]; the row-bounded ceiling skipped %d chunks and %d probes; "
-            "row table %d rows",
-            gammas.size - sum(skipped), sum(skipped), len(grid.chunks) - len(skipped), len(skipped), grid_g,
-            *bracket, getattr(grid, "row_skips", 0), probe_skips, ROWS.size)
-    return best_g, best_v
+            "argmax %r; bracket [%r, %r]; %d exact probes; the row-bounded ceiling skipped %d chunks and "
+            "%d probes; row table %d rows",
+            gammas.size - sum(skipped), sum(skipped), len(grid.chunks) - len(skipped), len(skipped),
+            float(gammas[b]), *bracket, probes, getattr(grid, "row_skips", 0), probe_skips, ROWS.size)
+    return x, fx
 
 
 def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float = 1.0,

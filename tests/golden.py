@@ -17,9 +17,11 @@ so the move shows as a reviewed diff:
     PYTHONPATH=src python tests/golden.py
 
 and ``--diff`` prints, without writing, how far the numbers moved from the
-committed file: the largest |move| of each column and how many cases moved,
-and in how many ``gamma_star`` did (the summary a failing test gives too),
-and one line for each case whose ``gamma_star`` moved or whose
+committed file: the largest |move| of each column, in how many cases it
+moved up and in how many down (and for ``bound_bits`` its most negative
+move), how many cases moved, and in how many ``gamma_star`` did (the
+summary a failing test gives too), and one line for each case whose
+``gamma_star`` moved or whose
 ``bound_bits`` moved by more than its committed ``error_budget``: its old
 and new ``gamma_star`` and ``bound_bits``, and its old ``error_budget``.
 It exits 1 when such a line appears: a regeneration meant to move numbers
@@ -230,12 +232,14 @@ def _columns(record: dict) -> dict[str, float]:
     return out
 
 
-def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, float], list[str]]:
-    """(cases moved, cases whose ``gamma_star`` moved, the largest |move| of
-    each column that moved, a line for each case whose ``gamma_star`` moved
-    or whose ``bound_bits`` moved by more than its committed
-    ``error_budget``), for the same cases in order."""
-    largest: dict[str, float] = {}
+def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, list], list[str]]:
+    """(cases moved, cases whose ``gamma_star`` moved, for each column that
+    moved its largest |move|, how many cases it moved up and down in and its
+    most negative move, a line for each case whose ``gamma_star`` moved or
+    whose ``bound_bits`` moved by more than its committed
+    ``error_budget``), for the same cases in order.  A column on one side
+    only moves by inf, neither up nor down."""
+    columns: dict[str, list] = {}
     moved = gamma_moved = 0
     flagged = []
     for e, g in zip(expected, got):
@@ -245,26 +249,33 @@ def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, f
         gamma_moved += e["gamma_star"] != g["gamma_star"]
         ce, cg = _columns(e), _columns(g)
         for key in ce.keys() | cg.keys():
-            move = abs(cg[key] - ce[key]) if key in ce and key in cg else math.inf
-            if move > 0.0:
-                largest[key] = max(largest.get(key, 0.0), move)
+            move = cg[key] - ce[key] if key in ce and key in cg else math.nan
+            if move != 0.0:
+                column = columns.setdefault(key, [0.0, 0, 0, 0.0])
+                column[0] = max(column[0], math.inf if math.isnan(move) else abs(move))
+                column[1] += move > 0.0
+                column[2] += move < 0.0
+                column[3] = min(column[3], move) if move < 0.0 else column[3]
         if e["gamma_star"] != g["gamma_star"] or not abs(cg["bound_bits"] - ce["bound_bits"]) <= ce["error_budget"]:
             flagged.append(f"  {e['case']}: gamma_star {e['gamma_star']} -> {g['gamma_star']}; "
                            f"bound_bits {e['bound_bits']} -> {g['bound_bits']}; error_budget {e['error_budget']}")
-    return moved, gamma_moved, largest, flagged
+    return moved, gamma_moved, columns, flagged
 
 
 def summary(expected: list[dict], got: list[dict]) -> str:
     """How ``got`` moved from ``expected``, case by case: how many cases
     moved, in how many ``gamma_star`` did, the largest |move| of each
-    column that moved (inf where a column is on one side only), and one
-    line for each case whose ``gamma_star`` moved or whose ``bound_bits``
-    moved by more than its committed ``error_budget``."""
+    column that moved (inf where a column is on one side only) and in how
+    many cases it moved up and down, ``bound_bits``' most negative move if
+    one fell, and one line for each case whose ``gamma_star`` moved or whose
+    ``bound_bits`` moved by more than its committed ``error_budget``."""
     if [r["case"] for r in got] != [r["case"] for r in expected]:
         return f"the cases differ: {len(expected)} expected, {len(got)} computed"
-    moved, gamma_moved, largest, flagged = _moves(expected, got)
+    moved, gamma_moved, columns, flagged = _moves(expected, got)
     lines = [f"{moved} of {len(expected)} cases moved; gamma_star moved in {gamma_moved}"]
-    lines += [f"  {key}: largest |move| {move!r}" for key, move in sorted(largest.items())]
+    for key, (largest, up, down, lowest) in sorted(columns.items()):
+        lines.append(f"  {key}: largest |move| {largest!r}; {up} up, {down} down"
+                     + (f"; most negative move {lowest!r}" if key == "bound_bits" and down else ""))
     return "\n".join(lines + flagged)
 
 

@@ -67,12 +67,33 @@ class TestMaximize:
         assert min(seen) >= GAMMA_MIN and max(seen) <= GAMMA_MAX
 
     @pytest.mark.parametrize("probe", [0, 1])
-    def test_best_point_of_the_first_golden_section_pair_is_returned(self, probe):
-        # grid argmax 0.5, bracket [0.495, 0.505]; a spike at one probe of the
-        # first pair that no later probe comes near
-        a, c = float(go._GRID[98]), float(go._GRID[100])
-        x = (c - go._INVPHI * (c - a), a + go._INVPHI * (c - a))[probe]
-        assert maximize_over_gamma(PointByPoint(lambda g: 1.0 if g == x else -(g - 0.5) ** 2)) == (x, 1.0)
+    def test_best_point_of_an_early_refinement_probe_is_returned(self, probe):
+        # grid argmax 0.5, bracket [0.495, 0.505]; a spike at one of the refinement's first two
+        # probes off the grid, which no later probe comes near
+        fn = lambda g: -(g - 0.5) ** 2
+        grid = _Recording(PointByPoint(fn))
+        maximize_over_gamma(grid)
+        x = [g for g in grid.probed if g not in go._GRID.tolist()][probe]
+        assert maximize_over_gamma(PointByPoint(lambda g: 1.0 if g == x else fn(g))) == (x, 1.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(GAMMA_MIN, GAMMA_MAX), st.floats(1.0, 4.0))
+    @example(GAMMA_MIN, 1.0)
+    @example(GAMMA_MAX, 1.0)
+    @example(0.5, 4.0)  # the grid point itself
+    @example(0.5025, 1.0)  # halfway between two grid points
+    def test_finds_a_peak_anywhere_within_tol(self, c, power):
+        # a kink at p = 1, flat at p = 4: parabolic steps fail and golden-section ones take over
+        grid = _Recording(PointByPoint(lambda g: -abs(g - c) ** power))
+        g, _ = maximize_over_gamma(grid)
+        assert abs(g - c) <= 1e-5 and len(grid.probed) <= 40
+
+    @pytest.mark.parametrize("fn", [lambda g: g, lambda g: -1.0 / g, lambda g: math.log(g)])
+    def test_a_bound_that_rises_to_the_end_takes_the_end(self, fn):
+        grid = _Recording(PointByPoint(fn))
+        assert maximize_over_gamma(grid) == (GAMMA_MAX, fn(GAMMA_MAX)) and len(grid.probed) <= 40
+        grid = _Recording(PointByPoint(lambda g: fn(1.0 - g)))
+        assert maximize_over_gamma(grid) == (GAMMA_MIN, fn(1.0 - GAMMA_MIN)) and len(grid.probed) <= 40
 
     def test_returns_the_largest_value_evaluated(self):
         # at this point the first lower probe's value stays above the best for three steps
@@ -84,10 +105,11 @@ class TestMaximize:
 
 class _Recording:
     """A :class:`~delinscap.analytic_bounds.BoundGrid` that records every
-    value its grid form and its float form return."""
+    value its grid form and its float form return, and every gamma its float
+    form is asked for."""
 
     def __init__(self, grid):
-        self._grid, self.seen = grid, []
+        self._grid, self.seen, self.probed = grid, [], []
         self.gammas, self.chunks = grid.gammas, grid.chunks
 
     def values(self, chunk, beat):
@@ -96,6 +118,7 @@ class _Recording:
         return values
 
     def at(self, gamma, beat=-math.inf):
+        self.probed.append(gamma)
         value = self._grid.at(gamma, beat)
         self.seen += [] if value is None else [value]
         return value
@@ -312,17 +335,19 @@ class TestCeiling:
         pruned = optimize_bound(name, **params)
         assert repr(pruned) == repr(_unpruned(name, **params))
 
-    @pytest.mark.parametrize("d, rows", [(0.9, 2_240), (0.93, 3_808), (0.95, 4_928)])
-    def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, cold_rows):
+    @pytest.mark.parametrize("d, rows, fewer", [(0.9, 2_016, True), (0.93, 3_808, False), (0.95, 4_160, True)])
+    def test_cold_high_gamma_solve_builds_no_rows_for_ruled_out_probes(self, d, rows, fewer, cold_rows):
         # a ruled-out probe builds no row: under R0 = 20 000, which caps no R of these solves, a
-        # cold solve holds fewer rows than the same search with every probe evaluated (3 808,
-        # 4 928 and 7 776 rows)
+        # cold solve holds no more rows than the same search with every probe evaluated (3 808,
+        # 3 808 and 6 016 rows), and fewer at d = 0.9 and 0.95; at d = 0.93 the probes that beat
+        # their thresholds read as far as the ruled-out ones would
         cfg = ab.SeriesConfig(r_max_cap=20_000)
         optimize_bound("deletion", d=d, cfg=cfg)
         pruned = cold_rows.size
         cold_rows.reset()
         _unpruned("deletion", d=d, cfg=cfg)
-        assert pruned <= rows < cold_rows.size
+        assert pruned <= rows <= cold_rows.size
+        assert pruned < cold_rows.size or not fewer
 
     @pytest.mark.parametrize("d, rows", [(0.8, 1_024), (0.9, 2_240), (0.947, 4_032), (0.99, 4_096)])
     def test_cold_solve_reads_exact_rows_only_up_to_the_band(self, d, rows, cold_rows):
@@ -330,6 +355,17 @@ class TestCeiling:
         # 20 000 rows, when rows were read up to r_max and the printed form up to 20 000
         optimize_bound("deletion", d=d)
         assert cold_rows.size <= rows <= ab.SeriesConfig().r_max_cap
+
+    @pytest.mark.parametrize("name, params", [
+        ("deletion", {"d": 0.1}), ("deletion", {"d": 0.5}), ("deletion", {"d": 0.9}), ("deletion", {"d": 0.95}),
+        ("insertion_lb2", {"i": 0.3, "alpha": 0.8}), ("delins", {"d": 0.7, "i": 0.1, "alpha": 0.9}),
+    ])
+    def test_refinement_takes_few_exact_probes(self, name, params, caplog):
+        # golden section took 17 exact probes at every point; this one counts the grid argmax's too
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            optimize_bound(name, **params)
+        (record,) = [r for r in caplog.records if r.name == "delinscap"]
+        assert 1 <= int(record.getMessage().split(" exact probes")[0].split()[-1]) <= 10
 
     def test_debug_record_counts_ruled_out_probes(self, cold_rows, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
@@ -613,6 +649,16 @@ def _capacity(name, d):
     return 1.0 - d if name in ("deletion", "delins") else 1.0
 
 
+def _optimized_bounds(test):
+    """``test`` over the optimized bounds' domain: any bound, d and i up to
+    0.99 (swapped into d + i <= 1 by the test) and any alpha."""
+    for args in [("deletion", 0.99, 0.0, 1.0), ("delins", 0.45, 0.55, 0.5), ("delins", 0.5, 0.3, 0.8)]:
+        test = example(*args)(test)
+    test = given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.99), st.floats(0.0, 0.99),
+                 st.floats(0.0, 1.0))(test)
+    return settings(max_examples=25, deadline=None, derandomize=True)(test)
+
+
 class TestCapacityEnvelope:
     """Every bound, at any gamma and at gamma*, lies below its channel's
     capacity, up to its own error budget and 1e-12: the terms are O(1) bits
@@ -635,13 +681,19 @@ class TestCapacityEnvelope:
         res = _lb(name, d, i, alpha, gamma)
         assert res.bound_bits <= _capacity(name, go._bound_params(name, d, i, alpha).d) + res.error_budget + 1e-12
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.99), st.floats(0.0, 0.99), st.floats(0.0, 1.0))
-    @example("deletion", 0.99, 0.0, 1.0)
-    @example("delins", 0.45, 0.55, 0.5)
-    @example("delins", 0.5, 0.3, 0.8)
+    @_optimized_bounds
     def test_optimized_bound(self, name, d, i, alpha):
         if d + i > 1.0:
             d, i = i, 1.0 - i
         res = optimize_bound(name, d=d, i=i, alpha=alpha)
         assert res.bound_bits <= _capacity(name, go._bound_params(name, d, i, alpha).d) + res.error_budget + 1e-12
+
+    @_optimized_bounds
+    def test_gamma_star_is_a_local_maximum(self, name, d, i, alpha):
+        # the benchmark's check of every bound it solves: no gamma 1e-4 away beats gamma*
+        if d + i > 1.0:
+            d, i = i, 1.0 - i
+        res = optimize_bound(name, d=d, i=i, alpha=alpha)
+        for gamma in (res.gamma_star - 1e-4, res.gamma_star + 1e-4):
+            if GAMMA_MIN <= gamma <= GAMMA_MAX:
+                assert _lb(name, d, i, alpha, gamma).bound_bits <= res.bound_bits + 1e-9

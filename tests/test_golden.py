@@ -37,8 +37,8 @@ def test_summary_gives_the_largest_move_per_column():
     got[2]["terms"][name] = repr(float(got[2]["terms"][name]) + 0.5)
     lines = golden.summary(expected, got).splitlines()
     assert lines[0] == "2 of 3 cases moved; gamma_star moved in 0"
-    assert sorted(lines[1:]) == sorted([f"  bound_bits: largest |move| {math.ulp(float(expected[1]['bound_bits']))!r}",
-                                        f"  {name}: largest |move| 0.5"])
+    assert sorted(lines[1:]) == sorted([f"  bound_bits: largest |move| {math.ulp(float(expected[1]['bound_bits']))!r}"
+                                        "; 1 up, 0 down", f"  {name}: largest |move| 0.5; 1 up, 0 down"])
     assert golden.summary(expected, expected).splitlines() == ["0 of 3 cases moved; gamma_star moved in 0"]
     assert golden.moved_by_rounding(expected, got) and golden.moved_by_rounding(expected, expected)
     # a bound_bits move past the case's own error_budget gets a line of its own, and fails the gate
@@ -46,6 +46,8 @@ def test_summary_gives_the_largest_move_per_column():
     got[2]["bound_bits"] = repr(float(got[2]["bound_bits"]) - 2.0 * float(budget))
     lines = golden.summary(expected, got).splitlines()
     assert lines[0] == "2 of 3 cases moved; gamma_star moved in 0"
+    fall = float(got[2]["bound_bits"]) - float(expected[2]["bound_bits"])
+    assert f"  bound_bits: largest |move| {-fall!r}; 1 up, 1 down; most negative move {fall!r}" in lines
     e = expected[2]
     assert lines[-1] == (f"  {e['case']}: gamma_star {e['gamma_star']} -> {e['gamma_star']}; "
                          f"bound_bits {e['bound_bits']} -> {got[2]['bound_bits']}; error_budget {budget}")
@@ -56,7 +58,7 @@ def test_summary_gives_the_largest_move_per_column():
     lines = golden.summary(expected, got).splitlines()
     assert lines[0] == "1 of 3 cases moved; gamma_star moved in 1"
     e = expected[0]
-    assert lines[1:] == [f"  gamma_star: largest |move| {math.ulp(float(e['gamma_star']))!r}",
+    assert lines[1:] == [f"  gamma_star: largest |move| {math.ulp(float(e['gamma_star']))!r}; 1 up, 0 down",
                          f"  {e['case']}: gamma_star {e['gamma_star']} -> {got[0]['gamma_star']}; "
                          f"bound_bits {e['bound_bits']} -> {e['bound_bits']}; error_budget {e['error_budget']}"]
     assert not golden.moved_by_rounding(expected, got)
