@@ -183,9 +183,10 @@ class _RowTable:
         Per block the loop does little besides the product, the logs and the
         reduction: the window is copied from one strided view (strides -1
         and +1 cells) into the zero-padded base row, and the trim ends are
-        two argmax calls.  The window (its row of ones written once), product,
-        log and padded-row buffers and the H array stay with the table across
-        growth calls of one step law.
+        two argmax calls, and the row of ones is one fill.  The window
+        buffer, which then takes the logs, the product and padded-row buffers
+        and the H array stay with the table across growth calls of one step
+        law.
 
         A row is trimmed at both ends to its entries >= _ROW_TRIM before it
         seeds the next block.  Every entry dropped is below _ROW_TRIM, so the
@@ -207,7 +208,7 @@ class _RowTable:
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
             total, counts = dropped[-1] if dropped else 0, []
-            cap, windows, products, logs, padded, shifted = self._work or (0, None, None, None, None, None)
+            cap, windows, products, padded, shifted = self._work or (0, None, None, None, None)
             for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
@@ -217,23 +218,23 @@ class _RowTable:
                 width = m + pad
                 if width > cap:  # grown by a quarter at a time, to keep the heap flat
                     cap = width + width // 4
-                    windows = np.empty((pad + 2, cap))  # the window's rows cap cells apart, then the ones
-                    windows[-1] = 1.0
-                    products, logs = np.empty(block * cap), np.empty(block * cap)
+                    windows = np.empty(max(pad + 2, block) * cap)  # the window, then the B rows of logs
+                    products = np.empty(block * cap)
                     padded = np.zeros(cap + pad)  # its first pad cells stay zero
                     # row t of ``shifted`` starts pad - t cells into ``padded``:
                     # the base row shifted by t
                     shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
                 padded[pad:pad + m] = row[lo:hi]
                 padded[pad + m:pad + width] = 0.0
-                window = windows[:, :width]
+                window = windows[:(pad + 2) * width].reshape(pad + 2, width)
                 np.copyto(window[:-1], shifted[:, :width])
+                window[-1] = 1.0
                 rows = np.matmul(powers, window, out=products[:block * width].reshape(block, width))
-                np.einsum("ij,ij->i", np.log2(rows, out=logs[:block * width].reshape(block, width)), rows,
+                np.einsum("ij,ij->i", np.log2(rows, out=windows[:block * width].reshape(block, width)), rows,
                           out=h[r0:r0 + block])
                 row = rows[-1]
             np.negative(h[size:stop], out=h[size:stop])
-            self._work = (cap, windows, products, logs, padded, shifted)
+            self._work = (cap, windows, products, padded, shifted)
             dropped, size = dropped + counts, stop
             self._state = (kernel, powers, row.copy(), h, dropped, size)
         return h[:n], dropped[(n - 1) // block] * _ROW_TRIM
