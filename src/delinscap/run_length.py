@@ -263,10 +263,10 @@ def _row_drift(kernel: tuple[float, ...], n: int) -> float:
     c = (len(kernel) - 1) n + 1 the most cells of a row, since H <= L; the
     logs (within an ulp) and the einsum over at most c + M cells add
     gamma_{c + M + 3} (L + 2), and gamma_a + gamma_b <= gamma_{a+b}.  A
-    subnormal entry errs by at most 2**-1074, and the _TINY in every cell,
-    an empty one included, adds at most ceil(n / B) _TINY to an entry and
-    -x log2 x <= 1100 x to H for each of its c + M cells: below 1e-290 in
-    all."""
+    subnormal entry errs by at most 2**-1074.  The _TINY each block adds to
+    every cell, an empty one included, leaves an entry at most
+    ceil(n / B) _TINY above its value without it, which moves H by at most
+    1100 times that per cell: below 1e-290 over the c + M cells."""
     block, cells = _block_rows(kernel), (len(kernel) - 1) * n + 1
     roundings = -(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 3) + cells + _ROW_PAD + 3
     return roundings * _U / (1.0 - roundings * _U) * (math.log2(cells) + 2.0)

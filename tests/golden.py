@@ -232,14 +232,12 @@ def _columns(record: dict) -> dict[str, float]:
     return out
 
 
-def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, list], list[str]]:
-    """(cases moved, cases whose ``gamma_star`` moved, for each column that
-    moved its largest |move|, how many cases it moved up and down in and its
-    most negative move, a line for each case whose ``gamma_star`` moved or
-    whose ``bound_bits`` moved by more than its committed
-    ``error_budget``), for the same cases in order.  A column on one side
-    only moves by inf, neither up nor down."""
-    columns: dict[str, list] = {}
+def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, list[float]], list[str]]:
+    """(cases moved, cases whose ``gamma_star`` moved, each moved column's
+    signed moves, nan where the column is on one side only, a line for each
+    case whose ``gamma_star`` moved or whose ``bound_bits`` moved by more
+    than its committed ``error_budget``), for the same cases in order."""
+    columns: dict[str, list[float]] = {}
     moved = gamma_moved = 0
     flagged = []
     for e, g in zip(expected, got):
@@ -251,11 +249,7 @@ def _moves(expected: list[dict], got: list[dict]) -> tuple[int, int, dict[str, l
         for key in ce.keys() | cg.keys():
             move = cg[key] - ce[key] if key in ce and key in cg else math.nan
             if move != 0.0:
-                column = columns.setdefault(key, [0.0, 0, 0, 0.0])
-                column[0] = max(column[0], math.inf if math.isnan(move) else abs(move))
-                column[1] += move > 0.0
-                column[2] += move < 0.0
-                column[3] = min(column[3], move) if move < 0.0 else column[3]
+                columns.setdefault(key, []).append(move)
         if e["gamma_star"] != g["gamma_star"] or not abs(cg["bound_bits"] - ce["bound_bits"]) <= ce["error_budget"]:
             flagged.append(f"  {e['case']}: gamma_star {e['gamma_star']} -> {g['gamma_star']}; "
                            f"bound_bits {e['bound_bits']} -> {g['bound_bits']}; error_budget {e['error_budget']}")
@@ -273,9 +267,11 @@ def summary(expected: list[dict], got: list[dict]) -> str:
         return f"the cases differ: {len(expected)} expected, {len(got)} computed"
     moved, gamma_moved, columns, flagged = _moves(expected, got)
     lines = [f"{moved} of {len(expected)} cases moved; gamma_star moved in {gamma_moved}"]
-    for key, (largest, up, down, lowest) in sorted(columns.items()):
-        lines.append(f"  {key}: largest |move| {largest!r}; {up} up, {down} down"
-                     + (f"; most negative move {lowest!r}" if key == "bound_bits" and down else ""))
+    for key, moves in sorted(columns.items()):
+        largest = max(math.inf if math.isnan(m) else abs(m) for m in moves)
+        falls = [m for m in moves if m < 0.0]
+        lines.append(f"  {key}: largest |move| {largest!r}; {sum(m > 0.0 for m in moves)} up, {len(falls)} down"
+                     + (f"; most negative move {min(falls)!r}" if key == "bound_bits" and falls else ""))
     return "\n".join(lines + flagged)
 
 
