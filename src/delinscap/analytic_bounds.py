@@ -46,8 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, binary_entropy, xlog2
-from .run_length import (SeriesConfig, _band, _block_rows, _grid_plan, _row_kernel, _run_law_at, _run_law_closed,
-                         _RunLawChunk, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H, run_law_duplication_H)
+from .run_length import (SeriesConfig, _band, _block_rows, _floor_margin, _grid_plan, _row_kernel, _run_law_at,
+                         _run_law_closed, _RunLawChunk, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H,
+                         run_law_duplication_H)
 
 __all__ = [
     "SeriesConfig",
@@ -438,26 +439,21 @@ class BoundGrid:
 
     Given a value to ``beat``, :meth:`values` and :meth:`at` return None when
     a ceiling, at least every value they would return bit for bit, is at most
-    ``beat``; the table does not grow then.  There are three:
-
-    - source plus credit (:meth:`values`): every penalty is a conditional
-      entropy, >= 0, so the source and credit terms summed in order from the
-      same arrays are at least the bound, since the bound adds its terms in
-      order and round-to-nearest is monotone.  The printed form has none: a
-      printed penalty may be negative.
-    - row-bounded (:meth:`values`), when the chunk needs rows the table
-      lacks: the bound with the run-length entropy's floor from the rows held
-      (:meth:`~.run_length._RunLawChunk.floor`) in its place, which is at
-      most that entropy bit for bit.  The rest of the term and of the bound
-      is the same floating-point operations on the same arrays, each
-      monotone in that entropy whatever the signs of the other terms, so the
-      bound built on the floor is at least the one built on the values.  ``row_skips``
-      counts the chunks it ruled out.
-    - the same at a float gamma (:meth:`at`): a float gamma is a chunk of
-      one point, so its floor, by the same proof, is at most the ``lb_*``'s
-      run-length entropy bit for bit.  One float chunk
-      (:func:`~.run_length._run_law_at`) builds its weights and
-      H(L_X) - H(L_out) once and gives both the floor and the value.
+    ``beat``; the table does not grow then.  There is one rule: the bound
+    with a floor of the run-length entropy (:meth:`~.run_length._RunLawChunk.floor`)
+    in its place.  The floor is at most that entropy bit for bit, and the
+    rest of the bound is the same floating-point operations on the same
+    arrays, each monotone in that entropy whatever the signs of the other
+    terms, so the bound built on the floor is at least the one built on the
+    values.  :meth:`values` first takes the zero-row floor
+    max(H(L_X) - H(L_out) - M, 0), M the margin at the grid's largest R
+    (infinite with no row kernel, where the values are 0), over the whole
+    grid once, when it is built; then, if the chunk needs rows the table
+    lacks, the floor from the rows held, whose skips ``row_skips`` counts.
+    Without a run-length term (LB 1) the ceilings are the values.  :meth:`at`
+    takes the floor from the rows held: a float gamma is a chunk of one
+    point (:func:`~.run_length._run_law_at`), which builds its weights and
+    H(L_X) - H(L_out) once for both the floor and the value.
     """
 
     def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
@@ -468,27 +464,26 @@ class BoundGrid:
         k = terms.index(None) if None in terms else len(terms)
         kernel = _row_kernel(params.d, params.i)
         self._plan = _grid_plan(cfg, tuple(gammas.tolist()), _block_rows(kernel))
-        self.gammas, self.chunks, self.row_skips, self._ceilings = gammas, self._plan.chunks, 0, None
-        if not any(t.role.sign and t.role.signed for t in terms if t is not None):
-            self._ceilings = _signed_sum([t for t in terms if t is not None and t.role.sign > 0])
+        self.gammas, self.chunks, self.row_skips = gammas, self._plan.chunks, 0
         self._head, self._tail = _signed_sum(terms[:k]), terms[k + 1:]
-        self._cfg, self._run, self._closed, self._band = cfg, None, None, None
-        if k < len(terms):  # H(L_X) - H(L_out), and the band past each gamma's R
+        self._cfg, self._run, self._closed, self._band, floor = cfg, None, None, None, None
+        if k < len(terms):  # H(L_X) - H(L_out), the band past each gamma's R, and the zero-row floor
             self._run = params.d, params.i
             self._closed = _run_law_closed(gammas, params.d, params.i)[0]
             self._band = _band(kernel, gammas, self._plan.starts, cfg)
+            margin = _floor_margin(kernel, int(self._plan.starts.max())) if kernel else math.inf
+            floor = np.maximum(self._closed - margin, 0.0)
+        self._ceilings = self._assemble(slice(None), floor)
 
-    def values(self, chunk: slice | None = None, beat: float = -math.inf) -> np.ndarray | None:
+    def values(self, chunk: slice, beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when a ceiling shows that
         no value there exceeds ``beat``; the chunk's one p_r matrix serves
-        both the row-bounded ceiling and the values.  With no chunk, the
-        bound at every gamma, the plan's chunks in turn."""
-        if self._ceilings is not None and np.max(self._ceilings[chunk or slice(None)]) <= beat:
+        both the row-bounded ceiling and the values."""
+        ceilings = self._ceilings[chunk]
+        if np.max(ceilings) <= beat:
             return None
-        if chunk is None:
-            return np.concatenate([self.values(c) for c in self.chunks])
         if self._run is None:
-            return self._assemble(chunk, None)
+            return ceilings
         run = self._run_law(chunk)
         if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
             self.row_skips += 1

@@ -151,9 +151,12 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
         if values is None:
             skipped.append(chunk.stop - chunk.start)
             continue
-        for j, (g, v) in enumerate(zip(gammas[chunk].tolist(), values.tolist()), chunk.start):
-            if checked(g, v) > best_v:
-                b, best_v = j, v
+        if not np.isfinite(values).all():  # an error at the first non-finite value
+            k = int(np.isfinite(values).argmin())
+            checked(float(gammas[chunk.start + k]), float(values[k]))
+        j = int(np.argmax(values))  # the first argmax
+        if values[j] > best_v:
+            b, best_v = chunk.start + j, float(values[j])
     x = float(gammas[b])
     lo = float(gammas[b - 1]) if b > 0 else GAMMA_MIN
     hi = float(gammas[b + 1]) if b < gammas.size - 1 else GAMMA_MAX

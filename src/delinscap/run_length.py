@@ -135,7 +135,7 @@ def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
 class _RowTable:
     """The rows of the most recent step law (:meth:`entropies`); :data:`ROWS`
     is the one table.  A new step law replaces its state (kernel, its
-    powers, last row, H, dropped counts, size) whole, and growth only writes
+    powers, last row, H, size) whole, and growth only writes
     past the rows held, so a reader never sees a kernel paired with another
     kernel's rows, nor a row it read change."""
 
@@ -144,23 +144,22 @@ class _RowTable:
 
     def reset(self) -> None:
         """Forget every row, as at import."""
-        self._state = (None, None, np.ones(1), np.zeros(0), [], 0)
+        self._state = (None, None, np.ones(1), np.zeros(0), 0)
         self._work = None
 
     @property
     def size(self) -> int:
         """Rows held now, a multiple of the kernel's block (:func:`_block_rows`)."""
-        return self._state[5]
+        return self._state[4]
 
     def held(self, kernel: tuple[float, ...]) -> np.ndarray:
         """H(row_r) for the rows held of ``kernel``: none unless it is the most recent step law."""
-        key, _, _, h, _, size = self._state
+        key, _, _, h, size = self._state
         return h[:size] if key == kernel else h[:0]
 
-    def entropies(self, kernel: tuple[float, ...], n: int) -> tuple[np.ndarray, float]:
+    def entropies(self, kernel: tuple[float, ...], n: int) -> np.ndarray:
         """H(row_r) in bits for r = 1..n, where row_r is the r-fold
-        convolution of ``kernel``, and a bound on the mass missing from
-        row_n.
+        convolution of ``kernel``.
 
         The table is kept for one kernel and grown on demand, B rows per step
         (:func:`_block_rows`).  From the base row row_r0, r0 a multiple of B,
@@ -189,31 +188,22 @@ class _RowTable:
         law.
 
         A row is trimmed at both ends to its entries >= _ROW_TRIM before it
-        seeds the next block.  Every entry dropped is below _ROW_TRIM, so the
-        mass D dropped so far is at most their count times _ROW_TRIM, the
-        bound returned: at most ceil(n / B) blocks times the c cells of a
-        row, which :meth:`_RunLawChunk.floor` takes.  The kernel powers sum
-        to one, so every row of a block misses exactly the mass dropped
-        before it; with row_r on at most 2 n + 1 cells, H(row_r) then
-        moves by at most D (log2(2 n + 1) - log2 D + log2 e)
-        (:func:`_trim_bound`), which grows with D while D < 2 n + 1.
+        seeds the next block, and the count of those entries is not kept:
+        row_n's missing mass is bounded a priori (:func:`_row_error`).
         """
-        key, powers, row, h, dropped, size = self._state
+        key, powers, row, h, size = self._state
         if key != kernel:  # a new step law
             powers = _kernel_powers(kernel, _block_rows(kernel))
-            row, h, dropped, size, self._work = np.ones(1), np.zeros(0), [], 0, None
+            row, h, size, self._work = np.ones(1), np.zeros(0), 0, None
         block, pad = powers.shape[0], powers.shape[1] - 2
         if size < n:
             stop = size + -(-(n - size) // block) * block
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
-            total, counts = dropped[-1] if dropped else 0, []
             cap, windows, products, padded, shifted = self._work or (0, None, None, None, None)
             for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
-                total += row.size - (hi - lo)  # the entries dropped so far
-                counts.append(total)
                 m = hi - lo
                 width = m + pad
                 if width > cap:  # grown by a quarter at a time, to keep the heap flat
@@ -235,9 +225,8 @@ class _RowTable:
                 row = rows[-1]
             np.negative(h[size:stop], out=h[size:stop])
             self._work = (cap, windows, products, padded, shifted)
-            dropped, size = dropped + counts, stop
-            self._state = (kernel, powers, row.copy(), h, dropped, size)
-        return h[:n], dropped[(n - 1) // block] * _ROW_TRIM
+            self._state = (kernel, powers, row.copy(), h, stop)
+        return h[:n]
 
 
 ROWS = _RowTable()
@@ -270,6 +259,27 @@ def _row_drift(kernel: tuple[float, ...], n: int) -> float:
     block, cells = _block_rows(kernel), (len(kernel) - 1) * n + 1
     roundings = -(-n // block) * (3 * block + 3 * _ROW_PAD // 2 + 3) + cells + _ROW_PAD + 3
     return roundings * _U / (1.0 - roundings * _U) * (math.log2(cells) + 2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_error(kernel: tuple[float, ...], n: int) -> float:
+    """delta, a bound on how far a stored row H_r, r <= n, lies from the
+    entropy of row_r: the one row error of :meth:`_RunLawChunk.term`,
+    :meth:`_RunLawChunk.band_slack` and :func:`_floor_margin`.
+
+    The table trims its base row to the entries >= _ROW_TRIM before each
+    block (:meth:`_RowTable.entropies`), so row_n, after ceil(n / B) trims
+    of rows on at most c = (len(kernel) - 1) n + 1 cells, misses a mass of
+    at most D = ceil(n / B) c _ROW_TRIM, B = :func:`_block_rows`.  The
+    kernel powers sum to one, so every row of a block misses exactly the
+    mass dropped before it; with row_r on at most 2 n + 1 cells, H(row_r)
+    then moves by at most D (log2(2 n + 1) - log2 D + log2 e), which grows
+    with the mass while it is below 2 n + 1 (the logs are taken apart, so
+    that a subnormal D cannot overflow their ratio).  Rounding adds its
+    drift (:func:`_row_drift`)."""
+    cells = (len(kernel) - 1) * n + 1
+    lost = -(-n // _block_rows(kernel)) * cells * _ROW_TRIM
+    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) + _row_drift(kernel, n)
 
 
 def _output_length_entropy(gamma, step: tuple[float, float, float]):
@@ -389,7 +399,7 @@ def _run_law_closed(gamma, d: float, i: float):
 def _jensen_slack(gamma, start):
     """gamma**R log2(1 + 1 / ((1 - gamma) R)) / 2 at R = ``start``: what one
     Jensen piece of the band over every r > R can exceed the sum of p_r U_r
-    it replaces by (:func:`_band_slack`), of floats or elementwise."""
+    it replaces by (:meth:`_RunLawChunk.band_slack`), of floats or elementwise."""
     xp = np if isinstance(gamma, np.ndarray) else math
     return gamma ** start * (0.5 * _LOG2E) * xp.log1p(1.0 / ((1.0 - gamma) * start))
 
@@ -480,38 +490,12 @@ def _band(kernel: tuple[float, ...], gamma, start, cfg: SeriesConfig):
     return total + _piece(kernel, gamma, start)
 
 
-def _band_slack(kernel: tuple[float, ...], gamma: float, start: int) -> float:
-    """A bound on how far the band (:func:`_band`) in place of H_r for
-    r > R = ``start`` raises sum_r p_r H_r, p_r = gamma**(r-1) (1 - gamma):
-    gamma**R ((U_R - H_R + delta) + log2(1 + 1 / ((1 - gamma) R)) / 2),
-    H_R the table's row and delta its trim and drift bounds
-    (:func:`_trim_bound`, :func:`_row_drift`).
-
-    Segments only lower the band (Jensen's inequality on each), so the one
-    piece bounds it: its weights sum to gamma**R, and its mean run length
-    r_bar is R + 1 / (1 - gamma).  For r > R, H_r >= H_R (the entropy of a
-    sum of independent steps never decreases as steps are added; M. Madiman,
-    "On the entropy of sums", ITW 2008), so W U(r_bar) - sum p_r H_r <=
-    W ((U_R - H_R) + (U(r_bar) - U_R)), and U(r_bar) - U_R <=
-    log2(r_bar / R) / 2 = log2(1 + 1 / ((1 - gamma) R)) / 2."""
-    h, lost = ROWS.entropies(kernel, start)
-    gap = _max_entropy(kernel, start) - float(h[-1]) + _trim_bound(lost, start) + _row_drift(kernel, start)
-    return gamma ** start * (gap + 0.5 * _LOG2E * math.log1p(1.0 / ((1.0 - gamma) * start)))
-
-
 def _row_sum(kernel: tuple[float, ...], p: np.ndarray):
     """sum_{r<=n} p_r H_r, n = p.shape[-1], a numpy scalar for a vector p or,
     over a grid chunk's rows p, an array, by one einsum, whose order of
     summation numpy fixes, so that its bits do not depend on the BLAS or
     its threads."""
-    return np.einsum("...r,r->...", p, ROWS.entropies(kernel, p.shape[-1])[0])
-
-
-def _trim_bound(lost: float, n: int) -> float:
-    """How far rows on at most 2 n + 1 cells that miss the mass ``lost`` move
-    in entropy (:meth:`_RowTable.entropies`), the logs taken apart so that a
-    subnormal ``lost`` cannot overflow their ratio."""
-    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
+    return np.einsum("...r,r->...", p, ROWS.entropies(kernel, p.shape[-1]))
 
 
 @functools.lru_cache(maxsize=4)
@@ -619,9 +603,8 @@ class _RunLawChunk:
     def term(self, name: str) -> EntropyTerm:
         """At a float gamma, :meth:`values` as an entropy term.  Its
         truncation error is what the value may lie below H(L_X | L_out) by:
-        the bound on what the table's trimmed mass moves the rows
-        (:func:`_trim_bound`), their own rounding drift (:func:`_row_drift`),
-        and the rounding bounds of the two long sums.  The einsum over the
+        the row error delta at R (:func:`_row_error`) and the rounding
+        bounds of the two long sums.  The einsum over the
         rows errs by at most gamma_n sum p_r H_r (Higham, section 4.2) and
         each weight by at most 2239 u relative (:func:`_run_weights`), with
         every H_r in [0, log2(c)], c the most cells of a row, and
@@ -632,8 +615,26 @@ class _RunLawChunk:
             return EntropyTerm(name, value, 0.0)
         n, cells = self.size, (len(self.kernel) - 1) * self.size + 1
         rounding = (1.01 * n + 2240.0) * _U * math.log2(cells)  # the row sum's
-        error = _trim_bound(ROWS.entropies(self.kernel, n)[1], n) + _row_drift(self.kernel, n) + rounding
-        return EntropyTerm(name, value, error + self._rounding)
+        return EntropyTerm(name, value, _row_error(self.kernel, n) + rounding + self._rounding)
+
+    def band_slack(self) -> float:
+        """At a float gamma, a bound on how far the band (:func:`_band`) in
+        place of H_r for r > R = ``size`` raises sum_r p_r H_r:
+        gamma**R (U_R - H_R + delta) plus the Jensen slack at R
+        (:func:`_jensen_slack`), H_R the table's row and delta the row error
+        (:func:`_row_error`).
+
+        Segments only lower the band (Jensen's inequality on each), so the one
+        piece bounds it: its weights sum to gamma**R, and its mean run length
+        r_bar is R + 1 / (1 - gamma).  For r > R, H_r >= H_R (the entropy of a
+        sum of independent steps never decreases as steps are added; M. Madiman,
+        "On the entropy of sums", ITW 2008), so W U(r_bar) - sum p_r H_r <=
+        W ((U_R - H_R) + (U(r_bar) - U_R)), and U(r_bar) - U_R <=
+        log2(r_bar / R) / 2 = log2(1 + 1 / ((1 - gamma) R)) / 2."""
+        gamma, start = self._gammas, self.size
+        h = float(ROWS.entropies(self.kernel, start)[-1])
+        return gamma ** start * (_max_entropy(self.kernel, start) - h + _row_error(self.kernel, start)) + \
+            _jensen_slack(gamma, start)
 
     def floor(self):
         """A lower bound on :meth:`values`, element by element, from the h
@@ -651,8 +652,8 @@ class _RunLawChunk:
         cells of a row, L = log2(c) and u = 2**-53:
 
         - the rows: a stored row errs from its exact law's entropy by at
-          most delta, its trim and drift bounds (:func:`_trim_bound`,
-          :func:`_row_drift`) at n, so a stored H_r >= the stored H_h - 2 delta;
+          most delta, the row error at n (:func:`_row_error`), so a stored
+          H_r >= the stored H_h - 2 delta;
         - the weights: each p_r errs by at most 2239 u relative
           (:func:`_run_weights`), so the computed weights over h < r <= R
           fall short of gamma**h - gamma**R by at most 2239 u;
@@ -669,6 +670,11 @@ class _RunLawChunk:
         M, rounded, is at most the sum :meth:`values` computes; the rest is
         one addition of the same closed part and the clip, both monotone:
         for a chunk and a float gamma alike.
+
+        The proof holds at h = 0 too, with H_0 = 0, the entropy of row_0, a
+        point mass: every stored H_r >= -delta and the band >= 0, so
+        max(H(L_X) - H(L_out) - M, 0) is a floor that needs no row, which a
+        :class:`~.analytic_bounds.BoundGrid` takes over all its gammas.
         """
         h = ROWS.held(self.kernel)
         if not 0 < h.size < self.size:
@@ -682,12 +688,9 @@ class _RunLawChunk:
         return np.maximum(joint, 0.0) if isinstance(joint, np.ndarray) else max(joint, 0.0)
 
 
-@functools.lru_cache(maxsize=64)
 def _floor_margin(kernel: tuple[float, ...], n: int) -> float:
     """The margin M of :meth:`_RunLawChunk.floor` for rows up to n."""
-    cells = (len(kernel) - 1) * n + 1
-    delta = _trim_bound(-(-n // _block_rows(kernel)) * cells * _ROW_TRIM, n) + _row_drift(kernel, n)
-    return 3.0 * ((n + 1e4) * _U * math.log2(cells) + delta)
+    return 3.0 * ((n + 1e4) * _U * math.log2((len(kernel) - 1) * n + 1) + _row_error(kernel, n))
 
 
 def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:

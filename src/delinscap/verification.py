@@ -18,7 +18,7 @@ from .core import ChannelParams, xlog2
 from . import analytic_bounds as ab
 from . import exact_oracle as oracle
 from . import mc_estimator as mc
-from .run_length import _RowTable, _band_slack, _band_start, _block_rows, _row_kernel
+from .run_length import _RowTable, _row_kernel, _run_law_at
 from .gamma_optimizer import optimize_bound
 
 __all__ = [
@@ -86,7 +86,7 @@ def _run_law_gap(params: ChannelParams) -> float:
     their own, the same code as the bound's (``ROWS``), so the check leaves
     the bound's rows in place."""
     table = oracle.exact_run_law(8, params)
-    rows = _RowTable().entropies(_row_kernel(params.d, params.i), 8)[0]
+    rows = _RowTable().entropies(_row_kernel(params.d, params.i), 8)
     return max(abs(-float(xlog2(table[r], table[r]).sum()) - float(rows[r - 1])) for r in table)
 
 
@@ -186,8 +186,8 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
 def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
     """Doubling the exact rows' cap and halving the band's target must not move
     bounds: each value lies below the exact one by at most its band's slack
-    (``run_length._band_slack``) and its rounding budget, so two of them
-    differ by at most the larger slack and both budgets."""
+    (``run_length._RunLawChunk.band_slack``) and its rounding budget, so two
+    of them differ by at most the larger slack and both budgets."""
     base = cfg or ab.SeriesConfig()
     tight = ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0, r_max_cap=base.r_max_cap * 2)
     cases = [  # (name, bound, its parameters, gamma)
@@ -202,9 +202,7 @@ def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
     checks = _Checks()
     for name, bound, params, gamma in cases:
         a, b = (ab._BOUNDS[bound].lb(params, gamma, c, False, False) for c in (base, tight))
-        kernel = _row_kernel(params.d, params.i)
-        slack = (1.0 - gamma) * max(_band_slack(kernel, gamma, _band_start(gamma, c, _block_rows(kernel)))
-                                    for c in (base, tight))
+        slack = (1.0 - gamma) * max(_run_law_at(gamma, params.d, params.i, c).band_slack() for c in (base, tight))
         delta = abs(a.bound_bits - b.bound_bits)
         checks.add(f"truncation_{name}", delta, TOL_TRUNCATION, f"budget {a.error_budget:.2e}, band slack {slack:.2e}")
         if delta > (allowed := slack + a.error_budget + b.error_budget):

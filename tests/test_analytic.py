@@ -324,9 +324,8 @@ _KERNELS = {
 
 
 def _band_slack_at(gamma, d, i, cfg=None):
-    """The band's slack (:func:`run_length._band_slack`) of the term at gamma."""
-    kernel = rl._row_kernel(d, i)
-    return rl._band_slack(kernel, gamma, rl._band_start(gamma, cfg or ab.SeriesConfig(), rl._block_rows(kernel)))
+    """The band's slack (:meth:`run_length._RunLawChunk.band_slack`) of the term at gamma."""
+    return rl._run_law_at(gamma, d, i, cfg).band_slack()
 
 
 class TestRunLengthKernel:
@@ -553,25 +552,30 @@ def _mp_binomial_entropy(m, p):
         return float(total)
 
 
+def _trimmed_mass(kernel, n):
+    """The a-priori bound on the mass row_n misses to the table's trimming
+    that the row error takes (:func:`run_length._row_error`): ceil(n / B)
+    trims of rows on at most (len(kernel) - 1) n + 1 cells, each entry
+    dropped below _ROW_TRIM."""
+    return -(-n // rl._block_rows(kernel)) * ((len(kernel) - 1) * n + 1) * rl._ROW_TRIM
+
+
 class TestRowTable:
     @pytest.mark.parametrize("kernel", [(0.9, 0.1), (0.2, 0.7, 0.1), (0.45, 0.0, 0.55)])
     def test_matches_convolution_rows(self, kernel, cold_rows):
         # the two builds round differently and drift apart by O(r) ulp
         # (1e-12 seen at r = 10 000); each row may differ by 1e-15 per step
         r_max = 10_000  # past the default cap of 4 096, as a larger r_max_cap reads them
-        table, lost = rl.ROWS.entropies(kernel, r_max)
-        gap = np.abs(table - _convolution_row_entropies(kernel, r_max))
+        gap = np.abs(rl.ROWS.entropies(kernel, r_max) - _convolution_row_entropies(kernel, r_max))
         assert np.all(gap <= 1e-14 + 1e-15 * np.arange(1, r_max + 1))
-        assert 0.0 < lost < 1e-24
 
     @pytest.mark.parametrize("kernel", [(0.3, 0.7), (0.2, 0.7, 0.1), (0.4, 0.0, 0.6)])
     def test_growth_across_blocks_is_bit_identical_to_cold_builds(self, kernel, cold_rows):
         grown = [rl.ROWS.entropies(kernel, r) for r in (7, 16, 17, 1000, 5513)]
-        for (table, lost), r in zip(grown, (7, 16, 17, 1000, 5513)):
+        for table, r in zip(grown, (7, 16, 17, 1000, 5513)):
             cold_rows.reset()
-            cold, cold_lost = rl.ROWS.entropies(kernel, r)
             assert table.size == r
-            assert np.array_equal(table, cold) and lost == cold_lost
+            assert np.array_equal(table, rl.ROWS.entropies(kernel, r))
 
     @pytest.mark.parametrize("kernel", [
         (0.05, 0.95), (0.5, 0.5), (0.95, 0.05),  # deletion at d = 0.05, 0.5, 0.95
@@ -580,14 +584,14 @@ class TestRowTable:
         (0.5, 0.0, 0.5),  # interior zero: every bit deleted or doubled
     ])
     def test_matches_the_earlier_block_loop_bit_for_bit(self, kernel, cold_rows):
+        # the reference counts the entries it trims: their mass is within the row error's a-priori one
         reference, reference_lost = oracles.reference_row_entropies(kernel, 10_000)
-        table, lost = rl.ROWS.entropies(kernel, 10_000)
-        assert np.array_equal(table, reference) and lost == reference_lost
+        assert np.array_equal(rl.ROWS.entropies(kernel, 10_000), reference)
+        assert reference_lost <= _trimmed_mass(kernel, 10_000)
         cold_rows.reset()
         for r in (5, 16, 17, 333, 1_000, 4_321, 9_999, 10_000):  # grown in uneven steps
-            table, lost = rl.ROWS.entropies(kernel, r)
-            assert np.array_equal(table, reference[:r])
-            assert lost == oracles.reference_row_entropies(kernel, r)[1]
+            assert np.array_equal(rl.ROWS.entropies(kernel, r), reference[:r])
+            assert oracles.reference_row_entropies(kernel, r)[1] <= _trimmed_mass(kernel, r)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
@@ -607,47 +611,45 @@ class TestRowTable:
         table = rl._RowTable()
         grown = [table.entropies(kernel, r) for r in sizes]
         n = sizes[-1]
-        rows = table.entropies(kernel, n)[0]
+        rows = table.entropies(kernel, n)
         oracle = _convolution_row_entropies(kernel, n)
-        block, cells = rl._block_rows(kernel), (len(kernel) - 1) * n + 1
-        for (h, lost), r in zip(grown, sizes):
-            cold, cold_lost = rl._RowTable().entropies(kernel, r)
-            assert np.array_equal(h, cold) and lost == cold_lost
+        for h, r in zip(grown, sizes):
+            assert np.array_equal(h, rl._RowTable().entropies(kernel, r))
             assert np.array_equal(h, rows[:r])
-            assert 0.0 <= lost <= -(-r // block) * cells * rl._ROW_TRIM
+            assert oracles.reference_row_entropies(kernel, r)[1] <= _trimmed_mass(kernel, r)
         assert np.all(np.abs(rows - oracle) <= 1e-14 + 1e-15 * np.arange(1, n + 1))
 
     @pytest.mark.parametrize("r_max", [16, 17])
     def test_point_mass_kernel_has_zero_entropy(self, r_max, cold_rows):
         # one entry: no padding, so the B rows of logs need their own room
-        table, lost = rl.ROWS.entropies((1.0,), r_max)
-        assert table.size == r_max and np.all(table == 0.0) and lost == 0.0
+        table = rl.ROWS.entropies((1.0,), r_max)
+        assert table.size == r_max and np.all(table == 0.0)
         cold_rows.reset()
         rl.ROWS.entropies((1.0,), 3)
-        grown, grown_lost = rl.ROWS.entropies((1.0,), r_max)
-        assert np.array_equal(grown, table) and grown_lost == 0.0
+        assert np.array_equal(rl.ROWS.entropies((1.0,), r_max), table)
 
     @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
     def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch, cold_rows):
-        # R = 1 984 .. 2 048 at gamma = 0.99: the term's error is the trim bound at R, the
-        # rows' drift, the rounding of the row sum and that of H(L_out)'s series, in that order
+        # R = 1 984 .. 2 048 at gamma = 0.99: the term's error is the row error at R (the trim
+        # bound of the a-priori trimmed mass, then the rows' drift), the rounding of the row sum
+        # and that of H(L_out)'s series, in that order
         gamma = 0.99
         trimmed = ab.run_law_delins_H(gamma, d, i)
         kernel = tuple(x for x in (d, 1.0 - d - i, i) if x > 0.0)
         start = rl._band_start(gamma, ab.SeriesConfig(), rl._block_rows(kernel))
         assert cold_rows.size == start
-        lost = rl.ROWS.entropies(kernel, start)[1]
-        assert lost > 0.0
+        lost, mass = oracles.reference_row_entropies(kernel, start)[1], _trimmed_mass(kernel, start)
+        assert 0.0 < lost <= mass
+        moved = lambda m: m * (math.log2(2 * start + 1) - math.log2(m) + math.log2(math.e))  # grows with m
+        assert moved(lost) <= moved(mass)
+        row_error = moved(mass) + rl._row_drift(kernel, start)
+        assert rl._row_error(kernel, start) == row_error
         row_sum = (1.01 * start + 2240.0) * 2.0 ** -53 * math.log2((len(kernel) - 1) * start + 1)
         rounding = rl._output_length_entropy(gamma, rl._step_law(d, i))[1]
-        assert trimmed.truncation_error == (
-            lost * (math.log2(2 * start + 1) - math.log2(lost) + math.log2(math.e)) + rl._row_drift(kernel, start)
-            + row_sum + rounding)
+        assert trimmed.truncation_error == row_error + row_sum + rounding
         monkeypatch.setattr(rl, "_ROW_TRIM", 0.0)
         cold_rows.reset()
         full = ab.run_law_delins_H(gamma, d, i)
-        assert rl.ROWS.entropies(kernel, start)[1] == 0.0
-        assert full.truncation_error == rl._row_drift(kernel, start) + row_sum + rounding
         assert abs(trimmed.value - full.value) <= trimmed.truncation_error
 
     @pytest.mark.parametrize("d", [0.2, 0.3, 0.5, 0.8])
@@ -657,7 +659,7 @@ class TestRowTable:
         # -5.9e-12 at 20 000 rows, within test_matches_convolution_rows' O(r) ulp,
         # and at R0 and 2 R0 within the drift bound the error budget takes
         kernel, cap = (d, 1.0 - d), ab.SeriesConfig().r_max_cap
-        table = rl.ROWS.entropies(kernel, 20_000)[0]
+        table = rl.ROWS.entropies(kernel, 20_000)
         for m in (10, 1000, cap, 2 * cap, 20_000):
             drift = abs(table[m - 1] - _mp_binomial_entropy(m, 1.0 - d))
             tol = 1e-12 if d >= 0.5 else 1e-14 + 1e-15 * m
@@ -695,17 +697,14 @@ class TestRowBoundedCeiling:
     @example(1e-300, 0.0)  # the trimming drops a whole entry at the first block
     def test_row_table_is_nondecreasing(self, d, i):
         # H(X + Y) >= H(X): exact rows never lose entropy as steps are added;
-        # the stored ones may only lose what the trimming can move them
+        # the stored ones may only lose what the row error can move them
         if d + i > 1.0:
             d, i = i, 1.0 - i
         kernel = rl._row_kernel(d, i)
         assume(len(kernel) > 1)  # the identity step (d = i = 0) has no table: L_out = L_X
         rl.ROWS.reset()
-        table, lost = rl.ROWS.entropies(kernel, 10_000)
-        bound = -(-10_000 // rl._block_rows(kernel)) * ((len(kernel) - 1) * 10_000 + 1) * rl._ROW_TRIM
-        assert lost <= bound
-        delta = lost * (math.log2(20_001) - math.log2(lost) + math.log2(math.e)) if lost > 0.0 else 0.0
-        assert np.all(np.diff(table) >= -2.0 * delta)
+        table = rl.ROWS.entropies(kernel, 10_000)
+        assert np.all(np.diff(table) >= -2.0 * rl._row_error(kernel, 10_000))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(["deletion", "deletion_printed", "insertion_lb2", "delins"]), st.floats(0.0, 0.95),
@@ -767,10 +766,10 @@ class TestBand:
         value = float(rl._run_law_at(gamma, d, i, cfg).values())
         start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
         assert rl._block_rows(kernel) <= start <= cfg.r_max_cap
-        slack = rl._band_slack(kernel, gamma, start)
+        slack = _band_slack_at(gamma, d, i, cfg)
         assert slack > 0.0
         n = math.ceil(math.log(1e-13) / math.log(gamma))
-        rows = rl.ROWS.entropies(kernel, n)[0]
+        rows = rl.ROWS.entropies(kernel, n)
         band = rl._max_entropy(kernel, np.arange(start + 1.0, n + 1.0))
         assert np.all(band >= rows[start:])
         p = (1.0 - gamma) * np.power(gamma, np.arange(float(n)))
@@ -801,8 +800,8 @@ class TestBand:
         mean = math.fsum((r[:m] * p[:m]).tolist()) / weight
         assert abs(rl._piece(kernel, gamma, start, m) - weight * rl._max_entropy(kernel, mean)) <= 1e-12 * weight
         assert math.fsum((p * rl._max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
-        rows = rl.ROWS.entropies(kernel, int(r[-1]))[0][start:]
-        assert band - math.fsum((p * rows).tolist()) <= rl._band_slack(kernel, gamma, start)
+        rows = rl.ROWS.entropies(kernel, int(r[-1]))[start:]
+        assert band - math.fsum((p * rows).tolist()) <= _band_slack_at(gamma, d, i, cfg)
 
     @pytest.mark.parametrize("gamma, d, i", [(0.99, 0.9, 0.0), (0.995, 0.0, 0.3), (0.98, 0.45, 0.55)])
     def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, i, cold_rows):
@@ -824,7 +823,7 @@ class TestBand:
             kernel = rl._row_kernel(d, i)
             start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
             term = ab.run_law_delins_H(gamma, d, i, cfg)
-            rows = rl.ROWS.entropies(kernel, start)[0]
+            rows = rl.ROWS.entropies(kernel, start)
             assert start >= rl._EXP_WEIGHTS_MIN_ROWS  # weights from one exp, as _run_law_at takes them
             p = (1.0 - gamma) * np.exp(np.arange(float(start)) * math.log(gamma))
             joint = np.einsum("r,r->", p, rows) + rl._band(kernel, gamma, start, cfg)
@@ -848,7 +847,7 @@ class TestBand:
         assert 2 * (2 * start + 1) > rl._CHUNK_CELLS
         assert grid._run_law(grid.chunks[0]).size == grid._run_law(0.99).size == start
         assert grid._run_law(grid.chunks[1]).size == rl._band_start(0.5, ab.SeriesConfig(), 16)  # the larger R
-        for g, v in zip(gammas.tolist(), grid.values().tolist()):
+        for g, v in zip(gammas.tolist(), np.concatenate([grid.values(c) for c in grid.chunks]).tolist()):
             assert abs(v - ab.lb_delins(0.2, 0.1, 0.8, g).bound_bits) <= 1e-13
         assert cold_rows.size == start
 

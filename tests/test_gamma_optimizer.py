@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,10 @@ class TestMaximize:
     def test_non_finite_propagates(self):
         with pytest.raises(ValueError):
             maximize_over_gamma(PointByPoint(lambda g: float("nan")))
+        # the error names the first non-finite grid value, whatever the values after it
+        fn = lambda g: math.inf if g > 0.7 else (math.nan if g > 0.3 else g)
+        with pytest.raises(ValueError, match=r"non-finite value nan at gamma=0\.305$"):
+            maximize_over_gamma(PointByPoint(fn))
 
     def test_respects_domain(self):
         seen = []
@@ -270,28 +275,54 @@ def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5, cfg=None):
     return _lb(name, d, i, alpha, gamma_star, diagnostics=True, printed=printed, cfg=cfg)
 
 
+_DEBUG_RECORD = re.compile(
+    r"(?P<points_evaluated>\d+) points evaluated, (?P<points_skipped>\d+) skipped by the ceilings; "
+    r"(?P<chunks_evaluated>\d+) chunks evaluated, (?P<chunks_skipped>\d+) skipped; .*; "
+    r"the row-bounded ceiling skipped (?P<row_skips>\d+) chunks and (?P<probe_skips>\d+) probes;")
+
+
+def _debug_counts(caplog) -> dict:
+    """The counts of the one search record ``caplog`` holds, by name."""
+    (record,) = [r for r in caplog.records if r.name == "delinscap"]
+    return {key: int(value) for key, value in _DEBUG_RECORD.search(record.getMessage()).groupdict().items()}
+
+
+_FORMS = [(name, False) for name in sorted(ab._BOUNDS)] + [("deletion", True)]  # (bound, printed)
+
+
 class TestCeiling:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(0.0, 1.0),
+    @given(st.sampled_from(_FORMS), st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(0.0, 1.0),
            st.floats(1e-6, 0.99))
-    @example("delins", 0.0, 0.0, 1.0, 0.5)
-    @example("deletion", 0.0, 0.0, 1.0, 0.99)
-    @example("insertion_lb2", 0.0, 0.9, 1.0, 1e-6)
-    def test_ceiling_is_the_positive_terms_and_bounds_the_bound(self, name, d, i, alpha, gamma):
+    @example(("delins", False), 0.0, 0.0, 1.0, 0.5)
+    @example(("deletion", False), 0.0, 0.0, 1.0, 0.99)
+    @example(("insertion_lb2", False), 0.0, 0.9, 1.0, 1e-6)
+    @example(("deletion", True), 0.9, 0.0, 1.0, 0.99)
+    @example(("deletion", True), 0.0, 0.0, 1.0, 0.5)
+    def test_zero_row_ceiling_bounds_the_bound(self, form, d, i, alpha, gamma):
+        # the chunk ceiling, the bound on the zero-row floor of H(L_X | L_out), is at or above the
+        # value bit for bit, and at most the source and credit terms summed (but for the printed
+        # form, whose printed penalty may be negative); on a cold table it rules a point out
+        # without growing the table, and on a warm one, where no row-bounded floor applies, a beat
+        # rules the point out exactly when the ceiling does not exceed it
         assume(d + i <= 1.0)
-        res = _lb(name, d, i, alpha, gamma, diagnostics=True)
-        positive = 0.0
-        for t in res.terms:  # in order, as the bound is assembled
-            if t.role.sign > 0:
-                positive += t.value
-        assert res.bound_bits <= positive
-        # the grid's ceiling is the same sum over its own term arrays, at or above its values bit for bit:
-        # with every row held, a beat rules the point out exactly when the ceiling does not exceed it
-        grid = _warm(_grid(name, d, i, alpha, np.array([gamma])))
-        value = grid.values()[0]
-        assert grid.values(beat=positive + 1e-13) is None
-        assert grid.values(beat=positive - 1e-13) is not None
-        assert grid.values(beat=math.nextafter(value, -math.inf)) is not None
+        (name, printed), chunk = form, slice(0, 1)
+        res = _lb(name, d, i, alpha, gamma, printed=printed)
+        positive = math.fsum(t.value for t in res.terms if t.role.sign > 0)
+        for warm in (False, True):
+            rl.ROWS.reset()
+            grid = _grid(name, d, i, alpha, np.array([gamma]), printed)
+            if warm:
+                _warm(grid)
+            held = rl.ROWS.size
+            ceiling = float(grid._ceilings[0])
+            assert grid.values(chunk, ceiling) is None and rl.ROWS.size == held
+            value = float(grid.values(chunk)[0])
+            assert value <= ceiling and abs(value - res.bound_bits) <= 1e-13
+            assert printed or ceiling <= positive + 1e-13
+            if warm:
+                assert grid.values(chunk, math.nextafter(ceiling, -math.inf)) is not None
+            assert grid.values(chunk, math.nextafter(value, -math.inf))[0] == value
 
     @pytest.mark.parametrize("name, params", [
         ("deletion", {"d": 0.0}), ("deletion", {"d": 0.1}), ("deletion", {"d": 0.9}),
@@ -448,12 +479,12 @@ class TestCeiling:
         rows = cold_rows.size
         assert 0 < rows <= rl._band_start(0.995, ab.SeriesConfig(), 32) // 10
 
-    def test_printed_form_is_not_pruned(self):
-        # a printed penalty may be negative: no source-plus-credit ceiling, so with every row held
-        # no chunk is ruled out even against an infinite beat
-        grid = _warm(_grid("deletion", 0.2, printed=True))
-        assert all(grid.values(chunk, math.inf) is not None for chunk in grid.chunks)
-        res = optimize_bound("deletion", d=0.2, use_printed_hs2=True)
+    def test_printed_form_is_pruned(self, caplog):
+        # the zero-row ceiling holds whatever the signs of the other terms: the printed form's
+        # search skips chunks, and finds the unpruned search's result
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            res = optimize_bound("deletion", d=0.2, use_printed_hs2=True)
+        assert _debug_counts(caplog)["chunks_skipped"] > 0
         assert repr(res) == repr(_unpruned("deletion", d=0.2, printed=True))
         assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
 
@@ -463,13 +494,29 @@ class TestCeiling:
         pruned = optimize_bound("deletion", d=d, use_printed_hs2=True)
         assert repr(pruned) == repr(_unpruned("deletion", d=d, printed=True))
 
-    def test_only_the_printed_form_lacks_ceilings(self):
-        # with every row held, only the source-plus-credit ceiling can rule a chunk out
-        for name in ab._BOUNDS:
-            grid = _warm(_grid(name, 0.2, 0.1, 0.8))
-            assert all(grid.values(chunk, math.inf) is None for chunk in grid.chunks), name
-        grid = _warm(_grid("deletion", 0.2, 0.0, 1.0, printed=True))
-        assert all(grid.values(chunk, math.inf) is not None for chunk in grid.chunks)
+    @pytest.mark.parametrize("name, printed", _FORMS)
+    def test_every_form_has_chunk_ceilings(self, name, printed):
+        # with every row held, only the zero-row ceiling can rule a chunk out: it does, against an
+        # infinite beat, for every bound and the printed form
+        grid = _warm(_grid(name, 0.2, 0.1, 0.8, printed=printed))
+        assert all(grid.values(chunk, math.inf) is None for chunk in grid.chunks)
+        assert grid.row_skips == 0
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name, printed", _FORMS)
+    def test_debug_record_counts_agree(self, name, printed, warm, cold_rows, caplog):
+        # every grid point and chunk is evaluated or skipped, and the row-bounded ceiling's
+        # skips are among the chunks skipped
+        params = {"deletion": {"d": 0.9}, "delins": {"d": 0.7, "i": 0.05, "alpha": 0.8}}.get(name, {"i": 0.3})
+        if warm:
+            optimize_bound(name, use_printed_hs2=printed, **params)
+        with caplog.at_level(logging.DEBUG, logger="delinscap"):
+            optimize_bound(name, use_printed_hs2=printed, **params)
+        counts = _debug_counts(caplog)
+        assert counts["points_evaluated"] + counts["points_skipped"] == go._GRID.size
+        chunks = len(_grid(name, **params, printed=printed).chunks)
+        assert counts["chunks_evaluated"] + counts["chunks_skipped"] == chunks
+        assert counts["row_skips"] <= counts["chunks_skipped"]
 
     def test_one_debug_record_per_search(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
@@ -535,7 +582,7 @@ class TestArrayForm:
         assume(d + i <= 1.0)
         gammas = np.array(sorted({GAMMA_MIN, 0.995, GAMMA_MAX, *drawn}))
         grid = _grid(name, d, i, alpha, gammas)
-        values = grid.values()
+        values = np.concatenate([grid.values(chunk) for chunk in grid.chunks])
         scalar = [_lb(name, d, i, alpha, g) for g in gammas.tolist()]
         for v, res in zip(values.tolist(), scalar):
             assert abs(v - res.bound_bits) <= 1e-13
