@@ -582,10 +582,10 @@ class _RunLawChunk:
     and ``closed``, the closed part (:func:`_run_law_closed`), with
     ``rounding`` its rounding bound.  :meth:`values` gives them,
     :meth:`floor` a lower bound on them from the rows the table holds, and,
-    at a float gamma, :meth:`term` the value with its error budget.  Only
-    the rounding differs between a grid point and the same float gamma
-    (within 1e-13, tested).  At d = i = 0, L_out = L_X: the kernel is (),
-    ``size`` (the rows needed) is 0 and the values are 0.
+    at a float gamma, :meth:`term` the value with its error budget and
+    :meth:`band_slack` the band's excess.  Only the rounding differs between
+    a grid point and the same float gamma (within 1e-13, tested).  At
+    d = i = 0, L_out = L_X: the kernel is (), ``size`` is 0, the values 0.
     """
 
     def __init__(self, gammas, kernel: tuple[float, ...], p: np.ndarray, band, closed, rounding: float = 0.0) -> None:

@@ -61,6 +61,13 @@ class TestMaximize:
         with pytest.raises(ValueError, match=r"non-finite value nan at gamma=0\.305$"):
             maximize_over_gamma(PointByPoint(fn))
 
+    def test_grid_ties_keep_the_first_argmax(self):
+        # a plateau from 0.5 on, in one chunk and in chunks of ten: a tie never displaces the first
+        # grid argmax, within a chunk or across chunks
+        fn = lambda g: min(g, 0.5)
+        for grid in (PointByPoint(fn), _Ceiling(fn, math.inf)):
+            assert maximize_over_gamma(grid) == (0.5, 0.5)
+
     def test_respects_domain(self):
         seen = []
 
