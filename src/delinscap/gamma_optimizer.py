@@ -151,9 +151,8 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
         if values is None:
             skipped.append(chunk.stop - chunk.start)
             continue
-        if not np.isfinite(values).all():  # an error at the first non-finite value
-            k = int(np.isfinite(values).argmin())
-            checked(float(gammas[chunk.start + k]), float(values[k]))
+        k = int(np.isfinite(values).argmin())  # the first non-finite value, or the first value
+        checked(float(gammas[chunk.start + k]), float(values[k]))
         j = int(np.argmax(values))  # the first argmax
         if values[j] > best_v:
             b, best_v = chunk.start + j, float(values[j])

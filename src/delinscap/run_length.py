@@ -273,13 +273,14 @@ def _row_error(kernel: tuple[float, ...], n: int) -> float:
     at most D = ceil(n / B) c _ROW_TRIM, B = :func:`_block_rows`.  The
     kernel powers sum to one, so every row of a block misses exactly the
     mass dropped before it; with row_r on at most 2 n + 1 cells, H(row_r)
-    then moves by at most D (log2(2 n + 1) - log2 D + log2 e), which grows
-    with the mass while it is below 2 n + 1 (the logs are taken apart, so
-    that a subnormal D cannot overflow their ratio).  Rounding adds its
+    then moves by at most D (log2(2 n + 1) - log2 D + log2 e), 0 at D = 0,
+    which grows with the mass while it is below 2 n + 1 (the logs are taken
+    apart, so that a subnormal D cannot overflow their ratio).  Rounding adds its
     drift (:func:`_row_drift`)."""
     cells = (len(kernel) - 1) * n + 1
     lost = -(-n // _block_rows(kernel)) * cells * _ROW_TRIM
-    return lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) + _row_drift(kernel, n)
+    trim = lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
+    return trim + _row_drift(kernel, n)
 
 
 def _output_length_entropy(gamma, step: tuple[float, float, float]):

@@ -308,14 +308,18 @@ class TestCeiling:
     @example(("deletion", True), 0.0, 0.0, 1.0, 0.5)
     def test_zero_row_ceiling_bounds_the_bound(self, form, d, i, alpha, gamma):
         # the chunk ceiling, the bound on the zero-row floor of H(L_X | L_out), is at or above the
-        # value bit for bit, and at most the source and credit terms summed (but for the printed
-        # form, whose printed penalty may be negative); on a cold table it rules a point out
-        # without growing the table, and on a warm one, where no row-bounded floor applies, a beat
-        # rules the point out exactly when the ceiling does not exceed it
+        # value bit for bit, and, like the bound, at most the source and credit terms summed (but
+        # for the printed form, whose printed penalty may be negative); on a cold table it rules a
+        # point out without growing the table, and on a warm one, where no row-bounded floor
+        # applies, a beat rules the point out exactly when the ceiling does not exceed it
         assume(d + i <= 1.0)
         (name, printed), chunk = form, slice(0, 1)
         res = _lb(name, d, i, alpha, gamma, printed=printed)
-        positive = math.fsum(t.value for t in res.terms if t.role.sign > 0)
+        positive = 0.0
+        for t in res.terms:  # in order, as the bound is assembled
+            if t.role.sign > 0:
+                positive += t.value
+        assert printed or res.bound_bits <= positive
         for warm in (False, True):
             rl.ROWS.reset()
             grid = _grid(name, d, i, alpha, np.array([gamma]), printed)
@@ -503,10 +507,13 @@ class TestCeiling:
 
     @pytest.mark.parametrize("name, printed", _FORMS)
     def test_every_form_has_chunk_ceilings(self, name, printed):
-        # with every row held, only the zero-row ceiling can rule a chunk out: it does, against an
-        # infinite beat, for every bound and the printed form
+        # with every row held, only the zero-row ceiling can rule a chunk out: for every bound and
+        # the printed form, a beat at a chunk's largest ceiling rules it out, one ulp below does not
         grid = _warm(_grid(name, 0.2, 0.1, 0.8, printed=printed))
-        assert all(grid.values(chunk, math.inf) is None for chunk in grid.chunks)
+        for chunk in grid.chunks:
+            top = float(np.max(grid._ceilings[chunk]))
+            assert math.isfinite(top) and grid.values(chunk, top) is None
+            assert grid.values(chunk, math.nextafter(top, -math.inf)) is not None
         assert grid.row_skips == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
