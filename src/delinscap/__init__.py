@@ -5,10 +5,11 @@ channel, the insertion channel (two bounds), and the combined channel, each
 of the form ``h(gamma)`` minus computable limiting conditional-entropy
 penalties, maximized over the Markov source parameter gamma.  Each penalty
 has one kernel: an exact closed form (the deleted-run and insertion terms)
-or a sum with a certified truncation error (the run-length terms).  Every
-kernel is validated against an independent computation (direct sums of
-the joint laws, exact small-instance enumeration, or seeded Monte Carlo
-simulation), and the printed closed forms are reported beside them.
+or a sum over every run length whose error budget holds only rounding and
+the row table's trimming (the run-length terms).  Every kernel is validated
+against an independent computation (direct sums of the joint laws, exact
+small-instance enumeration, or seeded Monte Carlo simulation), and the
+printed closed forms are reported beside them.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable is
 already set: its matrix products are small, and each OpenBLAS worker thread

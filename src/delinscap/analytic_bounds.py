@@ -21,9 +21,7 @@ array through numpy, elementwise.  Each bound is declared once, in
 (``_deletion_terms`` and its siblings), and its ``lb_*``, which turns them
 into :class:`~.core.EntropyTerm` records.  Its array form,
 :class:`BoundGrid`, is built from the same entry and is all the gamma search
-sees: it evaluates the terms over a whole array of gammas, the run-length
-term's row sums chunk by chunk, sums them at one float gamma, and applies
-every ceiling that lets the search skip a chunk or a probe.
+sees, its ceilings included.
 
 The deletion bound also evaluates the two printed closed forms of its
 penalties, the deleted-run-count entropy and the run-length entropy
@@ -46,8 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, binary_entropy, xlog2
-from .run_length import (SeriesConfig, _band, _block_rows, _floor_margin, _grid_plan, _row_kernel, _run_law_at,
-                         _run_law_closed, _RunLawChunk, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H,
+from .run_length import (SeriesConfig, _RunLawGrid, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H,
                          run_law_duplication_H)
 
 __all__ = [
@@ -427,33 +424,22 @@ class BoundGrid:
     ``cfg`` and, for the deletion bound, its ``printed`` deleted-run form.
 
     It is the array form of the bound's ``lb_*``: the same terms added in the
-    same order, with no validation, no diagnostics and no truncation errors.
-    The closed-form terms, the run-length term's H(L_X) - H(L_out) and band
-    among them, are taken once over the whole array, where a numpy call
-    costs about the same for 1 gamma as for 199; the rest of the run-length
-    term, p @ H, whose row table and p_r matrix grow with the largest R,
-    chunk by chunk, in the ``chunks`` of the gammas'
-    :class:`~.run_length._GridPlan` for ``cfg`` (:meth:`values`).
-    The values agree with the ``lb_*`` within 1e-13 (tested), and
-    :meth:`at` is its bound at a float gamma, bit for bit.
+    same order, with no validation, no diagnostics and no truncation errors,
+    the closed-form ones taken once over the whole array and the run-length
+    term, :class:`~.run_length._RunLawGrid`'s, in its ``chunks``; a bound
+    without one (LB 1) is one chunk.  The values agree with the ``lb_*``
+    within 1e-13 (tested), and :meth:`at` is its bound at a float gamma, bit
+    for bit.
 
     Given a value to ``beat``, :meth:`values` and :meth:`at` return None when
     a ceiling, at least every value they would return bit for bit, is at most
     ``beat``; the table does not grow then.  There is one rule: the bound
-    with a floor of the run-length entropy (:meth:`~.run_length._RunLawChunk.floor`)
-    in its place.  The floor is at most that entropy bit for bit, and the
-    rest of the bound is the same floating-point operations on the same
-    arrays, each monotone in that entropy whatever the signs of the other
-    terms, so the bound built on the floor is at least the one built on the
-    values.  :meth:`values` first takes the zero-row floor
-    max(H(L_X) - H(L_out) - M, 0), M the margin at the grid's largest R
-    (infinite with no row kernel, where the values are 0), over the whole
-    grid once, when it is built; then, if the chunk needs rows the table
-    lacks, the floor from the rows held, whose skips ``row_skips`` counts.
-    Without a run-length term (LB 1) the ceilings are the values.  :meth:`at`
-    takes the floor from the rows held: a float gamma is a chunk of one
-    point (:func:`~.run_length._run_law_at`), which builds its weights and
-    H(L_X) - H(L_out) once for both the floor and the value.
+    with a floor of the run-length entropy in its place, the zero-row floor,
+    then, if rows are missing, the one from the rows held, whose chunk skips
+    ``row_skips`` counts (both floors are :mod:`.run_length`'s).  The rest
+    of the bound is the same floating-point operations on the same arrays,
+    each monotone in that entropy whatever the signs of the other terms, so
+    the bound on a floor is at least the bound.
     """
 
     def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
@@ -462,18 +448,10 @@ class BoundGrid:
         self._terms = lambda g: bound_terms(params, g, None, printed)
         terms = self._terms(gammas)
         k = terms.index(None) if None in terms else len(terms)
-        kernel = _row_kernel(params.d, params.i)
-        self._plan = _grid_plan(cfg, tuple(gammas.tolist()), _block_rows(kernel))
-        self.gammas, self.chunks, self.row_skips = gammas, self._plan.chunks, 0
-        self._head, self._tail = _signed_sum(terms[:k]), terms[k + 1:]
-        self._cfg, self._run, self._closed, self._band, floor = cfg, None, None, None, None
-        if k < len(terms):  # H(L_X) - H(L_out), the band past each gamma's R, and the zero-row floor
-            self._run = params.d, params.i
-            self._closed = _run_law_closed(gammas, params.d, params.i)[0]
-            self._band = _band(kernel, gammas, self._plan.starts, cfg)
-            margin = _floor_margin(kernel, int(self._plan.starts.max())) if kernel else math.inf
-            floor = np.maximum(self._closed - margin, 0.0)
-        self._ceilings = self._assemble(slice(None), floor)
+        self._law = _RunLawGrid(gammas, params.d, params.i, cfg) if k < len(terms) else None
+        self.gammas, self.row_skips, self._head, self._tail = gammas, 0, _signed_sum(terms[:k]), terms[k + 1:]
+        self.chunks = self._law.chunks if self._law else (slice(0, gammas.size),)
+        self._ceilings = self._assemble(slice(None), self._law.floor if self._law else None)
 
     def values(self, chunk: slice, beat: float = -math.inf) -> np.ndarray | None:
         """The bound at ``gammas[chunk]``, or None when a ceiling shows that
@@ -482,9 +460,9 @@ class BoundGrid:
         ceilings = self._ceilings[chunk]
         if np.max(ceilings) <= beat:
             return None
-        if self._run is None:
+        if self._law is None:
             return ceilings
-        run = self._run_law(chunk)
+        run = self._law.chunk(chunk)
         if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
             self.row_skips += 1
             return None
@@ -496,22 +474,14 @@ class BoundGrid:
         or None when the row-bounded ceiling shows that it is at most
         ``beat``."""
         terms = self._terms(gamma)
-        if self._run is None:
-            return _signed_sum(terms)
-        k, run = terms.index(None), self._run_law(gamma)
-        if beat > -math.inf and (floor := run.floor()) is not None:
-            terms[k] = _run_length_term(gamma, float(floor), 0.0)
-            if _signed_sum(terms) <= beat:
-                return None
-        terms[k] = _run_length_term(gamma, float(run.values()), 0.0)
+        if self._law is not None:
+            k, run = terms.index(None), self._law.at(gamma)
+            if beat > -math.inf and (floor := run.floor()) is not None:
+                terms[k] = _run_length_term(gamma, float(floor), 0.0)
+                if _signed_sum(terms) <= beat:
+                    return None
+            terms[k] = _run_length_term(gamma, float(run.values()), 0.0)
         return _signed_sum(terms)
-
-    def _run_law(self, at: float | slice) -> _RunLawChunk:
-        """The run-length term at the float gamma ``at``, or at ``gammas[at]``."""
-        if isinstance(at, slice):
-            return _RunLawChunk(self.gammas[at], _row_kernel(*self._run), self._plan.weights(at), self._band[at],
-                                self._closed[at])
-        return _run_law_at(at, *self._run, self._cfg)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:
         """The terms at ``gammas[chunk]`` added in order, with ``run`` as

@@ -187,10 +187,12 @@ class Role(Enum):
 class EntropyTerm:
     """A named scalar contribution to a bound, in bits, with its ``role``.
 
-    ``truncation_error`` is a conservative upper bound on the absolute error
-    left by series truncation.  ``value`` must be non-negative unless the
-    role is a signed one.  The role defaults to penalty, which is also what
-    the stand-alone conditional entropies of ``analytic_bounds`` are.
+    ``truncation_error`` bounds the absolute error of ``value`` from above:
+    rounding and the run-length row table's trimming, as every term is
+    summed whole (the name is the JSON report's).  ``value`` must be
+    non-negative unless the role is a signed one.  The role defaults to
+    penalty, which is also what the stand-alone conditional entropies of
+    ``analytic_bounds`` are.
     """
 
     name: str

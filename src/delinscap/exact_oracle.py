@@ -209,31 +209,26 @@ class _Cascade:
     """Deletion stage (d) then insertion stage (i' = i/(1-d)) on the ``n``-bit
     inputs ``xs``, a block of them at a time.
 
-    The stage-1 laws of all inputs come from one key matrix and one
-    ``np.bincount``.  The stage-2 laws of the intermediate z shorter than
-    the input that some input reaches are computed up front, one pattern
-    table per length of z, and kept at the head of one buffer; a z as long
-    as the input is the input itself and recurs in no other, so each block
-    writes the laws of its own inputs after them.  The cascade law of a
-    block is then one gather from the buffer, in (x, z, y) order.
+    The stage-1 laws of all inputs are one sparse law (:func:`_laws`),
+    which keeps a z whose probability underflows to 0.  The stage-2 laws of
+    the intermediate z shorter than the input that some input reaches are
+    computed up front, one pattern table per length of z, and kept at the
+    head of one buffer; a z as long as the input is the input itself and
+    recurs in no other, so each block writes the laws of its own inputs
+    after them.  The cascade law of a block is then one gather from the
+    buffer, in (x, z, y) order.
     """
 
     def __init__(self, n: int, params: ChannelParams, xs: np.ndarray) -> None:
         self.n, self.xs = n, xs
-        zsize = (1 << (n + 1)) - 1
         stage1 = _pattern_table(n, np.array([params.d, 1.0 - params.d, 0.0, 0.0]))
-        (k1, p1), = stage1.outputs(xs, zsize)  # at most 2**12 patterns: one chunk
-        k1 = k1.ravel()
-        self._pz = np.bincount(k1, weights=np.tile(p1, xs.size), minlength=xs.size * zsize).reshape(xs.size, zsize)
-        # the (x, z) some pattern reaches, also where P(z | x) underflows to 0
-        self._reached = np.bincount(k1, minlength=xs.size * zsize).reshape(xs.size, zsize) > 0
+        self._z, self._pz, self._zstarts = _laws(stage1, xs)
         halves = _half_tables(insertion_stage_probabilities(params), n - n // 2)
         self._stage2 = _PatternTable(n, halves)  # for the z as long as the input
         # where the law of each z starts in the buffer, and its size
-        self._first = np.zeros(zsize, dtype=np.intp)
-        self._count = np.zeros(zsize, dtype=np.intp)
+        self._first, self._count = np.zeros((2, (1 << (n + 1)) - 1), dtype=np.intp)
         keys, probs, self._head = [], [], 0
-        short = np.flatnonzero(self._reached[:, :(1 << n) - 1].any(axis=0))
+        short = np.unique(self._z[self._z < (1 << n) - 1])
         bounds = np.searchsorted(short, (1 << np.arange(n + 1)) - 1)
         for length in range(n):
             zkeys = short[bounds[length]:bounds[length + 1]]
@@ -256,6 +251,7 @@ class _Cascade:
         (x, z, y) triple of the inputs xs[lo:hi], in (x, z, y) order, the
         keys of input xs[lo + r] raised by r * stride.  Blocks end between two
         z and hold at most ``_CASCADE_BLOCK`` triples, or one z."""
+        hi = min(hi, self.xs.size)
         xs = self.xs[lo:hi]
         k, p, starts = _laws(self._stage2, xs)
         end = self._head + k.size
@@ -269,9 +265,9 @@ class _Cascade:
         self._first[zkeys] = self._head + starts[:-1]
         self._count[zkeys] = np.diff(starts)
 
-        rows, zs = np.nonzero(self._reached[lo:hi])
-        weights = self._pz[lo + rows, zs]
-        first, counts = self._first[zs], self._count[zs]
+        at = slice(self._zstarts[lo], self._zstarts[hi])  # the block's (x, z) pairs, in (x, z) order
+        rows = np.repeat(np.arange(hi - lo), np.diff(self._zstarts[lo:hi + 1]))
+        first, counts, weights = self._first[self._z[at]], self._count[self._z[at]], self._pz[at]
         ends = np.cumsum(counts)
         done = 0
         while done < counts.size:

@@ -84,11 +84,18 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
-def _bound_params(name: str, d: float, i: float, alpha: float) -> ChannelParams:
+def _bound_params(name: str, d: float, i: float, alpha: float, printed: bool = False) -> ChannelParams:
     """The bound ``name``'s own parameters: those among (d, i, alpha) that
     its channel's flags name, the others at their defaults."""
+    if printed and name != "deletion":
+        raise ValueError(f"use_printed_hs2 applies only to the deletion bound, not {name!r}")
     given = {"d": d, "i": i, "alpha": alpha}
     return ChannelParams(**{flag: given[flag] for flag in _lookup(_CHANNEL_OF, name).flags})
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 1e-9:  # NaN included
+        raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
 
 
 def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, float]:
@@ -136,8 +143,7 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
     grid without one) and the probes ruled out, and the rows the row table
     holds.
     """
-    if not tol >= 1e-9:  # NaN included
-        raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
+    _check_tol(tol)
 
     def checked(g: float, v: float) -> float:
         if not math.isfinite(v):
@@ -234,7 +240,7 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     or ``delins``; the parameters its channel does not take are ignored.
     """
     ChannelParams(d=d, i=i, alpha=alpha)  # before the grid, which takes them unchecked
-    params = _bound_params(channel, d, i, alpha)
+    params = _bound_params(channel, d, i, alpha, use_printed_hs2)
     cfg = cfg or SeriesConfig()
     gamma_star, _ = maximize_over_gamma(BoundGrid(channel, params, _GRID, cfg, use_printed_hs2), tol)
     return _BOUNDS[channel].lb(params, gamma_star, cfg, True, use_printed_hs2)
@@ -244,13 +250,16 @@ def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
                    gamma: float | None = None, cfg: SeriesConfig | None = None, tol: float = 1e-5,
                    use_printed_hs2: bool = False) -> dict[str, BoundResult]:
     """Every bound of ``channel`` by report key: at ``gamma`` if it is given,
-    else each optimized over gamma.  (d, i, alpha) are checked first, for both."""
+    else each optimized over gamma.  (d, i, alpha) and ``tol`` are checked
+    first, for both."""
     bounds = _lookup(CHANNELS, channel).bounds
     ChannelParams(d=d, i=i, alpha=alpha)
+    _check_tol(tol)
     if gamma is None:
         return {key: optimize_bound(name, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol, use_printed_hs2=use_printed_hs2)
                 for key, name in bounds.items()}
-    return {key: _BOUNDS[name].lb(_bound_params(name, d, i, alpha), gamma, cfg, True, use_printed_hs2)
+    return {key: _BOUNDS[name].lb(_bound_params(name, d, i, alpha, use_printed_hs2), gamma, cfg, True,
+                                  use_printed_hs2)
             for key, name in bounds.items()}
 
 

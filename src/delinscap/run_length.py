@@ -21,11 +21,10 @@ move.  R is one closed form of gamma and the :class:`SeriesConfig`
 (:func:`_band_start`), never of the rows the table holds.
 
 The row entropies never decrease in r, so the rows already built also bound
-the term from below, by one proof for a float and an array alike: the gamma
-search uses that to skip points before the table grows
-(:class:`~.analytic_bounds.BoundGrid`).  What a grid's chunks need of its
-gammas and the :class:`SeriesConfig` alone is one plan, kept per (``cfg``,
-gammas, row block) (:class:`_GridPlan`).
+the term from below, by one proof for a float and an array alike
+(:meth:`_RunLawChunk.floor`): the gamma search uses that to skip points
+before the table grows.  The term over the search's grid of gammas is one
+object (:class:`_RunLawGrid`) on one plan per (``cfg``, gammas, row block).
 
 The binomial double series of the printed deletion run-length form
 (:func:`closed_form_HLXLY`) is summed as
@@ -527,7 +526,7 @@ def _run_weights(gamma: float, n: int) -> np.ndarray:
 
 
 class _GridPlan:
-    """What a :class:`~.analytic_bounds.BoundGrid` needs of its gammas,
+    """What a :class:`_RunLawGrid` needs of its gammas,
     :class:`SeriesConfig` and row ``block`` alone, one per (``cfg``, gammas,
     ``block``) and kept (:func:`_grid_plan`): ``starts``, each gamma's R
     (:func:`_band_start`); ``chunks``, the gammas cut into slices of at most
@@ -567,16 +566,13 @@ _grid_plan = functools.lru_cache(maxsize=4)(_GridPlan)
 
 class _RunLawChunk:
     """An upper bound on H(L_X | L_out) at each gamma of a chunk of a
-    :class:`~.analytic_bounds.BoundGrid`, or at a float gamma, a chunk of one
-    point (:func:`_run_law_at`); L_out is the sum over the run's L_X bits of
-    i.i.d. per-bit output lengths in {0, 1, 2} with probabilities
-    (d, 1 - d - i, i).
+    :class:`_RunLawGrid`, or at a float gamma, a chunk of one point
+    (:func:`_run_law_at`); L_out is the sum over the run's L_X bits of i.i.d.
+    per-bit output lengths in {0, 1, 2} with probabilities (d, 1 - d - i, i).
 
-    H(L_X | L_out) = H(L_X, L_out) - H(L_out), and H(L_X, L_out) =
-    H(L_X) + sum_{r>=1} p_r H_r, H_r the entropy of row_r, the law of L_out
-    given L_X = r (the r-fold convolution of the step law).  So the values
-    are p @ H + band + (H(L_X) - H(L_out)), clipped at 0: H from a table
-    built once per step law, the row ``kernel`` (:data:`ROWS`), p the
+    By the module's formula the values are p @ H + band +
+    (H(L_X) - H(L_out)), clipped at 0: H the rows of the step law's
+    ``kernel``, the r-fold convolutions of it (:data:`ROWS`), p the
     run-length weights up to each gamma's R (:func:`_run_weights`), a matrix
     over a chunk (:meth:`_GridPlan.weights`) and a vector at a float gamma,
     summed by :func:`_row_sum`, ``band`` the band past R (:func:`_band`),
@@ -674,8 +670,8 @@ class _RunLawChunk:
 
         The proof holds at h = 0 too, with H_0 = 0, the entropy of row_0, a
         point mass: every stored H_r >= -delta and the band >= 0, so
-        max(H(L_X) - H(L_out) - M, 0) is a floor that needs no row, which a
-        :class:`~.analytic_bounds.BoundGrid` takes over all its gammas.
+        max(H(L_X) - H(L_out) - M, 0) is a floor that needs no row, which
+        :class:`_RunLawGrid` takes over all its gammas.
         """
         h = ROWS.held(self.kernel)
         if not 0 < h.size < self.size:
@@ -702,6 +698,31 @@ def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _
     start = _band_start(gamma, cfg, _block_rows(kernel))
     band = _band(kernel, gamma, start, cfg)
     return _RunLawChunk(gamma, kernel, _run_weights(gamma, start), band, *_run_law_closed(gamma, d, i))
+
+
+class _RunLawGrid:
+    """The run-length term of the law (d, i) at every gamma of the array
+    ``gammas`` (a :class:`~.analytic_bounds.BoundGrid`'s): its plan for
+    ``cfg`` (:class:`_GridPlan`), whose ``chunks`` it keeps, and the closed
+    part and band, taken once over the array.  ``floor`` is the zero-row
+    floor max(H(L_X) - H(L_out) - M, 0), M at the largest R, infinite with
+    no row kernel, where the values are 0 (:meth:`_RunLawChunk.floor`)."""
+
+    def __init__(self, gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> None:
+        self.gammas, self._params, self.kernel = gammas, (d, i, cfg), _row_kernel(d, i)
+        self._plan = _grid_plan(cfg, tuple(gammas.tolist()), _block_rows(self.kernel))
+        self.chunks, self._closed = self._plan.chunks, _run_law_closed(gammas, d, i)[0]
+        self._band = _band(self.kernel, gammas, self._plan.starts, cfg)
+        margin = _floor_margin(self.kernel, int(self._plan.starts.max())) if self.kernel else math.inf
+        self.floor = np.maximum(self._closed - margin, 0.0)
+
+    def chunk(self, s: slice) -> _RunLawChunk:
+        """The term at ``gammas[s]``, a chunk of the plan."""
+        return _RunLawChunk(self.gammas[s], self.kernel, self._plan.weights(s), self._band[s], self._closed[s])
+
+    def at(self, gamma: float) -> _RunLawChunk:
+        """The term at the float ``gamma`` (:func:`_run_law_at`)."""
+        return _run_law_at(gamma, *self._params)
 
 
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:

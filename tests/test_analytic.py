@@ -480,10 +480,10 @@ class TestOutputLengthEntropy:
         grid = ab.BoundGrid("delins", ChannelParams(d=d, i=i, alpha=0.5), go._GRID, ab.SeriesConfig())
         chunk = grid.chunks[-1]
         gammas = go._GRID[chunk]
-        grid._run_law(chunk)  # fills the grid chunk's weights
+        grid._law.chunk(chunk)  # fills the grid chunk's weights
         tracemalloc.start()
         try:
-            run = grid._run_law(chunk)
+            run = grid._law.chunk(chunk)
             assert run.floor() is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -731,7 +731,7 @@ class TestRowBoundedCeiling:
         name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
         grid = ab.BoundGrid(name, go._bound_params(name, d, i, alpha), go._GRID, ab.SeriesConfig(), printed)
         chunk = grid.chunks[min(c, len(grid.chunks) - 1)]  # c = 15: the last chunk
-        run = grid._run_law(chunk)
+        run = grid._law.chunk(chunk)
         rl.ROWS.reset()
         run.values()
         # h = B, 2 B, .., blocks B rows, B the table's own block, are all short of
@@ -739,7 +739,7 @@ class TestRowBoundedCeiling:
         block = rl._block_rows(run.kernel)
         blocks = (min(rl.ROWS.size, run.size) - 1) // block
         assume(blocks >= 1)
-        run = grid._run_law(chunk)
+        run = grid._law.chunk(chunk)
         rl.ROWS.reset()
         rl.ROWS.entropies(run.kernel, block * (1 + int(share * (blocks - 1))))
         floor = run.floor()
@@ -854,8 +854,8 @@ class TestBand:
         assert grid.chunks == (slice(0, 1), slice(1, 3))
         start = rl._band_start(0.99, ab.SeriesConfig(), 16)
         assert 2 * (2 * start + 1) > rl._CHUNK_CELLS
-        assert grid._run_law(grid.chunks[0]).size == grid._run_law(0.99).size == start
-        assert grid._run_law(grid.chunks[1]).size == rl._band_start(0.5, ab.SeriesConfig(), 16)  # the larger R
+        assert grid._law.chunk(grid.chunks[0]).size == grid._law.at(0.99).size == start
+        assert grid._law.chunk(grid.chunks[1]).size == rl._band_start(0.5, ab.SeriesConfig(), 16)  # the larger R
         for g, v in zip(gammas.tolist(), np.concatenate([grid.values(c) for c in grid.chunks]).tolist()):
             assert abs(v - ab.lb_delins(0.2, 0.1, 0.8, g).bound_bits) <= 1e-13
         assert cold_rows.size == start

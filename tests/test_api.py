@@ -56,3 +56,13 @@ def test_package_imports_have_no_cycle():
 
 def test_run_length_imports_only_core():
     assert _package_imports()["run_length"] == {"core"}
+
+
+def test_analytic_bounds_reads_one_run_length_grid():
+    # the run-length term's grid form is one object; its plan, band, closed part and floor stay in run_length
+    names = set()
+    for node in ast.walk(ast.parse(Path(analytic_bounds.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "run_length":
+            names.update(a.name for a in node.names)
+    assert names == {"SeriesConfig", "_RunLawGrid", "closed_form_HLXLY", "run_law_deletion_H",
+                     "run_law_duplication_H", "run_law_delins_H"}

@@ -110,8 +110,9 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("tol", ["nan", "1e-12"])
     def test_bad_tol_is_an_error(self, tol, capsys):
-        assert main(["bound", "--channel", "deletion", "--d", "0.2", "--tol", tol]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        for gamma in ([], ["--gamma", "0.6"]):  # with --gamma too, where no search reads tol
+            assert main(["bound", "--channel", "deletion", "--d", "0.2", "--tol", tol, *gamma]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("d", ["5e-324", "1e-315", "1e-300"])
     def test_subnormal_deletion_rate_prints_valid_json(self, d, capsys):

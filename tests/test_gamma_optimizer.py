@@ -188,6 +188,19 @@ class TestOptimizeBound:
             optimize_bound(name, **params)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("name", ["insertion_lb1", "insertion_lb2", "delins"])
+    def test_printed_form_off_the_deletion_bound_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"only to the deletion bound, not '{name}'"):
+            optimize_bound(name, d=0.1, i=0.1, alpha=0.8, use_printed_hs2=True)
+
+    @pytest.mark.parametrize("gamma", [None, 0.5])
+    @pytest.mark.parametrize("channel", ["insertion", "delins"])
+    def test_channel_bounds_refuse_the_printed_form_off_deletion(self, channel, gamma):
+        with pytest.raises(ValueError, match="only to the deletion bound"):
+            channel_bounds(channel, d=0.1, i=0.2, alpha=0.8, gamma=gamma, use_printed_hs2=True)
+        res = channel_bounds("deletion", d=0.1, gamma=gamma, use_printed_hs2=True)["lb"]
+        assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
+
 
 class TestSweep:
     def test_deletion_anchor_row(self):
@@ -432,7 +445,7 @@ class TestCeiling:
         name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
         cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha, printed=printed)
-        kernel = grid._run_law(gamma).kernel
+        kernel = grid._law.at(gamma).kernel
         rl.ROWS.reset()
         value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
         # the rows the point reads, its R, held in the table's own block
@@ -627,10 +640,10 @@ class TestArrayForm:
         # at gamma <= 0.2 by the closed form itself (2.6e-15 at i = 0.999).
         gammas = np.append(go._GRID, gamma)
         grid = _grid(name, d, i, alpha, gammas)
-        assume(grid._closed is not None)  # LB 1 has no run-length term
+        assume(grid._law is not None)  # LB 1 has no run-length term
         law = (d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
         step, kernel = rl._step_law(*law), rl._row_kernel(*law)
-        for g, c, b in zip(gammas.tolist(), grid._closed.tolist(), grid._band.tolist()):
+        for g, c, b in zip(gammas.tolist(), grid._law._closed.tolist(), grid._law._band.tolist()):
             h_out = rl._output_length_entropy(np.array([g]), step)[0]
             assert (rl._run_length_entropy(np.array([g])) - h_out).tolist() == [c]
             start = rl._band_start(g, cfg, rl._block_rows(kernel))
@@ -660,13 +673,13 @@ class TestArrayForm:
     def test_custom_series_config_takes_the_array_path(self, monkeypatch):
         from delinscap import verification
         seen = []
-        original = rl._grid_plan
+        original = rl._RunLawGrid
 
-        def spy(cfg, gammas, block):
+        def spy(gammas, d, i, cfg):
             seen.append(cfg)
-            return original(cfg, gammas, block)
+            return original(gammas, d, i, cfg)
 
-        monkeypatch.setattr(ab, "_grid_plan", spy)
+        monkeypatch.setattr(ab, "_RunLawGrid", spy)
         tight = ab.SeriesConfig(tail_epsilon=5e-13, r_max_cap=20_000)
         for name, params in [("deletion", {"d": 0.1}), ("insertion_lb2", {"i": 0.2, "alpha": 0.8}),
                              ("delins", {"d": 0.2, "i": 0.2, "alpha": 0.5})]:
