@@ -30,8 +30,9 @@ computed-minus-printed residual as a diagnostic.  The literal
 deleted-run-count formula disagrees with the law at d = 0 (it evaluates to
 ``gamma*log2(gamma)`` where the law gives 0), so the kernel above is
 authoritative throughout and the literal form is exposed only for
-side-by-side study: with ``use_printed_hs2`` it replaces the deleted-run
-penalty and is subtracted like it, although it may be negative.
+side-by-side study: with ``use_printed_hs2``, the ``deletion_printed`` entry
+of ``_BOUNDS``, it replaces the deleted-run penalty and is subtracted like
+it, although it may be negative.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, binary_entropy, xlog2
+from .core import ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, _nonneg, binary_entropy, xlog2
 from .run_length import (SeriesConfig, _RunLawGrid, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H,
                          run_law_duplication_H)
 
@@ -88,12 +89,7 @@ class BoundResult:
     error_budget: float
 
     def reconstruct(self) -> float:
-        return _assemble(self.gamma_star, self.terms).bound_bits
-
-
-def _nonneg(x):
-    """max(x, 0) of a float, or elementwise of an array."""
-    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+        return _signed_sum(self.terms)
 
 
 def markov_q(gamma: float, d: float) -> float:
@@ -223,22 +219,20 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
 
 
 def delins_S_term(gamma: float, d: float, i: float, alpha: float) -> EntropyTerm:
-    """The deleted-run term of both the combined and the deletion bound:
-    :func:`closed_form_delins_S`, which is exact, so no truncation error.
+    """The deleted-run term of the combined and the deletion bound, of checked
+    (d, i, alpha) and gamma: :func:`closed_form_delins_S`, exact, so with no truncation error.
 
     Vanishes at d = 0; at i = 0 alpha drops out and it is
     :func:`cond_entropy_S_given_YY`.
     """
+    ChannelParams(d=d, i=i, alpha=alpha)
+    _check_gamma(gamma)
     return EntropyTerm("deleted_run_count_entropy", _nonneg(closed_form_delins_S(gamma, d, i, alpha)), 0.0)
 
 
 def cond_entropy_S_given_YY(gamma: float, d: float) -> EntropyTerm:
     """H(S2 | Y1 Y2) of the deletion channel: :func:`delins_S_term` at i = 0.
-
-    The printed closed form is available separately as
-    :func:`closed_form_HS2` (known to disagree at d = 0, where the law gives
-    zero).
-    """
+    Its printed closed form, :func:`closed_form_HS2`, disagrees at d = 0."""
     return delins_S_term(gamma, d, 0.0, 1.0)
 
 
@@ -277,9 +271,10 @@ def _signed_sum(terms) -> float:
     return bound
 
 
-def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
-    """The bound of ``terms``, with the truncation errors of the terms that
-    enter it."""
+def _assemble(gamma_star: float, terms: Sequence[_Term]) -> BoundResult:
+    """The bound of ``terms`` at a float gamma, as :class:`EntropyTerm`
+    records, with the truncation errors of the terms that enter it."""
+    terms = tuple(EntropyTerm(*t) for t in terms)
     bound = _signed_sum(terms)
     budget = 0.0
     for t in terms:
@@ -287,7 +282,7 @@ def _assemble(gamma_star: float, terms: Sequence[EntropyTerm]) -> BoundResult:
             budget += t.truncation_error
     if not math.isfinite(bound):
         raise ValueError(f"bound is {bound} at gamma={gamma_star}: a term is not finite")
-    return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=tuple(terms), error_budget=budget)
+    return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=terms, error_budget=budget)
 
 
 def _run_length_term(gamma, run, run_error) -> _Term:
@@ -300,7 +295,7 @@ def _run_length_term(gamma, run, run_error) -> _Term:
 # run-length penalty (:func:`_run_length_term`): the one term whose scalar
 # form, with its truncation error, and array form are computed apart.  A grid
 # passes None for it and fills it in chunk by chunk (:class:`BoundGrid`).
-# ``printed`` picks the deletion bound's printed deleted-run form.
+# ``printed`` picks the deleted-run form of the ``deletion_printed`` entry.
 
 def _deletion_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
     d = p.d
@@ -312,7 +307,7 @@ def _deletion_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = 
     return [_Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE), hs2, run]
 
 
-def _lb1_terms(p: ChannelParams, gamma, run: None = None, printed: bool = False) -> list:
+def _lb1_terms(p: ChannelParams, gamma, run: None = None) -> list:
     i, alpha = p.i, p.alpha
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
@@ -321,7 +316,7 @@ def _lb1_terms(p: ChannelParams, gamma, run: None = None, printed: bool = False)
     ]
 
 
-def _lb2_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
+def _lb2_terms(p: ChannelParams, gamma, run: _Term | None) -> list:
     i, alpha = p.i, p.alpha
     return [
         _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
@@ -331,7 +326,7 @@ def _lb2_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False
     ]
 
 
-def _delins_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
+def _delins_terms(p: ChannelParams, gamma, run: _Term | None) -> list:
     d, i, alpha = p.d, p.i, p.alpha
     scale = 1.0 - d + i  # output symbols per input bit
     return [
@@ -354,13 +349,11 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     p = ChannelParams(d=d)
     run = run_law_deletion_H(gamma, d, cfg)  # refuses a gamma out of range
     terms = _deletion_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error), use_printed_hs2)
-    terms = [EntropyTerm(*t) for t in terms]
     if diagnostics:
-        hs2 = cond_entropy_S_given_YY(gamma, d).value
-        terms.append(EntropyTerm("hs2_series_minus_closed_residual", hs2 - closed_form_HS2(gamma, d),
-                                 role=Role.DIAGNOSTIC))
-        terms.append(EntropyTerm("run_law_series_minus_closed_residual",
-                                 run.value - closed_form_HLXLY(gamma, d), role=Role.DIAGNOSTIC))
+        hs2 = cond_entropy_S_given_YY(gamma, d).value - closed_form_HS2(gamma, d)
+        run_law = run.value - closed_form_HLXLY(gamma, d)
+        terms += [_Term("hs2_series_minus_closed_residual", hs2, role=Role.DIAGNOSTIC),
+                  _Term("run_law_series_minus_closed_residual", run_law, role=Role.DIAGNOSTIC)]
     return _assemble(gamma, terms)
 
 
@@ -368,15 +361,14 @@ def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     """Insertion bound decoding all insertion positions (LB 1)."""
     p = ChannelParams(i=i, alpha=alpha)
     _check_gamma(gamma)
-    return _assemble(gamma, [EntropyTerm(*t) for t in _lb1_terms(p, gamma)])
+    return _assemble(gamma, _lb1_terms(p, gamma))
 
 
 def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None = None) -> BoundResult:
     """Insertion bound decoding only complementary insertions (LB 2)."""
     p = ChannelParams(i=i, alpha=alpha)
     run = run_law_duplication_H(gamma, i, cfg)  # refuses a gamma out of range
-    terms = _lb2_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error))
-    return _assemble(gamma, [EntropyTerm(*t) for t in terms])
+    return _assemble(gamma, _lb2_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error)))
 
 
 def lb_delins(d: float, i: float, alpha: float, gamma: float,
@@ -388,40 +380,40 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     i -> i' = i/(1-d)); the deleted-run term comes from the stationary
     second-stage law and the run-length term from the combined per-bit law.
     Reduces exactly to the deletion bound at i = 0 and to insertion LB 2 at
-    d = 0.  ``diagnostics`` is kept so that callers can pass it as they do
-    to :func:`lb_deletion`, but it no longer adds a term: the deleted-run
-    term is its closed form, so a series-minus-closed-form residual would be
-    0 by construction.
+    d = 0.  ``diagnostics`` is taken as :func:`lb_deletion` takes it, but adds
+    no term: the deleted-run term is its closed form, with no residual.
     """
     p = ChannelParams(d=d, i=i, alpha=alpha)
     run = run_law_delins_H(gamma, d, i, cfg)  # refuses a gamma out of range
-    terms = _delins_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error))
-    return _assemble(gamma, [EntropyTerm(*t) for t in terms])
+    return _assemble(gamma, _delins_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error)))
 
 
 class _Bound(NamedTuple):
     """A bound's terms and its ``lb_*``, both of the bound's own parameters."""
 
-    terms: Callable[..., list]  # at (params, gamma, run, printed)
-    lb: Callable[..., BoundResult]  # at (params, gamma, cfg, diagnostics, printed)
+    terms: Callable[..., list]  # at (params, gamma, run)
+    lb: Callable[..., BoundResult]  # at (params, gamma, cfg, diagnostics)
 
 
 # bound name -> its terms and its lb_*, both of the bound's own ChannelParams
-# (those of its channel's flags), whose (d, i) is its run-length law.  The
-# lambdas look each lb_* up by module-level name at call time, so a rebinding
-# of those names (as a tracer does) is seen.
+# (those of its channel's flags), whose (d, i) is its run-length law; the
+# deletion bound's printed form (``use_printed_hs2``) is an entry of its own.
+# The lambdas look each lb_* up by module-level name at call time, so a
+# rebinding of those names (as a tracer does) is seen.
 _BOUNDS = {
-    "deletion": _Bound(_deletion_terms, lambda p, g, cfg, diag, printed: lb_deletion(p.d, g, cfg, diag, printed)),
-    "insertion_lb1": _Bound(_lb1_terms, lambda p, g, cfg, diag, printed: lb1_insertion(p.i, p.alpha, g)),
-    "insertion_lb2": _Bound(_lb2_terms, lambda p, g, cfg, diag, printed: lb2_insertion(p.i, p.alpha, g, cfg)),
-    "delins": _Bound(_delins_terms, lambda p, g, cfg, diag, printed: lb_delins(p.d, p.i, p.alpha, g, cfg, diag)),
+    "deletion": _Bound(_deletion_terms, lambda p, g, cfg, diag: lb_deletion(p.d, g, cfg, diag)),
+    "deletion_printed": _Bound(lambda p, g, run: _deletion_terms(p, g, run, True),
+                               lambda p, g, cfg, diag: lb_deletion(p.d, g, cfg, diag, use_printed_hs2=True)),
+    "insertion_lb1": _Bound(_lb1_terms, lambda p, g, cfg, diag: lb1_insertion(p.i, p.alpha, g)),
+    "insertion_lb2": _Bound(_lb2_terms, lambda p, g, cfg, diag: lb2_insertion(p.i, p.alpha, g, cfg)),
+    "delins": _Bound(_delins_terms, lambda p, g, cfg, diag: lb_delins(p.d, p.i, p.alpha, g, cfg, diag)),
 }
 
 
 class BoundGrid:
     """The bound ``name`` of ``_BOUNDS`` at every gamma of a fixed 1-D
-    array, the gamma search's one input, for the bound's own ``params``,
-    ``cfg`` and, for the deletion bound, its ``printed`` deleted-run form.
+    array, the gamma search's one input, for the bound's own ``params`` and
+    ``cfg``.
 
     It is the array form of the bound's ``lb_*``: the same terms added in the
     same order, with no validation, no diagnostics and no truncation errors,
@@ -442,10 +434,9 @@ class BoundGrid:
     the bound on a floor is at least the bound.
     """
 
-    def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig,
-                 printed: bool = False) -> None:
+    def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig) -> None:
         bound_terms = _BOUNDS[name].terms
-        self._terms = lambda g: bound_terms(params, g, None, printed)
+        self._terms = lambda g: bound_terms(params, g, None)
         terms = self._terms(gammas)
         k = terms.index(None) if None in terms else len(terms)
         self._law = _RunLawGrid(gammas, params.d, params.i, cfg) if k < len(terms) else None

@@ -318,28 +318,29 @@ def apply_cascade(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOut
 
 
 def flip_complementary(y: np.ndarray, t_flags: np.ndarray) -> np.ndarray:
-    """Flip every output bit marked as a complementary insertion.
+    """Flip every output bit that the bit sequence T marks as a complementary insertion.
 
     For the true T of a realization the result has exactly as many runs as
     the channel input, because all surviving insertions become duplications.
     """
-    y = as_bits(y)
-    t = np.asarray(t_flags, dtype=np.uint8).ravel()
+    y, t = as_bits(y), as_bits(t_flags)
     if t.size != y.size:
         raise ValueError("T must have the same length as y")
     return y ^ t
 
 
 def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequence:
-    """Interleave zero-length run markers into the runs of ``y`` per ``S``.
+    """Interleave zero-length run markers into the runs of ``y`` per ``S``, of an integer dtype.
 
     Validates the parity constraint implied by the deleted-run law: between
     equal adjacent output bits the count must be odd or zero, between unequal
     bits it must be even.  Boundary entries are unconstrained.  For the true
     ``(y, S)`` of a realization the result has one entry per input run.
     """
-    y = as_bits(y)
-    s = np.asarray(s_counts, dtype=np.int64).ravel()
+    y, s = as_bits(y), np.asarray(s_counts)
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"deleted-run counts must be integers, got {s.dtype}")
+    s = s.astype(np.int64, copy=False).ravel()
     if s.size != y.size + 1:
         raise ValueError("S must have exactly len(y) + 1 entries")
     if s.size and s.min() < 0:

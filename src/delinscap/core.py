@@ -207,6 +207,11 @@ class EntropyTerm:
             raise ValueError(f"{self.role.label} term {self.name!r} has negative value {self.value}")
 
 
+def _nonneg(x):
+    """max(x, 0) of a float (by the builtin max), or elementwise of an array."""
+    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+
+
 def xlog2(c, num, den=1.0):
     """c * log2(num / den), taken as c * (log2(num) - log2(den)) so that a
     ratio of tiny numbers cannot overflow, and 0 wherever c <= 0 or den <= 0.

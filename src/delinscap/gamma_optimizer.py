@@ -84,13 +84,15 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
-def _bound_params(name: str, d: float, i: float, alpha: float, printed: bool = False) -> ChannelParams:
-    """The bound ``name``'s own parameters: those among (d, i, alpha) that
-    its channel's flags name, the others at their defaults."""
+def _bound_params(name: str, d: float, i: float, alpha: float, printed: bool = False) -> tuple[str, ChannelParams]:
+    """The ``_BOUNDS`` entry of the bound ``name`` (``deletion_printed`` for its
+    ``printed`` form, which only this reads) and its own parameters: those among
+    (d, i, alpha) that its channel's flags name, the others at their defaults."""
     if printed and name != "deletion":
         raise ValueError(f"use_printed_hs2 applies only to the deletion bound, not {name!r}")
     given = {"d": d, "i": i, "alpha": alpha}
-    return ChannelParams(**{flag: given[flag] for flag in _lookup(_CHANNEL_OF, name).flags})
+    params = ChannelParams(**{flag: given[flag] for flag in _lookup(_CHANNEL_OF, name).flags})
+    return ("deletion_printed" if printed else name), params
 
 
 def _check_tol(tol: float) -> None:
@@ -240,10 +242,10 @@ def optimize_bound(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     or ``delins``; the parameters its channel does not take are ignored.
     """
     ChannelParams(d=d, i=i, alpha=alpha)  # before the grid, which takes them unchecked
-    params = _bound_params(channel, d, i, alpha, use_printed_hs2)
+    entry, params = _bound_params(channel, d, i, alpha, use_printed_hs2)
     cfg = cfg or SeriesConfig()
-    gamma_star, _ = maximize_over_gamma(BoundGrid(channel, params, _GRID, cfg, use_printed_hs2), tol)
-    return _BOUNDS[channel].lb(params, gamma_star, cfg, True, use_printed_hs2)
+    gamma_star, _ = maximize_over_gamma(BoundGrid(entry, params, _GRID, cfg), tol)
+    return _BOUNDS[entry].lb(params, gamma_star, cfg, True)
 
 
 def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float = 1.0,
@@ -258,9 +260,8 @@ def channel_bounds(channel: str, *, d: float = 0.0, i: float = 0.0, alpha: float
     if gamma is None:
         return {key: optimize_bound(name, d=d, i=i, alpha=alpha, cfg=cfg, tol=tol, use_printed_hs2=use_printed_hs2)
                 for key, name in bounds.items()}
-    return {key: _BOUNDS[name].lb(_bound_params(name, d, i, alpha, use_printed_hs2), gamma, cfg, True,
-                                  use_printed_hs2)
-            for key, name in bounds.items()}
+    entries = {key: _bound_params(name, d, i, alpha, use_printed_hs2) for key, name in bounds.items()}
+    return {key: _BOUNDS[entry].lb(params, gamma, cfg, True) for key, (entry, params) in entries.items()}
 
 
 def best_key(bounds: dict[str, BoundResult]) -> str:

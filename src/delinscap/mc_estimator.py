@@ -216,4 +216,7 @@ def estimate_delins_S_term(gamma: float, d: float, i: float, alpha: float, steps
 
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Total variation distance between two distributions on the same cells."""
-    return 0.5 * float(np.abs(np.asarray(a, float).ravel() - np.asarray(b, float).ravel()).sum())
+    a, b = np.asarray(a, float).ravel(), np.asarray(b, float).ravel()
+    if a.size != b.size:
+        raise ValueError(f"laws on {a.size} and {b.size} cells have no total variation distance")
+    return 0.5 * float(np.abs(a - b).sum())

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChannelParams, EntropyTerm, _check_gamma, binary_entropy, xlog2
+from .core import ChannelParams, EntropyTerm, _check_gamma, _nonneg, binary_entropy, xlog2
 
 
 @dataclass(frozen=True)
@@ -680,9 +680,8 @@ class _RunLawChunk:
         return self._from_joint(joint - _floor_margin(self.kernel, self.size))
 
     def _from_joint(self, joint):
-        """The values from sum_r p_r H_r, clipped at 0 (by the builtin max at a float gamma)."""
-        joint = joint + self._closed
-        return np.maximum(joint, 0.0) if isinstance(joint, np.ndarray) else max(joint, 0.0)
+        """The values from sum_r p_r H_r, clipped at 0 (:func:`~.core._nonneg`)."""
+        return _nonneg(joint + self._closed)
 
 
 def _floor_margin(kernel: tuple[float, ...], n: int) -> float:
@@ -714,7 +713,7 @@ class _RunLawGrid:
         self.chunks, self._closed = self._plan.chunks, _run_law_closed(gammas, d, i)[0]
         self._band = _band(self.kernel, gammas, self._plan.starts, cfg)
         margin = _floor_margin(self.kernel, int(self._plan.starts.max())) if self.kernel else math.inf
-        self.floor = np.maximum(self._closed - margin, 0.0)
+        self.floor = _nonneg(self._closed - margin)
 
     def chunk(self, s: slice) -> _RunLawChunk:
         """The term at ``gammas[s]``, a chunk of the plan."""
@@ -725,26 +724,27 @@ class _RunLawGrid:
         return _run_law_at(gamma, *self._params)
 
 
+def _run_law_term(name: str, gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> EntropyTerm:
+    """The run-length term ``name`` at a float gamma (:meth:`_RunLawChunk.term`), of (d, i) and gamma checked first."""
+    ChannelParams(d=d, i=i)
+    _check_gamma(gamma)
+    return _run_law_at(gamma, d, i, cfg).term(name)
+
+
 def run_law_deletion_H(gamma: float, d: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for pure deletion: each bit survives with prob 1 - d."""
-    ChannelParams(d=d)
-    _check_gamma(gamma)
-    return _run_law_at(gamma, d, 0.0, cfg).term("run_length_entropy_deletion")
+    return _run_law_term("run_length_entropy_deletion", gamma, d, 0.0, cfg)
 
 
 def run_law_duplication_H(gamma: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Ytilde) for insertions only: each bit contributes 1 or 2."""
-    ChannelParams(i=i)
-    _check_gamma(gamma)
-    return _run_law_at(gamma, 0.0, i, cfg).term("run_length_entropy_insertion")
+    return _run_law_term("run_length_entropy_insertion", gamma, 0.0, i, cfg)
 
 
 def run_law_delins_H(gamma: float, d: float, i: float, cfg: SeriesConfig | None = None) -> EntropyTerm:
     """H(L_X | L_Y') for the combined channel: contributions {0, 1, 2} with
     probabilities (d, 1 - d - i, i)."""
-    ChannelParams(d=d, i=i)
-    _check_gamma(gamma)
-    return _run_law_at(gamma, d, i, cfg).term("run_length_entropy_delins")
+    return _run_law_term("run_length_entropy_delins", gamma, d, i, cfg)
 
 
 def closed_form_HLXLY(gamma: float, d: float) -> float:
@@ -761,9 +761,9 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     geometric series, h(d) (1 / (1 - gamma) - (1 - gamma)) in closed form;
     its H_m part is sum_{m>=2} p_m H_m, p_m = gamma**(m-1) (1 - gamma),
     summed as the deletion bound at the default :class:`SeriesConfig` sums
-    it: exact rows up to its R (:func:`_row_sum`) and the band past them
-    (:func:`_band`), so it reads no row the bound did not, and agrees with the bound's
-    term up to rounding.
+    it, from its R, weights and band (:func:`_run_law_at`) with p_1 zeroed,
+    so it reads no row the bound did not, and agrees with the bound's term up
+    to rounding.
     """
     ChannelParams(d=d)
     _check_gamma(gamma)
@@ -777,8 +777,6 @@ def closed_form_HLXLY(gamma: float, d: float) -> float:
     out += d * gb * binary_entropy(gd) / (1.0 - gd) ** 2
     out -= db * (2.0 - gamma - gamma * d) * math.log2(1.0 - gd) / (gb * (1.0 - gd))
     out -= binary_entropy(d) * (1.0 / gb - gb)
-    cfg, kernel = SeriesConfig(), _row_kernel(d, 0.0)
-    start = _band_start(gamma, cfg, _block_rows(kernel))
-    p = _run_weights(gamma, start)  # p_m, m = 1..R
-    p[0] = 0.0  # the series starts at m = 2
-    return out + float(_row_sum(kernel, p) + _band(kernel, gamma, start, cfg))
+    law = _run_law_at(gamma, d, 0.0, None)
+    p = np.concatenate(([0.0], law._p[1:]))  # p_m, m = 1..R, but p_1 = 0: the series starts at m = 2
+    return out + float(_row_sum(law.kernel, p) + law._band)

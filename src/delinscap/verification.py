@@ -201,7 +201,7 @@ def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
     ]
     checks = _Checks()
     for name, bound, params, gamma in cases:
-        a, b = (ab._BOUNDS[bound].lb(params, gamma, c, False, False) for c in (base, tight))
+        a, b = (ab._BOUNDS[bound].lb(params, gamma, c, False) for c in (base, tight))
         slack = (1.0 - gamma) * max(_run_law_at(gamma, params.d, params.i, c).band_slack() for c in (base, tight))
         delta = abs(a.bound_bits - b.bound_bits)
         checks.add(f"truncation_{name}", delta, TOL_TRUNCATION, f"budget {a.error_budget:.2e}, band slack {slack:.2e}")

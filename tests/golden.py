@@ -3,7 +3,8 @@
 ``golden_bounds.jsonl`` holds one JSON object per case: its label, and the
 repr of ``bound_bits``, ``gamma_star``, ``error_budget`` and every term
 value of the result.  The cases are single ``optimize_bound`` solves of all
-four bounds (the printed deleted-run form included) and the rows of three
+four bounds and of the deletion bound's printed deleted-run form (the
+``deletion_printed`` entry, through ``use_printed_hs2``) and the rows of three
 sweeps, the ones ``delinscap sweep`` writes for
 
     --channel deletion --d 0:0.99:0.01

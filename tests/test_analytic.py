@@ -728,8 +728,9 @@ class TestRowBoundedCeiling:
 
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
-        grid = ab.BoundGrid(name, go._bound_params(name, d, i, alpha), go._GRID, ab.SeriesConfig(), printed)
+        printed = name == "deletion_printed"
+        entry, params = go._bound_params("deletion" if printed else name, d, i, alpha, printed)
+        grid = ab.BoundGrid(entry, params, go._GRID, ab.SeriesConfig())
         chunk = grid.chunks[min(c, len(grid.chunks) - 1)]  # c = 15: the last chunk
         run = grid._law.chunk(chunk)
         rl.ROWS.reset()
@@ -948,6 +949,17 @@ class TestClosedFormHLXLY:
 class TestDelinsSTerm:
     def test_zero_at_d0(self):
         assert ab.delins_S_term(0.5, 0.0, 0.2, 0.5).value == 0.0
+
+    @pytest.mark.parametrize("fn, args, match", [
+        ("cond_entropy_S_given_YY", (1.5, 0.3), "gamma=1.5 must lie in"),
+        ("cond_entropy_S_given_YY", (0.5, 1.5), "deletion probability d=1.5"),
+        ("delins_S_term", (0.5, 0.5, 0.6, 0.5), "exceeds 1"),
+        ("delins_S_term", (0.0, 0.3, 0.1, 0.5), "gamma=0.0 must lie in"),
+    ])
+    def test_parameters_are_checked(self, fn, args, match):
+        # as the run_law_*_H check theirs; these once returned 0.45253, 0.0, 0.59573 and 0.80811 bits
+        with pytest.raises(ValueError, match=match):
+            getattr(ab, fn)(*args)
 
     def test_reduces_to_deletion_term(self):
         # the kernel at i = 0 against the deletion channel's own law, summed

@@ -1,8 +1,11 @@
 """The package's public API is the four modules' ``__all__`` lists, declared once."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import delinscap
 from delinscap import analytic_bounds, channel_sim, core, gamma_optimizer
@@ -66,3 +69,22 @@ def test_analytic_bounds_reads_one_run_length_grid():
             names.update(a.name for a in node.names)
     assert names == {"SeriesConfig", "_RunLawGrid", "closed_form_HLXLY", "run_law_deletion_H",
                      "run_law_duplication_H", "run_law_delins_H"}
+
+
+def test_the_printed_deletion_form_is_a_bound_entry_of_its_own():
+    # only the deletion bound has a printed form: it is the deletion_printed entry, which
+    # no channel reports, and no other terms function, grid or lb_* takes the choice
+    assert sorted(analytic_bounds._BOUNDS) == ["deletion", "deletion_printed", "delins", "insertion_lb1",
+                                               "insertion_lb2"]
+    terms = {name: fn for name, fn in vars(analytic_bounds).items()
+             if name.startswith("_") and name.endswith("_terms") and inspect.isfunction(fn)}
+    assert sorted(terms) == ["_deletion_terms", "_delins_terms", "_lb1_terms", "_lb2_terms"]
+    for name, fn in terms.items():
+        assert ("printed" in inspect.signature(fn).parameters) == (name == "_deletion_terms"), name
+    assert "printed" not in inspect.signature(analytic_bounds.BoundGrid.__init__).parameters
+    for name, bound in analytic_bounds._BOUNDS.items():
+        assert "printed" not in inspect.signature(bound.lb).parameters, name
+    with pytest.raises(ValueError, match="unknown channel"):
+        gamma_optimizer.optimize_bound("deletion_printed", d=0.2)
+    with pytest.raises(ValueError, match="unknown channel"):
+        gamma_optimizer.channel_bounds("deletion_printed", d=0.2)

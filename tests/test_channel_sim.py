@@ -115,6 +115,12 @@ class TestFlip:
         flipped = flip_complementary(out.y, out.aux.t_flags)
         assert to_runs(flipped).num_runs == 1
 
+    @pytest.mark.parametrize("t", [[2, 0], [0.5, 0], [-1, 0], [256, 0]])
+    def test_t_must_be_bits(self, t):
+        # T was cast to uint8: [2, 0] gave [2, 1], 0.5 read as 0, and -1 and 256 raised OverflowError
+        with pytest.raises(ValueError, match="other than 0/1"):
+            flip_complementary(bits_from_str("01"), t)
+
 
 class TestAugment:
     def test_two_tail_markers(self):
@@ -150,6 +156,12 @@ class TestAugment:
     def test_empty_output(self):
         runs = augment_with_deleted_runs(np.zeros(0, np.uint8), [3])
         assert runs.lengths == (0, 0, 0)
+
+    @pytest.mark.parametrize("s", [[1.7, 0, 0], ["1", 0, 0], [2 ** 70, 0, 0]])
+    def test_s_must_be_integers(self, s):
+        # S was cast to int64: 1.7 read as 1, "1" was accepted, and 2**70 raised OverflowError
+        with pytest.raises(ValueError, match="must be integers"):
+            augment_with_deleted_runs(bits_from_str("01"), s)
 
 
 def reference_augment(y, s_counts) -> RunSequence:

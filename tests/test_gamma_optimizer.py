@@ -270,15 +270,27 @@ class TestRegistry:
             assert str(err.value) == message
 
 
-def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=go._GRID, printed=False):
+def _public(name):
+    """The bound and use_printed_hs2 that optimize_bound takes for the ``_BOUNDS`` entry ``name``."""
+    return ("deletion", True) if name == "deletion_printed" else (name, False)
+
+
+def _params(name, d, i, alpha):
+    """The parameters optimize_bound gives the ``_BOUNDS`` entry ``name``."""
+    bound, printed = _public(name)
+    entry, params = go._bound_params(bound, d, i, alpha, printed)
+    assert entry == name
+    return params
+
+
+def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=go._GRID):
     """The bound's array form over ``gammas``, of the parameters optimize_bound gives it."""
-    return ab.BoundGrid(name, go._bound_params(name, d, i, alpha), gammas, ab.SeriesConfig(), printed)
+    return ab.BoundGrid(name, _params(name, d, i, alpha), gammas, ab.SeriesConfig())
 
 
-def _lb(name, d, i, alpha, gamma, diagnostics=False, printed=False, cfg=None):
+def _lb(name, d, i, alpha, gamma, diagnostics=False, cfg=None):
     """The bound's lb_* at ``gamma``, called as optimize_bound calls it."""
-    return ab._BOUNDS[name].lb(go._bound_params(name, d, i, alpha), gamma, cfg or ab.SeriesConfig(), diagnostics,
-                               printed)
+    return ab._BOUNDS[name].lb(_params(name, d, i, alpha), gamma, cfg or ab.SeriesConfig(), diagnostics)
 
 
 def _warm(grid):
@@ -288,11 +300,11 @@ def _warm(grid):
     return grid
 
 
-def _unpruned(name, d=0.0, i=0.0, alpha=1.0, printed=False, tol=1e-5, cfg=None):
+def _unpruned(name, d=0.0, i=0.0, alpha=1.0, tol=1e-5, cfg=None):
     """optimize_bound's search with no ceiling: every grid point evaluated by the lb_* itself."""
-    grid = PointByPoint(lambda g: _lb(name, d, i, alpha, g, printed=printed, cfg=cfg).bound_bits)
+    grid = PointByPoint(lambda g: _lb(name, d, i, alpha, g, cfg=cfg).bound_bits)
     gamma_star, _ = maximize_over_gamma(grid, tol)
-    return _lb(name, d, i, alpha, gamma_star, diagnostics=True, printed=printed, cfg=cfg)
+    return _lb(name, d, i, alpha, gamma_star, diagnostics=True, cfg=cfg)
 
 
 _DEBUG_RECORD = re.compile(
@@ -307,27 +319,28 @@ def _debug_counts(caplog) -> dict:
     return {key: int(value) for key, value in _DEBUG_RECORD.search(record.getMessage()).groupdict().items()}
 
 
-_FORMS = [(name, False) for name in sorted(ab._BOUNDS)] + [("deletion", True)]  # (bound, printed)
+_FORMS = sorted(ab._BOUNDS)  # the four bounds the channels report and the printed deletion form
+_CHANNEL_BOUNDS = sorted(go._CHANNEL_OF)  # the four bounds alone
 
 
 class TestCeiling:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(_FORMS), st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(0.0, 1.0),
            st.floats(1e-6, 0.99))
-    @example(("delins", False), 0.0, 0.0, 1.0, 0.5)
-    @example(("deletion", False), 0.0, 0.0, 1.0, 0.99)
-    @example(("insertion_lb2", False), 0.0, 0.9, 1.0, 1e-6)
-    @example(("deletion", True), 0.9, 0.0, 1.0, 0.99)
-    @example(("deletion", True), 0.0, 0.0, 1.0, 0.5)
-    def test_zero_row_ceiling_bounds_the_bound(self, form, d, i, alpha, gamma):
+    @example("delins", 0.0, 0.0, 1.0, 0.5)
+    @example("deletion", 0.0, 0.0, 1.0, 0.99)
+    @example("insertion_lb2", 0.0, 0.9, 1.0, 1e-6)
+    @example("deletion_printed", 0.9, 0.0, 1.0, 0.99)
+    @example("deletion_printed", 0.0, 0.0, 1.0, 0.5)
+    def test_zero_row_ceiling_bounds_the_bound(self, name, d, i, alpha, gamma):
         # the chunk ceiling, the bound on the zero-row floor of H(L_X | L_out), is at or above the
         # value bit for bit, and, like the bound, at most the source and credit terms summed (but
         # for the printed form, whose printed penalty may be negative); on a cold table it rules a
         # point out without growing the table, and on a warm one, where no row-bounded floor
         # applies, a beat rules the point out exactly when the ceiling does not exceed it
         assume(d + i <= 1.0)
-        (name, printed), chunk = form, slice(0, 1)
-        res = _lb(name, d, i, alpha, gamma, printed=printed)
+        printed, chunk = name == "deletion_printed", slice(0, 1)
+        res = _lb(name, d, i, alpha, gamma)
         positive = 0.0
         for t in res.terms:  # in order, as the bound is assembled
             if t.role.sign > 0:
@@ -335,7 +348,7 @@ class TestCeiling:
         assert printed or res.bound_bits <= positive
         for warm in (False, True):
             rl.ROWS.reset()
-            grid = _grid(name, d, i, alpha, np.array([gamma]), printed)
+            grid = _grid(name, d, i, alpha, np.array([gamma]))
             if warm:
                 _warm(grid)
             held = rl.ROWS.size
@@ -442,12 +455,11 @@ class TestCeiling:
         # one ulp below the bound is never ruled out
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        name, printed = ("deletion", True) if name == "deletion_printed" else (name, False)
         cfg = ab.SeriesConfig()
-        grid = _grid(name, d, i, alpha, printed=printed)
+        grid = _grid(name, d, i, alpha)
         kernel = grid._law.at(gamma).kernel
         rl.ROWS.reset()
-        value = _lb(name, d, i, alpha, gamma, printed=printed).bound_bits
+        value = _lb(name, d, i, alpha, gamma).bound_bits
         # the rows the point reads, its R, held in the table's own block
         block = rl._block_rows(kernel)
         blocks = (min(rl.ROWS.size, rl._band_start(gamma, cfg, block)) - 1) // block
@@ -509,20 +521,20 @@ class TestCeiling:
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             res = optimize_bound("deletion", d=0.2, use_printed_hs2=True)
         assert _debug_counts(caplog)["chunks_skipped"] > 0
-        assert repr(res) == repr(_unpruned("deletion", d=0.2, printed=True))
+        assert repr(res) == repr(_unpruned("deletion_printed", d=0.2))
         assert "deleted_runs_penalty_printed_form" in {t.name for t in res.terms}
 
     @pytest.mark.parametrize("d", [0.0, 0.2, 0.9, 0.99])
     def test_printed_form_search_is_bit_identical(self, d, cold_rows):
         # from a cold table, so that the row-bounded ceiling prunes the printed form too
         pruned = optimize_bound("deletion", d=d, use_printed_hs2=True)
-        assert repr(pruned) == repr(_unpruned("deletion", d=d, printed=True))
+        assert repr(pruned) == repr(_unpruned("deletion_printed", d=d))
 
-    @pytest.mark.parametrize("name, printed", _FORMS)
-    def test_every_form_has_chunk_ceilings(self, name, printed):
+    @pytest.mark.parametrize("name", _FORMS)
+    def test_every_form_has_chunk_ceilings(self, name):
         # with every row held, only the zero-row ceiling can rule a chunk out: for every bound and
         # the printed form, a beat at a chunk's largest ceiling rules it out, one ulp below does not
-        grid = _warm(_grid(name, 0.2, 0.1, 0.8, printed=printed))
+        grid = _warm(_grid(name, 0.2, 0.1, 0.8))
         for chunk in grid.chunks:
             top = float(np.max(grid._ceilings[chunk]))
             assert math.isfinite(top) and grid.values(chunk, top) is None
@@ -530,18 +542,19 @@ class TestCeiling:
         assert grid.row_skips == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    @pytest.mark.parametrize("name, printed", _FORMS)
-    def test_debug_record_counts_agree(self, name, printed, warm, cold_rows, caplog):
+    @pytest.mark.parametrize("name", _FORMS)
+    def test_debug_record_counts_agree(self, name, warm, cold_rows, caplog):
         # every grid point and chunk is evaluated or skipped, and the row-bounded ceiling's
         # skips are among the chunks skipped
-        params = {"deletion": {"d": 0.9}, "delins": {"d": 0.7, "i": 0.05, "alpha": 0.8}}.get(name, {"i": 0.3})
+        bound, printed = _public(name)
+        params = {"deletion": {"d": 0.9}, "delins": {"d": 0.7, "i": 0.05, "alpha": 0.8}}.get(bound, {"i": 0.3})
         if warm:
-            optimize_bound(name, use_printed_hs2=printed, **params)
+            optimize_bound(bound, use_printed_hs2=printed, **params)
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
-            optimize_bound(name, use_printed_hs2=printed, **params)
+            optimize_bound(bound, use_printed_hs2=printed, **params)
         counts = _debug_counts(caplog)
         assert counts["points_evaluated"] + counts["points_skipped"] == go._GRID.size
-        chunks = len(_grid(name, **params, printed=printed).chunks)
+        chunks = len(_grid(name, **params).chunks)
         assert counts["chunks_evaluated"] + counts["chunks_skipped"] == chunks
         assert counts["row_skips"] <= counts["chunks_skipped"]
 
@@ -593,9 +606,11 @@ class TestArrayForm:
     """Each bound's array form (:class:`~delinscap.analytic_bounds.BoundGrid`) against its lb_*."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.95), st.floats(0.0, 0.95), st.floats(0.0, 1.0),
+    @given(st.sampled_from(_FORMS), st.floats(0.0, 0.95), st.floats(0.0, 0.95), st.floats(0.0, 1.0),
            st.lists(st.floats(GAMMA_MIN, GAMMA_MAX), min_size=1, max_size=4))
     @example("deletion", 0.0, 0.0, 1.0, [0.5])
+    @example("deletion_printed", 0.0, 0.0, 1.0, [0.5])  # the printed form's gamma*log2(gamma) at d = 0
+    @example("deletion_printed", 0.9, 0.0, 1.0, [0.99])
     @example("insertion_lb1", 0.0, 0.0, 0.3, [0.5])
     @example("insertion_lb2", 0.0, 0.0, 1.0, [0.5])
     @example("insertion_lb2", 0.0, 1e-300, 0.8, [0.3])
@@ -618,12 +633,14 @@ class TestArrayForm:
         assert type(grid.at(float(gammas[0]))) is float
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+    @given(st.sampled_from(_FORMS), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
            st.floats(GAMMA_MIN, 0.9999))
     @example("delins", 0.45, 0.55, 0.5, 0.9999)  # d + i = 1: t = -1
     @example("delins", 0.7, 0.3, 1.0, 0.995)
     @example("insertion_lb2", 0.0, 0.999, 0.3, 0.9999)
     @example("deletion", 5e-324, 0.0, 1.0, 0.99)  # subnormal rates
+    @example("deletion_printed", 5e-324, 0.0, 1.0, 0.99)
+    @example("deletion_printed", 0.0, 0.0, 1.0, 0.5)
     @example("delins", 5e-324, 0.2, 0.8, 0.6)
     @example("delins", 0.3, 5e-324, 0.8, 0.9)
     @example("insertion_lb2", 0.0, 5e-324, 0.8, 0.3)
@@ -641,8 +658,8 @@ class TestArrayForm:
         gammas = np.append(go._GRID, gamma)
         grid = _grid(name, d, i, alpha, gammas)
         assume(grid._law is not None)  # LB 1 has no run-length term
-        law = (d if name in ("deletion", "delins") else 0.0, i if name != "deletion" else 0.0)
-        step, kernel = rl._step_law(*law), rl._row_kernel(*law)
+        p = _params(name, d, i, alpha)
+        step, kernel = rl._step_law(p.d, p.i), rl._row_kernel(p.d, p.i)
         for g, c, b in zip(gammas.tolist(), grid._law._closed.tolist(), grid._law._band.tolist()):
             h_out = rl._output_length_entropy(np.array([g]), step)[0]
             assert (rl._run_length_entropy(np.array([g])) - h_out).tolist() == [c]
@@ -728,7 +745,7 @@ def _optimized_bounds(test):
     0.99 (swapped into d + i <= 1 by the test) and any alpha."""
     for args in [("deletion", 0.99, 0.0, 1.0), ("delins", 0.45, 0.55, 0.5), ("delins", 0.5, 0.3, 0.8)]:
         test = example(*args)(test)
-    test = given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.99), st.floats(0.0, 0.99),
+    test = given(st.sampled_from(_CHANNEL_BOUNDS), st.floats(0.0, 0.99), st.floats(0.0, 0.99),
                  st.floats(0.0, 1.0))(test)
     return settings(max_examples=25, deadline=None, derandomize=True)(test)
 
@@ -739,7 +756,7 @@ class TestCapacityEnvelope:
     added in a few float operations, so their rounding is far below that."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(ab._BOUNDS)), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+    @given(st.sampled_from(_CHANNEL_BOUNDS), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
            st.floats(GAMMA_MIN, GAMMA_MAX))
     @example("deletion", 0.0, 0.0, 1.0, 0.5)  # the bound is the capacity, 1
     @example("deletion", 0.99, 0.0, 1.0, GAMMA_MAX)
@@ -753,14 +770,14 @@ class TestCapacityEnvelope:
         if d + i > 1.0:
             d, i = i, 1.0 - i
         res = _lb(name, d, i, alpha, gamma)
-        assert res.bound_bits <= _capacity(name, go._bound_params(name, d, i, alpha).d) + res.error_budget + 1e-12
+        assert res.bound_bits <= _capacity(name, _params(name, d, i, alpha).d) + res.error_budget + 1e-12
 
     @_optimized_bounds
     def test_optimized_bound(self, name, d, i, alpha):
         if d + i > 1.0:
             d, i = i, 1.0 - i
         res = optimize_bound(name, d=d, i=i, alpha=alpha)
-        assert res.bound_bits <= _capacity(name, go._bound_params(name, d, i, alpha).d) + res.error_budget + 1e-12
+        assert res.bound_bits <= _capacity(name, _params(name, d, i, alpha).d) + res.error_budget + 1e-12
 
     @_optimized_bounds
     def test_gamma_star_is_a_local_maximum(self, name, d, i, alpha):

@@ -31,6 +31,11 @@ class TestStationary:
         emp = mc.estimate_stationary_iy(0.2, 0.5, 0.6, steps=STEPS, seed=3)
         assert mc.tv_distance(emp.freqs, ab.stationary_iy(0.2, 0.5, 0.6)) <= 1.2e-2
 
+    def test_tv_refuses_laws_on_different_cells(self):
+        # [1.0] was broadcast against both cells, giving 0.5
+        with pytest.raises(ValueError, match="on 2 and 1 cells"):
+            mc.tv_distance([0.5, 0.5], [1.0])
+
 
 class TestPlugInEstimates:
     def test_hI_cross_check(self):
