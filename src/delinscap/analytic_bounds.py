@@ -33,6 +33,8 @@ authoritative throughout and the literal form is exposed only for
 side-by-side study: with ``use_printed_hs2``, the ``deletion_printed`` entry
 of ``_BOUNDS``, it replaces the deleted-run penalty and is subtracted like
 it, although it may be negative.
+
+Test surface: :class:`BoundGrid`'s ``gammas``, ``chunks``, ``values`` and ``at``.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ off the deleted bits alone: each maximal stretch of consecutive deleted
 bits is one gap, and the runs that start inside it, bar the last unless it
 ends there, are the gap's fully deleted runs.  With no bit deleted ``S`` is
 all zeros and nothing is computed for it.
+
+Test surface: ``_sample_from_probs``.
 """
 
 from __future__ import annotations
@@ -340,6 +342,8 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
     y, s = as_bits(y), np.asarray(s_counts)
     if s.dtype.kind not in "iu":
         raise ValueError(f"deleted-run counts must be integers, got {s.dtype}")
+    if s.dtype == np.uint64 and s.size and s.max() >> np.uint64(63):  # int64 would wrap them negative
+        raise ValueError(f"deleted-run counts must be below 2**63, got {s.max()}")
     s = s.astype(np.int64, copy=False).ravel()
     if s.size != y.size + 1:
         raise ValueError("S must have exactly len(y) + 1 entries")

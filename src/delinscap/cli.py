@@ -12,6 +12,8 @@ uses RFC 4180 quoting with CRLF line endings; JSON is UTF-8 with sorted keys.
 The environment variable ``DELINSCAP_SERIES_CONFIG`` may point to a
 ``key=value`` text file overriding the series defaults (``tail_epsilon``,
 ``r_max_cap``).
+
+Test surface: ``_parse_grid``.
 """
 
 from __future__ import annotations

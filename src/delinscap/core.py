@@ -15,6 +15,8 @@ Conventions used throughout the package:
 * Every stochastic operation takes an explicit integer seed and draws from
   ``numpy.random.default_rng`` (PCG64), which is platform independent, so
   results are bit-reproducible.
+
+Test surface: ``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -207,6 +209,15 @@ class EntropyTerm:
             raise ValueError(f"{self.role.label} term {self.name!r} has negative value {self.value}")
 
 
+def _count(value) -> int:
+    """``value`` as an int if it is an integer (a numpy integer too), else -1:
+    a bool or a float is no count, so every bound of a count refuses it."""
+    try:
+        return -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # a float, or no number at all
+        return -1
+
+
 def _nonneg(x):
     """max(x, 0) of a float (by the builtin max), or elementwise of an array."""
     return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
@@ -276,7 +287,7 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
     (:func:`_uniforms_at_least`); they, and the generator's state after
     them, equal those of one ``rng.random(n - 1)``.
     """
-    if n < 0:
+    if _count(n) < 0:
         raise ValueError("sequence length must be non-negative")
     rng = np.random.default_rng(seed)
     if n == 0:
@@ -313,11 +324,7 @@ def geometric_run_pmf(gamma: float, r: int) -> float:
     """P(run length = r) = gamma**(r-1) * (1 - gamma) for an integer r >= 1
     (a numpy integer is accepted, a bool or a float is not)."""
     MarkovSourceParams(gamma)
-    try:
-        length = 0 if isinstance(r, bool) else operator.index(r)
-    except TypeError:  # a float, or no number at all
-        length = 0
-    if length < 1:
+    if (length := _count(r)) < 1:
         raise ValueError(f"run length r={r!r} must be a positive integer")
     return gamma ** (length - 1) * (1.0 - gamma)
 

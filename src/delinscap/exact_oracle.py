@@ -46,13 +46,15 @@ of N terms of total mass 1 is about N * 2**-53 (7e-12 for the 4**8
 patterns of n = 8); the measured cascade gaps stay below 1e-14, well
 inside the 1e-12 targets, so exact rational arithmetic is not needed.
 Inputs longer than :data:`MAX_ENUM_BITS` are refused outright.
+
+Test surface: ``_aux_keys``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelParams, as_bits
+from .core import ChannelParams, _count, as_bits
 from .channel_sim import Action, action_probabilities, insertion_stage_probabilities
 
 __all__ = [
@@ -334,7 +336,7 @@ def cascade_equivalence_check(n: int, params: ChannelParams, seed: int = 0) -> f
     blocks, and both laws of a block are arrays over (input, output of at
     most 2n bits), at most ``_BLOCK_CELLS`` cells each.
     """
-    if not 0 <= n <= MAX_CASCADE_BITS:
+    if not 0 <= _count(n) <= MAX_CASCADE_BITS:
         raise ValueError(f"cascade equivalence check supports 0 <= n <= {MAX_CASCADE_BITS}")
     if n <= MAX_EXHAUSTIVE_BITS:
         inputs = np.arange(2 ** n)
@@ -371,7 +373,7 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     (all but delete/keep at i = 0, delete at d = 0) are dropped.  Refuses
     r_max outside 0..10.
     """
-    if not 0 <= r_max <= 10:
+    if not 0 <= _count(r_max) <= 10:
         raise ValueError(f"exact run law enumeration supports 0 <= r_max <= 10, got {r_max}")
     halves = _half_tables(action_probabilities(params), r_max - r_max // 2)
     out: dict[int, np.ndarray] = {}
@@ -386,7 +388,7 @@ def _aux_keys(n: int, probs4: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """The (y, T, S) keys of every (input, pattern) pair on ``n`` bits, a
     (3, 2**n, patterns) array; the run count of each input; and the action
     codes of each pattern, a (patterns, n) array, in the table's order."""
-    if not 0 <= n <= MAX_ALIGNMENT_BITS:
+    if not 0 <= _count(n) <= MAX_ALIGNMENT_BITS:
         raise ValueError(f"run alignment check supports 0 <= n <= {MAX_ALIGNMENT_BITS}, got {n}")
     table = _pattern_table(n, probs4)
     xs = np.arange(1 << n)

@@ -29,6 +29,8 @@ unpruned search's, bit for bit.
 term columns); everything that dispatches on a channel reads it.  A bound
 itself, its terms and its ``lb_*``, is declared once, in
 ``analytic_bounds``.
+
+Test surface: ``_GRID``.
 """
 
 from __future__ import annotations

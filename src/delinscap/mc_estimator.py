@@ -20,6 +20,8 @@ small bit codes built straight from the uint8 output and flag sequences.
 Seeds: every public estimator takes one master seed; per-stream seeds are
 derived with ``numpy.random.SeedSequence(master).spawn``, so concurrent
 chains never share a stream and aggregation order does not matter.
+
+Test surface: ``_plug_in``.
 """
 
 from __future__ import annotations

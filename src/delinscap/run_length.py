@@ -31,17 +31,19 @@ The binomial double series of the printed deletion run-length form
 sum_m gamma**m (m h(d) - H(Binomial(m, 1-d))): its m h(d) part in closed
 form, its binomial entropies as the bound sums them, from the same rows and
 band.
+
+Test surface: ``_run_law_at``, ``_RunLawGrid``, ``_output_length_entropy``,
+``_run_length_entropy``, ``ROWS`` and ``SeriesConfig``.
 """
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChannelParams, EntropyTerm, _check_gamma, _nonneg, binary_entropy, xlog2
+from .core import ChannelParams, EntropyTerm, _check_gamma, _count, _nonneg, binary_entropy, xlog2
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,7 @@ class SeriesConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tail_epsilon < 1.0:  # NaN included
             raise ValueError(f"tail_epsilon={self.tail_epsilon} must lie strictly inside (0, 1)")
-        try:
-            cap = 0 if isinstance(self.r_max_cap, bool) else operator.index(self.r_max_cap)
-        except TypeError:  # a float, or no number at all
-            cap = 0
-        if cap < 8:
+        if (cap := _count(self.r_max_cap)) < 8:
             raise ValueError(f"r_max_cap={self.r_max_cap!r} must be an integer of at least 8")
         object.__setattr__(self, "r_max_cap", cap)
 

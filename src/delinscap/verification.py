@@ -8,6 +8,8 @@ and 5-7 assert on the named checks of README's ``verify oracle --n-max 8``,
 the one computation behind them, and the tolerances below the single source
 of truth for what this package promises numerically.  The run alignment
 checks count keys and pairs, and pass only at a count of 0.
+
+Test surface: the public names alone.
 """
 
 from __future__ import annotations

@@ -21,7 +21,12 @@ which the enumeration ``exact_oracle.exact_run_law`` is checked against.
 ``run_length_bracket`` brackets the deletion and duplication run-length
 terms from binomial rows of its own, sharing no cut with the package.
 ``PointByPoint`` is the gamma search's grid evaluated one scalar bound call
-at a time, with nothing pruned.
+at a time, with nothing pruned.  ``deleted_run_law`` gives the deleted-run
+law's theta, beta and g0 from their definitions, so the series oracles share
+no helper with the closed form.  ``reference_band`` sums the run-length
+term's band past R plainly, and ``grid_with_run`` builds a bound's grid form
+with given run-length values, so that the tests read the band and the
+search's ceilings without the package's internals.
 
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
@@ -36,11 +41,13 @@ their next draws can be compared too.
 
 import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap import analytic_bounds as ab, gamma_optimizer as go, run_length as rl
+from delinscap.core import ChannelParams
 from delinscap.channel_sim import Action, AuxSequences, ChannelOutput, insertion_stage_probabilities
 from delinscap.core import as_bits
 from delinscap.mc_estimator import BOOTSTRAP_BLOCKS, BOOTSTRAP_REPS, MIN_CONTEXT_OBS, McEstimate
@@ -71,19 +78,41 @@ def iy_transition_matrix(i, alpha, gamma):
     return kernel
 
 
+def deleted_run_law(gamma, d):
+    """(theta, beta, g0) of the deletion channel's deleted-run law, from their
+    definitions, each a geometric series in gamma d summed here; the package's
+    closed form takes them from helpers of its own.  A run has length r with
+    probability (1 - gamma) gamma**(r-1), and each bit is deleted with
+    probability d.  After a surviving bit:
+
+    - g0 = sum_k (gamma d)**k gamma (1 - d): its run goes on, k more bits
+      are deleted, and the next one survives;
+    - theta = sum_r (1 - gamma) gamma**(r-1) d**r: a whole run is deleted;
+    - beta = sum_k (gamma d)**k (1 - gamma) (1 - theta): the run ends after
+      k deleted bits, and the next run keeps a bit.
+
+    So P(Y2 = Y1, S2 = 0) = g0, and k whole runs deleted in between has
+    probability beta theta**k."""
+    gd = gamma * d
+    theta = d * (1.0 - gamma) / (1.0 - gd)
+    return theta, (1.0 - gamma) / (1.0 - gd) * (1.0 - theta), gamma * (1.0 - d) / (1.0 - gd)
+
+
 def sy_joint_same(gamma, d, k):
     """P(Y2 = Y1, S2 = k | Y1) of the deletion channel: run survival at k = 0, geometric over odd k."""
+    th, be, g0 = deleted_run_law(gamma, d)
     if k == 0:
-        return ab._g0(gamma, d)
+        return g0
     if k % 2 == 1:
-        return ab._beta(gamma, d) * ab._theta(gamma, d) ** k
+        return be * th ** k
     return 0.0
 
 
 def sy_joint_diff(gamma, d, k):
     """P(Y2 != Y1, S2 = k | Y1) of the deletion channel: geometric over even k (0 included)."""
     if k % 2 == 0:
-        return ab._beta(gamma, d) * ab._theta(gamma, d) ** k
+        th, be, _ = deleted_run_law(gamma, d)
+        return be * th ** k
     return 0.0
 
 
@@ -92,9 +121,9 @@ def delins_s_joint_same(gamma, d, i, alpha, k):
     ip = i / (1.0 - d)
     ab_ = 1.0 - alpha
     c1 = 1.0 - ip * ab_
-    th, be = ab._theta(gamma, d), ab._beta(gamma, d)
+    th, be, g0 = deleted_run_law(gamma, d)
     if k == 0:
-        return (ip * alpha + c1 * ab._g0(gamma, d) + ip * ab_ * be) / (1.0 + ip)
+        return (ip * alpha + c1 * g0 + ip * ab_ * be) / (1.0 + ip)
     return (c1 if k % 2 == 1 else ip * ab_) * be * th ** k / (1.0 + ip)
 
 
@@ -103,9 +132,9 @@ def delins_s_joint_diff(gamma, d, i, alpha, k):
     ip = i / (1.0 - d)
     ab_ = 1.0 - alpha
     c1 = 1.0 - ip * ab_
-    th, be = ab._theta(gamma, d), ab._beta(gamma, d)
+    th, be, g0 = deleted_run_law(gamma, d)
     if k == 0:
-        return (c1 * be + ip * ab_ * ab._g0(gamma, d)) / (1.0 + ip)
+        return (c1 * be + ip * ab_ * g0) / (1.0 + ip)
     return (ip * ab_ if k % 2 == 1 else c1) * be * th ** k / (1.0 + ip)
 
 
@@ -155,8 +184,8 @@ def hs2_series(gamma, d):
     that ``sy_joint_*`` tabulate, summed over k = 0..k_max."""
     if d == 0.0:
         return 0.0, 0.0
-    th, be, q = ab._theta(gamma, d), ab._beta(gamma, d), ab.markov_q(gamma, d)
-    return _sum_law(_k_truncation(th), th, [(q, ab._g0(gamma, d), be, 0.0), (1.0 - q, be, 0.0, be)])
+    (th, be, g0), q = deleted_run_law(gamma, d), ab.markov_q(gamma, d)
+    return _sum_law(_k_truncation(th), th, [(q, g0, be, 0.0), (1.0 - q, be, 0.0, be)])
 
 
 def delins_s_series(gamma, d, i, alpha):
@@ -167,7 +196,7 @@ def delins_s_series(gamma, d, i, alpha):
     ip = i / (1.0 - d)
     ab_ = 1.0 - alpha
     c1 = 1.0 - ip * ab_
-    th, be = ab._theta(gamma, d), ab._beta(gamma, d)
+    th, be, _ = deleted_run_law(gamma, d)
     q = ab.markov_q(gamma, d)
     qb = 1.0 - q
     w_same = (ip * alpha + c1 * q + ip * ab_ * qb) / (1.0 + ip)
@@ -224,17 +253,27 @@ def delins_s_mpmath(gamma, d, i, alpha, dps=50):
 # run-length row table, earlier block loop
 # ---------------------------------------------------------------------------
 
-def reference_row_entropies(kernel, r_max):
+# The row table's own constants (run_length states them): the cells a row
+# widens by over one block product, the entry below which a row is trimmed,
+# and the smallest normal double, which every entry of a product holds at least.
+ROW_PAD = 32
+ROW_TRIM = 1e-30
+TINY = np.finfo(float).tiny
+# The most cells, G x (2 R + 1), of a grid chunk of G gammas of largest R, unless it is one point.
+CHUNK_CELLS = 4096
+
+
+def reference_row_entropies(kernel, r_max, trim=ROW_TRIM):
     """(H(row_r) for r = 1..r_max, bound on the mass missing from row_r_max),
     built cold with the block loop that ``run_length.ROWS.entropies`` keeps
     lean: 32 rows per product for a two-step kernel and 16 for a three-step
     one (a 32-cell pad either way), the first half of the kernel powers by
     convolution and the rest as those times the last of them, ``flatnonzero`` trim
-    ends, the dropped entries counted at
-    ``_ROW_TRIM`` each, a ``sliding_window_view`` window, the same matrix
-    product and logs, and one ``einsum`` per block whose sign is turned at
-    the end."""
-    block = rl._ROW_PAD // max(len(kernel) - 1, 1)
+    ends below ``trim``, the dropped entries counted at ``trim`` each, a
+    ``sliding_window_view`` window, the same matrix product and logs, and
+    one ``einsum`` per block whose sign is turned at the end.  ``trim`` = 0
+    keeps every entry, so those rows lose no mass."""
+    block = ROW_PAD // max(len(kernel) - 1, 1)
     pad = (len(kernel) - 1) * block
     steps, half = len(kernel) - 1, block // 2
     powers = np.zeros((block, pad + 1))
@@ -250,7 +289,7 @@ def reference_row_entropies(kernel, r_max):
     grown = -(-r_max // block) * block
     h, lost = np.empty(grown), np.empty(grown)
     for r0 in range(0, grown, block):
-        keep = np.flatnonzero(row >= rl._ROW_TRIM)
+        keep = np.flatnonzero(row >= trim)
         lo, hi = keep[0], keep[-1] + 1
         dropped += row.size - (hi - lo)
         n = hi - lo + pad
@@ -259,10 +298,10 @@ def reference_row_entropies(kernel, r_max):
         window = np.empty((pad + 1, n))
         np.copyto(window, sliding_window_view(padded, n)[::-1])
         rows = np.matmul(powers, window)
-        logs = np.maximum(rows, rl._TINY)
+        logs = np.maximum(rows, TINY)
         np.log2(logs, out=logs)
         h[r0:r0 + block] = np.einsum("ij,ij->i", logs, rows)
-        lost[r0:r0 + block] = dropped * rl._ROW_TRIM
+        lost[r0:r0 + block] = dropped * trim
         row = rows[-1]
     return -h[:r_max], float(lost[r_max - 1])
 
@@ -270,6 +309,52 @@ def reference_row_entropies(kernel, r_max):
 # ---------------------------------------------------------------------------
 # run-length rows by lgamma sums
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# the run-length term's band past R, summed plainly
+# ---------------------------------------------------------------------------
+
+SEGMENT = 1.25  # growth of a band segment's start, as run_length cuts them
+_LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
+
+
+def reference_max_entropy(kernel, r):
+    """U_r = log2(2 pi e (r Var + 1/12)) / 2 of a number r or elementwise of an
+    array, Var the variance of one step of ``kernel``, summed by ``math.fsum``:
+    at least the entropy of the sum of r steps (T. M. Cover and J. A. Thomas,
+    the discrete entropy bound)."""
+    mean = math.fsum(k * w for k, w in enumerate(kernel))
+    var = math.fsum(w * (k - mean) ** 2 for k, w in enumerate(kernel))
+    xp = np if isinstance(r, np.ndarray) else math
+    return 0.5 * (xp.log2(r * var + 1.0 / 12.0) + _LOG2_2PIE)
+
+
+def reference_piece(kernel, gamma, start, m=None):
+    """W U(r_bar) over the run lengths start < r <= start + m (every r > start
+    without m), W their weights' sum and r_bar their mean: at least their sum
+    of p_r U_r by Jensen's inequality, since U is concave in r."""
+    head, mean = gamma ** start, start + 1.0 / (1.0 - gamma)
+    if m is None:
+        return head * reference_max_entropy(kernel, mean)
+    kept = -math.expm1(m * math.log(gamma))
+    return head * kept * reference_max_entropy(kernel, mean - m * math.exp(m * math.log(gamma)) / kept)
+
+
+def reference_band(kernel, gamma, start, cfg):
+    """The band past R = ``start`` at a float gamma, with the arithmetic of the
+    package's float band: one piece to infinity, unless R is at the cap and
+    that piece's Jensen slack gamma**S log2(1 + 1 / ((1 - gamma) S)) / 2
+    exceeds tail_epsilon / (1 - gamma); then segments (S, ceil(1.25 S]) from
+    S = R on until it does not.  A term is its rows, this band and its closed
+    part, bit for bit (``test_analytic``)."""
+    target, total = cfg.tail_epsilon / (1.0 - gamma), 0.0
+    slack = lambda s: gamma ** s * (0.5 * math.log2(math.e)) * math.log1p(1.0 / ((1.0 - gamma) * s))
+    while start >= cfg.r_max_cap and slack(start) > target:
+        end = math.ceil(SEGMENT * start)
+        total += reference_piece(kernel, gamma, start, end - start)
+        start = end
+    return total + reference_piece(kernel, gamma, start)
+
 
 def _log_comb(n, k):
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -432,7 +517,7 @@ def entropy_bits(law):
         law = law[law > 0.0]
         h = np.log2(law)
     else:  # zeros add 0 x log2(tiny) = 0
-        h = np.log2(np.maximum(law, rl._TINY))
+        h = np.log2(np.maximum(law, TINY))
     h *= law
     return -h.sum(axis=-1)
 
@@ -676,3 +761,65 @@ class PointByPoint:
 
     def at(self, gamma, beat=-math.inf):
         return self._fn(gamma)
+
+
+# ---------------------------------------------------------------------------
+# a bound's grid form, as the search builds it, and with its run-length term replaced
+# ---------------------------------------------------------------------------
+
+# each bound of a search: the four the channels report and the deletion bound's printed form
+BOUND_FORMS = ("deletion", "deletion_printed", "delins", "insertion_lb1", "insertion_lb2")
+
+
+def table_block(kernel):
+    """The rows one block product of the row table advances for ``kernel``: a
+    table of its own, asked for one row, holds one whole block."""
+    table = type(rl.ROWS)()
+    table.entropies(kernel, 1)
+    return table.size
+
+
+def entry_params(name, d=0.0, i=0.0, alpha=1.0):
+    """The parameters ``optimize_bound`` gives the bound form ``name``: those of
+    (d, i, alpha) its channel's flags name (``gamma_optimizer.CHANNELS``), the
+    others at their defaults."""
+    bound = "deletion" if name == "deletion_printed" else name
+    flags = next(c.flags for c in go.CHANNELS.values() if bound in c.bounds.values())
+    given = {"d": d, "i": i, "alpha": alpha}
+    return ChannelParams(**{flag: given[flag] for flag in flags})
+
+
+class _Given:
+    """A run-length chunk whose values are given, with no floor of its own."""
+
+    def __init__(self, values):
+        self._values = values
+
+    def floor(self):
+        return None
+
+    def values(self):
+        return self._values
+
+
+def grid_with_run(name, params, gammas, cfg, run):
+    """``BoundGrid(name, params, gammas, cfg)`` with ``run(law, chunk)`` in place
+    of H(L_X | L_out) at every chunk, ``law`` the bound's own
+    ``run_length._RunLawGrid``: its ``values(chunk)`` is then the bound
+    assembled on those values, by the grid's own arithmetic.  With the law's
+    zero-row ``floor`` as ``run`` that is the grid's zero-row ceiling, bit for
+    bit; a bound with no run-length term (LB 1) is the grid itself."""
+
+    class Law(rl._RunLawGrid):
+        def chunk(self, s):
+            return _Given(run(self, s))
+
+    with mock.patch.object(ab, "_RunLawGrid", Law):
+        return ab.BoundGrid(name, params, gammas, cfg)
+
+
+def zero_row_ceilings(name, params, gammas, cfg):
+    """The grid's zero-row ceiling at each of ``gammas``: the bound with the
+    run-length law's zero-row floor in place of H(L_X | L_out)."""
+    grid = grid_with_run(name, params, gammas, cfg, lambda law, s: law.floor[s])
+    return np.concatenate([grid.values(chunk) for chunk in grid.chunks])

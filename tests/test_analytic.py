@@ -8,9 +8,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
-from delinscap import analytic_bounds as ab, run_length as rl
+from delinscap import analytic_bounds as ab, gamma_optimizer as go, run_length as rl
 
 import oracles
+
+# the run-length module's test surface, and the search's grid
+run_law_at, RunLawGrid = rl._run_law_at, rl._RunLawGrid
+output_length_entropy, run_length_entropy = rl._output_length_entropy, rl._run_length_entropy
+GRID = go._GRID
 
 
 def h(p):
@@ -33,8 +38,8 @@ class TestIntermediates:
         for g in np.linspace(0.05, 0.95, 10):
             for d in np.linspace(0.0, 0.9, 10):
                 assert 0.0 < ab.markov_q(g, d) < 1.0
-                assert 0.0 <= ab._theta(g, d) < 1.0
-                assert 0.0 < ab._beta(g, d) < 1.0
+                theta, beta, g0 = oracles.deleted_run_law(g, d)
+                assert 0.0 <= theta < 1.0 and 0.0 < beta < 1.0 and 0.0 < g0 < 1.0
                 assert 0.0 <= ChannelParams(d, 0.05).i_prime <= 1.0
 
 
@@ -325,7 +330,39 @@ _KERNELS = {
 
 def _band_slack_at(gamma, d, i, cfg=None):
     """The band's slack (:meth:`run_length._RunLawChunk.band_slack`) of the term at gamma."""
-    return rl._run_law_at(gamma, d, i, cfg).band_slack()
+    return run_law_at(gamma, d, i, cfg).band_slack()
+
+
+def _step(d, i):
+    """The per-bit output-length law (d, 1 - d - i, i); d + i may exceed 1 by rounding."""
+    return d, max(1.0 - d - i, 0.0), i
+
+
+def _kernel(d, i):
+    """The row table's kernel of the law (d, i): the step law less a zero end step, () at d = i = 0."""
+    return run_law_at(0.5, d, i, None).kernel
+
+
+def _start(gamma, d, i, cfg=None):
+    """R, the exact rows the term at gamma reads before its band."""
+    return run_law_at(gamma, d, i, cfg).size
+
+
+def _closed(gamma, d, i):
+    """H(L_X) - H(L_out), the closed part of the term at a float gamma."""
+    return run_length_entropy(gamma) - output_length_entropy(gamma, _step(d, i))[0]
+
+
+def _term_from_parts(gamma, d, i, cfg, band):
+    """The term at a float gamma summed from its parts as the term sums them:
+    p_r = (1 - gamma) gamma**(r-1) up to R (np.power below 128 rows, one exp
+    of (r - 1) log(gamma) from there on) times the table's rows by one
+    einsum, then ``band``, then the closed part, clipped at 0."""
+    start = _start(gamma, d, i, cfg)
+    k = np.arange(float(start))
+    p = (1.0 - gamma) * (np.power(gamma, k) if start < 128 else np.exp(k * math.log(gamma)))
+    joint = np.einsum("r,r->", p, rl.ROWS.entropies(_kernel(d, i), start)) + band
+    return float(np.maximum(joint + _closed(gamma, d, i), 0.0))
 
 
 class TestRunLengthKernel:
@@ -439,9 +476,9 @@ class TestOutputLengthEntropy:
         # H(L_out) of the whole law, against its cells at 50 digits and their geometric tail
         d, i = _OUTPUT_LAWS[law]
         ref = oracles.output_length_entropy_mpmath(gamma, d, i, _mpmath_cells(gamma, d, i))
-        step = rl._step_law(d, i)
-        scalar, rounding = rl._output_length_entropy(gamma, step)
-        array = rl._output_length_entropy(np.array([0.3, gamma]), step)[0]
+        step = _step(d, i)
+        scalar, rounding = output_length_entropy(gamma, step)
+        array = output_length_entropy(np.array([0.3, gamma]), step)[0]
         assert type(scalar) is float and 0.0 <= rounding <= 1e-10
         assert abs(scalar - ref) <= 1e-14 * max(1.0, ref)
         assert abs(array[1] - ref) <= 1e-14 * max(1.0, ref)
@@ -463,11 +500,11 @@ class TestOutputLengthEntropy:
         if d + i > 1.0:
             d, i = i, 1.0 - i
         assume(d + i > 0.0)
-        step = rl._step_law(d, i)
+        step = _step(d, i)
         direct = float(oracles.entropy_bits(oracles.output_length_law(gamma, step, _law_cells(gamma, d, i))))
-        got = rl._output_length_entropy(gamma, step)[0]
+        got = output_length_entropy(gamma, step)[0]
         assert abs(got - direct) <= 1e-12 * max(1.0, direct)
-        rows = rl._output_length_entropy(np.array([gamma, gamma]), step)[0]
+        rows = output_length_entropy(np.array([gamma, gamma]), step)[0]
         assert rows[0] == rows[1] and abs(rows[0] - got) <= 1e-14 * max(1.0, direct)
 
     @pytest.mark.parametrize("d,i", [(0.95, 0.0), (0.7, 0.05)])
@@ -475,15 +512,14 @@ class TestOutputLengthEntropy:
         # with the row table empty, a chunk takes its kept weights and its
         # closed-form H(L_out): no (G, 2 R + 1) output-length law
         import tracemalloc
-        from delinscap import gamma_optimizer as go
 
-        grid = ab.BoundGrid("delins", ChannelParams(d=d, i=i, alpha=0.5), go._GRID, ab.SeriesConfig())
-        chunk = grid.chunks[-1]
-        gammas = go._GRID[chunk]
-        grid._law.chunk(chunk)  # fills the grid chunk's weights
+        law = RunLawGrid(GRID, d, i, ab.SeriesConfig())  # the delins bound's grid form reads this law
+        chunk = law.chunks[-1]
+        gammas = GRID[chunk]
+        law.chunk(chunk)  # fills the grid chunk's weights
         tracemalloc.start()
         try:
-            run = grid._law.chunk(chunk)
+            run = law.chunk(chunk)
             assert run.floor() is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -556,8 +592,20 @@ def _trimmed_mass(kernel, n):
     """The a-priori bound on the mass row_n misses to the table's trimming
     that the row error takes (:func:`run_length._row_error`): ceil(n / B)
     trims of rows on at most (len(kernel) - 1) n + 1 cells, each entry
-    dropped below _ROW_TRIM."""
-    return -(-n // rl._block_rows(kernel)) * ((len(kernel) - 1) * n + 1) * rl._ROW_TRIM
+    dropped below the trim, 1e-30 (``oracles.ROW_TRIM``)."""
+    return -(-n // oracles.table_block(kernel)) * ((len(kernel) - 1) * n + 1) * oracles.ROW_TRIM
+
+
+def _drift_bound(kernel, n):
+    """The bound the row error takes on how far rounding moves a stored row
+    H_r, r <= n (:func:`run_length._row_drift`): gamma_m (log2(c) + 2), c the
+    most cells of a row and gamma_m = m u / (1 - m u) the relative error of m
+    roundings, m = ceil(n / B) (3 B + 3 M / 2 + 3) + c + M + 3, M = 32 the
+    pad and u = 2**-53 (N. J. Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1)."""
+    block, cells, pad = oracles.table_block(kernel), (len(kernel) - 1) * n + 1, oracles.ROW_PAD
+    roundings = -(-n // block) * (3 * block + 3 * pad // 2 + 3) + cells + pad + 3
+    return roundings * 2.0 ** -53 / (1.0 - roundings * 2.0 ** -53) * (math.log2(cells) + 2.0)
 
 
 class TestRowTable:
@@ -605,16 +653,16 @@ class TestRowTable:
         # cold build's bit for bit, and no row handed out changes as the table grows
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        kernel = rl._row_kernel(d, i)
+        kernel = _kernel(d, i)
         assume(len(kernel) > 1)
         sizes = sorted(set(sizes))
-        table = rl._RowTable()
+        table = type(rl.ROWS)()
         grown = [table.entropies(kernel, r) for r in sizes]
         n = sizes[-1]
         rows = table.entropies(kernel, n)
         oracle = _convolution_row_entropies(kernel, n)
         for h, r in zip(grown, sizes):
-            assert np.array_equal(h, rl._RowTable().entropies(kernel, r))
+            assert np.array_equal(h, type(rl.ROWS)().entropies(kernel, r))
             assert np.array_equal(h, rows[:r])
             assert oracles.reference_row_entropies(kernel, r)[1] <= _trimmed_mass(kernel, r)
         assert np.all(np.abs(rows - oracle) <= 1e-14 + 1e-15 * np.arange(1, n + 1))
@@ -629,32 +677,30 @@ class TestRowTable:
         assert np.array_equal(rl.ROWS.entropies((1.0,), r_max), table)
 
     @pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
-    def test_trimming_moves_term_within_its_error(self, d, i, monkeypatch, cold_rows):
+    def test_trimming_moves_term_within_its_error(self, d, i, cold_rows):
         # R = 1 984 .. 2 048 at gamma = 0.99: the term's error is the row error at R (the trim
         # bound of the a-priori trimmed mass, then the rows' drift), the rounding of the row sum
         # and that of H(L_out)'s series, in that order
         gamma = 0.99
         trimmed = ab.run_law_delins_H(gamma, d, i)
         kernel = tuple(x for x in (d, 1.0 - d - i, i) if x > 0.0)
-        start = rl._band_start(gamma, ab.SeriesConfig(), rl._block_rows(kernel))
+        start = _start(gamma, d, i)
         assert cold_rows.size == start
         lost, mass = oracles.reference_row_entropies(kernel, start)[1], _trimmed_mass(kernel, start)
         assert 0.0 < lost <= mass
         moved = lambda m: m * (math.log2(2 * start + 1) - math.log2(m) + math.log2(math.e))  # grows with m
         assert moved(lost) <= moved(mass)
-        row_error = moved(mass) + rl._row_drift(kernel, start)
-        assert rl._row_error(kernel, start) == row_error
+        row_error = moved(mass) + _drift_bound(kernel, start)
         row_sum = (1.01 * start + 2240.0) * 2.0 ** -53 * math.log2((len(kernel) - 1) * start + 1)
-        rounding = rl._output_length_entropy(gamma, rl._step_law(d, i))[1]
+        rounding = output_length_entropy(gamma, _step(d, i))[1]
         assert trimmed.truncation_error == row_error + row_sum + rounding
-        monkeypatch.setattr(rl, "_ROW_TRIM", 0.0)
-        rl._row_error.cache_clear()  # its cached entries took the trimming
-        cold_rows.reset()
-        full = ab.run_law_delins_H(gamma, d, i)
-        assert abs(trimmed.value - full.value) <= trimmed.truncation_error
-        assert rl._row_error(kernel, start) == rl._row_drift(kernel, start)  # nothing trimmed
-        monkeypatch.undo()
-        rl._row_error.cache_clear()
+        # the rows built with nothing trimmed lose no mass, and move the term's row sum
+        # (its weights, one exp each from 128 rows on) by less than its error
+        full, none_lost = oracles.reference_row_entropies(kernel, start, trim=0.0)
+        assert none_lost == 0.0
+        p = (1.0 - gamma) * np.exp(np.arange(float(start)) * math.log(gamma))
+        moved_sum = np.einsum("r,r->", p, full) - np.einsum("r,r->", p, cold_rows.entropies(kernel, start))
+        assert abs(moved_sum) <= trimmed.truncation_error
 
     @pytest.mark.parametrize("d", [0.2, 0.3, 0.5, 0.8])
     def test_binomial_rows_match_mpmath(self, d, cold_rows):
@@ -669,28 +715,50 @@ class TestRowTable:
             tol = 1e-12 if d >= 0.5 else 1e-14 + 1e-15 * m
             assert drift <= tol
             if m in (cap, 2 * cap):
-                assert drift <= rl._row_drift(kernel, m)
+                assert drift <= _drift_bound(kernel, m)
+
+
+_UNIT = 2.0 ** 1000
+
+
+class _UnitRow:
+    """A row table whose one row, r, has the entropy 2**1000 and every other 0:
+    a term read from it is 2**1000 p_r exactly, since its band and closed part
+    lie far below half an ulp of that."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def entropies(self, kernel, n):
+        h = np.zeros(n)
+        h[self.r - 1] = _UNIT
+        return h
 
 
 class TestRowBoundedCeiling:
     """The facts behind the row-bounded ceiling of the gamma search."""
 
     @pytest.mark.parametrize("gamma", [0.3, 0.9, 0.99, 0.9972, 0.9999, 1.0 - 1e-9])
-    def test_float_weights_err_within_the_floor_margin(self, gamma):
+    def test_float_weights_err_within_the_floor_margin(self, gamma, monkeypatch):
         # p_r = (1 - gamma) gamma**(r-1) at a float gamma, np.power under 128 rows and one exp
         # from there on, errs by at most (3 (r - 1) |log gamma| + 4) u relative (floor's margin);
-        # a grid chunk's row is the same weights, zero past its R, in a chunk with 0.3 or alone
-        cfg = ab.SeriesConfig()
-        r_max = rl._band_start(gamma, cfg, 32)
-        p = rl._run_weights(gamma, r_max)
-        plan = rl._GridPlan(cfg, (gamma, 0.3), 32)
-        row = plan.weights(plan.chunks[0])[0]
-        assert np.array_equal(row[:r_max], p) and not row[r_max:].any()
+        # a grid chunk's row is the same weights, in a chunk with 0.3 or alone, its R the chunk's.
+        # Each weight is read out of the term exactly, with a row table whose one row is r.
+        cfg, d = ab.SeriesConfig(), 0.5  # a two-step kernel: rows in blocks of 32
+        r_max = _start(gamma, d, 0.0, cfg)
+        law = RunLawGrid(np.array([gamma, 0.3]), d, 0.0, cfg)
+        assert law.chunk(law.chunks[0]).size == r_max  # the chunk's rows are gamma's
+        rows = range(1, r_max + 1) if r_max <= 256 else sorted(
+            {*range(1, 33), *np.linspace(1, r_max, 64).astype(int).tolist(), *range(r_max - 31, r_max + 1)})
         with mpmath.workdps(40):
-            for r in sorted({1, 2, r_max // 3, r_max // 2, r_max - 1, r_max}):
-                exact = (1 - mpmath.mpf(gamma)) * mpmath.mpf(gamma) ** (r - 1)
-                bound = (3.0 * (r - 1) * abs(math.log(gamma)) + 4.0) * 2.0 ** -53
-                assert abs(float((mpmath.mpf(p[r - 1]) - exact) / exact)) <= bound
+            for r in rows:
+                monkeypatch.setattr(rl, "ROWS", _UnitRow(r))
+                p = float(run_law_at(gamma, d, 0.0, cfg).values()) / _UNIT
+                assert float(law.chunk(law.chunks[0]).values()[0]) / _UNIT == p
+                if r in {1, 2, r_max // 3, r_max // 2, r_max - 1, r_max}:
+                    exact = (1 - mpmath.mpf(gamma)) * mpmath.mpf(gamma) ** (r - 1)
+                    bound = (3.0 * (r - 1) * abs(math.log(gamma)) + 4.0) * 2.0 ** -53
+                    assert abs(float((mpmath.mpf(p) - exact) / exact)) <= bound
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True))
@@ -706,7 +774,7 @@ class TestRowBoundedCeiling:
         # are the table's bits but where _TINY shows, as at d = 1e-300)
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        kernel = rl._row_kernel(d, i)
+        kernel = _kernel(d, i)
         assume(len(kernel) > 1)  # the identity step (d = i = 0) has no table: L_out = L_X
         rl.ROWS.reset()
         table = rl.ROWS.entropies(kernel, 10_000)
@@ -724,31 +792,31 @@ class TestRowBoundedCeiling:
     @example("insertion_lb2", 0.0, 0.4, 0.6, 12, 0.3)
     @example("deletion_printed", 0.85, 0.0, 1.0, 15, 0.5)
     def test_row_bounded_ceiling_bounds_the_values(self, name, d, i, alpha, c, share):
-        from delinscap import gamma_optimizer as go
-
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        printed = name == "deletion_printed"
-        entry, params = go._bound_params("deletion" if printed else name, d, i, alpha, printed)
-        grid = ab.BoundGrid(entry, params, go._GRID, ab.SeriesConfig())
+        params, cfg = oracles.entry_params(name, d, i, alpha), ab.SeriesConfig()
+        grid = ab.BoundGrid(name, params, GRID, cfg)
+        law = RunLawGrid(GRID, params.d, params.i, cfg)  # the grid's run-length term
+        assert law.chunks == grid.chunks
         chunk = grid.chunks[min(c, len(grid.chunks) - 1)]  # c = 15: the last chunk
-        run = grid._law.chunk(chunk)
+        run = law.chunk(chunk)
         rl.ROWS.reset()
         run.values()
         # h = B, 2 B, .., blocks B rows, B the table's own block, are all short of
-        # the rows the chunk reads, its largest R
-        block = rl._block_rows(run.kernel)
+        # the rows the chunk reads, its largest R (none at d = i = 0)
+        assume(run.kernel)
+        block = oracles.table_block(run.kernel)
         blocks = (min(rl.ROWS.size, run.size) - 1) // block
         assume(blocks >= 1)
-        run = grid._law.chunk(chunk)
+        run = law.chunk(chunk)
         rl.ROWS.reset()
         rl.ROWS.entropies(run.kernel, block * (1 + int(share * (blocks - 1))))
         floor = run.floor()
-        ceiling = grid._assemble(chunk, floor)
+        ceiling = oracles.grid_with_run(name, params, GRID, cfg, lambda law, s: floor).values(chunk)
         values = run.values()
         full = grid.values(chunk)
         assert np.all(floor <= values)
-        assert np.array_equal(grid._assemble(chunk, values), full)
+        assert np.array_equal(oracles.grid_with_run(name, params, GRID, cfg, lambda law, s: values).values(chunk), full)
         assert np.all(ceiling >= full)
 
 
@@ -769,23 +837,23 @@ class TestBand:
         # the band's slack; U_r >= H_r at every row up to n, and the slack holds their excess
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        kernel = rl._row_kernel(d, i)
+        kernel = _kernel(d, i)
         assume(kernel)
         cfg = ab.SeriesConfig()
         rl.ROWS.reset()
-        value = float(rl._run_law_at(gamma, d, i, cfg).values())
-        start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
-        assert rl._block_rows(kernel) <= start <= cfg.r_max_cap
+        value = float(run_law_at(gamma, d, i, cfg).values())
+        start = _start(gamma, d, i, cfg)
+        assert oracles.table_block(kernel) <= start <= cfg.r_max_cap
         slack = _band_slack_at(gamma, d, i, cfg)
         assert slack > 0.0
         n = math.ceil(math.log(1e-13) / math.log(gamma))
         rows = rl.ROWS.entropies(kernel, n)
-        band = rl._max_entropy(kernel, np.arange(start + 1.0, n + 1.0))
+        band = oracles.reference_max_entropy(kernel, np.arange(start + 1.0, n + 1.0))
         assert np.all(band >= rows[start:])
         p = (1.0 - gamma) * np.power(gamma, np.arange(float(n)))
         assert math.fsum((p[start:] * (band - rows[start:])).tolist()) <= slack
         joint = math.fsum((p * rows).tolist()) + gamma ** n * float(rows[-1])
-        full = max(joint + rl._run_law_closed(gamma, d, i)[0], 0.0)
+        full = max(joint + _closed(gamma, d, i), 0.0)
         assert full - 1e-13 <= value <= full + slack + 1e-13
 
     @pytest.mark.parametrize("d, i, gamma", [
@@ -795,12 +863,13 @@ class TestBand:
     def test_band_sum_is_at_least_the_rows_it_replaces(self, d, i, gamma, cold_rows):
         # the band is at least sum p_r U_r over every r > R (Jensen: U is concave in r), within its
         # rounding, and exceeds sum p_r H_r by at most the slack; one piece below the cap, and
-        # segments, each lowering it, at the cap
+        # segments, each lowering it, at the cap; the term is its rows, this band and its closed part
         cfg = ab.SeriesConfig()
-        kernel = rl._row_kernel(d, i)
-        start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
-        band = rl._band(kernel, gamma, start, cfg)
-        piece = rl._piece(kernel, gamma, start)
+        kernel = _kernel(d, i)
+        start = _start(gamma, d, i, cfg)
+        band = oracles.reference_band(kernel, gamma, start, cfg)
+        assert repr(ab.run_law_delins_H(gamma, d, i, cfg).value) == repr(_term_from_parts(gamma, d, i, cfg, band))
+        piece = oracles.reference_piece(kernel, gamma, start)
         assert band == piece if start < cfg.r_max_cap else band < piece
         r = np.arange(start + 1.0, math.ceil(math.log(1e-20) / math.log(gamma)))
         p = (1.0 - gamma) * np.power(gamma, r - 1.0)
@@ -808,8 +877,9 @@ class TestBand:
         m = math.ceil(0.25 * start)
         weight = math.fsum(p[:m].tolist())
         mean = math.fsum((r[:m] * p[:m]).tolist()) / weight
-        assert abs(rl._piece(kernel, gamma, start, m) - weight * rl._max_entropy(kernel, mean)) <= 1e-12 * weight
-        assert math.fsum((p * rl._max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
+        segment = oracles.reference_piece(kernel, gamma, start, m)
+        assert abs(segment - weight * oracles.reference_max_entropy(kernel, mean)) <= 1e-12 * weight
+        assert math.fsum((p * oracles.reference_max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
         rows = rl.ROWS.entropies(kernel, int(r[-1]))[start:]
         assert band - math.fsum((p * rows).tolist()) <= _band_slack_at(gamma, d, i, cfg)
 
@@ -817,10 +887,10 @@ class TestBand:
     def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, i, cold_rows):
         # R depends on gamma and the configuration alone, never on how many rows the table held
         cold = ab.run_law_delins_H(gamma, d, i)
-        kernel = rl._row_kernel(d, i)
-        start = rl._band_start(gamma, ab.SeriesConfig(), rl._block_rows(kernel))
+        kernel = _kernel(d, i)
+        start = _start(gamma, d, i)
         assert cold_rows.size == start
-        for held in (start - 2 * rl._block_rows(kernel), start + 1_000):
+        for held in (start - 2 * oracles.table_block(kernel), start + 1_000):
             cold_rows.reset()
             cold_rows.entropies(kernel, held)
             assert repr(ab.run_law_delins_H(gamma, d, i)) == repr(cold)
@@ -830,22 +900,19 @@ class TestBand:
         # p[:R] . H[:R] by einsum, the band past R and H(L_X) - H(L_out), bit for bit
         cfg = ab.SeriesConfig(r_max_cap=cap)
         for d, i in [(0.9, 0.0), (0.2, 0.1)]:
-            kernel = rl._row_kernel(d, i)
-            start = rl._band_start(gamma, cfg, rl._block_rows(kernel))
+            kernel = _kernel(d, i)
+            start = _start(gamma, d, i, cfg)
             term = ab.run_law_delins_H(gamma, d, i, cfg)
-            rows = rl.ROWS.entropies(kernel, start)
-            assert start >= rl._EXP_WEIGHTS_MIN_ROWS  # weights from one exp, as _run_law_at takes them
-            p = (1.0 - gamma) * np.exp(np.arange(float(start)) * math.log(gamma))
-            joint = np.einsum("r,r->", p, rows) + rl._band(kernel, gamma, start, cfg)
-            assert repr(term.value) == repr(float(np.maximum(joint + rl._run_law_closed(gamma, d, i)[0], 0.0)))
+            assert start >= 128  # weights from one exp, as the term takes them from 128 rows on
+            band = oracles.reference_band(kernel, gamma, start, cfg)
+            assert repr(term.value) == repr(_term_from_parts(gamma, d, i, cfg, band))
 
     @pytest.mark.parametrize("tail_epsilon", [0.5, 0.9])
     def test_loose_tail_budget_takes_a_short_band_start(self, tail_epsilon, cold_rows):
         # a target the first block already meets: R is one block, and the band the rest
         cfg = ab.SeriesConfig(tail_epsilon=tail_epsilon)
         term = ab.run_law_delins_H(0.9999, 0.3, 0.1, cfg)
-        kernel = rl._row_kernel(0.3, 0.1)
-        assert rl._band_start(0.9999, cfg, rl._block_rows(kernel)) == rl._block_rows(kernel) == cold_rows.size
+        assert _start(0.9999, 0.3, 0.1, cfg) == oracles.table_block(_kernel(0.3, 0.1)) == cold_rows.size
         assert math.isfinite(term.value) and math.isfinite(term.truncation_error)
 
     def test_a_long_point_is_a_chunk_alone(self, cold_rows):
@@ -853,10 +920,12 @@ class TestBand:
         gammas = np.array([0.99, 0.5, 0.3])
         grid = ab.BoundGrid("delins", ChannelParams(d=0.2, i=0.1, alpha=0.8), gammas, ab.SeriesConfig())
         assert grid.chunks == (slice(0, 1), slice(1, 3))
-        start = rl._band_start(0.99, ab.SeriesConfig(), 16)
-        assert 2 * (2 * start + 1) > rl._CHUNK_CELLS
-        assert grid._law.chunk(grid.chunks[0]).size == grid._law.at(0.99).size == start
-        assert grid._law.chunk(grid.chunks[1]).size == rl._band_start(0.5, ab.SeriesConfig(), 16)  # the larger R
+        start = _start(0.99, 0.2, 0.1)
+        assert 2 * (2 * start + 1) > oracles.CHUNK_CELLS
+        law = RunLawGrid(gammas, 0.2, 0.1, ab.SeriesConfig())  # the grid's run-length term
+        assert law.chunks == grid.chunks
+        assert law.chunk(grid.chunks[0]).size == law.at(0.99).size == start
+        assert law.chunk(grid.chunks[1]).size == _start(0.5, 0.2, 0.1)  # the larger R
         for g, v in zip(gammas.tolist(), np.concatenate([grid.values(c) for c in grid.chunks]).tolist()):
             assert abs(v - ab.lb_delins(0.2, 0.1, 0.8, g).bound_bits) <= 1e-13
         assert cold_rows.size == start
@@ -907,8 +976,8 @@ class TestRunLengthEntropy:
             g = mpmath.mpf(gamma)
             ref = float(-(g * mpmath.log(g, 2) + (1 - g) * mpmath.log(1 - g, 2)) / (1 - g))
         tol = 2e-15 * max(1.0, ref)
-        assert abs(rl._run_length_entropy(gamma) - ref) <= tol
-        assert abs(rl._run_length_entropy(np.array([gamma]))[0] - ref) <= tol
+        assert abs(run_length_entropy(gamma) - ref) <= tol
+        assert abs(run_length_entropy(np.array([gamma]))[0] - ref) <= tol
 
 
 class TestClosedFormHLXLY:
@@ -930,13 +999,13 @@ class TestClosedFormHLXLY:
     def test_reads_no_rows_past_the_bound(self, cold_rows):
         # R of the bound at gamma = 0.99 is 1 984 rows
         ab.closed_form_HLXLY(0.99, 0.8)
-        assert cold_rows.size == rl._band_start(0.99, ab.SeriesConfig(), 32) == 1_984
+        assert cold_rows.size == _start(0.99, 0.8, 0.0) == 1_984
 
     @pytest.mark.parametrize("gamma, d", [(0.5, 0.2), (0.99, 0.98), (0.999, 0.5)])
     def test_same_bits_from_a_cold_and_a_grown_table(self, gamma, d, cold_rows):
         # the rows it reads are summed the same way however far the table grew
         cold = ab.closed_form_HLXLY(gamma, d)
-        cold_rows.entropies(rl._row_kernel(d, 0.0), cold_rows.size + 1_000)
+        cold_rows.entropies(_kernel(d, 0.0), cold_rows.size + 1_000)
         assert repr(ab.closed_form_HLXLY(gamma, d)) == repr(cold)
 
     def test_reuses_the_deletion_table(self, cold_rows):

@@ -11,7 +11,6 @@ from delinscap.core import (ChannelParams, MarkovSourceParams, RunSequence, as_b
                             generate_markov_sequence, to_runs)
 from delinscap.channel_sim import (
     Action,
-    _sample_from_probs,
     action_probabilities,
     apply_cascade,
     apply_deletion,
@@ -24,6 +23,8 @@ from delinscap.channel_sim import (
 from delinscap.exact_oracle import enumerate_channel_law, reference_apply
 
 K, D, P, C = Action.KEEP, Action.DELETE, Action.DUPLICATE, Action.COMPLEMENT
+# the channels' and the source's test surfaces: the per-bit sampler, and the uniforms per block of a long draw
+sample_from_probs, BLOCK = channel_sim._sample_from_probs, core._BLOCK
 
 
 class TestWorkedExamples:
@@ -148,7 +149,9 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment_with_deleted_runs(bits_from_str("00"), [0, 2, 0])
 
-    @pytest.mark.parametrize("s,match", [([0, 0], r"len\(y\) \+ 1"), ([0, -1, 0], "non-negative")])
+    @pytest.mark.parametrize("s,match", [([0, 0], r"len\(y\) \+ 1"), ([0, -1, 0], "non-negative"),
+                                         # read as -2**63 once, and refused as negative
+                                         (np.array([2 ** 63, 0, 0], dtype=np.uint64), r"below 2\*\*63")])
     def test_malformed_s_rejected(self, s, match):
         with pytest.raises(ValueError, match=match):
             augment_with_deleted_runs(bits_from_str("01"), s)
@@ -417,7 +420,7 @@ class TestSimulatorMatchesArrayReference:
     @example([1], np.array([1.0, 0.0, 0.0, 0.0]), 8)  # every bit of one deleted
     def test_random_patterns(self, x, probs, seed):
         x = np.array(x, dtype=np.uint8)
-        actions = _sample_from_probs(x.size, probs, np.random.default_rng(seed))
+        actions = sample_from_probs(x.size, probs, np.random.default_rng(seed))
         ref_actions = oracles.reference_sample_from_probs(x.size, probs, np.random.default_rng(seed))
         assert actions.dtype == ref_actions.dtype
         assert np.array_equal(actions, ref_actions)
@@ -471,7 +474,7 @@ class TestBlockDraws:
     """The channels draw their uniforms a block at a time; the patterns, and
     the generator's state after them, are those of one ``rng.random(n)``."""
 
-    @pytest.mark.parametrize("n", [0, 1, core._BLOCK - 1, core._BLOCK, core._BLOCK + 1, 2 * core._BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("params", [ChannelParams(d=0.2, i=0.3, alpha=0.6), ChannelParams(d=0.6, i=0.4, alpha=0.0),
                                         ChannelParams(i=0.3, alpha=1.0), ChannelParams(d=0.4)])
     def test_channels_equal_one_shot_draws(self, n, params):
@@ -491,7 +494,7 @@ class TestSlotBlocks:
     """The slot stage keeps the written slots of one block of input bits at a
     time; the output is that of the whole-array reference."""
 
-    B = channel_sim._SLOT_BLOCK
+    B = 2 ** 17  # the input bits of one block of the slot stage
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize("layout", ["random", "deleted block, then inserting block",

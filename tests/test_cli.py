@@ -10,11 +10,11 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import delinscap
 import golden
-from delinscap import cli, verification
-from delinscap.cli import build_parser, main, load_series_config, _parse_grid
-from delinscap.core import ChannelParams
+from delinscap import cli, exact_oracle, verification
+from delinscap.cli import build_parser, main, load_series_config
 from delinscap.gamma_optimizer import optimize_bound, sweep
-from delinscap.run_length import _row_kernel
+
+parse_grid = cli._parse_grid  # the CLI's test surface
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "delinscap" / "schemas"
 
@@ -289,22 +289,31 @@ class TestVerifyCommand:
         assert {c["name"] for c in payload["checks"]} >= {"hI_vs_limit", "hT_vs_limit",
                                                           "HS2_vs_series", "stationary_iy_tv"}
 
-    def test_run_law_check_leaves_the_bound_rows(self, cold_rows):
+    def test_run_law_check_leaves_the_bound_rows(self, cold_rows, monkeypatch):
         # the check once replaced the d = 0.9 rows by 16 of its own kernel, and the
-        # next d = 0.9 solve rebuilt them (3.8 ms instead of 0.8 ms)
+        # next d = 0.9 solve rebuilt them (3.8 ms instead of 0.8 ms); the cascade checks,
+        # which read no row, are left out
+        monkeypatch.setattr(exact_oracle, "cascade_equivalence_check", lambda n, params, seed=0: 0.0)
         optimize_bound("deletion", d=0.9)
         size = cold_rows.size
-        assert verification._run_law_gap(ChannelParams(d=0.3)) <= verification.TOL_RUN_LAW
-        assert cold_rows.size == size and cold_rows.held(_row_kernel(0.9, 0.0)).size == size > 16
+        checks = verification.verify_oracle(n_max=2)["checks"]
+        gaps = [c for c in checks if c["name"].startswith("run_law_")]
+        assert len(gaps) == 9 and all(c["passed"] and c["measured"] <= verification.TOL_RUN_LAW for c in gaps)
+        assert cold_rows.size == size and cold_rows.held((0.9, 1.0 - 0.9)).size == size > 16
 
-    def test_oracle_detail_names_the_sampled_inputs(self):
-        # up to 8 bits every input is checked; past that, 64 sampled with the seed
-        assert verification._cascade_detail(2, 5) == "max pointwise law gap over all 2-bit inputs"
-        assert verification._cascade_detail(8, 5) == "max pointwise law gap over all 8-bit inputs"
-        assert verification._cascade_detail(9, 5) == \
-            "max pointwise law gap over 64 of the 9-bit inputs, sampled with seed 5"
-        assert verification._cascade_detail(10, 0) == \
-            "max pointwise law gap over 64 of the 10-bit inputs, sampled with seed 0"
+    @pytest.mark.parametrize("n_max, seed, detail", [
+        (2, 5, "max pointwise law gap over all 2-bit inputs"),
+        (8, 5, "max pointwise law gap over all 8-bit inputs"),
+        (9, 5, "max pointwise law gap over 64 of the 9-bit inputs, sampled with seed 5"),
+        (10, 0, "max pointwise law gap over 64 of the 10-bit inputs, sampled with seed 0"),
+    ])
+    def test_oracle_detail_names_the_sampled_inputs(self, n_max, seed, detail, monkeypatch):
+        # up to 8 bits every input is checked; past that, 64 sampled with the seed (the checks
+        # themselves are left out: only the inputs they name are asserted)
+        monkeypatch.setattr(exact_oracle, "cascade_equivalence_check", lambda n, params, seed=0: 0.0)
+        checks = verification.verify_oracle(n_max=n_max, seed=seed)["checks"]
+        cascade = [c["detail"] for c in checks if c["name"].startswith("cascade_equivalence_")]
+        assert cascade == [detail] * len(verification.CASCADE_PARAMS)
 
 
 class TestSeriesConfigEnv:
@@ -352,33 +361,33 @@ class TestSeriesConfigEnv:
 
 
 def test_grid_spec_parsing():
-    assert _parse_grid("0.3") == [0.3]
-    assert _parse_grid("0.8,1.0") == [0.8, 1.0]
-    vals = _parse_grid("0:0.9:0.05")
+    assert parse_grid("0.3") == [0.3]
+    assert parse_grid("0.8,1.0") == [0.8, 1.0]
+    vals = parse_grid("0:0.9:0.05")
     assert len(vals) == 19
     assert vals[0] == 0.0 and vals[-1] == pytest.approx(0.9, abs=1e-12)
     with pytest.raises(ValueError):
-        _parse_grid("0:1:0:9")
+        parse_grid("0:1:0:9")
     with pytest.raises(ValueError):
-        _parse_grid("0:1:-0.1")
+        parse_grid("0:1:-0.1")
     with pytest.raises(ValueError):
-        _parse_grid("0.1:0.05:0.01")
+        parse_grid("0.1:0.05:0.01")
 
 
 @pytest.mark.parametrize("spec", ["0:0.9:nan", "nan:0.9:0.1", "0:inf:0.1", "-inf:0.9:0.1", "0.1,nan", "inf"])
 def test_parse_grid_rejects_non_finite(spec):
     with pytest.raises(ValueError, match="non-finite"):
-        _parse_grid(spec)
+        parse_grid(spec)
 
 
 @pytest.mark.parametrize("spec", ["0:0.9:1e-300", "0:10000:1", "-1e308:1e308:1"])
 def test_parse_grid_rejects_oversized(spec):
     with pytest.raises(ValueError, match="more than"):
-        _parse_grid(spec)
+        parse_grid(spec)
 
 
 def test_parse_grid_largest_range():
-    vals = _parse_grid("0:9999:1")
+    vals = parse_grid("0:9999:1")
     assert len(vals) == 10_000 and vals[-1] == 9999.0
 
 

@@ -8,6 +8,9 @@ import pytest
 
 import oracles
 from delinscap import core
+from delinscap.analytic_bounds import SeriesConfig
+from delinscap.exact_oracle import cascade_equivalence_check, exact_run_law, run_alignment_check
+from delinscap.mc_estimator import estimate_hI
 from delinscap.core import (
     ChannelParams,
     MarkovSourceParams,
@@ -200,7 +203,8 @@ class TestAsBits:
 
 
 # n at the edges of the block draws
-BLOCK_EDGES = [0, 1, core._BLOCK - 1, core._BLOCK, core._BLOCK + 1, 2 * core._BLOCK + 1]
+BLOCK = core._BLOCK  # uniforms per block of a long draw: core's test surface
+BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 
 class TestGeometricPmf:
@@ -317,3 +321,20 @@ def test_bits_str_round_trip():
     assert bits_from_str("").size == 0
     with pytest.raises(ValueError):
         bits_from_str("012")
+
+
+@pytest.mark.parametrize("count", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call, match", [
+    (lambda n: generate_markov_sequence(MarkovSourceParams(0.5), n, seed=0), "sequence length"),
+    (lambda n: estimate_hI(0.2, 0.5, 0.5, steps=n), "sequence length"),  # the chain's length
+    (lambda n: exact_run_law(n, ChannelParams(d=0.1)), "0 <= r_max <= 10"),
+    (lambda n: cascade_equivalence_check(n, ChannelParams(d=0.1)), "0 <= n <= "),
+    (lambda n: run_alignment_check(n, ChannelParams(d=0.1)), "0 <= n <= "),
+    (lambda n: SeriesConfig(r_max_cap=n), "r_max_cap"),
+    (lambda n: geometric_run_pmf(0.5, n), "run length r="),
+], ids=["generate_markov_sequence", "estimate_hI", "exact_run_law", "cascade_equivalence_check",
+        "run_alignment_check", "SeriesConfig", "geometric_run_pmf"])
+def test_a_float_or_bool_count_is_a_value_error(call, match, count):
+    # each was a numpy TypeError at 2.5 once, and True read as the count 1
+    with pytest.raises(ValueError, match=match):
+        call(count)

@@ -13,6 +13,8 @@ from delinscap import verification as ver
 
 import oracles
 
+aux_keys = oracle._aux_keys  # the oracle's test surface
+
 
 # The per-input dict accumulation that the batched oracle replaced, kept as
 # its reference: outputs keyed by length * 2**24 + value, one pattern table
@@ -219,7 +221,10 @@ class TestBatchedOracleMatchesReference:
             list(reference_channel_law(x, params).items())
 
     def test_key_order(self):
-        assert [oracle._key_to_str(k) for k in range(7)] == ["", "0", "1", "00", "01", "10", "11"]
+        # a law lists its outputs by packed key: by length, then by value
+        law = oracle.enumerate_channel_law("01", ChannelParams(d=0.3, i=0.2, alpha=0.5))
+        assert list(law)[:7] == ["", "0", "1", "00", "01", "10", "11"]
+        assert list(law) == sorted(law, key=lambda y: (len(y), y))
 
 
 class TestExactRunLaw:
@@ -276,14 +281,14 @@ class TestRunAlignment:
         assert oracle.run_alignment_check(oracle.MAX_ALIGNMENT_BITS, params) == 0
 
     def test_identity_channel_keys_are_the_input(self):
-        keys, runs, actions = oracle._aux_keys(3, action_probabilities(ChannelParams()))
+        keys, runs, actions = aux_keys(3, action_probabilities(ChannelParams()))
         assert actions.tolist() == [[1, 1, 1]]
         assert keys[0, :, 0].tolist() == [7 + x for x in range(8)]  # 2**3 - 1 + x
         assert (keys[1] == 7).all() and (keys[2] == 0).all()
         assert runs.tolist() == [1, 2, 3, 2, 2, 3, 2, 1]
 
     def test_empty_input_has_one_key(self):
-        keys, runs, actions = oracle._aux_keys(0, action_probabilities(ChannelParams(d=0.3)))
+        keys, runs, actions = aux_keys(0, action_probabilities(ChannelParams(d=0.3)))
         assert keys.tolist() == [[[0]], [[0]], [[0]]]
         assert runs.tolist() == [0] and actions.shape == (1, 0)
 
@@ -292,7 +297,7 @@ class TestRunAlignment:
     def test_the_absent_edit_leaves_its_key_empty(self, params, row):
         # without insertions T is all zeros, 2**len(y) - 1; without
         # deletions no run is fully deleted, so S is 0
-        keys, _, _ = oracle._aux_keys(5, action_probabilities(params))
+        keys, _, _ = aux_keys(5, action_probabilities(params))
         y, t, s = (k.ravel().tolist() for k in keys)
         if row == "T":
             assert t == [(1 << ((v + 1).bit_length() - 1)) - 1 for v in y]
@@ -313,8 +318,6 @@ class TestRunAlignment:
     def test_dropped_aux_entries_leave_the_run_count_open(self, params, dropped, monkeypatch):
         # with S dropped (T for the insertion channel, whose S is all zeros)
         # Y and the other sequence no longer fix the run count
-        aux_keys = oracle._aux_keys
-
         def without(n, probs4):
             keys, runs, actions = aux_keys(n, probs4)
             keys[dropped] = 0

@@ -20,7 +20,12 @@ from delinscap import gamma_optimizer as go
 from delinscap.gamma_optimizer import (CHANNELS, GAMMA_MAX, GAMMA_MIN, channel_bounds, maximize_over_gamma,
                                        optimize_bound, sweep)
 
+import oracles
 from oracles import PointByPoint
+
+# the search's grid, and the run-length module's test surface
+GRID = go._GRID
+run_law_at, RunLawGrid, output_length_entropy = rl._run_law_at, rl._RunLawGrid, rl._output_length_entropy
 
 
 class TestMaximize:
@@ -85,7 +90,7 @@ class TestMaximize:
         fn = lambda g: -(g - 0.5) ** 2
         grid = _Recording(PointByPoint(fn))
         maximize_over_gamma(grid)
-        x = [g for g in grid.probed if g not in go._GRID.tolist()][probe]
+        x = [g for g in grid.probed if g not in GRID.tolist()][probe]
         assert maximize_over_gamma(PointByPoint(lambda g: 1.0 if g == x else fn(g))) == (x, 1.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -271,26 +276,36 @@ class TestRegistry:
 
 
 def _public(name):
-    """The bound and use_printed_hs2 that optimize_bound takes for the ``_BOUNDS`` entry ``name``."""
+    """The bound and use_printed_hs2 that optimize_bound takes for the bound form ``name``."""
     return ("deletion", True) if name == "deletion_printed" else (name, False)
 
 
-def _params(name, d, i, alpha):
-    """The parameters optimize_bound gives the ``_BOUNDS`` entry ``name``."""
-    bound, printed = _public(name)
-    entry, params = go._bound_params(bound, d, i, alpha, printed)
-    assert entry == name
-    return params
+_params = oracles.entry_params  # the parameters optimize_bound gives the bound form ``name``
 
 
-def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=go._GRID):
+def _grid(name, d=0.0, i=0.0, alpha=1.0, gammas=GRID):
     """The bound's array form over ``gammas``, of the parameters optimize_bound gives it."""
     return ab.BoundGrid(name, _params(name, d, i, alpha), gammas, ab.SeriesConfig())
 
 
+# each bound form's lb_*, of its own parameters, as optimize_bound calls it
+_LB = {
+    "deletion": lambda p, g, cfg, diag: ab.lb_deletion(p.d, g, cfg, diag),
+    "deletion_printed": lambda p, g, cfg, diag: ab.lb_deletion(p.d, g, cfg, diag, use_printed_hs2=True),
+    "insertion_lb1": lambda p, g, cfg, diag: ab.lb1_insertion(p.i, p.alpha, g),
+    "insertion_lb2": lambda p, g, cfg, diag: ab.lb2_insertion(p.i, p.alpha, g, cfg),
+    "delins": lambda p, g, cfg, diag: ab.lb_delins(p.d, p.i, p.alpha, g, cfg, diag),
+}
+
+
 def _lb(name, d, i, alpha, gamma, diagnostics=False, cfg=None):
     """The bound's lb_* at ``gamma``, called as optimize_bound calls it."""
-    return ab._BOUNDS[name].lb(_params(name, d, i, alpha), gamma, cfg or ab.SeriesConfig(), diagnostics)
+    return _LB[name](_params(name, d, i, alpha), gamma, cfg or ab.SeriesConfig(), diagnostics)
+
+
+def _ceilings(name, d, i, alpha, gammas, cfg=None):
+    """The bound's zero-row ceiling at each of ``gammas``, of the parameters optimize_bound gives it."""
+    return oracles.zero_row_ceilings(name, _params(name, d, i, alpha), gammas, cfg or ab.SeriesConfig())
 
 
 def _warm(grid):
@@ -307,6 +322,13 @@ def _unpruned(name, d=0.0, i=0.0, alpha=1.0, tol=1e-5, cfg=None):
     return _lb(name, d, i, alpha, gamma_star, diagnostics=True, cfg=cfg)
 
 
+class _ZeroRows:
+    """A row table whose every row has entropy 0, which never grows."""
+
+    def entropies(self, kernel, n):
+        return np.zeros(n)
+
+
 _DEBUG_RECORD = re.compile(
     r"(?P<points_evaluated>\d+) points evaluated, (?P<points_skipped>\d+) skipped by the ceilings; "
     r"(?P<chunks_evaluated>\d+) chunks evaluated, (?P<chunks_skipped>\d+) skipped; .*; "
@@ -319,8 +341,8 @@ def _debug_counts(caplog) -> dict:
     return {key: int(value) for key, value in _DEBUG_RECORD.search(record.getMessage()).groupdict().items()}
 
 
-_FORMS = sorted(ab._BOUNDS)  # the four bounds the channels report and the printed deletion form
-_CHANNEL_BOUNDS = sorted(go._CHANNEL_OF)  # the four bounds alone
+_FORMS = sorted(oracles.BOUND_FORMS)  # the four bounds the channels report and the printed deletion form
+_CHANNEL_BOUNDS = sorted(name for channel in CHANNELS.values() for name in channel.bounds.values())  # the four alone
 
 
 class TestCeiling:
@@ -346,13 +368,13 @@ class TestCeiling:
             if t.role.sign > 0:
                 positive += t.value
         assert printed or res.bound_bits <= positive
+        ceiling = float(_ceilings(name, d, i, alpha, np.array([gamma]))[0])
         for warm in (False, True):
             rl.ROWS.reset()
             grid = _grid(name, d, i, alpha, np.array([gamma]))
             if warm:
                 _warm(grid)
             held = rl.ROWS.size
-            ceiling = float(grid._ceilings[0])
             assert grid.values(chunk, ceiling) is None and rl.ROWS.size == held
             value = float(grid.values(chunk)[0])
             assert value <= ceiling and abs(value - res.bound_bits) <= 1e-13
@@ -457,13 +479,15 @@ class TestCeiling:
             d, i = i, 1.0 - i
         cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha)
-        kernel = grid._law.at(gamma).kernel
+        p = _params(name, d, i, alpha)
+        law = run_law_at(gamma, p.d, p.i, cfg)
+        assume(law.kernel)
         rl.ROWS.reset()
         value = _lb(name, d, i, alpha, gamma).bound_bits
         # the rows the point reads, its R, held in the table's own block
-        block = rl._block_rows(kernel)
-        blocks = (min(rl.ROWS.size, rl._band_start(gamma, cfg, block)) - 1) // block
-        assume(kernel and blocks >= 1)
+        kernel, block = law.kernel, oracles.table_block(law.kernel)
+        blocks = (min(rl.ROWS.size, law.size) - 1) // block
+        assume(blocks >= 1)
         held = block * (1 + int(share * (blocks - 1)))  # short of them
         rl.ROWS.reset()
         rl.ROWS.entropies(kernel, held)
@@ -471,34 +495,35 @@ class TestCeiling:
         assert rl.ROWS.size == held  # ruled out before the table grew
         assert repr(grid.at(gamma, math.nextafter(value, -math.inf))) == repr(value)
 
-    def test_grid_chunk_weights_are_kept_read_only(self):
+    def test_grid_chunk_plan_is_kept(self):
+        # a warm solve reads the plan of the cold one's grid, and gives its result bit for bit
+        # (that the plan's arrays are read-only is a layout rule, in test_layout.py)
         cfg = ab.SeriesConfig(tail_epsilon=2e-12)  # a plan no other test fills
         first = optimize_bound("deletion", d=0.9, cfg=cfg)
-        info = rl._grid_plan.cache_info()
+        law = RunLawGrid(GRID, 0.9, 0.0, cfg)
         warm = optimize_bound("deletion", d=0.9, cfg=cfg)
-        assert rl._grid_plan.cache_info().misses == info.misses
+        assert RunLawGrid(GRID, 0.9, 0.0, cfg).chunks is law.chunks
         assert repr(warm) == repr(first)
-        plan = rl._grid_plan(cfg, tuple(go._GRID.tolist()), 32)
-        weights = plan.weights(plan.chunks[-1])
-        assert plan.weights(plan.chunks[-1]) is weights  # built once, then kept
-        assert not any(array.flags.writeable for array in (plan.starts, weights))
-        rl._grid_plan.cache_clear()
-        assert repr(optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(warm)
 
     @pytest.mark.parametrize("cap", [4_096, 20_000])
     @pytest.mark.parametrize("gammas", [
-        tuple(go._GRID.tolist()), tuple(go._GRID[::-1].tolist()), (0.99, 0.5, 0.3),
-        tuple(np.random.default_rng(7).permutation(go._GRID).tolist()),
+        tuple(GRID.tolist()), tuple(GRID[::-1].tolist()), (0.99, 0.5, 0.3),
+        tuple(np.random.default_rng(7).permutation(GRID).tolist()),
     ], ids=["sorted", "descending", "one_long_point_first", "shuffled"])
-    def test_every_chunk_holds_the_cell_cap_or_one_point(self, gammas, cap):
-        # the cut once read each point's own r_max: (0.99, 0.5, 0.3) was one chunk of 3 x 5 501 cells
-        plan = rl._GridPlan(ab.SeriesConfig(r_max_cap=cap), gammas, 32)
-        assert plan.chunks[0].start == 0 and plan.chunks[-1].stop == len(gammas)
-        assert all(a.stop == b.start for a, b in zip(plan.chunks, plan.chunks[1:]))
-        for chunk in plan.chunks:
+    def test_every_chunk_holds_the_cell_cap_or_one_point(self, gammas, cap, monkeypatch):
+        # the cut once read each point's own r_max: (0.99, 0.5, 0.3) was one chunk of 3 x 5 501 cells;
+        # a deletion law, whose rows come in blocks of 32, its values read off a table of zero rows
+        monkeypatch.setattr(rl, "ROWS", _ZeroRows())
+        cfg = ab.SeriesConfig(r_max_cap=cap)
+        law = RunLawGrid(np.array(gammas), 0.5, 0.0, cfg)
+        starts = [run_law_at(g, 0.5, 0.0, cfg).size for g in gammas]
+        assert law.chunks[0].start == 0 and law.chunks[-1].stop == len(gammas)
+        assert all(a.stop == b.start for a, b in zip(law.chunks, law.chunks[1:]))
+        for chunk in law.chunks:
             points = chunk.stop - chunk.start
-            assert points == 1 or points * (2 * int(plan.starts[chunk].max()) + 1) <= rl._CHUNK_CELLS
-            assert plan.weights(chunk).shape == (points, plan.starts[chunk].max())
+            assert points == 1 or points * (2 * max(starts[chunk]) + 1) <= oracles.CHUNK_CELLS
+            run = law.chunk(chunk)
+            assert run.size == max(starts[chunk]) and run.values().shape == (points,)
 
     def test_gamma_star_on_both_sides_of_0_9(self):
         assert optimize_bound("deletion", d=0.1).gamma_star < 0.9 < optimize_bound("deletion", d=0.9).gamma_star
@@ -513,7 +538,7 @@ class TestCeiling:
     def test_low_gamma_solve_keeps_the_row_table_short(self, cold_rows):
         optimize_bound("deletion", d=0.1)
         rows = cold_rows.size
-        assert 0 < rows <= rl._band_start(0.995, ab.SeriesConfig(), 32) // 10
+        assert 0 < rows <= run_law_at(0.995, 0.1, 0.0, None).size // 10
 
     def test_printed_form_is_pruned(self, caplog):
         # the zero-row ceiling holds whatever the signs of the other terms: the printed form's
@@ -535,8 +560,9 @@ class TestCeiling:
         # with every row held, only the zero-row ceiling can rule a chunk out: for every bound and
         # the printed form, a beat at a chunk's largest ceiling rules it out, one ulp below does not
         grid = _warm(_grid(name, 0.2, 0.1, 0.8))
+        ceilings = _ceilings(name, 0.2, 0.1, 0.8, GRID)
         for chunk in grid.chunks:
-            top = float(np.max(grid._ceilings[chunk]))
+            top = float(np.max(ceilings[chunk]))
             assert math.isfinite(top) and grid.values(chunk, top) is None
             assert grid.values(chunk, math.nextafter(top, -math.inf)) is not None
         assert grid.row_skips == 0
@@ -553,7 +579,7 @@ class TestCeiling:
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound(bound, use_printed_hs2=printed, **params)
         counts = _debug_counts(caplog)
-        assert counts["points_evaluated"] + counts["points_skipped"] == go._GRID.size
+        assert counts["points_evaluated"] + counts["points_skipped"] == GRID.size
         chunks = len(_grid(name, **params).chunks)
         assert counts["chunks_evaluated"] + counts["chunks_skipped"] == chunks
         assert counts["row_skips"] <= counts["chunks_skipped"]
@@ -629,7 +655,7 @@ class TestArrayForm:
         for v, res in zip(values.tolist(), scalar):
             assert abs(v - res.bound_bits) <= 1e-13
             assert type(res.bound_bits) is float and all(type(t.value) is float for t in res.terms)
-        assert np.all(grid._ceilings >= values)
+        assert np.all(_ceilings(name, d, i, alpha, gammas) >= values)
         assert type(grid.at(float(gammas[0]))) is float
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -648,24 +674,21 @@ class TestArrayForm:
     def test_search_objective_is_the_lb_bit_for_bit(self, name, d, i, alpha, gamma):
         if d + i > 1.0:
             d, i = i, 1.0 - i
-        cfg = ab.SeriesConfig()
         grid = _grid(name, d, i, alpha)
         assert repr(grid.at(gamma)) == repr(_lb(name, d, i, alpha, gamma).bound_bits)
-        # The grid-level H(L_X) - H(L_out) and band are each gamma's array
-        # form alone, bit for bit, and H(L_out) of it its float form within
-        # numpy's and math's differing last bits: 1e-15 max(1, H) is exceeded
-        # at gamma <= 0.2 by the closed form itself (2.6e-15 at i = 0.999).
-        gammas = np.append(go._GRID, gamma)
-        grid = _grid(name, d, i, alpha, gammas)
-        assume(grid._law is not None)  # LB 1 has no run-length term
+        # The grid-level H(L_out) is each gamma's array form alone, bit for
+        # bit, and its float form within numpy's and math's differing last
+        # bits: 1e-15 max(1, H) is exceeded at gamma <= 0.2 by the closed form
+        # itself (2.6e-15 at i = 0.999).  (That the grid's band and values are
+        # each gamma's own is test_array_form_matches_scalar_form's 1e-13.)
+        gammas = np.append(GRID, gamma)
+        assume(name != "insertion_lb1")  # LB 1 has no run-length term
         p = _params(name, d, i, alpha)
-        step, kernel = rl._step_law(p.d, p.i), rl._row_kernel(p.d, p.i)
-        for g, c, b in zip(gammas.tolist(), grid._law._closed.tolist(), grid._law._band.tolist()):
-            h_out = rl._output_length_entropy(np.array([g]), step)[0]
-            assert (rl._run_length_entropy(np.array([g])) - h_out).tolist() == [c]
-            start = rl._band_start(g, cfg, rl._block_rows(kernel))
-            assert rl._band(kernel, np.array([g]), np.array([start]), cfg).tolist() == [b]
-            ref = rl._output_length_entropy(g, step)[0]
+        step = (p.d, max(1.0 - p.d - p.i, 0.0), p.i)
+        for g, h in zip(gammas.tolist(), output_length_entropy(gammas, step)[0].tolist()):
+            h_out = output_length_entropy(np.array([g]), step)[0]
+            assert h_out.tolist() == [h]
+            ref = output_length_entropy(g, step)[0]
             assert abs(float(h_out[0]) - ref) <= 1e-14 * max(1.0, ref)
 
     @pytest.mark.parametrize("d, i", [(0.45, 0.55), (0.7, 0.3)])
@@ -690,7 +713,7 @@ class TestArrayForm:
     def test_custom_series_config_takes_the_array_path(self, monkeypatch):
         from delinscap import verification
         seen = []
-        original = rl._RunLawGrid
+        original = RunLawGrid
 
         def spy(gammas, d, i, cfg):
             seen.append(cfg)

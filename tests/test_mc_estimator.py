@@ -12,6 +12,8 @@ from delinscap.channel_sim import apply_delins
 from delinscap import analytic_bounds as ab
 from delinscap import mc_estimator as mc
 
+plug_in = mc._plug_in  # the estimators' test surface
+
 # unit tests run at 2e5 steps with proportionally looser tolerances; the
 # full-length (1e6) checks at the contract tolerances live in the acceptance
 # suite
@@ -158,7 +160,7 @@ def _observations(n_ctx, n_val, n, seed, concentration, val_dtype):
 
 
 def _assert_matches_reference(ctx, val, n_ctx, seed):
-    got = mc._plug_in(ctx, val, n_ctx, seed)
+    got = plug_in(ctx, val, n_ctx, seed)
     want = oracles.reference_plug_in(ctx, val, n_ctx, seed)
     assert (got.n_obs, got.pooled_contexts, got.bias_budget) == (want.n_obs, want.pooled_contexts, want.bias_budget)
     assert abs(got.value - want.value) <= 1e-15
