@@ -23,10 +23,12 @@ terms from binomial rows of its own, sharing no cut with the package.
 ``PointByPoint`` is the gamma search's grid evaluated one scalar bound call
 at a time, with nothing pruned.  ``deleted_run_law`` gives the deleted-run
 law's theta, beta and g0 from their definitions, so the series oracles share
-no helper with the closed form.  ``reference_band`` sums the run-length
-term's band past R plainly, and ``grid_with_run`` builds a bound's grid form
-with given run-length values, so that the tests read the band and the
-search's ceilings without the package's internals.
+no helper with the closed form.  ``reference_band`` is the run-length
+term's band past R from its definition, and ``grid_with_run`` builds a
+bound's grid form with given run-length values, so that the tests read the
+band and the search's ceilings without the package's internals.  The few
+package constants these references restate are checked against the
+package's in ``test_layout.py``.
 
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
@@ -253,14 +255,18 @@ def delins_s_mpmath(gamma, d, i, alpha, dps=50):
 # run-length row table, earlier block loop
 # ---------------------------------------------------------------------------
 
-# The row table's own constants (run_length states them): the cells a row
-# widens by over one block product, the entry below which a row is trimmed,
-# and the smallest normal double, which every entry of a product holds at least.
+# The package's constants that the references below and the tests restate
+# (test_layout.py checks each against the package's): the cells a row of the
+# row table widens by over one block product, the entry below which the table
+# trims a row, the smallest normal double, which every entry of a row product
+# holds at least, the most cells, G x (2 R + 1), of a grid chunk of G gammas
+# of largest R unless it is one point, and the input bits of one block of the
+# channel's slot stage.
 ROW_PAD = 32
 ROW_TRIM = 1e-30
 TINY = np.finfo(float).tiny
-# The most cells, G x (2 R + 1), of a grid chunk of G gammas of largest R, unless it is one point.
 CHUNK_CELLS = 4096
+SLOT_BLOCK = 2 ** 17
 
 
 def reference_row_entropies(kernel, r_max, trim=ROW_TRIM):
@@ -307,21 +313,17 @@ def reference_row_entropies(kernel, r_max, trim=ROW_TRIM):
 
 
 # ---------------------------------------------------------------------------
-# run-length rows by lgamma sums
+# the run-length term's band past R, from its definition
 # ---------------------------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# the run-length term's band past R, summed plainly
-# ---------------------------------------------------------------------------
-
-SEGMENT = 1.25  # growth of a band segment's start, as run_length cuts them
+SEGMENT = 1.25  # growth of a band segment's start, as run_length cuts them (test_layout.py checks it)
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 
 def reference_max_entropy(kernel, r):
     """U_r = log2(2 pi e (r Var + 1/12)) / 2 of a number r or elementwise of an
-    array, Var the variance of one step of ``kernel``, summed by ``math.fsum``:
-    at least the entropy of the sum of r steps (T. M. Cover and J. A. Thomas,
+    array, Var the variance of one step of ``kernel`` by ``math.fsum``: at
+    least the entropy of the sum of r steps (T. M. Cover and J. A. Thomas,
     the discrete entropy bound)."""
     mean = math.fsum(k * w for k, w in enumerate(kernel))
     var = math.fsum(w * (k - mean) ** 2 for k, w in enumerate(kernel))
@@ -341,12 +343,13 @@ def reference_piece(kernel, gamma, start, m=None):
 
 
 def reference_band(kernel, gamma, start, cfg):
-    """The band past R = ``start`` at a float gamma, with the arithmetic of the
-    package's float band: one piece to infinity, unless R is at the cap and
-    that piece's Jensen slack gamma**S log2(1 + 1 / ((1 - gamma) S)) / 2
-    exceeds tail_epsilon / (1 - gamma); then segments (S, ceil(1.25 S]) from
-    S = R on until it does not.  A term is its rows, this band and its closed
-    part, bit for bit (``test_analytic``)."""
+    """The band past R = ``start`` at a float gamma, by its definition: one
+    piece to infinity, unless R is at the cap and that piece's Jensen slack
+    gamma**S log2(1 + 1 / ((1 - gamma) S)) / 2 exceeds
+    tail_epsilon / (1 - gamma); then segments (S, ceil(1.25 S)] from S = R on
+    until it does not.  The package's band is this one within rounding:
+    ``test_analytic`` sums a term from its rows, this band and its closed
+    part to within 1e-13."""
     target, total = cfg.tail_epsilon / (1.0 - gamma), 0.0
     slack = lambda s: gamma ** s * (0.5 * math.log2(math.e)) * math.log1p(1.0 / ((1.0 - gamma) * s))
     while start >= cfg.r_max_cap and slack(start) > target:
@@ -355,6 +358,10 @@ def reference_band(kernel, gamma, start, cfg):
         start = end
     return total + reference_piece(kernel, gamma, start)
 
+
+# ---------------------------------------------------------------------------
+# run-length rows by lgamma sums
+# ---------------------------------------------------------------------------
 
 def _log_comb(n, k):
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -808,7 +815,9 @@ def grid_with_run(name, params, gammas, cfg, run):
     ``run_length._RunLawGrid``: its ``values(chunk)`` is then the bound
     assembled on those values, by the grid's own arithmetic.  With the law's
     zero-row ``floor`` as ``run`` that is the grid's zero-row ceiling, bit for
-    bit; a bound with no run-length term (LB 1) is the grid itself."""
+    bit; a bound with no run-length term (LB 1) is the grid itself.  The grid
+    takes the law by the name ``analytic_bounds`` imports it under, which
+    ``test_layout.py`` pins."""
 
     class Law(rl._RunLawGrid):
         def chunk(self, s):

@@ -354,15 +354,19 @@ def _closed(gamma, d, i):
 
 
 def _term_from_parts(gamma, d, i, cfg, band):
-    """The term at a float gamma summed from its parts as the term sums them:
-    p_r = (1 - gamma) gamma**(r-1) up to R (np.power below 128 rows, one exp
-    of (r - 1) log(gamma) from there on) times the table's rows by one
-    einsum, then ``band``, then the closed part, clipped at 0."""
+    """The term at a float gamma summed from its parts by ``math.fsum``:
+    p_r = (1 - gamma) gamma**(r-1) up to R by ``np.power`` times the table's
+    rows, then ``band``, then the closed part, clipped at 0.  The term sums
+    the same parts in its own order (its bits are pinned in test_layout.py)."""
     start = _start(gamma, d, i, cfg)
-    k = np.arange(float(start))
-    p = (1.0 - gamma) * (np.power(gamma, k) if start < 128 else np.exp(k * math.log(gamma)))
-    joint = np.einsum("r,r->", p, rl.ROWS.entropies(_kernel(d, i), start)) + band
-    return float(np.maximum(joint + _closed(gamma, d, i), 0.0))
+    p = (1.0 - gamma) * np.power(gamma, np.arange(float(start)))
+    joint = math.fsum((p * rl.ROWS.entropies(_kernel(d, i), start)).tolist()) + band
+    return max(joint + _closed(gamma, d, i), 0.0)
+
+
+# How far the term and its parts summed by _term_from_parts may differ: each sum
+# rounds to within a few ulp of a term of at most 13 bits (8e-15 seen).
+_PARTS_TOL = 1e-13
 
 
 class TestRunLengthKernel:
@@ -600,9 +604,9 @@ def _drift_bound(kernel, n):
     """The bound the row error takes on how far rounding moves a stored row
     H_r, r <= n (:func:`run_length._row_drift`): gamma_m (log2(c) + 2), c the
     most cells of a row and gamma_m = m u / (1 - m u) the relative error of m
-    roundings, m = ceil(n / B) (3 B + 3 M / 2 + 3) + c + M + 3, M = 32 the
-    pad and u = 2**-53 (N. J. Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 3.1)."""
+    roundings, m = ceil(n / B) (3 B + 3 M / 2 + 3) + c + M + 3, M the cells
+    a row widens by over one block (``oracles.ROW_PAD``) and u = 2**-53
+    (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1)."""
     block, cells, pad = oracles.table_block(kernel), (len(kernel) - 1) * n + 1, oracles.ROW_PAD
     roundings = -(-n // block) * (3 * block + 3 * pad // 2 + 3) + cells + pad + 3
     return roundings * 2.0 ** -53 / (1.0 - roundings * 2.0 ** -53) * (math.log2(cells) + 2.0)
@@ -693,7 +697,8 @@ class TestRowTable:
         row_error = moved(mass) + _drift_bound(kernel, start)
         row_sum = (1.01 * start + 2240.0) * 2.0 ** -53 * math.log2((len(kernel) - 1) * start + 1)
         rounding = output_length_entropy(gamma, _step(d, i))[1]
-        assert trimmed.truncation_error == row_error + row_sum + rounding
+        # summed in another order than the term's (the same bits: test_layout.py)
+        assert abs(trimmed.truncation_error - (row_error + row_sum + rounding)) <= 1e-12 * trimmed.truncation_error
         # the rows built with nothing trimmed lose no mass, and move the term's row sum
         # (its weights, one exp each from 128 rows on) by less than its error
         full, none_lost = oracles.reference_row_entropies(kernel, start, trim=0.0)
@@ -743,7 +748,9 @@ class TestRowBoundedCeiling:
         # p_r = (1 - gamma) gamma**(r-1) at a float gamma, np.power under 128 rows and one exp
         # from there on, errs by at most (3 (r - 1) |log gamma| + 4) u relative (floor's margin);
         # a grid chunk's row is the same weights, in a chunk with 0.3 or alone, its R the chunk's.
-        # Each weight is read out of the term exactly, with a row table whose one row is r.
+        # Each weight is read out of the term exactly, with a row table whose one row is r: every
+        # row up to 256, and past that 128 of them (every row's equality, read off the package's
+        # weight arrays, is test_layout.py's)
         cfg, d = ab.SeriesConfig(), 0.5  # a two-step kernel: rows in blocks of 32
         r_max = _start(gamma, d, 0.0, cfg)
         law = RunLawGrid(np.array([gamma, 0.3]), d, 0.0, cfg)
@@ -862,23 +869,17 @@ class TestBand:
     ])
     def test_band_sum_is_at_least_the_rows_it_replaces(self, d, i, gamma, cold_rows):
         # the band is at least sum p_r U_r over every r > R (Jensen: U is concave in r), within its
-        # rounding, and exceeds sum p_r H_r by at most the slack; one piece below the cap, and
-        # segments, each lowering it, at the cap; the term is its rows, this band and its closed part
+        # rounding, and exceeds sum p_r H_r by at most the slack; the term is its rows, this band and
+        # its closed part (that the package's band is one piece below the cap and segments at it,
+        # each lowering it, is test_layout.py's)
         cfg = ab.SeriesConfig()
         kernel = _kernel(d, i)
         start = _start(gamma, d, i, cfg)
         band = oracles.reference_band(kernel, gamma, start, cfg)
-        assert repr(ab.run_law_delins_H(gamma, d, i, cfg).value) == repr(_term_from_parts(gamma, d, i, cfg, band))
-        piece = oracles.reference_piece(kernel, gamma, start)
-        assert band == piece if start < cfg.r_max_cap else band < piece
+        value = ab.run_law_delins_H(gamma, d, i, cfg).value
+        assert abs(value - _term_from_parts(gamma, d, i, cfg, band)) <= _PARTS_TOL * max(1.0, value)
         r = np.arange(start + 1.0, math.ceil(math.log(1e-20) / math.log(gamma)))
         p = (1.0 - gamma) * np.power(gamma, r - 1.0)
-        # a segment's W U(r_bar) in closed form, against its fsum-weighted mean
-        m = math.ceil(0.25 * start)
-        weight = math.fsum(p[:m].tolist())
-        mean = math.fsum((r[:m] * p[:m]).tolist()) / weight
-        segment = oracles.reference_piece(kernel, gamma, start, m)
-        assert abs(segment - weight * oracles.reference_max_entropy(kernel, mean)) <= 1e-12 * weight
         assert math.fsum((p * oracles.reference_max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
         rows = rl.ROWS.entropies(kernel, int(r[-1]))[start:]
         assert band - math.fsum((p * rows).tolist()) <= _band_slack_at(gamma, d, i, cfg)
@@ -897,15 +898,14 @@ class TestBand:
 
     @pytest.mark.parametrize("gamma, cap", [(0.97, 4_096), (0.999, 4_096), (0.995, 2_000), (0.99, 1_024)])
     def test_term_is_its_rows_band_and_closed_part(self, gamma, cap, cold_rows):
-        # p[:R] . H[:R] by einsum, the band past R and H(L_X) - H(L_out), bit for bit
+        # p[:R] . H[:R], the band past R and H(L_X) - H(L_out), within their rounding (and bit
+        # for bit as the package sums them, in test_layout.py)
         cfg = ab.SeriesConfig(r_max_cap=cap)
         for d, i in [(0.9, 0.0), (0.2, 0.1)]:
-            kernel = _kernel(d, i)
             start = _start(gamma, d, i, cfg)
             term = ab.run_law_delins_H(gamma, d, i, cfg)
-            assert start >= 128  # weights from one exp, as the term takes them from 128 rows on
-            band = oracles.reference_band(kernel, gamma, start, cfg)
-            assert repr(term.value) == repr(_term_from_parts(gamma, d, i, cfg, band))
+            band = oracles.reference_band(_kernel(d, i), gamma, start, cfg)
+            assert abs(term.value - _term_from_parts(gamma, d, i, cfg, band)) <= _PARTS_TOL * max(1.0, term.value)
 
     @pytest.mark.parametrize("tail_epsilon", [0.5, 0.9])
     def test_loose_tail_budget_takes_a_short_band_start(self, tail_epsilon, cold_rows):

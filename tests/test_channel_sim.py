@@ -494,7 +494,7 @@ class TestSlotBlocks:
     """The slot stage keeps the written slots of one block of input bits at a
     time; the output is that of the whole-array reference."""
 
-    B = 2 ** 17  # the input bits of one block of the slot stage
+    B = oracles.SLOT_BLOCK  # the input bits of one block of the slot stage
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize("layout", ["random", "deleted block, then inserting block",

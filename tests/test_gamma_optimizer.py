@@ -676,11 +676,12 @@ class TestArrayForm:
             d, i = i, 1.0 - i
         grid = _grid(name, d, i, alpha)
         assert repr(grid.at(gamma)) == repr(_lb(name, d, i, alpha, gamma).bound_bits)
-        # The grid-level H(L_out) is each gamma's array form alone, bit for
-        # bit, and its float form within numpy's and math's differing last
+        # H(L_out) over the grid's gammas is each gamma's array form alone, bit
+        # for bit, and its float form within numpy's and math's differing last
         # bits: 1e-15 max(1, H) is exceeded at gamma <= 0.2 by the closed form
-        # itself (2.6e-15 at i = 0.999).  (That the grid's band and values are
-        # each gamma's own is test_array_form_matches_scalar_form's 1e-13.)
+        # itself (2.6e-15 at i = 0.999).  (That the grid's own closed part and
+        # band are each gamma's alone, bit for bit, is checked on the same
+        # draws in test_layout.py.)
         gammas = np.append(GRID, gamma)
         assume(name != "insertion_lb1")  # LB 1 has no run-length term
         p = _params(name, d, i, alpha)

@@ -1,23 +1,33 @@
 """How the package is laid out: the rules that keep each formula in one place,
 and the one place the tests may reach past the public API.
 
-Every other test file reads the public API and the named test surfaces: the
-names each module's docstring lists after "Test surface:".  This file alone
-reads the package's internals, so that renaming an internal helper outside
-those surfaces breaks at most this file.
+Every other file under ``tests/`` reads the public API and the named test
+surfaces: the names each module's docstring lists after "Test surface:".
+This file alone reads the package's internals, so that renaming an internal
+helper outside those surfaces breaks at most this file.  Besides the layout
+rules it holds the checks that need those internals: that the grid's plan
+is kept once and read-only, that the oracles' restated constants are the
+package's, and that the run-length term's parts (its float and grid
+weights, its band and closed part, its row error) are what the package
+computes, bit for bit.
 """
 
 import ast
 import importlib
 import inspect
+import math
 import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import delinscap
-from delinscap import analytic_bounds, channel_sim, core, gamma_optimizer
+from delinscap import analytic_bounds, channel_sim, core, gamma_optimizer, run_length
+
+import oracles
 
 PACKAGE = Path(delinscap.__file__).parent
 TESTS = Path(__file__).parent
@@ -60,8 +70,8 @@ def _surfaces() -> dict[str, list[str]]:
 def _private_reads(path: Path, private: set[str]) -> Counter:
     """The package's private names that a test file reads, with how often: an
     attribute read (not of ``self`` or ``cls``), a name imported from the
-    package and each later use of it, and the name a ``setattr`` or a
-    ``patch.object`` replaces."""
+    package and each later use of it, the name a ``getattr`` reads and the
+    name a ``setattr`` or a ``patch.object`` replaces."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     reads, imported = Counter(), set()
     for node in ast.walk(tree):
@@ -78,7 +88,7 @@ def _private_reads(path: Path, private: set[str]) -> Counter:
             reads[node.id] += 1
         elif isinstance(node, ast.Call) and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
             func = node.func
-            if getattr(func, "attr", getattr(func, "id", None)) in ("setattr", "object") and node.args[1].value in private:
+            if getattr(func, "attr", getattr(func, "id", None)) in ("getattr", "setattr", "object") and node.args[1].value in private:
                 reads[node.args[1].value] += 1
     return reads
 
@@ -99,7 +109,7 @@ def test_tests_read_only_the_named_surfaces():
     private = _package_private_names()
     surface = {name for names in _surfaces().values() for name in names if _private(name)}
     total, outside = 0, {}
-    for path in sorted(TESTS.glob("test_*.py")):
+    for path in sorted(TESTS.glob("*.py")):  # the test files, their oracles, golden runner and fixtures
         if path.name == Path(__file__).name:
             continue
         reads = _private_reads(path, private)
@@ -118,9 +128,12 @@ def test_the_guard_counts_each_kind_of_read(tmp_path):
                     "    _band(1)\n"
                     "    rl._block_rows(())\n"
                     "    self._block_rows\n"
-                    "    monkeypatch.setattr(rl, '_ROW_TRIM', 0.0)\n", encoding="utf-8")
+                    "    monkeypatch.setattr(rl, '_ROW_TRIM', 0.0)\n"
+                    "    getattr(rl, '_SEGMENT')\n"
+                    "    with mock.patch.object(rl, '_RowTable', object):\n"
+                    "        pass\n", encoding="utf-8")
     reads = _private_reads(path, _package_private_names())
-    assert reads == Counter({"_band": 2, "_block_rows": 1, "_ROW_TRIM": 1})
+    assert reads == Counter({"_band": 2, "_block_rows": 1, "_ROW_TRIM": 1, "_SEGMENT": 1, "_RowTable": 1})
 
 
 def test_package_all_is_the_module_lists_joined():
@@ -194,8 +207,6 @@ def test_the_printed_deletion_form_is_a_bound_entry_of_its_own():
 def test_the_grid_plan_is_kept_once_and_read_only():
     # one plan per (cfg, gammas, row block), its starts and each chunk's weights built once
     # and read-only, so that no reader of a kept plan can change what the next one reads
-    from delinscap import run_length
-
     cfg = run_length.SeriesConfig(tail_epsilon=3e-12)  # a plan no other test fills
     gammas = tuple(gamma_optimizer._GRID.tolist())
     info = run_length._grid_plan.cache_info()
@@ -209,3 +220,141 @@ def test_the_grid_plan_is_kept_once_and_read_only():
     run_length._grid_plan.cache_clear()
     assert repr(gamma_optimizer.optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(first)  # a new one
     assert run_length._grid_plan(cfg, gammas, 32) is not plan
+
+
+# ---------------------------------------------------------------------------
+# The checks that read the package's internals: the constants the oracles
+# restate, and the package's own arithmetic, bit for bit, its internals
+# compared with one another or with a float summed the same way.  The other
+# test files check the same values through the test surfaces, against
+# independent references, within stated tolerances.
+# ---------------------------------------------------------------------------
+
+def test_the_tests_restated_constants_are_the_package_s():
+    # the oracles restate the constants their references need; a change to
+    # one of them fails here, not quietly in the tests that read the copy
+    assert oracles.ROW_PAD == run_length._ROW_PAD
+    assert oracles.ROW_TRIM == run_length._ROW_TRIM
+    assert oracles.TINY == run_length._TINY
+    assert oracles.CHUNK_CELLS == run_length._CHUNK_CELLS
+    assert oracles.SEGMENT == run_length._SEGMENT
+    assert oracles.SLOT_BLOCK == channel_sim._SLOT_BLOCK
+    for kernel in ((0.9, 0.1), (0.2, 0.7, 0.1)):
+        assert oracles.table_block(kernel) == run_length._block_rows(kernel)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.9, 0.99, 0.9972, 0.9999, 1.0 - 1e-9])
+def test_grid_weights_are_the_float_weights_at_every_row(gamma):
+    # a grid chunk's row is the float gamma's weights, zero past its R, in a chunk with 0.3 or alone
+    cfg = run_length.SeriesConfig()
+    r_max = run_length._band_start(gamma, cfg, 32)
+    p = run_length._run_weights(gamma, r_max)
+    plan = run_length._GridPlan(cfg, (gamma, 0.3), 32)
+    row = plan.weights(plan.chunks[0])[0]
+    assert np.array_equal(row[:r_max], p) and not row[r_max:].any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(oracles.BOUND_FORMS)),
+       st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+       st.floats(gamma_optimizer.GAMMA_MIN, 0.9999))
+@example("delins", 0.45, 0.55, 0.5, 0.9999)  # d + i = 1: t = -1
+@example("delins", 0.7, 0.3, 1.0, 0.995)
+@example("insertion_lb2", 0.0, 0.999, 0.3, 0.9999)
+@example("deletion", 5e-324, 0.0, 1.0, 0.99)  # subnormal rates
+@example("deletion_printed", 5e-324, 0.0, 1.0, 0.99)
+@example("deletion_printed", 0.0, 0.0, 1.0, 0.5)
+@example("delins", 5e-324, 0.2, 0.8, 0.6)
+@example("delins", 0.3, 5e-324, 0.8, 0.9)
+@example("insertion_lb2", 0.0, 5e-324, 0.8, 0.3)
+@example("insertion_lb1", 0.0, 5e-324, 0.0, gamma_optimizer.GAMMA_MIN)
+def test_the_grid_closed_part_and_band_are_each_gammas_own(name, d, i, alpha, gamma):
+    # the grid-level H(L_X) - H(L_out) and band are each gamma's array form alone, bit for bit
+    # (the draws of test_gamma_optimizer's test_search_objective_is_the_lb_bit_for_bit)
+    if d + i > 1.0:
+        d, i = i, 1.0 - i
+    cfg = run_length.SeriesConfig()
+    gammas = np.append(gamma_optimizer._GRID, gamma)
+    p = oracles.entry_params(name, d, i, alpha)
+    grid = analytic_bounds.BoundGrid(name, p, gammas, cfg)
+    assume(grid._law is not None)  # LB 1 has no run-length term
+    step, kernel = run_length._step_law(p.d, p.i), run_length._row_kernel(p.d, p.i)
+    for g, c, b in zip(gammas.tolist(), grid._law._closed.tolist(), grid._law._band.tolist()):
+        h_out = run_length._output_length_entropy(np.array([g]), step)[0]
+        assert (run_length._run_length_entropy(np.array([g])) - h_out).tolist() == [c]
+        start = run_length._band_start(g, cfg, run_length._block_rows(kernel))
+        assert run_length._band(kernel, np.array([g]), np.array([start]), cfg).tolist() == [b]
+
+
+def _trimmed_mass(kernel, n):
+    """The a-priori bound on the mass row_n misses to the table's trimming
+    that the row error takes (``run_length._row_error``)."""
+    return -(-n // run_length._block_rows(kernel)) * ((len(kernel) - 1) * n + 1) * run_length._ROW_TRIM
+
+
+@pytest.mark.parametrize("d,i", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.2)])
+def test_the_row_error_is_the_trim_then_the_drift(d, i, monkeypatch, cold_rows):
+    # R = 1 984 .. 2 048 at gamma = 0.99: the term's error is the row error at R (the trim bound
+    # of the a-priori trimmed mass, then the rows' drift), the rounding of the row sum and that of
+    # H(L_out)'s series, in that order; with nothing trimmed, the row error is the drift alone
+    gamma = 0.99
+    trimmed = analytic_bounds.run_law_delins_H(gamma, d, i)
+    kernel = run_length._row_kernel(d, i)
+    start = run_length._band_start(gamma, run_length.SeriesConfig(), run_length._block_rows(kernel))
+    assert cold_rows.size == start
+    mass = _trimmed_mass(kernel, start)
+    row_error = mass * (math.log2(2 * start + 1) - math.log2(mass) + math.log2(math.e)) + \
+        run_length._row_drift(kernel, start)
+    assert run_length._row_error(kernel, start) == row_error
+    row_sum = (1.01 * start + 2240.0) * 2.0 ** -53 * math.log2((len(kernel) - 1) * start + 1)
+    rounding = run_length._output_length_entropy(gamma, run_length._step_law(d, i))[1]
+    assert trimmed.truncation_error == row_error + row_sum + rounding
+    monkeypatch.setattr(run_length, "_ROW_TRIM", 0.0)
+    run_length._row_error.cache_clear()  # its cached entries took the trimming
+    cold_rows.reset()
+    full = analytic_bounds.run_law_delins_H(gamma, d, i)
+    assert abs(trimmed.value - full.value) <= trimmed.truncation_error
+    assert run_length._row_error(kernel, start) == run_length._row_drift(kernel, start)  # nothing trimmed
+    monkeypatch.undo()
+    run_length._row_error.cache_clear()
+
+
+@pytest.mark.parametrize("gamma, cap", [(0.97, 4_096), (0.999, 4_096), (0.995, 2_000), (0.99, 1_024)])
+def test_the_term_is_its_rows_band_and_closed_part(gamma, cap, cold_rows):
+    # p[:R] . H[:R] by einsum, the band past R and H(L_X) - H(L_out), bit for bit
+    cfg = run_length.SeriesConfig(r_max_cap=cap)
+    for d, i in [(0.9, 0.0), (0.2, 0.1)]:
+        kernel = run_length._row_kernel(d, i)
+        start = run_length._band_start(gamma, cfg, run_length._block_rows(kernel))
+        term = analytic_bounds.run_law_delins_H(gamma, d, i, cfg)
+        rows = run_length.ROWS.entropies(kernel, start)
+        assert start >= run_length._EXP_WEIGHTS_MIN_ROWS  # weights from one exp, as _run_law_at takes them
+        p = (1.0 - gamma) * np.exp(np.arange(float(start)) * math.log(gamma))
+        joint = np.einsum("r,r->", p, rows) + run_length._band(kernel, gamma, start, cfg)
+        assert repr(term.value) == repr(float(np.maximum(joint + run_length._run_law_closed(gamma, d, i)[0], 0.0)))
+
+
+@pytest.mark.parametrize("d, i, gamma", [
+    (0.45, 0.55, 0.99), (0.9, 0.0, 0.995), (0.5, 0.5, 0.997), (1e-300, 0.0, 0.98), (0.0, 0.3, 0.97),
+    (0.2, 0.1, 0.9972), (0.99, 0.0, 0.9991),
+])
+def test_the_band_is_one_piece_below_the_cap_and_segments_at_it(d, i, gamma, cold_rows):
+    # the band is at least sum p_r U_r over every r > R (Jensen: U is concave in r), within its
+    # rounding; one piece below the cap, and segments, each lowering it, at the cap
+    cfg = run_length.SeriesConfig()
+    kernel = run_length._row_kernel(d, i)
+    start = run_length._band_start(gamma, cfg, run_length._block_rows(kernel))
+    band = run_length._band(kernel, gamma, start, cfg)
+    piece = run_length._piece(kernel, gamma, start)
+    assert band == piece if start < cfg.r_max_cap else band < piece
+    r = np.arange(start + 1.0, math.ceil(math.log(1e-20) / math.log(gamma)))
+    p = (1.0 - gamma) * np.power(gamma, r - 1.0)
+    # a segment's W U(r_bar) in closed form, against its fsum-weighted mean
+    m = math.ceil(0.25 * start)
+    weight = math.fsum(p[:m].tolist())
+    mean = math.fsum((r[:m] * p[:m]).tolist()) / weight
+    segment = run_length._piece(kernel, gamma, start, m)
+    assert abs(segment - weight * run_length._max_entropy(kernel, mean)) <= 1e-12 * weight
+    assert math.fsum((p * run_length._max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
+    rows = run_length.ROWS.entropies(kernel, int(r[-1]))[start:]
+    assert band - math.fsum((p * rows).tolist()) <= run_length._run_law_at(gamma, d, i, cfg).band_slack()
