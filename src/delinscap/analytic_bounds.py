@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, _nonneg, binary_entropy, xlog2
+from .core import (ChannelParams, EntropyTerm, Role, _check_gamma, _closed_form, _i_prime, _nonneg, _on_grid,
+                   binary_entropy)
 from .run_length import (SeriesConfig, _RunLawGrid, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H,
                          run_law_duplication_H)
 
@@ -177,7 +178,8 @@ def delins_ambiguity_credit(d: float, i: float, alpha: float, gamma: float) -> f
 # deleted-run term H(S_j | Y_{j-1} Y_j T_j), and H(S2 | Y1 Y2) at i = 0
 # ---------------------------------------------------------------------------
 
-def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> float:
+@_closed_form
+def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float, xlog2) -> float:
     """Limit of H(S_j | Y_{j-1}, Y_j, T_j) for the combined channel, summed in
     closed form from the stationary joint law of the cascade's second stage.
 
@@ -191,7 +193,8 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> floa
     times log2(w / c), w the context's weight; the k log2(1/theta) parts of
     all four classes add up to beta theta / (1 - theta)**2 log2(1/theta),
     because c1 + i'(1-alpha) = 1.  The logs of numerator and denominator are
-    taken apart, so a subnormal i' cannot overflow their ratio.
+    taken apart, so a subnormal i' cannot overflow their ratio.  (``xlog2``
+    is :func:`~.core.xlog2`'s path for gamma, passed in by ``_closed_form``.)
     """
     if d == 0.0:
         return 0.0 * gamma
@@ -238,10 +241,12 @@ def cond_entropy_S_given_YY(gamma: float, d: float) -> EntropyTerm:
     return delins_S_term(gamma, d, 0.0, 1.0)
 
 
-def closed_form_HS2(gamma, d: float):
+@_closed_form
+def closed_form_HS2(gamma, d: float, xlog2):
     """Literal printed closed form for H(S2 | Y1 Y2), of a float gamma or of
-    an array, its logs taken apart (:func:`~.core.xlog2`) so that a subnormal
-    d cannot overflow 1 / theta (a diagnostic, and the printed-form penalty)."""
+    an array, its logs taken apart (``xlog2``, :func:`~.core.xlog2`'s path
+    for gamma) so that a subnormal d cannot overflow 1 / theta (a
+    diagnostic, and the printed-form penalty)."""
     q = markov_q(gamma, d)
     th, be = _theta(gamma, d), _beta(gamma, d)
     tb = 1.0 - th
@@ -264,12 +269,15 @@ class _Term(NamedTuple):
     role: Role = Role.PENALTY
 
 
-def _signed_sum(terms) -> float:
-    """Each term's value times its role's sign, summed in order: the bound."""
-    bound = 0.0
+def _signed_sum(terms, bound=0.0) -> float:
+    """``bound`` plus each term's value times its role's sign, added in
+    order: the bound, from 0.  A penalty's value is subtracted, the same
+    floating-point operation as adding its negation; a diagnostic is left out."""
     for t in terms:
-        if t.role.sign:
-            bound = bound + t.role.sign * t.value
+        if t.role.sign > 0:
+            bound = bound + t.value
+        elif t.role.sign < 0:
+            bound = bound - t.value
     return bound
 
 
@@ -287,52 +295,54 @@ def _assemble(gamma_star: float, terms: Sequence[_Term]) -> BoundResult:
     return BoundResult(bound_bits=bound, gamma_star=gamma_star, terms=terms, error_budget=budget)
 
 
-def _run_length_term(gamma, run, run_error) -> _Term:
+def _run_length_term(gamma, run, run_error=0.0) -> _Term:
     """(1 - gamma) H(L_X | L_out), the run-length penalty per input bit."""
-    return _Term("run_length_penalty", (1.0 - gamma) * run, (1.0 - gamma) * run_error)
+    scale = 1.0 - gamma
+    return _Term("run_length_penalty", scale * run, scale * run_error)
 
 
 # The terms of each bound, in the order they are added, at gamma a float or
-# an array, of the bound's own ChannelParams ``p``.  ``run`` is the
+# an array, of the bound's own ChannelParams ``p``.  ``h`` is the source
+# entropy h(gamma), which a grid keeps per array.  ``run`` is the
 # run-length penalty (:func:`_run_length_term`): the one term whose scalar
 # form, with its truncation error, and array form are computed apart.  A grid
 # passes None for it and fills it in chunk by chunk (:class:`BoundGrid`).
 # ``printed`` picks the deleted-run form of the ``deletion_printed`` entry.
 
-def _deletion_terms(p: ChannelParams, gamma, run: _Term | None, printed: bool = False) -> list:
+def _deletion_terms(p: ChannelParams, gamma, h, run: _Term | None, printed: bool = False) -> list:
     d = p.d
     if printed:
         hs2 = _Term("deleted_runs_penalty_printed_form", (1.0 - d) * closed_form_HS2(gamma, d),
                     role=Role.PRINTED_PENALTY)
     else:
         hs2 = _Term("deleted_runs_penalty", (1.0 - d) * _nonneg(closed_form_delins_S(gamma, d, 0.0, 1.0)))
-    return [_Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE), hs2, run]
+    return [_Term("source_entropy", h, role=Role.SOURCE), hs2, run]
 
 
-def _lb1_terms(p: ChannelParams, gamma, run: None = None) -> list:
+def _lb1_terms(p: ChannelParams, gamma, h, run: None = None) -> list:
     i, alpha = p.i, p.alpha
     return [
-        _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        _Term("source_entropy", h, role=Role.SOURCE),
         _Term("insertion_positions_penalty", (1.0 + i) * h_I_limit(i, alpha, gamma)),
         _Term("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
     ]
 
 
-def _lb2_terms(p: ChannelParams, gamma, run: _Term | None) -> list:
+def _lb2_terms(p: ChannelParams, gamma, h, run: _Term | None) -> list:
     i, alpha = p.i, p.alpha
     return [
-        _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        _Term("source_entropy", h, role=Role.SOURCE),
         _Term("comp_insertion_penalty", (1.0 + i) * h_T_limit(i, alpha, gamma)),
         run,
         _Term("insertion_ambiguity_credit", insertion_penalty_credit(i, alpha, gamma), role=Role.CREDIT),
     ]
 
 
-def _delins_terms(p: ChannelParams, gamma, run: _Term | None) -> list:
+def _delins_terms(p: ChannelParams, gamma, h, run: _Term | None) -> list:
     d, i, alpha = p.d, p.i, p.alpha
     scale = 1.0 - d + i  # output symbols per input bit
     return [
-        _Term("source_entropy", binary_entropy(gamma), role=Role.SOURCE),
+        _Term("source_entropy", h, role=Role.SOURCE),
         _Term("comp_insertion_penalty", scale * h_T_limit(_i_prime(d, i), alpha, markov_q(gamma, d))),
         _Term("deleted_runs_penalty", scale * _nonneg(closed_form_delins_S(gamma, d, i, alpha))),
         run,
@@ -350,7 +360,8 @@ def lb_deletion(d: float, gamma: float, cfg: SeriesConfig | None = None,
     """
     p = ChannelParams(d=d)
     run = run_law_deletion_H(gamma, d, cfg)  # refuses a gamma out of range
-    terms = _deletion_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error), use_printed_hs2)
+    terms = _deletion_terms(p, gamma, binary_entropy(gamma), _run_length_term(gamma, run.value, run.truncation_error),
+                            use_printed_hs2)
     if diagnostics:
         hs2 = cond_entropy_S_given_YY(gamma, d).value - closed_form_HS2(gamma, d)
         run_law = run.value - closed_form_HLXLY(gamma, d)
@@ -363,14 +374,15 @@ def lb1_insertion(i: float, alpha: float, gamma: float) -> BoundResult:
     """Insertion bound decoding all insertion positions (LB 1)."""
     p = ChannelParams(i=i, alpha=alpha)
     _check_gamma(gamma)
-    return _assemble(gamma, _lb1_terms(p, gamma))
+    return _assemble(gamma, _lb1_terms(p, gamma, binary_entropy(gamma)))
 
 
 def lb2_insertion(i: float, alpha: float, gamma: float, cfg: SeriesConfig | None = None) -> BoundResult:
     """Insertion bound decoding only complementary insertions (LB 2)."""
     p = ChannelParams(i=i, alpha=alpha)
     run = run_law_duplication_H(gamma, i, cfg)  # refuses a gamma out of range
-    return _assemble(gamma, _lb2_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error)))
+    return _assemble(gamma, _lb2_terms(p, gamma, binary_entropy(gamma),
+                                       _run_length_term(gamma, run.value, run.truncation_error)))
 
 
 def lb_delins(d: float, i: float, alpha: float, gamma: float,
@@ -387,13 +399,14 @@ def lb_delins(d: float, i: float, alpha: float, gamma: float,
     """
     p = ChannelParams(d=d, i=i, alpha=alpha)
     run = run_law_delins_H(gamma, d, i, cfg)  # refuses a gamma out of range
-    return _assemble(gamma, _delins_terms(p, gamma, _run_length_term(gamma, run.value, run.truncation_error)))
+    return _assemble(gamma, _delins_terms(p, gamma, binary_entropy(gamma),
+                                          _run_length_term(gamma, run.value, run.truncation_error)))
 
 
 class _Bound(NamedTuple):
     """A bound's terms and its ``lb_*``, both of the bound's own parameters."""
 
-    terms: Callable[..., list]  # at (params, gamma, run)
+    terms: Callable[..., list]  # at (params, gamma, h, run)
     lb: Callable[..., BoundResult]  # at (params, gamma, cfg, diagnostics)
 
 
@@ -404,7 +417,7 @@ class _Bound(NamedTuple):
 # rebinding of those names (as a tracer does) is seen.
 _BOUNDS = {
     "deletion": _Bound(_deletion_terms, lambda p, g, cfg, diag: lb_deletion(p.d, g, cfg, diag)),
-    "deletion_printed": _Bound(lambda p, g, run: _deletion_terms(p, g, run, True),
+    "deletion_printed": _Bound(lambda p, g, h, run: _deletion_terms(p, g, h, run, True),
                                lambda p, g, cfg, diag: lb_deletion(p.d, g, cfg, diag, use_printed_hs2=True)),
     "insertion_lb1": _Bound(_lb1_terms, lambda p, g, cfg, diag: lb1_insertion(p.i, p.alpha, g)),
     "insertion_lb2": _Bound(_lb2_terms, lambda p, g, cfg, diag: lb2_insertion(p.i, p.alpha, g, cfg)),
@@ -425,6 +438,11 @@ class BoundGrid:
     within 1e-13 (tested), and :meth:`at` is its bound at a float gamma, bit
     for bit.
 
+    What the gammas alone fix, the source entropy h(gamma) among it, is
+    built once per array (:func:`~.core._on_grid`); the rest of the terms,
+    the zero-row ceilings and each chunk's largest ceiling (one
+    ``np.maximum.reduceat``), once per grid.
+
     Given a value to ``beat``, :meth:`values` and :meth:`at` return None when
     a ceiling, at least every value they would return bit for bit, is at most
     ``beat``; the table does not grow then.  There is one rule: the bound
@@ -437,26 +455,26 @@ class BoundGrid:
     """
 
     def __init__(self, name: str, params: ChannelParams, gammas: np.ndarray, cfg: SeriesConfig) -> None:
-        bound_terms = _BOUNDS[name].terms
-        self._terms = lambda g: bound_terms(params, g, None)
-        terms = self._terms(gammas)
-        k = terms.index(None) if None in terms else len(terms)
+        self._params, self._terms = params, _BOUNDS[name].terms
+        terms = self._terms(params, gammas, _on_grid(binary_entropy, gammas), None)
+        self._k = k = terms.index(None) if None in terms else len(terms)
         self._law = _RunLawGrid(gammas, params.d, params.i, cfg) if k < len(terms) else None
         self.gammas, self.row_skips, self._head, self._tail = gammas, 0, _signed_sum(terms[:k]), terms[k + 1:]
         self.chunks = self._law.chunks if self._law else (slice(0, gammas.size),)
         self._ceilings = self._assemble(slice(None), self._law.floor if self._law else None)
+        starts = [chunk.start for chunk in self.chunks]
+        self._tops = dict(zip(starts, np.maximum.reduceat(self._ceilings, starts).tolist()))
 
     def values(self, chunk: slice, beat: float = -math.inf) -> np.ndarray | None:
-        """The bound at ``gammas[chunk]``, or None when a ceiling shows that
-        no value there exceeds ``beat``; the chunk's one p_r matrix serves
-        both the row-bounded ceiling and the values."""
-        ceilings = self._ceilings[chunk]
-        if np.max(ceilings) <= beat:
+        """The bound at ``gammas[chunk]``, ``chunk`` one of ``chunks``, or None
+        when a ceiling shows that no value there exceeds ``beat``; the chunk's
+        one p_r matrix serves both the row-bounded ceiling and the values."""
+        if self._tops[chunk.start] <= beat:
             return None
         if self._law is None:
-            return ceilings
+            return self._ceilings[chunk]
         run = self._law.chunk(chunk)
-        if (floor := run.floor()) is not None and np.max(self._assemble(chunk, floor)) <= beat:
+        if (floor := run.floor()) is not None and self._assemble(chunk, floor).max() <= beat:
             self.row_skips += 1
             return None
         return self._assemble(chunk, run.values())
@@ -466,23 +484,19 @@ class BoundGrid:
         by the same :func:`_signed_sum`, so its ``bound_bits`` bit for bit;
         or None when the row-bounded ceiling shows that it is at most
         ``beat``."""
-        terms = self._terms(gamma)
+        terms = self._terms(self._params, gamma, binary_entropy(gamma), None)
         if self._law is not None:
-            k, run = terms.index(None), self._law.at(gamma)
+            k, run = self._k, self._law.at(gamma)
             if beat > -math.inf and (floor := run.floor()) is not None:
-                terms[k] = _run_length_term(gamma, float(floor), 0.0)
+                terms[k] = _run_length_term(gamma, float(floor))
                 if _signed_sum(terms) <= beat:
                     return None
-            terms[k] = _run_length_term(gamma, float(run.values()), 0.0)
+            terms[k] = _run_length_term(gamma, float(run.values()))
         return _signed_sum(terms)
 
     def _assemble(self, chunk: slice, run) -> np.ndarray:
         """The terms at ``gammas[chunk]`` added in order, with ``run`` as
         H(L_X | L_out) if the bound has a run-length term."""
-        v = self._head[chunk]
-        if run is not None:
-            term = _run_length_term(self.gammas[chunk], run, 0.0)
-            v = v + term.role.sign * term.value
-        for t in self._tail:
-            v = v + t.role.sign * t.value[chunk]
-        return v
+        terms = [] if run is None else [_run_length_term(self.gammas[chunk], run)]
+        terms += [_Term(t.name, t.value[chunk], role=t.role) for t in self._tail]
+        return _signed_sum(terms, self._head[chunk])

@@ -21,6 +21,8 @@ Test surface: ``_BLOCK``.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
@@ -227,17 +229,45 @@ def xlog2(c, num, den=1.0):
     """c * log2(num / den), taken as c * (log2(num) - log2(den)) so that a
     ratio of tiny numbers cannot overflow, and 0 wherever c <= 0 or den <= 0.
 
-    Of floats it is computed with ``math.log2``, so scalar code keeps its
-    bits; of arrays elementwise with numpy's log2, which may differ from
-    ``math.log2`` in the last bit.
+    Of floats it is computed with ``math.log2`` (:func:`_xlog2_float`), so
+    scalar code keeps its bits; of arrays elementwise with numpy's log2
+    (:func:`_xlog2_array`), which may differ from ``math.log2`` in the last
+    bit.  A kernel that takes many of them picks its path once per call
+    (:func:`_closed_form`).
     """
-    if not (isinstance(c, np.ndarray) or isinstance(num, np.ndarray) or isinstance(den, np.ndarray)):
-        if c <= 0.0 or den <= 0.0:
-            return 0.0
-        return c * (math.log2(num) - math.log2(den))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = c * (np.log2(num) - np.log2(den))
-    return np.where(c > 0.0, np.where(den > 0.0, v, 0.0), 0.0)
+    if isinstance(c, np.ndarray) or isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _xlog2_array(c, num, den)
+    return _xlog2_float(c, num, den)
+
+
+def _xlog2_float(c, num, den=1.0):
+    """:func:`xlog2` of floats."""
+    if c <= 0.0 or den <= 0.0:
+        return 0.0
+    return c * (math.log2(num) - math.log2(den))
+
+
+def _xlog2_array(c, num, den=1.0):
+    """:func:`xlog2` elementwise, one mask and one ``np.where``; the caller
+    silences the logs of the masked entries (``np.errstate``)."""
+    return np.where((c > 0.0) & (den > 0.0), c * (np.log2(num) - np.log2(den)), 0.0)
+
+
+def _closed_form(kernel):
+    """A closed-form kernel of a float or an array, its first argument, that
+    takes :func:`xlog2` as its last: the float path for a float, the array
+    path, under one ``np.errstate``, for an array, picked once per call.
+    Its signature is the kernel's without that last parameter."""
+    @functools.wraps(kernel)
+    def by_path(x, *args):
+        if isinstance(x, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return kernel(x, *args, _xlog2_array)
+        return kernel(x, *args, _xlog2_float)
+    signature = inspect.signature(kernel)
+    by_path.__signature__ = signature.replace(parameters=tuple(signature.parameters.values())[:-1])
+    return by_path
 
 
 def binary_entropy(p):
@@ -246,9 +276,27 @@ def binary_entropy(p):
     if isinstance(p, np.ndarray):
         if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
             raise ValueError(f"probabilities outside [0, 1] in {p}")
-    elif not 0.0 <= p <= 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _xlog2_array(p, 1.0, p) + _xlog2_array(1.0 - p, 1.0, 1.0 - p)
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    return xlog2(p, 1.0, p) + xlog2(1.0 - p, 1.0, 1.0 - p)
+    return _xlog2_float(p, 1.0, p) + _xlog2_float(1.0 - p, 1.0, 1.0 - p)
+
+
+def _on_grid(kernel, gammas: np.ndarray):
+    """``kernel(gammas)`` for a ``kernel`` of the float64 grid array ``gammas``
+    alone, computed once per array and kept (:func:`_kept_on_grid`): keyed by
+    the array's contents, so a grid over another array, or over this one
+    changed, computes its own, and a kept array is read-only."""
+    return _kept_on_grid(kernel, gammas.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _kept_on_grid(kernel, data: bytes):
+    value = kernel(np.frombuffer(data))
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
 
 
 # uniforms per block of a long draw: 256 KiB of doubles, reused block to block

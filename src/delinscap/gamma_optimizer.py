@@ -78,6 +78,8 @@ CHANNELS = {
 
 # bound name -> its channel
 _CHANNEL_OF = {name: channel for channel in CHANNELS.values() for name in channel.bounds.values()}
+# each ChannelParams field -> its default, what a sweep point may leave out
+_DEFAULTS = {f.name: f.default for f in fields(ChannelParams)}
 
 
 def _lookup(table: dict, name: str):
@@ -161,11 +163,12 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
         if values is None:
             skipped.append(chunk.stop - chunk.start)
             continue
-        k = int(np.isfinite(values).argmin())  # the first non-finite value, or the first value
-        checked(float(gammas[chunk.start + k]), float(values[k]))
-        j = int(np.argmax(values))  # the first argmax
-        if values[j] > best_v:
-            b, best_v = chunk.start + j, float(values[j])
+        if not (finite := np.isfinite(values)).all():
+            k = int(finite.argmin())  # the first non-finite value
+            checked(float(gammas[chunk.start + k]), float(values[k]))
+        j = int(values.argmax())  # the first argmax
+        if (top := float(values[j])) > best_v:
+            b, best_v = chunk.start + j, top
     x = float(gammas[b])
     lo = float(gammas[b - 1]) if b > 0 else GAMMA_MIN
     hi = float(gammas[b + 1]) if b < gammas.size - 1 else GAMMA_MAX
@@ -282,13 +285,14 @@ def sweep(channel: str, points: Iterable[dict], cfg: SeriesConfig | None = None,
     max (``lb_max``) in every row, since whichever is larger is still a valid
     lower bound; the breakdown reported is the winning bound's.
     """
-    points, names = list(points), [f.name for f in fields(ChannelParams)]
+    points = list(points)
     for pt in points:
-        if unknown := sorted(set(pt) - set(names)):
-            raise ValueError(f"unknown parameter keys {unknown} in sweep point {pt!r}; expected some of {names}")
+        if unknown := sorted(set(pt) - _DEFAULTS.keys()):
+            raise ValueError(f"unknown parameter keys {unknown} in sweep point {pt!r}; expected some of "
+                             f"{list(_DEFAULTS)}")
     rows = []
     for pt in points:
-        params = {f.name: float(pt.get(f.name, f.default)) for f in fields(ChannelParams)}
+        params = {name: float(pt.get(name, default)) for name, default in _DEFAULTS.items()}
         bounds = channel_bounds(channel, **params, cfg=cfg, tol=tol)
         res = bounds[best_key(bounds)]
         row = {"channel": channel, **params, "gamma_star": res.gamma_star, "bound": res.bound_bits, "result": res}

@@ -41,9 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .core import ChannelParams, EntropyTerm, _check_gamma, _count, _nonneg, binary_entropy, xlog2
+from .core import ChannelParams, EntropyTerm, _check_gamma, _count, _nonneg, _on_grid, binary_entropy, xlog2
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,11 @@ _U = 2.0 ** -53
 # dropped before it seeds the next block.
 _ROW_PAD = 32
 _ROW_TRIM = 1e-30
-# Caps on a grid chunk's G x (2 R + 1) (twice its p_r matrix) and on a block
-# of the H(L_out) series, and on that series' terms.
+# Caps on a grid chunk's G x (2 R + 1) (twice its p_r matrix) and on the
+# width of a column block of the H(L_out) series, on the cells of one group of
+# that series' rows (128 KiB a temporary), and on its terms.
 _CHUNK_CELLS = 4096
+_SERIES_CELLS = 1 << 14
 _SERIES_TERMS = 1 << 17
 # Smallest normal double: the row table adds it to every entry before the log
 # (:func:`_kernel_powers`), so an empty cell holds it and adds about 2e-305
@@ -114,15 +115,16 @@ def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
     the table drift with that sum, block after block (4e-12 in H at 20,000
     rows).  The last column meets the table's row of ones, so every entry of
     a block product is at least _TINY and its log is finite."""
-    steps, half = len(kernel) - 1, block // 2
+    steps, half, step = len(kernel) - 1, block // 2, np.array(kernel)
     powers, power = np.zeros((block, steps * block + 2)), np.ones(1)
     for j in range(half):
-        power = np.convolve(power, kernel)
+        power = np.convolve(power, step)
         powers[j, :power.size] = power
     shift = steps * half
     padded = np.zeros(power.size + 2 * shift)
     padded[shift:shift + power.size] = power
-    window = as_strided(padded[shift:], (shift + 1, power.size + shift), (-padded.itemsize, padded.itemsize))
+    window = np.ndarray((shift + 1, power.size + shift), float, buffer=padded, offset=shift * padded.itemsize,
+                        strides=(-padded.itemsize, padded.itemsize))
     np.matmul(powers[:half, :shift + 1], window, out=powers[half:, :-1])
     powers[:, -1] = _TINY
     powers.flags.writeable = False
@@ -210,7 +212,8 @@ class _RowTable:
                     padded = np.zeros(cap + pad)  # its first pad cells stay zero
                     # row t of ``shifted`` starts pad - t cells into ``padded``:
                     # the base row shifted by t
-                    shifted = as_strided(padded[pad:], (pad + 1, cap), (-padded.itemsize, padded.itemsize))
+                    shifted = np.ndarray((pad + 1, cap), float, buffer=padded, offset=pad * padded.itemsize,
+                                         strides=(-padded.itemsize, padded.itemsize))
                 padded[pad:pad + m] = row[lo:hi]
                 padded[pad + m:pad + width] = 0.0
                 window = windows[:(pad + 2) * width].reshape(pad + 2, width)
@@ -309,6 +312,13 @@ def _output_length_entropy(gamma, step: tuple[float, float, float]):
     |K a**m f(t**m)| <= 2 K |b|**m, so the terms, their sum (gamma_T) and
     the rest err by at most e = 3 u S b**2 ((T + 2)(1.01 + |log |b||) + 14),
     S = 2 K / (1 - b**2).
+
+    A float's series up to 40 terms is a loop of ``math`` calls.  An
+    array's is summed in fixed column blocks of m, 16 wide and then
+    doubling up to _CHUNK_CELLS, each over the gammas it reaches in groups
+    of at most _SERIES_CELLS cells, every block up to 64 wide one group on
+    the 199-point grid: each gamma's bits depend on the blocks alone, never
+    on the other gammas, and no temporary exceeds 128 KiB.
     """
     d, keep, i = step
     array = isinstance(gamma, np.ndarray)
@@ -335,24 +345,27 @@ def _output_length_entropy(gamma, step: tuple[float, float, float]):
         if top > 40:
             series += k * float(_series_terms(log_t, log_a, np.arange(2.0, top + 1.0)).sum())
         else:  # a short series costs less as a loop than as numpy calls
+            exp, expm1, log2 = math.exp, math.expm1, math.log2
             for m in range(2, top + 1):
-                w = 1.0 + math.exp(m * log_t) if m % 2 else -math.expm1(m * log_t)
-                series += k * math.exp(m * log_a) * w * math.log2(w) if w > 0.0 else 0.0
+                w = 1.0 + exp(m * log_t) if m % 2 else -expm1(m * log_t)
+                series += k * exp(m * log_a) * w * log2(w) if w > 0.0 else 0.0
         return h - series, 3.0 * _U * scale * b * b * ((top + 2) * (1.01 - log_b) + 14.0)
     with np.errstate(divide="ignore"):  # b = 0 where i underflows against a: no terms, and no rest
         log_b, log_t = np.maximum(np.log(-b), -745.0), np.log1p(-a_plus_b / a)
-    last = np.clip(np.ceil(np.log(1e-18 / scale) / log_b) - 1.0, 1.0, _SERIES_TERMS) if keep else 1.0 + 0.0 * a
+    last = np.minimum(np.maximum(np.ceil(np.log(1e-18 / scale) / log_b) - 1.0, 1.0), _SERIES_TERMS) if keep \
+        else 1.0 + 0.0 * a
     series = scale * np.exp((last + 1.0 + last % 2.0) * log_b)  # the rest past T
-    # Fixed column blocks, 16 wide then doubling up to _CHUNK_CELLS, each over
-    # the rows it reaches in groups of at most _CHUNK_CELLS cells: the
-    # temporaries stay small, and each gamma's bits do not depend on the others.
-    m0, width, top = 2, 16, last.max()
+    m0, width, top = 2, 16, last.max()  # the column blocks and their groups, as above
     while m0 <= top:
-        m, rows, n = np.arange(m0, m0 + width, dtype=float), np.flatnonzero(last >= m0), _CHUNK_CELLS // width
-        for sel in (rows[r:r + n] for r in range(0, rows.size, n)):
-            terms = _series_terms(log_t[sel, None], log_a[sel, None], m)
-            terms[m > last[sel, None]] = 0.0
-            series[sel] += k[sel] * terms.sum(axis=1)
+        m, rows = np.arange(m0, m0 + width, dtype=float), (last >= m0).nonzero()[0]
+        at = slice(None) if rows.size == last.size else rows
+        log_t_at, log_a_at, last_at, sums = log_t[at, None], log_a[at, None], last[at, None], np.empty(rows.size)
+        n = max(_SERIES_CELLS // width, 1)
+        for r in range(0, rows.size, n):
+            terms = _series_terms(log_t_at[r:r + n], log_a_at[r:r + n], m)
+            terms[m > last_at[r:r + n]] = 0.0
+            sums[r:r + n] = terms.sum(axis=1)
+        series[at] += k[at] * sums
         m0, width = m0 + width, min(2 * width, _CHUNK_CELLS)
     return h - series, 3.0 * _U * scale * b * b * ((last + 2.0) * (1.01 - log_b) + 14.0)
 
@@ -385,13 +398,13 @@ def _run_length_entropy(gamma):
     return -xp.log2(1.0 - gamma) - gamma * xp.log2(gamma) / (1.0 - gamma)
 
 
-def _run_law_closed(gamma, d: float, i: float):
+def _run_law_closed(gamma, d: float, i: float, h_x=None):
     """(H(L_X) - H(L_out), e), the closed part of H(L_X | L_out)
     (:class:`_RunLawChunk`), of a float gamma or elementwise of an array:
-    :func:`_run_length_entropy` less :func:`_output_length_entropy`, whose
-    rounding bound is e."""
+    :func:`_run_length_entropy`, or ``h_x`` if the caller holds it, less
+    :func:`_output_length_entropy`, whose rounding bound is e."""
     h_out, rounding = _output_length_entropy(gamma, _step_law(d, i))
-    return _run_length_entropy(gamma) - h_out, rounding
+    return (_run_length_entropy(gamma) if h_x is None else h_x) - h_out, rounding
 
 
 def _jensen_slack(gamma, start):
@@ -446,46 +459,74 @@ def _step_variance(kernel: tuple[float, ...]) -> float:
 
 def _piece(kernel: tuple[float, ...], gamma, start, m=None):
     """W U(r_bar) over the run lengths start < r <= start + m, or every
-    r > start without m: W the weights' sum and r_bar their mean run length,
-    at least their sum of p_r U_r by Jensen's inequality, of floats or
-    elementwise.  Given r > S, r - S is geometric, so over every r > S,
-    W = gamma**S and r_bar = S + 1 / (1 - gamma); over S < r <= S + m,
-    with q = gamma**m, W = gamma**S (1 - q) and
-    r_bar = S + 1 / (1 - gamma) - m q / (1 - q), 1 - q taken by expm1."""
+    r > start without m: W the weights' sum and r_bar their mean run length
+    (:func:`_piece_law`), at least their sum of p_r U_r by Jensen's
+    inequality, of floats or elementwise."""
+    weight, mean = _piece_law(gamma, start, m)
+    return weight * _max_entropy(kernel, mean)
+
+
+def _piece_law(gamma, start, m=None):
+    """(W, r_bar) of :func:`_piece`, which do not depend on the kernel.
+    Given r > S, r - S is geometric, so over every r > S, W = gamma**S and
+    r_bar = S + 1 / (1 - gamma); over S < r <= S + m, with q = gamma**m,
+    W = gamma**S (1 - q) and r_bar = S + 1 / (1 - gamma) - m q / (1 - q),
+    1 - q taken by expm1."""
     head, mean = gamma ** start, start + 1.0 / (1.0 - gamma)
     if m is None:
-        return head * _max_entropy(kernel, mean)
+        return head, mean
     xp = np if isinstance(gamma, np.ndarray) else math
     log_gamma = xp.log(gamma)
     kept = -xp.expm1(m * log_gamma)  # 1 - q
-    return head * kept * _max_entropy(kernel, mean - m * xp.exp(m * log_gamma) / kept)
+    return head * kept, mean - m * xp.exp(m * log_gamma) / kept
 
 
 def _band(kernel: tuple[float, ...], gamma, start, cfg: SeriesConfig):
     """An upper bound on sum_{r>R} p_r H_r, R = ``start``: the band's
     sum_{r>R} p_r U_r summed by :func:`_piece`, of a float gamma and an int R
-    or elementwise of arrays.  One piece from R to infinity, unless R is at
-    the cap and the piece's Jensen slack (:func:`_jensen_slack`) exceeds
-    tail_epsilon / (1 - gamma) (below the cap R meets that target by its
-    choice, :func:`_band_start`): then segments (S, ceil(1.25 S)] from
-    S = R on, until the rest from S meets the target and is one piece
-    (7 or 8 segments at d = 0.99 and R0 = 4,096; 65 at gamma = 1 - 1e-6,
-    the least cap and tail_epsilon = 1e-15)."""
+    or elementwise of arrays (:func:`_band_pieces`).  One piece from R to
+    infinity, unless R is at the cap and the piece's Jensen slack
+    (:func:`_jensen_slack`) exceeds tail_epsilon / (1 - gamma) (below the
+    cap R meets that target by its choice, :func:`_band_start`): then
+    segments (S, ceil(1.25 S)] from S = R on, until the rest from S meets
+    the target and is one piece (7 or 8 segments at d = 0.99 and R0 = 4,096;
+    65 at gamma = 1 - 1e-6, the least cap and tail_epsilon = 1e-15)."""
+    if isinstance(gamma, np.ndarray):
+        return _band_of(kernel, _band_pieces(gamma, start, cfg))
+    target, total = cfg.tail_epsilon / (1.0 - gamma), 0.0
+    while start >= cfg.r_max_cap and _jensen_slack(gamma, start) > target:
+        end = math.ceil(_SEGMENT * start)
+        total += _piece(kernel, gamma, start, end - start)
+        start = end
+    return total + _piece(kernel, gamma, start)
+
+
+def _band_pieces(gamma: np.ndarray, start: np.ndarray, cfg: SeriesConfig):
+    """What :func:`_band` over arrays takes of the gammas, their R and
+    ``cfg`` alone, kept read-only: its segments, each the indices of the
+    gammas it splits and their (W, r_bar) (:func:`_piece_law`), in the
+    order they are added, and the last piece's (W, r_bar) at every gamma."""
     target = cfg.tail_epsilon / (1.0 - gamma)
-    if not isinstance(gamma, np.ndarray):
-        total = 0.0
-        while start >= cfg.r_max_cap and _jensen_slack(gamma, start) > target:
-            end = math.ceil(_SEGMENT * start)
-            total += _piece(kernel, gamma, start, end - start)
-            start = end
-        return total + _piece(kernel, gamma, start)
-    total, start = np.zeros(gamma.shape), start.astype(float)
+    segments, start = [], start.astype(float)
     split = np.flatnonzero(start >= cfg.r_max_cap)
     while (split := split[_jensen_slack(gamma[split], start[split]) > target[split]]).size:
         end = np.ceil(_SEGMENT * start[split])
-        total[split] += _piece(kernel, gamma[split], start[split], end - start[split])
+        segments.append((split, *_piece_law(gamma[split], start[split], end - start[split])))
         start[split] = end
-    return total + _piece(kernel, gamma, start)
+    pieces = (tuple(segments), _piece_law(gamma, start))
+    for array in (a for segment in (*segments, pieces[1]) for a in segment):
+        array.flags.writeable = False
+    return pieces
+
+
+def _band_of(kernel: tuple[float, ...], pieces) -> np.ndarray:
+    """:func:`_band` over arrays from its :func:`_band_pieces`: each piece's
+    W U(r_bar), the segments added first."""
+    segments, (weight, mean) = pieces
+    total = np.zeros(weight.shape)
+    for split, w, r in segments:
+        total[split] += w * _max_entropy(kernel, r)
+    return total + weight * _max_entropy(kernel, mean)
 
 
 def _row_sum(kernel: tuple[float, ...], p: np.ndarray):
@@ -527,10 +568,11 @@ class _GridPlan:
     """What a :class:`_RunLawGrid` needs of its gammas,
     :class:`SeriesConfig` and row ``block`` alone, one per (``cfg``, gammas,
     ``block``) and kept (:func:`_grid_plan`): ``starts``, each gamma's R
-    (:func:`_band_start`); ``chunks``, the gammas cut into slices of at most
-    _CHUNK_CELLS padded cells, G x (2 R + 1) with the slice's largest R (a
-    point over the cap alone is a slice of its own); and each slice's
-    run-length weights, built on first use."""
+    (:func:`_band_start`), and ``top``, the largest; ``chunks``, the gammas
+    cut into slices of at most _CHUNK_CELLS padded cells, G x (2 R + 1) with
+    the slice's largest R (a point over the cap alone is a slice of its
+    own); ``band``, the band's kernel-free pieces (:func:`_band_pieces`);
+    and each slice's run-length weights, built on first use."""
 
     def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...], block: int) -> None:
         self._gammas, self._weights = gammas, {}
@@ -543,6 +585,8 @@ class _GridPlan:
                 top = r
         self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
         self.starts.flags.writeable = False
+        self.top = int(self.starts.max())
+        self.band = _band_pieces(np.array(gammas), self.starts, cfg)
 
     def weights(self, chunk: slice) -> np.ndarray:
         """The (G, largest R) matrix of p_r = gamma**(r-1) (1 - gamma) at
@@ -689,28 +733,44 @@ def _floor_margin(kernel: tuple[float, ...], n: int) -> float:
 
 def _run_law_at(gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> _RunLawChunk:
     """The run-length term at a float gamma, a chunk of one point on the R
-    ``cfg`` fixes, its p_r from :func:`_run_weights`."""
-    cfg = cfg or SeriesConfig()
+    ``cfg`` fixes, its p_r from :func:`_run_weights`.  The last few are kept
+    (:func:`_float_law`), so that the ``lb_*`` at a search's gamma* reads
+    the law its probe built, and the deletion bound's diagnostic
+    (:func:`closed_form_HLXLY`) the law of its run-length term at the default
+    :class:`SeriesConfig`."""
+    return _float_law(gamma, d, i, cfg or SeriesConfig())
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _float_law(gamma: float, d: float, i: float, cfg: SeriesConfig) -> _RunLawChunk:
+    """:func:`_run_law_at`'s chunk, built once per (gamma, d, i, cfg), its
+    weights read-only: a chunk reads the row table only when asked for its
+    values or its floor, so a kept one is the one built anew, bit for bit."""
     kernel = _row_kernel(d, i)
     start = _band_start(gamma, cfg, _block_rows(kernel))
     band = _band(kernel, gamma, start, cfg)
-    return _RunLawChunk(gamma, kernel, _run_weights(gamma, start), band, *_run_law_closed(gamma, d, i))
+    p = _run_weights(gamma, start)
+    p.flags.writeable = False
+    return _RunLawChunk(gamma, kernel, p, band, *_run_law_closed(gamma, d, i))
 
 
 class _RunLawGrid:
     """The run-length term of the law (d, i) at every gamma of the array
     ``gammas`` (a :class:`~.analytic_bounds.BoundGrid`'s): its plan for
     ``cfg`` (:class:`_GridPlan`), whose ``chunks`` it keeps, and the closed
-    part and band, taken once over the array.  ``floor`` is the zero-row
+    part and band, taken once over the array.  What the array alone fixes,
+    its tuple of floats (the plan's key) and H(L_X), is built once per array
+    (:func:`~.core._on_grid`).  ``floor`` is the zero-row
     floor max(H(L_X) - H(L_out) - M, 0), M at the largest R, infinite with
     no row kernel, where the values are 0 (:meth:`_RunLawChunk.floor`)."""
 
     def __init__(self, gammas: np.ndarray, d: float, i: float, cfg: SeriesConfig) -> None:
         self.gammas, self._params, self.kernel = gammas, (d, i, cfg), _row_kernel(d, i)
-        self._plan = _grid_plan(cfg, tuple(gammas.tolist()), _block_rows(self.kernel))
-        self.chunks, self._closed = self._plan.chunks, _run_law_closed(gammas, d, i)[0]
-        self._band = _band(self.kernel, gammas, self._plan.starts, cfg)
-        margin = _floor_margin(self.kernel, int(self._plan.starts.max())) if self.kernel else math.inf
+        self._plan = _grid_plan(cfg, _on_grid(_floats, gammas), _block_rows(self.kernel))
+        self.chunks = self._plan.chunks
+        self._closed = _run_law_closed(gammas, d, i, _on_grid(_run_length_entropy, gammas))[0]
+        self._band = _band_of(self.kernel, self._plan.band)
+        margin = _floor_margin(self.kernel, self._plan.top) if self.kernel else math.inf
         self.floor = _nonneg(self._closed - margin)
 
     def chunk(self, s: slice) -> _RunLawChunk:
@@ -720,6 +780,11 @@ class _RunLawGrid:
     def at(self, gamma: float) -> _RunLawChunk:
         """The term at the float ``gamma`` (:func:`_run_law_at`)."""
         return _run_law_at(gamma, *self._params)
+
+
+def _floats(gammas: np.ndarray) -> tuple[float, ...]:
+    """The gammas of a grid as a tuple of floats, its plans' key (:func:`_grid_plan`)."""
+    return tuple(gammas.tolist())
 
 
 def _run_law_term(name: str, gamma: float, d: float, i: float, cfg: SeriesConfig | None) -> EntropyTerm:

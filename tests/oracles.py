@@ -809,19 +809,23 @@ class _Given:
         return self._values
 
 
-def grid_with_run(name, params, gammas, cfg, run):
+def grid_with_run(name, params, gammas, cfg, run, run_at=None):
     """``BoundGrid(name, params, gammas, cfg)`` with ``run(law, chunk)`` in place
     of H(L_X | L_out) at every chunk, ``law`` the bound's own
     ``run_length._RunLawGrid``: its ``values(chunk)`` is then the bound
     assembled on those values, by the grid's own arithmetic.  With the law's
     zero-row ``floor`` as ``run`` that is the grid's zero-row ceiling, bit for
-    bit; a bound with no run-length term (LB 1) is the grid itself.  The grid
-    takes the law by the name ``analytic_bounds`` imports it under, which
-    ``test_layout.py`` pins."""
+    bit; a bound with no run-length term (LB 1) is the grid itself.  Given
+    ``run_at(law, gamma)``, its ``at(gamma)`` is likewise the bound on that
+    value at a float gamma.  The grid takes the law by the name
+    ``analytic_bounds`` imports it under, which ``test_layout.py`` pins."""
 
     class Law(rl._RunLawGrid):
         def chunk(self, s):
             return _Given(run(self, s))
+
+        def at(self, gamma):
+            return _Given(run_at(self, gamma)) if run_at else super().at(gamma)
 
     with mock.patch.object(ab, "_RunLawGrid", Law):
         return ab.BoundGrid(name, params, gammas, cfg)

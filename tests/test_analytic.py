@@ -826,6 +826,26 @@ class TestRowBoundedCeiling:
         assert np.array_equal(oracles.grid_with_run(name, params, GRID, cfg, lambda law, s: values).values(chunk), full)
         assert np.all(ceiling >= full)
 
+    @pytest.mark.parametrize("name, d, i, alpha", [
+        ("deletion", 0.3, 0.0, 1.0), ("deletion_printed", 0.6, 0.0, 1.0), ("insertion_lb2", 0.0, 0.3, 0.7),
+        ("delins", 0.1, 0.05, 0.8),
+    ])
+    def test_a_probe_whose_ceiling_equals_its_beat_is_ruled_out(self, name, d, i, alpha, cold_rows):
+        # at gamma = 0.9 a probe reads more rows than the one block held: handed its own row-bounded
+        # ceiling (the bound on the floor from the rows held, by the grid's own arithmetic) as the
+        # beat, it is ruled out and the table does not grow; handed one a ulp below, it is evaluated
+        params, cfg, gamma = oracles.entry_params(name, d, i, alpha), ab.SeriesConfig(), 0.9
+        grid = ab.BoundGrid(name, params, GRID, cfg)
+        run = run_law_at(gamma, params.d, params.i, cfg)
+        cold_rows.entropies(run.kernel, oracles.table_block(run.kernel))
+        held = cold_rows.size
+        assert 0 < held < run.size
+        floor = float(run.floor())
+        ceiling = oracles.grid_with_run(name, params, GRID, cfg, lambda law, s: None, lambda law, g: floor).at(gamma)
+        assert grid.at(gamma, ceiling) is None and cold_rows.size == held
+        value = grid.at(gamma, float(np.nextafter(ceiling, -np.inf)))
+        assert value is not None and value <= ceiling and cold_rows.size > held
+
 
 class TestBand:
     """The run-length term reads exact rows up to R (:func:`run_length._band_start`) and

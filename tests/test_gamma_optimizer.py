@@ -557,14 +557,20 @@ class TestCeiling:
 
     @pytest.mark.parametrize("name", _FORMS)
     def test_every_form_has_chunk_ceilings(self, name):
-        # with every row held, only the zero-row ceiling can rule a chunk out: for every bound and
-        # the printed form, a beat at a chunk's largest ceiling rules it out, one ulp below does not
+        # with every row held, and again with none, only the zero-row ceiling can rule a chunk out:
+        # for every bound and the printed form, a beat at a chunk's largest ceiling rules it out,
+        # one ulp below does not (a largest ceiling taken over any other slice fails at some chunk)
         grid = _warm(_grid(name, 0.2, 0.1, 0.8))
         ceilings = _ceilings(name, 0.2, 0.1, 0.8, GRID)
         for chunk in grid.chunks:
             top = float(np.max(ceilings[chunk]))
             assert math.isfinite(top) and grid.values(chunk, top) is None
             assert grid.values(chunk, math.nextafter(top, -math.inf)) is not None
+            rl.ROWS.reset()
+            assert grid.values(chunk, top) is None
+            rl.ROWS.reset()
+            assert grid.values(chunk, math.nextafter(top, -math.inf)) is not None
+            _warm(grid)
         assert grid.row_skips == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

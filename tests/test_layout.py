@@ -6,17 +6,21 @@ surfaces: the names each module's docstring lists after "Test surface:".
 This file alone reads the package's internals, so that renaming an internal
 helper outside those surfaces breaks at most this file.  Besides the layout
 rules it holds the checks that need those internals: that the grid's plan
-is kept once and read-only, that the oracles' restated constants are the
-package's, and that the run-length term's parts (its float and grid
-weights, its band and closed part, its row error) are what the package
-computes, bit for bit.
+and the arrays its gammas alone fix are kept once and read-only, that the
+oracles' restated constants are the package's, that the run-length term's
+parts (its float and grid weights, its band and closed part, its row error)
+are what the package computes, bit for bit, and that the row floor keeps
+its margin.
 """
 
 import ast
 import importlib
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -220,6 +224,113 @@ def test_the_grid_plan_is_kept_once_and_read_only():
     run_length._grid_plan.cache_clear()
     assert repr(gamma_optimizer.optimize_bound("deletion", d=0.9, cfg=cfg)) == repr(first)  # a new one
     assert run_length._grid_plan(cfg, gammas, 32) is not plan
+
+
+def _kept_arrays(gammas):
+    """What a grid over ``gammas`` reads of the arrays its gammas alone fix:
+    h(gamma), H(L_X) and the plans' key."""
+    return (core._on_grid(core.binary_entropy, gammas), core._on_grid(run_length._run_length_entropy, gammas),
+            core._on_grid(run_length._floats, gammas))
+
+
+@pytest.mark.parametrize("gammas", [gamma_optimizer._GRID.copy(), np.append(gamma_optimizer._GRID, 0.4217)],
+                         ids=["copy", "appended"])
+def test_the_kept_grid_arrays_are_each_arrays_own_and_read_only(gammas):
+    # h(gamma), H(L_X) and the plans' key of a grid are its own array's, computed anew from it,
+    # whichever array a grid was built over before; kept read-only, they follow an array
+    # changed in place
+    cfg = run_length.SeriesConfig()
+    for _ in range(2):
+        grid = analytic_bounds.BoundGrid("delins", core.ChannelParams(d=0.1, i=0.05, alpha=0.8), gammas, cfg)
+        source, run, key = _kept_arrays(gammas)
+        fresh = np.array(gammas.tolist())
+        assert source.tobytes() == core.binary_entropy(fresh).tobytes()
+        assert run.tobytes() == run_length._run_length_entropy(fresh).tobytes()
+        assert key == tuple(gammas.tolist()) and grid._law._plan.starts.size == gammas.size
+        for kept in (source, run):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.5
+        gammas[3] = 0.0123  # in place: the next grid over this array reads the new value
+
+
+def test_a_grid_built_after_many_solves_is_one_built_in_a_fresh_process():
+    # the kept plans, arrays and float laws never change what a grid or a solve computes
+    code = """if True:
+        import numpy as np
+        from delinscap import analytic_bounds as ab, core, gamma_optimizer as go
+        cases = [("deletion", core.ChannelParams(d=0.2)), ("insertion_lb2", core.ChannelParams(i=0.3, alpha=0.7)),
+                 ("delins", core.ChannelParams(d=0.1, i=0.05, alpha=0.8))]
+        for name, p in cases:
+            grid = ab.BoundGrid(name, p, go._GRID, ab.SeriesConfig())
+            values = np.concatenate([grid.values(c) for c in grid.chunks])
+            print(name, values.tobytes().hex(), grid.at(0.6123).hex())
+        print(repr(go.sweep("insertion", [{"i": 0.3, "alpha": 0.7}])[0]["result"]))
+    """
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                           check=True).stdout
+    for channel, point in [("deletion", {"d": 0.2}), ("insertion", {"i": 0.3, "alpha": 0.7}),
+                           ("delins", {"d": 0.1, "i": 0.05, "alpha": 0.8}), ("insertion", {"i": 0.31})]:
+        gamma_optimizer.sweep(channel, [point])
+    lines = []
+    for name, p in [("deletion", core.ChannelParams(d=0.2)), ("insertion_lb2", core.ChannelParams(i=0.3, alpha=0.7)),
+                    ("delins", core.ChannelParams(d=0.1, i=0.05, alpha=0.8))]:
+        grid = analytic_bounds.BoundGrid(name, p, gamma_optimizer._GRID, run_length.SeriesConfig())
+        values = np.concatenate([grid.values(c) for c in grid.chunks])
+        lines.append(f"{name} {values.tobytes().hex()} {grid.at(0.6123).hex()}")
+    lines.append(repr(gamma_optimizer.sweep("insertion", [{"i": 0.3, "alpha": 0.7}])[0]["result"]))
+    assert fresh.splitlines() == lines
+
+
+def test_the_deletion_diagnostic_reads_the_law_of_its_term():
+    # at the default configuration lb_deletion builds its float law once, in run_law_deletion_H,
+    # and the printed-form diagnostic reads it; at another it builds its own, at the default,
+    # with the same bits as a cold one
+    gamma, d = 0.61729, 0.23
+    misses = run_length._float_law.cache_info().misses
+    res = analytic_bounds.lb_deletion(d, gamma)
+    assert run_length._float_law.cache_info().misses == misses + 1
+    analytic_bounds.lb_deletion(d, gamma + 1e-9, run_length.SeriesConfig(r_max_cap=2_000))
+    assert run_length._float_law.cache_info().misses == misses + 3
+    warm = run_length.closed_form_HLXLY(gamma, d)
+    run_length._float_law.cache_clear()
+    assert run_length.closed_form_HLXLY(gamma, d) == warm
+    residual = {t.name: t.value for t in res.terms}["run_law_series_minus_closed_residual"]
+    assert residual == run_length.run_law_deletion_H(gamma, d).value - warm
+
+
+class _ConstantRows:
+    """A row table whose every row has the entropy ``h``, ``held`` rows of it
+    held: the floor from those rows, with H_r = H_h past them and the band
+    the one piece gamma**R h, is then exactly the values, and only rounding
+    tells them apart."""
+
+    def __init__(self, h, held):
+        self.h, self.size = h, held
+
+    def held(self, kernel):
+        return np.full(self.size, self.h)
+
+    def entropies(self, kernel, n):
+        return np.full(n, self.h)
+
+
+@pytest.mark.parametrize("d, i", [(0.5, 0.0), (0.0, 0.3), (0.2, 0.1)])
+def test_the_row_floor_keeps_its_margin_where_rounding_decides(d, i, monkeypatch):
+    # every row at the band's own U(r_bar), so that floor and values agree but for rounding (within
+    # twice the margin M); the floor without M exceeds the values at most of these points, the floor never
+    cfg = run_length.SeriesConfig()
+    kernel = run_length._row_kernel(d, i)
+    block = run_length._block_rows(kernel)
+    for gamma in np.linspace(0.3, 0.995, 40).tolist():
+        law = run_length._run_law_at(gamma, d, i, cfg)
+        assert law.size < cfg.r_max_cap  # the band is one piece
+        h = run_length._max_entropy(kernel, law.size + 1.0 / (1.0 - gamma))
+        for held in range(block, law.size, block):
+            monkeypatch.setattr(run_length, "ROWS", _ConstantRows(h, held))
+            floor, values = float(law.floor()), float(law.values())
+            assert floor <= values < floor + 2.0 * run_length._floor_margin(kernel, law.size)
 
 
 # ---------------------------------------------------------------------------
