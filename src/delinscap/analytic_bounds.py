@@ -246,7 +246,10 @@ def closed_form_HS2(gamma, d: float, xlog2):
     """Literal printed closed form for H(S2 | Y1 Y2), of a float gamma or of
     an array, its logs taken apart (``xlog2``, :func:`~.core.xlog2`'s path
     for gamma) so that a subnormal d cannot overflow 1 / theta (a
-    diagnostic, and the printed-form penalty)."""
+    diagnostic, and the printed-form penalty).  It falls short of the law's
+    kernel (:func:`cond_entropy_S_given_YY`) by gamma (1 - theta) log2(1 / gamma)
+    at every point tested, gamma log2(1 / gamma) at d = 0, where the law
+    gives 0."""
     q = markov_q(gamma, d)
     th, be = _theta(gamma, d), _beta(gamma, d)
     tb = 1.0 - th

@@ -39,7 +39,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import ChannelParams, RunSequence, _uniform_blocks, _uniforms_at_least, as_bits
+from .core import ChannelParams, RunSequence, _keep, _uniform_blocks, _uniforms_at_least, as_bits
 
 __all__ = [
     "Action",
@@ -113,9 +113,10 @@ class ChannelOutput:
 
 
 def action_probabilities(params: ChannelParams) -> np.ndarray:
-    """(P[DELETE], P[KEEP], P[DUPLICATE], P[COMPLEMENT]) for given parameters."""
+    """(P[DELETE], P[KEEP], P[DUPLICATE], P[COMPLEMENT]) for given parameters,
+    P[KEEP] at least 0 (:func:`~.core._keep`)."""
     d, i, a = params.d, params.i, params.alpha
-    return np.array([d, 1.0 - d - i, i * a, i * (1.0 - a)], dtype=float)
+    return np.array([d, _keep(d, i), i * a, i * (1.0 - a)], dtype=float)
 
 
 def insertion_stage_probabilities(params: ChannelParams) -> np.ndarray:

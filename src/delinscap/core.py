@@ -93,6 +93,12 @@ def _i_prime(d: float, i: float) -> float:
     return min(i / (1.0 - d), 1.0)
 
 
+def _keep(d: float, i: float) -> float:
+    """1 - d - i, the probability that a bit passes unchanged, at least 0
+    (d + i may exceed 1 by the 1e-15 :class:`ChannelParams` allows)."""
+    return max(1.0 - d - i, 0.0)
+
+
 @dataclass(frozen=True)
 class MarkovSourceParams:
     """Same-symbol transition probability of the binary Markov source."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelParams, EntropyTerm, _check_gamma, _count, _nonneg, _on_grid, binary_entropy, xlog2
+from .core import ChannelParams, EntropyTerm, _check_gamma, _count, _keep, _nonneg, _on_grid, binary_entropy, xlog2
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,8 @@ def _series_terms(log_t, log_a, m: np.ndarray) -> np.ndarray:
 
 
 def _step_law(d: float, i: float) -> tuple[float, float, float]:
-    """Per-bit output-length law (d, 1 - d - i, i); d + i may exceed 1 by rounding."""
-    return d, max(1.0 - d - i, 0.0), i
+    """Per-bit output-length law (d, 1 - d - i, i), its middle step at least 0 (:func:`~.core._keep`)."""
+    return d, _keep(d, i), i
 
 
 def _row_kernel(d: float, i: float) -> tuple[float, ...]:
@@ -696,19 +696,30 @@ class _RunLawChunk:
         - the weights: each p_r errs by at most 2239 u relative
           (:func:`_run_weights`), so the computed weights over h < r <= R
           fall short of gamma**h - gamma**R by at most 2239 u;
-        - rounding: the floor's product, in any order of summation, and
+        - the sums: the floor's product, in any order of summation, and
           :meth:`values`' einsum each err by at most gamma_n sum p_r H_r <=
           1.02 n u L (Higham, *Accuracy and Stability of Numerical
-          Algorithms*, section 4.2), as every H_r lies in [0, L]; gamma**h,
-          the floor's additions and the band's pieces (fewer than 100, each
-          a few roundings of W U(r_bar) with U(r_bar) <= 13 bits at
-          gamma <= 1 - 1e-6) err by less than 4 10**4 u L.
+          Algorithms*, section 4.2), as every H_r lies in [0, L];
+        - the floor's other roundings: gamma**h (within 4 ulp), its product
+          with H_h and the one addition, at most 7 u L in all;
+        - the band: each of its pieces W U(r_bar) (fewer than 100,
+          :func:`_band`) has a computed r_bar within 10**-6 of its mean run
+          length, which exceeds R by at least 1, so U(r_bar) >= U_R >= H_R
+          >= H_h - delta, and the weights W sum to gamma**R.  The computed
+          W errs by at most 10 u relative; U, at least 1/4, by at most
+          18 u + 5 u U <= 80 u U (its log2's argument by 10 u, Var included,
+          the log2 by 4 ulp and the two additions by an ulp); the product
+          and the sum of the pieces add 101 u relative.  With U(r_bar) <= 17
+          bits (r_bar < 10**9 at gamma <= 1 - 1e-6, Var <= 1), the band
+          falls short of gamma**R (H_h - delta) by at most 191 * 17 u
+          gamma**R < 1100 u L, as L >= log2(9).
 
-        So M = 3 (n + 10**4) u L + 3 delta exceeds their sum,
-        2.04 n u L + 2239 u L + 4 10**4 u L + 2 delta, and the floor less
-        M, rounded, is at most the sum :meth:`values` computes; the rest is
-        one addition of the same closed part and the clip, both monotone:
-        for a chunk and a float gamma alike.
+        So the errors sum to at most 2.04 n u L + 3346 u L + 2 delta, which
+        M = 3 (n + 10**4) u L + 3 delta exceeds at every n, and the floor
+        less M, rounded, is at most the sum :meth:`values` computes: the
+        subtraction of M is one more rounding, and rounding is monotone.  The
+        rest is one addition of the same closed part and the clip, both
+        monotone: for a chunk and a float gamma alike.
 
         The proof holds at h = 0 too, with H_0 = 0, the entropy of row_0, a
         point mass: every stored H_r >= -delta and the band >= 0, so

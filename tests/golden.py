@@ -17,7 +17,14 @@ so the move shows as a reviewed diff:
 
     PYTHONPATH=src python tests/golden.py
 
-and ``--diff`` prints, without writing, how far the numbers moved from the
+The same run rewrites README's figures table, every figure README quotes:
+for each of the ``FIGURE_CASES``, its record's ``bound_bits``,
+``gamma_star`` and ``error_budget``, and the rows the row table holds after
+a solve from an empty table and the exact probes of that solve, both read
+from the search's DEBUG record (:func:`search_record`, the one parser of
+that record).  ``tests/test_golden.py`` fails when README's copy is stale.
+
+``--diff`` prints, without writing, how far the numbers moved from the
 committed file: the largest |move| of each column, in how many cases it
 moved up and in how many down (and for ``bound_bits`` its most negative
 move), how many cases moved, and in how many ``gamma_star`` did (the
@@ -26,7 +33,8 @@ summary a failing test gives too), and one line for each case whose
 ``bound_bits`` moved by more than its committed ``error_budget``: its old
 and new ``gamma_star`` and ``bound_bits``, and its old ``error_budget``.
 It exits 1 when such a line appears: a regeneration meant to move numbers
-by rounding alone must pass it.
+by rounding alone must pass it.  A last line says whether README's figures
+table is current; it does not change the exit code.
 
 ``golden_sim.jsonl`` is the simulator's contract: for each of a fixed set of
 (d, i, alpha, gamma, n, seed) cases, the sha256 of every array of one
@@ -55,6 +63,8 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
+import logging.handlers
 import math
 import os
 import re
@@ -64,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from delinscap import channel_sim, cli, mc_estimator
+from delinscap import channel_sim, cli, mc_estimator, run_length
 from delinscap.cli import _parse_grid
 from delinscap.core import ChannelParams, MarkovSourceParams, generate_markov_sequence
 from delinscap.gamma_optimizer import optimize_bound, sweep
@@ -90,6 +100,13 @@ SOLVES = (
     + [("deletion", {"d": d, "use_printed_hs2": True}) for d in _PRINTED]
 )
 
+# the SOLVES cases of README's figures table
+FIGURE_CASES = [
+    ("deletion", {"d": 0.3}), ("deletion", {"d": 0.9}), ("deletion", {"d": 0.95}), ("deletion", {"d": 0.99}),
+    ("insertion_lb2", {"i": 0.1, "alpha": 0.8}), ("delins", {"d": 0.1, "i": 0.1, "alpha": 0.8}),
+    ("delins", {"d": 0.5, "i": 0.3, "alpha": 0.8}), ("delins", {"d": 0.3, "i": 0.7, "alpha": 0.5}),
+]
+
 SWEEPS = [
     ("deletion", "0:0.99:0.01", "0", "1"),
     ("insertion", "0", "0.05:0.9:0.05", "0.8,1.0"),
@@ -105,12 +122,13 @@ def _record(label: str, res, extra: dict | None = None) -> dict:
     return out
 
 
+def _label(name: str, params: dict) -> str:
+    return f"optimize_bound {name} " + " ".join(f"{k}={v!r}" for k, v in params.items())
+
+
 def compute() -> list[dict]:
     """Every case, in the file's order."""
-    records = []
-    for name, params in SOLVES:
-        label = f"optimize_bound {name} " + " ".join(f"{k}={v!r}" for k, v in params.items())
-        records.append(_record(label, optimize_bound(name, **params)))
+    records = [_record(_label(name, params), optimize_bound(name, **params)) for name, params in SOLVES]
     for channel, d, i, alpha in SWEEPS:
         points = [{"d": dv, "i": iv, "alpha": av}
                   for dv in _parse_grid(d) for iv in _parse_grid(i) for av in _parse_grid(alpha)]
@@ -119,6 +137,65 @@ def compute() -> list[dict]:
             extra = {key: row[key] for key in ("lb1", "lb2") if key in row}
             records.append(_record(label, row["result"], extra))
     return records
+
+
+# The one record a search logs at DEBUG (``gamma_optimizer.maximize_over_gamma``).
+SEARCH_RECORD = re.compile(
+    r"gamma grid: (?P<points_evaluated>\d+) points evaluated, (?P<points_skipped>\d+) skipped by the ceilings; "
+    r"(?P<chunks_evaluated>\d+) chunks evaluated, (?P<chunks_skipped>\d+) skipped; argmax (?P<argmax>[^;]+); "
+    r"bracket \[(?P<lo>[^,]+), (?P<hi>[^\]]+)\]; (?P<probes>\d+) exact probes; "
+    r"the row-bounded ceiling skipped (?P<row_skips>\d+) chunks and (?P<probe_skips>\d+) probes; "
+    r"row table (?P<rows>\d+) rows")
+
+
+def search_record(message: str) -> dict:
+    """The fields of a search's DEBUG record by name: the grid argmax and
+    its bracket's ends as the reprs it prints, every other field an int."""
+    fields = SEARCH_RECORD.fullmatch(message).groupdict()
+    return {key: value if key in ("argmax", "lo", "hi") else int(value) for key, value in fields.items()}
+
+
+def cold_search(name: str, params: dict) -> dict:
+    """The search record (:func:`search_record`) of ``optimize_bound(name,
+    **params)`` from an empty row table."""
+    run_length.ROWS.reset()
+    logger, handler = logging.getLogger("delinscap"), logging.handlers.BufferingHandler(2)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        optimize_bound(name, **params)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = handler.buffer
+    return search_record(record.getMessage())
+
+
+_FIGURES = re.compile(r"<!-- figures: .*? -->\n(.*?)<!-- end of figures -->", re.S)
+
+
+def figures_table(records: list[dict]) -> str:
+    """README's figures table: for each of the ``FIGURE_CASES``, its
+    record's bound, gamma* and budget, and the rows held and exact probes
+    of a cold solve (:func:`cold_search`)."""
+    by_case = {r["case"]: r for r in records}
+    lines = ["| case | bound_bits | gamma* | error_budget | rows after a cold solve | exact probes |",
+             "|---|---:|---:|---:|---:|---:|"]
+    for name, params in FIGURE_CASES:
+        label = _label(name, params)
+        record, search = by_case[label], cold_search(name, params)
+        bits, gamma, budget = (float(record[key]) for key in ("bound_bits", "gamma_star", "error_budget"))
+        lines.append(f"| {label.removeprefix('optimize_bound ')} | {bits:.7g} | {gamma:.7g} | {budget:.1e} | "
+                     f"{search['rows']:,} | {search['probes']} |")
+    return "\n".join(lines) + "\n"
+
+
+def with_figures(text: str, table: str) -> str:
+    """README's ``text`` with ``table`` between its figures markers."""
+    if (found := _FIGURES.search(text)) is None:
+        raise ValueError("README has no figures table between its markers")
+    return text[:found.start(1)] + table + text[found.end(1):]
 
 
 # (d, i, alpha, gamma, n, seed): d = 0, i = 0, alpha in {0, 1}, d + i = 1
@@ -284,7 +361,8 @@ def moved_by_rounding(expected: list[dict], got: list[dict]) -> bool:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Regenerate the golden numbers, or show how far they moved.")
+    parser = argparse.ArgumentParser(
+        description="Regenerate the golden numbers and README's figures table, or show how far the numbers moved.")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--diff", action="store_true", help="print the moves against the committed file; write nothing")
     mode.add_argument("--sim", action="store_true", help="regenerate the simulator hashes instead")
@@ -299,7 +377,13 @@ if __name__ == "__main__":
     elif args.diff:
         expected, got = load(), compute()
         print(summary(expected, got))
+        text = README.read_text(encoding="utf-8")
+        print("README's figures table is " + ("current" if with_figures(text, figures_table(got)) == text
+                                               else "stale; the default run rewrites it"))
         raise SystemExit(0 if moved_by_rounding(expected, got) else 1)
     else:
-        PATH.write_text(dump(compute()), encoding="utf-8")
+        records = compute()
+        PATH.write_text(dump(records), encoding="utf-8")
         print(f"wrote {PATH}")
+        README.write_text(with_figures(README.read_text(encoding="utf-8"), figures_table(records)), encoding="utf-8")
+        print(f"wrote {README}")

@@ -96,6 +96,16 @@ class TestWorkedExamples:
         assert kept.pattern.dtype == np.int8 and bits_to_str(kept.y) == "0"
 
 
+@pytest.mark.parametrize("d, i", [(0.3, 0.7000000000000001), (0.1, 0.9000000000000001), (0.8, 0.2), (0.6, 0.4)])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
+def test_action_probabilities_are_a_law_where_d_plus_i_rounds_past_one(d, i, alpha):
+    # ChannelParams allows d + i up to 1e-15 above 1, where 1 - d - i rounded
+    # below 0 and gave KEEP a sampling edge below DELETE's
+    probs = action_probabilities(ChannelParams(d=d, i=i, alpha=alpha))
+    assert (probs >= 0.0).all()
+    assert abs(math.fsum(probs) - 1.0) <= 4.0 * math.ulp(1.0)
+
+
 def test_aux_sequences_need_one_more_s_entry_than_output_bits():
     flags = np.zeros(3, dtype=np.uint8)
     with pytest.raises(ValueError, match="one more entry"):

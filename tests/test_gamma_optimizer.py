@@ -3,7 +3,6 @@ import json
 import logging
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from delinscap import gamma_optimizer as go
 from delinscap.gamma_optimizer import (CHANNELS, GAMMA_MAX, GAMMA_MIN, channel_bounds, maximize_over_gamma,
                                        optimize_bound, sweep)
 
+import golden
 import oracles
 from oracles import PointByPoint
 
@@ -329,16 +329,10 @@ class _ZeroRows:
         return np.zeros(n)
 
 
-_DEBUG_RECORD = re.compile(
-    r"(?P<points_evaluated>\d+) points evaluated, (?P<points_skipped>\d+) skipped by the ceilings; "
-    r"(?P<chunks_evaluated>\d+) chunks evaluated, (?P<chunks_skipped>\d+) skipped; .*; "
-    r"the row-bounded ceiling skipped (?P<row_skips>\d+) chunks and (?P<probe_skips>\d+) probes;")
-
-
 def _debug_counts(caplog) -> dict:
-    """The counts of the one search record ``caplog`` holds, by name."""
+    """The fields of the one search record ``caplog`` holds, by name (:func:`golden.search_record`)."""
     (record,) = [r for r in caplog.records if r.name == "delinscap"]
-    return {key: int(value) for key, value in _DEBUG_RECORD.search(record.getMessage()).groupdict().items()}
+    return golden.search_record(record.getMessage())
 
 
 _FORMS = sorted(oracles.BOUND_FORMS)  # the four bounds the channels report and the printed deletion form
@@ -412,10 +406,8 @@ class TestCeiling:
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound(name, **params)
         assert cold_rows.size <= rows
-        (record,) = [r for r in caplog.records if r.name == "delinscap"]
-        message = record.getMessage()
-        assert int(message.split("row-bounded ceiling skipped ")[1].split()[0]) > 0
-        assert message.endswith(f"; row table {cold_rows.size} rows")
+        counts = _debug_counts(caplog)
+        assert counts["row_skips"] > 0 and counts["rows"] == cold_rows.size
 
     @pytest.mark.parametrize("name, params", [
         ("deletion", {"d": 0.8}), ("deletion", {"d": 0.9}), ("deletion", {"d": 0.947}), ("deletion", {"d": 0.96}),
@@ -454,16 +446,13 @@ class TestCeiling:
         # golden section took 17 exact probes at every point; this one counts the grid argmax's too
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound(name, **params)
-        (record,) = [r for r in caplog.records if r.name == "delinscap"]
-        assert 1 <= int(record.getMessage().split(" exact probes")[0].split()[-1]) <= 10
+        assert 1 <= _debug_counts(caplog)["probes"] <= 10
 
     def test_debug_record_counts_ruled_out_probes(self, cold_rows, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound("deletion", d=0.95, cfg=ab.SeriesConfig(r_max_cap=20_000))
-        (record,) = [r for r in caplog.records if r.name == "delinscap"]
-        message = record.getMessage()
-        assert int(message.split(" probes; row table")[0].split()[-1]) >= 1
-        assert message.endswith(f"; row table {cold_rows.size} rows")
+        counts = _debug_counts(caplog)
+        assert counts["probe_skips"] >= 1 and counts["rows"] == cold_rows.size
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.sampled_from(["deletion", "deletion_printed", "insertion_lb2", "delins"]), st.floats(0.0, 0.95),
@@ -596,11 +585,9 @@ class TestCeiling:
         records = [r for r in caplog.records if r.name == "delinscap"]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
-        message = records[0].getMessage()
-        evaluated, skipped = (int(message.split(" points evaluated")[0].split()[-1]),
-                              int(message.split(" skipped")[0].split()[-1]))
-        assert evaluated + skipped == 199 and skipped > 0
-        assert "argmax 0.58" in message and "bracket [0.575" in message
+        counts = golden.search_record(records[0].getMessage())
+        assert counts["points_evaluated"] + counts["points_skipped"] == 199 and counts["points_skipped"] > 0
+        assert counts["argmax"].startswith("0.58") and counts["lo"].startswith("0.575")
 
     def test_search_leaves_logging_unimported(self):
         code = ("import sys; from delinscap.gamma_optimizer import optimize_bound; "
@@ -630,8 +617,7 @@ def _grid_argmax(caplog, search) -> str:
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="delinscap"):
         search()
-    (record,) = [r for r in caplog.records if r.name == "delinscap"]
-    return record.getMessage().split("argmax ")[1].split(";")[0]
+    return _debug_counts(caplog)["argmax"]
 
 
 class TestArrayForm:
@@ -756,10 +742,8 @@ class TestArrayForm:
     def test_debug_record_counts_chunks(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delinscap"):
             optimize_bound("deletion", d=0.1)
-        (record,) = [r for r in caplog.records if r.name == "delinscap"]
-        message = record.getMessage()
-        evaluated = int(message.split(" chunks evaluated")[0].split()[-1])
-        skipped = int(message.split(" skipped; argmax")[0].split()[-1])
+        counts = _debug_counts(caplog)
+        evaluated, skipped = counts["chunks_evaluated"], counts["chunks_skipped"]
         assert evaluated + skipped == len(_grid("deletion", 0.1).chunks) and evaluated > 0 and skipped > 0
 
 

@@ -118,3 +118,12 @@ def test_cli_bound_prints_the_d099_golden_terms():
     assert {t["name"]: repr(t["value"]) for t in lb["terms"]} == record["terms"]
     assert [repr(lb[key]) for key in ("bound_bits", "gamma_star", "error_budget")] == \
         [record[key] for key in ("bound_bits", "gamma_star", "error_budget")]
+
+
+def test_readme_figures_are_current():
+    # README quotes its figures in one table, which golden.py's default run writes: each figure case's
+    # committed bound, gamma* and budget, and the rows held and exact probes of a cold solve
+    text = golden.README.read_text(encoding="utf-8")
+    assert golden.with_figures(text, golden.figures_table(golden.load())) == text
+    with pytest.raises(ValueError, match="no figures table"):
+        golden.with_figures("# a README without the markers\n", "")

@@ -10,7 +10,8 @@ and the arrays its gammas alone fix are kept once and read-only, that the
 oracles' restated constants are the package's, that the run-length term's
 parts (its float and grid weights, its band and closed part, its row error)
 are what the package computes, bit for bit, and that the row floor keeps
-its margin.
+its margin.  It also resolves every package name README cites, and each
+docstring README names as the statement of a rule.
 """
 
 import ast
@@ -21,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +189,40 @@ def test_analytic_bounds_reads_one_run_length_grid():
             names.update(a.name for a in node.names)
     assert names == {"SeriesConfig", "_RunLawGrid", "closed_form_HLXLY", "run_law_deletion_H",
                      "run_law_duplication_H", "run_law_delins_H"}
+
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _resolve(name: str):
+    """The object a README citation names: ``delinscap``, one of its modules,
+    or a dotted name in one."""
+    head, *rest = name.split(".")
+    obj = importlib.import_module("delinscap" if head == "delinscap" else f"delinscap.{head}")
+    for attr in rest:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_readme_cites_only_names_that_exist_and_each_rule_a_docstring():
+    # README states no rule itself: each rule paragraph names the docstrings that state it, and a
+    # renamed name or a docstring removed from under a citation fails here
+    text = README.read_text(encoding="utf-8")
+    modules = "|".join(sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"))
+    cited = set(re.findall(rf"`((?:delinscap|{modules})(?:\.\w+)*)`", text))
+    assert {"run_length._RunLawGrid", "core._on_grid", "gamma_optimizer._bound_params"} <= cited
+    for name in sorted(cited):
+        _resolve(name)
+    rules = text.split("\n## The rules", 1)[1].split("\n## ", 1)[0]
+    paragraphs = rules.split("\n- ")[1:]
+    assert len(paragraphs) >= 10
+    for paragraph in paragraphs:
+        (stated,) = re.findall(r"Stated in\s((?:[^.]|\.(?=\w))*)\.", paragraph)
+        names = re.findall(r"`([\w.]+)`", stated)
+        assert names, paragraph
+        for name in names:
+            obj = inspect.unwrap(_resolve(name))  # a kept function too
+            assert isinstance(obj, (types.ModuleType, type, types.FunctionType)) and (obj.__doc__ or "").strip(), name
 
 
 def test_the_printed_deletion_form_is_a_bound_entry_of_its_own():
