@@ -199,19 +199,8 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     if actions.size != x.size:
         raise ValueError("pattern length must equal input length")
     n = x.size
-    if n == 0:
-        return ChannelOutput(
-            y=np.zeros(0, dtype=np.uint8),
-            aux=AuxSequences(
-                i_flags=np.zeros(0, dtype=np.uint8),
-                t_flags=np.zeros(0, dtype=np.uint8),
-                s_counts=np.zeros(1, dtype=np.int64),
-            ),
-            pattern=actions,
-        )
-
     codes = actions.view(np.uint8)
-    if codes.max() > _COMPLEMENT:  # -1 is 255 here
+    if codes.max(initial=0) > _COMPLEMENT:  # -1 is 255 here
         raise ValueError(f"action codes must be 0-3, got {int(actions[codes > _COMPLEMENT][0])}")
     slots = _written_slots(codes[:_SLOT_BLOCK], x[:_SLOT_BLOCK])
     if n > _SLOT_BLOCK:

@@ -289,8 +289,6 @@ def _sparse_law(blocks) -> tuple[np.ndarray, np.ndarray]:
         uniq, inv = np.unique(k, return_inverse=True)
         keys.append(uniq)
         probs.append(np.bincount(inv, weights=p))
-    if len(keys) == 1:  # the pass across blocks would add each sum to 0.0
-        return keys[0], probs[0]
     uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
     return uniq, np.bincount(inv, weights=np.concatenate(probs))
 

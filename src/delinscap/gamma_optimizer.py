@@ -230,11 +230,14 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
     # importing it here would add ~0.5 MiB and a few ms to every start-up.
     if (logging := sys.modules.get("logging")) is not None:
         logging.getLogger("delinscap").debug(
-            "gamma grid: %d points evaluated, %d skipped by the ceilings; %d chunks evaluated, %d skipped; "
-            "argmax %r; bracket [%r, %r]; %d exact probes; the row-bounded ceiling skipped %d chunks and "
-            "%d probes; row table %d rows",
-            gammas.size - sum(skipped), sum(skipped), len(grid.chunks) - len(skipped), len(skipped),
-            float(gammas[b]), *bracket, probes, getattr(grid, "row_skips", 0), probe_skips, ROWS.size)
+            "gamma grid: %(points_evaluated)d points evaluated, %(points_skipped)d skipped by the ceilings; "
+            "%(chunks_evaluated)d chunks evaluated, %(chunks_skipped)d skipped; argmax %(argmax)r; "
+            "bracket [%(lo)r, %(hi)r]; %(probes)d exact probes; the row-bounded ceiling skipped %(row_skips)d "
+            "chunks and %(probe_skips)d probes; row table %(rows)d rows",
+            {"points_evaluated": gammas.size - sum(skipped), "points_skipped": sum(skipped),
+             "chunks_evaluated": len(grid.chunks) - len(skipped), "chunks_skipped": len(skipped),
+             "argmax": float(gammas[b]), "lo": bracket[0], "hi": bracket[1], "probes": probes,
+             "row_skips": getattr(grid, "row_skips", 0), "probe_skips": probe_skips, "rows": ROWS.size})
     return x, fx
 
 

@@ -13,9 +13,10 @@ The sum over r reads the exact rows H_1..H_R and, past R, the
 maximum-entropy band U_r = log2(2 pi e (r Var + 1/12)) / 2 >= H_r, Var the
 step's variance (T. M. Cover and J. A. Thomas, *Elements of Information
 Theory*, the discrete entropy bound), summed to r = infinity in closed form
-by Jensen's inequality, since U is concave in r (:func:`_band`).  Every part
-of the value is then exact or an upper bound, so the term is an upper bound
-on H(L_X | L_out), and every bound built on it a lower bound; its
+by Jensen's inequality, since U is concave in r, in pieces that one rule
+cuts for a float and an array alike (:func:`_band_pieces`).  Every part of
+the value is then exact or an upper bound, so the term is an upper bound on
+H(L_X | L_out), and every bound built on it a lower bound; its
 ``truncation_error`` holds only what rounding and the table's trimming can
 move.  R is one closed form of gamma and the :class:`SeriesConfig`
 (:func:`_band_start`), never of the rows the table holds.
@@ -90,7 +91,7 @@ _SERIES_TERMS = 1 << 17
 _TINY = np.finfo(float).tiny
 # Fewest rows whose weights take one exp in place of np.power (:func:`_run_weights`).
 _EXP_WEIGHTS_MIN_ROWS = 128
-# Growth of a band segment's start (:func:`_band`).
+# Growth of a band segment's start (:func:`_band_pieces`).
 _SEGMENT = 1.25
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -144,7 +145,6 @@ class _RowTable:
     def reset(self) -> None:
         """Forget every row, as at import."""
         self._state = (None, None, np.ones(1), np.zeros(0), 0)
-        self._work = None
 
     @property
     def size(self) -> int:
@@ -182,9 +182,9 @@ class _RowTable:
         reduction: the window is copied from one strided view (strides -1
         and +1 cells) into the zero-padded base row, and the trim ends are
         two argmax calls, and the row of ones is one fill.  The window
-        buffer, which then takes the logs, the product and padded-row buffers
-        and the H array stay with the table across growth calls of one step
-        law.
+        buffer, which then takes the logs, and the product and padded-row
+        buffers serve every block of one growth call; the H array stays with
+        the table across growth calls of one step law.
 
         A row is trimmed at both ends to its entries >= _ROW_TRIM before it
         seeds the next block, and the count of those entries is not kept:
@@ -193,13 +193,13 @@ class _RowTable:
         key, powers, row, h, size = self._state
         if key != kernel:  # a new step law
             powers = _kernel_powers(kernel, _block_rows(kernel))
-            row, h, size, self._work = np.ones(1), np.zeros(0), 0, None
+            row, h, size = np.ones(1), np.zeros(0), 0
         block, pad = powers.shape[0], powers.shape[1] - 2
         if size < n:
             stop = size + -(-(n - size) // block) * block
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
-            cap, windows, products, padded, shifted = self._work or (0, None, None, None, None)
+            cap = 0
             for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
@@ -224,7 +224,6 @@ class _RowTable:
                           out=h[r0:r0 + block])
                 row = rows[-1]
             np.negative(h[size:stop], out=h[size:stop])
-            self._work = (cap, windows, products, padded, shifted)
             self._state = (kernel, powers, row.copy(), h, stop)
         return h[:n]
 
@@ -275,8 +274,12 @@ def _row_error(kernel: tuple[float, ...], n: int) -> float:
     mass dropped before it; with row_r on at most 2 n + 1 cells, H(row_r)
     then moves by at most D (log2(2 n + 1) - log2 D + log2 e), 0 at D = 0,
     which grows with the mass while it is below 2 n + 1 (the logs are taken
-    apart, so that a subnormal D cannot overflow their ratio).  Rounding adds its
-    drift (:func:`_row_drift`)."""
+    apart, so that a subnormal D cannot overflow their ratio).  Every caller
+    passes n >= 8, so D > 0 at the shipped _ROW_TRIM; the D = 0 guard stays
+    for a table built with _ROW_TRIM = 0, untrimmed, as the trim-free
+    reference run of ``test_the_row_error_is_the_trim_then_the_drift``
+    builds it, where log2 D would raise.  Rounding adds its drift
+    (:func:`_row_drift`)."""
     cells = (len(kernel) - 1) * n + 1
     lost = -(-n // _block_rows(kernel)) * cells * _ROW_TRIM
     trim = lost * (math.log2(2 * n + 1) - math.log2(lost) + _LOG2E) if lost > 0.0 else 0.0
@@ -407,12 +410,11 @@ def _run_law_closed(gamma, d: float, i: float, h_x=None):
     return (_run_length_entropy(gamma) if h_x is None else h_x) - h_out, rounding
 
 
-def _jensen_slack(gamma, start):
+def _jensen_slack(gamma: float, start: int) -> float:
     """gamma**R log2(1 + 1 / ((1 - gamma) R)) / 2 at R = ``start``: what one
     Jensen piece of the band over every r > R can exceed the sum of p_r U_r
-    it replaces by (:meth:`_RunLawChunk.band_slack`), of floats or elementwise."""
-    xp = np if isinstance(gamma, np.ndarray) else math
-    return gamma ** start * (0.5 * _LOG2E) * xp.log1p(1.0 / ((1.0 - gamma) * start))
+    it replaces by (:meth:`_RunLawChunk.band_slack`)."""
+    return gamma ** start * (0.5 * _LOG2E) * math.log1p(1.0 / ((1.0 - gamma) * start))
 
 
 def _band_start(gamma: float, cfg: SeriesConfig, block: int) -> int:
@@ -457,76 +459,50 @@ def _step_variance(kernel: tuple[float, ...]) -> float:
     return math.fsum(w * (k - mean) ** 2 for k, w in enumerate(kernel))
 
 
-def _piece(kernel: tuple[float, ...], gamma, start, m=None):
-    """W U(r_bar) over the run lengths start < r <= start + m, or every
-    r > start without m: W the weights' sum and r_bar their mean run length
-    (:func:`_piece_law`), at least their sum of p_r U_r by Jensen's
-    inequality, of floats or elementwise."""
-    weight, mean = _piece_law(gamma, start, m)
-    return weight * _max_entropy(kernel, mean)
-
-
-def _piece_law(gamma, start, m=None):
-    """(W, r_bar) of :func:`_piece`, which do not depend on the kernel.
-    Given r > S, r - S is geometric, so over every r > S, W = gamma**S and
+def _piece_law(gamma: float, start: int, m: int | None = None) -> tuple[float, float]:
+    """(W, r_bar), the weights' sum and their mean run length over the run
+    lengths start < r <= start + m, or every r > start without m: W U(r_bar)
+    is at least their sum of p_r U_r by Jensen's inequality.  Given r > S,
+    r - S is geometric, so over every r > S, W = gamma**S and
     r_bar = S + 1 / (1 - gamma); over S < r <= S + m, with q = gamma**m,
     W = gamma**S (1 - q) and r_bar = S + 1 / (1 - gamma) - m q / (1 - q),
     1 - q taken by expm1."""
     head, mean = gamma ** start, start + 1.0 / (1.0 - gamma)
     if m is None:
         return head, mean
-    xp = np if isinstance(gamma, np.ndarray) else math
-    log_gamma = xp.log(gamma)
-    kept = -xp.expm1(m * log_gamma)  # 1 - q
-    return head * kept, mean - m * xp.exp(m * log_gamma) / kept
+    log_gamma = math.log(gamma)
+    kept = -math.expm1(m * log_gamma)  # 1 - q
+    return head * kept, mean - m * math.exp(m * log_gamma) / kept
 
 
-def _band(kernel: tuple[float, ...], gamma, start, cfg: SeriesConfig):
-    """An upper bound on sum_{r>R} p_r H_r, R = ``start``: the band's
-    sum_{r>R} p_r U_r summed by :func:`_piece`, of a float gamma and an int R
-    or elementwise of arrays (:func:`_band_pieces`).  One piece from R to
-    infinity, unless R is at the cap and the piece's Jensen slack
+def _band_pieces(gamma: float, start: int, cfg: SeriesConfig) -> list[tuple[float, float]]:
+    """The band's pieces past R = ``start`` at a float gamma, each (W, r_bar)
+    (:func:`_piece_law`), in the order they are added: the one segment rule,
+    of the band at a float gamma (:func:`_band`) and over a grid
+    (:class:`_GridPlan`).  One piece
+    from R to infinity, unless R is at the cap and the piece's Jensen slack
     (:func:`_jensen_slack`) exceeds tail_epsilon / (1 - gamma) (below the
     cap R meets that target by its choice, :func:`_band_start`): then
     segments (S, ceil(1.25 S)] from S = R on, until the rest from S meets
     the target and is one piece (7 or 8 segments at d = 0.99 and R0 = 4,096;
     65 at gamma = 1 - 1e-6, the least cap and tail_epsilon = 1e-15)."""
-    if isinstance(gamma, np.ndarray):
-        return _band_of(kernel, _band_pieces(gamma, start, cfg))
-    target, total = cfg.tail_epsilon / (1.0 - gamma), 0.0
+    target, pieces = cfg.tail_epsilon / (1.0 - gamma), []
     while start >= cfg.r_max_cap and _jensen_slack(gamma, start) > target:
         end = math.ceil(_SEGMENT * start)
-        total += _piece(kernel, gamma, start, end - start)
+        pieces.append(_piece_law(gamma, start, end - start))
         start = end
-    return total + _piece(kernel, gamma, start)
-
-
-def _band_pieces(gamma: np.ndarray, start: np.ndarray, cfg: SeriesConfig):
-    """What :func:`_band` over arrays takes of the gammas, their R and
-    ``cfg`` alone, kept read-only: its segments, each the indices of the
-    gammas it splits and their (W, r_bar) (:func:`_piece_law`), in the
-    order they are added, and the last piece's (W, r_bar) at every gamma."""
-    target = cfg.tail_epsilon / (1.0 - gamma)
-    segments, start = [], start.astype(float)
-    split = np.flatnonzero(start >= cfg.r_max_cap)
-    while (split := split[_jensen_slack(gamma[split], start[split]) > target[split]]).size:
-        end = np.ceil(_SEGMENT * start[split])
-        segments.append((split, *_piece_law(gamma[split], start[split], end - start[split])))
-        start[split] = end
-    pieces = (tuple(segments), _piece_law(gamma, start))
-    for array in (a for segment in (*segments, pieces[1]) for a in segment):
-        array.flags.writeable = False
+    pieces.append(_piece_law(gamma, start))
     return pieces
 
 
-def _band_of(kernel: tuple[float, ...], pieces) -> np.ndarray:
-    """:func:`_band` over arrays from its :func:`_band_pieces`: each piece's
-    W U(r_bar), the segments added first."""
-    segments, (weight, mean) = pieces
-    total = np.zeros(weight.shape)
-    for split, w, r in segments:
-        total[split] += w * _max_entropy(kernel, r)
-    return total + weight * _max_entropy(kernel, mean)
+def _band(kernel: tuple[float, ...], gamma: float, start: int, cfg: SeriesConfig) -> float:
+    """An upper bound on sum_{r>R} p_r H_r, R = ``start``, at a float gamma:
+    the band's sum_{r>R} p_r U_r, each of its pieces' W U(r_bar)
+    (:func:`_band_pieces`) added in order."""
+    total = 0.0
+    for weight, mean in _band_pieces(gamma, start, cfg):
+        total += weight * _max_entropy(kernel, mean)
+    return total
 
 
 def _row_sum(kernel: tuple[float, ...], p: np.ndarray):
@@ -571,8 +547,10 @@ class _GridPlan:
     (:func:`_band_start`), and ``top``, the largest; ``chunks``, the gammas
     cut into slices of at most _CHUNK_CELLS padded cells, G x (2 R + 1) with
     the slice's largest R (a point over the cap alone is a slice of its
-    own); ``band``, the band's kernel-free pieces (:func:`_band_pieces`);
-    and each slice's run-length weights, built on first use."""
+    own); ``band``, each gamma's band pieces (:func:`_band_pieces`), the
+    float gamma's, as three read-only arrays of the pieces' gamma index, W
+    and r_bar, gamma after gamma and each gamma's in their order; and each
+    slice's run-length weights, built on first use."""
 
     def __init__(self, cfg: SeriesConfig, gammas: tuple[float, ...], block: int) -> None:
         self._gammas, self._weights = gammas, {}
@@ -586,7 +564,11 @@ class _GridPlan:
         self.chunks = tuple(map(slice, starts, starts[1:] + [len(gammas)]))
         self.starts.flags.writeable = False
         self.top = int(self.starts.max())
-        self.band = _band_pieces(np.array(gammas), self.starts, cfg)
+        pieces = [(k, *piece) for k, (g, r) in enumerate(zip(gammas, self.starts.tolist()))
+                  for piece in _band_pieces(g, r, cfg)]
+        self.band = tuple(np.array(column) for column in zip(*pieces))
+        for array in self.band:
+            array.flags.writeable = False
 
     def weights(self, chunk: slice) -> np.ndarray:
         """The (G, largest R) matrix of p_r = gamma**(r-1) (1 - gamma) at
@@ -702,17 +684,19 @@ class _RunLawChunk:
           Algorithms*, section 4.2), as every H_r lies in [0, L];
         - the floor's other roundings: gamma**h (within 4 ulp), its product
           with H_h and the one addition, at most 7 u L in all;
-        - the band: each of its pieces W U(r_bar) (fewer than 100,
-          :func:`_band`) has a computed r_bar within 10**-6 of its mean run
-          length, which exceeds R by at least 1, so U(r_bar) >= U_R >= H_R
-          >= H_h - delta, and the weights W sum to gamma**R.  The computed
-          W errs by at most 10 u relative; U, at least 1/4, by at most
-          18 u + 5 u U <= 80 u U (its log2's argument by 10 u, Var included,
-          the log2 by 4 ulp and the two additions by an ulp); the product
-          and the sum of the pieces add 101 u relative.  With U(r_bar) <= 17
-          bits (r_bar < 10**9 at gamma <= 1 - 1e-6, Var <= 1), the band
-          falls short of gamma**R (H_h - delta) by at most 191 * 17 u
-          gamma**R < 1100 u L, as L >= log2(9).
+        - the band: at a float gamma and over a grid alike, its pieces are
+          the float gamma's (:func:`_band_pieces`, fewer than 100), each
+          W U(r_bar) added in order from 0.0.  A computed r_bar lies within
+          10**-6 of its mean run length, which exceeds R by at least 1, so
+          U(r_bar) >= U_R >= H_R >= H_h - delta, and the weights W sum to
+          gamma**R.  The computed W errs by at most 10 u relative; U, at
+          least 1/4, by at most 18 u + 5 u U <= 80 u U (its log2's argument
+          by 10 u, Var included, the log2, numpy's or math's, by 4 ulp and
+          the two additions by an ulp); the product and the sum of the
+          pieces add 101 u relative.  With U(r_bar) <= 17 bits
+          (r_bar < 10**9 at gamma <= 1 - 1e-6, Var <= 1), the band falls
+          short of gamma**R (H_h - delta) by at most 191 * 17 u gamma**R
+          < 1100 u L, as L >= log2(9).
 
         So the errors sum to at most 2.04 n u L + 3346 u L + 2 delta, which
         M = 3 (n + 10**4) u L + 3 delta exceeds at every n, and the floor
@@ -769,9 +753,10 @@ class _RunLawGrid:
     """The run-length term of the law (d, i) at every gamma of the array
     ``gammas`` (a :class:`~.analytic_bounds.BoundGrid`'s): its plan for
     ``cfg`` (:class:`_GridPlan`), whose ``chunks`` it keeps, and the closed
-    part and band, taken once over the array.  What the array alone fixes,
-    its tuple of floats (the plan's key) and H(L_X), is built once per array
-    (:func:`~.core._on_grid`).  ``floor`` is the zero-row
+    part and band, taken once over the array: the band adds each gamma's
+    pieces' W U(r_bar) in order from 0.0, as at a float gamma.  What the
+    array alone fixes, its tuple of floats (the plan's key) and H(L_X), is
+    built once per array (:func:`~.core._on_grid`).  ``floor`` is the zero-row
     floor max(H(L_X) - H(L_out) - M, 0), M at the largest R, infinite with
     no row kernel, where the values are 0 (:meth:`_RunLawChunk.floor`)."""
 
@@ -780,7 +765,8 @@ class _RunLawGrid:
         self._plan = _grid_plan(cfg, _on_grid(_floats, gammas), _block_rows(self.kernel))
         self.chunks = self._plan.chunks
         self._closed = _run_law_closed(gammas, d, i, _on_grid(_run_length_entropy, gammas))[0]
-        self._band = _band_of(self.kernel, self._plan.band)
+        index, weight, mean = self._plan.band
+        self._band = np.bincount(index, weight * _max_entropy(self.kernel, mean))
         margin = _floor_margin(self.kernel, self._plan.top) if self.kernel else math.inf
         self.floor = _nonneg(self._closed - margin)
 

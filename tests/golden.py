@@ -21,8 +21,8 @@ The same run rewrites README's figures table, every figure README quotes:
 for each of the ``FIGURE_CASES``, its record's ``bound_bits``,
 ``gamma_star`` and ``error_budget``, and the rows the row table holds after
 a solve from an empty table and the exact probes of that solve, both read
-from the search's DEBUG record (:func:`search_record`, the one parser of
-that record).  ``tests/test_golden.py`` fails when README's copy is stale.
+from the fields of the search's DEBUG record (:func:`cold_search`).
+``tests/test_golden.py`` fails when README's copy is stale.
 
 ``--diff`` prints, without writing, how far the numbers moved from the
 committed file: the largest |move| of each column, in how many cases it
@@ -139,25 +139,10 @@ def compute() -> list[dict]:
     return records
 
 
-# The one record a search logs at DEBUG (``gamma_optimizer.maximize_over_gamma``).
-SEARCH_RECORD = re.compile(
-    r"gamma grid: (?P<points_evaluated>\d+) points evaluated, (?P<points_skipped>\d+) skipped by the ceilings; "
-    r"(?P<chunks_evaluated>\d+) chunks evaluated, (?P<chunks_skipped>\d+) skipped; argmax (?P<argmax>[^;]+); "
-    r"bracket \[(?P<lo>[^,]+), (?P<hi>[^\]]+)\]; (?P<probes>\d+) exact probes; "
-    r"the row-bounded ceiling skipped (?P<row_skips>\d+) chunks and (?P<probe_skips>\d+) probes; "
-    r"row table (?P<rows>\d+) rows")
-
-
-def search_record(message: str) -> dict:
-    """The fields of a search's DEBUG record by name: the grid argmax and
-    its bracket's ends as the reprs it prints, every other field an int."""
-    fields = SEARCH_RECORD.fullmatch(message).groupdict()
-    return {key: value if key in ("argmax", "lo", "hi") else int(value) for key, value in fields.items()}
-
-
 def cold_search(name: str, params: dict) -> dict:
-    """The search record (:func:`search_record`) of ``optimize_bound(name,
-    **params)`` from an empty row table."""
+    """The fields of the one DEBUG record of ``optimize_bound(name,
+    **params)`` from an empty row table, by name
+    (``gamma_optimizer.maximize_over_gamma``)."""
     run_length.ROWS.reset()
     logger, handler = logging.getLogger("delinscap"), logging.handlers.BufferingHandler(2)
     level = logger.level
@@ -169,7 +154,7 @@ def cold_search(name: str, params: dict) -> dict:
         logger.removeHandler(handler)
         logger.setLevel(level)
     (record,) = handler.buffer
-    return search_record(record.getMessage())
+    return record.args
 
 
 _FIGURES = re.compile(r"<!-- figures: .*? -->\n(.*?)<!-- end of figures -->", re.S)

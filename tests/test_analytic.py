@@ -919,13 +919,15 @@ class TestBand:
     @pytest.mark.parametrize("gamma, cap", [(0.97, 4_096), (0.999, 4_096), (0.995, 2_000), (0.99, 1_024)])
     def test_term_is_its_rows_band_and_closed_part(self, gamma, cap, cold_rows):
         # p[:R] . H[:R], the band past R and H(L_X) - H(L_out), within their rounding (and bit
-        # for bit as the package sums them, in test_layout.py)
+        # for bit as the package sums them, in test_layout.py), at a float gamma and a grid point
         cfg = ab.SeriesConfig(r_max_cap=cap)
         for d, i in [(0.9, 0.0), (0.2, 0.1)]:
             start = _start(gamma, d, i, cfg)
             term = ab.run_law_delins_H(gamma, d, i, cfg)
+            grid = RunLawGrid(np.array([gamma]), d, i, cfg)
             band = oracles.reference_band(_kernel(d, i), gamma, start, cfg)
-            assert abs(term.value - _term_from_parts(gamma, d, i, cfg, band)) <= _PARTS_TOL * max(1.0, term.value)
+            for value in (term.value, float(grid.chunk(grid.chunks[0]).values()[0])):
+                assert abs(value - _term_from_parts(gamma, d, i, cfg, band)) <= _PARTS_TOL * max(1.0, value)
 
     @pytest.mark.parametrize("tail_epsilon", [0.5, 0.9])
     def test_loose_tail_budget_takes_a_short_band_start(self, tail_epsilon, cold_rows):

@@ -416,8 +416,9 @@ def test_grid_weights_are_the_float_weights_at_every_row(gamma):
 @example("insertion_lb2", 0.0, 5e-324, 0.8, 0.3)
 @example("insertion_lb1", 0.0, 5e-324, 0.0, gamma_optimizer.GAMMA_MIN)
 def test_the_grid_closed_part_and_band_are_each_gammas_own(name, d, i, alpha, gamma):
-    # the grid-level H(L_X) - H(L_out) and band are each gamma's array form alone, bit for bit
-    # (the draws of test_gamma_optimizer's test_search_objective_is_the_lb_bit_for_bit)
+    # the grid-level H(L_X) - H(L_out) is each gamma's array form alone, and the band each gamma's
+    # float pieces' W U(r_bar), U of a one-point array, added in order, bit for bit (the draws of
+    # test_gamma_optimizer's test_search_objective_is_the_lb_bit_for_bit)
     if d + i > 1.0:
         d, i = i, 1.0 - i
     cfg = run_length.SeriesConfig()
@@ -429,8 +430,35 @@ def test_the_grid_closed_part_and_band_are_each_gammas_own(name, d, i, alpha, ga
     for g, c, b in zip(gammas.tolist(), grid._law._closed.tolist(), grid._law._band.tolist()):
         h_out = run_length._output_length_entropy(np.array([g]), step)[0]
         assert (run_length._run_length_entropy(np.array([g])) - h_out).tolist() == [c]
-        start = run_length._band_start(g, cfg, run_length._block_rows(kernel))
-        assert run_length._band(kernel, np.array([g]), np.array([start]), cfg).tolist() == [b]
+        start, band = run_length._band_start(g, cfg, run_length._block_rows(kernel)), 0.0
+        for weight, mean in run_length._band_pieces(g, start, cfg):
+            band += weight * run_length._max_entropy(kernel, np.array([mean]))[0]
+        assert band == b
+
+
+@pytest.mark.parametrize("cfg", [run_length.SeriesConfig(), run_length.SeriesConfig(r_max_cap=64),
+                                 run_length.SeriesConfig(tail_epsilon=1e-15, r_max_cap=8)],
+                         ids=["default", "cap-64", "least"])
+def test_the_grid_band_is_each_gammas_float_pieces_added_in_order(cfg):
+    # one segment rule: a grid plan holds each gamma's float band pieces, gamma after gamma and
+    # each gamma's in their order, read-only, and the grid's band adds their W U(r_bar) in that
+    # order from 0.0, as the float band does; some of these gammas' bands are segmented
+    gammas = np.append(gamma_optimizer._GRID, [0.9991, 1.0 - 1e-6])
+    d, i = 0.2, 0.1
+    kernel = run_length._row_kernel(d, i)
+    plan = run_length._grid_plan(cfg, tuple(gammas.tolist()), run_length._block_rows(kernel))
+    pieces = [(k, *piece) for k, (g, r) in enumerate(zip(gammas.tolist(), plan.starts.tolist()))
+              for piece in run_length._band_pieces(g, r, cfg)]
+    assert len(pieces) > gammas.size
+    assert [column.tolist() for column in plan.band] == [list(column) for column in zip(*pieces)]
+    assert not any(column.flags.writeable for column in plan.band)
+    index, weight, mean = plan.band
+    band = [0.0] * gammas.size
+    for k, term in zip(index.tolist(), (weight * run_length._max_entropy(kernel, mean)).tolist()):
+        band[k] += term
+    assert run_length._RunLawGrid(gammas, d, i, cfg)._band.tolist() == band
+    for g, r, b in zip(gammas.tolist(), plan.starts.tolist(), band):  # the float band, by math's log2
+        assert b == pytest.approx(run_length._band(kernel, g, r, cfg), rel=1e-14)
 
 
 def _trimmed_mass(kernel, n):
@@ -492,7 +520,8 @@ def test_the_band_is_one_piece_below_the_cap_and_segments_at_it(d, i, gamma, col
     kernel = run_length._row_kernel(d, i)
     start = run_length._band_start(gamma, cfg, run_length._block_rows(kernel))
     band = run_length._band(kernel, gamma, start, cfg)
-    piece = run_length._piece(kernel, gamma, start)
+    weight, mean = run_length._piece_law(gamma, start)
+    piece = weight * run_length._max_entropy(kernel, mean)
     assert band == piece if start < cfg.r_max_cap else band < piece
     r = np.arange(start + 1.0, math.ceil(math.log(1e-20) / math.log(gamma)))
     p = (1.0 - gamma) * np.power(gamma, r - 1.0)
@@ -500,7 +529,8 @@ def test_the_band_is_one_piece_below_the_cap_and_segments_at_it(d, i, gamma, col
     m = math.ceil(0.25 * start)
     weight = math.fsum(p[:m].tolist())
     mean = math.fsum((r[:m] * p[:m]).tolist()) / weight
-    segment = run_length._piece(kernel, gamma, start, m)
+    piece_weight, piece_mean = run_length._piece_law(gamma, start, m)
+    segment = piece_weight * run_length._max_entropy(kernel, piece_mean)
     assert abs(segment - weight * run_length._max_entropy(kernel, mean)) <= 1e-12 * weight
     assert math.fsum((p * run_length._max_entropy(kernel, r)).tolist()) <= band * (1.0 + 1e-12)
     rows = run_length.ROWS.entropies(kernel, int(r[-1]))[start:]
