@@ -22,24 +22,27 @@ pattern's version, never an inference.
 
 ``apply_pattern`` touches each input bit once through a slot table: the
 input bit and its action index a pair of output slots, each packing
-``y | I << 1 | T << 2 | W << 3``, and the slots with W = 1, those the
+``y | I << 1 | W << 2 | T << 3``, and the slots with W = 1, those the
 action writes, are kept, one block of input bits at a time.  ``S`` is read
 off the deleted bits alone: each maximal stretch of consecutive deleted
 bits is one gap, and the runs that start inside it, bar the last unless it
-ends there, are the gap's fully deleted runs.  With no bit deleted ``S`` is
-all zeros and nothing is computed for it.
+ends there, are the gap's fully deleted runs.  The gap's output position
+counts the insertion actions before it on their mask packed into 64-bit
+words, by the word rule of :func:`~.core._packed`.  With no bit deleted
+``S`` is all zeros and nothing is computed for it.
 
 Test surface: ``_sample_from_probs``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .core import ChannelParams, RunSequence, _keep, _uniform_blocks, _uniforms_at_least, as_bits
+from .core import ChannelParams, RunSequence, _keep, _packed, _uniform_blocks, _uniforms_at_least, as_bits
 
 __all__ = [
     "Action",
@@ -70,15 +73,16 @@ _DELETE, _DUPLICATE, _COMPLEMENT = int(Action.DELETE), int(Action.DUPLICATE), in
 _CODES = tuple(map(int, Action))
 
 # Output slots of one input bit, indexed by ``action << 1 | x``; each slot
-# packs y | I << 1 | T << 2 | W << 3, where W = 1 marks a slot the action
-# writes.  KEEP writes x, DUPLICATE x then an inserted x, COMPLEMENT x then
-# an inserted, complementary 1 - x.
-_WRITTEN = 8
+# packs y | I << 1 | W << 2 | T << 3, where W = 1 marks a slot the action
+# writes, and T, the top bit, is read off with one shift.  KEEP writes x,
+# DUPLICATE x then an inserted x, COMPLEMENT x then an inserted,
+# complementary 1 - x.
+_WRITTEN = 4
 _SLOTS = np.array([
     [0, 0], [0, 0],      # DELETE
-    [8, 0], [9, 0],      # KEEP
-    [8, 10], [9, 11],    # DUPLICATE
-    [8, 15], [9, 14],    # COMPLEMENT
+    [4, 0], [5, 0],      # KEEP
+    [4, 6], [5, 7],      # DUPLICATE
+    [4, 15], [5, 14],    # COMPLEMENT
 ], dtype=np.uint8)
 # input bits per slot lookup: the lookup, its W = 1 mask and the index that
 # keeps the written slots are built for one block at a time, never for all
@@ -139,9 +143,10 @@ def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
     (:func:`~.core._uniform_blocks`); they, and the generator's state after
     them, equal those of the one ``rng.random(n)``.
     """
-    edges = np.cumsum(probs[:-1]).tolist()
+    edges = list(itertools.accumulate(probs[:-1].tolist()))
     inner = [(edge, edges.count(edge)) for edge in sorted(set(edges)) if 0.0 < edge < 1.0]
-    codes = np.full(n, sum(edge <= 0.0 for edge in edges), dtype=np.int8)
+    codes = np.empty(n, dtype=np.int8)
+    codes.fill(sum(edge <= 0.0 for edge in edges))
     for part, u in _uniform_blocks(rng, n):
         block = codes[part]
         for edge, repeats in inner:
@@ -162,7 +167,7 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     re-implementation of the bookkeeping, to check this one against.
 
     Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
-    (``y | I << 1 | T << 2 | W << 3``) from ``_SLOTS``, and the slots with
+    (``y | I << 1 | W << 2 | T << 3``) from ``_SLOTS``, and the slots with
     ``W = 1``, those the action writes, in input order are the output.  The
     lookup and the keeping run on one block of ``_SLOT_BLOCK`` input bits at
     a time, and the later blocks' kept slots are joined to the first's; a
@@ -179,11 +184,12 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     written.  Survivor v + 1 comes after the survivors in 0..v, each
     followed by its inserted bit if it has one, so its position is
     (v + 1) - (the deleted bits in 0..v) + (the insertion actions in 0..v),
-    the last count a binary search in the positions of the insertion
-    actions.  That is one pass over the actions and one over the input
-    bits, one more over the actions when some gap holds a run, and
-    otherwise work in proportion to the deleted bits.  ``S`` is allocated
-    after the temporaries it is read from are freed.
+    the last count read off the insertion actions' mask packed into 64-bit
+    words (:func:`~.core._packed`).  That is one pass over the actions and
+    one over the input bits, one more over the actions and one over their
+    n/64 words when some gap holds a run, and otherwise work in proportion
+    to the deleted bits.  ``S`` is allocated after the temporaries it is
+    read from are freed.
 
     Codes given as a list or as an array wider than a byte are checked at
     their own values, so 1.5 or 257 is a ``ValueError``, not a cut or
@@ -198,10 +204,17 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     actions = actions.astype(np.int8, copy=False)
     if actions.size != x.size:
         raise ValueError("pattern length must equal input length")
-    n = x.size
     codes = actions.view(np.uint8)
     if codes.max(initial=0) > _COMPLEMENT:  # -1 is 255 here
         raise ValueError(f"action codes must be 0-3, got {int(actions[codes > _COMPLEMENT][0])}")
+    return _applied(x, actions)
+
+
+def _applied(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
+    """:func:`apply_pattern` of checked arguments: the bits ``x`` and int8
+    action codes 0-3, one per bit, which the random channels draw."""
+    n = x.size
+    codes = actions.view(np.uint8)
     slots = _written_slots(codes[:_SLOT_BLOCK], x[:_SLOT_BLOCK])
     if n > _SLOT_BLOCK:
         slots = np.concatenate([slots, *(_written_slots(codes[lo:lo + _SLOT_BLOCK], x[lo:lo + _SLOT_BLOCK])
@@ -209,8 +222,7 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     y = slots & 1
     i_flags = slots >> 1
     i_flags &= 1
-    t_flags = slots >> 2
-    t_flags &= 1
+    t_flags = slots >> 3
     del slots
     m = y.size
 
@@ -255,9 +267,10 @@ def _deleted_runs(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndar
     np.not_equal(dels[1:] - dels[:-1], 1, out=ends[:-1])
     last = ends.nonzero()[0]
     end = dels[last]
-    # per stretch: the R run starts in u..v (from their running count),
-    # plus one if a run starts at v + 1, less one
-    counts = starts[dels].cumsum()[last]
+    # per stretch: the R run starts in u..v (from their running count, which
+    # int32 holds below 2**31 bits, where numpy sums a bool mask 3x as fast
+    # as into int64), plus one if a run starts at v + 1, less one
+    counts = np.add.accumulate(starts[dels], dtype=np.int32 if n < 2 ** 31 else np.int64)[last]
     counts[1:] -= counts[:-1].copy()
     counts += starts[end + 1]
     counts -= 1
@@ -271,8 +284,26 @@ def _deleted_runs(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndar
     # bits inserted after them, one per insertion action in 0..v
     at = end - last[hit]
     if hit.size:
-        at += (codes >= _DUPLICATE).nonzero()[0].searchsorted(end)
+        at += _ones_before(codes >= _DUPLICATE, end + 1)
     return at, counts[hit], tail
+
+
+def _ones_before(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The ones of the bool ``mask`` at positions below each of ``at``
+    (each below ``mask.size``), counted on its packed words
+    (:func:`~.core._packed`): the ones up to the end of position p's word,
+    from the words' popcounts summed in order, less those of its bits at p
+    and above."""
+    words = _packed(mask)
+    through = np.add.accumulate(np.bitwise_count(words), dtype=np.int64)
+    word = at >> 6
+    high = words[word]
+    high &= _HIGH_BITS[at & 63]
+    return through[word] - np.bitwise_count(high)
+
+
+# the bits at and above bit r of a 64-bit word set, indexed by r
+_HIGH_BITS = ~((np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1))
 
 
 def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutput:
@@ -280,7 +311,7 @@ def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutp
     x = as_bits(x)
     rng = np.random.default_rng(seed)
     actions = _sample_from_probs(x.size, action_probabilities(params), rng)
-    return apply_pattern(x, actions)
+    return _applied(x, actions)
 
 
 def apply_deletion(x: np.ndarray, d: float, seed: int) -> ChannelOutput:
@@ -304,9 +335,9 @@ def apply_cascade(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOut
     x = as_bits(x)
     rng = np.random.default_rng(seed)
     kept = _uniforms_at_least(rng, params.d, np.empty(x.size, dtype=bool))
-    actions = np.full(x.size, _DELETE, dtype=np.int8)
+    actions = np.zeros(x.size, dtype=np.int8)  # DELETE
     actions[kept] = _sample_from_probs(np.count_nonzero(kept), insertion_stage_probabilities(params), rng)
-    return apply_pattern(x, actions)
+    return _applied(x, actions)
 
 
 def flip_complementary(y: np.ndarray, t_flags: np.ndarray) -> np.ndarray:

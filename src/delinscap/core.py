@@ -332,6 +332,29 @@ def _uniforms_at_least(rng: np.random.Generator, threshold: float, out: np.ndarr
     return out
 
 
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """The 0/1 (or bool) ``bits`` packed 64 to a little-endian uint64 word:
+    bit k of word j is ``bits[64 j + k]``, and the last word is padded with
+    zeros.
+
+    A scan over the bits runs on the words without changing a bit of its
+    result.  A running XOR is a prefix XOR inside each word (six
+    shift-XORs) and, carried into each word, the XOR of the words before
+    it; XOR is associative, so grouping the bits by word leaves every prefix
+    as it was.  A count of ones before a position is the popcounts of the
+    whole words before it, summed in order, plus that of the word's low
+    bits; these are integer counts, so they are exact.
+    """
+    packed = np.packbits(bits, bitorder="little")
+    words = np.zeros(-(-packed.size // 8), dtype="<u8")
+    words.view(np.uint8)[:packed.size] = packed
+    return words
+
+
+# the shifts of a prefix XOR inside a 64-bit word
+_PREFIX_SHIFTS = tuple(np.uint64(1 << k) for k in range(6))
+
+
 def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` bits of the symmetric first-order Markov source.
 
@@ -339,7 +362,9 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
     probability ``src.gamma``.  Deterministic for a fixed seed.  The n - 1
     uniforms behind the flips are drawn a block at a time
     (:func:`_uniforms_at_least`); they, and the generator's state after
-    them, equal those of one ``rng.random(n - 1)``.
+    them, equal those of one ``rng.random(n - 1)``.  Each bit is the first
+    bit XOR the flips so far, a running XOR taken on the bits packed into
+    64-bit words (:func:`_packed`).
     """
     if _count(n) < 0:
         raise ValueError("sequence length must be non-negative")
@@ -349,9 +374,15 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
     bits = np.empty(n, dtype=np.uint8)
     bits[0] = rng.integers(0, 2, dtype=np.uint8)
     _uniforms_at_least(rng, src.gamma, bits[1:].view(bool))
-    # each bit is the first bit xor the flips so far: one running xor
-    np.bitwise_xor.accumulate(bits, out=bits)
-    return bits
+    words = _packed(bits)
+    for shift in _PREFIX_SHIFTS:
+        words ^= words << shift
+    # bit 63 of a word is now the XOR of its bits; the XOR of those of the
+    # words before a word, all ones or all zeros, is carried into it
+    carry = words >> np.uint64(63)
+    np.bitwise_xor.accumulate(carry, out=carry)
+    words[1:] ^= -carry[:-1]
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def to_runs(bits: np.ndarray) -> RunSequence:

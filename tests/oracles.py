@@ -33,16 +33,18 @@ package's in ``test_layout.py``.
 The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
 survivor counts for ``S``), ``reference_sample_from_probs``
-(``searchsorted``), ``reference_markov_sequence`` (a running sum of flips),
-``reference_cascade_actions`` and ``reference_plug_in`` (one bootstrap
-replicate at a time).  Each random reference takes all its uniforms from
+(``searchsorted``), ``reference_markov_sequence`` (``running_xor``, a
+plain running XOR of the flips), ``reference_cascade_actions`` and
+``reference_plug_in`` (one bootstrap replicate at a time).  Each random reference takes all its uniforms from
 one ``rng.random(n)``, the draw the package's block draws must equal;
 ``generators_made`` hands a test the generators the package seeded, so
 their next draws can be compared too.
 """
 
 import contextlib
+import itertools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -616,18 +618,19 @@ def generators_made():
         np.random.default_rng = make
 
 
+def running_xor(bits):
+    """Each bit XOR every bit before it, one bit at a time in plain Python."""
+    return list(itertools.accumulate(bits, operator.xor))
+
+
 def reference_markov_sequence(gamma, n, rng):
-    """The symmetric Markov source, each bit the first bit plus a running sum
-    of flips, mod 2."""
+    """The symmetric Markov source: the running XOR of the first bit and the
+    flips."""
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    first = rng.integers(0, 2, dtype=np.uint8)
-    flips = (rng.random(n - 1) >= gamma).astype(np.uint8)
-    bits = np.empty(n, dtype=np.uint8)
-    bits[0] = first
-    if n > 1:
-        bits[1:] = (first + np.cumsum(flips)) & 1
-    return bits
+    first = int(rng.integers(0, 2, dtype=np.uint8))
+    flips = (rng.random(n - 1) >= gamma).tolist()
+    return np.array(running_xor([first, *flips]), dtype=np.uint8)
 
 
 def reference_apply_pattern(x, actions):

@@ -523,6 +523,54 @@ class TestSlotBlocks:
         _assert_same_output(apply_pattern(x, actions), oracles.reference_apply_pattern(x, actions))
 
 
+# lengths at and around the edges of the 64-bit words that the source's
+# running XOR and S's insertion counts are taken on; 2**17 is also the
+# slot stage's block
+WORD_EDGES = [0, 1, 63, 64, 65, 127, 128, 129, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1]
+PATTERNS = ["all deleted", "none deleted", "dense insertions", "random"]
+
+
+def _pattern(kind, n, rng):
+    if kind == "all deleted":
+        return np.full(n, D, dtype=np.int8)
+    if kind == "none deleted":
+        return rng.integers(K, C + 1, size=n).astype(np.int8)
+    if kind == "dense insertions":  # a deleted bit in four, the rest inserting
+        return np.where(rng.random(n) < 0.25, D, rng.integers(P, C + 1, size=n)).astype(np.int8)
+    return rng.integers(D, C + 1, size=n).astype(np.int8)
+
+
+class TestWordEdges:
+    """The packed-word kernels agree with plain references at every length
+    around a word's edge: the Markov source with a running XOR, and
+    ``apply_pattern`` with the exact oracle's bit-by-bit bookkeeping."""
+
+    @pytest.mark.parametrize("n", WORD_EDGES)
+    @settings(max_examples=5, deadline=None)
+    @given(gamma=st.floats(0.01, 0.99), seed=st.integers(0, 2 ** 64 - 1))
+    def test_markov_source_is_a_running_xor(self, n, gamma, seed):
+        got = generate_markov_sequence(MarkovSourceParams(gamma), n, seed)
+        want = oracles.reference_markov_sequence(gamma, n, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", WORD_EDGES)
+    @settings(max_examples=2, deadline=None)
+    @given(kind=st.sampled_from(PATTERNS), gamma=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="all deleted", gamma=0.5, seed=0)
+    @example(kind="none deleted", gamma=0.5, seed=1)
+    @example(kind="dense insertions", gamma=0.2, seed=2)
+    @example(kind="random", gamma=0.2, seed=3)
+    def test_pattern_matches_exact_oracle(self, n, kind, gamma, seed):
+        x = generate_markov_sequence(MarkovSourceParams(gamma), n, seed)
+        actions = _pattern(kind, n, np.random.default_rng(seed))
+        out = apply_pattern(x, actions)
+        y, i_flags, t_flags, s_counts = reference_apply(x.tolist(), actions.tolist())
+        assert out.y.tolist() == y
+        assert out.aux.i_flags.tolist() == i_flags
+        assert out.aux.t_flags.tolist() == t_flags
+        assert out.aux.s_counts.tolist() == s_counts
+
+
 def test_apply_delins_memory_peak():
     # every 10^6-bit array is touched in uint8/int32 form; the int64 fragment
     # offsets and run ids of the array reference peak near 73 MiB here

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import delinscap
 import golden
-from delinscap import cli, exact_oracle, verification
+from delinscap import analytic_bounds, cli, exact_oracle, verification
+from delinscap.analytic_bounds import SeriesConfig
 from delinscap.cli import build_parser, main, load_series_config
 from delinscap.gamma_optimizer import optimize_bound, sweep
 
@@ -314,6 +316,29 @@ class TestVerifyCommand:
         checks = verification.verify_oracle(n_max=n_max, seed=seed)["checks"]
         cascade = [c["detail"] for c in checks if c["name"].startswith("cascade_equivalence_")]
         assert cascade == [detail] * len(verification.CASCADE_PARAMS)
+
+    def test_truncation_shift_past_its_budget_fails_the_budget_check(self, monkeypatch):
+        # the tight configuration's deletion bound is moved 1e-6 bits, far past
+        # the band slack and the two rounding budgets of those cases
+        lb_deletion = analytic_bounds.lb_deletion
+
+        def shifted(d, gamma, cfg=None, diagnostics=True, **kw):
+            result = lb_deletion(d, gamma, cfg, diagnostics, **kw)
+            if cfg is not None and cfg.r_max_cap > SeriesConfig().r_max_cap:
+                result = dataclasses.replace(result, bound_bits=result.bound_bits + 1e-6)
+            return result
+
+        monkeypatch.setattr(analytic_bounds, "lb_deletion", shifted)
+        report = verification.verify_truncation()
+        checks = {c["name"]: c for c in report["checks"]}
+        assert report["passed"] is False
+        for name in ("deletion_d0.1", "deletion_d0.5", "deletion_d0.9_g0.99"):
+            within = checks[f"truncation_{name}_within_budget"]
+            assert within["passed"] is False
+            assert within["measured"] == checks[f"truncation_{name}"]["measured"] > within["tolerance"]
+            assert within["detail"] == "shift exceeded the band slack and the two budgets"
+        assert not any(name.endswith("_within_budget") and not name.startswith("truncation_deletion")
+                       for name in checks)
 
 
 class TestSeriesConfigEnv:
