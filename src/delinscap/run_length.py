@@ -105,28 +105,42 @@ def _block_rows(kernel: tuple[float, ...]) -> int:
     return _ROW_PAD // max(len(kernel) - 1, 1)
 
 
+def _shifted(row: np.ndarray, pad: int) -> np.ndarray:
+    """The window of a block product, the one window rule of the kernel
+    powers (:func:`_kernel_powers`) and the table's block steps
+    (:meth:`_RowTable.entropies`): a new (pad + 2) x (row.size + pad) array
+    whose row t, t = 0..pad, is ``row`` shifted right by t cells, zeros
+    elsewhere, and whose last row is ones.  A vector v of pad + 1 cells
+    times its first pad + 1 rows is the convolution of v with ``row``; the
+    row of ones meets the last column of the kernel powers, _TINY."""
+    padded = np.zeros(row.size + 2 * pad)
+    padded[pad:pad + row.size] = row
+    window = np.empty((pad + 2, row.size + pad))
+    # row t of the view starts pad - t cells into ``padded``
+    window[:-1] = np.ndarray((pad + 1, row.size + pad), float, buffer=padded, offset=pad * padded.itemsize,
+                             strides=(-padded.itemsize, padded.itemsize))
+    window[-1] = 1.0
+    return window
+
+
 def _kernel_powers(kernel: tuple[float, ...], block: int) -> np.ndarray:
     """The block x ((len(kernel) - 1) block + 2) matrix whose row j is
     kernel^{*(j+1)}, zero-padded, then _TINY, kept read-only: the first
-    block / 2 rows by np.convolve, and the rest as the first ones times row
-    block / 2, one product with the window whose row t is that row shifted
-    by t, as the table advances its rows.  A convolution per row would cost
-    half as much again; powers from repeated doubling cost a little less, but
-    their rows sum a few ulp further from the kernel's mass, and the rows of
-    the table drift with that sum, block after block (4e-12 in H at 20,000
-    rows).  The last column meets the table's row of ones, so every entry of
-    a block product is at least _TINY and its log is finite."""
+    block / 2 rows by np.convolve, and the rest as the first ones times the
+    window of row block / 2 (:func:`_shifted`), as the table advances its
+    rows.  A convolution per row would cost half as much again; powers from
+    repeated doubling cost a little less, but their rows sum a few ulp
+    further from the kernel's mass, and the rows of the table drift with
+    that sum, block after block (4e-12 in H at 20,000 rows).  The last
+    column meets the window's row of ones, so every entry of a block product
+    is at least _TINY and its log is finite."""
     steps, half, step = len(kernel) - 1, block // 2, np.array(kernel)
     powers, power = np.zeros((block, steps * block + 2)), np.ones(1)
     for j in range(half):
         power = np.convolve(power, step)
         powers[j, :power.size] = power
     shift = steps * half
-    padded = np.zeros(power.size + 2 * shift)
-    padded[shift:shift + power.size] = power
-    window = np.ndarray((shift + 1, power.size + shift), float, buffer=padded, offset=shift * padded.itemsize,
-                        strides=(-padded.itemsize, padded.itemsize))
-    np.matmul(powers[:half, :shift + 1], window, out=powers[half:, :-1])
+    np.matmul(powers[:half, :shift + 1], _shifted(power, shift)[:-1], out=powers[half:, :-1])
     powers[:, -1] = _TINY
     powers.flags.writeable = False
     return powers
@@ -163,28 +177,20 @@ class _RowTable:
         The table is kept for one kernel and grown on demand, B rows per step
         (:func:`_block_rows`).  From the base row row_r0, r0 a multiple of B,
         row_{r0+j} = row_r0 * kernel^{*j}: with M = (len(kernel) - 1) B =
-        _ROW_PAD, the B x (M + 1) matrix whose rows are kernel^{*1..B}
-        (:func:`_kernel_powers`, B / 2 of them by convolution), kept with the
-        rows, times the (M + 1) x n window matrix, whose row t is the base row
-        shifted by t, gives the next B rows in one product.  The powers carry
-        one more column, _TINY, and the window one more row, of ones, so the
-        product adds _TINY to every entry: an empty cell holds _TINY, not 0,
-        and the log needs no clip.  One log2 over the product and one fused
-        reduction (``einsum('ij,ij->i')``) of the logs times the rows then
-        give their B sums x log2 x, whose sign is turned once per growth.
-        Every term is non-negative, so rounding stays relative
-        (:func:`_row_drift`).  Blocks start at fixed r, so a grown
-        table is bit-identical to one built cold, and it only ever holds whole
-        blocks.  A block of 32 rows of a three-step kernel would need a 64-cell
-        pad, and the larger product costs more than the calls it saves.
-
-        Per block the loop does little besides the product, the logs and the
-        reduction: the window is copied from one strided view (strides -1
-        and +1 cells) into the zero-padded base row, and the trim ends are
-        two argmax calls, and the row of ones is one fill.  The window
-        buffer, which then takes the logs, and the product and padded-row
-        buffers serve every block of one growth call; the H array stays with
-        the table across growth calls of one step law.
+        _ROW_PAD, the B x (M + 2) matrix whose rows are kernel^{*1..B}, then
+        _TINY (:func:`_kernel_powers`, B / 2 of them by convolution), kept
+        with the rows, times the base row's window (:func:`_shifted`) gives
+        the next B rows in one product, each entry _TINY above its value: an
+        empty cell holds _TINY, not 0, and the log needs no clip.  One log2
+        over the product and one fused reduction (``einsum('ij,ij->i')``) of
+        the logs times the rows then give their B sums x log2 x, whose sign
+        is turned once per growth.  Every term is non-negative, so rounding
+        stays relative (:func:`_row_drift`).  Blocks start at fixed r, so a
+        grown table is bit-identical to one built cold, and it only ever
+        holds whole blocks.  A block of 32 rows of a three-step kernel would
+        need a 64-cell pad, and the larger product costs more than the calls
+        it saves.  The H array stays with the table across growth calls of
+        one step law, its capacity at least doubled when it grows.
 
         A row is trimmed at both ends to its entries >= _ROW_TRIM before it
         seeds the next block, and the count of those entries is not kept:
@@ -199,29 +205,11 @@ class _RowTable:
             stop = size + -(-(n - size) // block) * block
             if h.size < stop:  # a new buffer, at least doubled: a reader keeps the rows it holds
                 h = np.concatenate([h[:size], np.empty(max(stop, 2 * h.size) - size)])
-            cap = 0
             for r0 in range(size, stop, block):
                 keep = row >= _ROW_TRIM
                 lo, hi = int(keep.argmax()), row.size - int(keep[::-1].argmax())
-                m = hi - lo
-                width = m + pad
-                if width > cap:  # grown by a quarter at a time, to keep the heap flat
-                    cap = width + width // 4
-                    windows = np.empty(max(pad + 2, block) * cap)  # the window, then the B rows of logs
-                    products = np.empty(block * cap)
-                    padded = np.zeros(cap + pad)  # its first pad cells stay zero
-                    # row t of ``shifted`` starts pad - t cells into ``padded``:
-                    # the base row shifted by t
-                    shifted = np.ndarray((pad + 1, cap), float, buffer=padded, offset=pad * padded.itemsize,
-                                         strides=(-padded.itemsize, padded.itemsize))
-                padded[pad:pad + m] = row[lo:hi]
-                padded[pad + m:pad + width] = 0.0
-                window = windows[:(pad + 2) * width].reshape(pad + 2, width)
-                np.copyto(window[:-1], shifted[:, :width])
-                window[-1] = 1.0
-                rows = np.matmul(powers, window, out=products[:block * width].reshape(block, width))
-                np.einsum("ij,ij->i", np.log2(rows, out=windows[:block * width].reshape(block, width)), rows,
-                          out=h[r0:r0 + block])
+                rows = powers @ _shifted(row[lo:hi], pad)
+                np.einsum("ij,ij->i", np.log2(rows), rows, out=h[r0:r0 + block])
                 row = rows[-1]
             np.negative(h[size:stop], out=h[size:stop])
             self._state = (kernel, powers, row.copy(), h, stop)
@@ -513,14 +501,6 @@ def _row_sum(kernel: tuple[float, ...], p: np.ndarray):
     return np.einsum("...r,r->...", p, ROWS.entropies(kernel, p.shape[-1]))
 
 
-@functools.lru_cache(maxsize=4)
-def _steps(n: int) -> np.ndarray:
-    """0, 1, .., n - 1 as floats, kept read-only; callers take n a power of two."""
-    k = np.arange(float(n))
-    k.flags.writeable = False
-    return k
-
-
 def _run_weights(gamma: float, n: int) -> np.ndarray:
     """p_r = (1 - gamma) gamma**(r-1), r = 1..n, at a float gamma, the one
     weight law (a grid chunk's rows too, :meth:`_GridPlan.weights`).  From
@@ -530,7 +510,7 @@ def _run_weights(gamma: float, n: int) -> np.ndarray:
     relative, u = 2**-53, with log and exp within an ulp: at most 2239 u
     where p_r is normal, as (r - 1) |log gamma| <= 745 there; below, np.power's
     fewer calls cost less."""
-    k = _steps(1 << (n - 1).bit_length())[:n]
+    k = np.arange(float(n))
     if n < _EXP_WEIGHTS_MIN_ROWS:
         p = np.power(gamma, k)
     else:
@@ -651,8 +631,12 @@ class _RunLawChunk:
         sum of independent steps never decreases as steps are added; M. Madiman,
         "On the entropy of sums", ITW 2008), so W U(r_bar) - sum p_r H_r <=
         W ((U_R - H_R) + (U(r_bar) - U_R)), and U(r_bar) - U_R <=
-        log2(r_bar / R) / 2 = log2(1 + 1 / ((1 - gamma) R)) / 2."""
+        log2(r_bar / R) / 2 = log2(1 + 1 / ((1 - gamma) R)) / 2.  At
+        d = i = 0 (``size`` 0) L_out = L_X, the term is exact and reads no
+        row or band, and the slack is 0."""
         gamma, start = self._gammas, self.size
+        if not start:
+            return 0.0
         h = float(ROWS.entropies(self.kernel, start)[-1])
         return gamma ** start * (_max_entropy(self.kernel, start) - h + _row_error(self.kernel, start)) + \
             _jensen_slack(gamma, start)

@@ -24,7 +24,8 @@ terms from binomial rows of its own, sharing no cut with the package.
 at a time, with nothing pruned.  ``deleted_run_law`` gives the deleted-run
 law's theta, beta and g0 from their definitions, so the series oracles share
 no helper with the closed form.  ``reference_band`` is the run-length
-term's band past R from its definition, and ``grid_with_run`` builds a
+term's band past R from its definition, ``reference_band_start`` R itself
+by a linear scan over the row blocks, and ``grid_with_run`` builds a
 bound's grid form with given run-length values, so that the tests read the
 band and the search's ceilings without the package's internals.  The few
 package constants these references restate are checked against the
@@ -344,6 +345,23 @@ def reference_piece(kernel, gamma, start, m=None):
     return head * kept * reference_max_entropy(kernel, mean - m * math.exp(m * math.log(gamma)) / kept)
 
 
+def jensen_slack(gamma, start):
+    """gamma**S log2(1 + 1 / ((1 - gamma) S)) / 2 at S = ``start``: what one
+    Jensen piece over every r > S can exceed the sum of p_r U_r it replaces by."""
+    return gamma ** start * (0.5 * math.log2(math.e)) * math.log1p(1.0 / ((1.0 - gamma) * start))
+
+
+def reference_band_start(gamma, cfg, block):
+    """R by its definition, a linear scan: the least multiple of ``block``
+    whose Jensen slack is at most tail_epsilon / (1 - gamma), or
+    ``cfg.r_max_cap`` if no multiple below the cap qualifies."""
+    target = cfg.tail_epsilon / (1.0 - gamma)
+    for start in range(block, cfg.r_max_cap, block):
+        if jensen_slack(gamma, start) <= target:
+            return start
+    return cfg.r_max_cap
+
+
 def reference_band(kernel, gamma, start, cfg):
     """The band past R = ``start`` at a float gamma, by its definition: one
     piece to infinity, unless R is at the cap and that piece's Jensen slack
@@ -353,8 +371,7 @@ def reference_band(kernel, gamma, start, cfg):
     ``test_analytic`` sums a term from its rows, this band and its closed
     part to within 1e-13."""
     target, total = cfg.tail_epsilon / (1.0 - gamma), 0.0
-    slack = lambda s: gamma ** s * (0.5 * math.log2(math.e)) * math.log1p(1.0 / ((1.0 - gamma) * s))
-    while start >= cfg.r_max_cap and slack(start) > target:
+    while start >= cfg.r_max_cap and jensen_slack(gamma, start) > target:
         end = math.ceil(SEGMENT * start)
         total += reference_piece(kernel, gamma, start, end - start)
         start = end

@@ -399,6 +399,12 @@ class TestRunLengthKernel:
         for gamma in (0.3, 0.9, 0.995):
             assert ab.run_law_delins_H(gamma, 0.0, 0.0).value == 0.0
 
+    @pytest.mark.parametrize("gamma", [go.GAMMA_MIN, 0.5, go.GAMMA_MAX])
+    def test_identity_step_reads_no_row_and_has_no_band_slack(self, gamma, cold_rows):
+        # L_out = L_X: the term is exact, so it reads no row and its band adds nothing
+        assert _band_slack_at(gamma, 0.0, 0.0) == 0.0
+        assert cold_rows.size == 0
+
     def test_cache_is_bit_identical_to_a_cleared_cache(self, cold_rows):
         calls = [
             ("deletion", 0.5), ("duplication", 0.5), ("deletion", 0.5),

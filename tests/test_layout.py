@@ -8,10 +8,10 @@ helper outside those surfaces breaks at most this file.  Besides the layout
 rules it holds the checks that need those internals: that the grid's plan
 and the arrays its gammas alone fix are kept once and read-only, that the
 oracles' restated constants are the package's, that the run-length term's
-parts (its float and grid weights, its band and closed part, its row error)
-are what the package computes, bit for bit, and that the row floor keeps
-its margin.  It also resolves every package name README cites, and each
-docstring README names as the statement of a rule.
+parts (its float and grid weights, its band start, band and closed part,
+its row error) are what the package computes, bit for bit, and that the row
+floor keeps its margin.  It also resolves every package name README cites,
+and each docstring README names as the statement of a rule.
 """
 
 import ast
@@ -399,6 +399,24 @@ def test_grid_weights_are_the_float_weights_at_every_row(gamma):
     plan = run_length._GridPlan(cfg, (gamma, 0.3), 32)
     row = plan.weights(plan.chunks[0])[0]
     assert np.array_equal(row[:r_max], p) and not row[r_max:].any()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.floats(gamma_optimizer.GAMMA_MIN, gamma_optimizer.GAMMA_MAX) | st.floats(0.99, gamma_optimizer.GAMMA_MAX),
+       st.sampled_from([16, 32]),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(8, 1 << 17))
+@example(gamma_optimizer.GAMMA_MIN, 32, 1e-12, 4096)
+@example(gamma_optimizer.GAMMA_MAX, 16, 1e-12, 4096)  # at the cap
+@example(gamma_optimizer.GAMMA_MAX, 32, 5e-324, 1 << 17)
+@example(0.9, 16, 1e-12, 8)  # a cap below one block
+@example(0.999, 32, 1e-12, 100)  # a cap between two blocks
+@example(0.5, 32, 0.999, 4096)  # the first block qualifies
+def test_the_band_start_is_the_least_block_that_meets_the_target(gamma, block, tail_epsilon, cap):
+    # the fixed-point derivation of R lands on its definition, a linear scan over the blocks
+    cfg = run_length.SeriesConfig(tail_epsilon=tail_epsilon, r_max_cap=cap)
+    start = run_length._band_start(gamma, cfg, block)
+    assert start == oracles.reference_band_start(gamma, cfg, block)
+    assert oracles.jensen_slack(gamma, start) == run_length._jensen_slack(gamma, start)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
