@@ -37,9 +37,10 @@ exactly as a sum over one input at a time would.  On the cascade side the
 triples are laid out input by input, then by intermediate key, then by
 output key, so each cell adds the intermediates' contributions in key
 order, each contribution the deletion probability of the intermediate
-times its completed insertion-stage sum.  The public laws sum blocks of
-``2**15`` patterns with ``np.bincount`` and then add the blocks' sums in
-block order; a block cuts the table's rows wherever pattern 2**15 k falls.
+times its completed insertion-stage sum.  Every sparse law of a pattern
+table, public or in the cascade, is ``_laws``: it sums blocks of ``2**15``
+patterns with ``np.bincount`` and then adds the blocks' sums in block
+order; a block cuts the table's rows wherever pattern 2**15 k falls.
 A pattern's probability is multiplied out from the first bit to the last.
 No compensated summation is used.  The worst-case rounding of such a sum
 of N terms of total mass 1 is about N * 2**-53 (7e-12 for the 4**8
@@ -109,14 +110,8 @@ def _active_actions(probs4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # output A followed by B has the key key_A * 2**len(B) + key_B.  Inputs are
 # passed as integers, the first bit most significant.
 
-def _split_key(key: int) -> tuple[int, int]:
-    length = (key + 1).bit_length() - 1
-    return length, key + 1 - (1 << length)
-
-
 def _key_to_str(key: int) -> str:
-    length, value = _split_key(key)
-    return format(value, f"0{length}b") if length else ""
+    return bin(key + 1)[3:]  # "0b1" and then the value's bits
 
 
 def _half_tables(probs4: np.ndarray, bits: int) -> list[tuple]:
@@ -185,12 +180,6 @@ class _PatternTable:
             cut = slice(start - lo * width, stop - lo * width)
             yield keys.reshape(xs.size, -1)[:, cut], p.ravel()[cut]
 
-    def law(self, xs: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_sparse_law` of the outputs of every input of ``xs``: the
-        ascending distinct keys, raised by r * stride for input r, and their
-        probabilities."""
-        return _sparse_law((k.ravel(), np.tile(p, xs.size)) for k, p in self.outputs(xs, stride))
-
 
 def _pattern_table(n: int, probs4: np.ndarray) -> _PatternTable:
     return _PatternTable(n, _half_tables(probs4, n - n // 2))
@@ -199,9 +188,11 @@ def _pattern_table(n: int, probs4: np.ndarray) -> _PatternTable:
 def _laws(table: _PatternTable, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The law of each input of ``xs`` on ``table``: (keys, probabilities,
     starts), the laws one after another in input order, each in ascending
-    key order, law r at [starts[r], starts[r + 1])."""
+    key order, law r at [starts[r], starts[r + 1]).  Every law of a pattern
+    table is built here: one :func:`_sparse_law` of all the inputs, whose
+    keys are raised by r * 2**shift for input r and split back after."""
     shift = 2 * table.n + 1  # every key is below 2**shift
-    keys, probs = table.law(xs, 1 << shift)
+    keys, probs = _sparse_law((k.ravel(), np.tile(p, xs.size)) for k, p in table.outputs(xs, 1 << shift))
     row = keys >> shift
     keys &= (1 << shift) - 1
     return keys, probs, np.searchsorted(row, np.arange(xs.size + 1))
@@ -312,7 +303,7 @@ def enumerate_channel_law(x, params: ChannelParams) -> dict[str, float]:
     4-way per bit, so the pattern count is 4**n).
     """
     n, xs = _enum_input(x)
-    return _law_dict(*_pattern_table(n, action_probabilities(params)).law(xs, 0))
+    return _law_dict(*_laws(_pattern_table(n, action_probabilities(params)), xs)[:2])
 
 
 def cascade_law(x, params: ChannelParams) -> dict[str, float]:
@@ -376,9 +367,9 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     halves = _half_tables(action_probabilities(params), r_max - r_max // 2)
     out: dict[int, np.ndarray] = {}
     for r in range(1, r_max + 1):
-        keys, probs = _PatternTable(r, halves).law(np.zeros(1, dtype=np.int64), 0)
-        lengths = [_split_key(k)[0] for k in keys.tolist()]
-        out[r] = np.bincount(lengths, weights=probs, minlength=2 * r + 1)
+        keys, probs, _ = _laws(_PatternTable(r, halves), np.zeros(1, dtype=np.int64))
+        # the length L of key 2**L - 1 + v is the exponent of keys + 1 less one
+        out[r] = np.bincount(np.frexp(keys + 1)[1] - 1, weights=probs, minlength=2 * r + 1)
     return out
 
 

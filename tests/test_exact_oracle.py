@@ -153,6 +153,14 @@ class TestCascadeEquivalence:
         with pytest.raises(ValueError):
             oracle.cascade_equivalence_check(11, ChannelParams(d=0.1, i=0.1, alpha=0.5))
 
+    def test_cascade_law_over_two_triple_blocks(self):
+        # 2,047,645 (x, z, y) triples: the cascade sums them in two blocks of
+        # at most 2**20, where every other test's input fits in one
+        x, params = "100110100101", ChannelParams(d=0.2, i=0.1, alpha=0.6)
+        direct, cascade = oracle.enumerate_channel_law(x, params), oracle.cascade_law(x, params)
+        assert list(cascade) == list(direct)
+        assert max(abs(cascade[y] - direct[y]) for y in direct) <= ver.TOL_CASCADE
+
 
 class TestBatchedOracleMatchesReference:
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -255,6 +263,15 @@ class TestExactRunLaw:
         assert max(np.abs(table[r] - oracles.duplication_run_law_row(r, i)).max() for r in table) <= 1e-12
         table = oracle.exact_run_law(8, ChannelParams(d=d, i=i, alpha=a))
         assert max(np.abs(table[r] - oracles.delins_run_law_row(r, d, i)).max() for r in table) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), channel_params())
+    def test_run_law_is_the_public_law_of_a_zero_run_by_length(self, r, params):
+        # the same sums in the same order: the law lists its outputs by
+        # length, then by value
+        law = oracle.enumerate_channel_law("0" * r, params)
+        by_length = np.bincount([len(y) for y in law], weights=list(law.values()), minlength=2 * r + 1)
+        assert oracle.exact_run_law(r, params)[r].tolist() == by_length.tolist()
 
     @pytest.mark.parametrize("r_max", [11, -3])
     def test_refuses_runs_outside_0_to_10(self, r_max):
