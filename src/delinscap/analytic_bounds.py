@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ChannelParams, EntropyTerm, Role, _check_gamma, _closed_form, _i_prime, _nonneg, _on_grid,
+from .core import (ChannelParams, EntropyTerm, Role, _check_gamma, _i_prime, _nonneg, _on_grid, _xlog2_path,
                    binary_entropy)
 from .run_length import (SeriesConfig, _RunLawGrid, closed_form_HLXLY, run_law_deletion_H, run_law_delins_H,
                          run_law_duplication_H)
@@ -178,8 +178,7 @@ def delins_ambiguity_credit(d: float, i: float, alpha: float, gamma: float) -> f
 # deleted-run term H(S_j | Y_{j-1} Y_j T_j), and H(S2 | Y1 Y2) at i = 0
 # ---------------------------------------------------------------------------
 
-@_closed_form
-def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float, xlog2) -> float:
+def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float) -> float:
     """Limit of H(S_j | Y_{j-1}, Y_j, T_j) for the combined channel, summed in
     closed form from the stationary joint law of the cascade's second stage.
 
@@ -193,11 +192,12 @@ def closed_form_delins_S(gamma: float, d: float, i: float, alpha: float, xlog2) 
     times log2(w / c), w the context's weight; the k log2(1/theta) parts of
     all four classes add up to beta theta / (1 - theta)**2 log2(1/theta),
     because c1 + i'(1-alpha) = 1.  The logs of numerator and denominator are
-    taken apart, so a subnormal i' cannot overflow their ratio.  (``xlog2``
-    is :func:`~.core.xlog2`'s path for gamma, passed in by ``_closed_form``.)
+    taken apart (:func:`~.core.xlog2`, on gamma's path), so a subnormal i'
+    cannot overflow their ratio.
     """
     if d == 0.0:
         return 0.0 * gamma
+    xlog2 = _xlog2_path(gamma)
     ip = _i_prime(d, i)
     ab = 1.0 - alpha
     c1 = 1.0 - ip * ab
@@ -241,15 +241,15 @@ def cond_entropy_S_given_YY(gamma: float, d: float) -> EntropyTerm:
     return delins_S_term(gamma, d, 0.0, 1.0)
 
 
-@_closed_form
-def closed_form_HS2(gamma, d: float, xlog2):
+def closed_form_HS2(gamma, d: float):
     """Literal printed closed form for H(S2 | Y1 Y2), of a float gamma or of
-    an array, its logs taken apart (``xlog2``, :func:`~.core.xlog2`'s path
-    for gamma) so that a subnormal d cannot overflow 1 / theta (a
+    an array, its logs taken apart (:func:`~.core.xlog2`, on gamma's path)
+    so that a subnormal d cannot overflow 1 / theta (a
     diagnostic, and the printed-form penalty).  It falls short of the law's
     kernel (:func:`cond_entropy_S_given_YY`) by gamma (1 - theta) log2(1 / gamma)
     at every point tested, gamma log2(1 / gamma) at d = 0, where the law
     gives 0."""
+    xlog2 = _xlog2_path(gamma)
     q = markov_q(gamma, d)
     th, be = _theta(gamma, d), _beta(gamma, d)
     tb = 1.0 - th

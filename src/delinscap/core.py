@@ -22,7 +22,6 @@ Test surface: ``_BLOCK``.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
@@ -238,13 +237,17 @@ def xlog2(c, num, den=1.0):
     Of floats it is computed with ``math.log2`` (:func:`_xlog2_float`), so
     scalar code keeps its bits; of arrays elementwise with numpy's log2
     (:func:`_xlog2_array`), which may differ from ``math.log2`` in the last
-    bit.  A kernel that takes many of them picks its path once per call
-    (:func:`_closed_form`).
+    bit.
     """
     if isinstance(c, np.ndarray) or isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _xlog2_array(c, num, den)
+        return _xlog2_array(c, num, den)
     return _xlog2_float(c, num, den)
+
+
+def _xlog2_path(x):
+    """:func:`_xlog2_array` for an array ``x``, else :func:`_xlog2_float`: the
+    path a kernel of a float or an array takes for all its terms."""
+    return _xlog2_array if isinstance(x, np.ndarray) else _xlog2_float
 
 
 def _xlog2_float(c, num, den=1.0):
@@ -255,25 +258,12 @@ def _xlog2_float(c, num, den=1.0):
 
 
 def _xlog2_array(c, num, den=1.0):
-    """:func:`xlog2` elementwise, one mask and one ``np.where``; the caller
-    silences the logs of the masked entries (``np.errstate``)."""
-    return np.where((c > 0.0) & (den > 0.0), c * (np.log2(num) - np.log2(den)), 0.0)
-
-
-def _closed_form(kernel):
-    """A closed-form kernel of a float or an array, its first argument, that
-    takes :func:`xlog2` as its last: the float path for a float, the array
-    path, under one ``np.errstate``, for an array, picked once per call.
-    Its signature is the kernel's without that last parameter."""
-    @functools.wraps(kernel)
-    def by_path(x, *args):
-        if isinstance(x, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return kernel(x, *args, _xlog2_array)
-        return kernel(x, *args, _xlog2_float)
-    signature = inspect.signature(kernel)
-    by_path.__signature__ = signature.replace(parameters=tuple(signature.parameters.values())[:-1])
-    return by_path
+    """:func:`xlog2` elementwise, one mask and one ``np.where``.  The masked
+    entries' logs and products are computed and then dropped, so numpy's
+    divide and invalid warnings of them are silenced here (``np.errstate``),
+    once for every caller."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((c > 0.0) & (den > 0.0), c * (np.log2(num) - np.log2(den)), 0.0)
 
 
 def binary_entropy(p):
@@ -282,8 +272,7 @@ def binary_entropy(p):
     if isinstance(p, np.ndarray):
         if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
             raise ValueError(f"probabilities outside [0, 1] in {p}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _xlog2_array(p, 1.0, p) + _xlog2_array(1.0 - p, 1.0, 1.0 - p)
+        return _xlog2_array(p, 1.0, p) + _xlog2_array(1.0 - p, 1.0, 1.0 - p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     return _xlog2_float(p, 1.0, p) + _xlog2_float(1.0 - p, 1.0, 1.0 - p)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy
+from delinscap.core import ChannelParams, EntropyTerm, Role, binary_entropy, xlog2
 from delinscap import analytic_bounds as ab, gamma_optimizer as go, run_length as rl
 
 import oracles
@@ -1103,6 +1104,36 @@ class TestDelinsSTerm:
                 for k in range(0, 500)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClosedFormPaths:
+    # a closed form of a float gamma takes the math path, of an array numpy's, elementwise
+    KERNELS = [(ab.closed_form_delins_S, ("gamma", "d", "i", "alpha"), (0.3, 0.2, 0.5)),
+               (ab.closed_form_HS2, ("gamma", "d"), (0.3,))]
+
+    @pytest.mark.parametrize("kernel, names, args", KERNELS)
+    def test_a_kernel_takes_gamma_and_the_channel_alone(self, kernel, names, args):
+        assert tuple(inspect.signature(kernel).parameters) == names
+        value = kernel(0.7, *args)
+        assert type(value) is float
+        for gammas in (GRID, GRID[:12].reshape(3, 4)):
+            values = kernel(gammas, *args)
+            assert isinstance(values, np.ndarray) and values.shape == gammas.shape
+        assert kernel(np.array([0.7]), *args)[0] == pytest.approx(value, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [5e-324, 1e-300, 0.3, 0.999])
+    def test_array_closed_forms_warn_nothing_at_the_domain_edges(self, d):
+        # any numpy warning fails the test (pytest's filterwarnings = error), so the arithmetic
+        # the kernels run outside xlog2's own np.errstate must stay finite at both ends of gamma,
+        # at i' = 0 and 1 (d + i = 1) and at alpha = 0 and 1
+        gammas = np.concatenate([GRID, [go.GAMMA_MIN, go.GAMMA_MAX]])
+        for i in (0.0, 1.0 - d):
+            for alpha in (0.0, 1.0):
+                assert np.isfinite(ab.closed_form_delins_S(gammas, d, i, alpha)).all(), (i, alpha)
+        assert np.isfinite(ab.closed_form_HS2(gammas, d)).all()
+        probs = np.concatenate([gammas, [0.0, 1.0]])
+        assert np.isfinite(binary_entropy(probs)).all()
+        assert np.isfinite(xlog2(probs, d, probs)).all() and np.isfinite(xlog2(probs, probs, 1.0 - probs)).all()
 
 
 class TestBounds:
