@@ -20,16 +20,22 @@ inserted bit always carry a zero count.  ``S`` and ``T`` are not unique given
 only the input/output pair; what is exposed here is always the realised
 pattern's version, never an inference.
 
-``apply_pattern`` touches each input bit once through a slot table: the
-input bit and its action index a pair of output slots, each packing
-``y | I << 1 | W << 2 | T << 3``, and the slots with W = 1, those the
-action writes, are kept, one block of input bits at a time.  ``S`` is read
-off the deleted bits alone: each maximal stretch of consecutive deleted
-bits is one gap, and the runs that start inside it, bar the last unless it
-ends there, are the gap's fully deleted runs.  The gap's output position
-counts the insertion actions before it on their mask packed into 64-bit
-words, by the word rule of :func:`~.core._packed`.  With no bit deleted
-``S`` is all zeros and nothing is computed for it.
+``apply_pattern`` runs two stages that can also be called on their own.
+The slot stage (:func:`_slot_stage`) touches each input bit once through a
+slot table: the input bit and its action index a pair of output slots,
+each packing ``y | I << 1 | W << 2 | T << 3``, and the slots with W = 1,
+those the action writes, are kept, one block of input bits at a time, to
+give y, I and T.  The deleted runs (:func:`_deleted_runs`) give ``S``
+sparse, read off the deleted bits alone: each maximal stretch of
+consecutive deleted bits is one gap, and the runs that start inside it,
+bar the last unless it ends there, are the gap's fully deleted runs.  The
+gap's output position counts the insertion actions before it on their
+mask packed into 64-bit words, by the word rule of
+:func:`~.core._packed`.  With no bit deleted ``S`` is all zeros and
+nothing is computed for it.  ``apply_*`` join the two into the int64
+``S``.  :func:`_lean_applied` is the slot stage alone, plus, if asked, the
+per-gap counts ``S[1:-1]`` in the smallest unsigned dtype that holds them:
+what the Monte Carlo estimators read, without the int64 ``S``.
 
 Test surface: ``_sample_from_probs``.
 """
@@ -212,18 +218,11 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
 
 def _applied(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     """:func:`apply_pattern` of checked arguments: the bits ``x`` and int8
-    action codes 0-3, one per bit, which the random channels draw."""
-    n = x.size
+    action codes 0-3, one per bit, which the random channels draw.  The
+    slot stage (:func:`_slot_stage`) and the deleted runs
+    (:func:`_deleted_runs`) joined into the int64 ``S``."""
     codes = actions.view(np.uint8)
-    slots = _written_slots(codes[:_SLOT_BLOCK], x[:_SLOT_BLOCK])
-    if n > _SLOT_BLOCK:
-        slots = np.concatenate([slots, *(_written_slots(codes[lo:lo + _SLOT_BLOCK], x[lo:lo + _SLOT_BLOCK])
-                                         for lo in range(_SLOT_BLOCK, n, _SLOT_BLOCK))])
-    y = slots & 1
-    i_flags = slots >> 1
-    i_flags &= 1
-    t_flags = slots >> 3
-    del slots
+    y, i_flags, t_flags = _slot_stage(x, codes)
     m = y.size
 
     # S is allocated once the temporaries it is read from are freed, so the
@@ -237,6 +236,38 @@ def _applied(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
         aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
         pattern=actions,
     )
+
+
+def _slot_stage(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output ``y`` and its flags ``I`` and ``T`` for the bits ``x`` and
+    the action codes ``codes`` (uint8, 0-3): the written slots of one block
+    of ``_SLOT_BLOCK`` input bits at a time, joined, then unpacked."""
+    slots = _written_slots(codes[:_SLOT_BLOCK], x[:_SLOT_BLOCK])
+    if x.size > _SLOT_BLOCK:
+        slots = np.concatenate([slots, *(_written_slots(codes[lo:lo + _SLOT_BLOCK], x[lo:lo + _SLOT_BLOCK])
+                                         for lo in range(_SLOT_BLOCK, x.size, _SLOT_BLOCK))])
+    y = slots & 1
+    i_flags = slots >> 1
+    i_flags &= 1
+    return y, i_flags, slots >> 3
+
+
+def _lean_applied(x: np.ndarray, actions: np.ndarray,
+                  gaps: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """:func:`_applied`'s ``y``, ``I`` and ``T``, and, if ``gaps``, the
+    deleted-run counts of the m - 1 gaps between the m output bits,
+    ``S[1:-1]``, in the smallest unsigned dtype that holds the largest of
+    them; else None.  The int64 ``S`` is never built."""
+    codes = actions.view(np.uint8)
+    y, i_flags, t_flags = _slot_stage(x, codes)
+    if not gaps:
+        return y, i_flags, t_flags, None
+    at, counts, _ = _deleted_runs(x, codes)  # the tail, S[m], lies outside the gaps
+    inner = at > 0  # and so does S[0]
+    at, counts = at[inner], counts[inner]
+    s_gaps = np.zeros(max(y.size - 1, 0), dtype=np.min_scalar_type(int(counts.max(initial=0))))
+    s_gaps[at - 1] = counts
+    return y, i_flags, t_flags, s_gaps
 
 
 def _written_slots(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -309,9 +340,13 @@ _HIGH_BITS = ~((np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1))
 def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutput:
     """One realization of the combined deletion+insertion channel."""
     x = as_bits(x)
-    rng = np.random.default_rng(seed)
-    actions = _sample_from_probs(x.size, action_probabilities(params), rng)
-    return _applied(x, actions)
+    return _applied(x, _delins_actions(x.size, params, seed))
+
+
+def _delins_actions(n: int, params: ChannelParams, seed: int) -> np.ndarray:
+    """The int8 action codes of :func:`apply_delins` on ``n`` bits: one draw
+    per bit from :func:`action_probabilities` by ``default_rng(seed)``."""
+    return _sample_from_probs(n, action_probabilities(params), np.random.default_rng(seed))
 
 
 def apply_deletion(x: np.ndarray, d: float, seed: int) -> ChannelOutput:

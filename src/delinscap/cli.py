@@ -122,6 +122,22 @@ def _seed(text: str) -> int:
     return val
 
 
+def _tol(text: str) -> float:
+    """A gamma search tolerance; an infinity, which would return the raw grid
+    point, is a usage error.  The library checks the rest (:func:`channel_bounds`)."""
+    val = float(text)
+    if math.isinf(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return val
+
+
+def _out_path(text: str) -> str:
+    """A file path to write; an empty one is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a file path, got an empty string")
+    return text
+
+
 def _channel_flags(parser: argparse.ArgumentParser, args) -> dict:
     """The channel's own flags, its ChannelParams keywords; a usage error for a missing or foreign one."""
     needed = CHANNELS[args.channel].flags
@@ -291,17 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="compute a capacity lower bound")
     add_channel_flags(p)
     p.add_argument("--gamma", type=float, default=None, help="fix gamma instead of optimizing")
-    p.add_argument("--tol", type=float, default=1e-5, help="gamma optimization tolerance")
+    p.add_argument("--tol", type=_tol, default=1e-5, help="gamma optimization tolerance")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--out", default=None, help="write JSON to this path")
+    p.add_argument("--out", type=_out_path, default=None, help="write JSON to this path")
     p.add_argument("--paper-closed-forms", action="store_true",
                    help="use the as-published closed form for the deleted-run-count term")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("sweep", help="optimize bounds over a parameter grid, write CSV")
     add_channel_flags(p, grids=True)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--tol", type=_tol, default=1e-5)
+    p.add_argument("--out", type=_out_path, required=True, help="CSV output path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="one seeded channel realization as JSON")
@@ -309,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="input length")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -318,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=20240501)
     p.add_argument("--n-max", type=cascade_length, default=8,
                    help="input length for the cascade check (oracle suite)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
 

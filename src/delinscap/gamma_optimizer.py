@@ -100,8 +100,8 @@ def _bound_params(name: str, d: float, i: float, alpha: float, printed: bool = F
 
 
 def _check_tol(tol: float) -> None:
-    if not tol >= 1e-9:  # NaN included
-        raise ValueError(f"tol={tol} must be at least 1e-9 for double-precision series evaluation")
+    if not 1e-9 <= tol < math.inf:  # NaN included; at inf the search stops at its grid point
+        raise ValueError(f"tol={tol} must be finite and at least 1e-9 for double-precision series evaluation")
 
 
 def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, float]:
@@ -281,13 +281,14 @@ def sweep(channel: str, points: Iterable[dict], cfg: SeriesConfig | None = None,
           tol: float = 1e-5) -> list[dict]:
     """Optimize the bounds at every parameter point, its missing parameters
     at the :class:`~.core.ChannelParams` defaults; rows keep input order.
-    A key that is no :class:`~.core.ChannelParams` field is an error,
-    found before any point is solved.
+    A key that is no :class:`~.core.ChannelParams` field, or a bad ``tol``,
+    is an error found before any point is solved.
 
     A channel with several bounds carries each (``lb1``, ``lb2``) and their
     max (``lb_max``) in every row, since whichever is larger is still a valid
     lower bound; the breakdown reported is the winning bound's.
     """
+    _check_tol(tol)
     points = list(points)
     for pt in points:
         if unknown := sorted(set(pt) - _DEFAULTS.keys()):

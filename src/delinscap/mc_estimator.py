@@ -5,6 +5,10 @@ oracle cannot reach: long-run stationary frequencies and plug-in conditional
 entropies of the auxiliary sequences.  Each estimator simulates one long
 channel realization, tabulates the finite conditioning contexts after
 burn-in, and substitutes the empirical frequencies into the entropy formula.
+A chain (:func:`_sequences`) builds only what its estimator reads, bit for
+bit as ``apply_delins`` would: y, I and T, and, for the deleted-run
+estimators, the per-gap counts S[1:-1] in the smallest unsigned dtype that
+holds them, never the int64 ``S`` of a whole realization.
 A burn-in below 0, or one that leaves no observation, is a ``ValueError``.
 
 Contexts observed fewer than :data:`MIN_CONTEXT_OBS` times are pooled; their
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MarkovSourceParams, ChannelParams, generate_markov_sequence
-from .channel_sim import ChannelOutput, apply_delins
+from .channel_sim import ChannelOutput, _delins_actions, _lean_applied, apply_delins
 
 __all__ = [
     "McEstimate",
@@ -79,12 +83,28 @@ def _spawn_seeds(seed: int, k: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(k)
 
 
-def _simulate(kind_params: ChannelParams, gamma: float, steps: int, seed: int) -> tuple[np.ndarray, ChannelOutput]:
+def _source(gamma: float, steps: int, seed: int) -> tuple[np.ndarray, int]:
+    """The input of one simulated chain, drawn from the first seed spawned
+    from ``seed``, and the channel's seed, the second."""
     src_seed, ch_seed = _spawn_seeds(seed, 2)
     x = generate_markov_sequence(MarkovSourceParams(gamma), steps,
                                  int(src_seed.generate_state(1, np.uint64)[0]))
-    out = apply_delins(x, kind_params, int(ch_seed.generate_state(1, np.uint64)[0]))
-    return x, out
+    return x, int(ch_seed.generate_state(1, np.uint64)[0])
+
+
+def _simulate(kind_params: ChannelParams, gamma: float, steps: int, seed: int) -> tuple[np.ndarray, ChannelOutput]:
+    x, ch_seed = _source(gamma, steps, seed)
+    return x, apply_delins(x, kind_params, ch_seed)
+
+
+def _sequences(params: ChannelParams, gamma: float, steps: int, seed: int,
+               gaps: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """``y``, ``I`` and ``T`` of the chain :func:`_simulate` draws, and its
+    per-gap deleted-run counts ``S[1:-1]`` if ``gaps``, else None
+    (:func:`~.channel_sim._lean_applied`): bit for bit ``apply_delins``'s,
+    without its int64 ``S``.  The input and the actions are freed on return."""
+    x, ch_seed = _source(gamma, steps, seed)
+    return _lean_applied(x, _delins_actions(x.size, params, ch_seed), gaps)
 
 
 def _bit_code(burn_in: int, *bits: np.ndarray) -> np.ndarray:
@@ -167,8 +187,7 @@ def _plug_in(ctx: np.ndarray, val: np.ndarray, n_ctx: int, seed: int) -> McEstim
 def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
                            burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> EmpiricalStationary:
     """Empirical stationary law of (I_j, Y_j, Y_{j-1}) on one insertion-channel chain."""
-    _, out = _simulate(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
-    y, i_fl = out.y, out.aux.i_flags
+    y, i_fl, _, _ = _sequences(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, gaps=False)
     codes = _bit_code(burn_in, i_fl[1:], y[1:], y[:-1])
     counts = np.bincount(codes, minlength=8).astype(float)
     n = counts.sum()
@@ -178,27 +197,27 @@ def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
 
 
 def _context_entropy(params: ChannelParams, gamma: float, steps: int, seed: int, burn_in: int,
-                     pick: Callable[[ChannelOutput], tuple[np.ndarray, ...]]) -> McEstimate:
-    """Plug-in H(value | context) on one simulated chain: ``pick(out)`` gives
-    the value sequence and the context bit sequences, aligned, and the
-    context is their bit code.  Only the picked sequences are kept while
-    counting: the input and the realization's other arrays are freed first."""
-    val, *bits = pick(_simulate(params, gamma, steps, seed)[1])
+                     pick: Callable[..., tuple[np.ndarray, ...]], gaps: bool = False) -> McEstimate:
+    """Plug-in H(value | context) on one simulated chain: ``pick(y, I, T,
+    gaps)`` of its sequences (:func:`_sequences`) gives the value sequence
+    and the context bit sequences, aligned, and the context is their bit
+    code.  Only the picked sequences are kept while counting."""
+    val, *bits = pick(*_sequences(params, gamma, steps, seed, gaps))
     return _plug_in(_bit_code(burn_in, *bits), val[burn_in:], 2 ** len(bits), seed + 1)
 
 
 def estimate_hI(i: float, alpha: float, gamma: float, steps: int, seed: int = 0,
                 burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(I_j | I_{j-1}, Y_j, Y_{j-1}, Y_{j-2})."""
-    return _context_entropy(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda out: (
-        out.aux.i_flags[2:], out.aux.i_flags[1:-1], out.y[2:], out.y[1:-1], out.y[:-2]))
+    return _context_entropy(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda y, i_fl, t_fl, _: (
+        i_fl[2:], i_fl[1:-1], y[2:], y[1:-1], y[:-2]))
 
 
 def estimate_hT(i: float, alpha: float, gamma: float, steps: int, seed: int = 0,
                 burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(T_j | T_{j-1}, Y_j, Y_{j-1})."""
-    return _context_entropy(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda out: (
-        out.aux.t_flags[1:], out.aux.t_flags[:-1], out.y[1:], out.y[:-1]))
+    return _context_entropy(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda y, i_fl, t_fl, _: (
+        t_fl[1:], t_fl[:-1], y[1:], y[:-1]))
 
 
 def estimate_HS2(gamma: float, d: float, steps: int, seed: int = 0,
@@ -211,9 +230,9 @@ def estimate_HS2(gamma: float, d: float, steps: int, seed: int = 0,
 def estimate_delins_S_term(gamma: float, d: float, i: float, alpha: float, steps: int,
                            seed: int = 0, burn_in: int = DEFAULT_BURN_IN) -> McEstimate:
     """Plug-in estimate of lim H(S_j | Y_{j-1}, Y_j, T_j) on the combined channel."""
-    # gap g sits between output bits g-1 and g
-    return _context_entropy(ChannelParams(d=d, i=i, alpha=alpha), gamma, steps, seed, burn_in, lambda out: (
-        out.aux.s_counts[1:-1], out.aux.t_flags[1:], out.y[:-1], out.y[1:]))
+    # gap g sits between output bits g-1 and g; the counts are those of gaps 1..m-1
+    return _context_entropy(ChannelParams(d=d, i=i, alpha=alpha), gamma, steps, seed, burn_in,
+                            lambda y, i_fl, t_fl, gaps: (gaps, t_fl[1:], y[:-1], y[1:]), gaps=True)
 
 
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:

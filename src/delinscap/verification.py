@@ -20,7 +20,7 @@ from .core import ChannelParams, xlog2
 from . import analytic_bounds as ab
 from . import exact_oracle as oracle
 from . import mc_estimator as mc
-from .run_length import _RowTable, _row_kernel, _run_law_at
+from .run_length import _R_MAX_CAP_CEILING, _RowTable, _row_kernel, _run_law_at
 from .gamma_optimizer import optimize_bound
 
 __all__ = [
@@ -186,12 +186,19 @@ def verify_reductions(cfg: ab.SeriesConfig | None = None) -> dict:
 
 
 def verify_truncation(cfg: ab.SeriesConfig | None = None) -> dict:
-    """Doubling the exact rows' cap and halving the band's target must not move
-    bounds: each value lies below the exact one by at most its band's slack
-    (``run_length._RunLawChunk.band_slack``) and its rounding budget, so two
-    of them differ by at most the larger slack and both budgets."""
+    """Doubling the exact rows' cap and halving the band's target must not
+    move bounds: each value lies below the exact one by at most its band's
+    slack (``run_length._RunLawChunk.band_slack``) and its rounding budget,
+    so two of them differ by at most the larger slack and both budgets.
+    Where twice the cap would pass its ceiling, the pair is half the cap at
+    the configured target and the configured cap at half the target: still
+    two caps and two targets a factor of two apart."""
     base = cfg or ab.SeriesConfig()
-    tight = ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0, r_max_cap=base.r_max_cap * 2)
+    if 2 * base.r_max_cap <= _R_MAX_CAP_CEILING:
+        tight = ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0, r_max_cap=2 * base.r_max_cap)
+    else:
+        base, tight = (ab.SeriesConfig(tail_epsilon=base.tail_epsilon, r_max_cap=base.r_max_cap // 2),
+                       ab.SeriesConfig(tail_epsilon=base.tail_epsilon / 2.0, r_max_cap=base.r_max_cap))
     cases = [  # (name, bound, its parameters, gamma)
         ("deletion_d0.1", "deletion", ChannelParams(d=0.1), 0.5777),
         ("deletion_d0.5", "deletion", ChannelParams(d=0.5), 0.85),

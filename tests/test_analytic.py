@@ -1268,6 +1268,14 @@ def test_series_config_validation(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: r_max_cap=2500.5")
 
 
+def test_series_config_cap_has_a_ceiling():
+    # a cap of 2**40 asked _band_start for 11,043,392 exact rows at GAMMA_MAX
+    assert ab.SeriesConfig(r_max_cap=2 ** 17).r_max_cap == 2 ** 17
+    for cap in (2 ** 17 + 1, 2 ** 40, np.int64(2 ** 20)):
+        with pytest.raises(ValueError, match=r"r_max_cap=.* must be an integer from 8 to 131072"):
+            ab.SeriesConfig(r_max_cap=cap)
+
+
 def test_entropy_term_is_frozen_record():
     t = EntropyTerm("x", 0.5, 1e-12)
     with pytest.raises(Exception):

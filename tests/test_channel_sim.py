@@ -484,7 +484,8 @@ class TestBlockDraws:
     """The channels draw their uniforms a block at a time; the patterns, and
     the generator's state after them, are those of one ``rng.random(n)``."""
 
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+                                   2 * BLOCK - 1, 2 * BLOCK, 4 * BLOCK + 3])
     @pytest.mark.parametrize("params", [ChannelParams(d=0.2, i=0.3, alpha=0.6), ChannelParams(d=0.6, i=0.4, alpha=0.0),
                                         ChannelParams(i=0.3, alpha=1.0), ChannelParams(d=0.4)])
     def test_channels_equal_one_shot_draws(self, n, params):

@@ -448,6 +448,78 @@ def test_verify_steps_accepts_float_notation():
     assert parser.parse_args(["verify", "mc"]).steps == 1_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--channel", "deletion", "--d", "0.5"],
+    ["sweep", "--channel", "deletion", "--d", "0.5"],
+])
+def test_infinite_tol_is_a_usage_error(argv, tmp_path, capsys):
+    # bound --tol inf exited 0 with the raw grid point, gamma* 0.91 at d = 0.5
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "inf", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --tol: must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--channel", "deletion", "--d", "0.5"],
+    ["sweep", "--channel", "deletion", "--d", "0.5"],
+    ["simulate", "--channel", "deletion", "--d", "0.5", "--gamma", "0.5", "--n", "9"],
+    ["verify", "reductions"],
+], ids=lambda argv: argv[0])
+def test_empty_out_is_a_usage_error(argv, capsys):
+    # bound and simulate printed to stdout and exited 0; sweep exited 1 with [Errno 2]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --out: must be a file path, got an empty string" in captured.err
+
+
+def test_series_config_cap_above_the_ceiling_is_an_error(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "series.cfg"
+    monkeypatch.setenv("DELINSCAP_SERIES_CONFIG", str(cfg_file))
+    cfg_file.write_text(f"r_max_cap={2 ** 17}\n")
+    assert load_series_config().r_max_cap == 2 ** 17
+    cfg_file.write_text(f"r_max_cap={2 ** 17 + 1}\n")
+    assert main(["bound", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: r_max_cap=131073 must be an integer from 8 to 131072\n"
+
+
+def test_schema_caps_r_max_cap_at_the_ceiling():
+    # the schema's maximum is the largest cap SeriesConfig takes, and its error names it
+    ceiling = _schema("bound_report.schema.json")["properties"]["series_config"]["properties"]["r_max_cap"]["maximum"]
+    assert SeriesConfig(r_max_cap=ceiling).r_max_cap == ceiling
+    with pytest.raises(ValueError, match=f"must be an integer from 8 to {ceiling}$"):
+        SeriesConfig(r_max_cap=ceiling + 1)
+
+
+@pytest.mark.parametrize("cap, pair", [
+    (2 ** 16, {(2 ** 16, 1e-12), (2 ** 17, 5e-13)}),
+    (2 ** 17, {(2 ** 16, 1e-12), (2 ** 17, 5e-13)}),  # twice the cap would pass the ceiling
+    (100_000, {(50_000, 1e-12), (100_000, 5e-13)}),
+])
+def test_truncation_check_keeps_a_factor_of_two_up_to_the_ceiling(cap, pair, monkeypatch):
+    seen = set()
+    run_law_at = verification._run_law_at
+    monkeypatch.setattr(verification, "_run_law_at", lambda gamma, d, i, cfg: (
+        seen.add((cfg.r_max_cap, cfg.tail_epsilon)), run_law_at(gamma, d, i, cfg))[1])
+    assert verification.verify_truncation(SeriesConfig(r_max_cap=cap))["passed"] is True
+    assert seen == pair
+
+
+def test_a_long_draw_imports_neither_concurrent_futures_nor_logging():
+    # logging switches on maximize_over_gamma's DEBUG record, and concurrent.futures imports logging
+    code = ("import sys, numpy as np, delinscap.cli; from delinscap import ChannelParams, apply_delins; "
+            "apply_delins(np.zeros(2 ** 17, np.uint8), ChannelParams(d=0.1, i=0.1), seed=1); "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(delinscap.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
 class TestOpenBlasThreads:
     """Importing the package pins OpenBLAS to one thread unless told otherwise."""

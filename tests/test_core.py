@@ -204,7 +204,8 @@ class TestAsBits:
 
 # n at the edges of the block draws
 BLOCK = core._BLOCK  # uniforms per block of a long draw: core's test surface
-BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+               2 * BLOCK - 1, 2 * BLOCK, 4 * BLOCK + 3]
 
 
 class TestGeometricPmf:
@@ -291,6 +292,17 @@ class TestMarkovSource:
         assert np.array_equal(got, want)
         (rng,) = made
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_block_draws_leave_the_whole_state_of_one_draw(self, n):
+        # the uint8 first bit leaves half of a 64-bit output buffered, which no
+        # double reads: the block draws keep it as one rng.random(n - 1) does
+        with oracles.generators_made() as made:
+            generate_markov_sequence(MarkovSourceParams(0.4), n, seed=n + 5)
+        ref = np.random.default_rng(n + 5)
+        oracles.reference_markov_sequence(0.4, n, ref)
+        (rng,) = made
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestParams:

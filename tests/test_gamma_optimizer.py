@@ -57,6 +57,16 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize_over_gamma(PointByPoint(binary_entropy), tol=tol)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf])
+    def test_infinite_tol_is_refused_by_every_entry(self, tol):
+        # an infinite tol returned the raw grid point: gamma* 0.91 at d = 0.5
+        for call in (lambda: maximize_over_gamma(PointByPoint(binary_entropy), tol=tol),
+                     lambda: optimize_bound("deletion", d=0.5, tol=tol),
+                     lambda: channel_bounds("deletion", d=0.5, tol=tol),
+                     lambda: sweep("deletion", [], tol=tol)):  # before any point is solved
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
     def test_non_finite_propagates(self):
         with pytest.raises(ValueError):
             maximize_over_gamma(PointByPoint(lambda g: float("nan")))

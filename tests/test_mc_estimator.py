@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from delinscap.core import ChannelParams, MarkovSourceParams, generate_markov_sequence
-from delinscap.channel_sim import apply_delins
+from delinscap.channel_sim import Action, apply_delins, apply_pattern
 from delinscap import analytic_bounds as ab
-from delinscap import mc_estimator as mc
+from delinscap import channel_sim, mc_estimator as mc
 
 plug_in = mc._plug_in  # the estimators' test surface
 
@@ -193,6 +193,89 @@ class TestBootstrapMatchesReplicateLoop:
         assert (est.value, est.std_error, est.n_obs) == (0.0, 0.0, 0)
 
 
+def _realization(params, gamma, steps, seed):
+    """``apply_delins``'s whole realization of the chain an estimator with
+    master ``seed`` draws: the source from the first spawned seed, the
+    channel from the second."""
+    src, channel = (int(s.generate_state(1, np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(2))
+    return apply_delins(generate_markov_sequence(MarkovSourceParams(gamma), steps, src), params, channel)
+
+
+def _context(burn_in, *bits):
+    """The context code of aligned bit sequences, the first the most significant."""
+    code = np.zeros(bits[0].size - burn_in, dtype=np.int64)
+    for b in bits:
+        code = 2 * code + b[burn_in:]
+    return code.astype(np.uint8)
+
+
+class TestLeanChains:
+    """Each estimator reads only the sequences it needs off its chain, and
+    equals, field for field, the plug-in over the whole ``apply_delins``
+    realization with its int64 ``S``.  The chains are over two blocks of
+    uniforms long."""
+
+    STEPS, BURN = 70_000, mc.DEFAULT_BURN_IN
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_insertion_estimators(self, seed):
+        i, alpha, gamma, b = 0.2, 0.6, 0.55, self.BURN
+        out = _realization(ChannelParams(i=i, alpha=alpha), gamma, self.STEPS, seed)
+        y, i_fl, t_fl = out.y, out.aux.i_flags, out.aux.t_flags
+        assert mc.estimate_hI(i, alpha, gamma, self.STEPS, seed) == plug_in(
+            _context(b, i_fl[1:-1], y[2:], y[1:-1], y[:-2]), i_fl[2:][b:], 16, seed + 1)
+        assert mc.estimate_hT(i, alpha, gamma, self.STEPS, seed) == plug_in(
+            _context(b, t_fl[:-1], y[1:], y[:-1]), t_fl[1:][b:], 8, seed + 1)
+        counts = np.bincount(_context(b, i_fl[1:], y[1:], y[:-1]), minlength=8)
+        emp = mc.estimate_stationary_iy(i, alpha, gamma, self.STEPS, seed=seed)
+        assert emp.n_obs == counts.sum() and emp.freqs.ravel().tolist() == (counts / counts.sum()).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, i, alpha", [(0.2, 0.15, 0.6), (0.6, 0.1, 0.3), (0.3, 0.0, 1.0)])
+    def test_deleted_run_estimators(self, seed, d, i, alpha):
+        gamma, b = 0.55, self.BURN
+        out = _realization(ChannelParams(d=d, i=i, alpha=alpha), gamma, self.STEPS, seed)
+        y, t_fl, s = out.y, out.aux.t_flags, out.aux.s_counts
+        want = plug_in(_context(b, t_fl[1:], y[:-1], y[1:]), s[1:-1][b:], 8, seed + 1)
+        assert mc.estimate_delins_S_term(gamma, d, i, alpha, self.STEPS, seed) == want
+        if i == 0.0:
+            assert mc.estimate_HS2(gamma, d, self.STEPS, seed) == want
+
+    @pytest.mark.parametrize("d, seed, top", [
+        (0.975, 361, 255),  # the per-gap counts fit uint8
+        (0.97, 95, 256),  # uint16
+    ])
+    def test_deleted_run_counts_past_a_byte(self, d, seed, top):
+        # the chain keeps the per-gap counts in the smallest unsigned dtype
+        # that holds the largest of them, top: one too small would wrap it
+        steps = 20_000
+        out = _realization(ChannelParams(d=d), 0.05, steps, seed)
+        y, t_fl, s = out.y, out.aux.t_flags, out.aux.s_counts
+        assert s[1:-1].max() == top
+        want = plug_in(_context(0, t_fl[1:], y[:-1], y[1:]), s[1:-1], 8, seed + 1)
+        assert mc.estimate_delins_S_term(0.05, d, 0.0, 1.0, steps, seed, burn_in=0) == want
+
+    @pytest.mark.parametrize("top, dtype", [(0, np.uint8), (255, np.uint8), (256, np.uint16),
+                                            (65_535, np.uint16), (65_536, np.uint32)])
+    def test_gap_counts_take_the_smallest_dtype_that_holds_them(self, top, dtype, monkeypatch):
+        # a chain set by hand: on alternating input bits each deleted bit is a
+        # run, so a gap of top deleted bits holds top runs; S is
+        # [2, top, 1, 0, 0, 2], its first and last entries outside the gaps
+        x = np.arange(top + 9, dtype=np.uint8) % 2
+        actions = np.full(x.size, Action.DELETE, dtype=np.int8)
+        actions[[2, top + 3, top + 6]] = Action.KEEP
+        actions[top + 5] = Action.DUPLICATE
+        s = apply_pattern(x, actions).aux.s_counts
+        assert s.tolist() == [2, top, 1, 0, 0, 2]
+        seen = []
+        monkeypatch.setattr(mc, "generate_markov_sequence", lambda params, n, seed: x)
+        monkeypatch.setattr(channel_sim, "_sample_from_probs", lambda n, probs, rng: actions)
+        monkeypatch.setattr(mc, "_plug_in", lambda ctx, val, n_ctx, seed: seen.append(val))
+        mc.estimate_delins_S_term(0.5, 0.5, 0.2, 0.5, x.size, burn_in=0)
+        (gaps,) = seen
+        assert gaps.dtype == dtype and gaps.tolist() == s[1:-1].tolist()
+
+
 def test_hT_memory_peak():
     # each bootstrap block's cell codes go into one reused buffer of n / 50
     # entries and the channel's uniforms are drawn a block at a time; an
@@ -216,3 +299,16 @@ def test_delins_S_term_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2 ** 20
+
+
+def test_delins_S_term_memory_peak_without_the_int64_S():
+    # the per-gap counts are uint8 here, and the call peaks at 10.9 MiB; at
+    # d = 0.05 the deleted runs' temporaries are small, and the int64 S of
+    # the 1.25e6 output bits, 9.5 MiB, took the peak to 16.1 MiB
+    tracemalloc.start()
+    try:
+        mc.estimate_delins_S_term(0.3, 0.05, 0.3, 0.5, steps=10 ** 6, seed=81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
