@@ -32,10 +32,11 @@ bar the last unless it ends there, are the gap's fully deleted runs.  The
 gap's output position counts the insertion actions before it on their
 mask packed into 64-bit words, by the word rule of
 :func:`~.core._packed`.  With no bit deleted ``S`` is all zeros and
-nothing is computed for it.  ``apply_*`` join the two into the int64
-``S``.  :func:`_lean_applied` is the slot stage alone, plus, if asked, the
-per-gap counts ``S[1:-1]`` in the smallest unsigned dtype that holds them:
-what the Monte Carlo estimators read, without the int64 ``S``.
+nothing is computed for it.  ``apply_*`` join the two into ``S`` in the
+narrowest unsigned dtype that holds its largest entry, the boundary
+entries ``S[0]`` and ``S[m]`` included: one byte per gap wherever no gap
+holds more than 255 runs.  Unsigned differences wrap, so cast ``S`` before
+subtracting from it.
 
 Test surface: ``_sample_from_probs``.
 """
@@ -102,7 +103,7 @@ class AuxSequences:
 
     i_flags: np.ndarray  # uint8, length M
     t_flags: np.ndarray  # uint8, length M
-    s_counts: np.ndarray  # int64, length M + 1
+    s_counts: np.ndarray  # the narrowest unsigned dtype that holds its largest entry, length M + 1
 
     def __post_init__(self) -> None:
         if self.s_counts.size != self.i_flags.size + 1:
@@ -220,7 +221,8 @@ def _applied(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     """:func:`apply_pattern` of checked arguments: the bits ``x`` and int8
     action codes 0-3, one per bit, which the random channels draw.  The
     slot stage (:func:`_slot_stage`) and the deleted runs
-    (:func:`_deleted_runs`) joined into the int64 ``S``."""
+    (:func:`_deleted_runs`) joined into ``S``, in the narrowest unsigned
+    dtype that holds its largest entry."""
     codes = actions.view(np.uint8)
     y, i_flags, t_flags = _slot_stage(x, codes)
     m = y.size
@@ -228,7 +230,7 @@ def _applied(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     # S is allocated once the temporaries it is read from are freed, so the
     # call holds its outputs and the temporaries of one step at a time
     at, counts, tail = _deleted_runs(x, codes)
-    s_counts = np.zeros(m + 1, dtype=np.int64)
+    s_counts = np.zeros(m + 1, dtype=np.min_scalar_type(max(int(counts.max(initial=0)), tail)))
     s_counts[at] = counts
     s_counts[m] = tail
     return ChannelOutput(
@@ -250,24 +252,6 @@ def _slot_stage(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     i_flags = slots >> 1
     i_flags &= 1
     return y, i_flags, slots >> 3
-
-
-def _lean_applied(x: np.ndarray, actions: np.ndarray,
-                  gaps: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """:func:`_applied`'s ``y``, ``I`` and ``T``, and, if ``gaps``, the
-    deleted-run counts of the m - 1 gaps between the m output bits,
-    ``S[1:-1]``, in the smallest unsigned dtype that holds the largest of
-    them; else None.  The int64 ``S`` is never built."""
-    codes = actions.view(np.uint8)
-    y, i_flags, t_flags = _slot_stage(x, codes)
-    if not gaps:
-        return y, i_flags, t_flags, None
-    at, counts, _ = _deleted_runs(x, codes)  # the tail, S[m], lies outside the gaps
-    inner = at > 0  # and so does S[0]
-    at, counts = at[inner], counts[inner]
-    s_gaps = np.zeros(max(y.size - 1, 0), dtype=np.min_scalar_type(int(counts.max(initial=0))))
-    s_gaps[at - 1] = counts
-    return y, i_flags, t_flags, s_gaps
 
 
 def _written_slots(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -302,6 +286,7 @@ def _deleted_runs(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndar
     # int32 holds below 2**31 bits, where numpy sums a bool mask 3x as fast
     # as into int64), plus one if a run starts at v + 1, less one
     counts = np.add.accumulate(starts[dels], dtype=np.int32 if n < 2 ** 31 else np.int64)[last]
+    del dels, ends  # freed before the temporaries of the steps that follow
     counts[1:] -= counts[:-1].copy()
     counts += starts[end + 1]
     counts -= 1
@@ -315,17 +300,16 @@ def _deleted_runs(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndar
     # bits inserted after them, one per insertion action in 0..v
     at = end - last[hit]
     if hit.size:
-        at += _ones_before(codes >= _DUPLICATE, end + 1)
+        at += _ones_before(_packed(codes >= _DUPLICATE), end + 1)
     return at, counts[hit], tail
 
 
-def _ones_before(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The ones of the bool ``mask`` at positions below each of ``at``
-    (each below ``mask.size``), counted on its packed words
+def _ones_before(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The ones of a bool mask at positions below each of ``at`` (each below
+    the mask's size), counted on its packed ``words``
     (:func:`~.core._packed`): the ones up to the end of position p's word,
     from the words' popcounts summed in order, less those of its bits at p
     and above."""
-    words = _packed(mask)
     through = np.add.accumulate(np.bitwise_count(words), dtype=np.int64)
     word = at >> 6
     high = words[word]
@@ -340,13 +324,9 @@ _HIGH_BITS = ~((np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1))
 def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutput:
     """One realization of the combined deletion+insertion channel."""
     x = as_bits(x)
-    return _applied(x, _delins_actions(x.size, params, seed))
-
-
-def _delins_actions(n: int, params: ChannelParams, seed: int) -> np.ndarray:
-    """The int8 action codes of :func:`apply_delins` on ``n`` bits: one draw
-    per bit from :func:`action_probabilities` by ``default_rng(seed)``."""
-    return _sample_from_probs(n, action_probabilities(params), np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    actions = _sample_from_probs(x.size, action_probabilities(params), rng)
+    return _applied(x, actions)
 
 
 def apply_deletion(x: np.ndarray, d: float, seed: int) -> ChannelOutput:
@@ -400,7 +380,7 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
         raise ValueError(f"deleted-run counts must be integers, got {s.dtype}")
     if s.dtype == np.uint64 and s.size and s.max() >> np.uint64(63):  # int64 would wrap them negative
         raise ValueError(f"deleted-run counts must be below 2**63, got {s.max()}")
-    s = s.astype(np.int64, copy=False).ravel()
+    s = s.ravel()
     if s.size != y.size + 1:
         raise ValueError("S must have exactly len(y) + 1 entries")
     if s.size and s.min() < 0:
@@ -412,7 +392,7 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
 
     inner = s[1:m]  # deleted runs in the gap before output bit g, g = 1..m-1
     boundary = y[1:] != y[:-1]
-    gaps = np.flatnonzero(inner != 0)  # nonzero scans a bool mask ~3x faster than the int64 counts
+    gaps = np.flatnonzero(inner != 0)  # nonzero scans a bool mask ~2x faster than the counts
     # an odd count belongs between equal neighbours, an even one between unequal
     bad = (inner[gaps] & 1).astype(bool) == boundary[gaps]
     if bad.any():
@@ -434,11 +414,10 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
     runs[1:] -= cuts
     runs[0] += 1
     # surviving run j goes after the s[0] leading markers, the j runs before
-    # it and the markers of the first j cuts; every cut indexes ``inner``,
-    # and mode="clip" takes them without the buffered copy of mode="raise"
+    # it and the markers of the first j cuts, read in S's own dtype
     pos = np.empty(runs.size, dtype=np.int64)
     pos[0] = s[0]
-    np.take(inner, cuts, out=pos[1:], mode="clip")
+    pos[1:] = inner[cuts]
     del cuts
     pos[1:] += 1
     np.cumsum(pos, out=pos)

@@ -5,10 +5,10 @@ oracle cannot reach: long-run stationary frequencies and plug-in conditional
 entropies of the auxiliary sequences.  Each estimator simulates one long
 channel realization, tabulates the finite conditioning contexts after
 burn-in, and substitutes the empirical frequencies into the entropy formula.
-A chain (:func:`_sequences`) builds only what its estimator reads, bit for
-bit as ``apply_delins`` would: y, I and T, and, for the deleted-run
-estimators, the per-gap counts S[1:-1] in the smallest unsigned dtype that
-holds them, never the int64 ``S`` of a whole realization.
+A chain (:func:`_sequences`) is one ``apply_delins`` realization, of which
+an estimator keeps y, I, T and the per-gap counts S[1:-1], in the
+narrowest unsigned dtype that holds S, and frees the input and the actions
+before it counts.
 A burn-in below 0, or one that leaves no observation, is a ``ValueError``.
 
 Contexts observed fewer than :data:`MIN_CONTEXT_OBS` times are pooled; their
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MarkovSourceParams, ChannelParams, generate_markov_sequence
-from .channel_sim import ChannelOutput, _delins_actions, _lean_applied, apply_delins
+from .channel_sim import ChannelOutput, apply_delins
 
 __all__ = [
     "McEstimate",
@@ -83,28 +83,22 @@ def _spawn_seeds(seed: int, k: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(k)
 
 
-def _source(gamma: float, steps: int, seed: int) -> tuple[np.ndarray, int]:
+def _simulate(kind_params: ChannelParams, gamma: float, steps: int, seed: int) -> tuple[np.ndarray, ChannelOutput]:
     """The input of one simulated chain, drawn from the first seed spawned
-    from ``seed``, and the channel's seed, the second."""
+    from ``seed``, and its ``apply_delins`` realization, from the second."""
     src_seed, ch_seed = _spawn_seeds(seed, 2)
     x = generate_markov_sequence(MarkovSourceParams(gamma), steps,
                                  int(src_seed.generate_state(1, np.uint64)[0]))
-    return x, int(ch_seed.generate_state(1, np.uint64)[0])
+    return x, apply_delins(x, kind_params, int(ch_seed.generate_state(1, np.uint64)[0]))
 
 
-def _simulate(kind_params: ChannelParams, gamma: float, steps: int, seed: int) -> tuple[np.ndarray, ChannelOutput]:
-    x, ch_seed = _source(gamma, steps, seed)
-    return x, apply_delins(x, kind_params, ch_seed)
-
-
-def _sequences(params: ChannelParams, gamma: float, steps: int, seed: int,
-               gaps: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """``y``, ``I`` and ``T`` of the chain :func:`_simulate` draws, and its
-    per-gap deleted-run counts ``S[1:-1]`` if ``gaps``, else None
-    (:func:`~.channel_sim._lean_applied`): bit for bit ``apply_delins``'s,
-    without its int64 ``S``.  The input and the actions are freed on return."""
-    x, ch_seed = _source(gamma, steps, seed)
-    return _lean_applied(x, _delins_actions(x.size, params, ch_seed), gaps)
+def _sequences(params: ChannelParams, gamma: float, steps: int,
+               seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``y``, ``I``, ``T`` and the per-gap deleted-run counts ``S[1:-1]`` of
+    the chain :func:`_simulate` draws.  The input and the actions are freed
+    on return."""
+    _, out = _simulate(params, gamma, steps, seed)
+    return out.y, out.aux.i_flags, out.aux.t_flags, out.aux.s_counts[1:-1]
 
 
 def _bit_code(burn_in: int, *bits: np.ndarray) -> np.ndarray:
@@ -187,7 +181,7 @@ def _plug_in(ctx: np.ndarray, val: np.ndarray, n_ctx: int, seed: int) -> McEstim
 def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
                            burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> EmpiricalStationary:
     """Empirical stationary law of (I_j, Y_j, Y_{j-1}) on one insertion-channel chain."""
-    y, i_fl, _, _ = _sequences(ChannelParams(i=i, alpha=alpha), gamma, steps, seed, gaps=False)
+    y, i_fl, _, _ = _sequences(ChannelParams(i=i, alpha=alpha), gamma, steps, seed)
     codes = _bit_code(burn_in, i_fl[1:], y[1:], y[:-1])
     counts = np.bincount(codes, minlength=8).astype(float)
     n = counts.sum()
@@ -197,12 +191,12 @@ def estimate_stationary_iy(i: float, alpha: float, gamma: float, steps: int,
 
 
 def _context_entropy(params: ChannelParams, gamma: float, steps: int, seed: int, burn_in: int,
-                     pick: Callable[..., tuple[np.ndarray, ...]], gaps: bool = False) -> McEstimate:
+                     pick: Callable[..., tuple[np.ndarray, ...]]) -> McEstimate:
     """Plug-in H(value | context) on one simulated chain: ``pick(y, I, T,
     gaps)`` of its sequences (:func:`_sequences`) gives the value sequence
     and the context bit sequences, aligned, and the context is their bit
     code.  Only the picked sequences are kept while counting."""
-    val, *bits = pick(*_sequences(params, gamma, steps, seed, gaps))
+    val, *bits = pick(*_sequences(params, gamma, steps, seed))
     return _plug_in(_bit_code(burn_in, *bits), val[burn_in:], 2 ** len(bits), seed + 1)
 
 
@@ -232,7 +226,7 @@ def estimate_delins_S_term(gamma: float, d: float, i: float, alpha: float, steps
     """Plug-in estimate of lim H(S_j | Y_{j-1}, Y_j, T_j) on the combined channel."""
     # gap g sits between output bits g-1 and g; the counts are those of gaps 1..m-1
     return _context_entropy(ChannelParams(d=d, i=i, alpha=alpha), gamma, steps, seed, burn_in,
-                            lambda y, i_fl, t_fl, gaps: (gaps, t_fl[1:], y[:-1], y[1:]), gaps=True)
+                            lambda y, i_fl, t_fl, gaps: (gaps, t_fl[1:], y[:-1], y[1:]))
 
 
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -652,7 +652,8 @@ def reference_markov_sequence(gamma, n, rng):
 
 def reference_apply_pattern(x, actions):
     """Apply a per-bit action pattern through fragment lengths and their
-    cumulative output offsets; ``S`` from per-run survivor counts."""
+    cumulative output offsets; ``S`` from per-run survivor counts, kept in
+    the narrowest unsigned dtype that holds its largest entry."""
     x = as_bits(x)
     actions = np.asarray(actions, dtype=np.int8)
     if actions.size != x.size:
@@ -664,7 +665,7 @@ def reference_apply_pattern(x, actions):
             aux=AuxSequences(
                 i_flags=np.zeros(0, dtype=np.uint8),
                 t_flags=np.zeros(0, dtype=np.uint8),
-                s_counts=np.zeros(1, dtype=np.int64),
+                s_counts=_narrowest(np.zeros(1, dtype=np.int64)),
             ),
             pattern=actions,
         )
@@ -689,12 +690,18 @@ def reference_apply_pattern(x, actions):
     t_flags = np.zeros(m, dtype=np.uint8)
     t_flags[ins_pos[ins_comp.astype(bool)]] = 1
 
-    s_counts = _deleted_run_counts(x, surviving, starts, m)
+    s_counts = _narrowest(_deleted_run_counts(x, surviving, starts, m))
     return ChannelOutput(
         y=y,
         aux=AuxSequences(i_flags=i_flags, t_flags=t_flags, s_counts=s_counts),
         pattern=actions,
     )
+
+
+def _narrowest(s):
+    """The non-negative counts ``s`` in the narrowest unsigned dtype that
+    holds the largest of them."""
+    return s.astype(np.min_scalar_type(int(s.max())))
 
 
 def _deleted_run_counts(x, surviving, starts, m):

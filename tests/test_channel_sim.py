@@ -63,6 +63,28 @@ class TestWorkedExamples:
         assert out.m == 0
         assert out.aux.s_counts.tolist() == [4]
 
+    @pytest.mark.parametrize("top, dtype", [(0, np.uint8), (255, np.uint8), (256, np.uint16),
+                                            (65_535, np.uint16), (65_536, np.uint32)])
+    def test_s_takes_the_narrowest_unsigned_dtype_that_holds_it(self, top, dtype):
+        # on alternating input bits each deleted bit is a run, so a gap of
+        # top deleted bits holds top runs; S is [2, top, 1, 0, 0, 2]
+        x = np.arange(top + 9, dtype=np.uint8) % 2
+        actions = np.full(x.size, D, dtype=np.int8)
+        actions[[2, top + 3, top + 6]] = K
+        actions[top + 5] = P
+        s = apply_pattern(x, actions).aux.s_counts
+        assert s.dtype == dtype and s.tolist() == [2, top, 1, 0, 0, 2]
+
+    @pytest.mark.parametrize("lead, tail", [(256, 1), (1, 256)])
+    def test_s_dtype_holds_its_boundary_entries(self, lead, tail):
+        # the largest count is S[0] or S[m], past a byte, and the one inner
+        # count is 1: a dtype of the inner gaps alone would wrap it
+        x = np.arange(lead + tail + 3, dtype=np.uint8) % 2
+        actions = np.full(x.size, D, dtype=np.int8)
+        actions[[lead, lead + 2]] = K
+        s = apply_pattern(x, actions).aux.s_counts
+        assert s.dtype == np.uint16 and s.tolist() == [lead, 1, tail]
+
     def test_identity_channel(self):
         x = bits_from_str("0110100")
         out = apply_delins(x, ChannelParams(), seed=3)
@@ -573,8 +595,11 @@ class TestWordEdges:
 
 
 def test_apply_delins_memory_peak():
-    # every 10^6-bit array is touched in uint8/int32 form; the int64 fragment
-    # offsets and run ids of the array reference peak near 73 MiB here
+    # S is uint8 here, and the deleted runs' index temporaries are freed as
+    # they are read: the call peaks at 9.3 MiB, where an int64 S of the 10^6
+    # output bits, 7.6 MiB, took it to 11.9 MiB; every other 10^6-bit array
+    # is touched in uint8/int32 form, where the int64 fragment offsets and
+    # run ids of the array reference peak near 73 MiB
     x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=71)
     tracemalloc.start()
     try:
@@ -582,7 +607,7 @@ def test_apply_delins_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2 ** 20
+    assert peak <= 10.5 * 2 ** 20
 
 
 def test_apply_delins_memory_peak_without_a_survivor_index():

@@ -520,6 +520,19 @@ def test_a_long_draw_imports_neither_concurrent_futures_nor_logging():
     assert out.stdout == "[]\n"
 
 
+def test_the_exact_oracle_does_not_import_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma on its first call,
+    # 10-15 ms and ~0.25 MiB of a validation run's warm-up
+    code = ("import sys, delinscap.cli; from delinscap import ChannelParams; "
+            "from delinscap.exact_oracle import cascade_equivalence_check, enumerate_channel_law; "
+            "params = ChannelParams(d=0.2, i=0.1, alpha=0.6); cascade_equivalence_check(6, params); "
+            "enumerate_channel_law('011010', params); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(delinscap.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout == "False\n"
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
 class TestOpenBlasThreads:
     """Importing the package pins OpenBLAS to one thread unless told otherwise."""

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from delinscap.core import ChannelParams, MarkovSourceParams, generate_markov_sequence
-from delinscap.channel_sim import Action, apply_delins, apply_pattern
+from delinscap.channel_sim import apply_delins
 from delinscap import analytic_bounds as ab
-from delinscap import channel_sim, mc_estimator as mc
+from delinscap import mc_estimator as mc
 
 plug_in = mc._plug_in  # the estimators' test surface
 
@@ -212,8 +212,7 @@ def _context(burn_in, *bits):
 class TestLeanChains:
     """Each estimator reads only the sequences it needs off its chain, and
     equals, field for field, the plug-in over the whole ``apply_delins``
-    realization with its int64 ``S``.  The chains are over two blocks of
-    uniforms long."""
+    realization.  The chains are over two blocks of uniforms long."""
 
     STEPS, BURN = 70_000, mc.DEFAULT_BURN_IN
 
@@ -246,34 +245,14 @@ class TestLeanChains:
         (0.97, 95, 256),  # uint16
     ])
     def test_deleted_run_counts_past_a_byte(self, d, seed, top):
-        # the chain keeps the per-gap counts in the smallest unsigned dtype
-        # that holds the largest of them, top: one too small would wrap it
+        # the chain keeps S in the narrowest unsigned dtype that holds its
+        # largest entry, here the gap count top: one too small would wrap it
         steps = 20_000
         out = _realization(ChannelParams(d=d), 0.05, steps, seed)
         y, t_fl, s = out.y, out.aux.t_flags, out.aux.s_counts
         assert s[1:-1].max() == top
         want = plug_in(_context(0, t_fl[1:], y[:-1], y[1:]), s[1:-1], 8, seed + 1)
         assert mc.estimate_delins_S_term(0.05, d, 0.0, 1.0, steps, seed, burn_in=0) == want
-
-    @pytest.mark.parametrize("top, dtype", [(0, np.uint8), (255, np.uint8), (256, np.uint16),
-                                            (65_535, np.uint16), (65_536, np.uint32)])
-    def test_gap_counts_take_the_smallest_dtype_that_holds_them(self, top, dtype, monkeypatch):
-        # a chain set by hand: on alternating input bits each deleted bit is a
-        # run, so a gap of top deleted bits holds top runs; S is
-        # [2, top, 1, 0, 0, 2], its first and last entries outside the gaps
-        x = np.arange(top + 9, dtype=np.uint8) % 2
-        actions = np.full(x.size, Action.DELETE, dtype=np.int8)
-        actions[[2, top + 3, top + 6]] = Action.KEEP
-        actions[top + 5] = Action.DUPLICATE
-        s = apply_pattern(x, actions).aux.s_counts
-        assert s.tolist() == [2, top, 1, 0, 0, 2]
-        seen = []
-        monkeypatch.setattr(mc, "generate_markov_sequence", lambda params, n, seed: x)
-        monkeypatch.setattr(channel_sim, "_sample_from_probs", lambda n, probs, rng: actions)
-        monkeypatch.setattr(mc, "_plug_in", lambda ctx, val, n_ctx, seed: seen.append(val))
-        mc.estimate_delins_S_term(0.5, 0.5, 0.2, 0.5, x.size, burn_in=0)
-        (gaps,) = seen
-        assert gaps.dtype == dtype and gaps.tolist() == s[1:-1].tolist()
 
 
 def test_hT_memory_peak():
