@@ -406,6 +406,12 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
     boundary[gaps] = True
     cuts = np.flatnonzero(boundary)  # g - 1 for every such gap g
     del boundary, gaps, bad
+    # surviving run j goes after the s[0] leading markers, the j runs before
+    # it and the markers of the first j cuts, gathered in S's own dtype
+    # before the run lengths exist
+    pos = np.empty(cuts.size + 1, dtype=np.int64)
+    pos[0] = s[0]
+    pos[1:] = inner[cuts]
     # run lengths are the differences of the run ends [cuts, m - 1], taken in
     # place in the output's int32
     runs = np.empty(cuts.size + 1, dtype=np.int32)
@@ -413,11 +419,6 @@ def augment_with_deleted_runs(y: np.ndarray, s_counts: np.ndarray) -> RunSequenc
     runs[-1] = m - 1
     runs[1:] -= cuts
     runs[0] += 1
-    # surviving run j goes after the s[0] leading markers, the j runs before
-    # it and the markers of the first j cuts, read in S's own dtype
-    pos = np.empty(runs.size, dtype=np.int64)
-    pos[0] = s[0]
-    pos[1:] = inner[cuts]
     del cuts
     pos[1:] += 1
     np.cumsum(pos, out=pos)

@@ -626,8 +626,9 @@ def test_apply_delins_memory_peak_without_a_survivor_index():
 
 def test_augment_memory_peak():
     # the run lengths are built in the output's int32 and the markers'
-    # positions taken with mode="clip" (8.75 MiB here); int64 run lengths and
-    # the buffered copy of a mode="raise" take peaked at 14.0 MiB
+    # positions gathered from the uint8 S before the run lengths exist
+    # (8.9 MiB here); an int64 copy of S took the peak to 18.1 MiB, and int64
+    # run lengths and the buffered copy of a mode="raise" take to 14.0 MiB
     x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=71)
     out = apply_delins(x, ChannelParams(d=0.15, i=0.15, alpha=0.6), seed=72)
     y = flip_complementary(out.y, out.aux.t_flags)

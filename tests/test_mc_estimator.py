@@ -281,9 +281,9 @@ def test_delins_S_term_memory_peak():
 
 
 def test_delins_S_term_memory_peak_without_the_int64_S():
-    # the per-gap counts are uint8 here, and the call peaks at 10.9 MiB; at
-    # d = 0.05 the deleted runs' temporaries are small, and the int64 S of
-    # the 1.25e6 output bits, 9.5 MiB, took the peak to 16.1 MiB
+    # S is uint8 here, and the call peaks at 8.8 MiB; at d = 0.05 the
+    # deleted runs' temporaries are small, and the int64 S of the 1.25e6
+    # output bits, 9.5 MiB, took the peak to 16.1 MiB
     tracemalloc.start()
     try:
         mc.estimate_delins_S_term(0.3, 0.05, 0.3, 0.5, steps=10 ** 6, seed=81)
