@@ -34,9 +34,9 @@ mask packed into 64-bit words, by the word rule of
 :func:`~.core._packed`.  With no bit deleted ``S`` is all zeros and
 nothing is computed for it.  ``apply_*`` join the two into ``S`` in the
 narrowest unsigned dtype that holds its largest entry, the boundary
-entries ``S[0]`` and ``S[m]`` included: one byte per gap wherever no gap
-holds more than 255 runs.  Unsigned differences wrap, so cast ``S`` before
-subtracting from it.
+entries ``S[0]`` and ``S[m]`` included: one byte per gap wherever no entry
+passes 255.  Unsigned differences wrap, so cast ``S`` before subtracting
+from it.
 
 Test surface: ``_sample_from_probs``.
 """
