@@ -610,20 +610,6 @@ def test_apply_delins_memory_peak():
     assert peak <= 10.5 * 2 ** 20
 
 
-def test_apply_delins_memory_peak_without_a_survivor_index():
-    # S is placed at each survivor's output position, counted from the
-    # insertions before it, and allocated once its temporaries are freed
-    # (13.4 MiB here); an index of every survivor took the peak to 24.6 MiB
-    x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=71)
-    tracemalloc.start()
-    try:
-        apply_delins(x, ChannelParams(d=0.15, i=0.15, alpha=0.6), seed=72)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 22 * 2 ** 20
-
-
 def test_augment_memory_peak():
     # the run lengths are built in the output's int32 and the markers'
     # positions gathered from the uint8 S before the run lengths exist
