@@ -81,8 +81,8 @@ MAX_ENUM_BITS = 12
 MAX_CASCADE_BITS = 10
 MAX_EXHAUSTIVE_BITS = 8
 CASCADE_SAMPLE = 64
-# longest input of the run alignment check, the one check that enumerates
-# action patterns: it holds the (y, T, S) keys of all 2**n * 4**n (input,
+# longest input of the run alignment checks, the only code that enumerates
+# action patterns: they hold the (y, T, S) keys of all 2**n * 4**n (input,
 # pattern) pairs at once, a 24 MiB peak at n = 6, x8 per bit
 MAX_ALIGNMENT_BITS = 6
 
@@ -255,10 +255,10 @@ def exact_run_law(r_max: int, params: ChannelParams) -> dict[int, np.ndarray]:
     # the zero runs of 1 .. r_max bits, one input each
     cells, probs = _merge(*_cells(np.zeros(r_max, dtype=np.int64), np.arange(1, r_max + 1),
                                   action_probabilities(params)))
-    width, shift = 2 * r_max + 1, 2 * r_max + 1
-    table = np.bincount((cells >> shift) * width + _key_length(cells & ((1 << shift) - 1)), weights=probs,
-                        minlength=r_max * width)
-    return {r: table[(r - 1) * width:(r - 1) * width + 2 * r + 1] for r in range(1, r_max + 1)}
+    shift = 2 * r_max + 1  # the key bits of the cells, and the output lengths 0 .. 2 r_max
+    table = np.bincount((cells >> shift) * shift + _key_length(cells & ((1 << shift) - 1)), weights=probs,
+                        minlength=r_max * shift).reshape(r_max, shift)
+    return {r: table[r - 1, :2 * r + 1] for r in range(1, r_max + 1)}
 
 
 def _aux_keys(n: int, probs4: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
