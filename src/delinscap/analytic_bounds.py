@@ -485,11 +485,17 @@ class BoundGrid:
     def at(self, gamma: float, beat: float = -math.inf) -> float | None:
         """The bound at the float ``gamma``, the ``lb_*``'s own terms summed
         by the same :func:`_signed_sum`, so its ``bound_bits`` bit for bit;
-        or None when the row-bounded ceiling shows that it is at most
-        ``beat``."""
+        or None when a ceiling shows that it is at most ``beat``: first the
+        bound with a run-length entropy of 0, which needs no run law, then
+        the row-bounded one."""
         terms = self._terms(self._params, gamma, binary_entropy(gamma), None)
         if self._law is not None:
-            k, run = self._k, self._law.at(gamma)
+            k = self._k
+            if beat > -math.inf:
+                terms[k] = _run_length_term(gamma, 0.0)
+                if _signed_sum(terms) <= beat:
+                    return None
+            run = self._law.at(gamma)
             if beat > -math.inf and (floor := run.floor()) is not None:
                 terms[k] = _run_length_term(gamma, float(floor))
                 if _signed_sum(terms) <= beat:

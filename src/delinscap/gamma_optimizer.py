@@ -138,9 +138,9 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
     search's, bit for bit: the comparisons with f(x), f(w) and f(v) are
     strict, and a tie never displaces x.
 
-    If the bracket still ends at GAMMA_MIN or GAMMA_MAX when the search
-    stops, x has run into that end, and the end itself is probed (handed
-    f(x)): it is x if its value is larger.
+    The bounds are not known to be unimodal in gamma, so when the search
+    stops both ends, GAMMA_MIN and then GAMMA_MAX, are probed (each handed
+    f(x)), and an end whose value is larger becomes x.
 
     With the ``delinscap`` logger at DEBUG, the search logs one record at its
     end: grid points and chunks evaluated and skipped (by any ceiling), the
@@ -223,8 +223,8 @@ def maximize_over_gamma(grid: BoundGrid, tol: float = 1e-5) -> tuple[float, floa
             v, w, fv, fw = w, u, fw, fu
         elif fu > fv or v == x or v == w:
             v, fv = u, fu
-    for end, at_end in ((GAMMA_MIN, lo), (GAMMA_MAX, hi)):
-        if at_end == end and (fe := probe(end, fx)) > fx:
+    for end in (GAMMA_MIN, GAMMA_MAX):
+        if (fe := probe(end, fx)) > fx:
             x, fx = end, fe
     # Until something imports logging, no handler exists for a record to reach;
     # importing it here would add ~0.5 MiB and a few ms to every start-up.

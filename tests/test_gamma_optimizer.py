@@ -185,6 +185,14 @@ class TestOptimizeBound:
         assert res.bound_bits == pytest.approx(0.296243043804, abs=1e-6)
         assert 0.0 < res.bound_bits < 1.0
 
+    @pytest.mark.parametrize("d, i, alpha", [(0.3, 0.7, 0.5), (0.4, 0.1, 0.5), (0.7, 0.15, 0.9)])
+    def test_an_end_above_an_interior_maximum_is_taken(self, d, i, alpha):
+        # the bracket closes on an interior local maximum here (-6.5067e-5, -3.8202e-3 and
+        # -1.3655e-3), and GAMMA_MAX gives more (-1.0383e-6, -5.8416e-6 and -5.5612e-6): the
+        # search probes both ends, wherever its bracket ends
+        res = optimize_bound("delins", d=d, i=i, alpha=alpha)
+        assert res.bound_bits >= ab.lb_delins(d, i, alpha, GAMMA_MAX).bound_bits
+
     def test_unknown_channel(self):
         with pytest.raises(ValueError):
             optimize_bound("bogus")
@@ -532,6 +540,16 @@ class TestCeiling:
         for fn, ceiling in [(lambda g: float("nan"), 1.0), (lambda g: float("inf") if g > 0.5 else 0.0, math.inf)]:
             with pytest.raises(ValueError):
                 maximize_over_gamma(_Ceiling(fn, ceiling))
+
+    @pytest.mark.parametrize("name, params", [("deletion", {"d": 0.1}), ("insertion_lb2", {"i": 0.2, "alpha": 0.8}),
+                                              ("delins", {"d": 0.05, "i": 0.05, "alpha": 0.8})])
+    def test_end_probes_of_a_low_gamma_solve_build_no_run_law(self, name, params, monkeypatch):
+        # a bound with a run-length entropy of 0 rules both ends out: the law at GAMMA_MAX
+        # would hold 4 096 weights and a band
+        built = []
+        monkeypatch.setattr(rl, "_run_law_at", lambda gamma, *args: built.append(gamma) or run_law_at(gamma, *args))
+        optimize_bound(name, **params)
+        assert built and GAMMA_MIN not in built and GAMMA_MAX not in built
 
     def test_low_gamma_solve_keeps_the_row_table_short(self, cold_rows):
         optimize_bound("deletion", d=0.1)
