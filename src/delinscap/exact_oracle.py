@@ -156,15 +156,18 @@ def _cells(xs: np.ndarray, lengths: np.ndarray, law: np.ndarray) -> tuple[np.nda
     return cells, probs
 
 
-def _cascade_cells(xs: np.ndarray, lengths: np.ndarray, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Deletion stage (d) then insertion stage (i' = i/(1-d)) on the inputs
-    ``xs``: (cells, P(z | x) P(y | z)) of every (x, z, y) triple, unmerged,
-    in (x, z, y) order, each cell the (x, y) cell of :func:`_cells`.  The
-    deletion-stage law of each input keeps a z whose probability underflows
-    to 0; the insertion-stage law of every distinct z is built once, and the
-    triples are one gather."""
-    shift = 2 * int(lengths.max(initial=0)) + 1
-    z, pz = _merge(*_cells(xs, lengths, np.array([params.d, 1.0 - params.d, 0.0, 0.0])))
+def _deletion_law(xs: np.ndarray, lengths: np.ndarray, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The deletion-stage (d) law of each input: (cells, P(z | x)), merged,
+    each z whose probability underflows to 0 kept."""
+    return _merge(*_cells(xs, lengths, np.array([params.d, 1.0 - params.d, 0.0, 0.0])))
+
+
+def _cascade_cells(z: np.ndarray, pz: np.ndarray, shift: int, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The insertion stage (i' = i/(1-d)) after the deletion-stage law (z,
+    pz) of some inputs, its cells' keys ``shift`` bits wide: (cells, P(z | x)
+    P(y | z)) of every (x, z, y) triple, unmerged, in (x, z, y) order, each
+    cell the (x, y) cell of :func:`_cells`.  The insertion-stage law of
+    every distinct z is built once, and the triples are one gather."""
     distinct, at = np.unique(z & ((1 << shift) - 1), return_inverse=True)
     zlen = _key_length(distinct)
     zshift = 2 * int(zlen.max(initial=0)) + 1
@@ -205,7 +208,8 @@ def enumerate_channel_law(x, params: ChannelParams) -> dict[str, float]:
 
 def cascade_law(x, params: ChannelParams) -> dict[str, float]:
     """Output law of the deletion-then-insertion factorization (i' = i/(1-d))."""
-    return _law_dict(*_merge(*_cascade_cells(*_enum_input(x), params)))
+    xs, lengths = _enum_input(x)
+    return _law_dict(*_merge(*_cascade_cells(*_deletion_law(xs, lengths, params), 2 * int(lengths[0]) + 1, params)))
 
 
 def cascade_equivalence_check(n: int, params: ChannelParams, seed: int = 0) -> float:
@@ -227,15 +231,15 @@ def cascade_equivalence_check(n: int, params: ChannelParams, seed: int = 0) -> f
         inputs = np.arange(2 ** n)
     else:
         inputs = np.sort(np.random.default_rng(seed).choice(2 ** n, size=CASCADE_SAMPLE, replace=False))
-    law = action_probabilities(params)
-    size = 1 << (2 * n + 1)  # cells per input, the (input, output) cells of _cells
-    step = max(1, _BLOCK_CELLS // size)
+    law, shift = action_probabilities(params), 2 * n + 1  # 2**shift (input, output) cells per input
+    step = max(1, _BLOCK_CELLS >> shift)
+    z, pz = _deletion_law(inputs, np.full(inputs.size, n), params)
+    ends = np.searchsorted(z, np.arange(0, inputs.size + step, step) << shift)  # of each block's (x, z) pairs
     worst = 0.0
-    for lo in range(0, inputs.size, step):
-        xs = inputs[lo:lo + step]
-        lengths = np.full(xs.size, n)
-        gap = np.bincount(*_cells(xs, lengths, law), minlength=xs.size * size)
-        gap -= np.bincount(*_cascade_cells(xs, lengths, params), minlength=xs.size * size)
+    for k, lo in enumerate(range(0, inputs.size, step)):
+        xs, at = inputs[lo:lo + step], slice(ends[k], ends[k + 1])
+        gap = np.bincount(*_cells(xs, np.full(xs.size, n), law), minlength=xs.size << shift)
+        gap -= np.bincount(*_cascade_cells(z[at] - (lo << shift), pz[at], shift, params), minlength=xs.size << shift)
         worst = max(worst, float(np.abs(gap, out=gap).max()))
     return worst
 
