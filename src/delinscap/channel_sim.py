@@ -170,8 +170,9 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     This is the simulator's one map from a pattern to ``(y, I, T, S)``; the
     random channel wrappers go through it.  The exhaustive enumeration
     oracle does not: :mod:`~.exact_oracle` builds outputs from its own
-    pattern table and keeps ``reference_apply``, an independent
-    re-implementation of the bookkeeping, to check this one against.
+    fragment keys, one input bit at a time, and keeps ``reference_apply``,
+    an independent re-implementation of the bookkeeping, to check this one
+    against.
 
     Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
     (``y | I << 1 | W << 2 | T << 3``) from ``_SLOTS``, and the slots with
