@@ -32,11 +32,15 @@ bar the last unless it ends there, are the gap's fully deleted runs.  The
 gap's output position counts the insertion actions before it on their
 mask packed into 64-bit words, by the word rule of
 :func:`~.core._packed`.  With no bit deleted ``S`` is all zeros and
-nothing is computed for it.  ``apply_*`` join the two into ``S`` in the
-narrowest unsigned dtype that holds its largest entry, the boundary
-entries ``S[0]`` and ``S[m]`` included: one byte per gap wherever no entry
-passes 255.  Unsigned differences wrap, so cast ``S`` before subtracting
-from it.
+nothing is computed for it.  ``apply_pattern`` and the random channel,
+``apply_delins``, join the two into ``S`` in the narrowest unsigned dtype
+that holds its largest entry, the boundary entries ``S[0]`` and ``S[m]``
+included: one byte per gap wherever no entry passes 255.  Unsigned
+differences wrap, so cast ``S`` before subtracting from it.
+
+``apply_delins`` is the channel's one sampler.  Its cascade form, a
+deletion stage and then an insertion stage with i' = i/(1 - d), is not
+sampled: :mod:`~.exact_oracle` checks it exactly.
 
 Test surface: ``_sample_from_probs``.
 """
@@ -49,7 +53,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import ChannelParams, RunSequence, _keep, _packed, _uniform_blocks, _uniforms_at_least, as_bits
+from .core import ChannelParams, RunSequence, _keep, _packed, _uniform_blocks, as_bits
 
 __all__ = [
     "Action",
@@ -57,9 +61,6 @@ __all__ = [
     "ChannelOutput",
     "apply_pattern",
     "apply_delins",
-    "apply_deletion",
-    "apply_insertion",
-    "apply_cascade",
     "flip_complementary",
     "augment_with_deleted_runs",
 ]
@@ -130,15 +131,6 @@ def action_probabilities(params: ChannelParams) -> np.ndarray:
     return np.array([d, _keep(d, i), i * a, i * (1.0 - a)], dtype=float)
 
 
-def insertion_stage_probabilities(params: ChannelParams) -> np.ndarray:
-    """The action law of the cascade's insertion stage (i' = i/(1-d), alpha):
-    (0, 1 - i', i' alpha, i' (1 - alpha)), for :func:`apply_cascade` and the
-    exact oracle.  Built here, not as ``action_probabilities`` of a
-    ChannelParams with i = i', which would reject the i' = 1 of d + i = 1."""
-    ip, a = params.i_prime, params.alpha
-    return np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
-
-
 def _sample_from_probs(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw per bit from ``probs``: the number of cumulative edges <= u.
 
@@ -168,11 +160,11 @@ def apply_pattern(x: np.ndarray, actions: np.ndarray) -> ChannelOutput:
     """Deterministically apply a per-bit action pattern to ``x``.
 
     This is the simulator's one map from a pattern to ``(y, I, T, S)``; the
-    random channel wrappers go through it.  The exhaustive enumeration
-    oracle does not: :mod:`~.exact_oracle` builds outputs from its own
-    fragment keys, one input bit at a time, and keeps ``reference_apply``,
-    an independent re-implementation of the bookkeeping, to check this one
-    against.
+    random channel, :func:`apply_delins`, goes through it.  The exhaustive
+    enumeration oracle does not: :mod:`~.exact_oracle` builds outputs from
+    its own fragment keys, one input bit at a time, and keeps
+    ``reference_apply``, an independent re-implementation of the
+    bookkeeping, to check this one against.
 
     Each input bit is one lookup: ``action << 1 | x`` picks two packed slots
     (``y | I << 1 | W << 2 | T << 3``) from ``_SLOTS``, and the slots with
@@ -327,32 +319,6 @@ def apply_delins(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutp
     x = as_bits(x)
     rng = np.random.default_rng(seed)
     actions = _sample_from_probs(x.size, action_probabilities(params), rng)
-    return _applied(x, actions)
-
-
-def apply_deletion(x: np.ndarray, d: float, seed: int) -> ChannelOutput:
-    """Pure deletion channel; I and T come out all-zero."""
-    return apply_delins(x, ChannelParams(d=d, i=0.0), seed)
-
-
-def apply_insertion(x: np.ndarray, i: float, alpha: float, seed: int) -> ChannelOutput:
-    """Pure insertion channel; S comes out all-zero."""
-    return apply_delins(x, ChannelParams(d=0.0, i=i, alpha=alpha), seed)
-
-
-def apply_cascade(x: np.ndarray, params: ChannelParams, seed: int) -> ChannelOutput:
-    """Deletion stage (d) followed by an insertion stage (i' = i/(1-d), alpha).
-
-    The two stages are sampled separately and composed into a single per-bit
-    action pattern on the original input positions, so the output carries the
-    same bookkeeping as ``apply_delins``.  Identical in law to the one-shot
-    channel.
-    """
-    x = as_bits(x)
-    rng = np.random.default_rng(seed)
-    kept = _uniforms_at_least(rng, params.d, np.empty(x.size, dtype=bool))
-    actions = np.zeros(x.size, dtype=np.int8)  # DELETE
-    actions[kept] = _sample_from_probs(np.count_nonzero(kept), insertion_stage_probabilities(params), rng)
     return _applied(x, actions)
 
 

@@ -344,7 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
+    except (ValueError, MemoryError, OSError) as exc:
+        # bad input, a size too large to allocate, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

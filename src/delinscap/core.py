@@ -40,7 +40,6 @@ __all__ = [
     "generate_markov_sequence",
     "to_runs",
     "from_runs",
-    "geometric_run_pmf",
     "bits_from_str",
     "bits_to_str",
     "as_bits",
@@ -313,14 +312,6 @@ def _uniform_blocks(rng: np.random.Generator, n: int):
         yield slice(start, start + u.size), u
 
 
-def _uniforms_at_least(rng: np.random.Generator, threshold: float, out: np.ndarray) -> np.ndarray:
-    """``np.greater_equal(rng.random(out.size), threshold, out=out)``, drawn
-    a block at a time (:func:`_uniform_blocks`)."""
-    for part, u in _uniform_blocks(rng, out.size):
-        np.greater_equal(u, threshold, out=out[part])
-    return out
-
-
 def _packed(bits: np.ndarray) -> np.ndarray:
     """The 0/1 (or bool) ``bits`` packed 64 to a little-endian uint64 word:
     bit k of word j is ``bits[64 j + k]``, and the last word is padded with
@@ -350,8 +341,8 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
     The first bit is uniform; each later bit equals its predecessor with
     probability ``src.gamma``.  Deterministic for a fixed seed.  The n - 1
     uniforms behind the flips are drawn a block at a time
-    (:func:`_uniforms_at_least`); they, and the generator's state after
-    them, equal those of one ``rng.random(n - 1)``.  Each bit is the first
+    (:func:`_uniform_blocks`); they, and the generator's state after them,
+    equal those of one ``rng.random(n - 1)``.  Each bit is the first
     bit XOR the flips so far, a running XOR taken on the bits packed into
     64-bit words (:func:`_packed`).
     """
@@ -362,7 +353,9 @@ def generate_markov_sequence(src: MarkovSourceParams, n: int, seed: int) -> np.n
         return np.zeros(0, dtype=np.uint8)
     bits = np.empty(n, dtype=np.uint8)
     bits[0] = rng.integers(0, 2, dtype=np.uint8)
-    _uniforms_at_least(rng, src.gamma, bits[1:].view(bool))
+    flips = bits[1:].view(bool)  # a bit flips where its uniform is at least gamma
+    for part, u in _uniform_blocks(rng, n - 1):
+        np.greater_equal(u, src.gamma, out=flips[part])
     words = _packed(bits)
     for shift in _PREFIX_SHIFTS:
         words ^= words << shift
@@ -392,15 +385,6 @@ def from_runs(runs: RunSequence) -> np.ndarray:
         raise ValueError("zero-length run encountered; from_runs only decodes plain sequences")
     symbols = (runs.first_bit + np.arange(lengths.size)) & 1
     return np.repeat(symbols.astype(np.uint8), lengths.astype(np.intp, copy=False))
-
-
-def geometric_run_pmf(gamma: float, r: int) -> float:
-    """P(run length = r) = gamma**(r-1) * (1 - gamma) for an integer r >= 1
-    (a numpy integer is accepted, a bool or a float is not)."""
-    MarkovSourceParams(gamma)
-    if (length := _count(r)) < 1:
-        raise ValueError(f"run length r={r!r} must be a positive integer")
-    return gamma ** (length - 1) * (1.0 - gamma)
 
 
 def bits_from_str(s: str) -> np.ndarray:

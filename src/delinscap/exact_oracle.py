@@ -58,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ChannelParams, _count, as_bits
-from .channel_sim import Action, action_probabilities, insertion_stage_probabilities
+from .channel_sim import Action, action_probabilities
 
 __all__ = [
     "MAX_ENUM_BITS",
@@ -154,6 +154,15 @@ def _cells(xs: np.ndarray, lengths: np.ndarray, law: np.ndarray) -> tuple[np.nda
                                             + frag_key[bits].T).ravel()))
         probs = np.concatenate((probs[:w], (probs4 * probs[w:]).ravel()))
     return cells, probs
+
+
+def insertion_stage_probabilities(params: ChannelParams) -> np.ndarray:
+    """The action law of the cascade's insertion stage (i' = i/(1-d), alpha):
+    (0, 1 - i', i' alpha, i' (1 - alpha)).  Built here, not as
+    ``action_probabilities`` of a ChannelParams with i = i', which would
+    reject the i' = 1 of d + i = 1."""
+    ip, a = params.i_prime, params.alpha
+    return np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
 
 
 def _deletion_law(xs: np.ndarray, lengths: np.ndarray, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -37,11 +37,11 @@ by rounding alone must pass it.  A last line says whether README's figures
 table is current; it does not change the exit code.
 
 ``golden_sim.jsonl`` is the simulator's contract: for each of a fixed set of
-(d, i, alpha, gamma, n, seed) cases, the sha256 of every array of one
-``apply_delins`` and one ``apply_cascade`` realization (y, I, T, S and the
-pattern, each hashed with its dtype, and the augmented run lengths of the
-flipped output) and the reprs of two Monte Carlo estimates (or the error an
-estimate raises).  A change that moves a simulated bit on purpose
+(d, i, alpha, gamma, n, seed) cases, the sha256 of the input and of every
+array of one ``apply_delins`` realization (y, I, T, S and the pattern, each
+hashed with its dtype, and the augmented run lengths of the flipped output)
+and the reprs of two Monte Carlo estimates (or the error an estimate
+raises).  A change that moves a simulated bit on purpose
 regenerates it:
 
     PYTHONPATH=src python tests/golden.py --sim
@@ -236,7 +236,6 @@ def compute_sim() -> list[dict]:
             "case": f"d={d!r} i={i!r} alpha={alpha!r} gamma={gamma!r} n={n} seed={seed}",
             "x": _digest(x),
             "delins": _realization(channel_sim.apply_delins(x, params, seed + 1)),
-            "cascade": _realization(channel_sim.apply_cascade(x, params, seed + 2)),
             "hT": _estimate(mc_estimator.estimate_hT, i, alpha, gamma, SIM_MC_STEPS, seed=seed + 3),
             "S": _estimate(mc_estimator.estimate_delins_S_term, gamma, d, i, alpha, SIM_MC_STEPS, seed=seed + 4),
         })

@@ -35,8 +35,8 @@ The validation layer's earlier array forms are kept here too, as references
 for its table-driven replacements: ``reference_apply_pattern`` (per-run
 survivor counts for ``S``), ``reference_sample_from_probs``
 (``searchsorted``), ``reference_markov_sequence`` (``running_xor``, a
-plain running XOR of the flips), ``reference_cascade_actions`` and
-``reference_plug_in`` (one bootstrap replicate at a time).  Each random reference takes all its uniforms from
+plain running XOR of the flips) and ``reference_plug_in`` (one bootstrap
+replicate at a time).  Each random reference takes all its uniforms from
 one ``rng.random(n)``, the draw the package's block draws must equal;
 ``generators_made`` hands a test the generators the package seeded, so
 their next draws can be compared too.
@@ -53,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from delinscap import analytic_bounds as ab, gamma_optimizer as go, run_length as rl
 from delinscap.core import ChannelParams
-from delinscap.channel_sim import Action, AuxSequences, ChannelOutput, insertion_stage_probabilities
+from delinscap.channel_sim import Action, AuxSequences, ChannelOutput
 from delinscap.core import as_bits
 from delinscap.mc_estimator import BOOTSTRAP_BLOCKS, BOOTSTRAP_REPS, MIN_CONTEXT_OBS, McEstimate
 
@@ -607,15 +607,6 @@ def reference_sample_from_probs(n, probs, rng):
     edges = np.cumsum(probs[:-1])
     u = rng.random(n)
     return np.searchsorted(edges, u, side="right").astype(np.int8)
-
-
-def reference_cascade_actions(n, params, rng):
-    """The cascade's pattern: the deleted bits from one ``rng.random(n)``,
-    then the insertion stage's actions of the kept bits."""
-    kept = rng.random(n) >= params.d
-    actions = np.full(n, Action.DELETE, dtype=np.int8)
-    actions[kept] = reference_sample_from_probs(int(kept.sum()), insertion_stage_probabilities(params), rng)
-    return actions
 
 
 @contextlib.contextmanager

@@ -12,10 +12,7 @@ from delinscap.core import (ChannelParams, MarkovSourceParams, RunSequence, as_b
 from delinscap.channel_sim import (
     Action,
     action_probabilities,
-    apply_cascade,
-    apply_deletion,
     apply_delins,
-    apply_insertion,
     apply_pattern,
     augment_with_deleted_runs,
     flip_complementary,
@@ -95,7 +92,7 @@ class TestWorkedExamples:
 
     def test_d_one_rejected(self):
         with pytest.raises(ValueError):
-            apply_deletion(bits_from_str("010"), 1.0, seed=0)
+            apply_delins(bits_from_str("010"), ChannelParams(d=1.0), seed=0)
 
     @pytest.mark.parametrize("bad", [4, -1, 127, -128, -4, 300, -129, 257, 1.5, 0.5])
     def test_bad_action_code_rejected(self, bad):
@@ -310,7 +307,7 @@ class TestRealizationInvariants:
         for _ in range(2000):
             n = int(rng.integers(1, 40))
             x = generate_markov_sequence(src, n, seed=int(rng.integers(2 ** 32)))
-            out = apply_insertion(x, 0.3, 0.4, seed=int(rng.integers(2 ** 32)))
+            out = apply_delins(x, ChannelParams(d=0.0, i=0.3, alpha=0.4), seed=int(rng.integers(2 ** 32)))
             assert not out.aux.s_counts.any()
             flipped = flip_complementary(out.y, out.aux.t_flags)
             assert to_runs(flipped).num_runs == to_runs(x).num_runs
@@ -320,7 +317,7 @@ class TestRealizationInvariants:
         for _ in range(500):
             n = int(rng.integers(1, 40))
             x = generate_markov_sequence(MarkovSourceParams(0.5), n, seed=int(rng.integers(2 ** 32)))
-            out = apply_insertion(x, 0.4, 1.0, seed=int(rng.integers(2 ** 32)))
+            out = apply_delins(x, ChannelParams(d=0.0, i=0.4, alpha=1.0), seed=int(rng.integers(2 ** 32)))
             assert to_runs(out.y).num_runs == to_runs(x).num_runs
 
     def test_matches_reference_semantics(self):
@@ -352,41 +349,20 @@ class TestRealizationInvariants:
             assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
-class TestCascade:
+class TestSamplerMatchesExactLaw:
     def test_i_zero_matches_deletion_law(self):
         x = bits_from_str("01101")
         params = ChannelParams(d=0.3, i=0.0)
-        counts_a, counts_b = {}, {}
+        counts = {}
         for t in range(4000):
-            ya = bits_to_str(apply_cascade(x, params, seed=t).y)
-            yb = bits_to_str(apply_deletion(x, 0.3, seed=10 ** 6 + t).y)
-            counts_a[ya] = counts_a.get(ya, 0) + 1
-            counts_b[yb] = counts_b.get(yb, 0) + 1
+            y = bits_to_str(apply_delins(x, params, seed=10 ** 6 + t).y)
+            counts[y] = counts.get(y, 0) + 1
         law = enumerate_channel_law(x, params)
         for y, p in law.items():
             if p < 0.01:
                 continue
-            for counts in (counts_a, counts_b):
-                freq = counts.get(y, 0) / 4000
-                assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / 4000)
-
-    def test_cascade_empirical_matches_exact_law(self):
-        # the exact enumerated law is the ground truth for the one-shot channel
-        x = bits_from_str("00101101")
-        params = ChannelParams(d=0.2, i=0.1, alpha=0.8)
-        law = enumerate_channel_law(x, params)
-        trials = 10 ** 5
-        counts: dict[str, int] = {}
-        for t in range(trials):
-            y = bits_to_str(apply_cascade(x, params, seed=t).y)
-            counts[y] = counts.get(y, 0) + 1
-        # 4 sigma per outcome keeps the family-wise false-alarm rate ~1%
-        # across the ~150 outcomes heavy enough to test
-        for y, p in law.items():
-            if p < 1e-3:
-                continue
-            freq = counts.get(y, 0) / trials
-            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / trials), y
+            freq = counts.get(y, 0) / 4000
+            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / 4000)
 
     def test_delins_sampler_matches_exact_law(self):
         x = bits_from_str("0110")
@@ -402,16 +378,6 @@ class TestCascade:
                 continue
             freq = counts.get(y, 0) / trials
             assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / trials), y
-
-    def test_cascade_aux_consistency(self):
-        rng = np.random.default_rng(8)
-        for _ in range(2000):
-            n = int(rng.integers(1, 24))
-            x = generate_markov_sequence(MarkovSourceParams(0.5), n, seed=int(rng.integers(2 ** 32)))
-            out = apply_cascade(x, ChannelParams(d=0.25, i=0.2, alpha=0.5), seed=int(rng.integers(2 ** 32)))
-            ref = reference_apply(x.tolist(), out.pattern.tolist())
-            assert out.y.tolist() == ref[0]
-            assert out.aux.s_counts.tolist() == ref[3]
 
 
 @st.composite
@@ -463,24 +429,6 @@ class TestSimulatorMatchesArrayReference:
                 assert got == _outcome(oracles.reference_apply_pattern, x, bad)
                 assert got.startswith("ValueError")
 
-    @pytest.mark.parametrize("params", [ChannelParams(d=0.25, i=0.2, alpha=0.5), ChannelParams(d=0.0, i=0.9, alpha=1.0),
-                                        ChannelParams(d=0.6, i=0.4, alpha=0.0), ChannelParams(d=0.9)])
-    def test_cascade_stage_two_law(self, params):
-        # the cascade's second-stage law has a zero deletion edge and may put
-        # all its mass on insertions (d + i = 1)
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            n = int(rng.integers(0, 40))
-            x = rng.integers(0, 2, size=n).astype(np.uint8)
-            seed = int(rng.integers(2 ** 32))
-            draws = np.random.default_rng(seed)
-            deleted = draws.random(n) < params.d
-            ip, a = params.i_prime, params.alpha
-            stage2 = np.array([0.0, 1.0 - ip, ip * a, ip * (1.0 - a)])
-            actions = np.full(n, Action.DELETE, dtype=np.int8)
-            actions[~deleted] = oracles.reference_sample_from_probs(int((~deleted).sum()), stage2, draws)
-            _assert_same_output(apply_cascade(x, params, seed), oracles.reference_apply_pattern(x, actions))
-
     @pytest.mark.parametrize("n", [0, 1, 2, 10 ** 4])
     @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.97])
     def test_markov_source_matches_running_sum(self, n, gamma):
@@ -512,15 +460,13 @@ class TestBlockDraws:
                                         ChannelParams(i=0.3, alpha=1.0), ChannelParams(d=0.4)])
     def test_channels_equal_one_shot_draws(self, n, params):
         x = generate_markov_sequence(MarkovSourceParams(0.5), n, seed=n)
-        for apply, reference_actions in (
-                (apply_delins, lambda rng: oracles.reference_sample_from_probs(n, action_probabilities(params), rng)),
-                (apply_cascade, lambda rng: oracles.reference_cascade_actions(n, params, rng))):
-            with oracles.generators_made() as made:
-                out = apply(x, params, seed=n + 1)
-            ref = np.random.default_rng(n + 1)
-            _assert_same_output(out, oracles.reference_apply_pattern(x, reference_actions(ref)))
-            (rng,) = made
-            assert rng.random() == ref.random()
+        with oracles.generators_made() as made:
+            out = apply_delins(x, params, seed=n + 1)
+        ref = np.random.default_rng(n + 1)
+        actions = oracles.reference_sample_from_probs(n, action_probabilities(params), ref)
+        _assert_same_output(out, oracles.reference_apply_pattern(x, actions))
+        (rng,) = made
+        assert rng.random() == ref.random()
 
 
 class TestSlotBlocks:
@@ -639,7 +585,7 @@ def test_markov_source_memory_peak():
     assert peak <= 4 * 2 ** 20
 
 
-def test_apply_insertion_memory_peak():
+def test_insertion_only_memory_peak():
     # with no bit deleted S is the all-zero array it starts as, and nothing
     # is built for it; run ids and survivor positions would take the peak to
     # ~29 MiB

@@ -23,7 +23,6 @@ from delinscap.core import (
     bits_to_str,
     from_runs,
     generate_markov_sequence,
-    geometric_run_pmf,
     to_runs,
 )
 
@@ -208,37 +207,6 @@ BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
                2 * BLOCK - 1, 2 * BLOCK, 4 * BLOCK + 3]
 
 
-class TestGeometricPmf:
-    def test_values(self):
-        assert geometric_run_pmf(0.5, 1) == 0.5
-        assert geometric_run_pmf(0.5, 3) == pytest.approx(0.125, abs=1e-15)
-
-    def test_partial_sum_exact(self):
-        total = math.fsum(geometric_run_pmf(0.5, r) for r in range(1, 61))
-        assert total == pytest.approx(1.0 - 2.0 ** -60, abs=1e-16)
-
-    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
-    def test_partial_sums_within_tail(self, gamma):
-        for r_max in (5, 20, 50):
-            total = math.fsum(geometric_run_pmf(gamma, r) for r in range(1, r_max + 1))
-            assert abs(1.0 - total) <= gamma ** r_max + 1e-15
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            geometric_run_pmf(0.5, 0)
-        with pytest.raises(ValueError):
-            geometric_run_pmf(1.0, 2)
-
-    @pytest.mark.parametrize("r", [1.5, 2.0, True, "2", None])
-    def test_run_length_must_be_an_integer(self, r):
-        # a run length is a whole number of bits: 1.5 gave 0.354 before
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            geometric_run_pmf(0.5, r)
-
-    def test_numpy_integer_run_length(self):
-        assert geometric_run_pmf(0.5, np.int64(3)) == geometric_run_pmf(0.5, 3)
-
-
 class TestMarkovSource:
     def test_empty(self):
         out = generate_markov_sequence(MarkovSourceParams(0.3), 0, seed=1)
@@ -343,9 +311,8 @@ def test_bits_str_round_trip():
     (lambda n: cascade_equivalence_check(n, ChannelParams(d=0.1)), "0 <= n <= "),
     (lambda n: run_alignment_check(n, ChannelParams(d=0.1)), "0 <= n <= "),
     (lambda n: SeriesConfig(r_max_cap=n), "r_max_cap"),
-    (lambda n: geometric_run_pmf(0.5, n), "run length r="),
 ], ids=["generate_markov_sequence", "estimate_hI", "exact_run_law", "cascade_equivalence_check",
-        "run_alignment_check", "SeriesConfig", "geometric_run_pmf"])
+        "run_alignment_check", "SeriesConfig"])
 def test_a_float_or_bool_count_is_a_value_error(call, match, count):
     # each was a numpy TypeError at 2.5 once, and True read as the count 1
     with pytest.raises(ValueError, match=match):
