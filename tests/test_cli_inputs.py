@@ -102,6 +102,18 @@ def test_seed_that_is_no_non_negative_integer_is_a_usage_error(command, seed, ca
     assert f"argument --seed: must be a non-negative integer, got {seed}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "mc", "--steps", "4.6e18"],
+    ["simulate", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5", "--n", "4611686018427387904"],
+], ids=["verify-steps", "simulate-n"])
+def test_a_size_too_large_to_allocate_is_an_error(argv, capsys):
+    # each ended in numpy's MemoryError traceback once; numpy refuses these 4 EiB
+    # arrays without allocating any of them
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_series_config_line_without_equals_is_an_error(tmp_path, monkeypatch, capsys):
     cfg_file = tmp_path / "series.cfg"
     cfg_file.write_text("tail_epsilon 1e-10\n")
