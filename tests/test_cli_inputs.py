@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from delinscap import exact_oracle
 from delinscap import verification as ver
 from delinscap.core import ChannelParams
+from delinscap.mc_estimator import DEFAULT_BURN_IN
 from delinscap.cli import build_parser, main
 from delinscap.gamma_optimizer import CHANNELS
 
@@ -131,14 +132,19 @@ def test_unknown_suite_lists_the_suites():
 
 # the values of the flags that take one: plain values that the flag's type reads, and at most
 # one hostile value per command line.  The hostile ones are non-finite numbers, a signed zero, a
-# subnormal, underscores and Arabic-Indic digits (which float() and int() read), blanks, a float
-# overflow and grids that are reversed, zero- or negative-step or malformed; no grid expands to
-# more than 3 points.  The draws favour the first plain value a flag's type reads: one it takes
-_PLAIN = ["0.5", "3", "0.1", "0.3", "0.9", "0", "0.1,0.3", "0.3,0.1,0", "0:0.2:0.1", "0.1:0.1:1"]
-_HOSTILE = ["nan", "inf", "-inf", "-0", "5e-324", "1e-300", "1e400", "1", "1_0", "٠.٥", "٣", "", " ", "0x1p-2",
-            "0.2:0:0.1", "0:0.2:0", "0:0.2:-0.1", "0::0.1", ",", "0.1,", "0:1:nan", "0:1:1e-9", "٠:٠.٢:٠.١"]
-_FUZZED = ("bound", "sweep", "simulate")
+# subnormal, a negative integer, one past --n-max's range, underscores and Arabic-Indic digits
+# (which float() and int() read), blanks, a float overflow and grids that are reversed, zero- or
+# negative-step or malformed; no grid expands to more than 3 points.  The draws favour the first
+# plain value a flag's type reads: one it takes
+_PLAIN = ["0.5", "3", "0.1", "0.3", "0.9", "0", "0.1,0.3", "0.3,0.1,0", "0:0.2:0.1", "0.1:0.1:1", "1e4"]
+_HOSTILE = ["nan", "inf", "-inf", "-0", "5e-324", "1e-300", "1e400", "1", "-1", "11", "1_0", "٠.٥", "٣", "", " ",
+            "0x1p-2", "0.2:0:0.1", "0:0.2:0", "0:0.2:-0.1", "0::0.1", ",", "0.1,", "0:1:nan", "0:1:1e-9",
+            "٠:٠.٢:٠.١"]
+_FUZZED = ("bound", "sweep", "simulate", "verify")
 _OUT = "<out>"  # the test's output file
+# verify's flags whose defaults cost too much for one example (a chain of 10^6 steps, the 8-bit
+# cascade check) are always given, each value one its type refuses or reads as at most this cap
+_CAPPED = {"steps": 10 ** 4, "n_max": 6}
 
 
 def _reads(kind, text: str) -> bool:
@@ -149,6 +155,13 @@ def _reads(kind, text: str) -> bool:
     return True
 
 
+def _within(action, texts: list[str]) -> list[str]:
+    """The ``texts`` a capped flag may take: those its type refuses or reads as at most its cap."""
+    if action.dest not in _CAPPED:
+        return texts
+    return [text for text in texts if not _reads(action.type, text) or action.type(text) <= _CAPPED[action.dest]]
+
+
 def _subparser(command: str):
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
     return sub.choices[command]
@@ -156,23 +169,26 @@ def _subparser(command: str):
 
 @st.composite
 def _hostile_argv(draw) -> list[str]:
-    """A command's argv, its flags read from the parser: a choice, a plain value, ``--out`` the
+    """A command's argv, its arguments read from the parser: a choice, a plain value, ``--out`` the
     test's file; then one value, if any is drawn, replaced by a hostile one (a stray choice, an
-    empty path).  The drawn channel's flags are given more often than the other channels'."""
+    empty path).  The drawn channel's flags are given more often than the other channels', and
+    a positional argument (verify's suite) and a capped flag always."""
     command = draw(st.sampled_from(_FUZZED))
     channel_flags = {flag for spec in CHANNELS.values() for flag in spec.flags}
-    channel, pairs = None, []
+    channel, args = None, []  # each argument's words, and the hostile values of its last word
     for action in _subparser(command)._actions:
-        if not action.option_strings or action.dest == "help":
+        if action.dest == "help":
             continue
         if action.dest in channel_flags:
             tenths = 9 if channel is not None and action.dest in CHANNELS[channel].flags else 1
+        elif not action.option_strings or action.dest in _CAPPED:
+            tenths = 10
         else:
             tenths = 9 if action.required else 5
         if draw(st.integers(0, 9)) >= tenths:  # given in tenths of the draws
             continue
         if action.nargs == 0:
-            pairs.append([action.option_strings[0]])
+            args.append(([action.option_strings[0]], None))
             continue
         if action.choices is not None:
             value = draw(st.sampled_from(list(action.choices)))
@@ -181,13 +197,13 @@ def _hostile_argv(draw) -> list[str]:
         elif action.dest == "out":
             value, hostile = _OUT, [""]
         else:
-            value = draw(st.sampled_from([text for text in _PLAIN if _reads(action.type or str, text)]))
-            hostile = _HOSTILE
-        pairs.append([action.option_strings[0], value, hostile])
-    valued = [pair for pair in pairs if len(pair) == 3]
-    if valued and (pair := draw(st.sampled_from([None, *valued]))) is not None:
-        pair[1] = draw(st.sampled_from(pair[2]))
-    return [command, *(word for pair in draw(st.permutations(pairs)) for word in pair[:2])]
+            value = draw(st.sampled_from(_within(action, [text for text in _PLAIN if _reads(action.type or str, text)])))
+            hostile = _within(action, _HOSTILE)
+        args.append(([*action.option_strings[:1], value], hostile))
+    valued = [arg for arg in args if arg[1] is not None]
+    if valued and (arg := draw(st.sampled_from([None, *valued]))) is not None:
+        arg[0][-1] = draw(st.sampled_from(arg[1]))
+    return [command, *(word for words, _ in draw(st.permutations(args)) for word in words)]
 
 
 def _strict_json(text: str) -> dict:
@@ -202,9 +218,13 @@ def _strict_json(text: str) -> dict:
 @given(argv=_hostile_argv())
 @example(argv=["bound", "--channel", "deletion", "--d", "0.2", "--gamma", "0"])  # a ZeroDivisionError once
 @example(argv=["sweep", "--channel", "deletion", "--d", "0.2:0:0.1", "--out", _OUT])  # an empty CSV, exit 0, once
+@example(argv=["simulate", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5", "--n", "0"])  # exit 0 once
+@example(argv=["verify", "mc", "--steps", "inf", "--n-max", "3"])  # an OverflowError once
+@example(argv=["verify", "mc", "--steps", "1e4", "--n-max", "3", "--seed", "-1"])  # exit 1, naming no flag, once
+@example(argv=["verify", "oracle", "--steps", "1e4", "--n-max", "11"])  # exit 1 with the library's error once
 def test_hostile_input_exits_cleanly_with_a_valid_report(argv, tmp_path):
-    # every run exits 0 with output its contract accepts, or 1 or 2 with one error line; any
-    # other exception, a traceback, fails
+    # every run exits 0 with output its contract accepts, or 1 or 2 with one error line, or, for
+    # verify, 1 with a report of a failed check; any other exception, a traceback, fails
     jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "out"
     out.unlink(missing_ok=True)
@@ -218,15 +238,19 @@ def test_hostile_input_exits_cleanly_with_a_valid_report(argv, tmp_path):
     lines = stderr.getvalue().splitlines()
     errors = [line for line in lines if "error:" in line]
     notes = [line for line in lines if line.startswith("note: ")]  # --paper-closed-forms' one note
+    command, written = argv[0], out.exists()
+    failed_check = command == "verify" and code == 1 and not lines  # a report that says so
     if code == 2:  # a usage error
         assert lines[0].startswith("usage: ") and errors == lines[-1:]
-    elif code == 1:  # a value the library refused
+    elif code == 1 and not failed_check:  # a value the library refused
         assert len(errors) == 1 and errors[0].startswith("error: ") and lines == notes + errors
-    if code:
-        assert code in (1, 2) and not out.exists()
+        if command == "verify":  # verify's one such value: a chain no longer than the estimators' burn-in
+            args = build_parser().parse_args(argv)
+            assert args.suite == "mc" and args.steps <= DEFAULT_BURN_IN, errors
+    if code and not failed_check:
+        assert code in (1, 2) and not written
         return
     assert notes == lines
-    command, written = argv[0], out.exists()
     if command == "sweep":
         rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
         assert rows[0][0] == "channel" and all(len(row) == len(rows[0]) for row in rows)
@@ -235,5 +259,6 @@ def test_hostile_input_exits_cleanly_with_a_valid_report(argv, tmp_path):
         assert stdout.getvalue().startswith("channel=")
     else:
         payload = _strict_json(out.read_text(encoding="utf-8") if written else stdout.getvalue())
-        schema = "bound_report" if command == "bound" else "simulation"
+        schema = {"bound": "bound_report", "simulate": "simulation", "verify": "verification"}[command]
         jsonschema.validate(payload, json.loads((SCHEMA.parent / f"{schema}.schema.json").read_text()))
+        assert command != "verify" or payload["passed"] == (code == 0)
