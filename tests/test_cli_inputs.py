@@ -220,6 +220,7 @@ def _strict_json(text: str) -> dict:
 @example(argv=["sweep", "--channel", "deletion", "--d", "0.2:0:0.1", "--out", _OUT])  # an empty CSV, exit 0, once
 @example(argv=["simulate", "--channel", "deletion", "--d", "0.1", "--gamma", "0.5", "--n", "0"])  # exit 0 once
 @example(argv=["verify", "mc", "--steps", "inf", "--n-max", "3"])  # an OverflowError once
+@example(argv=["verify", "mc", "--steps", "1e4", "--n-max", "3", "--out", _OUT])  # a report of failed checks
 @example(argv=["verify", "mc", "--steps", "1e4", "--n-max", "3", "--seed", "-1"])  # exit 1, naming no flag, once
 @example(argv=["verify", "oracle", "--steps", "1e4", "--n-max", "11"])  # exit 1 with the library's error once
 def test_hostile_input_exits_cleanly_with_a_valid_report(argv, tmp_path):
