@@ -53,9 +53,7 @@ SERIES_DEFAULTS = "tail_epsilon=1e-12\nr_max_cap=4096\n"
 
 def _codes(obj) -> set:
     """The code objects of a function, a property or a static or class method."""
-    if isinstance(obj, property):
-        return {f.__code__ for f in (obj.fget, obj.fset, obj.fdel) if f is not None}
-    obj = inspect.unwrap(getattr(obj, "__func__", obj))
+    obj = inspect.unwrap(obj.fget if isinstance(obj, property) else getattr(obj, "__func__", obj))
     return {obj.__code__} if hasattr(obj, "__code__") else set()
 
 
