@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from delinscap.channel_sim import (
     augment_with_deleted_runs,
     flip_complementary,
 )
-from delinscap.exact_oracle import enumerate_channel_law, reference_apply
+from delinscap.exact_oracle import cascade_law, enumerate_channel_law, insertion_stage_probabilities, reference_apply
 
 K, D, P, C = Action.KEEP, Action.DELETE, Action.DUPLICATE, Action.COMPLEMENT
 # the channels' and the source's test surfaces: the per-bit sampler, and the uniforms per block of a long draw
@@ -333,6 +334,19 @@ class TestRealizationInvariants:
             assert out.aux.t_flags.tolist() == t_fl
             assert out.aux.s_counts.tolist() == s
 
+    def test_delins_aux_consistency(self):
+        # a sampled realization of a Markov input against the list semantics of its own pattern
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            n = int(rng.integers(1, 24))
+            x = generate_markov_sequence(MarkovSourceParams(0.5), n, seed=int(rng.integers(2 ** 32)))
+            out = apply_delins(x, ChannelParams(d=0.25, i=0.2, alpha=0.5), seed=int(rng.integers(2 ** 32)))
+            y, i_fl, t_fl, s = reference_apply(x.tolist(), out.pattern.tolist())
+            assert out.y.tolist() == y
+            assert out.aux.i_flags.tolist() == i_fl
+            assert out.aux.t_flags.tolist() == t_fl
+            assert out.aux.s_counts.tolist() == s
+
     def test_action_frequencies(self):
         params = ChannelParams(d=0.25, i=0.2, alpha=0.6)
         x = generate_markov_sequence(MarkovSourceParams(0.5), 10 ** 6, seed=31)
@@ -377,6 +391,31 @@ class TestSamplerMatchesExactLaw:
             if p < 5e-3:
                 continue
             freq = counts.get(y, 0) / trials
+            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / trials), y
+
+    @pytest.mark.parametrize("params", [ChannelParams(d=0.2, i=0.1, alpha=0.8), ChannelParams(d=0.6, i=0.4, alpha=0.0),
+                                        ChannelParams(i=0.3, alpha=1.0)])
+    def test_blocks_of_one_draw_match_the_cascade_law(self, params):
+        # each input bit's output is its own (none, one or two bits), so the
+        # blocks of one draw over 10**5 copies of x are 10**5 realizations of x;
+        # their law is the cascade form's (i' = i/(1-d)), which the exact
+        # equivalence check ties to the one-shot channel
+        x = bits_from_str("00101101")
+        trials = 10 ** 5
+        out = apply_delins(np.tile(x, trials), params, seed=7)
+        sizes = np.minimum(out.pattern, 2)
+        ends = np.add.reduceat(sizes, np.arange(0, sizes.size, x.size), dtype=np.int64).cumsum()
+        assert ends[-1] == out.y.size
+        text = (out.y + ord("0")).tobytes().decode()
+        counts = Counter(text[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist()))
+        law = cascade_law(x, params)
+        assert set(counts) <= set(law)
+        # 4 sigma per outcome keeps the family-wise false-alarm rate ~1%
+        # across the outcomes heavy enough to test
+        for y, p in law.items():
+            if p < 1e-3:
+                continue
+            freq = counts[y] / trials
             assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / trials), y
 
 
@@ -428,6 +467,33 @@ class TestSimulatorMatchesArrayReference:
                 got = _outcome(apply_pattern, x, bad)
                 assert got == _outcome(oracles.reference_apply_pattern, x, bad)
                 assert got.startswith("ValueError")
+
+    @pytest.mark.parametrize("params", [ChannelParams(d=0.25, i=0.2, alpha=0.5), ChannelParams(d=0.0, i=0.9, alpha=1.0),
+                                        ChannelParams(d=0.6, i=0.4, alpha=0.0), ChannelParams(d=0.9)])
+    def test_cascade_stage_two_law(self, params):
+        # the cascade's insertion-stage law has a zero deletion edge and may
+        # put all its mass on insertions (d + i = 1); after the deletion stage
+        # it is the one-shot law, and the sampler draws it as the array
+        # reference does
+        stage2 = insertion_stage_probabilities(params)
+        ip, a = params.i_prime, params.alpha
+        assert stage2.tolist() == [0.0, 1.0 - ip, ip * a, ip * (1.0 - a)]
+        composed = [params.d, *((1.0 - params.d) * stage2[1:]).tolist()]
+        assert composed == pytest.approx(action_probabilities(params).tolist(), rel=0.0, abs=1e-15)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            x = rng.integers(0, 2, size=n).astype(np.uint8)
+            seed = int(rng.integers(2 ** 32))
+            draws, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            kept = draws.random(n) >= params.d
+            assert np.array_equal(kept, ref.random(n) >= params.d)
+            actions = np.full(n, Action.DELETE, dtype=np.int8)
+            actions[kept] = sample_from_probs(int(kept.sum()), stage2, draws)
+            ref_actions = np.full(n, Action.DELETE, dtype=np.int8)
+            ref_actions[kept] = oracles.reference_sample_from_probs(int(kept.sum()), stage2, ref)
+            assert np.array_equal(actions, ref_actions)
+            _assert_same_output(apply_pattern(x, actions), oracles.reference_apply_pattern(x, ref_actions))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10 ** 4])
     @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.97])

@@ -10,7 +10,7 @@ import oracles
 from delinscap import core
 from delinscap.analytic_bounds import SeriesConfig
 from delinscap.exact_oracle import cascade_equivalence_check, exact_run_law, run_alignment_check
-from delinscap.mc_estimator import estimate_hI
+from delinscap.mc_estimator import estimate_HS2, estimate_hI
 from delinscap.core import (
     ChannelParams,
     MarkovSourceParams,
@@ -307,11 +307,12 @@ def test_bits_str_round_trip():
 @pytest.mark.parametrize("call, match", [
     (lambda n: generate_markov_sequence(MarkovSourceParams(0.5), n, seed=0), "sequence length"),
     (lambda n: estimate_hI(0.2, 0.5, 0.5, steps=n), "sequence length"),  # the chain's length
+    (lambda n: estimate_HS2(0.5, 0.2, steps=n), "sequence length"),  # the deletion chain's
     (lambda n: exact_run_law(n, ChannelParams(d=0.1)), "0 <= r_max <= 10"),
     (lambda n: cascade_equivalence_check(n, ChannelParams(d=0.1)), "0 <= n <= "),
     (lambda n: run_alignment_check(n, ChannelParams(d=0.1)), "0 <= n <= "),
     (lambda n: SeriesConfig(r_max_cap=n), "r_max_cap"),
-], ids=["generate_markov_sequence", "estimate_hI", "exact_run_law", "cascade_equivalence_check",
+], ids=["generate_markov_sequence", "estimate_hI", "estimate_HS2", "exact_run_law", "cascade_equivalence_check",
         "run_alignment_check", "SeriesConfig"])
 def test_a_float_or_bool_count_is_a_value_error(call, match, count):
     # each was a numpy TypeError at 2.5 once, and True read as the count 1

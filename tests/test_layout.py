@@ -9,8 +9,9 @@ rules it holds the checks that need those internals: that the grid's plan
 and the arrays its gammas alone fix are kept once and read-only, that the
 oracles' restated constants are the package's, that the run-length term's
 parts (its float and grid weights, its band start, band and closed part,
-its row error) are what the package computes, bit for bit, and that the row
-floor keeps its margin.  It also resolves every package name README cites,
+its row error) are what the package computes, bit for bit, that the float
+weights are the source's run-length law, and that the row floor keeps its
+margin.  It also resolves every package name README cites,
 and each docstring README names as the statement of a rule.
 """
 
@@ -399,6 +400,37 @@ def test_grid_weights_are_the_float_weights_at_every_row(gamma):
     plan = run_length._GridPlan(cfg, (gamma, 0.3), 32)
     row = plan.weights(plan.chunks[0])[0]
     assert np.array_equal(row[:r_max], p) and not row[r_max:].any()
+
+
+def test_float_weights_values():
+    # p_r = (1 - gamma) gamma**(r-1), the one statement of the source's geometric run law
+    assert run_length._run_weights(0.5, 3).tolist() == [0.5, 0.25, 0.125]
+    assert run_length._run_weights(0.5, 0).size == 0
+
+
+def test_float_weights_partial_sum_exact():
+    total = math.fsum(run_length._run_weights(0.5, 60).tolist())
+    assert total == pytest.approx(1.0 - 2.0 ** -60, abs=1e-16)
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+def test_float_weights_partial_sums_within_tail(gamma):
+    for r_max in (5, 20, 50):
+        total = math.fsum(run_length._run_weights(gamma, r_max).tolist())
+        assert abs(1.0 - total) <= gamma ** r_max + 1e-15
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5, 0.8, 0.97])
+def test_source_run_lengths_follow_the_float_weights(gamma):
+    # the inner runs of a long source draw (the first and last are cut short)
+    # have the law p_r, 4 sigma per run length of p_r >= 1e-3
+    x = core.generate_markov_sequence(core.MarkovSourceParams(gamma), 10 ** 6, seed=17)
+    lengths = np.array(core.to_runs(x).lengths[1:-1])
+    p = run_length._run_weights(gamma, int(lengths.max()))
+    freq = np.bincount(lengths - 1) / lengths.size
+    heavy = p >= 1e-3
+    sigma = np.sqrt(p * (1.0 - p) / lengths.size)
+    assert np.all(np.abs(freq - p)[heavy] <= 4 * sigma[heavy])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
